@@ -11,6 +11,7 @@
 use std::fs::File;
 use std::io::{BufReader, BufWriter, Read, Write};
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use seqio::error::{Error, Result};
 use seqio::packed::PackedSeq;
@@ -51,6 +52,28 @@ pub struct DskOutcome {
     pub spilled_kmers: u64,
 }
 
+/// One call's private spill directory under the work dir, removed when
+/// dropped — on success, on an error return and on unwind alike. The name
+/// is unique per process (pid) and per call (a process-wide counter), so
+/// concurrent calls never share a partition file.
+struct SpillDir(PathBuf);
+
+impl SpillDir {
+    fn create(work_dir: &Path) -> Result<Self> {
+        static NEXT_CALL: AtomicU64 = AtomicU64::new(0);
+        let call = NEXT_CALL.fetch_add(1, Ordering::Relaxed);
+        let dir = work_dir.join(format!("dsk_{:x}_{call}", std::process::id()));
+        std::fs::create_dir_all(&dir)?;
+        Ok(SpillDir(dir))
+    }
+}
+
+impl Drop for SpillDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
 #[inline]
 fn partition_of(packed: u64, partitions: usize) -> usize {
     ((packed.wrapping_mul(0xD6E8_FEB8_6659_FD93)) >> 33) as usize % partitions
@@ -68,10 +91,9 @@ fn partition_of(packed: u64, partitions: usize) -> usize {
 pub fn count_kmers_dsk<S: AsRef<[u8]>>(reads: &[S], cfg: &DskConfig) -> Result<DskOutcome> {
     let partitions = cfg.partitions.max(1);
     let k = cfg.counter.k;
-    std::fs::create_dir_all(&cfg.work_dir)?;
-    let unique = std::process::id() as u64 ^ (reads.len() as u64) << 20;
+    let spill_dir = SpillDir::create(&cfg.work_dir)?;
     let paths: Vec<PathBuf> = (0..partitions)
-        .map(|p| cfg.work_dir.join(format!("dsk_{unique:x}_{p}.part")))
+        .map(|p| spill_dir.0.join(format!("{p}.part")))
         .collect();
 
     // Pass 1: spill packed k-mers to their partitions.
@@ -110,7 +132,6 @@ pub fn count_kmers_dsk<S: AsRef<[u8]>>(reads: &[S], cfg: &DskConfig) -> Result<D
         for (km, c) in part.iter() {
             merged.add(km, c);
         }
-        std::fs::remove_file(path).ok();
     }
     Ok(DskOutcome {
         counts: merged,
@@ -158,9 +179,13 @@ mod tests {
     use crate::counter::count_kmers;
 
     fn reads() -> Vec<Vec<u8>> {
+        reads_from(b"ACGTACGTGGCCATATTGCAGGCT")
+    }
+
+    fn reads_from(template: &[u8]) -> Vec<Vec<u8>> {
         (0..40)
             .map(|i| {
-                let mut s = b"ACGTACGTGGCCATATTGCAGGCT".to_vec();
+                let mut s = template.to_vec();
                 let n = s.len();
                 s.rotate_left(i % n);
                 s
@@ -186,6 +211,51 @@ mod tests {
             assert_eq!(dsk.counts.get(km), c, "k-mer {km}");
         }
         assert_eq!(dsk.counts.total(), reference.total());
+    }
+
+    #[test]
+    fn concurrent_calls_with_equal_read_counts_do_not_collide() {
+        // Same process, same work dir, same read count, different reads:
+        // every caller must still see exactly its own spectrum, and the
+        // work dir must be left empty.
+        let templates: [&[u8]; 4] = [
+            b"ACGTACGTGGCCATATTGCAGGCT",
+            b"TTGACCGATAGGCTTACACGATCG",
+            b"GGGATCCTTAAGCACGTTTGCAAC",
+            b"CATTGCGGATCGAATCCGTAGGTA",
+        ];
+        let mut c = cfg(8, 8);
+        c.work_dir = std::env::temp_dir().join(format!("dsk_conc_{}", std::process::id()));
+        let start = std::sync::Barrier::new(templates.len());
+        // Workers count wrong rounds instead of panicking mid-loop: a
+        // panicked worker would leave the others waiting at the barrier.
+        let wrong_rounds: usize = std::thread::scope(|s| {
+            let workers: Vec<_> = templates
+                .iter()
+                .map(|template| {
+                    let (c, start) = (&c, &start);
+                    s.spawn(move || {
+                        let reads = reads_from(template);
+                        let reference = count_kmers(&reads, CounterConfig::new(8));
+                        let matches = |dsk: DskOutcome| {
+                            dsk.counts.len() == reference.len()
+                                && reference.iter().all(|(km, n)| dsk.counts.get(km) == n)
+                        };
+                        (0..8)
+                            .filter(|_round| {
+                                start.wait();
+                                !count_kmers_dsk(&reads, c).is_ok_and(&matches)
+                            })
+                            .count()
+                    })
+                })
+                .collect();
+            workers.into_iter().map(|w| w.join().unwrap()).sum()
+        });
+        assert_eq!(wrong_rounds, 0, "callers saw each other's partitions");
+        let left: Vec<_> = std::fs::read_dir(&c.work_dir).unwrap().collect();
+        assert!(left.is_empty(), "spill dirs left behind: {left:?}");
+        std::fs::remove_dir_all(&c.work_dir).ok();
     }
 
     #[test]

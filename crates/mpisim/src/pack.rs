@@ -29,7 +29,9 @@ pub fn unpack_byte_strings(mut buf: &[u8]) -> Option<Vec<Vec<u8>>> {
         return None;
     }
     let n = buf.get_u32_le() as usize;
-    let mut out = Vec::with_capacity(n);
+    // The count is untrusted: every item costs at least its 4-byte length
+    // prefix, so the bytes left bound how many can really follow.
+    let mut out = Vec::with_capacity(n.min(buf.remaining() / 4));
     for _ in 0..n {
         if buf.remaining() < 4 {
             return None;
@@ -114,6 +116,13 @@ mod tests {
         assert!(unpack_byte_strings(&buf[..buf.len() - 1]).is_none());
         assert!(unpack_byte_strings(&buf[..3]).is_none());
         assert!(unpack_byte_strings(&[]).is_none());
+    }
+
+    #[test]
+    fn huge_count_prefix_is_rejected_without_allocating_for_it() {
+        // n = u32::MAX on a 4-byte buffer: a framing violation, not a
+        // multi-gigabyte reservation.
+        assert!(unpack_byte_strings(&u32::MAX.to_le_bytes()).is_none());
     }
 
     #[test]

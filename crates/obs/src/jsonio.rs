@@ -78,8 +78,13 @@ impl Json {
     }
 }
 
-/// Parse one JSON document. Returns `None` on any syntax error or
-/// trailing garbage.
+/// Deepest array/object nesting [`parse`] accepts. The exporters nest four
+/// or five levels; the cap keeps a hostile file (say 300 000 `[`) an
+/// error instead of a recursion that overflows the stack.
+pub const MAX_DEPTH: usize = 128;
+
+/// Parse one JSON document. Returns `None` on any syntax error, trailing
+/// garbage, or nesting deeper than [`MAX_DEPTH`].
 ///
 /// # Examples
 ///
@@ -90,7 +95,7 @@ impl Json {
 /// ```
 pub fn parse(s: &str) -> Option<Json> {
     let b = s.as_bytes();
-    let (v, i) = value(b, 0)?;
+    let (v, i) = value(b, 0, 0)?;
     (skip_ws(b, i) == b.len()).then_some(v)
 }
 
@@ -101,8 +106,12 @@ fn skip_ws(b: &[u8], mut i: usize) -> usize {
     i
 }
 
-fn value(b: &[u8], i: usize) -> Option<(Json, usize)> {
+/// Parse the value at `i`, itself nested inside `depth` containers.
+fn value(b: &[u8], i: usize, depth: usize) -> Option<(Json, usize)> {
     let i = skip_ws(b, i);
+    if depth >= MAX_DEPTH && matches!(b.get(i)?, b'{' | b'[') {
+        return None;
+    }
     match b.get(i)? {
         b'{' => {
             let mut fields = Vec::new();
@@ -116,7 +125,7 @@ fn value(b: &[u8], i: usize) -> Option<(Json, usize)> {
                 if b.get(j) != Some(&b':') {
                     return None;
                 }
-                let (val, j) = value(b, j + 1)?;
+                let (val, j) = value(b, j + 1, depth + 1)?;
                 fields.push((key, val));
                 i = skip_ws(b, j);
                 match b.get(i)? {
@@ -133,7 +142,7 @@ fn value(b: &[u8], i: usize) -> Option<(Json, usize)> {
                 return Some((Json::Arr(items), i + 1));
             }
             loop {
-                let (val, j) = value(b, i)?;
+                let (val, j) = value(b, i, depth + 1)?;
                 items.push(val);
                 i = skip_ws(b, j);
                 match b.get(i)? {
@@ -251,6 +260,16 @@ mod tests {
         assert_eq!(arr[1].str("b"), Some("x"));
         assert_eq!(v.get("c").unwrap().as_obj().unwrap().len(), 0);
         assert_eq!(v.get("missing"), None);
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let nested = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
+        assert!(parse(&nested(MAX_DEPTH)).is_some());
+        assert_eq!(parse(&nested(MAX_DEPTH + 1)), None);
+        // Unclosed and far past any stack: an error, not an overflow.
+        assert_eq!(parse(&"[".repeat(300_000)), None);
+        assert_eq!(parse(&"{\"k\":".repeat(300_000)), None);
     }
 
     #[test]

@@ -532,11 +532,12 @@ fn main() -> ExitCode {
         Some("analyze") => {
             return match run_analyze(&argv[1..]) {
                 Ok(()) => ExitCode::SUCCESS,
+                // Like `diff`: 2 is "bad usage or unreadable artifact".
                 Err(e) => {
                     eprintln!("{e}");
-                    ExitCode::FAILURE
+                    ExitCode::from(2)
                 }
-            }
+            };
         }
         Some("diff") => {
             return match run_diff(&argv[1..]) {

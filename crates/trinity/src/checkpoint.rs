@@ -6,7 +6,7 @@
 //! ```text
 //! magic      8 bytes   b"TRNCKPT1"
 //! version    u32 LE    format version (currently 2)
-//! fprint     u64 LE    run fingerprint (hash of reads + config knobs)
+//! fprint     u64 LE    run fingerprint (hash of reads + the whole config)
 //! stage      u32 LE length + UTF-8 bytes
 //! duration   f64 LE bits   the stage's virtual duration, replayed on resume
 //! payload    u64 LE length + bytes (stage-specific codec below)
@@ -461,8 +461,10 @@ pub fn decode_pairs(payload: &[u8]) -> Option<Vec<(u32, u32)>> {
 }
 
 /// Fingerprint of a run: FNV-1a over the input reads and the configuration
-/// knobs that change stage outputs. Two runs with the same fingerprint may
-/// share checkpoints; anything else must not.
+/// `key`. Two runs with the same fingerprint may share checkpoints;
+/// anything else must not. The pipeline driver passes one word — the hash
+/// of the whole `PipelineConfig`'s `Debug` rendering — so no field that
+/// changes a stage output can be left out of the key.
 pub fn run_fingerprint(reads: &[Record], key: &[u64]) -> u64 {
     let mut h = FNV_OFFSET;
     let mut mix = |bytes: &[u8]| {

@@ -12,21 +12,22 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use seqio::fasta::Record;
-use seqio::packed::PackedSeq;
+use seqio::packed::{PackedSeq, SeqioStats};
 
 use bowtie::align::AlignConfig;
 use butterfly::transcripts::{reconstruct_component, ComponentInput, ReconstructionConfig};
-use chrysalis::bowtie_mpi::{bowtie_mpi, contig_name_index, BowtieMpiOutput, BowtieTimings};
+use chrysalis::bowtie_mpi::{bowtie_mpi, contig_name_index, BowtieTimings};
 use chrysalis::config::ChrysalisConfig;
-use chrysalis::graph_from_fasta::{cluster, gff_hybrid, gff_shared_memory, GffOutput, GffShared};
-use chrysalis::reads_to_transcripts::{rtt_hybrid, rtt_shared_memory, RttOutput, RttShared};
+use chrysalis::graph_from_fasta::{cluster, gff_hybrid, gff_shared_memory, GffShared};
+use chrysalis::reads_to_transcripts::{rtt_hybrid, rtt_shared_memory, RttShared};
 use chrysalis::scaffold::{scaffold_pairs, ScaffoldConfig};
 use chrysalis::timings::{GffTimings, RttTimings};
 use inchworm::assemble::{assemble, InchwormConfig};
 use inchworm::dictionary::Dictionary;
-use kcount::counter::{count_kmers_packed, CounterConfig};
-use mpisim::{run_cluster, run_cluster_faulty, Comm, FaultPlan, NetModel};
-use omp::makespan::simulate_loop;
+use kcount::counter::{count_kmers_packed, CounterConfig, KmerCounts};
+use mpisim::cluster::cluster_time;
+use mpisim::{run_cluster, run_cluster_faulty, Comm, FaultPlan, NetModel, RankOutput};
+use omp::makespan::{simulate_loop, LoopSim};
 use omp::pool::parallel_map_timed;
 
 use crate::checkpoint as ckpt;
@@ -65,39 +66,6 @@ pub mod ram {
     /// Butterfly: graph nodes/edges per component (peak over components).
     pub fn butterfly(max_component_nodes: usize) -> u64 {
         (max_component_nodes as u64) * 96
-    }
-}
-
-/// Collectl-style stage logger: each stage becomes a `cat:"stage"` span on
-/// track 0 starting where the previous ended, carrying the modelled RAM as
-/// a span arg and as a step in the `"ram"` counter series.
-struct StageLog {
-    obs: obs::Tracer,
-    cursor: f64,
-}
-
-impl StageLog {
-    fn new() -> Self {
-        let obs = obs::Tracer::new();
-        obs.name_track(0, "pipeline");
-        StageLog { obs, cursor: 0.0 }
-    }
-
-    /// Append a stage; returns its start time (for splicing sub-traces).
-    fn push(&mut self, name: &str, duration: f64, peak_ram: u64) -> f64 {
-        let start = self.cursor;
-        self.cursor += duration.max(0.0);
-        self.obs.record_with(
-            0,
-            "stage",
-            name,
-            start,
-            self.cursor,
-            &[("ram", peak_ram as f64)],
-        );
-        self.obs.counter(0, "ram", start, peak_ram as f64);
-        self.obs.counter(0, "ram", self.cursor, peak_ram as f64);
-        start
     }
 }
 
@@ -203,71 +171,35 @@ pub struct RunOptions {
     pub resume: bool,
 }
 
-/// Result of running one cluster stage to completion under (possible)
-/// fault injection.
-struct ClusterRun<T> {
-    /// Per-rank outputs of the final, successful attempt.
-    outs: Vec<mpisim::RankOutput<T>>,
-    /// Total virtual time, including crashed attempts that were replayed.
+/// What a finished stage puts under its track-0 span.
+#[derive(Default)]
+struct StageRun {
+    /// Virtual duration (replayed from the checkpoint when resumed).
     time: f64,
-    /// Partial traces salvaged from crashed/aborted attempts (they carry
-    /// the `fault.crash` markers and any pre-crash comm spans).
-    aborted_traces: Vec<obs::Trace>,
+    /// Sub-traces (clocks from 0) spliced onto the rank lanes at the
+    /// stage's start.
+    traces: Vec<obs::Trace>,
+    /// Entries of the stage's k-mer lookup table for the RAM model — known
+    /// only to a computed run, 0 when resumed.
+    table_entries: usize,
 }
 
-/// Run a cluster stage, replaying it until every rank completes. Crash
-/// points are one-shot on the shared plan, so each replay is strictly
-/// closer to a clean run; drops/delays replay with identical RNG streams
-/// and never change payloads. Fault counters are folded into `metrics`.
-fn run_cluster_resilient<T, F>(
-    ranks: usize,
-    net: NetModel,
-    plan: Option<&Arc<FaultPlan>>,
-    metrics: &obs::MetricsRegistry,
-    f: F,
-) -> ClusterRun<T>
-where
-    T: Send,
-    F: Fn(&mut Comm) -> T + Sync,
-{
-    let Some(plan) = plan.filter(|p| p.is_active()) else {
-        let outs = run_cluster(ranks, net, f);
-        return ClusterRun {
-            time: max_time(&outs),
-            outs,
-            aborted_traces: Vec::new(),
-        };
-    };
-    let mut time = 0.0;
-    let mut aborted_traces = Vec::new();
-    // Each failed attempt fires at least one one-shot crash point, so the
-    // loop is bounded by the number of scheduled crashes.
-    for _attempt in 0..=plan.crashes().len() {
-        let outs = run_cluster_faulty(ranks, net, Arc::clone(plan), &f);
-        for o in &outs {
-            metrics.counter("fault.retries").add(o.stats.retries);
-            metrics.counter("fault.delays").add(o.stats.delays);
-        }
-        time += outs.iter().map(|o| o.time).fold(0.0, f64::max);
-        if outs.iter().all(|o| o.state.is_completed()) {
-            let outs = mpisim::unwrap_clean(outs).expect("all ranks completed");
-            return ClusterRun {
-                outs,
-                time,
-                aborted_traces,
-            };
-        }
-        metrics
-            .counter("fault.rank_crashes")
-            .add(mpisim::crashed_ranks(&outs).len() as u64);
-        metrics.counter("fault.replays").add(1);
-        for o in outs {
-            if !o.trace.is_empty() {
-                aborted_traces.push(o.trace);
-            }
+impl StageRun {
+    fn timed(time: f64) -> Self {
+        StageRun {
+            time,
+            ..Default::default()
         }
     }
-    unreachable!("crash points are one-shot; a replay must eventually run clean")
+}
+
+/// A cluster stage run to completion.
+struct ClusterRun<T> {
+    /// Per-rank outputs of the successful attempt (one in serial mode).
+    values: Vec<T>,
+    /// Total virtual time, replayed attempts included, and the lanes to
+    /// splice: one per rank, then those salvaged from crashed attempts.
+    stage: StageRun,
 }
 
 /// Everything the pipeline produced.
@@ -301,33 +233,78 @@ pub struct PipelineOutput {
     pub bowtie_timings: Vec<BowtieTimings>,
 }
 
-/// Per-run checkpoint controller: `resume` consumes checkpoints while the
-/// completed prefix validates; `save` writes them after computed stages.
-struct CkptCtl<'a> {
-    dir: Option<&'a Path>,
-    fingerprint: u64,
-    prefix_valid: bool,
+fn seq_bytes(records: &[Record]) -> usize {
+    records.iter().map(|r| r.seq.len()).sum()
 }
 
-impl CkptCtl<'_> {
+/// Per-run driver state. Every stage crosses it the same way: resume →
+/// compute → log → splice → save ([`Driver::stage`]).
+struct Driver<'a> {
+    /// The pipeline timeline; track 0 carries the collectl-style stage
+    /// spans, each starting at `cursor`, where the previous one ended.
+    obs: obs::Tracer,
+    cursor: f64,
+    /// Stage sub-traces, already shifted to their stage's start on the
+    /// rank lanes; appended to the timeline in [`Driver::finish`].
+    spliced: obs::Trace,
+    metrics: obs::MetricsRegistry,
+    /// Checkpoint directory, run fingerprint, and whether every stage so
+    /// far resumed cleanly (resume consumes a completed *prefix*).
+    ckpt_dir: Option<&'a Path>,
+    fingerprint: u64,
+    prefix_valid: bool,
+    ranks: usize,
+    net: NetModel,
+    faults: Option<&'a Arc<FaultPlan>>,
+}
+
+impl<'a> Driver<'a> {
+    fn new(reads: &[Record], cfg: &PipelineConfig, opts: &'a RunOptions) -> Self {
+        let (ranks, net) = match cfg.mode {
+            PipelineMode::Serial => (1, NetModel::ideal()),
+            PipelineMode::Hybrid { ranks, net } => (ranks, net),
+        };
+        let ckpt_dir = opts.checkpoint_dir.as_deref();
+        // The fingerprint covers the reads and the *whole* config, derived
+        // from its `Debug` rendering so a new field can never be left out.
+        // `RunOptions` stays out: a crashed run and its `--resume` differ
+        // only there and must share checkpoints.
+        let config_key = ckpt::fnv1a64(format!("{cfg:?}").as_bytes());
+        let fingerprint = ckpt_dir.map_or(0, |_| ckpt::run_fingerprint(reads, &[config_key]));
+        let obs = obs::Tracer::new();
+        obs.name_track(0, "pipeline");
+        Driver {
+            obs,
+            cursor: 0.0,
+            spliced: obs::Trace::default(),
+            metrics: obs::MetricsRegistry::new(),
+            ckpt_dir,
+            fingerprint,
+            prefix_valid: opts.resume,
+            ranks,
+            net,
+            faults: opts.faults.as_ref(),
+        }
+    }
+
     /// Try to resume `stage`. Returns the checkpoint only if the dir is
     /// configured, every earlier stage resumed cleanly, and this stage's
     /// file validates (magic, version, checksum, fingerprint). A missing
     /// file is the normal "not completed yet" case; a corrupt one is
     /// counted and reported before falling back to recompute.
-    fn resume(&mut self, metrics: &obs::MetricsRegistry, stage: &str) -> Option<ckpt::Checkpoint> {
-        let dir = self.dir?;
+    fn resume(&mut self, stage: &str) -> Option<ckpt::Checkpoint> {
+        let dir = self.ckpt_dir?;
         if !self.prefix_valid {
             return None;
         }
         match ckpt::load(dir, self.fingerprint, stage) {
             Ok(ck) => {
-                metrics.counter("ckpt.resumed").add(1);
+                self.metrics.counter("ckpt.resumed").add(1);
                 Some(ck)
             }
             Err(err) => {
                 if !matches!(err, ckpt::CkptError::Io(_)) {
-                    metrics.counter("ckpt.invalid").add(1);
+                    self.metrics.counter("ckpt.invalid").add(1);
                     eprintln!("checkpoint for {stage} rejected ({err}); recomputing");
                 }
                 self.prefix_valid = false;
@@ -337,41 +314,253 @@ impl CkptCtl<'_> {
     }
 
     /// Persist a computed stage's output (no-op without a checkpoint dir).
-    fn save(&self, metrics: &obs::MetricsRegistry, stage: &str, duration: f64, payload: &[u8]) {
-        let Some(dir) = self.dir else { return };
+    fn save(&self, stage: &str, duration: f64, payload: &[u8]) {
+        let Some(dir) = self.ckpt_dir else { return };
         match ckpt::save(dir, self.fingerprint, stage, duration, payload) {
             Ok(_) => {
-                metrics.counter("ckpt.saved").add(1);
+                self.metrics.counter("ckpt.saved").add(1);
             }
             Err(e) => eprintln!("warning: could not write {stage} checkpoint: {e}"),
         }
     }
-}
 
-fn max_time<T>(outs: &[mpisim::RankOutput<T>]) -> f64 {
-    outs.iter().map(|o| o.time).fold(0.0, f64::max)
-}
-
-/// Queue each rank's sub-trace for splicing at the stage's start time and
-/// fold its communication counters into the shared registry.
-fn record_cluster<T>(
-    metrics: &obs::MetricsRegistry,
-    sub_traces: &mut Vec<(f64, obs::Trace)>,
-    start: f64,
-    outs: &[mpisim::RankOutput<T>],
-) {
-    for o in outs {
-        metrics.counter("comm.bytes_sent").add(o.stats.bytes_sent);
-        metrics.counter("comm.collectives").add(o.stats.collectives);
-        if !o.trace.is_empty() {
-            sub_traces.push((start, o.trace.clone()));
+    /// Log + splice: append the stage as a `cat:"stage"` span on track 0,
+    /// carrying the modelled RAM as a span arg and as a step in the `"ram"`
+    /// counter series, and shift its sub-traces to its start.
+    fn log_stage(&mut self, name: &str, peak_ram: u64, run: StageRun) {
+        let (start, ram) = (self.cursor, peak_ram as f64);
+        self.cursor += run.time.max(0.0);
+        self.obs
+            .record_with(0, "stage", name, start, self.cursor, &[("ram", ram)]);
+        self.obs.counter(0, "ram", start, ram);
+        self.obs.counter(0, "ram", self.cursor, ram);
+        for sub in run.traces {
+            self.spliced.merge_shifted(sub, start, RANK_TRACK_BASE);
         }
+    }
+
+    /// Draw an OpenMP loop replay of the stage about to be logged on the
+    /// thread lanes (`{label}.busy`/`{label}.idle` from the stage's start)
+    /// and record its summary under `{label}.loop`.
+    fn log_omp_loop(&self, label: &str, sim: &LoopSim) {
+        sim.record_metrics(&self.metrics, &format!("{label}.loop"));
+        sim.record_spans(&self.obs, self.cursor, obs::THREAD_TRACK_BASE, label);
+    }
+
+    /// The one checkpointed-stage routine. A checkpoint that validates
+    /// (while the completed prefix holds) is decoded and its recorded
+    /// duration replayed; otherwise `compute` runs. Either way the stage is
+    /// logged with `ram(value, table_entries)` and its sub-traces spliced;
+    /// a computed stage is then saved.
+    fn stage<T>(
+        &mut self,
+        name: &str,
+        decode: impl FnOnce(&[u8]) -> Option<T>,
+        encode: impl FnOnce(&T) -> Vec<u8>,
+        ram: impl FnOnce(&T, usize) -> u64,
+        compute: impl FnOnce(&Self) -> (T, StageRun),
+    ) -> T {
+        let resumed = self.resume(name);
+        let (value, run) = match &resumed {
+            Some(ck) => {
+                let value = decode(&ck.payload);
+                let value = value.unwrap_or_else(|| panic!("validated {name} checkpoint decodes"));
+                (value, StageRun::timed(ck.duration))
+            }
+            None => compute(self),
+        };
+        let time = run.time;
+        self.log_stage(name, ram(&value, run.table_entries), run);
+        if resumed.is_none() {
+            self.save(name, time, &encode(&value));
+        }
+        value
+    }
+
+    /// Fold each rank's communication counters into the metrics and split
+    /// the outputs into values and lanes; `replayed` holds the time and
+    /// partial traces of earlier, crashed attempts (spliced last).
+    fn record_cluster<T>(&self, outs: Vec<RankOutput<T>>, replayed: StageRun) -> ClusterRun<T> {
+        let metrics = &self.metrics;
+        let mut stage = StageRun::timed(replayed.time + cluster_time(&outs));
+        let mut values = Vec::with_capacity(outs.len());
+        for o in outs {
+            metrics.counter("comm.bytes_sent").add(o.stats.bytes_sent);
+            metrics.counter("comm.collectives").add(o.stats.collectives);
+            values.push(o.value);
+            stage.traces.push(o.trace);
+        }
+        stage.traces.extend(replayed.traces);
+        ClusterRun { values, stage }
+    }
+
+    /// Run a rank program on the simulated cluster, replaying it until
+    /// every rank completes. Crash points are one-shot on the shared plan,
+    /// so each replay is strictly closer to a clean run; drops/delays
+    /// replay with identical RNG streams and never change payloads.
+    fn run_cluster_resilient<T, F>(&self, f: F) -> ClusterRun<T>
+    where
+        T: Send,
+        F: Fn(&mut Comm) -> T + Sync,
+    {
+        let (ranks, net, metrics) = (self.ranks, self.net, &self.metrics);
+        let Some(plan) = self.faults.filter(|p| p.is_active()) else {
+            return self.record_cluster(run_cluster(ranks, net, f), StageRun::default());
+        };
+        let mut replayed = StageRun::default();
+        // Each failed attempt fires at least one one-shot crash point, so the
+        // loop is bounded by the number of scheduled crashes.
+        for _attempt in 0..=plan.crashes().len() {
+            let outs = run_cluster_faulty(ranks, net, Arc::clone(plan), &f);
+            for o in &outs {
+                metrics.counter("fault.retries").add(o.stats.retries);
+                metrics.counter("fault.delays").add(o.stats.delays);
+            }
+            if outs.iter().all(|o| o.state.is_completed()) {
+                let outs = mpisim::unwrap_clean(outs).expect("all ranks completed");
+                return self.record_cluster(outs, replayed);
+            }
+            metrics
+                .counter("fault.rank_crashes")
+                .add(mpisim::crashed_ranks(&outs).len() as u64);
+            metrics.counter("fault.replays").add(1);
+            // The partial traces carry the `fault.crash` markers and any
+            // pre-crash comm spans.
+            replayed.time += cluster_time(&outs);
+            replayed.traces.extend(outs.into_iter().map(|o| o.trace));
+        }
+        unreachable!("crash points are one-shot; a replay must eventually run clean")
+    }
+
+    /// The one Chrysalis cluster-stage routine. At one rank the
+    /// shared-memory driver `serial` runs directly; `lane` reads its total
+    /// time off the output and moves its span trace out. Otherwise
+    /// `per_rank` runs on every rank of the simulated cluster.
+    fn chrysalis_stage<S: Sync, O: Send>(
+        &self,
+        shared: &S,
+        serial: fn(&S) -> O,
+        per_rank: fn(&mut Comm, &S) -> O,
+        lane: fn(&mut O) -> (f64, obs::Trace),
+    ) -> ClusterRun<O> {
+        if self.ranks == 1 {
+            let mut values = vec![serial(shared)];
+            let (time, trace) = lane(&mut values[0]);
+            let mut stage = StageRun::timed(time);
+            stage.traces.push(trace);
+            return ClusterRun { values, stage };
+        }
+        self.run_cluster_resilient(|comm| per_rank(comm, shared))
+    }
+
+    /// Close the run: record the packed-sequence work done since `before`
+    /// and hand back the finished trace and metrics.
+    fn finish(self, before: SeqioStats) -> (obs::Trace, obs::MetricsSnapshot) {
+        let after = seqio::packed::stats_snapshot();
+        let gauge = |name: &str, field: fn(&SeqioStats) -> u64| {
+            let delta = field(&after) - field(&before);
+            self.metrics.gauge(name).set(delta as f64);
+        };
+        gauge("seqio.encoded_seqs", |s| s.encoded_seqs);
+        gauge("seqio.encoded_bases", |s| s.encoded_bases);
+        gauge("seqio.rolled_windows", |s| s.rolled_windows);
+        let mut trace = self.obs.take();
+        trace.merge_shifted(self.spliced, 0.0, 0);
+        // Sampling-profiler pass: walk each pipeline/rank lane's open-span
+        // stack at a fixed period and append `profile.depth` /
+        // `profile.samples.<leaf>` counter series, so long stages (gff
+        // loop1/loop2, the rtt chunk loops) show internal progress in a trace
+        // viewer instead of one opaque span. Thread lanes (busy/idle pairs)
+        // carry no nesting worth sampling and are skipped.
+        let sampler = obs::Sampler::with_samples(&trace, 256);
+        let lanes: std::collections::BTreeSet<u32> = trace
+            .spans
+            .iter()
+            .map(|s| s.track)
+            .filter(|&t| t < obs::THREAD_TRACK_BASE)
+            .collect();
+        for lane in lanes {
+            sampler.annotate(&mut trace, lane);
+        }
+        (trace, self.metrics.snapshot())
     }
 }
 
 /// Run the pipeline over `reads` (fault-free, no checkpointing).
 pub fn run_pipeline(reads: &[Record], cfg: &PipelineConfig) -> PipelineOutput {
     run_pipeline_opts(reads, cfg, &RunOptions::default())
+}
+
+/// The front half — ingest, Jellyfish, Inchworm: the packed reads, their
+/// k-mer counts and the contigs assembled from them.
+fn assemble_contigs(
+    d: &mut Driver,
+    reads: &[Record],
+    cfg: &PipelineConfig,
+) -> (Vec<PackedSeq>, KmerCounts, Vec<Record>) {
+    let k = cfg.chrysalis.k;
+    // ---- Ingest: 2-bit pack every read exactly once ----
+    // Jellyfish counts, ReadsToTranscripts votes and Butterfly threads all
+    // consume this same encoding; no stage re-walks the ASCII.
+    let t0 = std::time::Instant::now();
+    let packed_reads = seqio::packed::encode_all(reads);
+    let encode_time = t0.elapsed().as_secs_f64();
+
+    // ---- Jellyfish ----
+    // Counting is embarrassingly parallel over read batches (Jellyfish's
+    // lock-free table); time per-batch costs and replay the 16-thread
+    // makespan, then merge serially (measured).
+    let counts = d.stage(
+        "Jellyfish",
+        ckpt::decode_counts,
+        ckpt::encode_counts,
+        |c, _| ram::jellyfish(c.len()),
+        |d| {
+            let batches: Vec<&[PackedSeq]> = packed_reads.chunks(256).collect();
+            let counter_cfg = CounterConfig {
+                k,
+                canonical: true,
+                threads: 1,
+                shards: 1,
+            };
+            let (tables, costs) =
+                parallel_map_timed(&batches, |batch| count_kmers_packed(batch, counter_cfg));
+            let count_sim = simulate_loop(&costs, cfg.chrysalis.threads, cfg.chrysalis.schedule);
+            let t0 = std::time::Instant::now();
+            let mut counts = KmerCounts::empty(k);
+            for t in tables {
+                for (km, c) in t.iter() {
+                    counts.add(km, c);
+                }
+            }
+            counts.retain_min(cfg.min_kmer_count.max(1));
+            let merge_time = t0.elapsed().as_secs_f64();
+            d.log_omp_loop("jellyfish", &count_sim);
+            // The one-time read encode is charged to the counting stage
+            // (the first consumer of the packed form).
+            let time = encode_time + count_sim.makespan + merge_time;
+            (counts, StageRun::timed(time))
+        },
+    );
+    counts.record_metrics(&d.metrics, "jellyfish");
+
+    // ---- Inchworm ----
+    let contigs = d.stage(
+        "Inchworm",
+        ckpt::decode_records,
+        |c| ckpt::encode_records(c),
+        |c, _| ram::inchworm(counts.len(), seq_bytes(c)),
+        |_| {
+            let t0 = std::time::Instant::now();
+            let dict = Dictionary::from_counts(counts.clone(), cfg.min_kmer_count.max(1));
+            let contigs: Vec<Record> = assemble(&dict, cfg.inchworm)
+                .iter()
+                .map(|c| c.to_record())
+                .collect();
+            (contigs, StageRun::timed(t0.elapsed().as_secs_f64()))
+        },
+    );
+    (packed_reads, counts, contigs)
 }
 
 /// Run the pipeline over `reads` with [`RunOptions`]: deterministic fault
@@ -381,383 +570,107 @@ pub fn run_pipeline_opts(
     cfg: &PipelineConfig,
     opts: &RunOptions,
 ) -> PipelineOutput {
-    let mut log = StageLog::new();
-    let metrics = obs::MetricsRegistry::new();
-    // Per-rank sub-traces, collected as (stage start, trace) and spliced
-    // into the pipeline timeline at the end.
-    let mut sub_traces: Vec<(f64, obs::Trace)> = Vec::new();
-    let k = cfg.chrysalis.k;
-    let (ranks, net) = match cfg.mode {
-        PipelineMode::Serial => (1, NetModel::ideal()),
-        PipelineMode::Hybrid { ranks, net } => (ranks, net),
-    };
-    let mut ctl = CkptCtl {
-        dir: opts.checkpoint_dir.as_deref(),
-        fingerprint: if opts.checkpoint_dir.is_some() {
-            ckpt::run_fingerprint(
-                reads,
-                &[
-                    k as u64,
-                    cfg.min_kmer_count as u64,
-                    ranks as u64,
-                    cfg.inchworm.min_seed_count as u64,
-                    cfg.inchworm.min_extend_count as u64,
-                    cfg.inchworm.min_contig_len as u64,
-                ],
-            )
-        } else {
-            0
-        },
-        prefix_valid: opts.resume,
-    };
+    let mut d = Driver::new(reads, cfg, opts);
     let seqio_before = seqio::packed::stats_snapshot();
-
-    // ---- Ingest: 2-bit pack every read exactly once ----
-    // Jellyfish counts, ReadsToTranscripts votes and Butterfly threads all
-    // consume this same encoding; no stage re-walks the ASCII.
-    let t0 = std::time::Instant::now();
-    let packed_reads: Arc<Vec<PackedSeq>> = Arc::new(seqio::packed::encode_all(reads));
-    let encode_time = t0.elapsed().as_secs_f64();
-
-    // ---- Jellyfish ----
-    // Counting is embarrassingly parallel over read batches (Jellyfish's
-    // lock-free table); time per-batch costs and replay the 16-thread
-    // makespan, then merge serially (measured). A valid checkpoint skips
-    // all of it and replays the recorded duration.
-    let (counts, jelly_time, jelly_sim) = match ctl.resume(&metrics, "Jellyfish") {
-        Some(ck) => {
-            let counts =
-                ckpt::decode_counts(&ck.payload).expect("validated Jellyfish checkpoint decodes");
-            (counts, ck.duration, None)
-        }
-        None => {
-            let batches: Vec<&[PackedSeq]> = packed_reads.chunks(256).collect();
-            let (tables, costs) = parallel_map_timed(&batches, |batch| {
-                count_kmers_packed(
-                    batch,
-                    CounterConfig {
-                        k,
-                        canonical: true,
-                        threads: 1,
-                        shards: 1,
-                    },
-                )
-            });
-            let count_sim = simulate_loop(&costs, cfg.chrysalis.threads, cfg.chrysalis.schedule);
-            let count_time = count_sim.makespan;
-            let t0 = std::time::Instant::now();
-            let mut counts = kcount::counter::KmerCounts::empty(k);
-            for t in tables {
-                for (km, c) in t.iter() {
-                    counts.add(km, c);
-                }
-            }
-            counts.retain_min(cfg.min_kmer_count.max(1));
-            let merge_time = t0.elapsed().as_secs_f64();
-            // The one-time read encode is charged to the counting stage
-            // (the first consumer of the packed form).
-            (
-                counts,
-                encode_time + count_time + merge_time,
-                Some(count_sim),
-            )
-        }
-    };
-    let distinct = counts.len();
-    counts.record_metrics(&metrics, "jellyfish");
-    let start = log.push("Jellyfish", jelly_time, ram::jellyfish(distinct));
-    if let Some(sim) = &jelly_sim {
-        sim.record_metrics(&metrics, "jellyfish.loop");
-        sim.record_spans(&log.obs, start, obs::THREAD_TRACK_BASE, "jellyfish");
-        ctl.save(
-            &metrics,
-            "Jellyfish",
-            jelly_time,
-            &ckpt::encode_counts(&counts),
-        );
-    }
-
-    // ---- Inchworm ----
-    let (contigs, inch_time, inch_computed) = match ctl.resume(&metrics, "Inchworm") {
-        Some(ck) => (
-            ckpt::decode_records(&ck.payload).expect("validated Inchworm checkpoint decodes"),
-            ck.duration,
-            false,
-        ),
-        None => {
-            let t0 = std::time::Instant::now();
-            let dict = Dictionary::from_counts(counts.clone(), cfg.min_kmer_count.max(1));
-            let contig_list = assemble(&dict, cfg.inchworm);
-            let contigs: Vec<Record> = contig_list.iter().map(|c| c.to_record()).collect();
-            (contigs, t0.elapsed().as_secs_f64(), true)
-        }
-    };
-    let contig_bytes: usize = contigs.iter().map(|c| c.seq.len()).sum();
-    log.push("Inchworm", inch_time, ram::inchworm(distinct, contig_bytes));
-    if inch_computed {
-        ctl.save(
-            &metrics,
-            "Inchworm",
-            inch_time,
-            &ckpt::encode_records(&contigs),
-        );
-    }
+    let (packed_reads, counts, contigs) = assemble_contigs(&mut d, reads, cfg);
+    let contig_bytes = seq_bytes(&contigs);
+    // Contigs, like reads, are packed exactly once; GraphFromFasta,
+    // ReadsToTranscripts and Butterfly all share this encoding.
+    let packed_contigs = seqio::packed::encode_all(&contigs);
 
     // ---- Chrysalis: Bowtie ----
     // Not checkpointed: its artifact (the SAM stream) only feeds
     // scaffolding, whose result is checkpointed at QuantifyGraph.
-    let contigs_arc = Arc::new(contigs);
-    // Contigs, like reads, are packed exactly once; GraphFromFasta,
-    // ReadsToTranscripts and Butterfly all share this encoding.
-    let packed_contigs: Arc<Vec<PackedSeq>> =
-        Arc::new(seqio::packed::encode_all(contigs_arc.as_ref()));
-    let reads_arc = Arc::new(reads.to_vec());
-    let (c_arc, r_arc, ch_cfg, al_cfg) = (
-        Arc::clone(&contigs_arc),
-        Arc::clone(&reads_arc),
-        cfg.chrysalis,
-        cfg.align,
-    );
-    let bowtie_run =
-        run_cluster_resilient(ranks, net, opts.faults.as_ref(), &metrics, move |comm| {
-            bowtie_mpi(comm, &c_arc, &r_arc, &ch_cfg, al_cfg)
-        });
-    let bowtie_outs = bowtie_run.outs;
-    let bowtie_out: &BowtieMpiOutput = &bowtie_outs[0].value;
-    let read_buffer: usize = reads.iter().map(|r| r.seq.len()).sum();
-    let start = log.push(
-        "Bowtie",
-        bowtie_run.time,
-        ram::bowtie(contig_bytes.div_ceil(ranks), read_buffer),
-    );
-    record_cluster(&metrics, &mut sub_traces, start, &bowtie_outs);
-    for t in bowtie_run.aborted_traces {
-        sub_traces.push((start, t));
-    }
-    let bowtie_timings: Vec<BowtieTimings> = bowtie_outs.iter().map(|o| o.value.timings).collect();
-    let sam = bowtie_out.sam.clone();
+    let mut bowtie = d
+        .run_cluster_resilient(|comm| bowtie_mpi(comm, &contigs, reads, &cfg.chrysalis, cfg.align));
+    let bowtie_timings: Vec<BowtieTimings> = bowtie.values.iter().map(|o| o.timings).collect();
+    let sam = bowtie.values.swap_remove(0).sam;
+    let bowtie_ram = ram::bowtie(contig_bytes.div_ceil(d.ranks), seq_bytes(reads));
+    d.log_stage("Bowtie", bowtie_ram, bowtie.stage);
 
     // ---- Chrysalis: GraphFromFasta ----
-    let (welds, gff_pairs, gff_trace, gff_time, gff_timings, kmap_entries, gff_computed) = match ctl
-        .resume(&metrics, "GraphFromFasta")
-    {
-        Some(ck) => {
-            let (welds, pairs) = ckpt::decode_welds(&ck.payload)
-                .expect("validated GraphFromFasta checkpoint decodes");
-            (
-                welds,
-                pairs,
-                obs::Trace::default(),
-                ck.duration,
-                Vec::new(),
-                0usize,
-                false,
-            )
-        }
-        None => {
-            let gff_shared = Arc::new(GffShared::prepare(
-                packed_contigs.as_ref().clone(),
-                counts,
-                cfg.chrysalis,
-            ));
-            gff_shared.kmap.record_metrics(&metrics, "gff.kmap");
-            let kmap_len = gff_shared.kmap.len();
-            let (mut gff_out, timings, time, aborted): (
-                GffOutput,
-                Vec<GffTimings>,
-                f64,
-                Vec<obs::Trace>,
-            ) = if ranks == 1 {
-                let out = gff_shared_memory(&gff_shared);
-                let t = out.timings;
-                let total = t.total;
-                (out, vec![t], total, Vec::new())
-            } else {
-                let sh = Arc::clone(&gff_shared);
-                let run = run_cluster_resilient(ranks, net, opts.faults.as_ref(), &metrics, {
-                    move |comm| gff_hybrid(comm, &sh)
-                });
-                let timings: Vec<GffTimings> = run.outs.iter().map(|o| o.value.timings).collect();
-                let time = run.time;
-                let mut first = None;
-                let mut ranked = Vec::new();
-                for o in run.outs {
-                    metrics.counter("comm.bytes_sent").add(o.stats.bytes_sent);
-                    metrics.counter("comm.collectives").add(o.stats.collectives);
-                    ranked.push(o.trace);
-                    if first.is_none() {
-                        first = Some(o.value);
-                    }
-                }
-                let mut out = first.expect("rank 0");
-                // Stash the merged per-rank spans in the stage output's
-                // trace slot so the splice below handles serial and
-                // hybrid uniformly.
-                for t in ranked {
-                    out.trace.merge_shifted(t, 0.0, 0);
-                }
-                (out, timings, time, run.aborted_traces)
-            };
-            let mut trace = std::mem::take(&mut gff_out.trace);
-            for t in aborted {
-                trace.merge_shifted(t, 0.0, 0);
-            }
-            (
-                gff_out.welds,
-                gff_out.pairs,
-                trace,
-                time,
-                timings,
-                kmap_len,
-                true,
-            )
-        }
-    };
-    let weld_bytes: usize = welds.iter().map(Vec::len).sum();
-    metrics.counter("gff.welds").add(welds.len() as u64);
-    metrics.counter("gff.pairs").add(gff_pairs.len() as u64);
-    let start = log.push(
+    let mut gff_timings: Vec<GffTimings> = Vec::new();
+    let (welds, gff_pairs) = d.stage(
         "GraphFromFasta",
-        gff_time,
-        ram::graph_from_fasta(contig_bytes, kmap_entries, weld_bytes),
+        ckpt::decode_welds,
+        |(welds, pairs)| ckpt::encode_welds(welds, pairs),
+        |(welds, _), kmap_entries| {
+            let weld_bytes = welds.iter().map(Vec::len).sum();
+            ram::graph_from_fasta(contig_bytes, kmap_entries, weld_bytes)
+        },
+        |d| {
+            let shared = GffShared::prepare(packed_contigs.clone(), counts, cfg.chrysalis);
+            shared.kmap.record_metrics(&d.metrics, "gff.kmap");
+            let mut run = d.chrysalis_stage(&shared, gff_shared_memory, gff_hybrid, |o| {
+                (o.timings.total, std::mem::take(&mut o.trace))
+            });
+            run.stage.table_entries = shared.kmap.len();
+            gff_timings = run.values.iter().map(|o| o.timings).collect();
+            let out = run.values.swap_remove(0);
+            ((out.welds, out.pairs), run.stage)
+        },
     );
-    sub_traces.push((start, gff_trace));
-    if gff_computed {
-        ctl.save(
-            &metrics,
-            "GraphFromFasta",
-            gff_time,
-            &ckpt::encode_welds(&welds, &gff_pairs),
-        );
-    }
+    let weld_bytes: usize = welds.iter().map(Vec::len).sum();
+    d.metrics.counter("gff.welds").add(welds.len() as u64);
+    d.metrics.counter("gff.pairs").add(gff_pairs.len() as u64);
 
     // ---- Chrysalis: scaffolding (combine Bowtie links with welds) ----
-    let (components, quant_time, quant_computed) = match ctl.resume(&metrics, "QuantifyGraph") {
-        Some(ck) => (
-            ckpt::decode_components(&ck.payload)
-                .expect("validated QuantifyGraph checkpoint decodes"),
-            ck.duration,
-            false,
-        ),
-        None => {
+    let components = d.stage(
+        "QuantifyGraph",
+        ckpt::decode_components,
+        |c| ckpt::encode_components(c),
+        |_, _| ram::graph_from_fasta(contig_bytes, 0, weld_bytes),
+        |_| {
             let t0 = std::time::Instant::now();
-            let name_index = contig_name_index(&contigs_arc);
-            let lens: Vec<usize> = contigs_arc.iter().map(|c| c.seq.len()).collect();
+            let name_index = contig_name_index(&contigs);
+            let lens: Vec<usize> = contigs.iter().map(|c| c.seq.len()).collect();
             let scaf_pairs = scaffold_pairs(&sam, &name_index, &lens, cfg.scaffold);
             let mut all_pairs = gff_pairs.clone();
             all_pairs.extend(scaf_pairs);
             all_pairs.sort_unstable();
             all_pairs.dedup();
-            let (_, components) = cluster(contigs_arc.len(), &all_pairs);
-            (components, t0.elapsed().as_secs_f64(), true)
-        }
-    };
-    metrics
+            let (_, components) = cluster(contigs.len(), &all_pairs);
+            (components, StageRun::timed(t0.elapsed().as_secs_f64()))
+        },
+    );
+    d.metrics
         .gauge("pipeline.components")
         .set(components.len() as f64);
-    log.push(
-        "QuantifyGraph",
-        quant_time,
-        ram::graph_from_fasta(contig_bytes, 0, weld_bytes),
-    );
-    if quant_computed {
-        ctl.save(
-            &metrics,
-            "QuantifyGraph",
-            quant_time,
-            &ckpt::encode_components(&components),
-        );
-    }
 
     // ---- Chrysalis: ReadsToTranscripts ----
-    let (assignments, rtt_time, rtt_timings, rtt_trace, rtt_table_entries, rtt_computed) = match ctl
-        .resume(&metrics, "ReadsToTranscripts")
-    {
-        Some(ck) => (
-            ckpt::decode_pairs(&ck.payload)
-                .expect("validated ReadsToTranscripts checkpoint decodes"),
-            ck.duration,
-            Vec::new(),
-            obs::Trace::default(),
-            0usize,
-            false,
-        ),
-        None => {
-            let rtt_shared = Arc::new(RttShared::prepare_with_packed(
+    let chunk_bytes = seq_bytes(&reads[..reads.len().min(cfg.chrysalis.max_mem_reads)]);
+    let mut rtt_timings: Vec<RttTimings> = Vec::new();
+    let assignments = d.stage(
+        "ReadsToTranscripts",
+        ckpt::decode_pairs,
+        |a| ckpt::encode_pairs(a),
+        |_, table_entries| ram::reads_to_transcripts(table_entries, chunk_bytes),
+        |d| {
+            let shared = RttShared::prepare_with_packed(
                 reads.to_vec(),
-                packed_reads.as_ref().clone(),
+                packed_reads.clone(),
                 &packed_contigs,
                 &components,
                 cfg.chrysalis,
-            ));
-            rtt_shared
+            );
+            shared
                 .kmer_to_component
-                .record_metrics(&metrics, "rtt.kmer_table");
-            let entries = rtt_shared.kmer_to_component.len();
-            let (mut rtt_out, timings, time, aborted): (
-                RttOutput,
-                Vec<RttTimings>,
-                f64,
-                Vec<obs::Trace>,
-            ) = if ranks == 1 {
-                let out = rtt_shared_memory(&rtt_shared);
-                let t = out.timings;
-                let total = t.total;
-                (out, vec![t], total, Vec::new())
-            } else {
-                let sh = Arc::clone(&rtt_shared);
-                let run = run_cluster_resilient(ranks, net, opts.faults.as_ref(), &metrics, {
-                    move |comm| rtt_hybrid(comm, &sh)
-                });
-                let timings: Vec<RttTimings> = run.outs.iter().map(|o| o.value.timings).collect();
-                let time = run.time;
-                let mut first = None;
-                let mut ranked = Vec::new();
-                for o in run.outs {
-                    metrics.counter("comm.bytes_sent").add(o.stats.bytes_sent);
-                    metrics.counter("comm.collectives").add(o.stats.collectives);
-                    ranked.push(o.trace);
-                    if first.is_none() {
-                        first = Some(o.value);
-                    }
-                }
-                let mut out = first.expect("rank 0");
-                for t in ranked {
-                    out.trace.merge_shifted(t, 0.0, 0);
-                }
-                (out, timings, time, run.aborted_traces)
-            };
-            let mut trace = std::mem::take(&mut rtt_out.trace);
-            for t in aborted {
-                trace.merge_shifted(t, 0.0, 0);
-            }
-            (rtt_out.assignments, time, timings, trace, entries, true)
-        }
-    };
-    metrics
+                .record_metrics(&d.metrics, "rtt.kmer_table");
+            let mut run = d.chrysalis_stage(&shared, rtt_shared_memory, rtt_hybrid, |o| {
+                (o.timings.total, std::mem::take(&mut o.trace))
+            });
+            run.stage.table_entries = shared.kmer_to_component.len();
+            rtt_timings = run.values.iter().map(|o| o.timings).collect();
+            (run.values.swap_remove(0).assignments, run.stage)
+        },
+    );
+    d.metrics
         .counter("rtt.assignments")
         .add(assignments.len() as u64);
-    let chunk_bytes: usize = reads
-        .iter()
-        .take(cfg.chrysalis.max_mem_reads)
-        .map(|r| r.seq.len())
-        .sum();
-    let start = log.push(
-        "ReadsToTranscripts",
-        rtt_time,
-        ram::reads_to_transcripts(rtt_table_entries, chunk_bytes),
-    );
-    sub_traces.push((start, rtt_trace));
-    if rtt_computed {
-        ctl.save(
-            &metrics,
-            "ReadsToTranscripts",
-            rtt_time,
-            &ckpt::encode_pairs(&assignments),
-        );
-    }
 
     // ---- Butterfly ----
+    // Not checkpointed: it is the last stage, so its artifact is the run's
+    // output.
     let mut comp_inputs: Vec<ComponentInput> = components
         .iter()
         .enumerate()
@@ -782,55 +695,21 @@ pub fn run_pipeline_opts(
         .map(|c| c.contigs.iter().map(|s| s.len()).sum::<usize>())
         .max()
         .unwrap_or(0);
-    butterfly_sim.record_metrics(&metrics, "butterfly.loop");
-    metrics
+    d.metrics
         .counter("butterfly.transcripts")
         .add(transcripts.len() as u64);
-    let start = log.push(
-        "Butterfly",
-        butterfly_sim.makespan,
-        ram::butterfly(max_nodes),
-    );
-    butterfly_sim.record_spans(&log.obs, start, obs::THREAD_TRACK_BASE, "butterfly");
+    d.log_omp_loop("butterfly", &butterfly_sim);
+    let run = StageRun::timed(butterfly_sim.makespan);
+    d.log_stage("Butterfly", ram::butterfly(max_nodes), run);
 
-    let seqio_after = seqio::packed::stats_snapshot();
-    metrics
-        .gauge("seqio.encoded_seqs")
-        .set((seqio_after.encoded_seqs - seqio_before.encoded_seqs) as f64);
-    metrics
-        .gauge("seqio.encoded_bases")
-        .set((seqio_after.encoded_bases - seqio_before.encoded_bases) as f64);
-    metrics
-        .gauge("seqio.rolled_windows")
-        .set((seqio_after.rolled_windows - seqio_before.rolled_windows) as f64);
-
-    let mut trace = log.obs.take();
-    for (dt, sub) in sub_traces {
-        trace.merge_shifted(sub, dt, RANK_TRACK_BASE);
-    }
-    // Sampling-profiler pass: walk each pipeline/rank lane's open-span
-    // stack at a fixed period and append `profile.depth` /
-    // `profile.samples.<leaf>` counter series, so long stages (gff
-    // loop1/loop2, the rtt chunk loops) show internal progress in a trace
-    // viewer instead of one opaque span. Thread lanes (busy/idle pairs)
-    // carry no nesting worth sampling and are skipped.
-    let sampler = obs::Sampler::with_samples(&trace, 256);
-    let lanes: std::collections::BTreeSet<u32> = trace
-        .spans
-        .iter()
-        .map(|s| s.track)
-        .filter(|&t| t < obs::THREAD_TRACK_BASE)
-        .collect();
-    for lane in lanes {
-        sampler.annotate(&mut trace, lane);
-    }
+    let (trace, metrics) = d.finish(seqio_before);
     PipelineOutput {
-        contigs: Arc::try_unwrap(contigs_arc).unwrap_or_else(|a| a.as_ref().clone()),
+        contigs,
         components,
         assignments,
         transcripts,
         trace,
-        metrics: metrics.snapshot(),
+        metrics,
         gff_timings,
         rtt_timings,
         bowtie_timings,

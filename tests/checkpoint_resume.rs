@@ -176,4 +176,38 @@ fn fingerprint_rejects_checkpoints_from_another_run() {
     assert_eq!(count(&resumed_b, "ckpt.resumed"), 0, "stale prefix refused");
     assert!(count(&resumed_b, "ckpt.invalid") >= 1);
     assert_eq!(common::artifacts(&resumed_b), common::artifacts(&fresh_b));
+
+    // The same holds for the configuration — all of it, not a chosen few
+    // knobs: every field below was once missing from the fingerprint, so
+    // a resume after changing it silently served the old stage outputs.
+    type Edit = fn(&mut PipelineConfig);
+    let edits: [(&str, Edit); 6] = [
+        ("chrysalis.min_weld_support", |c| {
+            c.chrysalis.min_weld_support += 1
+        }),
+        ("chrysalis.min_read_kmers", |c| {
+            c.chrysalis.min_read_kmers += 1
+        }),
+        ("scaffold.min_pairs", |c| c.scaffold.min_pairs += 1),
+        ("align.max_mismatches", |c| c.align.max_mismatches += 1),
+        ("reconstruction.min_edge_weight", |c| {
+            c.reconstruction.min_edge_weight += 1
+        }),
+        ("inchworm.jitter_seed", |c| c.inchworm.jitter_seed = Some(1)),
+    ];
+    for (field, edit) in edits {
+        // A resume rewrites what it rejects, so seed afresh per field.
+        let dir = ScratchDir::new("fingerprint-cfg");
+        run(&reads_a, dir.path(), false);
+        let mut cfg = PipelineConfig::small(12);
+        edit(&mut cfg);
+        let opts = RunOptions {
+            faults: None,
+            checkpoint_dir: Some(dir.path().to_path_buf()),
+            resume: true,
+        };
+        let out = run_pipeline_opts(&reads_a, &cfg, &opts);
+        assert_eq!(count(&out, "ckpt.resumed"), 0, "{field}: stale prefix");
+        assert!(count(&out, "ckpt.invalid") >= 1, "{field}");
+    }
 }

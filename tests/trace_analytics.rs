@@ -278,3 +278,22 @@ fn diff_subcommand_exit_codes_follow_the_verdict() {
     assert_eq!(st.status.code(), Some(2), "IO error must exit 2");
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn hostile_json_nesting_is_a_usage_error_not_an_abort() {
+    // 300 000 unclosed `[` used to overflow the recursive-descent parser's
+    // stack (SIGABRT); it is just an unparseable artifact: exit 2.
+    let dir = scratch_dir("hostile");
+    let bomb = dir.join("bomb.json");
+    std::fs::write(&bomb, "[".repeat(300_000)).unwrap();
+    let mut analyze = Command::new(trinity_bin());
+    analyze.arg("analyze").arg(&bomb);
+    let mut diff = Command::new(trinity_bin());
+    diff.arg("diff").args([&bomb, &bomb]);
+    for mut cmd in [analyze, diff] {
+        let st = cmd.output().unwrap();
+        let stderr = String::from_utf8_lossy(&st.stderr);
+        assert_eq!(st.status.code(), Some(2), "{cmd:?}: {stderr}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
