@@ -49,8 +49,16 @@ mod tests {
 
     #[test]
     fn parallel_chrysalis_is_much_faster() {
-        let baseline = fig02_baseline::run(1, 0.08);
-        let parallel = run(1, 0.08, 16);
+        // Both clocks replay wall-measured item costs, and the suite runs
+        // many test threads beside the 16 rank threads: a preempted
+        // measurement only ever reads long, so each side is its fastest of
+        // three runs (the estimator `benchmark/` uses, for the same reason).
+        let fastest = |runs: Vec<Trace>| {
+            let by_time = |a: &Trace, b: &Trace| chrysalis_time(a).total_cmp(&chrysalis_time(b));
+            runs.into_iter().min_by(by_time).expect("three runs")
+        };
+        let baseline = fastest((0..3).map(|_| fig02_baseline::run(1, 0.08)).collect());
+        let parallel = fastest((0..3).map(|_| run(1, 0.08, 16)).collect());
         let (cb, cp) = (chrysalis_time(&baseline), chrysalis_time(&parallel));
         // At simulation scale the non-parallel floor is proportionally
         // larger than the paper's, so the gain is smaller than >10x — but

@@ -4,10 +4,13 @@
 //! most `v` substitutions. We reproduce it with depth-first backtracking
 //! over the FM-index: the read is consumed right-to-left through backward
 //! search; at each position the true base extends free, the other three
-//! bases spend one unit of mismatch budget.
+//! bases spend one unit of mismatch budget. With `best_strata` the budgets
+//! are tried in increasing order, so a read that aligns exactly never pays
+//! for the mismatch search whose results would be discarded.
 
-use seqio::alphabet::revcomp;
+use seqio::alphabet::{base_to_code, complement_code};
 
+use crate::bwt::Bwt;
 use crate::fmindex::FmIndex;
 
 /// Which strand of the read matched the reference.
@@ -59,34 +62,46 @@ impl Default for AlignConfig {
     }
 }
 
-const DNA: [u8; 4] = [b'A', b'C', b'G', b'T'];
+/// Code of a read byte that is not a base (`N`): it mismatches every
+/// reference base.
+const NO_BASE: u8 = 4;
 
-/// DFS over the index, collecting SA ranges of full-length matches with
-/// their mismatch counts.
-#[allow(clippy::too_many_arguments)]
-fn backtrack(
-    idx: &FmIndex,
-    pattern: &[u8],
-    i: usize,
-    lo: usize,
-    hi: usize,
-    mm: u8,
+/// One strand's depth-first search: SA ranges of full-length matches of
+/// `codes` with their mismatch counts.
+struct Backtrack<'a> {
+    bwt: &'a Bwt,
+    codes: &'a [u8],
     budget: u8,
-    out: &mut Vec<(u8, usize, usize)>,
-) {
-    if i == 0 {
-        out.push((mm, lo, hi));
-        return;
-    }
-    let want = pattern[i - 1].to_ascii_uppercase();
-    // Exact extension first so low-mismatch hits surface first.
-    if let Some((l, h)) = idx.bwt().backward_step(lo, hi, want) {
-        backtrack(idx, pattern, i - 1, l, h, mm, budget, out);
-    }
-    if mm < budget {
-        for &b in DNA.iter().filter(|&&b| b != want) {
-            if let Some((l, h)) = idx.bwt().backward_step(lo, hi, b) {
-                backtrack(idx, pattern, i - 1, l, h, mm + 1, budget, out);
+    ranges: Vec<(u8, usize, usize)>,
+}
+
+impl Backtrack<'_> {
+    /// Extend `[lo, hi)`, which matches `codes[i..]` with `mm` mismatches,
+    /// leftwards over `codes[..i]`.
+    fn extend(&mut self, i: usize, lo: usize, hi: usize, mm: u8) {
+        if mm == self.budget {
+            // Budget spent: the rest of the read must match exactly.
+            let mut range = (lo, hi);
+            for &c in self.codes[..i].iter().rev() {
+                if c == NO_BASE {
+                    return;
+                }
+                let Some(next) = self.bwt.backward_step(range.0, range.1, c) else {
+                    return;
+                };
+                range = next;
+            }
+            self.ranges.push((mm, range.0, range.1));
+            return;
+        }
+        if i == 0 {
+            self.ranges.push((mm, lo, hi));
+            return;
+        }
+        let want = self.codes[i - 1];
+        for (c, (l, h)) in (0u8..).zip(self.bwt.backward_step_all(lo, hi)) {
+            if l < h {
+                self.extend(i - 1, l, h, mm + u8::from(c != want));
             }
         }
     }
@@ -94,35 +109,27 @@ fn backtrack(
 
 fn align_one_strand(
     idx: &FmIndex,
-    seq: &[u8],
+    codes: &[u8],
     strand: Strand,
-    cfg: AlignConfig,
+    budget: u8,
     out: &mut Vec<Alignment>,
 ) {
-    if seq.is_empty() {
-        return;
-    }
-    let budget = cfg.max_mismatches.min(3);
-    let mut ranges = Vec::new();
-    backtrack(
-        idx,
-        seq,
-        seq.len(),
-        0,
-        idx.bwt().len(),
-        0,
+    let mut search = Backtrack {
+        bwt: idx.bwt(),
+        codes,
         budget,
-        &mut ranges,
-    );
-    for (mm, lo, hi) in ranges {
+        ranges: Vec::new(),
+    };
+    search.extend(codes.len(), 0, idx.bwt().len(), 0);
+    for (mm, lo, hi) in search.ranges {
         for r in lo..hi {
-            if let Some(hit) = idx.resolve(idx.bwt().sa_at(r), seq.len()) {
+            if let Some(hit) = idx.resolve(idx.bwt().sa_at(r), codes.len()) {
                 out.push(Alignment {
                     contig: hit.contig,
                     offset: hit.offset,
                     strand,
                     mismatches: mm,
-                    read_len: seq.len(),
+                    read_len: codes.len(),
                 });
             }
         }
@@ -134,10 +141,30 @@ fn align_one_strand(
 /// `best_strata` only the fewest-mismatch stratum survives.
 pub fn align_read(idx: &FmIndex, read: &[u8], cfg: AlignConfig) -> Vec<Alignment> {
     let mut out = Vec::new();
-    align_one_strand(idx, read, Strand::Forward, cfg, &mut out);
-    if cfg.both_strands {
-        let rc = revcomp(read);
-        align_one_strand(idx, &rc, Strand::Reverse, cfg, &mut out);
+    if read.is_empty() {
+        return out;
+    }
+    let fwd: Vec<u8> = read
+        .iter()
+        .map(|&b| base_to_code(b).unwrap_or(NO_BASE))
+        .collect();
+    let rev: Option<Vec<u8>> = cfg.both_strands.then(|| {
+        let comp = |&c: &u8| if c == NO_BASE { c } else { complement_code(c) };
+        fwd.iter().rev().map(comp).collect()
+    });
+    // With `best_strata` only the lowest stratum is reported, so walk the
+    // budgets upwards and stop at the first that hits: nothing matched with
+    // fewer mismatches, hence every hit found has exactly `budget` of them.
+    let max = cfg.max_mismatches.min(3);
+    let first = if cfg.best_strata { 0 } else { max };
+    for budget in first..=max {
+        align_one_strand(idx, &fwd, Strand::Forward, budget, &mut out);
+        if let Some(rev) = &rev {
+            align_one_strand(idx, rev, Strand::Reverse, budget, &mut out);
+        }
+        if !out.is_empty() {
+            break;
+        }
     }
     out.sort_by_key(|a| {
         (
@@ -147,11 +174,6 @@ pub fn align_read(idx: &FmIndex, read: &[u8], cfg: AlignConfig) -> Vec<Alignment
             matches!(a.strand, Strand::Reverse),
         )
     });
-    if cfg.best_strata {
-        if let Some(best) = out.first().map(|a| a.mismatches) {
-            out.retain(|a| a.mismatches == best);
-        }
-    }
     out.truncate(cfg.max_hits.max(1));
     out
 }
@@ -253,6 +275,19 @@ mod tests {
     fn empty_read_yields_nothing() {
         let idx = index();
         assert!(align_read(&idx, b"", cfg(2)).is_empty());
+    }
+
+    #[test]
+    fn reference_n_is_not_matched_by_a_read_n() {
+        let idx = FmIndex::build(&[Record::new("n", b"ACGNACGTTG".to_vec())]);
+        // Equal bytes, but `N` is not a base: no hit at v = 0 ...
+        assert!(align_read(&idx, b"ACGNACGT", cfg(0)).is_empty());
+        // ... nor is the reference `N` a position a mismatch can pay for.
+        assert!(align_read(&idx, b"ACGAACGT", cfg(3)).is_empty());
+        // A read `N` still costs one mismatch against a real base.
+        let hits = align_read(&idx, b"ACNTTG", cfg(1));
+        assert_eq!(hits.len(), 1);
+        assert_eq!((hits[0].offset, hits[0].mismatches), (4, 1));
     }
 
     #[test]

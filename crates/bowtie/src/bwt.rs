@@ -1,28 +1,61 @@
-//! Burrows–Wheeler transform and rank (Occ) structures.
+//! Burrows–Wheeler transform with a 2-bit, popcount-ranked Occ structure.
 //!
-//! The BWT of the reference (terminated by a unique smallest byte 0) plus a
-//! checkpointed Occ table supports the O(1)-per-step LF-mapping that
-//! backward search is built on.
+//! The BWT of the reference (terminated by a unique smallest byte 0) is
+//! stored as 64-symbol blocks: the cumulative `ACGT` counts before the
+//! block, the symbols as two bit-planes, and a mask of the rows that hold a
+//! base at all. `Occ` of all four bases at a row is one block load and four
+//! popcounts, which is the O(1)-per-step LF-mapping backward search is
+//! built on. Every byte outside uppercase `ACGT` (terminator, separators,
+//! `N`) is masked out: it keeps its place in the suffix order and in `C`,
+//! but can never be stepped through.
+
+use seqio::alphabet::BASES;
 
 use crate::suffix::suffix_array;
 
-/// Checkpoint spacing for the Occ table (bytes of BWT per checkpoint).
-const OCC_SAMPLE: usize = 64;
+/// Symbols per rank block: one `u64` word per bit-plane.
+const BLOCK: usize = 64;
 
-/// The BWT with rank support over an arbitrary byte alphabet (at most 8
-/// distinct symbols in practice: terminator, separator, A, C, G, T).
+/// 64 BWT rows. `counts[c]` is the number of base `c` in every earlier
+/// block; row `r` of the block holds base `hi[r] << 1 | lo[r]` iff
+/// `acgt[r]` is set. 40 bytes, aligned so that a rank query reads exactly
+/// one cache line.
+#[derive(Debug, Clone, Copy, Default)]
+#[repr(C, align(64))]
+struct Block {
+    counts: [u32; 4],
+    lo: u64,
+    hi: u64,
+    acgt: u64,
+}
+
+impl Block {
+    /// Rows below `off` that hold base `code`, as a bit set.
+    #[inline(always)]
+    fn rows_of(&self, code: u8, off: usize) -> u64 {
+        // An all-ones word where the code bit is 0, so a matching row reads 1
+        // in both planes after the XOR.
+        let lo = self.lo ^ u64::from(code & 1).wrapping_sub(1);
+        let hi = self.hi ^ u64::from(code >> 1).wrapping_sub(1);
+        self.acgt & ((1u64 << off) - 1) & lo & hi
+    }
+}
+
+/// The 2-bit code of an uppercase base. The text is matched byte-exactly
+/// (the suffix order is over bytes), so lowercase is *not* folded here.
+#[inline]
+fn strict_code(b: u8) -> Option<u8> {
+    BASES.iter().position(|&base| base == b).map(|c| c as u8)
+}
+
+/// The BWT with rank support for the four bases.
 #[derive(Debug, Clone)]
 pub struct Bwt {
-    /// The transformed text.
-    bwt: Vec<u8>,
-    /// Dense code per byte value (255 = absent).
-    code_of: [u8; 256],
-    /// Number of distinct symbols.
-    sigma: usize,
-    /// `c_table[code]` = number of symbols strictly smaller (the "C" array).
-    c_table: Vec<usize>,
-    /// Occ checkpoints: at row r, counts of each code in `bwt[..r*OCC_SAMPLE]`.
-    checkpoints: Vec<u32>,
+    /// `len() / BLOCK + 1` rank blocks (so that row `len()` is addressable).
+    blocks: Vec<Block>,
+    /// `c_table[code]` = number of text bytes strictly smaller than the base
+    /// (the "C" array, restricted to the symbols that can be searched).
+    c_table: [usize; 4],
     /// Suffix array (kept whole; locating is a direct lookup).
     sa: Vec<u32>,
 }
@@ -44,96 +77,48 @@ impl Bwt {
         );
         let sa = suffix_array(text);
         let n = text.len();
-        let mut bwt = Vec::with_capacity(n);
-        for &p in &sa {
-            let p = p as usize;
-            bwt.push(if p == 0 { text[n - 1] } else { text[p - 1] });
+
+        let mut blocks = vec![Block::default(); n / BLOCK + 1];
+        let mut running = [0u32; 4];
+        for (blk, rows) in blocks.iter_mut().zip(sa.chunks(BLOCK)) {
+            blk.counts = running;
+            for (bit, &p) in rows.iter().enumerate() {
+                // Row of suffix 0 holds the terminator: not a base.
+                let Some(c) = p.checked_sub(1).and_then(|q| strict_code(text[q as usize])) else {
+                    continue;
+                };
+                blk.lo |= u64::from(c & 1) << bit;
+                blk.hi |= u64::from(c >> 1) << bit;
+                blk.acgt |= 1 << bit;
+                running[c as usize] += 1;
+            }
+        }
+        if n % BLOCK == 0 {
+            blocks[n / BLOCK].counts = running;
         }
 
-        // Dense alphabet codes in byte order.
-        let mut present = [false; 256];
+        // C array: bytes smaller than each base, in byte order.
+        let mut freq = [0usize; 256];
         for &b in text {
-            present[b as usize] = true;
+            freq[b as usize] += 1;
         }
-        let mut code_of = [255u8; 256];
-        let mut sigma = 0usize;
-        for b in 0..256 {
-            if present[b] {
-                code_of[b] = sigma as u8;
-                sigma += 1;
-            }
-        }
-
-        // C array: prefix sums of symbol frequencies in sorted order.
-        let mut freq = vec![0usize; sigma];
-        for &b in text {
-            freq[code_of[b as usize] as usize] += 1;
-        }
-        let mut c_table = vec![0usize; sigma + 1];
-        for s in 0..sigma {
-            c_table[s + 1] = c_table[s] + freq[s];
-        }
-
-        // Occ checkpoints.
-        let rows = n / OCC_SAMPLE + 1;
-        let mut checkpoints = vec![0u32; rows * sigma];
-        let mut running = vec![0u32; sigma];
-        for (i, &b) in bwt.iter().enumerate() {
-            if i % OCC_SAMPLE == 0 {
-                let row = i / OCC_SAMPLE;
-                checkpoints[row * sigma..(row + 1) * sigma].copy_from_slice(&running);
-            }
-            running[code_of[b as usize] as usize] += 1;
-        }
-        if n % OCC_SAMPLE == 0 {
-            let row = n / OCC_SAMPLE;
-            if row < rows {
-                checkpoints[row * sigma..(row + 1) * sigma].copy_from_slice(&running);
-            }
-        }
+        let c_table = BASES.map(|base| freq[..base as usize].iter().sum());
 
         Bwt {
-            bwt,
-            code_of,
-            sigma,
+            blocks,
             c_table,
-            checkpoints,
             sa,
         }
     }
 
     /// Length of the text (including terminator).
     pub fn len(&self) -> usize {
-        self.bwt.len()
+        self.sa.len()
     }
 
     /// True if empty (never: build rejects empty text).
     pub fn is_empty(&self) -> bool {
-        self.bwt.is_empty()
-    }
-
-    /// Dense code of a byte, if the byte occurs in the text.
-    pub fn code(&self, b: u8) -> Option<u8> {
-        let c = self.code_of[b as usize];
-        (c != 255).then_some(c)
-    }
-
-    /// `C[code]`: count of symbols smaller than `code` in the text.
-    pub fn c_of(&self, code: u8) -> usize {
-        self.c_table[code as usize]
-    }
-
-    /// `Occ(code, i)`: occurrences of `code` in `bwt[..i]`.
-    pub fn occ(&self, code: u8, i: usize) -> usize {
-        debug_assert!(i <= self.bwt.len());
-        let row = i / OCC_SAMPLE;
-        let mut count = self.checkpoints[row * self.sigma + code as usize] as usize;
-        for &b in &self.bwt[row * OCC_SAMPLE..i] {
-            if self.code_of[b as usize] == code {
-                count += 1;
-            }
-        }
-        count
+        self.sa.is_empty()
     }
 
     /// Text position of the suffix at BWT row `r`.
@@ -141,22 +126,39 @@ impl Bwt {
         self.sa[r] as usize
     }
 
-    /// One backward-search step: refine `[lo, hi)` by prepending `byte`.
-    /// Returns `None` when the byte is absent or the range empties.
-    pub fn backward_step(&self, lo: usize, hi: usize, byte: u8) -> Option<(usize, usize)> {
-        let code = self.code(byte)?;
-        let c = self.c_of(code);
-        let new_lo = c + self.occ(code, lo);
-        let new_hi = c + self.occ(code, hi);
+    /// `C[code] + Occ(code, i)`: the LF-mapping of row `i` under one base.
+    #[inline]
+    fn lf(&self, code: u8, i: usize) -> usize {
+        debug_assert!(code < 4 && i <= self.len());
+        let b = &self.blocks[i / BLOCK];
+        self.c_table[code as usize]
+            + b.counts[code as usize] as usize
+            + b.rows_of(code, i % BLOCK).count_ones() as usize
+    }
+
+    /// One backward-search step: refine `[lo, hi)` by prepending the base
+    /// with 2-bit `code`. Returns `None` when the range empties.
+    #[inline]
+    pub fn backward_step(&self, lo: usize, hi: usize, code: u8) -> Option<(usize, usize)> {
+        let (new_lo, new_hi) = (self.lf(code, lo), self.lf(code, hi));
         (new_lo < new_hi).then_some((new_lo, new_hi))
     }
 
-    /// Full backward search for `pattern`; returns the SA range of exact
-    /// occurrences.
+    /// All four backward-search steps from `[lo, hi)` at once — two block
+    /// loads. Entry `c` is the (possibly empty) range after prepending
+    /// base `c`.
+    #[inline]
+    pub fn backward_step_all(&self, lo: usize, hi: usize) -> [(usize, usize); 4] {
+        [0u8, 1, 2, 3].map(|c| (self.lf(c, lo), self.lf(c, hi)))
+    }
+
+    /// Full backward search for the ASCII `pattern`; returns the SA range of
+    /// exact occurrences. A pattern byte outside uppercase `ACGT` matches
+    /// nothing.
     pub fn search(&self, pattern: &[u8]) -> Option<(usize, usize)> {
         let mut range = (0usize, self.len());
         for &b in pattern.iter().rev() {
-            range = self.backward_step(range.0, range.1, b)?;
+            range = self.backward_step(range.0, range.1, strict_code(b)?)?;
         }
         Some(range)
     }
@@ -170,23 +172,30 @@ mod tests {
         b"ACGTACGTGGTACA\x00".to_vec()
     }
 
-    #[test]
-    fn bwt_of_known_text() {
-        // Verify against the definition: bwt[i] = text[sa[i]-1].
-        let t = text();
-        let b = Bwt::build(&t);
-        assert_eq!(b.len(), t.len());
-        for r in 0..b.len() {
-            let p = b.sa_at(r);
-            let expect = if p == 0 { t[t.len() - 1] } else { t[p - 1] };
-            assert_eq!(b.occ_probe(r), expect);
-        }
+    /// The transform by its definition: `bwt[r] = text[sa[r] - 1]`.
+    fn naive_bwt(t: &[u8], b: &Bwt) -> Vec<u8> {
+        (0..b.len())
+            .map(|r| t[(b.sa_at(r) + t.len() - 1) % t.len()])
+            .collect()
     }
 
     impl Bwt {
-        /// Test helper: the BWT byte at row r.
-        fn occ_probe(&self, r: usize) -> u8 {
-            self.bwt[r]
+        /// Test helper: the base stored at row `r`, if the row holds one.
+        fn base_at(&self, r: usize) -> Option<u8> {
+            let b = &self.blocks[r / BLOCK];
+            let bit = r % BLOCK;
+            (b.acgt >> bit & 1 == 1)
+                .then(|| BASES[((b.hi >> bit & 1) << 1 | (b.lo >> bit & 1)) as usize])
+        }
+    }
+
+    #[test]
+    fn bwt_of_known_text() {
+        let t = text();
+        let b = Bwt::build(&t);
+        assert_eq!(b.len(), t.len());
+        for (r, &expect) in naive_bwt(&t, &b).iter().enumerate() {
+            assert_eq!(b.base_at(r), BASES.contains(&expect).then_some(expect));
         }
     }
 
@@ -194,16 +203,12 @@ mod tests {
     fn occ_counts_match_naive() {
         let t = text();
         let b = Bwt::build(&t);
-        for byte in [0u8, b'A', b'C', b'G', b'T'] {
-            let code = b.code(byte).unwrap();
-            let mut naive = 0usize;
+        let bwt = naive_bwt(&t, &b);
+        for (code, &base) in BASES.iter().enumerate() {
+            let c = t.iter().filter(|&&x| x < base).count();
             for i in 0..=b.len() {
-                assert_eq!(b.occ(code, i), naive, "byte {byte} i {i}");
-                if i < b.len() {
-                    if b.occ_probe(i) == byte {
-                        naive += 1;
-                    }
-                }
+                let naive = bwt[..i].iter().filter(|&&x| x == base).count();
+                assert_eq!(b.lf(code as u8, i), c + naive, "base {base} i {i}");
             }
         }
     }
@@ -249,7 +254,7 @@ mod tests {
 
     #[test]
     fn long_text_checkpoint_boundaries() {
-        // Text spanning several checkpoint rows exercises both Occ paths.
+        // Text spanning several rank blocks exercises the cumulative counts.
         let mut t: Vec<u8> = b"ACGT".repeat(50);
         t.push(0);
         let b = Bwt::build(&t);
@@ -258,6 +263,20 @@ mod tests {
         for r in lo..hi {
             let p = b.sa_at(r);
             assert_eq!(&t[p..p + 6], b"GTACGT");
+        }
+    }
+
+    #[test]
+    fn all_four_steps_agree_with_single_steps() {
+        let mut t: Vec<u8> = b"GATTACAN\x01".repeat(17);
+        t.push(0);
+        let b = Bwt::build(&t);
+        for (lo, hi) in [(0, b.len()), (3, 90), (64, 128), (10, 10)] {
+            let all = b.backward_step_all(lo, hi);
+            for c in 0..4u8 {
+                let (l, h) = all[c as usize];
+                assert_eq!(b.backward_step(lo, hi, c), (l < h).then_some((l, h)));
+            }
         }
     }
 }

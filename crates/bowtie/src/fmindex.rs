@@ -1,9 +1,10 @@
 //! The queryable FM-index over a multi-contig reference.
 //!
 //! Contigs are joined with a separator byte (0x01) and terminated with the
-//! unique smallest byte (0x00); since reads contain only `ACGT`, backward
-//! search can never match across a separator. Hit positions are mapped back
-//! to `(contig, offset)` through the boundary table.
+//! unique smallest byte (0x00); the BWT's rank structure counts only
+//! `ACGT`, so backward search can never match across a separator. Hit
+//! positions are mapped back to `(contig, offset)` through the boundary
+//! table.
 
 use seqio::fasta::Record;
 
@@ -32,7 +33,9 @@ pub struct Hit {
 
 impl FmIndex {
     /// Build an index over `contigs`. Sequences are uppercased; bytes
-    /// outside `ACGT` are kept verbatim (they simply never match a read).
+    /// outside `ACGT` keep their place in the text but match nothing — not
+    /// an equal byte in a read, and not as a paid mismatch either, so no
+    /// alignment spans one.
     pub fn build(contigs: &[Record]) -> Self {
         let total: usize = contigs.iter().map(|c| c.seq.len() + 1).sum();
         let mut text = Vec::with_capacity(total + 1);
@@ -183,6 +186,23 @@ mod tests {
     fn lowercase_reference_is_uppercased() {
         let idx = FmIndex::build(&[Record::new("x", b"acgtacgt".to_vec())]);
         assert_eq!(idx.count(b"CGTA"), 1);
+    }
+
+    #[test]
+    fn non_acgt_reference_bytes_match_nothing() {
+        for contig in [&b"ACGNACGT"[..], b"acgnacgt"] {
+            let idx = FmIndex::build(&[Record::new("n", contig.to_vec())]);
+            assert_eq!(idx.count(b"ACGNACGT"), 0);
+            assert_eq!(idx.count(b"N"), 0);
+            assert_eq!(idx.count(b"ACG"), 2);
+            assert_eq!(
+                idx.locate(b"ACGT"),
+                vec![Hit {
+                    contig: 0,
+                    offset: 4
+                }]
+            );
+        }
     }
 
     #[test]

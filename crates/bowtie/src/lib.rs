@@ -7,12 +7,14 @@
 //!
 //! This crate is the aligner itself, same algorithmic family as Bowtie 1:
 //!
-//! * [`suffix`] — suffix-array construction (prefix doubling);
-//! * [`bwt`] — Burrows–Wheeler transform and the C/Occ tables;
+//! * [`suffix`] — suffix-array construction (packed-key seed, then prefix
+//!   doubling over the tied groups);
+//! * [`bwt`] — Burrows–Wheeler transform as 2-bit blocks with popcount
+//!   rank (C/Occ);
 //! * [`fmindex`] — the queryable index over a multi-contig reference with
 //!   exact backward search and position location;
 //! * [`align`] — `-v`-style alignment: up to `v` mismatches, both strands,
-//!   backtracking over the index;
+//!   backtracking over the index, best stratum first;
 //! * [`sam`] — minimal SAM records for the alignment output files the
 //!   pipeline merges.
 

@@ -1,54 +1,92 @@
-//! Suffix-array construction by prefix doubling.
+//! Suffix-array construction: packed-key seed, then prefix doubling over
+//! the still-tied runs only (Larsson–Sadakane style).
 //!
-//! O(n log n) with radix-free sorting (we sort rank pairs with the standard
-//! library's pdqsort); ample for the contig-scale references this pipeline
-//! indexes, and independent of alphabet size so the separator bytes used to
-//! join contigs need no special handling.
+//! The alphabet is made dense first (6 symbols for a contig reference:
+//! terminator, separator, `ACGT`), so one `u64` seed holds the next
+//! `64 / bits` symbols — 21 bases — and a single sort by that seed already
+//! separates every suffix whose 21-symbol prefix is unique. Each later
+//! round sorts only the runs that are still tied, by the rank of the suffix
+//! `depth` symbols further on, and doubles `depth`. Independent of alphabet
+//! size, so the separator bytes used to join contigs need no special
+//! handling.
 
 /// Build the suffix array of `text`. Returns `sa` with `sa[i]` = start
-/// position of the i-th smallest suffix. The caller is expected to have
-/// appended a unique smallest terminator (byte 0) if total ordering of
-/// rotations matters (the BWT builder does).
+/// position of the i-th smallest suffix (a suffix that is a proper prefix of
+/// another sorts first). The caller is expected to have appended a unique
+/// smallest terminator (byte 0) if total ordering of rotations matters (the
+/// BWT builder does).
 pub fn suffix_array(text: &[u8]) -> Vec<u32> {
     let n = text.len();
-    if n == 0 {
-        return Vec::new();
-    }
     assert!(
         n <= u32::MAX as usize,
         "text too large for u32 suffix array"
     );
 
-    // Initial ranks = byte values.
-    let mut rank: Vec<u32> = text.iter().map(|&b| b as u32).collect();
+    // Dense codes 1..=sigma in byte order; 0 is "past the end".
+    let mut dense = [0u64; 256];
+    for &b in text {
+        dense[b as usize] = 1;
+    }
+    let mut sigma = 0u64;
+    for d in dense.iter_mut().filter(|d| **d != 0) {
+        sigma += 1;
+        *d = sigma;
+    }
+    let bits = (u64::BITS - sigma.leading_zeros()).max(1);
+    let seed_len = (u64::BITS / bits) as usize;
+
+    // seeds[i] = the `seed_len` symbols from `i`, first symbol most
+    // significant.
+    let mut seeds = vec![0u64; n];
+    let mut seed = 0u64;
+    for (s, &b) in seeds.iter_mut().zip(text).rev() {
+        seed = seed >> bits | dense[b as usize] << (bits * (seed_len as u32 - 1));
+        *s = seed;
+    }
+
+    // `sa` is sorted to `depth` symbols; `rank[i]` is the index in `sa` of
+    // the first suffix tied with `i` at that depth; `tied` lists the
+    // `[start, end)` runs of `sa` that hold more than one suffix. A round
+    // sorts every tied run — by seed first, afterwards by the rank `depth`
+    // symbols further on — and doubles the depth. Ranks are updated in
+    // place: a rank only ever splits into finer ranks in suffix order, so a
+    // run sorted against partly-refined ranks is ordered at least to twice
+    // the depth. A run's own keys are copied out before its ranks change.
     let mut sa: Vec<u32> = (0..n as u32).collect();
-    let mut tmp: Vec<u32> = vec![0; n];
-
-    let mut k = 1usize;
-    loop {
-        // Sort by (rank[i], rank[i+k]) pairs.
-        let key = |i: u32| -> (u32, u32) {
-            let i = i as usize;
-            let second = if i + k < n { rank[i + k] + 1 } else { 0 };
-            (rank[i], second)
-        };
-        sa.sort_unstable_by_key(|&i| key(i));
-
-        // Re-rank.
-        tmp[sa[0] as usize] = 0;
-        for w in 1..n {
-            let prev = sa[w - 1];
-            let cur = sa[w];
-            let bump = u32::from(key(prev) != key(cur));
-            tmp[cur as usize] = tmp[prev as usize] + bump;
+    let mut rank = vec![0u32; n];
+    let mut tied = vec![(0, n)];
+    let mut depth = 0;
+    let mut run: Vec<(u64, u32)> = Vec::new();
+    while !tied.is_empty() {
+        let mut still_tied = Vec::new();
+        for &(lo, hi) in &tied {
+            run.clear();
+            run.extend(sa[lo..hi].iter().map(|&i| {
+                let key = match depth {
+                    0 => seeds[i as usize],
+                    _ => rank
+                        .get(i as usize + depth)
+                        .map_or(0, |&r| u64::from(r) + 1),
+                };
+                (key, i)
+            }));
+            run.sort_unstable();
+            let mut start = 0;
+            for w in 1..=run.len() {
+                if w == run.len() || run[w].0 != run[start].0 {
+                    for (slot, &(_, i)) in sa[lo + start..lo + w].iter_mut().zip(&run[start..w]) {
+                        *slot = i;
+                        rank[i as usize] = (lo + start) as u32;
+                    }
+                    if w - start > 1 {
+                        still_tied.push((lo + start, lo + w));
+                    }
+                    start = w;
+                }
+            }
         }
-        std::mem::swap(&mut rank, &mut tmp);
-
-        if rank[sa[n - 1] as usize] as usize == n - 1 {
-            break; // all ranks distinct
-        }
-        k *= 2;
-        debug_assert!(k < 2 * n, "doubling must terminate");
+        tied = still_tied;
+        depth = if depth == 0 { seed_len } else { 2 * depth };
     }
     sa
 }

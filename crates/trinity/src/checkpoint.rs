@@ -86,6 +86,9 @@ pub enum CkptError {
     },
     /// The file is structurally truncated or a length field overruns.
     Truncated,
+    /// The file validates but the stage's codec refuses its payload (the
+    /// checksum is not a MAC, so a crafted file can get this far).
+    BadPayload,
 }
 
 impl std::fmt::Display for CkptError {
@@ -104,6 +107,7 @@ impl std::fmt::Display for CkptError {
                 "checkpoint fingerprint {stored:#018x} does not match run {expected:#018x}"
             ),
             CkptError::Truncated => write!(f, "checkpoint file truncated"),
+            CkptError::BadPayload => write!(f, "checkpoint payload does not decode"),
         }
     }
 }

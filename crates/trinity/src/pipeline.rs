@@ -287,20 +287,30 @@ impl<'a> Driver<'a> {
         }
     }
 
-    /// Try to resume `stage`. Returns the checkpoint only if the dir is
-    /// configured, every earlier stage resumed cleanly, and this stage's
-    /// file validates (magic, version, checksum, fingerprint). A missing
-    /// file is the normal "not completed yet" case; a corrupt one is
-    /// counted and reported before falling back to recompute.
-    fn resume(&mut self, stage: &str) -> Option<ckpt::Checkpoint> {
+    /// Try to resume `stage`. Returns its decoded output and recorded
+    /// duration only if the dir is configured, every earlier stage resumed
+    /// cleanly, this stage's file validates (magic, version, checksum,
+    /// fingerprint) and its payload decodes. A missing file is the normal
+    /// "not completed yet" case; a corrupt or undecodable one (FNV is not a
+    /// MAC, so a crafted file can pass validation) is counted and reported
+    /// before falling back to recompute.
+    fn resume<T>(
+        &mut self,
+        stage: &str,
+        decode: impl FnOnce(&[u8]) -> Option<T>,
+    ) -> Option<(T, f64)> {
         let dir = self.ckpt_dir?;
         if !self.prefix_valid {
             return None;
         }
-        match ckpt::load(dir, self.fingerprint, stage) {
-            Ok(ck) => {
+        let loaded = ckpt::load(dir, self.fingerprint, stage).and_then(|ck| {
+            let value = decode(&ck.payload).ok_or(ckpt::CkptError::BadPayload)?;
+            Ok((value, ck.duration))
+        });
+        match loaded {
+            Ok(resumed) => {
                 self.metrics.counter("ckpt.resumed").add(1);
-                Some(ck)
+                Some(resumed)
             }
             Err(err) => {
                 if !matches!(err, ckpt::CkptError::Io(_)) {
@@ -360,18 +370,15 @@ impl<'a> Driver<'a> {
         ram: impl FnOnce(&T, usize) -> u64,
         compute: impl FnOnce(&Self) -> (T, StageRun),
     ) -> T {
-        let resumed = self.resume(name);
-        let (value, run) = match &resumed {
-            Some(ck) => {
-                let value = decode(&ck.payload);
-                let value = value.unwrap_or_else(|| panic!("validated {name} checkpoint decodes"));
-                (value, StageRun::timed(ck.duration))
-            }
+        let resumed = self.resume(name, decode);
+        let computed = resumed.is_none();
+        let (value, run) = match resumed {
+            Some((value, duration)) => (value, StageRun::timed(duration)),
             None => compute(self),
         };
         let time = run.time;
         self.log_stage(name, ram(&value, run.table_entries), run);
-        if resumed.is_none() {
+        if computed {
             self.save(name, time, &encode(&value));
         }
         value

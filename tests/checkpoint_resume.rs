@@ -9,7 +9,7 @@ mod common;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use trinity::checkpoint::stage_path;
+use trinity::checkpoint::{self, stage_path};
 use trinity::pipeline::{run_pipeline_opts, PipelineConfig, PipelineOutput, RunOptions};
 
 /// The checkpointable stages, in pipeline order. Bowtie is deliberately
@@ -120,20 +120,16 @@ fn resume_into_empty_dir_is_a_seeding_run() {
     assert_eq!(count(&out, "ckpt.saved"), STAGES.len() as u64);
 }
 
-#[test]
-fn corrupting_any_stage_is_detected_and_recomputed() {
+/// Seed a run, `damage` one stage's checkpoint file, resume: the damage is
+/// counted once, the stages before it resume, it and everything after are
+/// recomputed and rewritten, and the artifacts are the fault-free ones.
+fn damaged_stage_is_recomputed(tag: &str, damage: impl Fn(&Path, &str)) {
     let reads = common::tiny_reads(common::CHAOS_WORKLOAD_SEED);
-    let baseline = common::artifacts(&run(&reads, ScratchDir::new("corrupt-base").path(), false));
+    let baseline = common::artifacts(&run(&reads, ScratchDir::new(tag).path(), false));
     for (idx, stage) in STAGES.iter().enumerate() {
-        let dir = ScratchDir::new("corrupt");
+        let dir = ScratchDir::new(tag);
         run(&reads, dir.path(), false);
-        // Flip one mid-file byte. The trailing FNV checksum covers every
-        // preceding byte, so any single-byte change must be rejected.
-        let path = stage_path(dir.path(), stage);
-        let mut bytes = std::fs::read(&path).expect("read checkpoint");
-        let mid = bytes.len() / 2;
-        bytes[mid] ^= 0x40;
-        std::fs::write(&path, &bytes).expect("write corrupted checkpoint");
+        damage(dir.path(), stage);
 
         let resumed = run(&reads, dir.path(), true);
         assert_eq!(
@@ -159,6 +155,33 @@ fn corrupting_any_stage_is_detected_and_recomputed() {
         assert_eq!(count(&repaired, "ckpt.resumed"), STAGES.len() as u64);
         assert_eq!(count(&repaired, "ckpt.invalid"), 0);
     }
+}
+
+#[test]
+fn corrupting_any_stage_is_detected_and_recomputed() {
+    damaged_stage_is_recomputed("corrupt", |dir, stage| {
+        // Flip one mid-file byte. The trailing FNV checksum covers every
+        // preceding byte, so any single-byte change must be rejected.
+        let path = stage_path(dir, stage);
+        let mut bytes = std::fs::read(&path).expect("read checkpoint");
+        let mid = bytes.len() / 2;
+        bytes[mid] ^= 0x40;
+        std::fs::write(&path, &bytes).expect("write corrupted checkpoint");
+    });
+}
+
+#[test]
+fn validated_but_undecodable_stage_is_recomputed() {
+    damaged_stage_is_recomputed("undecodable", |dir, stage| {
+        // FNV is not a MAC: keep the run's fingerprint (header bytes
+        // 12..20), swap the body for garbage and seal it with a correct
+        // trailer. The file validates; the stage codec must refuse it.
+        let bytes = std::fs::read(stage_path(dir, stage)).expect("read checkpoint");
+        let fingerprint = u64::from_le_bytes(bytes[12..20].try_into().expect("8 bytes"));
+        checkpoint::save(dir, fingerprint, stage, 0.25, &[0xAB; 37]).expect("write crafted file");
+        let crafted = checkpoint::load(dir, fingerprint, stage).expect("crafted file validates");
+        assert_eq!(crafted.payload, [0xAB; 37]);
+    });
 }
 
 #[test]
