@@ -16,9 +16,8 @@ use bowtie::fmindex::FmIndex;
 use bowtie::sam::SamRecord;
 
 use mpisim::comm::Comm;
-use mpisim::pack::{pack_byte_strings, unpack_byte_strings};
-use omp::makespan::simulate_loop;
-use omp::pool::parallel_map_timed;
+use mpisim::pack::{pack_byte_strings, pack_u32s, unpack_byte_strings, unpack_u32s};
+use omp::makespan::costed_loop;
 
 use crate::config::ChrysalisConfig;
 
@@ -66,86 +65,58 @@ pub fn bowtie_mpi(
 
     // ---- PyFasta split: single-threaded on the master ----
     let t_before = comm.clock.now();
-    let plan = if comm.is_root() {
+    // The paper writes split files; here the master ships each rank's
+    // piece as contig indices.
+    let packed = if comm.is_root() {
         let plan = comm.charge_measured(|| plan_split(contigs, size).expect("size > 0"));
-        // Ship each rank its piece indices (the paper writes split files).
-        let encoded: Vec<Vec<u8>> = plan
+        let pieces: Vec<Vec<u8>> = plan
             .pieces
             .iter()
-            .map(|piece| {
-                piece
-                    .iter()
-                    .flat_map(|&i| (i as u32).to_le_bytes())
-                    .collect()
-            })
+            .map(|piece| pack_u32s(&piece.iter().map(|&i| i as u32).collect::<Vec<_>>()))
             .collect();
-        comm.bcast(0, &pack_byte_strings(&encoded));
-        plan.pieces
+        pack_byte_strings(&pieces)
     } else {
-        let packed = comm.bcast(0, &[]);
-        unpack_byte_strings(&packed)
-            .expect("root sent well-formed plan")
-            .into_iter()
-            .map(|bytes| {
-                bytes
-                    .chunks_exact(4)
-                    .map(|b| u32::from_le_bytes(b.try_into().expect("4 bytes")) as usize)
-                    .collect()
-            })
-            .collect()
+        Vec::new()
     };
+    let plan = unpack_byte_strings(&comm.bcast(0, &packed)).expect("root sent well-formed plan");
     timings.split = comm.clock.now() - t_before;
 
     // ---- Index this rank's slice ----
-    let my_piece: Vec<Record> = plan[comm.rank()]
+    let my_piece: Vec<Record> = unpack_u32s(&plan[comm.rank()])
+        .expect("root sent whole u32s")
         .iter()
-        .map(|&i| contigs[i].clone())
+        .map(|&i| contigs[i as usize].clone())
         .collect();
     let index = comm.charge_measured(|| FmIndex::build(&my_piece));
     timings.index = comm.clock.now() - t_before - timings.split;
 
     // ---- Align every read against the slice (multi-threaded) ----
-    let guard = mpisim::compute_lock();
-    let (hit_lists, costs) =
-        parallel_map_timed(reads, |read| align_read(&index, &read.seq, align_cfg));
-    drop(guard);
-    let makespan = simulate_loop(&costs, cfg.threads, cfg.schedule).makespan;
-    comm.charge(makespan);
-    timings.align = makespan;
+    let t_before = comm.clock.now();
+    let hit_lists = comm.charge_costed("compute", "bowtie.align", &[], || {
+        let (hits, sim) = costed_loop(reads, cfg.threads, cfg.schedule, |read| {
+            align_read(&index, &read.seq, align_cfg)
+        });
+        (hits, sim.makespan)
+    });
+    timings.align = comm.clock.now() - t_before;
 
-    let mut my_sam: Vec<SamRecord> = Vec::new();
+    // This rank's SAM file, one line per hit.
+    let mut lines: Vec<Vec<u8>> = Vec::new();
     for (read, hits) in reads.iter().zip(&hit_lists) {
         for h in hits {
-            my_sam.push(SamRecord::from_alignment(
-                &read.id,
-                index.contig_name(h.contig),
-                h,
-            ));
+            let rec = SamRecord::from_alignment(&read.id, index.contig_name(h.contig), h);
+            lines.push(rec.to_line().into_bytes());
         }
     }
 
     // ---- Merge per-rank SAM files at the master ----
-    let lines: Vec<Vec<u8>> = my_sam.iter().map(|r| r.to_line().into_bytes()).collect();
     let t_before = comm.clock.now();
-    let gathered = comm.gatherv(0, &pack_byte_strings(&lines));
-    let merged_bytes = if let Some(parts) = gathered {
-        let merged: Vec<Vec<u8>> = comm.charge_measured(|| {
-            let mut all: Vec<Vec<u8>> = parts
-                .iter()
-                .flat_map(|p| unpack_byte_strings(p).expect("peer sent SAM lines"))
-                .collect();
-            all.sort();
-            all
-        });
-        pack_byte_strings(&merged)
-    } else {
-        Vec::new()
-    };
-    let merged = comm.bcast(0, &merged_bytes);
+    let merged = crate::master_merge(comm, lines, pack_byte_strings, |buf| {
+        unpack_byte_strings(buf).expect("peer sent SAM lines")
+    });
     timings.merge = comm.clock.now() - t_before;
 
-    let sam: Vec<SamRecord> = unpack_byte_strings(&merged)
-        .expect("root sent SAM lines")
+    let sam: Vec<SamRecord> = merged
         .into_iter()
         .filter_map(|l| SamRecord::parse_line(&String::from_utf8_lossy(&l)))
         .collect();

@@ -1,4 +1,4 @@
-//! GraphFromFasta drivers: shared-memory baseline and hybrid MPI+OpenMP.
+//! GraphFromFasta: shared-memory baseline and hybrid MPI+OpenMP rank program.
 
 use kcount::counter::KmerCounts;
 use seqio::fasta::Record;
@@ -6,13 +6,12 @@ use seqio::packed::PackedSeq;
 
 use graph::unionfind::UnionFind;
 use mpisim::comm::Comm;
-use mpisim::pack::{pack_byte_strings, pack_u32s, unpack_byte_strings, unpack_u32s};
-use omp::makespan::simulate_loop;
-use omp::pool::parallel_map_timed;
-use omp::schedule::{chunked_round_robin, Schedule};
+use mpisim::pack::{pack_byte_strings, pack_u64s, unpack_byte_strings, unpack_u64s};
+use omp::makespan::costed_loop;
+use omp::schedule::{chunk_sequence, chunked_round_robin, Schedule};
 
 use crate::config::ChrysalisConfig;
-use crate::pairs::{match_contig, pack_matches, pairs_from_matches, unpack_matches, WeldKmerIndex};
+use crate::pairs::{match_contig, pack_pairs, pairs_from_matches, unpack_pairs, WeldKmerIndex};
 use crate::timings::GffTimings;
 use crate::weld::{harvest_contig, KmerContigMap, WeldSupport};
 
@@ -59,18 +58,14 @@ fn build_kmap_parallel(
         .enumerate()
         .map(|(i, c)| (i * BATCH, c))
         .collect();
-    if batches.is_empty() {
-        return (KmerContigMap::build(&[], k), 0.0);
-    }
-    let (partials, costs) = parallel_map_timed(&batches, |&(off, recs)| {
+    let (partials, sim) = costed_loop(&batches, threads, schedule, |&(off, recs)| {
         KmerContigMap::build_with_offset(recs, k, off)
     });
-    let par = simulate_loop(&costs, threads, schedule).makespan;
     let mut merged = KmerContigMap::build(&[], k);
     for p in partials {
         merged.merge(p);
     }
-    (merged, par)
+    (merged, sim.makespan)
 }
 
 impl GffShared {
@@ -130,15 +125,6 @@ pub fn cluster(n_contigs: usize, pairs: &[(u32, u32)]) -> (Vec<usize>, Vec<Vec<u
     uf.into_components()
 }
 
-/// The items of one rank's chunked-round-robin share, flattened.
-fn rank_items(n: usize, rank: usize, size: usize, chunk: usize) -> Vec<u32> {
-    let groups = chunked_round_robin(n, size, chunk);
-    groups[rank]
-        .iter()
-        .flat_map(|c| c.start as u32..c.end as u32)
-        .collect()
-}
-
 fn dedup_preserving_order(welds: Vec<Vec<u8>>) -> Vec<Vec<u8>> {
     let mut seen = std::collections::HashSet::new();
     welds
@@ -171,10 +157,9 @@ pub fn gff_shared_memory(shared: &GffShared) -> GffOutput {
     t += shared.prep_cost;
 
     // Loop 1 (OpenMP dynamic over all contigs).
-    let (weld_lists, costs) = parallel_map_timed(&items, |&i| {
+    let (weld_lists, sim) = costed_loop(&items, cfg.threads, cfg.schedule, |&i| {
         harvest_contig(i, &shared.contigs, &shared.kmap, &support, cfg)
     });
-    let sim = simulate_loop(&costs, cfg.threads, cfg.schedule);
     sim.record_spans(&obs, t, obs::THREAD_TRACK_BASE, "gff.loop1");
     obs.record(0, "compute", "gff.loop1", t, t + sim.makespan);
     t += sim.makespan;
@@ -189,10 +174,9 @@ pub fn gff_shared_memory(shared: &GffShared) -> GffOutput {
     t += dt;
 
     // Loop 2.
-    let (match_lists, costs) = parallel_map_timed(&items, |&i| {
+    let (match_lists, sim) = costed_loop(&items, cfg.threads, cfg.schedule, |&i| {
         match_contig(i, &shared.contigs, &weld_index, cfg)
     });
-    let sim = simulate_loop(&costs, cfg.threads, cfg.schedule);
     sim.record_spans(&obs, t, obs::THREAD_TRACK_BASE, "gff.loop2");
     obs.record(0, "compute", "gff.loop2", t, t + sim.makespan);
     t += sim.makespan;
@@ -218,93 +202,195 @@ pub fn gff_shared_memory(shared: &GffShared) -> GffOutput {
     }
 }
 
+/// How a hybrid loop's contigs reach the ranks.
+#[derive(Clone, Copy)]
+enum Partition {
+    /// §III-B: static chunked round-robin; each rank runs the chunks
+    /// [`rank_items`] gives it.
+    ChunkedRoundRobin,
+    /// §V-A's future work: a master work-queue deals the next chunk to
+    /// whichever rank is idle first ([`master_dealt`]).
+    MasterDealt,
+}
+
+/// The items of one rank's chunked-round-robin share, flattened.
+fn rank_items(n: usize, rank: usize, size: usize, chunk: usize) -> Vec<u32> {
+    let groups = chunked_round_robin(n, size, chunk);
+    groups[rank]
+        .iter()
+        .flat_map(|c| c.start as u32..c.end as u32)
+        .collect()
+}
+
+/// Deal latency of the master work-queue: one request + one response per
+/// chunk (2 point-to-point latencies under the α model).
+fn deal_cost(net: &mpisim::NetModel) -> f64 {
+    2.0 * net.p2p(16)
+}
+
+/// Greedy replay of master-dealt dynamic chunk distribution: chunk `i` goes
+/// to the rank that becomes idle first (ties to the lowest rank), paying
+/// `deal` seconds of master-queue latency per chunk. Returns per-rank busy
+/// times and the chunk→rank assignment.
+pub fn dynamic_deal(chunk_costs: &[f64], ranks: usize, deal: f64) -> (Vec<f64>, Vec<usize>) {
+    let mut busy = vec![0.0f64; ranks.max(1)];
+    let mut owner = Vec::with_capacity(chunk_costs.len());
+    for &c in chunk_costs {
+        let mut best = 0;
+        for r in 1..busy.len() {
+            if busy[r] < busy[best] {
+                best = r;
+            }
+        }
+        busy[best] += c + deal;
+        owner.push(best);
+    }
+    (busy, owner)
+}
+
+/// This rank's share of one loop under [`Partition::MasterDealt`]: the
+/// outputs of the chunks dealt to it and the busy seconds to charge.
+///
+/// Simulation note: the modeled system computes each chunk on the rank the
+/// queue deals it to. To replay the dealing protocol deterministically the
+/// master executes and measures (`run`) every chunk once and ships costs
+/// and packed outputs over the uncharged [`Comm::transport_bcast`]; each
+/// rank then takes the chunks and the busy time — per-chunk queue latency
+/// included — that [`dynamic_deal`] assigns it.
+fn master_dealt<R>(
+    comm: &mut Comm,
+    n: usize,
+    chunk: usize,
+    run: impl Fn(&[u32]) -> (Vec<R>, f64),
+    pack: impl Fn(&[R]) -> Vec<u8>,
+    unpack: impl Fn(&[u8]) -> Vec<R>,
+) -> (Vec<R>, f64) {
+    let (rank, size) = (comm.rank(), comm.size());
+    let payload = comm.transport_bcast(0, || {
+        let mut costs = Vec::new();
+        let mut parts = Vec::new();
+        for c in chunk_sequence(n, size, Schedule::Dynamic { chunk }) {
+            let ids: Vec<u32> = (c.start as u32..c.end as u32).collect();
+            let (outputs, makespan) = run(&ids);
+            costs.push(makespan.to_bits());
+            parts.push(pack(&outputs));
+        }
+        parts.push(pack_u64s(&costs));
+        pack_byte_strings(&parts)
+    });
+    let mut parts = unpack_byte_strings(&payload).expect("root sent chunk payloads");
+    let costs: Vec<f64> = unpack_u64s(&parts.pop().expect("root sent chunk costs last"))
+        .expect("whole u64s")
+        .into_iter()
+        .map(f64::from_bits)
+        .collect();
+    let (busy, owner) = dynamic_deal(&costs, size, deal_cost(&comm.net));
+    let mine = owner
+        .iter()
+        .zip(&parts)
+        .filter(|(&o, _)| o == rank)
+        .flat_map(|(_, p)| unpack(p))
+        .collect();
+    (mine, busy[rank])
+}
+
+/// One pooled hybrid loop (§III-B): distribute the contigs over the ranks,
+/// run `item` on this rank's share, charge the replayed OpenMP makespan as
+/// span `loop_name`, and pool every rank's packed outputs with
+/// `MPI_Allgatherv` under span `comm_name`. Returns the pooled outputs in
+/// rank order — identical on every rank.
+fn pooled_loop<R>(
+    comm: &mut Comm,
+    shared: &GffShared,
+    partition: Partition,
+    [loop_name, comm_name]: [&str; 2],
+    item: impl Fn(u32) -> Vec<R>,
+    pack: impl Fn(&[R]) -> Vec<u8>,
+    unpack: impl Fn(&[u8]) -> Vec<R>,
+) -> Vec<R> {
+    let cfg = &shared.cfg;
+    let n = shared.contigs.len();
+    let chunk = cfg.chunk_size(n, comm.size());
+    let run = |ids: &[u32]| {
+        let (lists, sim) = costed_loop(ids, cfg.threads, cfg.schedule, |&i| item(i));
+        let outputs: Vec<R> = lists.into_iter().flatten().collect();
+        (outputs, sim.makespan)
+    };
+    let mine = match partition {
+        Partition::ChunkedRoundRobin => {
+            let ids = rank_items(n, comm.rank(), comm.size(), chunk);
+            let args = [("items", ids.len() as f64)];
+            comm.charge_costed("compute", loop_name, &args, || run(&ids))
+        }
+        Partition::MasterDealt => {
+            let dealt = master_dealt(comm, n, chunk, run, &pack, &unpack);
+            comm.charge_costed("compute", loop_name, &[], || dealt)
+        }
+    };
+    let t_before = comm.clock.now();
+    let parts = comm.allgatherv(&pack(&mine));
+    comm.obs
+        .record(comm.track(), "comm", comm_name, t_before, comm.clock.now());
+    parts.iter().flat_map(|p| unpack(p)).collect()
+}
+
 /// Hybrid MPI+OpenMP GraphFromFasta — one rank's program (§III-B).
 ///
 /// Run it under [`mpisim::run_cluster`]; every rank returns the same
 /// welds/pairs/components, with its own timings.
 pub fn gff_hybrid(comm: &mut Comm, shared: &GffShared) -> GffOutput {
+    gff_rank_program(comm, shared, Partition::ChunkedRoundRobin)
+}
+
+/// [`gff_hybrid`] with **dynamic rank-level partitioning** — the paper's
+/// stated future work (§V-A): the same rank program with both loops'
+/// chunks master-dealt instead of statically owned. Outputs are identical
+/// to [`gff_hybrid`] up to weld order; only the load balance differs.
+pub fn gff_hybrid_dynamic(comm: &mut Comm, shared: &GffShared) -> GffOutput {
+    gff_rank_program(comm, shared, Partition::MasterDealt)
+}
+
+fn gff_rank_program(comm: &mut Comm, shared: &GffShared, partition: Partition) -> GffOutput {
     let cfg = &shared.cfg;
-    let n = shared.contigs.len();
-    let size = comm.size();
-    let chunk = cfg.chunk_size(n, size);
-    let my_items = rank_items(n, comm.rank(), size, chunk);
     let support = shared.support();
     let track = comm.track();
     let start = comm.clock.now();
 
     // Replicated seed-map build (each rank pays for its own parallel copy).
-    comm.charge(shared.prep_cost);
-    comm.obs
-        .record(track, "compute", "gff.prep", start, comm.clock.now());
+    comm.charge_costed("compute", "gff.prep", &[], || ((), shared.prep_cost));
 
-    // ---- Loop 1: weld harvest over this rank's chunks ----
-    // The compute lock keeps per-item cost measurements uncontended across
-    // concurrent rank threads (see mpisim::compute_lock).
-    let guard = mpisim::compute_lock();
-    let (weld_lists, costs) = parallel_map_timed(&my_items, |&i| {
-        harvest_contig(i, &shared.contigs, &shared.kmap, &support, cfg)
-    });
-    drop(guard);
-    let sim = simulate_loop(&costs, cfg.threads, cfg.schedule);
-    let t_before = comm.clock.now();
-    comm.charge(sim.makespan);
-    comm.obs.record_with(
-        track,
-        "compute",
-        "gff.loop1",
-        t_before,
-        comm.clock.now(),
-        &[("items", my_items.len() as f64)],
+    // Loop 1: weld harvest, pooled as one packed string sequence.
+    let pooled = pooled_loop(
+        comm,
+        shared,
+        partition,
+        ["gff.loop1", "gff.comm1"],
+        |i| harvest_contig(i, &shared.contigs, &shared.kmap, &support, cfg),
+        pack_byte_strings,
+        |buf| unpack_byte_strings(buf).expect("peer sent well-formed weld pack"),
     );
-
-    // Pack the weld strings into a single sequence and pool on every rank.
-    let my_welds: Vec<Vec<u8>> = weld_lists.into_iter().flatten().collect();
-    let packed = pack_byte_strings(&my_welds);
-    let t_before = comm.clock.now();
-    let parts = comm.allgatherv(&packed);
-    comm.obs
-        .record(track, "comm", "gff.comm1", t_before, comm.clock.now());
-    let pooled: Vec<Vec<u8>> = parts
-        .iter()
-        .flat_map(|p| unpack_byte_strings(p).expect("peer sent well-formed weld pack"))
-        .collect();
 
     // Weld k-mer index: a non-parallel region on every rank.
     let weld_index =
         comm.charge_measured_named("gff.weld_index", || WeldKmerIndex::build(&pooled, cfg.k));
 
-    // ---- Loop 2: weld matching over the same distribution ----
-    let guard = mpisim::compute_lock();
-    let (match_lists, costs) = parallel_map_timed(&my_items, |&i| {
-        match_contig(i, &shared.contigs, &weld_index, cfg)
-    });
-    drop(guard);
-    let sim = simulate_loop(&costs, cfg.threads, cfg.schedule);
-    let t_before = comm.clock.now();
-    comm.charge(sim.makespan);
-    comm.obs
-        .record(track, "compute", "gff.loop2", t_before, comm.clock.now());
-
-    // Pool the pairing indices as packed integers.
-    let my_matches: Vec<(u32, u32)> = match_lists.into_iter().flatten().collect();
-    let flat = pack_matches(&my_matches);
-    let t_before = comm.clock.now();
-    let parts = comm.allgatherv(&pack_u32s(&flat));
-    comm.obs
-        .record(track, "comm", "gff.comm2", t_before, comm.clock.now());
-    let matches: Vec<(u32, u32)> = parts
-        .iter()
-        .flat_map(|p| {
-            unpack_matches(&unpack_u32s(p).expect("peer sent whole u32s"))
-                .expect("peer sent (weld, contig) pairs")
-        })
-        .collect();
+    // Loop 2: weld matching over the same distribution, pooled as packed
+    // integers.
+    let matches = pooled_loop(
+        comm,
+        shared,
+        partition,
+        ["gff.loop2", "gff.comm2"],
+        |i| match_contig(i, &shared.contigs, &weld_index, cfg),
+        pack_pairs,
+        unpack_pairs,
+    );
 
     // Clustering + output generation: non-parallel, on every rank (the
     // pooled matches are identical everywhere).
     let (pairs, component_of, components) = comm.charge_measured_named("gff.cluster", || {
         let pairs = pairs_from_matches(&matches);
-        let (component_of, components) = cluster(n, &pairs);
+        let (component_of, components) = cluster(shared.contigs.len(), &pairs);
         (pairs, component_of, components)
     });
     comm.barrier();
@@ -315,14 +401,12 @@ pub fn gff_hybrid(comm: &mut Comm, shared: &GffShared) -> GffOutput {
     // is computed from the named spans by `GffTimings::from_trace`.
     comm.obs
         .record(track, "stage", "gff.total", start, comm.clock.now());
-    let timings = GffTimings::from_trace(&comm.obs.snapshot(), track);
-
     GffOutput {
         welds: dedup_preserving_order(pooled),
         pairs,
         component_of,
         components,
-        timings,
+        timings: GffTimings::from_trace(&comm.obs.snapshot(), track),
         trace: obs::Trace::default(),
     }
 }
@@ -495,215 +579,6 @@ mod tests {
         assert!(out.welds.is_empty());
         assert!(out.pairs.is_empty());
         assert!(out.components.is_empty());
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Dynamic partitioning — the paper's stated future work ("in the future, we
-// might experiment with a dynamic partitioning strategy to reduce this load
-// imbalance", §V-A).
-// ---------------------------------------------------------------------------
-
-/// Deal latency of the master work-queue: one request + one response per
-/// chunk (2 point-to-point latencies under the α model).
-fn deal_cost(net: &mpisim::NetModel) -> f64 {
-    2.0 * net.p2p(16)
-}
-
-/// Greedy replay of master-dealt dynamic chunk distribution: chunk `i` goes
-/// to the rank that becomes idle first (ties to the lowest rank), paying
-/// `deal` seconds of master-queue latency per chunk. Returns per-rank busy
-/// times and the chunk→rank assignment.
-pub fn dynamic_deal(chunk_costs: &[f64], ranks: usize, deal: f64) -> (Vec<f64>, Vec<usize>) {
-    let mut busy = vec![0.0f64; ranks.max(1)];
-    let mut owner = Vec::with_capacity(chunk_costs.len());
-    for &c in chunk_costs {
-        let mut best = 0;
-        for r in 1..busy.len() {
-            if busy[r] < busy[best] {
-                best = r;
-            }
-        }
-        busy[best] += c + deal;
-        owner.push(best);
-    }
-    (busy, owner)
-}
-
-/// Hybrid GraphFromFasta with **dynamic rank-level partitioning**: instead
-/// of the static chunked round-robin, a master work-queue deals the next
-/// chunk to whichever rank finishes first.
-///
-/// Simulation note: the modeled system computes each chunk on the rank the
-/// queue deals it to. To replay the dealing protocol deterministically the
-/// simulation executes and measures every chunk once on the master and
-/// ships results over the uncharged [`Comm::transport_bcast`]; each rank
-/// then charges the busy time the dealing replay assigns it (including the
-/// per-chunk queue latency) and contributes *its* chunks' welds to the
-/// same `MPI_Allgatherv` pooling as the static driver. Outputs are
-/// identical to [`gff_hybrid`]; only the load balance differs.
-pub fn gff_hybrid_dynamic(comm: &mut Comm, shared: &GffShared) -> GffOutput {
-    use mpisim::pack::{pack_u64s, unpack_u64s};
-
-    let cfg = &shared.cfg;
-    let n = shared.contigs.len();
-    let size = comm.size();
-    let chunk = cfg.chunk_size(n, size);
-    let support = shared.support();
-    let track = comm.track();
-    let start = comm.clock.now();
-    let deal = deal_cost(&comm.net);
-
-    comm.charge(shared.prep_cost);
-    comm.obs
-        .record(track, "compute", "gff.prep", start, comm.clock.now());
-
-    // ---- Loop 1 under dynamic dealing ----
-    let chunks = omp::schedule::chunk_sequence(n, size, Schedule::Dynamic { chunk });
-    let payload = if comm.is_root() {
-        let guard = mpisim::compute_lock();
-        let items: Vec<u32> = (0..n as u32).collect();
-        let (weld_lists, costs) = parallel_map_timed(&items, |&i| {
-            harvest_contig(i, &shared.contigs, &shared.kmap, &support, cfg)
-        });
-        drop(guard);
-        // Per-chunk inner-OpenMP makespans + per-chunk weld payloads.
-        let mut chunk_costs = Vec::with_capacity(chunks.len());
-        let mut chunk_welds: Vec<Vec<u8>> = Vec::with_capacity(chunks.len());
-        for c in &chunks {
-            chunk_costs
-                .push(simulate_loop(&costs[c.start..c.end], cfg.threads, cfg.schedule).makespan);
-            let welds: Vec<Vec<u8>> = weld_lists[c.start..c.end]
-                .iter()
-                .flatten()
-                .cloned()
-                .collect();
-            chunk_welds.push(pack_byte_strings(&welds));
-        }
-        let mut parts = vec![pack_u64s(
-            &chunk_costs
-                .iter()
-                .map(|c| c.to_bits())
-                .collect::<Vec<u64>>(),
-        )];
-        parts.extend(chunk_welds);
-        pack_byte_strings(&parts)
-    } else {
-        Vec::new()
-    };
-    let payload = comm.transport_bcast(0, &payload);
-    let mut parts = unpack_byte_strings(&payload).expect("root sent chunk payloads");
-    let chunk_welds: Vec<Vec<u8>> = parts.split_off(1);
-    let chunk_costs: Vec<f64> = unpack_u64s(&parts[0])
-        .expect("whole u64s")
-        .into_iter()
-        .map(f64::from_bits)
-        .collect();
-
-    let (busy, owner) = dynamic_deal(&chunk_costs, size, deal);
-    let t_before = comm.clock.now();
-    comm.charge(busy[comm.rank()]);
-    comm.obs
-        .record(track, "compute", "gff.loop1", t_before, comm.clock.now());
-
-    // Pool: each rank contributes the welds of the chunks dealt to it.
-    let my_welds: Vec<Vec<u8>> = owner
-        .iter()
-        .enumerate()
-        .filter(|&(_, &o)| o == comm.rank())
-        .flat_map(|(i, _)| unpack_byte_strings(&chunk_welds[i]).expect("weld pack"))
-        .collect();
-    let t_before = comm.clock.now();
-    let pooled_parts = comm.allgatherv(&pack_byte_strings(&my_welds));
-    comm.obs
-        .record(track, "comm", "gff.comm1", t_before, comm.clock.now());
-    let pooled: Vec<Vec<u8>> = pooled_parts
-        .iter()
-        .flat_map(|p| unpack_byte_strings(p).expect("peer sent welds"))
-        .collect();
-
-    let weld_index =
-        comm.charge_measured_named("gff.weld_index", || WeldKmerIndex::build(&pooled, cfg.k));
-
-    // ---- Loop 2 under dynamic dealing ----
-    let payload = if comm.is_root() {
-        let guard = mpisim::compute_lock();
-        let items: Vec<u32> = (0..n as u32).collect();
-        let (match_lists, costs) = parallel_map_timed(&items, |&i| {
-            match_contig(i, &shared.contigs, &weld_index, cfg)
-        });
-        drop(guard);
-        let mut chunk_costs = Vec::with_capacity(chunks.len());
-        let mut chunk_matches: Vec<Vec<u8>> = Vec::with_capacity(chunks.len());
-        for c in &chunks {
-            chunk_costs
-                .push(simulate_loop(&costs[c.start..c.end], cfg.threads, cfg.schedule).makespan);
-            let m: Vec<(u32, u32)> = match_lists[c.start..c.end]
-                .iter()
-                .flatten()
-                .copied()
-                .collect();
-            chunk_matches.push(pack_u32s(&pack_matches(&m)));
-        }
-        let mut parts = vec![pack_u64s(
-            &chunk_costs
-                .iter()
-                .map(|c| c.to_bits())
-                .collect::<Vec<u64>>(),
-        )];
-        parts.extend(chunk_matches);
-        pack_byte_strings(&parts)
-    } else {
-        Vec::new()
-    };
-    let payload = comm.transport_bcast(0, &payload);
-    let mut parts = unpack_byte_strings(&payload).expect("root sent chunk payloads");
-    let chunk_matches: Vec<Vec<u8>> = parts.split_off(1);
-    let chunk_costs: Vec<f64> = unpack_u64s(&parts[0])
-        .expect("whole u64s")
-        .into_iter()
-        .map(f64::from_bits)
-        .collect();
-
-    let (busy, owner) = dynamic_deal(&chunk_costs, size, deal);
-    let t_before = comm.clock.now();
-    comm.charge(busy[comm.rank()]);
-    comm.obs
-        .record(track, "compute", "gff.loop2", t_before, comm.clock.now());
-
-    let my_matches: Vec<u32> = owner
-        .iter()
-        .enumerate()
-        .filter(|&(_, &o)| o == comm.rank())
-        .flat_map(|(i, _)| unpack_u32s(&chunk_matches[i]).expect("whole u32s"))
-        .collect();
-    let t_before = comm.clock.now();
-    let pooled_parts = comm.allgatherv(&pack_u32s(&my_matches));
-    comm.obs
-        .record(track, "comm", "gff.comm2", t_before, comm.clock.now());
-    let matches: Vec<(u32, u32)> = pooled_parts
-        .iter()
-        .flat_map(|p| unpack_matches(&unpack_u32s(p).expect("whole u32s")).expect("pairs"))
-        .collect();
-
-    let (pairs, component_of, components) = comm.charge_measured_named("gff.cluster", || {
-        let pairs = pairs_from_matches(&matches);
-        let (component_of, components) = cluster(n, &pairs);
-        (pairs, component_of, components)
-    });
-    comm.barrier();
-
-    comm.obs
-        .record(track, "stage", "gff.total", start, comm.clock.now());
-    let timings = GffTimings::from_trace(&comm.obs.snapshot(), track);
-
-    GffOutput {
-        welds: dedup_preserving_order(pooled),
-        pairs,
-        component_of,
-        components,
-        timings,
-        trace: obs::Trace::default(),
     }
 }
 

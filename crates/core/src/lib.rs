@@ -22,6 +22,24 @@
 //! outputs (packed strings after loop 1, packed integer arrays after
 //! loop 2).
 //!
+//! ## One rank program per stage
+//!
+//! Each stage has one SPMD rank program beside its OpenMP-only baseline
+//! (`*_shared_memory`, the reference the scaling figures compare against):
+//!
+//! * GraphFromFasta: both loops are one pooled loop (distribute → compute →
+//!   charge → pack → allgatherv) with a different item function and codec.
+//!   How contigs reach ranks is a crate-private *partition* value: static
+//!   chunked round-robin ([`gff_hybrid`]) or a master-dealt work queue
+//!   ([`gff_hybrid_dynamic`], §V-A's future work).
+//! * ReadsToTranscripts: one streaming loop; chunk `ci` is processed on
+//!   rank `ci mod size`. Which chunks a rank *reads* is a crate-private
+//!   *read policy*: the whole file ([`rtt_hybrid`], §III-C) or its own
+//!   chunks ([`rtt_hybrid_striped`], §VI's MPI-I/O direction).
+//! * Every measured loop is an `omp::costed_loop`; on a rank it is charged
+//!   through `mpisim::Comm::charge_costed`, which owns the measurement
+//!   lock and the named span.
+//!
 //! ## Simulation notes (documented deviations)
 //!
 //! Ranks are in-process threads with virtual clocks (see `mpisim`). Two
@@ -45,6 +63,32 @@ pub mod reads_to_transcripts;
 pub mod scaffold;
 pub mod timings;
 pub mod weld;
+
+/// The closing step the Bowtie and ReadsToTranscripts rank programs share:
+/// every rank's output file is gathered at the master, merged there in
+/// sorted order (a measured serial region) and broadcast back (in the paper
+/// only the master's file exists; broadcasting lets every rank return it
+/// without changing the timing story). `mine` is freed once packed.
+pub(crate) fn master_merge<T: Ord>(
+    comm: &mut mpisim::Comm,
+    mine: Vec<T>,
+    pack: impl Fn(&[T]) -> Vec<u8>,
+    unpack: impl Fn(&[u8]) -> Vec<T>,
+) -> Vec<T> {
+    let packed = pack(&mine);
+    drop(mine);
+    let gathered = comm.gatherv(0, &packed);
+    drop(packed);
+    let merged = match gathered {
+        Some(parts) => pack(&comm.charge_measured(|| {
+            let mut all: Vec<T> = parts.iter().flat_map(|p| unpack(p)).collect();
+            all.sort();
+            all
+        })),
+        None => Vec::new(),
+    };
+    unpack(&comm.bcast(0, &merged))
+}
 
 pub use config::ChrysalisConfig;
 pub use graph_from_fasta::{

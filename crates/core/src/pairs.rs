@@ -145,6 +145,19 @@ pub fn unpack_matches(flat: &[u32]) -> Option<Vec<(u32, u32)>> {
     Some(flat.chunks_exact(2).map(|c| (c[0], c[1])).collect())
 }
 
+/// The packed-integer wire form of a `(u32, u32)` list — loop-2 matches
+/// and read assignments both cross ranks this way.
+pub(crate) fn pack_pairs(pairs: &[(u32, u32)]) -> Vec<u8> {
+    mpisim::pack::pack_u32s(&pack_matches(pairs))
+}
+
+/// Inverse of [`pack_pairs`] for a buffer a peer rank packed.
+pub(crate) fn unpack_pairs(buf: &[u8]) -> Vec<(u32, u32)> {
+    mpisim::pack::unpack_u32s(buf)
+        .and_then(|flat| unpack_matches(&flat))
+        .expect("peer sent whole (u32, u32) pairs")
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -7,18 +7,18 @@
 //! "this approach does make every process read redundant data … but
 //! excludes the necessity of MPI communication". Per-rank outputs are
 //! concatenated by the master at the end (a cheap `cat`, <15 s in the
-//! paper).
+//! paper). Which chunks a rank *reads* is the rank program's `ReadPolicy`.
 
 use kmertable::PackedKmerTable;
 use seqio::fasta::Record;
 use seqio::packed::PackedSeq;
 
 use mpisim::comm::Comm;
-use mpisim::pack::{pack_u32s, unpack_u32s};
-use omp::makespan::simulate_loop;
-use omp::pool::parallel_map_timed;
+use omp::makespan::costed_loop;
+use omp::schedule::static_owner;
 
 use crate::config::ChrysalisConfig;
+use crate::pairs::{pack_pairs, unpack_pairs};
 use crate::timings::RttTimings;
 
 /// Read-only state for the stage: the read set (standing in for the
@@ -80,7 +80,7 @@ impl RttShared {
             .enumerate()
             .map(|(i, c)| (i * 16, c))
             .collect();
-        let (partials, costs) = omp::pool::parallel_map_timed(&batches, |&(base, comps)| {
+        let build = |&(base, comps): &(usize, &[Vec<usize>])| {
             let mut map = PackedKmerTable::new();
             for (ci, members) in comps.iter().enumerate() {
                 for &m in members {
@@ -94,8 +94,8 @@ impl RttShared {
                 }
             }
             map
-        });
-        let kmer_setup_cost = simulate_loop(&costs, cfg.threads, cfg.schedule).makespan;
+        };
+        let (partials, sim) = costed_loop(&batches, cfg.threads, cfg.schedule, build);
         let mut map = PackedKmerTable::new();
         for p in partials {
             map.reserve(p.len());
@@ -109,7 +109,7 @@ impl RttShared {
             reads,
             packed_reads,
             kmer_to_component: map,
-            kmer_setup_cost,
+            kmer_setup_cost: sim.makespan,
             n_components: components.len(),
             cfg,
         }
@@ -199,31 +199,32 @@ pub struct RttOutput {
 }
 
 /// Simulated "upload" of one chunk: walk the bytes as a parser would.
-/// Returns the byte count; the measured duration stands in for file I/O.
-fn stream_chunk(reads: &[Record]) -> usize {
+/// Returns the measured seconds, which stand in for file I/O.
+fn stream_chunk(reads: &[Record]) -> f64 {
+    let t0 = std::time::Instant::now();
     let mut bytes = 0usize;
     for r in reads {
         // Touch every byte so the measured cost scales with data volume.
         bytes += r.seq.iter().map(|&b| (b & 0x0f) as usize).sum::<usize>() & 0xff;
         bytes += r.seq.len() + r.id.len();
     }
-    bytes
+    std::hint::black_box(bytes);
+    t0.elapsed().as_secs_f64()
 }
 
 /// Assign a chunk's reads (the OpenMP-parallel inner loop); returns
 /// assignments plus the simulated loop makespan.
 fn assign_chunk(shared: &RttShared, base: usize, chunk: &[Record]) -> (Vec<(u32, u32)>, f64) {
-    let items: Vec<usize> = (0..chunk.len()).collect();
-    let (results, costs) = parallel_map_timed(&items, |&i| {
-        shared.assign_packed(&shared.packed_reads[base + i])
+    let items: Vec<usize> = (base..base + chunk.len()).collect();
+    let (results, sim) = costed_loop(&items, shared.cfg.threads, shared.cfg.schedule, |&i| {
+        shared.assign_packed(&shared.packed_reads[i])
     });
-    let makespan = simulate_loop(&costs, shared.cfg.threads, shared.cfg.schedule).makespan;
-    let assignments = results
-        .into_iter()
-        .enumerate()
-        .filter_map(|(i, c)| c.map(|c| ((base + i) as u32, c)))
+    let assignments = items
+        .iter()
+        .zip(results)
+        .filter_map(|(&i, c)| c.map(|c| (i as u32, c)))
         .collect();
-    (assignments, makespan)
+    (assignments, sim.makespan)
 }
 
 /// Shared-memory (OpenMP-only) ReadsToTranscripts: the baseline
@@ -244,9 +245,7 @@ pub fn rtt_shared_memory(shared: &RttShared) -> RttOutput {
     let mut assignments = Vec::new();
     let chunk_size = shared.cfg.max_mem_reads.max(1);
     for (ci, chunk) in shared.reads.chunks(chunk_size).enumerate() {
-        let t0 = std::time::Instant::now();
-        std::hint::black_box(stream_chunk(chunk));
-        let io = t0.elapsed().as_secs_f64();
+        let io = stream_chunk(chunk);
         obs.record_with(0, "io", "rtt.io", t, t + io, &[("chunk", ci as f64)]);
         t += io;
         let (mut a, makespan) = assign_chunk(shared, ci * chunk_size, chunk);
@@ -270,92 +269,63 @@ pub fn rtt_shared_memory(shared: &RttShared) -> RttOutput {
     }
 }
 
+/// Which chunks of the read file a rank uploads. It *processes* chunk `ci`
+/// iff `static_owner(ci, size)` is its rank either way.
+#[derive(Clone, Copy, PartialEq)]
+enum ReadPolicy {
+    /// §III-C: every rank streams the whole file and discards the chunks
+    /// it does not own — redundant reads, no communication.
+    WholeFile,
+    /// §VI ("exploring MPI-I/O for RNA-Seq data"): an
+    /// `MPI_File_read_at`-style strided access to the owned chunks only.
+    OwnChunks,
+}
+
 /// Hybrid MPI+OpenMP ReadsToTranscripts — one rank's program (§III-C).
 pub fn rtt_hybrid(comm: &mut Comm, shared: &RttShared) -> RttOutput {
+    rtt_rank_program(comm, shared, ReadPolicy::WholeFile)
+}
+
+/// [`rtt_hybrid`] with **striped I/O** — the paper's future-work direction
+/// (§VI): the same rank program reading only the chunks it processes, so
+/// the redundant-I/O term of §III-C disappears and nothing else changes.
+pub fn rtt_hybrid_striped(comm: &mut Comm, shared: &RttShared) -> RttOutput {
+    rtt_rank_program(comm, shared, ReadPolicy::OwnChunks)
+}
+
+fn rtt_rank_program(comm: &mut Comm, shared: &RttShared, policy: ReadPolicy) -> RttOutput {
     let track = comm.track();
     let start = comm.clock.now();
 
     // Replicated k-mer→bundle table (OpenMP-only region, per rank).
-    comm.charge(shared.kmer_setup_cost);
-    comm.obs
-        .record(track, "compute", "rtt.kmer_setup", start, comm.clock.now());
+    comm.charge_costed("compute", "rtt.kmer_setup", &[], || {
+        ((), shared.kmer_setup_cost)
+    });
 
-    let size = comm.size();
-    let rank = comm.rank();
+    // The streaming loop: no communication inside.
     let chunk_size = shared.cfg.max_mem_reads.max(1);
     let mut my_assignments: Vec<(u32, u32)> = Vec::new();
-
-    // Hold the compute lock for the whole streaming loop: there is no
-    // communication inside, and uncontended measurements keep the virtual
-    // clock comparable across rank counts.
-    let guard = mpisim::compute_lock();
     for (ci, chunk) in shared.reads.chunks(chunk_size).enumerate() {
-        // Every rank reads (and pays for) every chunk...
-        let t0 = std::time::Instant::now();
-        std::hint::black_box(stream_chunk(chunk));
-        let io = t0.elapsed().as_secs_f64();
-        let t_before = comm.clock.now();
-        comm.charge(io);
-        comm.obs.record_with(
-            track,
-            "io",
-            "rtt.io",
-            t_before,
-            comm.clock.now(),
-            &[("chunk", ci as f64)],
-        );
-        // ...but only processes the chunks congruent to its rank.
-        if ci % size == rank {
-            let (mut a, makespan) = assign_chunk(shared, ci * chunk_size, chunk);
-            let t_before = comm.clock.now();
-            comm.charge(makespan);
-            comm.obs.record_with(
-                track,
-                "compute",
-                "rtt.loop",
-                t_before,
-                comm.clock.now(),
-                &[("chunk", ci as f64), ("reads", chunk.len() as f64)],
-            );
-            my_assignments.append(&mut a);
+        let mine = static_owner(ci, comm.size()) == comm.rank();
+        let chunk_arg = ("chunk", ci as f64);
+        if mine || policy == ReadPolicy::WholeFile {
+            comm.charge_costed("io", "rtt.io", &[chunk_arg], || ((), stream_chunk(chunk)));
+        }
+        if mine {
+            let args = [chunk_arg, ("reads", chunk.len() as f64)];
+            let assigned = comm.charge_costed("compute", "rtt.loop", &args, || {
+                assign_chunk(shared, ci * chunk_size, chunk)
+            });
+            my_assignments.extend(assigned);
         }
     }
 
-    drop(guard);
-
-    // Each rank writes its own output file; the master concatenates them.
-    let flat: Vec<u32> = my_assignments.iter().flat_map(|&(r, c)| [r, c]).collect();
+    // Each rank writes its own output file; the master concatenates them
+    // ("a simple cat command").
     let t_before = comm.clock.now();
-    let gathered = comm.gatherv(0, &pack_u32s(&flat));
-    let merged_bytes = if let Some(parts) = gathered {
-        // Master: "a simple cat command".
-        let merged = comm.charge_measured(|| {
-            let mut all: Vec<(u32, u32)> = Vec::new();
-            for p in &parts {
-                let flat = unpack_u32s(p).expect("peer sent whole u32s");
-                all.extend(flat.chunks_exact(2).map(|c| (c[0], c[1])));
-            }
-            all.sort_unstable();
-            all
-        });
-        pack_u32s(
-            &merged
-                .iter()
-                .flat_map(|&(r, c)| [r, c])
-                .collect::<Vec<u32>>(),
-        )
-    } else {
-        Vec::new()
-    };
-    // Distribute the merged table so every rank returns the same output
-    // (in the paper only the master's file exists; broadcasting keeps the
-    // simulation's outputs comparable without changing the timing story).
-    let merged = comm.bcast(0, &merged_bytes);
+    let assignments = crate::master_merge(comm, my_assignments, pack_pairs, unpack_pairs);
     comm.obs
         .record(track, "comm", "rtt.concat", t_before, comm.clock.now());
-
-    let flat = unpack_u32s(&merged).expect("root sent whole u32s");
-    let assignments: Vec<(u32, u32)> = flat.chunks_exact(2).map(|c| (c[0], c[1])).collect();
 
     comm.obs
         .record(track, "stage", "rtt.total", start, comm.clock.now());
@@ -556,98 +526,6 @@ mod tests {
             .max_by(|a, b| a.1.cmp(&b.1).then(b.0.cmp(&a.0)))
             .map(|(c, _)| c);
         assert_eq!(shared.assign(&read), expect);
-    }
-}
-
-/// ReadsToTranscripts with **striped I/O** — the paper's future-work
-/// direction ("exploring MPI-I/O for RNA-Seq data", §VI).
-///
-/// Identical to [`rtt_hybrid`] except each rank reads *only* the chunks it
-/// processes (an `MPI_File_read_at`-style strided access) instead of
-/// streaming the whole file and discarding most of it. The redundant-I/O
-/// term of §III-C disappears; everything else (assignment, gather, concat)
-/// is unchanged, so outputs match `rtt_hybrid` exactly.
-pub fn rtt_hybrid_striped(comm: &mut Comm, shared: &RttShared) -> RttOutput {
-    let track = comm.track();
-    let start = comm.clock.now();
-
-    comm.charge(shared.kmer_setup_cost);
-    comm.obs
-        .record(track, "compute", "rtt.kmer_setup", start, comm.clock.now());
-
-    let size = comm.size();
-    let rank = comm.rank();
-    let chunk_size = shared.cfg.max_mem_reads.max(1);
-    let mut my_assignments: Vec<(u32, u32)> = Vec::new();
-
-    let guard = mpisim::compute_lock();
-    for (ci, chunk) in shared.reads.chunks(chunk_size).enumerate() {
-        if ci % size != rank {
-            continue; // striped access: other ranks' chunks are never read
-        }
-        let t0 = std::time::Instant::now();
-        std::hint::black_box(stream_chunk(chunk));
-        let io = t0.elapsed().as_secs_f64();
-        let t_before = comm.clock.now();
-        comm.charge(io);
-        comm.obs.record_with(
-            track,
-            "io",
-            "rtt.io",
-            t_before,
-            comm.clock.now(),
-            &[("chunk", ci as f64)],
-        );
-        let (mut a, makespan) = assign_chunk(shared, ci * chunk_size, chunk);
-        let t_before = comm.clock.now();
-        comm.charge(makespan);
-        comm.obs.record_with(
-            track,
-            "compute",
-            "rtt.loop",
-            t_before,
-            comm.clock.now(),
-            &[("chunk", ci as f64), ("reads", chunk.len() as f64)],
-        );
-        my_assignments.append(&mut a);
-    }
-    drop(guard);
-
-    let flat: Vec<u32> = my_assignments.iter().flat_map(|&(r, c)| [r, c]).collect();
-    let t_before = comm.clock.now();
-    let gathered = comm.gatherv(0, &pack_u32s(&flat));
-    let merged_bytes = if let Some(parts) = gathered {
-        let merged = comm.charge_measured(|| {
-            let mut all: Vec<(u32, u32)> = Vec::new();
-            for p in &parts {
-                let flat = unpack_u32s(p).expect("peer sent whole u32s");
-                all.extend(flat.chunks_exact(2).map(|c| (c[0], c[1])));
-            }
-            all.sort_unstable();
-            all
-        });
-        pack_u32s(
-            &merged
-                .iter()
-                .flat_map(|&(r, c)| [r, c])
-                .collect::<Vec<u32>>(),
-        )
-    } else {
-        Vec::new()
-    };
-    let merged = comm.bcast(0, &merged_bytes);
-    comm.obs
-        .record(track, "comm", "rtt.concat", t_before, comm.clock.now());
-
-    let flat = unpack_u32s(&merged).expect("root sent whole u32s");
-    let assignments: Vec<(u32, u32)> = flat.chunks_exact(2).map(|c| (c[0], c[1])).collect();
-
-    comm.obs
-        .record(track, "stage", "rtt.total", start, comm.clock.now());
-    RttOutput {
-        assignments,
-        timings: RttTimings::from_trace(&comm.obs.snapshot(), track),
-        trace: obs::Trace::default(),
     }
 }
 

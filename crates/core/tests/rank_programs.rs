@@ -1,0 +1,153 @@
+//! The four hybrid entry points against the shared-memory baseline at rank
+//! counts {1, 2, 4, 7}: the paper's static/streaming rank programs and the
+//! two §V-A variants (master-dealt partition, striped reads) must all
+//! reproduce the baseline's output exactly.
+
+use std::sync::Arc;
+
+use chrysalis::config::ChrysalisConfig;
+use chrysalis::graph_from_fasta::{
+    gff_hybrid, gff_hybrid_dynamic, gff_shared_memory, GffOutput, GffShared,
+};
+use chrysalis::reads_to_transcripts::{
+    rtt_hybrid, rtt_hybrid_striped, rtt_shared_memory, RttOutput, RttShared,
+};
+use kcount::counter::{count_kmers, CounterConfig};
+use mpisim::{run_cluster, Comm, NetModel};
+use seqio::fasta::Record;
+use simulate::datasets::{Dataset, DatasetPreset};
+
+const RANKS: [usize; 4] = [1, 2, 4, 7];
+
+type GffProgram = fn(&mut Comm, &GffShared) -> GffOutput;
+type RttProgram = fn(&mut Comm, &RttShared) -> RttOutput;
+
+/// Workload seed; the weld-order digests below were recorded with it.
+const SEED: u64 = 5;
+
+fn workload() -> (Arc<GffShared>, Vec<Record>) {
+    let reads = Dataset::generate(DatasetPreset::Tiny, SEED).all_reads();
+    let cfg = ChrysalisConfig::small(12);
+    let counts = count_kmers(&reads, CounterConfig::new(cfg.k));
+    let dict = inchworm::dictionary::Dictionary::from_counts(counts.clone(), 1);
+    let contigs: Vec<Record> = inchworm::assemble::assemble(
+        &dict,
+        inchworm::assemble::InchwormConfig {
+            min_seed_count: 1,
+            min_extend_count: 1,
+            min_contig_len: 24,
+            jitter_seed: None,
+        },
+    )
+    .iter()
+    .map(|c| c.to_record())
+    .collect();
+    let shared = GffShared::prepare(seqio::packed::encode_all(&contigs), counts, cfg);
+    (Arc::new(shared), reads)
+}
+
+fn sorted(mut welds: Vec<Vec<u8>>) -> Vec<Vec<u8>> {
+    welds.sort();
+    welds
+}
+
+/// FNV-1a over the welds in order, newline-separated.
+fn order_digest(welds: &[Vec<u8>]) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for b in welds.iter().flat_map(|w| w.iter().chain(b"\n")) {
+        h = (h ^ u64::from(*b)).wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
+fn gff_on_cluster(shared: &Arc<GffShared>, ranks: usize, program: GffProgram) -> Vec<GffOutput> {
+    let sh = Arc::clone(shared);
+    run_cluster(ranks, NetModel::idataplex(), move |comm| program(comm, &sh))
+        .into_iter()
+        .map(|o| o.value)
+        .collect()
+}
+
+#[test]
+fn gff_entry_points_match_shared_memory() {
+    let (shared, _) = workload();
+    let serial = gff_shared_memory(&shared);
+    assert!(serial.welds.len() > 1 && !serial.pairs.is_empty());
+    let serial_welds = sorted(serial.welds.clone());
+    let programs: [(&str, GffProgram); 2] =
+        [("static", gff_hybrid), ("dynamic", gff_hybrid_dynamic)];
+    for (name, program) in programs {
+        for ranks in RANKS {
+            for out in gff_on_cluster(&shared, ranks, program) {
+                assert_eq!(out.pairs, serial.pairs, "{name} ranks={ranks}");
+                assert_eq!(
+                    out.component_of, serial.component_of,
+                    "{name} ranks={ranks}"
+                );
+                assert_eq!(sorted(out.welds), serial_welds, "{name} ranks={ranks}");
+            }
+        }
+    }
+}
+
+/// `gff_hybrid` pools welds in rank order, each rank's chunks in
+/// round-robin order; the pooled order feeds the checkpoint and the weld
+/// index, so it is pinned per rank count.
+#[test]
+fn gff_hybrid_weld_order_is_pinned() {
+    const DIGESTS: [u64; 4] = [
+        0xf5fe_9677_e364_306c,
+        0x0790_6746_4d2c_e658,
+        0x01c1_e247_9944_3f1c,
+        0x559d_cae4_d34c_7dd4,
+    ];
+    let (shared, _) = workload();
+    let serial = gff_shared_memory(&shared);
+    let got: Vec<u64> = RANKS
+        .iter()
+        .map(|&ranks| {
+            let outs = gff_on_cluster(&shared, ranks, gff_hybrid);
+            for o in &outs[1..] {
+                assert_eq!(o.welds, outs[0].welds, "ranks agree, ranks={ranks}");
+            }
+            order_digest(&outs[0].welds)
+        })
+        .collect();
+    // One rank owns every chunk, so its order is the baseline's.
+    assert_eq!(got[0], order_digest(&serial.welds));
+    assert_eq!(
+        got, DIGESTS,
+        "weld order per rank count {RANKS:?}: {got:#x?}"
+    );
+}
+
+#[test]
+fn rtt_entry_points_match_shared_memory() {
+    let (gff_shared, reads) = workload();
+    let components = gff_shared_memory(&gff_shared).components;
+    let mut cfg = gff_shared.cfg;
+    // Several chunks per rank at every rank count.
+    cfg.max_mem_reads = reads.len() / 20;
+    let shared = Arc::new(RttShared::prepare(
+        reads,
+        &gff_shared.contigs,
+        &components,
+        cfg,
+    ));
+    let serial = rtt_shared_memory(&shared);
+    assert!(!serial.assignments.is_empty());
+    let programs: [(&str, RttProgram); 2] =
+        [("streaming", rtt_hybrid), ("striped", rtt_hybrid_striped)];
+    for (name, program) in programs {
+        for ranks in RANKS {
+            let sh = Arc::clone(&shared);
+            let outs = run_cluster(ranks, NetModel::idataplex(), move |comm| program(comm, &sh));
+            for o in outs {
+                assert_eq!(
+                    o.value.assignments, serial.assignments,
+                    "{name} ranks={ranks}"
+                );
+            }
+        }
+    }
+}

@@ -185,37 +185,12 @@ pub fn count_kmers_packed(reads: &[PackedSeq], cfg: CounterConfig) -> KmerCounts
 
 /// Count all k-mers of byte-sequence `reads` per `cfg`.
 ///
-/// Convenience wrapper over [`count_kmers_packed`]: each read is encoded to
-/// a [`PackedSeq`] once inside the worker, then counted via the rolling
-/// iterators. Callers with reads already encoded (the pipeline) should pass
-/// them to [`count_kmers_packed`] directly.
+/// Convenience wrapper: encodes each read to a [`PackedSeq`] once, then
+/// calls [`count_kmers_packed`]. Callers with reads already encoded (the
+/// pipeline) should pass them to [`count_kmers_packed`] directly.
 pub fn count_kmers<S: AsRef<[u8]> + Sync>(reads: &[S], cfg: CounterConfig) -> KmerCounts {
-    let shared = ShardedKmerTable::new(cfg.shards.max(1));
-
-    omp::parallel_map(reads, cfg.threads, |read| {
-        let packed = PackedSeq::from_bytes(read.as_ref());
-        let mut local = PackedKmerTable::new();
-        if cfg.canonical {
-            let iter = match packed.canonical_kmers(cfg.k) {
-                Ok(it) => it,
-                Err(_) => return,
-            };
-            for (_, km) in iter {
-                local.add(km.packed(), 1);
-            }
-        } else {
-            let iter = match packed.kmers(cfg.k) {
-                Ok(it) => it,
-                Err(_) => return,
-            };
-            for (_, km) in iter {
-                local.add(km.packed(), 1);
-            }
-        }
-        shared.absorb(&local);
-    });
-
-    KmerCounts::from_table(cfg.k, shared.into_merged())
+    let packed = omp::parallel_map(reads, cfg.threads, |r| PackedSeq::from_bytes(r.as_ref()));
+    count_kmers_packed(&packed, cfg)
 }
 
 #[cfg(test)]

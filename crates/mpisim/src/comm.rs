@@ -65,8 +65,8 @@ pub struct Comm {
     /// Communication counters.
     pub stats: CommStats,
     /// Span recorder: every collective logs a `cat:"comm"` span on track
-    /// `rank` in virtual time, [`Comm::charge_measured_named`] logs
-    /// `cat:"compute"` spans, and injected faults log `cat:"fault"` spans
+    /// `rank` in virtual time, [`Comm::charge_costed`] logs the compute
+    /// and I/O spans, and injected faults log `cat:"fault"` spans
     /// (`mpi.delay`, `mpi.retry`, `fault.crash`). Drained into
     /// [`crate::cluster::RankOutput::trace`] when the rank finishes.
     pub obs: obs::Tracer,
@@ -125,12 +125,30 @@ impl Comm {
         self.clock.charge(seconds);
     }
 
+    /// The clock-charging form of `omp::costed_loop`: run the costed section
+    /// `f` under the cluster-wide measurement lock (so concurrent ranks do
+    /// not pollute each other's item costs), charge the virtual seconds it
+    /// returns and record them as a `cat` span `name` on this rank's track.
+    pub fn charge_costed<T>(
+        &mut self,
+        cat: &str,
+        name: &str,
+        args: &[(&str, f64)],
+        f: impl FnOnce() -> (T, f64),
+    ) -> T {
+        let start = self.clock.now();
+        let guard = crate::compute_lock();
+        let (out, seconds) = f();
+        drop(guard);
+        self.clock.charge(seconds);
+        self.obs
+            .record_with(self.track(), cat, name, start, self.clock.now(), args);
+        out
+    }
+
     /// Run `f`, measure its wall-clock duration, charge it to the clock and
-    /// return the result. For serial regions that are measured directly.
-    ///
-    /// Takes the global [`crate::compute_lock`] so concurrent ranks do not
-    /// contend during the measurement; `f` must therefore never perform
-    /// communication (it would deadlock peers waiting for the lock).
+    /// return the result. For serial regions that are measured directly
+    /// (under the same measurement lock as [`Comm::charge_costed`]).
     pub fn charge_measured<T>(&mut self, f: impl FnOnce() -> T) -> T {
         let guard = crate::compute_lock();
         let t0 = std::time::Instant::now();
@@ -143,11 +161,11 @@ impl Comm {
     /// [`Comm::charge_measured`] plus a named `cat:"compute"` span on this
     /// rank's track covering the charged virtual-time interval.
     pub fn charge_measured_named<T>(&mut self, name: &str, f: impl FnOnce() -> T) -> T {
-        let start = self.clock.now();
-        let out = self.charge_measured(f);
-        self.obs
-            .record(self.track(), "compute", name, start, self.clock.now());
-        out
+        self.charge_costed("compute", name, &[], || {
+            let t0 = std::time::Instant::now();
+            let out = f();
+            (out, t0.elapsed().as_secs_f64())
+        })
     }
 
     // ---- fault machinery ------------------------------------------------
@@ -469,23 +487,31 @@ impl Comm {
             .collect()
     }
 
-    /// Simulation-internal broadcast: moves bytes from `root` to every rank
+    /// Simulation-internal broadcast: `root` runs `materialize` (under the
+    /// measurement lock, uncharged) and its bytes reach every rank
     /// **without charging the network model** (no α–β cost, no byte
     /// counters; clocks only synchronize to the entry max, like a barrier
     /// with zero latency).
     ///
     /// Use this when the *modeled* system computes data locally on every
     /// rank but the *simulation* materializes it once and ships it — e.g.
-    /// the dynamic-partitioning driver, where the master executes and
-    /// measures all chunks so the dealing protocol can be replayed
+    /// the master-dealt partition, where the master executes and measures
+    /// all chunks so the dealing protocol can be replayed
     /// deterministically. Never use it for data the modeled system would
     /// actually move over the network. Being outside the modeled network,
     /// it is also exempt from fault injection (it still unwinds cleanly if
     /// a peer crashed).
-    pub fn transport_bcast(&mut self, root: usize, data: &[u8]) -> Vec<u8> {
+    pub fn transport_bcast(
+        &mut self,
+        root: usize,
+        materialize: impl FnOnce() -> Vec<u8>,
+    ) -> Vec<u8> {
         assert!(root < self.size());
         if self.rank == root {
-            *self.shared.slots[root].lock() = data.to_vec();
+            let guard = crate::compute_lock();
+            let data = materialize();
+            drop(guard);
+            *self.shared.slots[root].lock() = data;
         }
         *self.shared.times[self.rank].lock() = self.clock.now();
         self.sync();

@@ -52,9 +52,11 @@ pub use stats::CommStats;
 /// measurement. Ranks only interact at collectives, so serializing compute
 /// cannot change any output — it only cleans the clock.
 ///
-/// **Never hold the guard across a communication call**: a rank blocked in
-/// a collective while holding the lock would deadlock its peers.
-pub fn compute_lock() -> parking_lot::MutexGuard<'static, ()> {
+/// Crate-private: a rank blocked in a collective while holding the guard
+/// would deadlock its peers, so it is only taken around a closure handed to
+/// [`Comm::charge_costed`], [`Comm::charge_measured`] or
+/// [`Comm::transport_bcast`] — which cannot reach the communicator.
+pub(crate) fn compute_lock() -> parking_lot::MutexGuard<'static, ()> {
     static COMPUTE_LOCK: parking_lot::Mutex<()> = parking_lot::Mutex::new(());
     COMPUTE_LOCK.lock()
 }

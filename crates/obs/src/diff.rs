@@ -5,8 +5,9 @@
 //! regression, an improvement, or noise. The pipeline mixes virtual-clock
 //! stage models with real wall-clock sections, so raw equality is
 //! meaningless: a delta only counts when it clears **both** bands of the
-//! [`Tolerance`] (a relative ratio *and* an absolute floor, so a 2 ms
-//! blip on a 5 ms span can never fail CI).
+//! [`Tolerance`] (a relative ratio *and* an absolute floor sized from the
+//! baseline's own total, so a blip on a span that is a sliver of the run
+//! can never fail CI).
 //!
 //! The verdict is machine-readable ([`DiffReport::to_json`], schema
 //! `trinity-diff/v1`, regressions as `{span, baseline_ms, current_ms,
@@ -28,30 +29,21 @@ use std::fmt::Write as _;
 pub struct Tolerance {
     /// Relative band: `0.25` means ±25% is noise.
     pub rel: f64,
-    /// Absolute band, seconds: deltas under this never count, however
-    /// large the ratio (guards tiny spans against wall-clock jitter).
-    pub abs_s: f64,
+    /// Absolute band as a fraction of the baseline's total (its `"total"`
+    /// series, else the sum of its series): deltas under
+    /// `abs_frac × total` never count, however large the ratio (guards
+    /// tiny spans against wall-clock jitter at any run length).
+    pub abs_frac: f64,
 }
 
 impl Default for Tolerance {
-    /// The CI perf-gate default: 25% relative, 50 ms absolute floor.
+    /// The CI perf-gate default: 25% relative, 2% of the baseline's total
+    /// as the absolute floor.
     fn default() -> Self {
         Tolerance {
             rel: 0.25,
-            abs_s: 0.05,
+            abs_frac: 0.02,
         }
-    }
-}
-
-impl Tolerance {
-    /// True when `current` regresses past both bands over `baseline`.
-    pub fn is_regression(&self, baseline: f64, current: f64) -> bool {
-        current > baseline * (1.0 + self.rel) && current > baseline + self.abs_s
-    }
-
-    /// True when `current` improves past both bands under `baseline`.
-    pub fn is_improvement(&self, baseline: f64, current: f64) -> bool {
-        current < baseline * (1.0 - self.rel) && current < baseline - self.abs_s
     }
 }
 
@@ -176,6 +168,11 @@ pub fn diff_series(
     tol: Tolerance,
 ) -> DiffReport {
     let mut report = DiffReport::default();
+    let total = baseline
+        .get("total")
+        .copied()
+        .unwrap_or_else(|| baseline.values().sum());
+    let floor = tol.abs_frac * total;
     for (name, &base) in baseline {
         match current.get(name) {
             None => report.removed.push(name.clone()),
@@ -185,9 +182,9 @@ pub fn diff_series(
                     baseline_s: base,
                     current_s: cur,
                 };
-                if tol.is_regression(base, cur) {
+                if cur > base * (1.0 + tol.rel) && cur > base + floor {
                     report.regressions.push(d);
-                } else if tol.is_improvement(base, cur) {
+                } else if cur < base * (1.0 - tol.rel) && cur < base - floor {
                     report.improvements.push(d);
                 }
             }
@@ -288,9 +285,10 @@ mod tests {
     #[test]
     fn absolute_floor_guards_tiny_spans() {
         let mut base = BTreeMap::new();
+        base.insert("total".to_string(), 1.0);
         base.insert("blip".to_string(), 0.001);
-        let mut cur = BTreeMap::new();
-        cur.insert("blip".to_string(), 0.010); // 10x but only +9ms
+        let mut cur = base.clone();
+        cur.insert("blip".to_string(), 0.010); // 10x but only +0.9% of the run
         let r = diff_series(&base, &cur, Tolerance::default());
         assert!(r.passed(), "{r:?}");
         // Without the floor the same delta fails.
@@ -299,7 +297,7 @@ mod tests {
             &cur,
             Tolerance {
                 rel: 0.25,
-                abs_s: 0.0,
+                abs_frac: 0.0,
             },
         );
         assert!(!r.passed());

@@ -8,6 +8,7 @@
 //! up front. The result is a per-thread busy-time vector and the loop
 //! makespan, computable for any thread count on any host.
 
+use crate::pool::parallel_map_timed;
 use crate::schedule::{chunk_sequence, static_owner, Chunk, Schedule};
 
 /// Outcome of replaying one loop.
@@ -123,6 +124,20 @@ pub fn simulate_loop(costs: &[f64], threads: usize, schedule: Schedule) -> LoopS
     }
 }
 
+/// The costed loop: run `f` over `items` measuring each item, then replay
+/// the measured costs over `threads` under `schedule`. Every parallel-for
+/// the workspace models goes through here, so how an item is costed (today
+/// its wall time) is decided in this one place.
+pub fn costed_loop<T, R>(
+    items: &[T],
+    threads: usize,
+    schedule: Schedule,
+    f: impl FnMut(&T) -> R,
+) -> (Vec<R>, LoopSim) {
+    let (results, costs) = parallel_map_timed(items, f);
+    (results, simulate_loop(&costs, threads, schedule))
+}
+
 /// Replay a list of pre-assigned chunk groups (e.g. the chunked round-robin
 /// MPI distribution): each group is one rank's chunk list; within a rank the
 /// chunks' items are further scheduled over `threads` OpenMP threads with
@@ -219,6 +234,15 @@ mod tests {
         assert_eq!(sim.chunks, 0);
         assert_eq!(sim.efficiency(), 1.0);
         assert_eq!(sim.imbalance(), 1.0);
+    }
+
+    #[test]
+    fn costed_loop_keeps_item_order_and_replays_every_item() {
+        let items = [3u32, 1, 2];
+        let (out, sim) = costed_loop(&items, 2, Schedule::Dynamic { chunk: 1 }, |&x| x * 10);
+        assert_eq!(out, vec![30, 10, 20]);
+        assert_eq!(sim.chunks, 3);
+        assert!(sim.makespan <= sim.serial_time);
     }
 
     #[test]

@@ -24,7 +24,7 @@
 //!
 //! ```text
 //! trinity analyze <trace.json | run-dir> [--baseline PATH] [--out FILE]
-//! trinity diff <baseline> <current> [--tol-rel F] [--tol-abs S] [--json]
+//! trinity diff <baseline> <current> [--tol-rel F] [--tol-abs F] [--json]
 //! ```
 //!
 //! `analyze` loads a finished trace (Chrome or plain JSON), computes the
@@ -72,7 +72,7 @@ fn usage() -> &'static str {
      [--faults SEED[,delay=P][,drop=P][,crash=RANK@OP]...] \
      [--checkpoint DIR] [--resume]\n\
      \x20      trinity analyze <trace.json | run-dir> [--baseline PATH] [--out FILE]\n\
-     \x20      trinity diff <baseline> <current> [--tol-rel F] [--tol-abs S] [--json]"
+     \x20      trinity diff <baseline> <current> [--tol-rel F] [--tol-abs F] [--json]"
 }
 
 /// Parse a `--faults` spec: a mandatory RNG seed, then comma-separated
@@ -469,7 +469,7 @@ fn load_series(p: &Path) -> Result<std::collections::BTreeMap<String, f64>, Stri
     ))
 }
 
-/// `trinity diff <baseline> <current> [--tol-rel F] [--tol-abs S] [--json]`.
+/// `trinity diff <baseline> <current> [--tol-rel F] [--tol-abs F] [--json]`.
 /// Exits non-zero (via the returned flag) when a regression clears the
 /// tolerance bands.
 fn run_diff(argv: &[String]) -> Result<bool, String> {
@@ -487,7 +487,7 @@ fn run_diff(argv: &[String]) -> Result<bool, String> {
                     .map_err(|e| format!("--tol-rel: {e}"))?
             }
             "--tol-abs" => {
-                tol.abs_s = it
+                tol.abs_frac = it
                     .next()
                     .ok_or("--tol-abs needs a value")?
                     .parse()
@@ -500,7 +500,7 @@ fn run_diff(argv: &[String]) -> Result<bool, String> {
     }
     let [baseline, current] = inputs.as_slice() else {
         return Err(
-            "usage: trinity diff <baseline> <current> [--tol-rel F] [--tol-abs S] [--json]"
+            "usage: trinity diff <baseline> <current> [--tol-rel F] [--tol-abs F] [--json]"
                 .to_string(),
         );
     };
@@ -514,12 +514,12 @@ fn run_diff(argv: &[String]) -> Result<bool, String> {
     }
     if !report.passed() {
         eprintln!(
-            "perf regression vs {} (tolerance: +{:.0}% and +{:.0} ms). If this \
+            "perf regression vs {} (tolerance: +{:.0}% and +{:.0}% of the baseline total). If this \
              slowdown is intended, refresh the baseline:\n  trinity analyze <run-dir> \
              --out {}",
             baseline.display(),
             100.0 * tol.rel,
-            1e3 * tol.abs_s,
+            100.0 * tol.abs_frac,
             baseline.display(),
         );
     }

@@ -27,8 +27,7 @@ use inchworm::dictionary::Dictionary;
 use kcount::counter::{count_kmers_packed, CounterConfig, KmerCounts};
 use mpisim::cluster::cluster_time;
 use mpisim::{run_cluster, run_cluster_faulty, Comm, FaultPlan, NetModel, RankOutput};
-use omp::makespan::{simulate_loop, LoopSim};
-use omp::pool::parallel_map_timed;
+use omp::makespan::{costed_loop, LoopSim};
 
 use crate::checkpoint as ckpt;
 
@@ -530,9 +529,12 @@ fn assemble_contigs(
                 threads: 1,
                 shards: 1,
             };
-            let (tables, costs) =
-                parallel_map_timed(&batches, |batch| count_kmers_packed(batch, counter_cfg));
-            let count_sim = simulate_loop(&costs, cfg.chrysalis.threads, cfg.chrysalis.schedule);
+            let (tables, count_sim) = costed_loop(
+                &batches,
+                cfg.chrysalis.threads,
+                cfg.chrysalis.schedule,
+                |batch| count_kmers_packed(batch, counter_cfg),
+            );
             let t0 = std::time::Instant::now();
             let mut counts = KmerCounts::empty(k);
             for t in tables {
@@ -692,10 +694,12 @@ pub fn run_pipeline_opts(
             .reads
             .push(packed_reads[r as usize].clone());
     }
-    let (transcript_lists, costs) = parallel_map_timed(&comp_inputs, |input| {
-        reconstruct_component(input, cfg.reconstruction)
-    });
-    let butterfly_sim = simulate_loop(&costs, cfg.chrysalis.threads, cfg.chrysalis.schedule);
+    let (transcript_lists, butterfly_sim) = costed_loop(
+        &comp_inputs,
+        cfg.chrysalis.threads,
+        cfg.chrysalis.schedule,
+        |input| reconstruct_component(input, cfg.reconstruction),
+    );
     let transcripts: Vec<Record> = transcript_lists.into_iter().flatten().collect();
     let max_nodes = comp_inputs
         .iter()

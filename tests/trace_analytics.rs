@@ -79,7 +79,7 @@ fn diff_flags_exactly_the_injected_regression() {
     let baseline = obs::analyze(&out.trace);
 
     // Inject a 3x slowdown into the longest stage (well past the 25%
-    // relative and 50 ms absolute default bands).
+    // relative and 2%-of-total absolute default bands).
     let slow = baseline
         .stages
         .iter()
@@ -105,6 +105,36 @@ fn diff_flags_exactly_the_injected_regression() {
     base_series.insert("noise".into(), 1.0);
     cur_series = base_series.clone();
     assert!(obs::diff::diff_series(&base_series, &cur_series, obs::Tolerance::default()).passed());
+}
+
+/// The CI perf gate on its own workload: under `trinity diff`'s default
+/// tolerance a 2x slowdown of one critical-path stage of the committed
+/// baseline is a regression. (The baseline's whole run is 4 ms; a fixed
+/// 50 ms floor could only see a 12x slowdown of the total.)
+#[test]
+fn perf_gate_fires_on_a_doubled_stage_of_the_committed_baseline() {
+    let baseline = obs::analyze::parse_analysis(include_str!("../baseline/analysis.json"))
+        .expect("committed baseline parses");
+    let mut slowed = baseline.clone();
+    let stage = slowed
+        .stages
+        .iter_mut()
+        .max_by(|a, b| a.duration().total_cmp(&b.duration()))
+        .unwrap();
+    let (name, grow) = (stage.name.clone(), stage.duration());
+    stage.end += grow;
+    let step = slowed.critical_path.iter_mut().find(|s| s.name == name);
+    step.expect("the longest stage is on the critical path")
+        .contribution += grow;
+    slowed.total += grow;
+
+    let report = obs::diff(&baseline, &slowed, obs::Tolerance::default());
+    let flagged: Vec<&str> = report.regressions.iter().map(|d| d.span.as_str()).collect();
+    assert!(
+        flagged.contains(&format!("stage:{name}").as_str()),
+        "gate must fire on {name} x2: {report:#?}"
+    );
+    assert!(obs::diff(&baseline, &baseline, obs::Tolerance::default()).passed());
 }
 
 proptest! {
@@ -256,10 +286,10 @@ fn diff_subcommand_exit_codes_follow_the_verdict() {
         "failure explains how to refresh the baseline: {stderr}"
     );
 
-    // Widening the absolute band past the injected slowdown (at most
-    // ~0.2 s on this tiny virtual run) swallows it: exit 0.
+    // Widening the absolute band (a multiple of the baseline's total) far
+    // past the injected slowdown swallows it: exit 0.
     let st = Command::new(trinity_bin())
-        .args(["diff", "--tol-abs", "1.0"])
+        .args(["diff", "--tol-abs", "1e6"])
         .args([&base_path, &cur_path])
         .output()
         .unwrap();
