@@ -1,4 +1,5 @@
-//! GraphFromFasta: shared-memory baseline and hybrid MPI+OpenMP rank program.
+//! GraphFromFasta: the hybrid MPI+OpenMP rank program; the shared-memory
+//! baseline is that program on one rank.
 
 use kcount::counter::KmerCounts;
 use seqio::fasta::Record;
@@ -7,7 +8,8 @@ use seqio::packed::PackedSeq;
 use graph::unionfind::UnionFind;
 use mpisim::comm::Comm;
 use mpisim::pack::{pack_byte_strings, pack_u64s, unpack_byte_strings, unpack_u64s};
-use omp::makespan::costed_loop;
+use mpisim::{run_cluster, NetModel};
+use omp::makespan::{costed_loop, LoopSim};
 use omp::schedule::{chunk_sequence, chunked_round_robin, Schedule};
 
 use crate::config::ChrysalisConfig;
@@ -108,11 +110,11 @@ pub struct GffOutput {
     pub components: Vec<Vec<usize>>,
     /// This rank's phase timings (derived from the span trace).
     pub timings: GffTimings,
-    /// Span trace of the stage. Populated by the shared-memory driver
-    /// (virtual timeline from t = 0 on track 0, with per-thread busy/idle
-    /// lanes at [`obs::THREAD_TRACK_BASE`]` + t`). Hybrid ranks leave it
-    /// empty: their spans are recorded on [`Comm::obs`] and travel out via
-    /// `mpisim::RankOutput::trace` instead.
+    /// Span trace of the stage. A rank program records on [`Comm::obs`]
+    /// and leaves this empty — its spans travel out via
+    /// `mpisim::RankOutput::trace`; [`gff_shared_memory`] moves its one
+    /// rank's trace here (track 0, per-thread busy/idle lanes at
+    /// [`obs::THREAD_TRACK_BASE`]` + t`).
     pub trace: obs::Trace,
 }
 
@@ -133,73 +135,18 @@ fn dedup_preserving_order(welds: Vec<Vec<u8>>) -> Vec<Vec<u8>> {
         .collect()
 }
 
-/// Shared-memory (OpenMP-only) GraphFromFasta: the paper's baseline,
-/// "run with 16 threads on one node".
+/// Shared-memory (OpenMP-only) GraphFromFasta: the paper's baseline, "run
+/// with 16 threads on one node" — [`gff_hybrid`] on a one-rank cluster
+/// over a free network, with the rank's span trace (clock from t = 0,
+/// `"gff.total"` root on track 0) moved into [`GffOutput::trace`].
 ///
-/// Records the stage's virtual timeline (prep → loop1 → weld_index →
-/// loop2 → cluster under a `"gff.total"` stage span) on track 0 of the
-/// returned trace, with per-thread busy/idle lanes for both OpenMP loops.
+/// Call it from outside rank programs only: the rank runs on the calling
+/// thread and takes the process-wide measurement lock, which is not
+/// re-entrant.
 pub fn gff_shared_memory(shared: &GffShared) -> GffOutput {
-    let cfg = &shared.cfg;
-    let n = shared.contigs.len();
-    let items: Vec<u32> = (0..n as u32).collect();
-    let support = shared.support();
-    let obs = obs::Tracer::new();
-    obs.name_track(0, "gff");
-    for t in 0..cfg.threads as u32 {
-        obs.name_track(obs::THREAD_TRACK_BASE + t, format!("thread {t}"));
-    }
-    let mut t = 0.0f64;
-
-    // The seed-map build is an OpenMP-parallel region; its virtual cost is
-    // part of the stage total but not of the "non-parallel" bucket.
-    obs.record(0, "compute", "gff.prep", t, t + shared.prep_cost);
-    t += shared.prep_cost;
-
-    // Loop 1 (OpenMP dynamic over all contigs).
-    let (weld_lists, sim) = costed_loop(&items, cfg.threads, cfg.schedule, |&i| {
-        harvest_contig(i, &shared.contigs, &shared.kmap, &support, cfg)
-    });
-    sim.record_spans(&obs, t, obs::THREAD_TRACK_BASE, "gff.loop1");
-    obs.record(0, "compute", "gff.loop1", t, t + sim.makespan);
-    t += sim.makespan;
-    let pooled: Vec<Vec<u8>> = weld_lists.into_iter().flatten().collect();
-
-    // Weld k-mer index: "setting up the k-mers before the second loop"
-    // (serial region, wall-measured).
-    let t0 = std::time::Instant::now();
-    let weld_index = WeldKmerIndex::build(&pooled, cfg.k);
-    let dt = t0.elapsed().as_secs_f64();
-    obs.record(0, "compute", "gff.weld_index", t, t + dt);
-    t += dt;
-
-    // Loop 2.
-    let (match_lists, sim) = costed_loop(&items, cfg.threads, cfg.schedule, |&i| {
-        match_contig(i, &shared.contigs, &weld_index, cfg)
-    });
-    sim.record_spans(&obs, t, obs::THREAD_TRACK_BASE, "gff.loop2");
-    obs.record(0, "compute", "gff.loop2", t, t + sim.makespan);
-    t += sim.makespan;
-    let matches: Vec<(u32, u32)> = match_lists.into_iter().flatten().collect();
-
-    // Clustering and output generation (serial region).
-    let t0 = std::time::Instant::now();
-    let pairs = pairs_from_matches(&matches);
-    let (component_of, components) = cluster(n, &pairs);
-    let dt = t0.elapsed().as_secs_f64();
-    obs.record(0, "compute", "gff.cluster", t, t + dt);
-    t += dt;
-
-    obs.record(0, "stage", "gff.total", 0.0, t);
-    let trace = obs.take();
-    GffOutput {
-        welds: dedup_preserving_order(pooled),
-        pairs,
-        component_of,
-        components,
-        timings: GffTimings::from_trace(&trace, 0),
-        trace,
-    }
+    let mut rank0 = run_cluster(1, NetModel::ideal(), |comm| gff_hybrid(comm, shared)).remove(0);
+    rank0.value.trace = rank0.trace;
+    rank0.value
 }
 
 /// How a hybrid loop's contigs reach the ranks.
@@ -261,7 +208,7 @@ fn master_dealt<R>(
     comm: &mut Comm,
     n: usize,
     chunk: usize,
-    run: impl Fn(&[u32]) -> (Vec<R>, f64),
+    run: impl Fn(&[u32]) -> (Vec<R>, LoopSim),
     pack: impl Fn(&[R]) -> Vec<u8>,
     unpack: impl Fn(&[u8]) -> Vec<R>,
 ) -> (Vec<R>, f64) {
@@ -271,8 +218,8 @@ fn master_dealt<R>(
         let mut parts = Vec::new();
         for c in chunk_sequence(n, size, Schedule::Dynamic { chunk }) {
             let ids: Vec<u32> = (c.start as u32..c.end as u32).collect();
-            let (outputs, makespan) = run(&ids);
-            costs.push(makespan.to_bits());
+            let (outputs, sim) = run(&ids);
+            costs.push(sim.makespan.to_bits());
             parts.push(pack(&outputs));
         }
         parts.push(pack_u64s(&costs));
@@ -292,6 +239,11 @@ fn master_dealt<R>(
         .flat_map(|(_, p)| unpack(p))
         .collect();
     (mine, busy[rank])
+}
+
+/// First obs track of this rank's OpenMP thread lanes.
+fn thread_lanes(comm: &Comm, cfg: &ChrysalisConfig) -> u32 {
+    obs::THREAD_TRACK_BASE + (comm.rank() * cfg.threads) as u32
 }
 
 /// One pooled hybrid loop (§III-B): distribute the contigs over the ranks,
@@ -314,13 +266,21 @@ fn pooled_loop<R>(
     let run = |ids: &[u32]| {
         let (lists, sim) = costed_loop(ids, cfg.threads, cfg.schedule, |&i| item(i));
         let outputs: Vec<R> = lists.into_iter().flatten().collect();
-        (outputs, sim.makespan)
+        (outputs, sim)
     };
     let mine = match partition {
         Partition::ChunkedRoundRobin => {
             let ids = rank_items(n, comm.rank(), comm.size(), chunk);
             let args = [("items", ids.len() as f64)];
-            comm.charge_costed("compute", loop_name, &args, || run(&ids))
+            let start = comm.clock.now();
+            let (outputs, sim) = comm.charge_costed("compute", loop_name, &args, || {
+                let ran = run(&ids);
+                let makespan = ran.1.makespan;
+                (ran, makespan)
+            });
+            // This rank's OpenMP threads, busy then idle, on its own lanes.
+            sim.record_spans(&comm.obs, start, thread_lanes(comm, cfg), loop_name);
+            outputs
         }
         Partition::MasterDealt => {
             let dealt = master_dealt(comm, n, chunk, run, &pack, &unpack);
@@ -355,6 +315,10 @@ fn gff_rank_program(comm: &mut Comm, shared: &GffShared, partition: Partition) -
     let support = shared.support();
     let track = comm.track();
     let start = comm.clock.now();
+    for t in 0..cfg.threads as u32 {
+        let name = format!("rank {} thread {t}", comm.rank());
+        comm.obs.name_track(thread_lanes(comm, cfg) + t, name);
+    }
 
     // Replicated seed-map build (each rank pays for its own parallel copy).
     comm.charge_costed("compute", "gff.prep", &[], || ((), shared.prep_cost));

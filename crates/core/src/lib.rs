@@ -1,6 +1,7 @@
-//! Chrysalis — the paper's primary contribution, reimplemented in Rust with
-//! both the original shared-memory (OpenMP-style) execution and the hybrid
-//! MPI+OpenMP execution of Sachdeva et al. (IPDPSW/HiCOMB 2014).
+//! Chrysalis — the paper's primary contribution, reimplemented in Rust as
+//! the hybrid MPI+OpenMP rank programs of Sachdeva et al. (IPDPSW/HiCOMB
+//! 2014); the original shared-memory (OpenMP-style) execution is the same
+//! programs on one rank.
 //!
 //! Chrysalis sits between Inchworm and Butterfly in the Trinity pipeline:
 //!
@@ -24,14 +25,21 @@
 //!
 //! ## One rank program per stage
 //!
-//! Each stage has one SPMD rank program beside its OpenMP-only baseline
-//! (`*_shared_memory`, the reference the scaling figures compare against):
+//! Each stage has one SPMD rank program. Its OpenMP-only baseline
+//! (`*_shared_memory`, "16 threads on one node" — the reference the scaling
+//! figures compare against) is that program run on a one-rank cluster over
+//! a free network, where every chunk is the rank's own and every
+//! collective costs nothing; the wrappers only move the rank's span trace
+//! into the output. Nothing walks a stage's loops or records a `gff.*` /
+//! `rtt.*` span outside the rank programs.
 //!
 //! * GraphFromFasta: both loops are one pooled loop (distribute → compute →
 //!   charge → pack → allgatherv) with a different item function and codec.
 //!   How contigs reach ranks is a crate-private *partition* value: static
 //!   chunked round-robin ([`gff_hybrid`]) or a master-dealt work queue
-//!   ([`gff_hybrid_dynamic`], §V-A's future work).
+//!   ([`gff_hybrid_dynamic`], §V-A's future work). A rank's own loops draw
+//!   its OpenMP threads' busy/idle lanes at
+//!   `obs::THREAD_TRACK_BASE + rank·threads`.
 //! * ReadsToTranscripts: one streaming loop; chunk `ci` is processed on
 //!   rank `ci mod size`. Which chunks a rank *reads* is a crate-private
 //!   *read policy*: the whole file ([`rtt_hybrid`], §III-C) or its own

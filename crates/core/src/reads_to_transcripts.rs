@@ -14,6 +14,7 @@ use seqio::fasta::Record;
 use seqio::packed::PackedSeq;
 
 use mpisim::comm::Comm;
+use mpisim::{run_cluster, NetModel};
 use omp::makespan::costed_loop;
 use omp::schedule::static_owner;
 
@@ -191,10 +192,10 @@ pub struct RttOutput {
     pub assignments: Vec<(u32, u32)>,
     /// This rank's phase timings (derived from the span trace).
     pub timings: RttTimings,
-    /// Span trace of the stage. Populated by the shared-memory driver
-    /// (virtual timeline from t = 0 on track 0); hybrid ranks record on
-    /// [`Comm::obs`] instead and leave this empty — their spans travel out
-    /// via `mpisim::RankOutput::trace`.
+    /// Span trace of the stage. A rank program records on [`Comm::obs`]
+    /// and leaves this empty — its spans travel out via
+    /// `mpisim::RankOutput::trace`; [`rtt_shared_memory`] moves its one
+    /// rank's trace (track 0) here.
     pub trace: obs::Trace,
 }
 
@@ -227,46 +228,18 @@ fn assign_chunk(shared: &RttShared, base: usize, chunk: &[Record]) -> (Vec<(u32,
     (assignments, sim.makespan)
 }
 
-/// Shared-memory (OpenMP-only) ReadsToTranscripts: the baseline
-/// ("on a single node, … using 16 threads").
+/// Shared-memory (OpenMP-only) ReadsToTranscripts: the baseline ("on a
+/// single node, … using 16 threads") — [`rtt_hybrid`] on a one-rank
+/// cluster over a free network, with the rank's span trace (clock from
+/// t = 0, `"rtt.total"` root on track 0) moved into [`RttOutput::trace`].
+///
+/// Call it from outside rank programs only: the rank runs on the calling
+/// thread and takes the process-wide measurement lock, which is not
+/// re-entrant.
 pub fn rtt_shared_memory(shared: &RttShared) -> RttOutput {
-    let obs = obs::Tracer::new();
-    obs.name_track(0, "rtt");
-    let mut t = 0.0f64;
-    obs.record(
-        0,
-        "compute",
-        "rtt.kmer_setup",
-        t,
-        t + shared.kmer_setup_cost,
-    );
-    t += shared.kmer_setup_cost;
-
-    let mut assignments = Vec::new();
-    let chunk_size = shared.cfg.max_mem_reads.max(1);
-    for (ci, chunk) in shared.reads.chunks(chunk_size).enumerate() {
-        let io = stream_chunk(chunk);
-        obs.record_with(0, "io", "rtt.io", t, t + io, &[("chunk", ci as f64)]);
-        t += io;
-        let (mut a, makespan) = assign_chunk(shared, ci * chunk_size, chunk);
-        assignments.append(&mut a);
-        obs.record_with(
-            0,
-            "compute",
-            "rtt.loop",
-            t,
-            t + makespan,
-            &[("chunk", ci as f64), ("reads", chunk.len() as f64)],
-        );
-        t += makespan;
-    }
-    obs.record(0, "stage", "rtt.total", 0.0, t);
-    let trace = obs.take();
-    RttOutput {
-        assignments,
-        timings: RttTimings::from_trace(&trace, 0),
-        trace,
-    }
+    let mut rank0 = run_cluster(1, NetModel::ideal(), |comm| rtt_hybrid(comm, shared)).remove(0);
+    rank0.value.trace = rank0.trace;
+    rank0.value
 }
 
 /// Which chunks of the read file a rank uploads. It *processes* chunk `ci`

@@ -1,17 +1,22 @@
-//! The four hybrid entry points against the shared-memory baseline at rank
-//! counts {1, 2, 4, 7}: the paper's static/streaming rank programs and the
-//! two §V-A variants (master-dealt partition, striped reads) must all
-//! reproduce the baseline's output exactly.
+//! The four hybrid entry points at rank counts {1, 2, 4, 7} — the paper's
+//! static/streaming rank programs and the two §V-A variants (master-dealt
+//! partition, striped reads) — and the two `*_shared_memory` wrappers
+//! against an independent oracle. The wrappers *are* the rank programs on
+//! one rank, so they cannot referee them; the oracle is each stage written
+//! in a straight line from the per-item public functions, with no ranks,
+//! threads, clock or packing.
 
 use std::sync::Arc;
 
 use chrysalis::config::ChrysalisConfig;
 use chrysalis::graph_from_fasta::{
-    gff_hybrid, gff_hybrid_dynamic, gff_shared_memory, GffOutput, GffShared,
+    cluster, gff_hybrid, gff_hybrid_dynamic, gff_shared_memory, GffOutput, GffShared,
 };
+use chrysalis::pairs::{match_contig, pairs_from_matches, WeldKmerIndex};
 use chrysalis::reads_to_transcripts::{
     rtt_hybrid, rtt_hybrid_striped, rtt_shared_memory, RttOutput, RttShared,
 };
+use chrysalis::weld::{harvest_contig, WeldSupport};
 use kcount::counter::{count_kmers, CounterConfig};
 use mpisim::{run_cluster, Comm, NetModel};
 use seqio::fasta::Record;
@@ -60,6 +65,44 @@ fn order_digest(welds: &[Vec<u8>]) -> u64 {
     h
 }
 
+/// Welds (first occurrences, in harvest order), pairs and component ids.
+type GffReference = (Vec<Vec<u8>>, Vec<(u32, u32)>, Vec<usize>);
+
+/// GraphFromFasta in a straight line: harvest every contig in order, index
+/// the welds, match every contig in order, pair, cluster.
+fn gff_reference(shared: &GffShared) -> GffReference {
+    let cfg = &shared.cfg;
+    let n = shared.contigs.len();
+    let support = WeldSupport::new(&shared.counts, cfg.min_weld_support);
+    let mut welds = Vec::new();
+    for i in 0..n as u32 {
+        welds.extend(harvest_contig(
+            i,
+            &shared.contigs,
+            &shared.kmap,
+            &support,
+            cfg,
+        ));
+    }
+    let index = WeldKmerIndex::build(&welds, cfg.k);
+    let mut matches = Vec::new();
+    for i in 0..n as u32 {
+        matches.extend(match_contig(i, &shared.contigs, &index, cfg));
+    }
+    let pairs = pairs_from_matches(&matches);
+    let (component_of, _) = cluster(n, &pairs);
+    let mut seen = std::collections::HashSet::new();
+    welds.retain(|w| seen.insert(w.clone()));
+    (welds, pairs, component_of)
+}
+
+/// ReadsToTranscripts in a straight line: vote every read, in file order.
+fn rtt_reference(shared: &RttShared) -> Vec<(u32, u32)> {
+    let votes = shared.packed_reads.iter().map(|r| shared.assign_packed(r));
+    let assigned = votes.enumerate().filter_map(|(i, c)| Some((i as u32, c?)));
+    assigned.collect()
+}
+
 fn gff_on_cluster(shared: &Arc<GffShared>, ranks: usize, program: GffProgram) -> Vec<GffOutput> {
     let sh = Arc::clone(shared);
     run_cluster(ranks, NetModel::idataplex(), move |comm| program(comm, &sh))
@@ -71,20 +114,23 @@ fn gff_on_cluster(shared: &Arc<GffShared>, ranks: usize, program: GffProgram) ->
 #[test]
 fn gff_entry_points_match_shared_memory() {
     let (shared, _) = workload();
+    let (welds, pairs, component_of) = gff_reference(&shared);
+    assert!(welds.len() > 1 && !pairs.is_empty());
     let serial = gff_shared_memory(&shared);
-    assert!(serial.welds.len() > 1 && !serial.pairs.is_empty());
-    let serial_welds = sorted(serial.welds.clone());
+    assert_eq!(
+        (&serial.welds, &serial.pairs, &serial.component_of),
+        (&welds, &pairs, &component_of),
+        "shared-memory wrapper"
+    );
+    let welds = sorted(welds);
     let programs: [(&str, GffProgram); 2] =
         [("static", gff_hybrid), ("dynamic", gff_hybrid_dynamic)];
     for (name, program) in programs {
         for ranks in RANKS {
             for out in gff_on_cluster(&shared, ranks, program) {
-                assert_eq!(out.pairs, serial.pairs, "{name} ranks={ranks}");
-                assert_eq!(
-                    out.component_of, serial.component_of,
-                    "{name} ranks={ranks}"
-                );
-                assert_eq!(sorted(out.welds), serial_welds, "{name} ranks={ranks}");
+                assert_eq!(out.pairs, pairs, "{name} ranks={ranks}");
+                assert_eq!(out.component_of, component_of, "{name} ranks={ranks}");
+                assert_eq!(sorted(out.welds), welds, "{name} ranks={ranks}");
             }
         }
     }
@@ -102,7 +148,7 @@ fn gff_hybrid_weld_order_is_pinned() {
         0x559d_cae4_d34c_7dd4,
     ];
     let (shared, _) = workload();
-    let serial = gff_shared_memory(&shared);
+    let (welds, ..) = gff_reference(&shared);
     let got: Vec<u64> = RANKS
         .iter()
         .map(|&ranks| {
@@ -113,8 +159,10 @@ fn gff_hybrid_weld_order_is_pinned() {
             order_digest(&outs[0].welds)
         })
         .collect();
-    // One rank owns every chunk, so its order is the baseline's.
-    assert_eq!(got[0], order_digest(&serial.welds));
+    // One rank owns every chunk, so its order is harvest order — which is
+    // also the shared-memory wrapper's.
+    assert_eq!(got[0], order_digest(&welds));
+    assert_eq!(got[0], order_digest(&gff_shared_memory(&shared).welds));
     assert_eq!(
         got, DIGESTS,
         "weld order per rank count {RANKS:?}: {got:#x?}"
@@ -124,7 +172,7 @@ fn gff_hybrid_weld_order_is_pinned() {
 #[test]
 fn rtt_entry_points_match_shared_memory() {
     let (gff_shared, reads) = workload();
-    let components = gff_shared_memory(&gff_shared).components;
+    let (_, components) = cluster(gff_shared.contigs.len(), &gff_reference(&gff_shared).1);
     let mut cfg = gff_shared.cfg;
     // Several chunks per rank at every rank count.
     cfg.max_mem_reads = reads.len() / 20;
@@ -134,8 +182,9 @@ fn rtt_entry_points_match_shared_memory() {
         &components,
         cfg,
     ));
-    let serial = rtt_shared_memory(&shared);
-    assert!(!serial.assignments.is_empty());
+    let assignments = rtt_reference(&shared);
+    assert!(!assignments.is_empty());
+    assert_eq!(rtt_shared_memory(&shared).assignments, assignments);
     let programs: [(&str, RttProgram); 2] =
         [("streaming", rtt_hybrid), ("striped", rtt_hybrid_striped)];
     for (name, program) in programs {
@@ -143,10 +192,7 @@ fn rtt_entry_points_match_shared_memory() {
             let sh = Arc::clone(&shared);
             let outs = run_cluster(ranks, NetModel::idataplex(), move |comm| program(comm, &sh));
             for o in outs {
-                assert_eq!(
-                    o.value.assignments, serial.assignments,
-                    "{name} ranks={ranks}"
-                );
+                assert_eq!(o.value.assignments, assignments, "{name} ranks={ranks}");
             }
         }
     }

@@ -1,5 +1,6 @@
-//! Cluster driver: spawn `P` ranks as threads and run a rank program,
-//! optionally under a deterministic fault plan.
+//! Cluster driver: run a rank program on `P` ranks — rank 0 on the caller's
+//! thread, the rest as threads of their own — optionally under a
+//! deterministic fault plan.
 
 use std::panic::AssertUnwindSafe;
 use std::sync::Arc;
@@ -105,75 +106,70 @@ where
         fail_reports: (0..ranks).map(|_| Mutex::new(None)).collect(),
     });
 
-    let outputs: Vec<Mutex<Option<RankOutput<Option<T>>>>> =
-        (0..ranks).map(|_| Mutex::new(None)).collect();
     let genuine_panic = std::sync::atomic::AtomicBool::new(false);
+    let run_rank = |rank: usize, inbox| {
+        let fault = plan
+            .clone()
+            .filter(|p| p.is_active())
+            .map(|p| FaultState::new(p, rank));
+        let run = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            let mut comm = Comm::new(rank, Arc::clone(&shared), inbox, net, fault);
+            let value = f(&mut comm);
+            RankOutput {
+                rank,
+                value: Some(value),
+                time: comm.clock.now(),
+                trace: comm.obs.take(),
+                stats: comm.stats,
+                state: RankState::Completed,
+            }
+        }));
+        run.unwrap_or_else(|payload| {
+            let state = if let Some(c) = payload.downcast_ref::<RankCrash>() {
+                RankState::Crashed { op: c.op }
+            } else if payload.is::<PeerAborted>() {
+                RankState::Aborted
+            } else {
+                // A real bug in the rank program: make sure peers blocked
+                // in collectives unwind, then re-raise after joins.
+                genuine_panic.store(true, std::sync::atomic::Ordering::SeqCst);
+                shared.barrier.abort();
+                RankState::Aborted
+            };
+            let report = shared.fail_reports[rank].lock().take();
+            let (time, stats, trace) = report
+                .map(|r| (r.time, r.stats, r.trace))
+                .unwrap_or_default();
+            RankOutput {
+                rank,
+                value: None,
+                time,
+                stats,
+                trace,
+                state,
+            }
+        })
+    };
 
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(ranks);
-        for (rank, inbox) in receivers.into_iter().enumerate() {
-            let shared = Arc::clone(&shared);
-            let plan = plan.clone();
-            let f = &f;
-            let out_slot = &outputs[rank];
-            let genuine_panic = &genuine_panic;
-            handles.push(
+    // Rank 0 runs on the caller's thread, every other rank on its own: a
+    // one-rank cluster spawns nothing and allocates where its caller does.
+    let mut inboxes = receivers.into_iter().enumerate();
+    let (_, inbox0) = inboxes.next().expect("ranks > 0");
+    let outputs = std::thread::scope(|scope| {
+        let run_rank = &run_rank;
+        let peers: Vec<_> = inboxes
+            .map(|(rank, inbox)| {
                 std::thread::Builder::new()
                     .name(format!("rank-{rank}"))
                     .stack_size(4 << 20)
-                    .spawn_scoped(scope, move || {
-                        let fault = plan
-                            .filter(|p| p.is_active())
-                            .map(|p| FaultState::new(p, rank));
-                        let run = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                            let mut comm = Comm::new(rank, Arc::clone(&shared), inbox, net, fault);
-                            let value = f(&mut comm);
-                            RankOutput {
-                                rank,
-                                value: Some(value),
-                                time: comm.clock.now(),
-                                trace: comm.obs.take(),
-                                stats: comm.stats,
-                                state: RankState::Completed,
-                            }
-                        }));
-                        let output = match run {
-                            Ok(out) => out,
-                            Err(payload) => {
-                                let state = if let Some(c) = payload.downcast_ref::<RankCrash>() {
-                                    RankState::Crashed { op: c.op }
-                                } else if payload.is::<PeerAborted>() {
-                                    RankState::Aborted
-                                } else {
-                                    // A real bug in the rank program: make
-                                    // sure peers blocked in collectives
-                                    // unwind, then re-raise after joins.
-                                    genuine_panic.store(true, std::sync::atomic::Ordering::SeqCst);
-                                    shared.barrier.abort();
-                                    RankState::Aborted
-                                };
-                                let report = shared.fail_reports[rank].lock().take();
-                                let (time, stats, trace) = report
-                                    .map(|r| (r.time, r.stats, r.trace))
-                                    .unwrap_or_default();
-                                RankOutput {
-                                    rank,
-                                    value: None,
-                                    time,
-                                    stats,
-                                    trace,
-                                    state,
-                                }
-                            }
-                        };
-                        *out_slot.lock() = Some(output);
-                    })
-                    .expect("failed to spawn rank thread"),
-            );
-        }
-        for h in handles {
-            let _ = h.join();
-        }
+                    .spawn_scoped(scope, move || run_rank(rank, inbox))
+                    .expect("failed to spawn rank thread")
+            })
+            .collect();
+        let mut outputs = vec![run_rank(0, inbox0)];
+        let joined = peers.into_iter().map(|h| h.join());
+        outputs.extend(joined.map(|o| o.expect("a rank catches its own panics")));
+        outputs
     });
 
     if genuine_panic.load(std::sync::atomic::Ordering::SeqCst) {
@@ -181,18 +177,15 @@ where
         // aborts the whole cluster run loudly.
         panic!("a simulated rank panicked; aborting cluster run");
     }
-
     outputs
-        .into_iter()
-        .map(|slot| slot.into_inner().expect("rank produced output"))
-        .collect()
 }
 
 /// Run `f` on `ranks` simulated MPI ranks and collect every rank's output,
 /// ordered by rank.
 ///
-/// Each rank executes on its own OS thread with a private [`Comm`]. The
-/// closure receives the communicator and returns the rank's result. Panics
+/// Rank 0 executes on the calling thread and every other rank on an OS
+/// thread of its own, each with a private [`Comm`]. The closure receives
+/// the communicator and returns the rank's result. Panics
 /// in any rank abort the whole cluster (a panicking rank would deadlock
 /// peers blocked in collectives, so we propagate instead). No faults are
 /// injected; see [`run_cluster_faulty`] for that.
@@ -201,17 +194,8 @@ where
     T: Send,
     F: Fn(&mut Comm) -> T + Sync,
 {
-    run_cluster_inner(ranks, net, None, f)
-        .into_iter()
-        .map(|o| RankOutput {
-            rank: o.rank,
-            value: o.value.expect("fault-free cluster rank completed"),
-            time: o.time,
-            stats: o.stats,
-            trace: o.trace,
-            state: o.state,
-        })
-        .collect()
+    unwrap_clean(run_cluster_inner(ranks, net, None, f))
+        .expect("fault-free cluster ranks completed")
 }
 
 /// Run `f` on `ranks` simulated MPI ranks under a deterministic

@@ -176,27 +176,11 @@ impl Comm {
     /// record them as `cat:"fault"` spans. `bytes` sizes the retransmission
     /// cost of a dropped message.
     fn fault_point(&mut self, bytes: usize) {
-        if self.fault.is_none() {
+        let Some(fault) = self.fault.as_mut() else {
             return;
-        }
-        let crash_op = {
-            let fault = self.fault.as_ref().expect("checked above");
-            if fault.crashes_now() {
-                fault.claim_crash()
-            } else {
-                None
-            }
         };
-        if let Some(op) = crash_op {
-            let now = self.clock.now();
-            self.obs.record_with(
-                self.rank as u32,
-                "fault",
-                "fault.crash",
-                now,
-                now,
-                &[("op", op as f64)],
-            );
+        if let Some(op) = fault.claim_crash() {
+            self.charge_fault("fault.crash", 0.0, &[("op", op as f64)]);
             self.shared.barrier.abort();
             self.deposit_fail_report();
             std::panic::panic_any(RankCrash {
@@ -204,37 +188,25 @@ impl Comm {
                 op,
             });
         }
-        let decision = self.fault.as_mut().expect("checked above").next_op();
+        let decision = fault.next_op();
+        let op = ("op", decision.op as f64);
         if decision.delay > 0.0 {
-            let t0 = self.clock.now();
-            self.clock.charge(decision.delay);
             self.stats.delays += 1;
-            self.obs.record_with(
-                self.rank as u32,
-                "fault",
-                "mpi.delay",
-                t0,
-                self.clock.now(),
-                &[("op", decision.op as f64)],
-            );
+            self.charge_fault("mpi.delay", decision.delay, &[op]);
         }
         for attempt in 1..=decision.retries {
-            let t0 = self.clock.now();
-            self.clock.charge(self.net.retry_cost(attempt, bytes));
             self.stats.retries += 1;
-            self.obs.record_with(
-                self.rank as u32,
-                "fault",
-                "mpi.retry",
-                t0,
-                self.clock.now(),
-                &[
-                    ("op", decision.op as f64),
-                    ("attempt", attempt as f64),
-                    ("bytes", bytes as f64),
-                ],
-            );
+            let args = [op, ("attempt", attempt as f64), ("bytes", bytes as f64)];
+            self.charge_fault("mpi.retry", self.net.retry_cost(attempt, bytes), &args);
         }
+    }
+
+    /// Charge an injected fault's virtual seconds and record its span.
+    fn charge_fault(&mut self, name: &str, seconds: f64, args: &[(&str, f64)]) {
+        let t0 = self.clock.now();
+        self.clock.charge(seconds);
+        self.obs
+            .record_with(self.track(), "fault", name, t0, self.clock.now(), args);
     }
 
     /// Salvage clock/stats/trace for the cluster driver, then unwind
@@ -306,18 +278,12 @@ impl Comm {
                     }
                     self.pending.push(msg);
                 }
-                Err(crossbeam::channel::RecvTimeoutError::Timeout) => {
-                    // Waiting on a sender that may have crashed: bail out
-                    // once the cluster aborts instead of blocking forever.
-                    if self.shared.barrier.is_aborted() {
-                        self.abort_unwind();
-                    }
-                }
+                // Waiting on a sender that may have crashed: bail out once
+                // the cluster aborts instead of blocking forever.
+                Err(_) if self.shared.barrier.is_aborted() => self.abort_unwind(),
+                Err(crossbeam::channel::RecvTimeoutError::Timeout) => {}
                 Err(crossbeam::channel::RecvTimeoutError::Disconnected) => {
-                    if self.shared.barrier.is_aborted() {
-                        self.abort_unwind();
-                    }
-                    panic!("all senders hung up");
+                    panic!("all senders hung up")
                 }
             }
         }
@@ -334,12 +300,34 @@ impl Comm {
 
     // ---- collectives ----------------------------------------------------
 
+    /// The rendezvous every collective crosses, written once: deposit this
+    /// rank's payload (if it contributes one), publish the entry time, wait
+    /// for every rank, `read` the slots, take the latest entry time, and
+    /// wait again so nobody reuses a slot a peer is still reading. Returns
+    /// what `read` returned and the entry max.
+    fn rendezvous<T>(
+        &mut self,
+        deposit: Option<Vec<u8>>,
+        read: impl FnOnce(&[Mutex<Vec<u8>>]) -> T,
+    ) -> (T, f64) {
+        if let Some(data) = deposit {
+            *self.shared.slots[self.rank].lock() = data;
+        }
+        *self.shared.times[self.rank].lock() = self.clock.now();
+        self.sync();
+        let out = read(&self.shared.slots);
+        let times = self.shared.times.iter().map(|t| *t.lock());
+        let entry_max = times.fold(f64::NEG_INFINITY, f64::max);
+        self.sync();
+        (out, entry_max)
+    }
+
     /// Synchronize all ranks (`MPI_Barrier`): clocks advance to the latest
     /// entry time plus the barrier's latency cost.
     pub fn barrier(&mut self) {
         let start = self.clock.now();
         self.fault_point(0);
-        let entry_max = self.exchange_times();
+        let ((), entry_max) = self.rendezvous(None, |_| ());
         self.clock
             .advance_to(entry_max + self.net.barrier(self.size()));
         self.stats.collectives += 1;
@@ -355,14 +343,7 @@ impl Comm {
     pub fn allgatherv(&mut self, data: &[u8]) -> Vec<Vec<u8>> {
         let start = self.clock.now();
         self.fault_point(data.len());
-        *self.shared.slots[self.rank].lock() = data.to_vec();
-        *self.shared.times[self.rank].lock() = self.clock.now();
-        self.sync();
-        let parts: Vec<Vec<u8>> = (0..self.size())
-            .map(|r| self.shared.slots[r].lock().clone())
-            .collect();
-        let entry_max = self.read_entry_max();
-        self.sync(); // everyone done reading before reuse
+        let (parts, entry_max) = self.rendezvous(Some(data.to_vec()), read_all);
         let total: usize = parts.iter().map(Vec::len).sum();
         self.clock
             .advance_to(entry_max + self.net.allgatherv(self.size(), total));
@@ -388,14 +369,8 @@ impl Comm {
         assert!(root < self.size());
         let start = self.clock.now();
         self.fault_point(data.len());
-        if self.rank == root {
-            *self.shared.slots[root].lock() = data.to_vec();
-        }
-        *self.shared.times[self.rank].lock() = self.clock.now();
-        self.sync();
-        let out = self.shared.slots[root].lock().clone();
-        let entry_max = self.read_entry_max();
-        self.sync();
+        let deposit = (self.rank == root).then(|| data.to_vec());
+        let (out, entry_max) = self.rendezvous(deposit, |slots| slots[root].lock().clone());
         self.clock
             .advance_to(entry_max + self.net.tree_move(self.size(), out.len()));
         self.stats.collectives += 1;
@@ -421,32 +396,18 @@ impl Comm {
         assert!(root < self.size());
         let start = self.clock.now();
         self.fault_point(data.len());
-        *self.shared.slots[self.rank].lock() = data.to_vec();
-        *self.shared.times[self.rank].lock() = self.clock.now();
-        self.sync();
-        let out = if self.rank == root {
-            Some(
-                (0..self.size())
-                    .map(|r| self.shared.slots[r].lock().clone())
-                    .collect::<Vec<_>>(),
-            )
-        } else {
-            None
-        };
-        let entry_max = self.read_entry_max();
-        self.sync();
+        let is_root = self.rank == root;
+        let (out, entry_max) = self.rendezvous(Some(data.to_vec()), |slots| {
+            is_root.then(|| read_all(slots))
+        });
         let total: usize = out
             .as_ref()
-            .map(|parts| parts.iter().map(Vec::len).sum())
-            .unwrap_or(data.len());
+            .map_or(data.len(), |parts| parts.iter().map(Vec::len).sum());
         self.clock
             .advance_to(entry_max + self.net.tree_move(self.size(), total));
         self.stats.collectives += 1;
         self.stats.bytes_sent += data.len() as u64;
-        if let Some(parts) = &out {
-            let others: usize = parts.iter().map(Vec::len).sum::<usize>() - data.len();
-            self.stats.bytes_received += others as u64;
-        }
+        self.stats.bytes_received += (total - data.len()) as u64;
         self.obs.record_with(
             self.track(),
             "comm",
@@ -465,26 +426,6 @@ impl Comm {
             .iter()
             .map(|p| u64::from_le_bytes(p.as_slice().try_into().expect("8-byte payload")))
             .sum()
-    }
-
-    /// `MPI_Allreduce(MAX)` over an `f64`.
-    pub fn allreduce_max_f64(&mut self, value: f64) -> f64 {
-        let parts = self.allgatherv(&value.to_le_bytes());
-        parts
-            .iter()
-            .map(|p| f64::from_le_bytes(p.as_slice().try_into().expect("8-byte payload")))
-            .fold(f64::NEG_INFINITY, f64::max)
-    }
-
-    /// Gather every rank's virtual clock on all ranks (used by reports to
-    /// show min/max rank times, i.e. the paper's load-imbalance bars).
-    pub fn gather_clocks(&mut self) -> Vec<f64> {
-        let now = self.clock.now();
-        let parts = self.allgatherv(&now.to_le_bytes());
-        parts
-            .iter()
-            .map(|p| f64::from_le_bytes(p.as_slice().try_into().expect("8-byte payload")))
-            .collect()
     }
 
     /// Simulation-internal broadcast: `root` runs `materialize` (under the
@@ -507,35 +448,17 @@ impl Comm {
         materialize: impl FnOnce() -> Vec<u8>,
     ) -> Vec<u8> {
         assert!(root < self.size());
-        if self.rank == root {
-            let guard = crate::compute_lock();
-            let data = materialize();
-            drop(guard);
-            *self.shared.slots[root].lock() = data;
-        }
-        *self.shared.times[self.rank].lock() = self.clock.now();
-        self.sync();
-        let out = self.shared.slots[root].lock().clone();
-        let entry_max = self.read_entry_max();
-        self.sync();
+        let deposit = (self.rank == root).then(|| {
+            let _guard = crate::compute_lock();
+            materialize()
+        });
+        let (out, entry_max) = self.rendezvous(deposit, |slots| slots[root].lock().clone());
         self.clock.advance_to(entry_max);
         out
     }
+}
 
-    // ---- internals ------------------------------------------------------
-
-    /// Write our entry time, wait, read the max, wait again.
-    fn exchange_times(&mut self) -> f64 {
-        *self.shared.times[self.rank].lock() = self.clock.now();
-        self.sync();
-        let max = self.read_entry_max();
-        self.sync();
-        max
-    }
-
-    fn read_entry_max(&self) -> f64 {
-        (0..self.size())
-            .map(|r| *self.shared.times[r].lock())
-            .fold(f64::NEG_INFINITY, f64::max)
-    }
+/// Every rank's deposited payload, indexed by rank.
+fn read_all(slots: &[Mutex<Vec<u8>>]) -> Vec<Vec<u8>> {
+    slots.iter().map(|s| s.lock().clone()).collect()
 }

@@ -204,22 +204,12 @@ impl FaultState {
         }
     }
 
-    /// True if this operation is the rank's scheduled (unfired) crash.
-    /// Does not consume RNG draws and does not advance the op counter.
-    pub fn crashes_now(&self) -> bool {
-        self.plan
-            .crashes
-            .iter()
-            .any(|c| c.rank == self.rank && c.op == self.next_op && !c.has_fired())
-    }
-
-    /// Claim the crash at the current op (one-shot across the plan).
+    /// Claim the rank's scheduled, unfired crash at the current op, if
+    /// there is one (one-shot across the plan). Consumes no RNG draws and
+    /// does not advance the op counter.
     pub fn claim_crash(&self) -> Option<u64> {
-        if self.plan.claim_crash(self.rank, self.next_op) {
-            Some(self.next_op)
-        } else {
-            None
-        }
+        let claimed = self.plan.claim_crash(self.rank, self.next_op);
+        claimed.then_some(self.next_op)
     }
 
     /// Decide this operation's delay and retry count, advancing the op

@@ -6,7 +6,8 @@
 //! arrays after loop 2). Rust MPI bindings are immature and the benchmark
 //! host is a single core, so this crate *simulates* a cluster in-process:
 //!
-//! * every rank is an OS thread executing the real algorithm on its real
+//! * every rank is an OS thread (rank 0 the caller's own, so a one-rank
+//!   cluster spawns nothing) executing the real algorithm on its real
 //!   partition of the data — results are genuinely computed with the
 //!   configured rank count;
 //! * communication goes through shared-memory mailboxes and collective

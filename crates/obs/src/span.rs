@@ -130,21 +130,25 @@ impl Trace {
         // Track ids saturate instead of wrapping: splicing a sub-trace that
         // already carries high thread-lane ids (`THREAD_TRACK_BASE + t`)
         // must never panic or alias low rank lanes.
+        self.merge_mapped(other, dt, |t| t.saturating_add(track_offset));
+    }
+
+    /// [`Trace::merge_shifted`] with an arbitrary track relabelling: each of
+    /// `other`'s tracks `t` lands on `track_of(t)`.
+    pub fn merge_mapped(&mut self, other: Trace, dt: f64, track_of: impl Fn(u32) -> u32) {
         for mut s in other.spans {
             s.start += dt;
             s.end = (s.end + dt).max(s.start);
-            s.track = s.track.saturating_add(track_offset);
+            s.track = track_of(s.track);
             self.spans.push(s);
         }
         for mut c in other.counters {
             c.ts += dt;
-            c.track = c.track.saturating_add(track_offset);
+            c.track = track_of(c.track);
             self.counters.push(c);
         }
         for (t, n) in other.track_names {
-            self.track_names
-                .entry(t.saturating_add(track_offset))
-                .or_insert(n);
+            self.track_names.entry(track_of(t)).or_insert(n);
         }
     }
 
@@ -158,56 +162,72 @@ impl Trace {
     /// Partial overlap is **not** containment: a span that starts inside an
     /// open span but ends after it closes that span and becomes its sibling
     /// (or a new root). A span starting exactly at another's end is a
-    /// sibling too; zero-duration spans nest inside whatever is open at
-    /// their instant.
+    /// sibling too.
+    ///
+    /// A zero-duration span (an *instant* — a collective on a free network,
+    /// a fault marker) sits on a boundary its interval cannot place it
+    /// either side of, so recording order decides; spans are recorded when
+    /// they complete. An instant at a span's end is inside it if it was
+    /// recorded *before* that span and is its next sibling if recorded
+    /// after. An instant at a span's start precedes the span, unless it is
+    /// what the span was timed from: the span has content and none of it
+    /// begins at that moment (a wrapper around calls), which makes the
+    /// instant its first child.
     pub fn tree(&self, track: u32) -> Vec<SpanNode> {
+        const EPS: f64 = 1e-12;
+        let instant = |s: &SpanRecord| s.end - s.start <= EPS;
+        // Recording index, span; instants sweep before the spans that start
+        // with them.
         let mut spans: Vec<(usize, &SpanRecord)> = self.on_track(track).enumerate().collect();
         spans.sort_by(|(ia, a), (ib, b)| {
-            a.start
-                .partial_cmp(&b.start)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(
-                    b.end
-                        .partial_cmp(&a.end)
-                        .unwrap_or(std::cmp::Ordering::Equal),
-                )
+            (a.start.total_cmp(&b.start))
+                .then(instant(b).cmp(&instant(a)))
+                .then(b.end.total_cmp(&a.end))
                 .then(ib.cmp(ia))
         });
-        let spans: Vec<&SpanRecord> = spans.into_iter().map(|(_, s)| s).collect();
+        /// Close the top open span onto its parent's children (or the
+        /// roots), taking in first the instants it was timed from.
+        fn close(stack: &mut Vec<(usize, SpanNode)>, roots: &mut Vec<SpanNode>) {
+            let (_, mut done) = stack.pop().expect("non-empty");
+            let siblings = match stack.last_mut() {
+                Some((_, parent)) => &mut parent.children,
+                None => roots,
+            };
+            let start = done.start;
+            if done.children.first().is_some_and(|c| c.start > start + EPS) {
+                let at_start = |c: &&SpanNode| c.start >= start - EPS && c.end <= start + EPS;
+                let n = siblings.iter().rev().take_while(at_start).count();
+                let timed_from = siblings.split_off(siblings.len() - n);
+                done.children.splice(0..0, timed_from);
+            }
+            siblings.push(done);
+        }
         let mut roots: Vec<SpanNode> = Vec::new();
-        let mut stack: Vec<SpanNode> = Vec::new();
-        const EPS: f64 = 1e-12;
-        for s in spans {
+        let mut stack: Vec<(usize, SpanNode)> = Vec::new();
+        for (idx, s) in spans {
+            // Pop finished ancestors (spans that end at or before this
+            // one's start, unless this is an instant they were recorded
+            // after) and partially-overlapped ones: if the top does not
+            // contain this span's end, overlap is not containment — the top
+            // closes and this span becomes its sibling.
+            while let Some((top_idx, top)) = stack.last() {
+                let finished = top.end <= s.start + EPS && !(instant(s) && idx < *top_idx);
+                let contains = s.end <= top.end + EPS;
+                if !finished && contains {
+                    break;
+                }
+                close(&mut stack, &mut roots);
+            }
             let node = SpanNode {
                 name: s.name.clone(),
                 start: s.start,
                 end: s.end,
                 children: Vec::new(),
             };
-            // Pop finished ancestors (spans that end at or before this
-            // one's start) and partially-overlapped ones: if the top does
-            // not contain this span's end, overlap is not containment —
-            // the top closes and this span becomes its sibling.
-            while let Some(top) = stack.last() {
-                let finished = top.end <= s.start + EPS;
-                let contains = s.end <= top.end + EPS;
-                if finished || !contains {
-                    let done = stack.pop().expect("non-empty");
-                    match stack.last_mut() {
-                        Some(parent) => parent.children.push(done),
-                        None => roots.push(done),
-                    }
-                } else {
-                    break;
-                }
-            }
-            stack.push(node);
+            stack.push((idx, node));
         }
-        while let Some(done) = stack.pop() {
-            match stack.last_mut() {
-                Some(parent) => parent.children.push(done),
-                None => roots.push(done),
-            }
+        while !stack.is_empty() {
+            close(&mut stack, &mut roots);
         }
         roots
     }
@@ -587,6 +607,30 @@ mod tests {
         assert_eq!(roots[0].children.len(), 1);
         assert_eq!(roots[0].children[0].name, "marker");
         assert_eq!(roots[1].name, "at_end");
+    }
+
+    #[test]
+    fn instants_are_placed_by_recording_order() {
+        // One rank on a free network: every collective is an instant, and
+        // the tree must still be the one a costed network gives.
+        let tr = Tracer::new();
+        tr.record(0, "comm", "mpi.bcast", 1.0, 1.0); // the previous stage's last call
+        tr.record(0, "compute", "prep", 1.0, 2.0);
+        tr.record(0, "comm", "mpi.allgatherv", 2.0, 2.0);
+        tr.record(0, "comm", "comm1", 2.0, 2.0);
+        tr.record(0, "compute", "index", 2.0, 3.0);
+        tr.record(0, "comm", "mpi.gatherv", 3.0, 3.0);
+        tr.record(0, "comm", "mpi.bcast", 4.0, 4.0);
+        tr.record(0, "comm", "concat", 3.0, 4.0);
+        tr.record(0, "compute", "cluster", 4.0, 5.0);
+        tr.record(0, "comm", "mpi.barrier", 5.0, 5.0);
+        tr.record(0, "stage", "total", 1.0, 5.0);
+        assert_eq!(
+            tr.snapshot().render_tree(0),
+            "mpi.bcast\n\
+             total\n  prep\n  comm1\n    mpi.allgatherv\n  index\n\
+             \x20 concat\n    mpi.gatherv\n    mpi.bcast\n  cluster\n  mpi.barrier\n"
+        );
     }
 
     #[test]

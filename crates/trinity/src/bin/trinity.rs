@@ -13,9 +13,10 @@
 //! `chrome://tracing` / Perfetto), `metrics.json` (counter/gauge/histogram
 //! snapshot), `flame.txt` (collapsed-stack fold for speedscope / inferno)
 //! and `flame.svg` (self-contained flamegraph; `--flame-out DIR` redirects
-//! the two flame artifacts). `--nprocs` is the paper's extension: with
-//! `N > 1` Chrysalis runs in the hybrid MPI+OpenMP layout over `N`
-//! simulated ranks.
+//! the two flame artifacts). `--nprocs` is the paper's extension:
+//! Chrysalis runs its hybrid MPI+OpenMP rank programs over `N` simulated
+//! ranks; the default `--nprocs 1` is the same programs on one rank over a
+//! free network, and `--faults` applies there as at any `N`.
 //!
 //! `--simulate tiny:7` generates a synthetic dataset instead of reading
 //! files (handy for smoke tests; see `simulate::datasets`).
@@ -188,6 +189,25 @@ fn parse_args() -> Result<Args, String> {
     Ok(args)
 }
 
+/// Cluster flags that would otherwise silently mean something else: a
+/// cluster needs a rank, and a crash point needs a rank that exists.
+fn check_cluster_flags(args: &Args) -> Result<(), String> {
+    if args.nprocs == 0 {
+        return Err(format!("--nprocs must be at least 1\n{}", usage()));
+    }
+    let mut crashes = args.faults.iter().flat_map(|plan| plan.crashes());
+    if let Some(c) = crashes.find(|c| c.rank >= args.nprocs) {
+        return Err(format!(
+            "--faults crash={}@{}: no such rank with --nprocs {}\n{}",
+            c.rank,
+            c.op,
+            args.nprocs,
+            usage()
+        ));
+    }
+    Ok(())
+}
+
 fn load_reads(path: &Path) -> Result<Vec<Record>, String> {
     let bytes = std::fs::read(path).map_err(|e| format!("{}: {e}", path.display()))?;
     match bytes.first() {
@@ -208,8 +228,7 @@ fn write_fasta(path: &Path, records: &[Record]) -> Result<(), String> {
     w.flush().map_err(|e| e.to_string())
 }
 
-fn run() -> Result<(), String> {
-    let args = parse_args()?;
+fn run(args: Args) -> Result<(), String> {
     let mut reads = Vec::new();
     if let Some((preset, seed)) = args.simulate {
         let ds = Dataset::generate(preset, seed);
@@ -528,34 +547,30 @@ fn run_diff(argv: &[String]) -> Result<bool, String> {
 
 fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
+    let fail = |e: String, code: u8| {
+        eprintln!("{e}");
+        ExitCode::from(code)
+    };
     match argv.first().map(String::as_str) {
-        Some("analyze") => {
-            return match run_analyze(&argv[1..]) {
+        // 2 is "bad usage or unreadable artifact".
+        Some("analyze") => match run_analyze(&argv[1..]) {
+            Ok(()) => ExitCode::SUCCESS,
+            Err(e) => fail(e, 2),
+        },
+        Some("diff") => match run_diff(&argv[1..]) {
+            Ok(true) => ExitCode::SUCCESS,
+            Ok(false) => ExitCode::FAILURE,
+            Err(e) => fail(e, 2),
+        },
+        _ => {
+            let outcome = parse_args().map_err(|e| (e, 1)).and_then(|args| {
+                check_cluster_flags(&args).map_err(|e| (e, 2))?;
+                run(args).map_err(|e| (e, 1))
+            });
+            match outcome {
                 Ok(()) => ExitCode::SUCCESS,
-                // Like `diff`: 2 is "bad usage or unreadable artifact".
-                Err(e) => {
-                    eprintln!("{e}");
-                    ExitCode::from(2)
-                }
-            };
-        }
-        Some("diff") => {
-            return match run_diff(&argv[1..]) {
-                Ok(true) => ExitCode::SUCCESS,
-                Ok(false) => ExitCode::FAILURE,
-                Err(e) => {
-                    eprintln!("{e}");
-                    ExitCode::from(2)
-                }
+                Err((e, code)) => fail(e, code),
             }
-        }
-        _ => {}
-    }
-    match run() {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("{e}");
-            ExitCode::FAILURE
         }
     }
 }

@@ -1,12 +1,19 @@
 //! The end-to-end Trinity pipeline.
 //!
+//! Bowtie, GraphFromFasta and ReadsToTranscripts are rank programs and run
+//! on the simulated cluster at every rank count: [`PipelineMode::Serial`]
+//! is one rank on a free network, nothing more, so a fault plan reaches the
+//! same collectives at one rank as at seven.
+//!
 //! Observability: the pipeline records into one [`obs::Tracer`] — track 0
 //! carries collectl-style `cat:"stage"` spans (with a modelled-RAM `"ram"`
-//! arg and counter series, Figs. 2/11), per-rank Chrysalis sub-traces are
-//! spliced onto tracks `1 + rank`, and OpenMP busy/idle lanes sit at
-//! [`obs::THREAD_TRACK_BASE`]` + thread`. Table/counter health goes into an
-//! [`obs::MetricsRegistry`]; both land in [`PipelineOutput`] ready for the
-//! JSON / Chrome-trace exporters in [`obs::export`].
+//! arg and counter series, Figs. 2/11), per-rank cluster-stage sub-traces
+//! are spliced onto tracks [`RANK_TRACK_BASE`]` + rank`, and OpenMP
+//! busy/idle lanes sit at [`obs::THREAD_TRACK_BASE`]` + thread` — the
+//! pipeline's own loops and rank 0's on the same lanes. Table/counter
+//! health goes into an [`obs::MetricsRegistry`]; both land in
+//! [`PipelineOutput`] ready for the JSON / Chrome-trace exporters in
+//! [`obs::export`].
 
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -18,8 +25,8 @@ use bowtie::align::AlignConfig;
 use butterfly::transcripts::{reconstruct_component, ComponentInput, ReconstructionConfig};
 use chrysalis::bowtie_mpi::{bowtie_mpi, contig_name_index, BowtieTimings};
 use chrysalis::config::ChrysalisConfig;
-use chrysalis::graph_from_fasta::{cluster, gff_hybrid, gff_shared_memory, GffShared};
-use chrysalis::reads_to_transcripts::{rtt_hybrid, rtt_shared_memory, RttShared};
+use chrysalis::graph_from_fasta::{cluster, gff_hybrid, GffShared};
+use chrysalis::reads_to_transcripts::{rtt_hybrid, RttShared};
 use chrysalis::scaffold::{scaffold_pairs, ScaffoldConfig};
 use chrysalis::timings::{GffTimings, RttTimings};
 use inchworm::assemble::{assemble, InchwormConfig};
@@ -75,7 +82,8 @@ pub const RANK_TRACK_BASE: u32 = 1;
 /// Serial (single-node OpenMP) or hybrid (MPI+OpenMP) execution.
 #[derive(Debug, Clone, Copy)]
 pub enum PipelineMode {
-    /// The original Trinity layout: one node, OpenMP threads.
+    /// The original Trinity layout: one node, OpenMP threads — one rank on
+    /// [`NetModel::ideal`].
     Serial,
     /// The paper's layout: `ranks` nodes, 16 threads each.
     Hybrid {
@@ -343,8 +351,14 @@ impl<'a> Driver<'a> {
             .record_with(0, "stage", name, start, self.cursor, &[("ram", ram)]);
         self.obs.counter(0, "ram", start, ram);
         self.obs.counter(0, "ram", self.cursor, ram);
+        // Rank lanes move up past the pipeline lane; thread lanes are the
+        // ones the pipeline's own loops draw on and stay where they are.
+        let lane = |t| match t < obs::THREAD_TRACK_BASE {
+            true => t + RANK_TRACK_BASE,
+            false => t,
+        };
         for sub in run.traces {
-            self.spliced.merge_shifted(sub, start, RANK_TRACK_BASE);
+            self.spliced.merge_mapped(sub, start, lane);
         }
     }
 
@@ -436,27 +450,6 @@ impl<'a> Driver<'a> {
             replayed.traces.extend(outs.into_iter().map(|o| o.trace));
         }
         unreachable!("crash points are one-shot; a replay must eventually run clean")
-    }
-
-    /// The one Chrysalis cluster-stage routine. At one rank the
-    /// shared-memory driver `serial` runs directly; `lane` reads its total
-    /// time off the output and moves its span trace out. Otherwise
-    /// `per_rank` runs on every rank of the simulated cluster.
-    fn chrysalis_stage<S: Sync, O: Send>(
-        &self,
-        shared: &S,
-        serial: fn(&S) -> O,
-        per_rank: fn(&mut Comm, &S) -> O,
-        lane: fn(&mut O) -> (f64, obs::Trace),
-    ) -> ClusterRun<O> {
-        if self.ranks == 1 {
-            let mut values = vec![serial(shared)];
-            let (time, trace) = lane(&mut values[0]);
-            let mut stage = StageRun::timed(time);
-            stage.traces.push(trace);
-            return ClusterRun { values, stage };
-        }
-        self.run_cluster_resilient(|comm| per_rank(comm, shared))
     }
 
     /// Close the run: record the packed-sequence work done since `before`
@@ -610,9 +603,7 @@ pub fn run_pipeline_opts(
         |d| {
             let shared = GffShared::prepare(packed_contigs.clone(), counts, cfg.chrysalis);
             shared.kmap.record_metrics(&d.metrics, "gff.kmap");
-            let mut run = d.chrysalis_stage(&shared, gff_shared_memory, gff_hybrid, |o| {
-                (o.timings.total, std::mem::take(&mut o.trace))
-            });
+            let mut run = d.run_cluster_resilient(|comm| gff_hybrid(comm, &shared));
             run.stage.table_entries = shared.kmap.len();
             gff_timings = run.values.iter().map(|o| o.timings).collect();
             let out = run.values.swap_remove(0);
@@ -665,9 +656,7 @@ pub fn run_pipeline_opts(
             shared
                 .kmer_to_component
                 .record_metrics(&d.metrics, "rtt.kmer_table");
-            let mut run = d.chrysalis_stage(&shared, rtt_shared_memory, rtt_hybrid, |o| {
-                (o.timings.total, std::mem::take(&mut o.trace))
-            });
+            let mut run = d.run_cluster_resilient(|comm| rtt_hybrid(comm, &shared));
             run.stage.table_entries = shared.kmer_to_component.len();
             rtt_timings = run.values.iter().map(|o| o.timings).collect();
             (run.values.swap_remove(0).assignments, run.stage)
@@ -768,6 +757,21 @@ mod tests {
     }
 
     #[test]
+    fn rank_thread_lanes_are_the_pipelines_thread_lanes() {
+        // A rank program's OpenMP lanes splice in unshifted: thread `t` of
+        // rank 0 draws where Jellyfish's and Butterfly's thread `t` does
+        // (they used to land one track higher, next to the wrong label).
+        let out = run_pipeline(&tiny_reads(), &PipelineConfig::small(12));
+        let lanes = |name: &str| -> std::collections::BTreeSet<u32> {
+            let named = out.trace.spans.iter().filter(|s| s.name == name);
+            named.map(|s| s.track).collect()
+        };
+        assert!(lanes("gff.loop1.busy").contains(&obs::THREAD_TRACK_BASE));
+        assert_eq!(lanes("gff.loop1.busy"), lanes("jellyfish.busy"));
+        assert_eq!(lanes("gff.loop2.busy"), lanes("jellyfish.busy"));
+    }
+
+    #[test]
     fn hybrid_pipeline_matches_serial_components() {
         let reads = tiny_reads();
         let serial = run_pipeline(&reads, &PipelineConfig::small(12));
@@ -813,25 +817,26 @@ mod tests {
     #[test]
     fn trace_is_chrysalis_dominated() {
         // Fig. 2's headline: Chrysalis (Bowtie+GFF+RTT) dominates runtime.
+        // The virtual clock replays wall-measured costs, so a test running
+        // beside this one inflates whichever stage it lands on; the best of
+        // three runs is the estimate of each side least affected by that.
         let reads = tiny_reads();
-        let out = run_pipeline(&reads, &PipelineConfig::small(12));
-        let chrysalis_time: f64 = out
-            .trace
-            .with_cat("stage")
-            .into_iter()
-            .filter(|s| {
-                s.track == 0
-                    && [
-                        "Bowtie",
-                        "GraphFromFasta",
-                        "QuantifyGraph",
-                        "ReadsToTranscripts",
-                    ]
-                    .contains(&s.name.as_str())
-            })
-            .map(|s| s.end - s.start)
-            .sum();
-        let jelly_time = out.trace.span_sum(0, "Jellyfish");
+        let runs: Vec<PipelineOutput> = (0..3)
+            .map(|_| run_pipeline(&reads, &PipelineConfig::small(12)))
+            .collect();
+        let best = |stages: &[&str]| {
+            let total = |out: &PipelineOutput| -> f64 {
+                stages.iter().map(|s| out.trace.span_sum(0, s)).sum()
+            };
+            runs.iter().map(total).fold(f64::INFINITY, f64::min)
+        };
+        let chrysalis_time = best(&[
+            "Bowtie",
+            "GraphFromFasta",
+            "QuantifyGraph",
+            "ReadsToTranscripts",
+        ]);
+        let jelly_time = best(&["Jellyfish"]);
         assert!(
             chrysalis_time > jelly_time,
             "Chrysalis ({chrysalis_time}) should dominate Jellyfish ({jelly_time})"

@@ -112,6 +112,27 @@ fn assert_chaos_equivalence(ranks: usize) {
 #[test]
 fn chaos_plans_preserve_artifacts_at_1_rank() {
     assert_chaos_equivalence(1);
+    // One rank is a cluster like any other: every cluster stage crosses its
+    // collectives (3 Bowtie + 3 GraphFromFasta + 2 ReadsToTranscripts) …
+    let reads = common::tiny_reads(common::CHAOS_WORKLOAD_SEED);
+    assert_eq!(count(&run_with(&reads, 1, None), "comm.collectives"), 8);
+    // … and a fault plan reaches all of them, not just Bowtie's.
+    let plan = FaultPlan::new(42).with_delays(0.9, 1e-3).with_drops(0.5, 3);
+    let trace = run_with(&reads, 1, Some(Arc::new(plan))).trace;
+    let chrysalis_loops: Vec<_> = ["GraphFromFasta", "ReadsToTranscripts"]
+        .iter()
+        .filter_map(|stage| trace.span_bounds(0, stage))
+        .collect();
+    let reached = trace.spans.iter().any(|s| {
+        matches!(s.name.as_str(), "mpi.delay" | "mpi.retry")
+            && chrysalis_loops
+                .iter()
+                .any(|&(start, end)| start <= s.start && s.start < end)
+    });
+    assert!(
+        reached,
+        "no injected fault inside GraphFromFasta or ReadsToTranscripts"
+    );
 }
 
 #[test]

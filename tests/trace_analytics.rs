@@ -327,3 +327,32 @@ fn hostile_json_nesting_is_a_usage_error_not_an_abort() {
     }
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn cluster_flags_that_name_no_rank_are_usage_errors() {
+    // `--nprocs 0` used to run serial and report "0 ranks"; a crash point
+    // on a rank the cluster does not have used to be accepted and never
+    // fire. Both are bad usage: exit 2, nothing run or written.
+    let dir = scratch_dir("flags");
+    let cases: [(&[&str], &str); 2] = [
+        (&["--nprocs", "0"], "--nprocs must be at least 1"),
+        (
+            &["--nprocs", "2", "--faults", "42,crash=2@1"],
+            "no such rank",
+        ),
+    ];
+    for (flags, message) in cases {
+        let out_dir = dir.join("out");
+        let st = Command::new(trinity_bin())
+            .args(["--simulate", "tiny:7", "--kmer", "12", "--out"])
+            .arg(&out_dir)
+            .args(flags)
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&st.stderr);
+        assert_eq!(st.status.code(), Some(2), "{flags:?}: {stderr}");
+        assert!(stderr.contains(message), "{flags:?}: {stderr}");
+        assert!(!out_dir.exists(), "{flags:?} must not run the pipeline");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
