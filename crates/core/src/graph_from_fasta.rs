@@ -9,7 +9,7 @@ use graph::unionfind::UnionFind;
 use mpisim::comm::Comm;
 use mpisim::pack::{pack_byte_strings, pack_u64s, unpack_byte_strings, unpack_u64s};
 use mpisim::{run_cluster, NetModel};
-use omp::makespan::{costed_loop, LoopSim};
+use omp::makespan::{costed_loop, CostedTeam, LoopSim};
 use omp::schedule::{chunk_sequence, chunked_round_robin, Schedule};
 
 use crate::config::ChrysalisConfig;
@@ -19,9 +19,10 @@ use crate::weld::{harvest_contig, KmerContigMap, WeldSupport};
 
 /// Read-only state every rank needs: the contig set, the seed-occurrence
 /// map and the read k-mer table (support oracle). Built once and shared;
-/// `prep_cost` — the *parallel* (OpenMP-accounted) build time of the seed
-/// map — is charged to each rank's clock as if it had built its own copy
-/// (see crate-level notes). The read k-mer table is produced by the
+/// `prep_cost` — the virtual time of the seed map's owner-routed build
+/// (both parallel loops and the serial concatenation) — is charged to
+/// each rank's clock as if it had built its own copy (see crate-level
+/// notes). The read k-mer table is produced by the
 /// Jellyfish stage and only *consumed* here.
 pub struct GffShared {
     /// The Inchworm contigs, 2-bit packed once at stage entry — every
@@ -37,50 +38,18 @@ pub struct GffShared {
     pub cfg: ChrysalisConfig,
 }
 
-/// Build the seed map in parallel batches, returning the map and its
-/// virtual cost — the makespan of the batched build over the configured
-/// threads.
-///
-/// The modeled system builds this table like Jellyfish: concurrent
-/// insertion into a sharded (lock-striped) table, with no separate merge
-/// phase. Our simulation builds per-batch partials and merges them so
-/// per-batch costs can be measured cleanly; the merge is an artifact of
-/// that measurement strategy (its work is the same hashing the sharded
-/// build already pays per insert), so it is executed for real but not
-/// charged to the virtual clock.
-fn build_kmap_parallel(
-    contigs: &[PackedSeq],
-    k: usize,
-    threads: usize,
-    schedule: Schedule,
-) -> (KmerContigMap, f64) {
-    const BATCH: usize = 32;
-    let batches: Vec<(usize, &[PackedSeq])> = contigs
-        .chunks(BATCH)
-        .enumerate()
-        .map(|(i, c)| (i * BATCH, c))
-        .collect();
-    let (partials, sim) = costed_loop(&batches, threads, schedule, |&(off, recs)| {
-        KmerContigMap::build_with_offset(recs, k, off)
-    });
-    let mut merged = KmerContigMap::build(&[], k);
-    for p in partials {
-        merged.merge(p);
-    }
-    (merged, sim.makespan)
-}
-
 impl GffShared {
     /// Build the replicated state from pre-packed contigs. `counts` is the
     /// Jellyfish read-k-mer table at the same `k` as `cfg.k`.
     pub fn prepare(contigs: Vec<PackedSeq>, counts: KmerCounts, cfg: ChrysalisConfig) -> Self {
         assert_eq!(counts.k(), cfg.k, "read k-mer table must use the stage's k");
-        let (kmap, prep_cost) = build_kmap_parallel(&contigs, cfg.k, cfg.threads, cfg.schedule);
+        let mut team = CostedTeam::new(cfg.threads, cfg.schedule);
+        let kmap = KmerContigMap::build_routed(&contigs, cfg.k, &mut team);
         GffShared {
             contigs,
             kmap,
             counts,
-            prep_cost,
+            prep_cost: team.sim.makespan,
             cfg,
         }
     }
@@ -533,6 +502,8 @@ mod tests {
         // Spot-check the junction seed's occurrence list.
         let seed = seqio::kmer::Kmer::from_bases(SEED).unwrap().canonical();
         assert_eq!(shared.kmap.occurrences(seed), serial.occurrences(seed));
+        // The whole routed build, concatenation included, is on the clock.
+        assert!(shared.prep_cost > 0.0);
     }
 
     #[test]

@@ -56,7 +56,8 @@
 //!
 //! * Read-only *replicated* structures (the k-mer→contig map, the read
 //!   support index, the k-mer→component map) are built once and shared by
-//!   reference; every rank charges the measured build cost to its clock,
+//!   reference; every rank charges the build's whole virtual cost (the
+//!   owner-routed build's two loops and its concatenation) to its clock,
 //!   exactly as if it had built its own copy concurrently.
 //! * Final output generation (clustering, bundle emission, file merges)
 //!   runs on the master rank with its measured cost; peers synchronize

@@ -9,14 +9,16 @@
 //! concatenated by the master at the end (a cheap `cat`, <15 s in the
 //! paper). Which chunks a rank *reads* is the rank program's `ReadPolicy`.
 
-use kmertable::PackedKmerTable;
+use kcount::routed::{routed_build, OWNERS};
+use kmertable::{PackedKmerTable, ShardedKmerTable};
 use seqio::fasta::Record;
 use seqio::packed::PackedSeq;
 
 use mpisim::comm::Comm;
 use mpisim::{run_cluster, NetModel};
-use omp::makespan::costed_loop;
+use omp::makespan::{costed_loop, CostedTeam};
 use omp::schedule::static_owner;
+use omp::Team;
 
 use crate::config::ChrysalisConfig;
 use crate::pairs::{pack_pairs, unpack_pairs};
@@ -36,7 +38,8 @@ pub struct RttShared {
     /// packed-k-mer table: the per-read voting loop probes it once per
     /// read k-mer, making it the stage's hottest structure.
     pub kmer_to_component: PackedKmerTable,
-    /// Measured cost of building the table (seconds).
+    /// Virtual cost of building the table with the configured threads:
+    /// both loops of the routed build plus the serial concatenation.
     pub kmer_setup_cost: f64,
     /// Number of components.
     pub n_components: usize,
@@ -72,45 +75,43 @@ impl RttShared {
             "one packed form per read, in file order"
         );
         // "the OpenMP-enabled assignment of k-mers to Inchworm bundles":
-        // the table build parallelizes over components; per-batch costs are
-        // measured and replayed as a makespan, like the other parallel
-        // builds. The sequential merge below is a simulation artifact (a
-        // sharded concurrent table has no merge phase) and is not charged.
+        // an owner-routed build over component batches. The first
+        // component to claim a k-mer keeps it; ids are dense and ascending,
+        // so owner-locally that is "smallest id wins", whatever order the
+        // claims arrive in.
         let batches: Vec<(usize, &[Vec<usize>])> = components
-            .chunks(16)
+            .chunks(COMPONENT_BATCH)
             .enumerate()
-            .map(|(i, c)| (i * 16, c))
+            .map(|(b, batch)| (b * COMPONENT_BATCH, batch))
             .collect();
-        let build = |&(base, comps): &(usize, &[Vec<usize>])| {
-            let mut map = PackedKmerTable::new();
-            for (ci, members) in comps.iter().enumerate() {
-                for &m in members {
-                    if let Ok(iter) = contigs[m].canonical_kmers(cfg.k) {
-                        for (_, km) in iter {
-                            // First component to claim a k-mer keeps it
-                            // (ids are dense and deterministic).
-                            map.get_or_insert(km.packed(), (base + ci) as u32);
+        let mut team = CostedTeam::new(cfg.threads, cfg.schedule);
+        let owners = routed_build(
+            &batches,
+            vec![PackedKmerTable::new(); OWNERS],
+            &mut team,
+            |&(first, batch), router| {
+                for (ci, members) in batch.iter().enumerate() {
+                    for &m in members {
+                        if let Ok(iter) = contigs[m].canonical_kmers(cfg.k) {
+                            for (_, km) in iter {
+                                router.push(km.packed(), (first + ci) as u32);
+                            }
                         }
                     }
                 }
-            }
-            map
-        };
-        let (partials, sim) = costed_loop(&batches, cfg.threads, cfg.schedule, build);
-        let mut map = PackedKmerTable::new();
-        for p in partials {
-            map.reserve(p.len());
-            for (k, c) in p.iter() {
-                // Smallest component id wins, preserving the sequential
-                // first-claim semantics across batch boundaries.
-                map.update_min(k, c);
-            }
-        }
+            },
+            |table, routed| {
+                for &(key, component) in routed {
+                    table.update_min(key, component);
+                }
+            },
+        );
+        let map = team.serial(|| ShardedKmerTable::from_shards(owners).into_merged());
         RttShared {
             reads,
             packed_reads,
             kmer_to_component: map,
-            kmer_setup_cost: sim.makespan,
+            kmer_setup_cost: team.sim.makespan,
             n_components: components.len(),
             cfg,
         }
@@ -180,6 +181,9 @@ impl RttShared {
         self.assign_packed(&PackedSeq::from_bytes(read))
     }
 }
+
+/// Components per routed batch of the k-mer→component table build.
+const COMPONENT_BATCH: usize = 16;
 
 /// Distinct components a read's k-mers plausibly hit; the vote tally keeps
 /// this many slots on the stack before spilling.

@@ -12,7 +12,9 @@
 //! table with sufficient count, i.e. real reads span the junction.
 
 use kcount::counter::KmerCounts;
+use kcount::routed::{routed_build, OWNERS};
 use kmertable::{PackedKmerTable, PackedWeldSet};
+use omp::Team;
 use seqio::alphabet::{base_to_code, code_to_base, complement_base, complement_code, revcomp};
 use seqio::kmer::{CanonicalKmers, Kmer, RollState};
 use seqio::packed::PackedSeq;
@@ -140,7 +142,7 @@ impl WeldWindow {
 }
 
 /// One occurrence of a seed within a contig.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SeedOcc {
     /// Contig index.
     pub contig: u32,
@@ -152,82 +154,153 @@ pub struct SeedOcc {
 
 /// Global map from canonical (k−1)-mer to its occurrences across contigs.
 /// Replicated read-only on every rank in the paper's code; built once and
-/// shared here (see the crate-level simulation notes). The build cost is
-/// accounted as an OpenMP-parallel region (sharded hashing, like the k-mer
-/// counter), matching the paper's attribution of "non-parallel regions" to
+/// shared here (see the crate-level simulation notes). The build is an
+/// owner-routed one ([`kcount::routed`]) accounted as an OpenMP-parallel
+/// region, matching the paper's attribution of "non-parallel regions" to
 /// the weld-set setup and final output only.
-/// Occurrence lists live in a contiguous pool; the open-addressing
-/// [`PackedKmerTable`] maps a packed canonical seed to its pool slot, so the
+/// Occurrences live in one flat array grouped by seed; the open-addressing
+/// [`PackedKmerTable`] maps a packed canonical seed to its group, so the
 /// hot probe (one per contig window per candidate pair) never hashes with
-/// SipHash or chases `HashMap` buckets.
+/// SipHash, chases `HashMap` buckets or follows a per-seed allocation.
 #[derive(Debug, Clone)]
 pub struct KmerContigMap {
     seed_len: usize,
+    /// Canonical packed seed → seed id.
     index: PackedKmerTable,
-    pool: Vec<Vec<SeedOcc>>,
+    /// Seed `id` occurs at `occs[starts[id]..starts[id + 1]]`, in ascending
+    /// (contig, position) order.
+    starts: Vec<u32>,
+    occs: Vec<SeedOcc>,
 }
 
+/// One owner's share of the seed map under construction: its seeds, ids
+/// dense in first-seen order, and every occurrence in arrival order.
+#[derive(Default)]
+struct SeedOwner {
+    index: PackedKmerTable,
+    arrivals: Vec<(u32, SeedOcc)>,
+}
+
+impl SeedOwner {
+    #[inline]
+    fn push(&mut self, key: u64, occ: SeedOcc) {
+        let id = self.index.get_or_insert(key, self.index.len() as u32);
+        self.arrivals.push((id, occ));
+    }
+}
+
+/// Contigs per routed batch of the seed-map build.
+const CONTIG_BATCH: usize = 32;
+
 impl KmerContigMap {
-    /// Build over a contig set with seeds of length `k - 1`.
-    pub fn build(contigs: &[PackedSeq], k: usize) -> Self {
-        Self::build_with_offset(contigs, k, 0)
+    fn seed_len_for(k: usize) -> usize {
+        assert!(k >= 4, "seed construction needs k >= 4");
+        k - 1
     }
 
-    /// Build over a slice of the contig set whose first record has global
-    /// index `offset` (the building block of the parallel build).
-    ///
-    /// Contigs arrive pre-packed; the oriented rolling iterator hands back
-    /// `(pos, canonical, forward)` in one O(1)-per-base pass, so the build
-    /// never re-encodes ASCII or re-packs windows.
-    pub fn build_with_offset(contigs: &[PackedSeq], k: usize, offset: usize) -> Self {
-        assert!(k >= 4, "seed construction needs k >= 4");
-        let seed_len = k - 1;
-        let mut index = PackedKmerTable::new();
-        let mut pool: Vec<Vec<SeedOcc>> = Vec::new();
-        for (i, c) in contigs.iter().enumerate() {
-            let Ok(iter) = c.oriented_kmers(seed_len) else {
-                continue;
+    /// Every seed occurrence of contig `i` (global index), in position
+    /// order. Contigs arrive pre-packed; the oriented rolling iterator
+    /// hands back `(pos, canonical, forward)` in one O(1)-per-base pass, so
+    /// the build never re-encodes ASCII or re-packs windows.
+    fn seeds_of(
+        i: usize,
+        contig: &PackedSeq,
+        seed_len: usize,
+    ) -> impl Iterator<Item = (u64, SeedOcc)> + '_ {
+        let windows = contig.oriented_kmers(seed_len).into_iter().flatten();
+        windows.map(move |(pos, canon, forward)| {
+            let occ = SeedOcc {
+                contig: i as u32,
+                pos: pos as u32,
+                forward,
             };
-            for (pos, canon, forward) in iter {
-                let next = pool.len() as u32;
-                let slot = index.get_or_insert(canon.packed(), next);
-                if slot == next {
-                    pool.push(Vec::new());
-                }
-                pool[slot as usize].push(SeedOcc {
-                    contig: (offset + i) as u32,
-                    pos: pos as u32,
-                    forward,
-                });
+            (canon.packed(), occ)
+        })
+    }
+
+    /// Build over a contig set with seeds of length `k - 1`, sequentially —
+    /// the one-owner build, and the reference the routed one must
+    /// reproduce.
+    pub fn build(contigs: &[PackedSeq], k: usize) -> Self {
+        let seed_len = Self::seed_len_for(k);
+        let mut owner = SeedOwner::default();
+        for (i, c) in contigs.iter().enumerate() {
+            for (key, occ) in Self::seeds_of(i, c, seed_len) {
+                owner.push(key, occ);
             }
+        }
+        Self::concat(seed_len, vec![owner])
+    }
+
+    /// [`Self::build`] as an owner-routed build on `team`: contig batches
+    /// route `(seed, occurrence)` pairs, each owner records what it
+    /// receives — in batch order, so every seed's occurrences come out in
+    /// ascending (contig, position) order exactly as the sequential build
+    /// leaves them — and the owners are concatenated in a serial section.
+    pub fn build_routed(contigs: &[PackedSeq], k: usize, team: &mut impl Team) -> Self {
+        let seed_len = Self::seed_len_for(k);
+        let batches: Vec<(usize, &[PackedSeq])> = contigs
+            .chunks(CONTIG_BATCH)
+            .enumerate()
+            .map(|(b, batch)| (b * CONTIG_BATCH, batch))
+            .collect();
+        let owners = routed_build(
+            &batches,
+            (0..OWNERS).map(|_| SeedOwner::default()).collect(),
+            team,
+            |&(first, batch), router| {
+                for (i, c) in batch.iter().enumerate() {
+                    for (key, occ) in Self::seeds_of(first + i, c, seed_len) {
+                        router.push(key, occ);
+                    }
+                }
+            },
+            |owner: &mut SeedOwner, routed| {
+                for &(key, occ) in routed {
+                    owner.push(key, occ);
+                }
+            },
+        );
+        team.serial(|| Self::concat(seed_len, owners))
+    }
+
+    /// Concatenate disjoint owners: one index sized for the total, each
+    /// owner's seed ids shifted past the owners before it, and the arrivals
+    /// counting-sorted by seed id — stable, so arrival order survives
+    /// inside every group.
+    fn concat(seed_len: usize, owners: Vec<SeedOwner>) -> Self {
+        let seeds: usize = owners.iter().map(|o| o.index.len()).sum();
+        let mut starts = vec![0u32; seeds + 1];
+        let mut base = 0;
+        for owner in &owners {
+            for &(id, _) in &owner.arrivals {
+                starts[base + id as usize + 1] += 1;
+            }
+            base += owner.index.len();
+        }
+        for id in 0..seeds {
+            starts[id + 1] += starts[id];
+        }
+        let mut index = PackedKmerTable::with_capacity(seeds);
+        let mut next = starts.clone();
+        let mut occs = vec![SeedOcc::default(); starts[seeds] as usize];
+        let mut base = 0;
+        for owner in owners {
+            for (key, id) in owner.index.iter() {
+                index.insert(key, base as u32 + id);
+            }
+            for (id, occ) in owner.arrivals {
+                let at = &mut next[base + id as usize];
+                occs[*at as usize] = occ;
+                *at += 1;
+            }
+            base += owner.index.len();
         }
         KmerContigMap {
             seed_len,
             index,
-            pool,
-        }
-    }
-
-    /// Merge another partial map into this one (occurrence lists keep
-    /// ascending contig order when partials are merged in batch order).
-    pub fn merge(&mut self, other: KmerContigMap) {
-        debug_assert_eq!(self.seed_len, other.seed_len);
-        if self.index.is_empty() {
-            *self = other;
-            return;
-        }
-        let KmerContigMap {
-            index, mut pool, ..
-        } = other;
-        for (key, idx) in index.iter() {
-            let mut occs = std::mem::take(&mut pool[idx as usize]);
-            let next = self.pool.len() as u32;
-            let slot = self.index.get_or_insert(key, next);
-            if slot == next {
-                self.pool.push(occs);
-            } else {
-                self.pool[slot as usize].append(&mut occs);
-            }
+            starts,
+            occs,
         }
     }
 
@@ -239,10 +312,13 @@ impl KmerContigMap {
     /// Occurrences of a canonical seed (empty slice if none).
     #[inline]
     pub fn occurrences(&self, canon: Kmer) -> &[SeedOcc] {
-        self.index
-            .get(canon.packed())
-            .map(|i| self.pool[i as usize].as_slice())
-            .unwrap_or(&[])
+        match self.index.get(canon.packed()) {
+            Some(id) => {
+                let (start, end) = (self.starts[id as usize], self.starts[id as usize + 1]);
+                &self.occs[start as usize..end as usize]
+            }
+            None => &[],
+        }
     }
 
     /// Number of distinct seeds.
@@ -265,7 +341,7 @@ impl KmerContigMap {
         self.index.record_metrics(registry, prefix);
         registry
             .gauge(format!("{prefix}.occurrences"))
-            .set(self.pool.iter().map(Vec::len).sum::<usize>() as f64);
+            .set(self.occs.len() as f64);
     }
 }
 

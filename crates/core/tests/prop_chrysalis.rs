@@ -1,5 +1,6 @@
 //! Property-based tests for the Chrysalis core: partition-invariance of
-//! the hybrid drivers over randomized workloads.
+//! the hybrid drivers over randomized workloads, and the owner-routed
+//! table builds against their sequential definitions.
 
 use std::sync::Arc;
 
@@ -7,10 +8,13 @@ use chrysalis::config::ChrysalisConfig;
 use chrysalis::graph_from_fasta::{cluster, gff_hybrid, gff_shared_memory, GffShared};
 use chrysalis::pairs::pairs_from_matches;
 use chrysalis::reads_to_transcripts::{rtt_hybrid, rtt_shared_memory, RttShared};
+use chrysalis::weld::KmerContigMap;
 use kcount::counter::{count_kmers, CounterConfig};
+use kmertable::PackedKmerTable;
 use mpisim::{run_cluster, NetModel};
 use proptest::prelude::*;
 use seqio::fasta::Record;
+use seqio::packed::PackedSeq;
 
 fn dna(len: std::ops::Range<usize>) -> impl Strategy<Value = Vec<u8>> {
     proptest::collection::vec(
@@ -19,8 +23,81 @@ fn dna(len: std::ops::Range<usize>) -> impl Strategy<Value = Vec<u8>> {
     )
 }
 
+/// Contigs that share sequence: each is a run of segments drawn from a
+/// small pool, so seeds recur within and across contigs and batches.
+fn overlapping_contigs() -> impl Strategy<Value = Vec<PackedSeq>> {
+    let pool = proptest::collection::vec(dna(9..30), 3..7);
+    let picks = proptest::collection::vec(proptest::collection::vec(0usize..7, 1..5), 0..150);
+    (pool, picks).prop_map(|(pool, picks)| {
+        let contigs = picks.iter().map(|segments| {
+            let seq: Vec<u8> = segments
+                .iter()
+                .flat_map(|&s| pool[s % pool.len()].iter().copied())
+                .collect();
+            PackedSeq::from_bytes(&seq)
+        });
+        contigs.collect()
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// The routed seed map has the sequential build's key set and, per
+    /// seed, its occurrence list in the same order (ascending contig, then
+    /// position), for any worker count — i.e. any round size.
+    #[test]
+    fn routed_seed_map_equals_sequential_build(
+        contigs in overlapping_contigs(),
+        workers in 1usize..5,
+    ) {
+        const K: usize = 8;
+        let sequential = KmerContigMap::build(&contigs, K);
+        let routed = KmerContigMap::build_routed(&contigs, K, &mut omp::Pool::new(workers));
+        prop_assert_eq!(routed.len(), sequential.len());
+        let mut seen = 0usize;
+        for contig in &contigs {
+            for (_, seed) in contig.canonical_kmers(K - 1).into_iter().flatten() {
+                let occs = sequential.occurrences(seed);
+                prop_assert!(!occs.is_empty());
+                prop_assert!(occs.windows(2).all(|w| (w[0].contig, w[0].pos) < (w[1].contig, w[1].pos)));
+                prop_assert_eq!(routed.occurrences(seed), occs);
+                seen += 1;
+            }
+        }
+        // Every window is one occurrence of its seed, listed once.
+        let reg = obs::MetricsRegistry::new();
+        routed.record_metrics(&reg, "kmap");
+        prop_assert_eq!(reg.snapshot().gauge("kmap.occurrences"), Some(seen as f64));
+    }
+
+    /// The routed k-mer→component table is the sequential first-claim
+    /// table: where components share k-mers, the smallest id keeps them.
+    #[test]
+    fn routed_rtt_table_equals_first_claim(
+        contigs in overlapping_contigs(),
+        per_component in 1usize..4,
+        threads in 1usize..5,
+    ) {
+        const K: usize = 8;
+        let ids: Vec<usize> = (0..contigs.len()).collect();
+        let components: Vec<Vec<usize>> = ids.chunks(per_component).map(<[usize]>::to_vec).collect();
+        let mut first_claim = PackedKmerTable::new();
+        for (c, members) in components.iter().enumerate() {
+            for &m in members {
+                for (_, km) in contigs[m].canonical_kmers(K).into_iter().flatten() {
+                    first_claim.get_or_insert(km.packed(), c as u32);
+                }
+            }
+        }
+        let mut cfg = ChrysalisConfig::small(K);
+        cfg.threads = threads;
+        let shared = RttShared::prepare_with_packed(vec![], vec![], &contigs, &components, cfg);
+        prop_assert_eq!(shared.kmer_to_component.len(), first_claim.len());
+        for (key, component) in first_claim.iter() {
+            prop_assert_eq!(shared.kmer_to_component.get(key), Some(component));
+        }
+    }
 
     /// For any random contig/read set and any rank count, the hybrid
     /// GraphFromFasta produces exactly the serial pairs and components.

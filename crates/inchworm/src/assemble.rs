@@ -1,7 +1,5 @@
 //! Greedy contig assembly (the Inchworm main loop).
 
-use std::collections::HashSet;
-
 use seqio::alphabet::code_to_base;
 use seqio::kmer::Kmer;
 
@@ -50,27 +48,35 @@ fn splitmix(state: &mut u64) -> u64 {
 
 struct Assembler<'d> {
     dict: &'d Dictionary,
-    used: HashSet<u64>,
+    /// One used flag per dictionary slot — a bitset the size of the table's
+    /// slot array over 64, so one probe per candidate answers both "how
+    /// abundant" and "already consumed".
+    used: Vec<u64>,
     cfg: InchwormConfig,
     rng: u64,
 }
 
 impl<'d> Assembler<'d> {
-    fn is_used(&self, km: Kmer) -> bool {
-        self.used.contains(&km.canonical().packed())
+    fn is_used(&self, slot: usize) -> bool {
+        self.used[slot / 64] >> (slot % 64) & 1 == 1
     }
 
-    fn mark_used(&mut self, km: Kmer) {
-        self.used.insert(km.canonical().packed());
+    fn mark_used(&mut self, slot: usize) {
+        self.used[slot / 64] |= 1 << (slot % 64);
     }
 
-    /// Pick the best extension among up to 4 candidates:
-    /// highest count wins; ties go to the smallest base code, or are
-    /// shuffled when jitter is enabled.
-    fn best_candidate(&mut self, candidates: [(Kmer, u32); 4]) -> Option<(Kmer, u8)> {
-        let mut best: Option<(Kmer, u8, u32)> = None;
-        for (code, &(km, count)) in candidates.iter().enumerate() {
-            if count < self.cfg.min_extend_count.max(1) || self.is_used(km) {
+    /// Pick the best extension among the candidates the dictionary holds
+    /// (`found[code]` is the table slot and count of the neighbour reached
+    /// by base `code`): highest count wins; ties go to the smallest base
+    /// code, or are shuffled when jitter is enabled. Returns the winner's
+    /// `(code, slot, count)`.
+    fn best_candidate(&mut self, found: [Option<(usize, u32)>; 4]) -> Option<(u8, usize, u32)> {
+        let mut best: Option<(u8, usize, u32)> = None;
+        for (code, candidate) in found.into_iter().enumerate() {
+            let Some((slot, count)) = candidate else {
+                continue;
+            };
+            if count < self.cfg.min_extend_count.max(1) || self.is_used(slot) {
                 continue;
             }
             let better = match best {
@@ -86,52 +92,34 @@ impl<'d> Assembler<'d> {
                 }
             };
             if better {
-                best = Some((km, code as u8, count));
+                best = Some((code as u8, slot, count));
             }
         }
-        best.map(|(km, code, _)| (km, code))
+        best
     }
 
-    /// Extend `seed` rightwards, appending bases to `seq`.
-    fn extend_right(&mut self, seed: Kmer, seq: &mut Vec<u8>, cov_acc: &mut (u64, usize)) {
+    /// Greedily extend from `seed` one base at a time, `roll` giving the
+    /// neighbour of the current k-mer on the growing side for a base code;
+    /// chosen bases are appended to `seq`.
+    fn extend(
+        &mut self,
+        seed: Kmer,
+        roll: impl Fn(Kmer, u8) -> Kmer,
+        seq: &mut Vec<u8>,
+        cov_acc: &mut (u64, usize),
+    ) {
         let mut cur = seed;
         loop {
-            let candidates = std::array::from_fn(|code| {
-                let next = cur.roll_right(code as u8);
-                (next, self.dict.count(next))
-            });
-            match self.best_candidate(candidates) {
-                Some((next, code)) => {
-                    seq.push(code_to_base(code));
-                    self.mark_used(next);
-                    cov_acc.0 += self.dict.count(next) as u64;
-                    cov_acc.1 += 1;
-                    cur = next;
-                }
-                None => break,
-            }
-        }
-    }
-
-    /// Extend `seed` leftwards, prepending bases (collected reversed, then
-    /// fixed by the caller).
-    fn extend_left(&mut self, seed: Kmer, rev_prefix: &mut Vec<u8>, cov_acc: &mut (u64, usize)) {
-        let mut cur = seed;
-        loop {
-            let candidates = std::array::from_fn(|code| {
-                let prev = cur.roll_left(code as u8);
-                (prev, self.dict.count(prev))
-            });
-            match self.best_candidate(candidates) {
-                Some((prev, code)) => {
-                    rev_prefix.push(code_to_base(code));
-                    self.mark_used(prev);
-                    cov_acc.0 += self.dict.count(prev) as u64;
-                    cov_acc.1 += 1;
-                    cur = prev;
-                }
-                None => break,
-            }
+            let next: [Kmer; 4] = std::array::from_fn(|code| roll(cur, code as u8));
+            let found = self.dict.find_each(next);
+            let Some((code, slot, count)) = self.best_candidate(found) else {
+                break;
+            };
+            seq.push(code_to_base(code));
+            self.mark_used(slot);
+            cov_acc.0 += count as u64;
+            cov_acc.1 += 1;
+            cur = next[code as usize];
         }
     }
 }
@@ -140,23 +128,24 @@ impl<'d> Assembler<'d> {
 pub fn assemble(dict: &Dictionary, cfg: InchwormConfig) -> Vec<Contig> {
     let mut asm = Assembler {
         dict,
-        used: HashSet::with_capacity(dict.len()),
+        used: vec![0; dict.slots().div_ceil(64)],
         cfg,
         rng: cfg.jitter_seed.unwrap_or(0),
     };
     let mut contigs = Vec::new();
 
-    for (seed, count) in dict.iter_by_abundance() {
-        if count < cfg.min_seed_count.max(1) || asm.is_used(seed) {
+    for (seed, slot, count) in dict.seeds() {
+        if count < cfg.min_seed_count.max(1) || asm.is_used(slot) {
             continue;
         }
-        asm.mark_used(seed);
+        asm.mark_used(slot);
         let mut cov = (count as u64, 1usize);
 
         let mut body = seed.bases();
-        asm.extend_right(seed, &mut body, &mut cov);
+        asm.extend(seed, Kmer::roll_right, &mut body, &mut cov);
+        // Leftward bases are collected reversed, then fixed.
         let mut rev_prefix = Vec::new();
-        asm.extend_left(seed, &mut rev_prefix, &mut cov);
+        asm.extend(seed, Kmer::roll_left, &mut rev_prefix, &mut cov);
         rev_prefix.reverse();
 
         let mut seq = rev_prefix;
@@ -310,6 +299,46 @@ mod tests {
         let mass = |cs: &[Contig]| cs.iter().map(|c| c.len()).sum::<usize>();
         // Same total assembled mass even if tie-breaks differ.
         assert_eq!(mass(&base), mass(&jit));
+    }
+
+    #[test]
+    fn poly_a_and_poly_t_at_k32_assemble_as_before() {
+        // The all-T 32-mer packs to `u64::MAX`, the count table's
+        // out-of-line key: present when the table is not canonical, merged
+        // into the all-A k-mer by the dictionary. Output recorded at the
+        // `HashSet`-based assembler this one replaced.
+        let left = b"GATTACAGGCTTCAGATCCGA".to_vec();
+        let right = b"CCGGTTAACGTGCATGCAAGG".to_vec();
+        let through = [left.clone(), vec![b'A'; 40], right.clone()].concat();
+        let reads = [
+            vec![b'A'; 40],
+            vec![b'T'; 40],
+            through.clone(),
+            revcomp(&through),
+            vec![b'T'; 33],
+        ];
+        for canonical in [true, false] {
+            let cfg = CounterConfig {
+                canonical,
+                ..CounterConfig::new(32)
+            };
+            let table = count_kmers(&reads, cfg);
+            let all_t = if canonical { 0 } else { 21 };
+            assert_eq!(table.get_packed(u64::MAX), all_t);
+            let dict = Dictionary::from_counts(table, 1);
+            let cfg = InchwormConfig {
+                min_contig_len: 32,
+                ..tiny_cfg()
+            };
+            let contigs = assemble(&dict, cfg);
+            assert_eq!(contigs.len(), 1);
+            // The 40-base run collapses: the all-A k-mer is consumed once.
+            assert_eq!(
+                String::from_utf8_lossy(&contigs[0].seq),
+                "GATTACAGGCTTCAGATCCGAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAACCGGTTAACGTGCATGCAAGG"
+            );
+            assert_eq!(contigs[0].coverage, 61.0 / 21.0);
+        }
     }
 
     #[test]

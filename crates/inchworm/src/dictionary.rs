@@ -10,39 +10,67 @@ use kcount::counter::KmerCounts;
 use kmertable::PackedKmerTable;
 use seqio::kmer::Kmer;
 
+/// A dictionary entry in seeding order.
+#[derive(Debug, Clone, Copy)]
+struct Seed {
+    packed: u64,
+    count: u32,
+    slot: u32,
+}
+
 /// Abundance-sorted dictionary over canonical k-mers.
 #[derive(Debug, Clone)]
 pub struct Dictionary {
     k: usize,
-    /// Canonical k-mers in decreasing-count order (ties: k-mer order).
-    sorted: Vec<(Kmer, u32)>,
+    /// Canonical packed k-mers in decreasing-count order (ties: k-mer
+    /// order), each with its slot in `counts`.
+    sorted: Vec<Seed>,
     /// Canonical packed k-mer -> count, for O(1) extension lookups. The
     /// open-addressing table keeps the greedy extension probes (4 per
-    /// extension step, the Inchworm inner loop) SipHash-free.
+    /// extension step, the Inchworm inner loop) SipHash-free, and its slot
+    /// indices key the assembler's used-k-mer bitset.
     counts: PackedKmerTable,
 }
 
 impl Dictionary {
     /// Build from a (canonical) count table, dropping k-mers with count
     /// below `min_count` — the error-k-mer filter.
+    ///
+    /// A table that is already canonical and filtered — what the pipeline
+    /// hands over — is adopted as is; anything else is strand-merged and
+    /// filtered into a fresh table sized once for the input.
     pub fn from_counts(table: KmerCounts, min_count: u32) -> Self {
         let k = table.k();
-        let mut counts = PackedKmerTable::new();
-        for (km, c) in table.iter() {
-            if c >= min_count {
-                // Canonicalize defensively: a non-canonical table still
-                // yields a strand-merged dictionary.
-                counts.add(km.canonical().packed(), c);
-            }
-        }
-        let mut sorted: Vec<(Kmer, u32)> = counts
+        let canonical = |p: u64| Kmer::from_packed_unchecked(p, k).canonical().packed();
+        let mut counts = table.into_table();
+        if counts
             .iter()
-            .map(|(p, c)| (Kmer::from_packed(p, k).expect("valid"), c))
+            .any(|(p, c)| c < min_count || canonical(p) != p)
+        {
+            let mut merged = PackedKmerTable::with_capacity(counts.len());
+            for (p, c) in counts.iter().filter(|&(_, c)| c >= min_count) {
+                merged.add(canonical(p), c);
+            }
+            counts = merged;
+        }
+        let mut sorted: Vec<Seed> = counts
+            .iter_slots()
+            .map(|(slot, packed, count)| Seed {
+                packed,
+                count,
+                slot: u32::try_from(slot).expect("tables index their values by u32"),
+            })
             .collect();
         // Total order over distinct (kmer, count) pairs — unstable sort is
-        // deterministic here and skips the merge-sort allocation.
-        sorted.sort_unstable_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+        // deterministic here and skips the merge-sort allocation. Packed
+        // order is k-mer order at equal k.
+        sorted.sort_unstable_by(|a, b| b.count.cmp(&a.count).then(a.packed.cmp(&b.packed)));
         Dictionary { k, sorted, counts }
+    }
+
+    /// Give the (canonical, filtered) count table back.
+    pub fn into_counts(self) -> KmerCounts {
+        KmerCounts::from_table(self.k, self.counts)
     }
 
     /// Word size.
@@ -66,9 +94,35 @@ impl Dictionary {
         self.counts.get(km.canonical().packed()).unwrap_or(0)
     }
 
+    /// Table slot and count of each of the four neighbours of a k-mer (any
+    /// strand), if present, looked up together. Slots are distinct per
+    /// canonical k-mer and below [`Self::slots`].
+    #[inline]
+    pub fn find_each(&self, kms: [Kmer; 4]) -> [Option<(usize, u32)>; 4] {
+        self.counts.find_each(kms.map(|km| km.canonical().packed()))
+    }
+
+    /// Exclusive upper bound of the slots [`Self::find_each`] returns.
+    pub fn slots(&self) -> usize {
+        self.counts.capacity() + 1
+    }
+
     /// Iterate k-mers in decreasing-abundance order.
     pub fn iter_by_abundance(&self) -> impl Iterator<Item = (Kmer, u32)> + '_ {
-        self.sorted.iter().copied()
+        self.seeds().map(|(km, _, count)| (km, count))
+    }
+
+    /// [`Self::iter_by_abundance`] with each k-mer's slot (what
+    /// [`Self::find_each`] would report): `(kmer, slot, count)`.
+    pub fn seeds(&self) -> impl Iterator<Item = (Kmer, usize, u32)> + '_ {
+        let k = self.k;
+        self.sorted.iter().map(move |s| {
+            (
+                Kmer::from_packed_unchecked(s.packed, k),
+                s.slot as usize,
+                s.count,
+            )
+        })
     }
 }
 
@@ -117,6 +171,34 @@ mod tests {
         assert_eq!(d.count(Kmer::from_bases(b"AAAA").unwrap()), 1);
         assert_eq!(d.count(Kmer::from_bases(b"TTTT").unwrap()), 1);
         assert_eq!(d.count(Kmer::from_bases(b"ACAC").unwrap()), 0);
+    }
+
+    #[test]
+    fn adopted_and_rebuilt_tables_agree() {
+        // Canonical + already filtered: adopted. Non-canonical or holding
+        // sub-threshold k-mers: rebuilt. Same dictionary either way.
+        let reads: [&[u8]; 2] = [b"AAAAAACGTTTTGGCA", b"TGCCAAAACG"];
+        let adopted = dict_of(&reads, 5, 1);
+        let plain = count_kmers(
+            &reads,
+            CounterConfig {
+                canonical: false,
+                ..CounterConfig::new(5)
+            },
+        );
+        let rebuilt = Dictionary::from_counts(plain, 1);
+        let order = |d: &Dictionary| d.iter_by_abundance().collect::<Vec<_>>();
+        assert_eq!(order(&adopted), order(&rebuilt));
+        let mut filtered = count_kmers(&reads, CounterConfig::new(5));
+        filtered.retain_min(2);
+        assert_eq!(
+            order(&Dictionary::from_counts(filtered, 2)),
+            order(&dict_of(&reads, 5, 2))
+        );
+        // The table goes back out as it is held.
+        let back = dict_of(&reads, 5, 2).into_counts();
+        assert_eq!(back.len(), dict_of(&reads, 5, 2).len());
+        assert!(back.iter().all(|(_, c)| c >= 2));
     }
 
     #[test]

@@ -1,16 +1,21 @@
-//! Sharded parallel k-mer counting.
+//! Owner-routed parallel k-mer counting.
 //!
 //! Jellyfish's core trick is a hash table specialised for packed k-mers;
-//! we reproduce the behaviour with [`kmertable`]'s open-addressing tables:
-//! a sharded concurrent table (one lock per shard, keys spread by the high
-//! bits of a multiplicative hash) counted over reads in parallel, merged
-//! into an owned, queryable [`PackedKmerTable`]. Compared to the original
-//! std-HashMap implementation this removes SipHash and per-entry boxing
-//! from the hottest loop of the whole pipeline.
+//! we reproduce the behaviour with [`kmertable`]'s open-addressing tables.
+//! The count itself is an owner-routed build ([`crate::routed`]): workers
+//! roll canonical k-mers off read batches and route each to its owner,
+//! owners count what they receive into their own [`PackedKmerTable`], and
+//! the disjoint owner tables are concatenated into one owned, queryable
+//! table — no SipHash, no per-entry boxing, no per-read staging table, no
+//! lock on the counting path and no merge of partial counts.
 
-use kmertable::{PackedKmerTable, ShardedKmerTable};
+use kmertable::{Owners, PackedKmerTable, ShardedKmerTable};
+use omp::{Pool, Team};
+use seqio::error::Result;
 use seqio::kmer::Kmer;
 use seqio::packed::PackedSeq;
+
+use crate::routed::{routed_build, OWNERS};
 
 /// Configuration for a counting pass.
 #[derive(Debug, Clone, Copy)]
@@ -22,7 +27,8 @@ pub struct CounterConfig {
     pub canonical: bool,
     /// Worker threads for the counting pass.
     pub threads: usize,
-    /// Number of shards (power of two recommended).
+    /// Number of owners the k-mer space is partitioned into (rounded up to
+    /// a power of two).
     pub shards: usize,
 }
 
@@ -33,7 +39,7 @@ impl CounterConfig {
             k,
             canonical: true,
             threads: 1,
-            shards: 64,
+            shards: OWNERS,
         }
     }
 }
@@ -54,8 +60,14 @@ impl KmerCounts {
         }
     }
 
-    pub(crate) fn from_table(k: usize, counts: PackedKmerTable) -> Self {
+    /// Wrap a table of packed `k`-mers and their counts.
+    pub fn from_table(k: usize, counts: PackedKmerTable) -> Self {
         KmerCounts { k, counts }
+    }
+
+    /// The underlying packed k-mer → count table.
+    pub fn into_table(self) -> PackedKmerTable {
+        self.counts
     }
 
     /// Word size.
@@ -123,6 +135,9 @@ impl KmerCounts {
 
     /// Remove k-mers with count below `min`, returning how many were removed.
     pub fn retain_min(&mut self, min: u32) -> usize {
+        if self.counts.iter().all(|(_, c)| c >= min) {
+            return 0; // nothing to drop: keep the table as built
+        }
         let before = self.counts.len();
         self.counts.retain(|_, c| c >= min);
         before - self.counts.len()
@@ -148,39 +163,58 @@ impl KmerCounts {
     }
 }
 
-/// Count all k-mers of pre-encoded reads per `cfg` — the pipeline's hot
-/// path. Runs the counting loop over the configured worker threads; each
-/// worker stages counts in a thread-local [`PackedKmerTable`] and flushes
-/// into the sharded table, which groups the flush per shard so every lock
-/// is taken once per read. Canonical windows are rolled incrementally
-/// (O(1)/base), never reconstructed per window.
+/// Reads per routed batch: the unit a worker rolls and routes at a time.
+const READ_BATCH: usize = 256;
+
+/// Every k-mer of `read` per `cfg`, as a packed word — the one rolling
+/// loop under the in-memory count and DSK's spill pass. Canonical windows
+/// are rolled incrementally (O(1)/base), never reconstructed per window.
+pub(crate) fn for_each_kmer(
+    read: &PackedSeq,
+    cfg: &CounterConfig,
+    mut emit: impl FnMut(u64),
+) -> Result<()> {
+    if cfg.canonical {
+        read.canonical_kmers(cfg.k)?
+            .for_each(|(_, km)| emit(km.packed()));
+    } else {
+        read.kmers(cfg.k)?.for_each(|(_, km)| emit(km.packed()));
+    }
+    Ok(())
+}
+
+/// Count all k-mers of pre-encoded reads per `cfg` on `team` — the routed
+/// build with `cfg.shards` owners; `cfg.threads` is not consulted, the
+/// team is the workers. The pipeline passes an [`omp::CostedTeam`], which
+/// ends up holding the virtual cost of both loops and of the concatenation
+/// (the build's only serial section). A word size outside `1..=32` counts
+/// nothing.
+pub fn count_kmers_on(reads: &[PackedSeq], cfg: CounterConfig, team: &mut impl Team) -> KmerCounts {
+    let batches: Vec<&[PackedSeq]> = reads.chunks(READ_BATCH).collect();
+    let owners = vec![PackedKmerTable::new(); Owners::new(cfg.shards).count()];
+    let owners = routed_build(
+        &batches,
+        owners,
+        team,
+        |batch, router| {
+            for read in *batch {
+                let _ = for_each_kmer(read, &cfg, |key| router.push(key, ()));
+            }
+        },
+        |table, routed| {
+            for &(key, ()) in routed {
+                table.add(key, 1);
+            }
+        },
+    );
+    let merged = team.serial(|| ShardedKmerTable::from_shards(owners).into_merged());
+    KmerCounts::from_table(cfg.k, merged)
+}
+
+/// Count all k-mers of pre-encoded reads per `cfg`: [`count_kmers_on`] a
+/// pool of `cfg.threads` OS threads.
 pub fn count_kmers_packed(reads: &[PackedSeq], cfg: CounterConfig) -> KmerCounts {
-    let shared = ShardedKmerTable::new(cfg.shards.max(1));
-
-    omp::parallel_map(reads, cfg.threads, |read| {
-        // Small thread-local staging buffer cuts lock traffic.
-        let mut local = PackedKmerTable::new();
-        if cfg.canonical {
-            let iter = match read.canonical_kmers(cfg.k) {
-                Ok(it) => it,
-                Err(_) => return,
-            };
-            for (_, km) in iter {
-                local.add(km.packed(), 1);
-            }
-        } else {
-            let iter = match read.kmers(cfg.k) {
-                Ok(it) => it,
-                Err(_) => return,
-            };
-            for (_, km) in iter {
-                local.add(km.packed(), 1);
-            }
-        }
-        shared.absorb(&local);
-    });
-
-    KmerCounts::from_table(cfg.k, shared.into_merged())
+    count_kmers_on(reads, cfg, &mut Pool::new(cfg.threads))
 }
 
 /// Count all k-mers of byte-sequence `reads` per `cfg`.

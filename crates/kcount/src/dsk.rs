@@ -3,27 +3,32 @@
 //! The paper (§II-A) points at DSK \[20\] — "k-mer counting with very low
 //! memory usage" — as the alternative to Jellyfish's large in-memory
 //! table, and lists memory-footprint reduction as future work (§VI). This
-//! module implements the DSK idea: k-mers are hashed into `P` partition
-//! files on disk in a streaming pass, then each partition is counted
-//! independently, so peak memory is bounded by the largest partition
-//! (≈ `1/P` of the spectrum) instead of the whole table.
+//! module implements the DSK idea as a configuration of the owner-routed
+//! build ([`crate::routed`]): a partition is an owner, the routing
+//! function is the same [`Owners::of`], and the only difference is the
+//! sink — pass 1 routes each k-mer to its owner's *file* instead of a
+//! memory buffer, pass 2 is the owner-local count of one file at a time.
+//! Peak memory is bounded by the largest partition (≈ `1/P` of the
+//! spectrum) instead of the whole table.
 
 use std::fs::File;
 use std::io::{BufReader, BufWriter, Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use kmertable::{Owners, PackedKmerTable, ShardedKmerTable};
 use seqio::error::{Error, Result};
+use seqio::kmer::Kmer;
 use seqio::packed::PackedSeq;
 
-use crate::counter::{CounterConfig, KmerCounts};
+use crate::counter::{for_each_kmer, CounterConfig, KmerCounts};
 
 /// Configuration of a disk-partitioned counting pass.
 #[derive(Debug, Clone)]
 pub struct DskConfig {
     /// Base counting parameters (k, canonical).
     pub counter: CounterConfig,
-    /// Number of disk partitions.
+    /// Number of disk partitions (owners; rounded up to a power of two).
     pub partitions: usize,
     /// Directory for the temporary partition files.
     pub work_dir: PathBuf,
@@ -74,97 +79,72 @@ impl Drop for SpillDir {
     }
 }
 
-#[inline]
-fn partition_of(packed: u64, partitions: usize) -> usize {
-    ((packed.wrapping_mul(0xD6E8_FEB8_6659_FD93)) >> 33) as usize % partitions
-}
-
 /// Count k-mers with bounded memory via disk partitioning.
 ///
 /// Pass 1 streams every read and appends each (canonical) packed k-mer to
-/// its partition file; pass 2 loads one partition at a time, counts it,
-/// and folds it into the result. The fold makes the *returned* table
-/// full-size (convenient for comparison); a production caller would
-/// consume partitions one at a time and never hold the union — the
-/// `max_partition_distinct` field reports the memory bound that caller
-/// would see.
+/// its owner's partition file; pass 2 loads one partition at a time and
+/// counts it owner-locally. The owner tables are then concatenated, which
+/// makes the *returned* table full-size (convenient for comparison); a
+/// production caller would consume partitions one at a time and never
+/// hold the union — the `max_partition_distinct` field reports the memory
+/// bound that caller would see.
 pub fn count_kmers_dsk<S: AsRef<[u8]>>(reads: &[S], cfg: &DskConfig) -> Result<DskOutcome> {
-    let partitions = cfg.partitions.max(1);
-    let k = cfg.counter.k;
+    let owners = Owners::new(cfg.partitions);
     let spill_dir = SpillDir::create(&cfg.work_dir)?;
-    let paths: Vec<PathBuf> = (0..partitions)
+    let paths: Vec<PathBuf> = (0..owners.count())
         .map(|p| spill_dir.0.join(format!("{p}.part")))
         .collect();
 
-    // Pass 1: spill packed k-mers to their partitions.
+    // Pass 1: route packed k-mers to their owners' files.
     let mut spilled = 0u64;
     {
         let mut writers: Vec<BufWriter<File>> = paths
             .iter()
             .map(|p| Ok(BufWriter::new(File::create(p)?)))
             .collect::<Result<_>>()?;
+        let mut written = Ok(());
         for read in reads {
             // Encode once, then roll: the spill pass touches each base a
             // single time even in canonical mode.
             let packed = PackedSeq::from_bytes(read.as_ref());
-            if cfg.counter.canonical {
-                spill(
-                    packed.canonical_kmers(k)?,
-                    &mut writers,
-                    partitions,
-                    &mut spilled,
-                )?;
-            } else {
-                spill(packed.kmers(k)?, &mut writers, partitions, &mut spilled)?;
-            }
+            for_each_kmer(&packed, &cfg.counter, |key| {
+                if written.is_ok() {
+                    written = writers[owners.of(key)].write_all(&key.to_le_bytes());
+                    spilled += 1;
+                }
+            })?;
         }
+        written?;
         for w in &mut writers {
             w.flush()?;
         }
     }
 
     // Pass 2: count one partition at a time.
-    let mut merged = KmerCounts::empty(k);
-    let mut max_partition_distinct = 0usize;
-    for path in &paths {
-        let part = count_partition(path, k)?;
-        max_partition_distinct = max_partition_distinct.max(part.len());
-        for (km, c) in part.iter() {
-            merged.add(km, c);
-        }
-    }
+    let parts: Vec<PackedKmerTable> = paths
+        .iter()
+        .map(|path| count_partition(path, cfg.counter.k))
+        .collect::<Result<_>>()?;
+    let max_partition_distinct = parts.iter().map(|p| p.len()).max().unwrap_or(0);
+    let merged = ShardedKmerTable::from_shards(parts).into_merged();
     Ok(DskOutcome {
-        counts: merged,
+        counts: KmerCounts::from_table(cfg.counter.k, merged),
         max_partition_distinct,
         spilled_kmers: spilled,
     })
 }
 
-fn spill<I: Iterator<Item = (usize, seqio::kmer::Kmer)>>(
-    iter: I,
-    writers: &mut [BufWriter<File>],
-    partitions: usize,
-    spilled: &mut u64,
-) -> Result<()> {
-    for (_, km) in iter {
-        let packed = km.packed();
-        writers[partition_of(packed, partitions)].write_all(&packed.to_le_bytes())?;
-        *spilled += 1;
-    }
-    Ok(())
-}
-
-fn count_partition(path: &Path, k: usize) -> Result<KmerCounts> {
-    let mut counts = KmerCounts::empty(k);
+/// The owner-local count of one partition file.
+fn count_partition(path: &Path, k: usize) -> Result<PackedKmerTable> {
+    let mut counts = PackedKmerTable::new();
     let mut r = BufReader::new(File::open(path)?);
     let mut buf = [0u8; 8];
     loop {
         match r.read_exact(&mut buf) {
             Ok(()) => {
-                let packed = u64::from_le_bytes(buf);
-                let km = seqio::kmer::Kmer::from_packed(packed, k)
+                let km = Kmer::from_packed(u64::from_le_bytes(buf), k)
                     .map_err(|_| Error::Format("corrupt partition file".into()))?;
-                counts.add(km, 1);
+                counts.add(km.packed(), 1);
             }
             Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => break,
             Err(e) => return Err(e.into()),

@@ -5,7 +5,9 @@
 //! counts to (very large) text files that Inchworm then ingests. This crate
 //! reproduces that role:
 //!
-//! * [`counter`] — sharded parallel counting over a read set;
+//! * [`routed`] — the owner-routed table build every k-mer-keyed table of
+//!   the pipeline goes through (route → owner-local absorb, in rounds);
+//! * [`counter`] — parallel counting over a read set, as a routed build;
 //! * [`dump`] — the text dump/load format (k-mer, count per line) standing
 //!   in for `jellyfish count | jellyfish dump`;
 //! * [`filter`] — minimum-abundance filtering of likely error k-mers plus
@@ -18,6 +20,7 @@ pub mod counter;
 pub mod dsk;
 pub mod dump;
 pub mod filter;
+pub mod routed;
 
 pub use counter::{count_kmers, CounterConfig, KmerCounts};
 pub use dsk::{count_kmers_dsk, DskConfig, DskOutcome};

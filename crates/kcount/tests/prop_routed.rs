@@ -1,0 +1,115 @@
+//! Property test: the owner-routed count must equal a `HashMap` reference
+//! and the counter it replaced — one staging table per read, absorbed into
+//! a lock-per-shard table — whatever the owner count, the worker count and
+//! the round size, on reads with `N`s, reads shorter than k, empty reads
+//! and empty input, canonical or not.
+
+use std::collections::HashMap;
+
+use kcount::counter::{count_kmers_on, CounterConfig, KmerCounts};
+use kmertable::{PackedKmerTable, ShardedKmerTable};
+use omp::{Pool, Team};
+use proptest::prelude::*;
+use seqio::packed::PackedSeq;
+
+/// A pool whose rounds are `round` batches long instead of one batch per
+/// worker: the result of a routed build must not depend on it.
+struct Rounds {
+    pool: Pool,
+    round: usize,
+}
+
+impl Team for Rounds {
+    fn threads(&self) -> usize {
+        self.round
+    }
+
+    fn map<T: Sync, R: Send>(&mut self, items: &[T], f: impl Fn(&T) -> R + Sync) -> Vec<R> {
+        Team::map(&mut self.pool, items, f)
+    }
+}
+
+/// The counter this PR replaced, kept as a reference: a fresh staging
+/// table per read, flushed into the sharded table under its shard locks.
+fn count_per_read_absorb(reads: &[PackedSeq], cfg: CounterConfig) -> KmerCounts {
+    let shared = ShardedKmerTable::new(cfg.shards);
+    omp::parallel_map(reads, cfg.threads, |read| {
+        let mut local = PackedKmerTable::new();
+        if cfg.canonical {
+            for (_, km) in read.canonical_kmers(cfg.k).into_iter().flatten() {
+                local.add(km.packed(), 1);
+            }
+        } else {
+            for (_, km) in read.kmers(cfg.k).into_iter().flatten() {
+                local.add(km.packed(), 1);
+            }
+        }
+        shared.absorb(&local);
+    });
+    KmerCounts::from_table(cfg.k, shared.into_merged())
+}
+
+fn count_by_hashmap(reads: &[PackedSeq], cfg: CounterConfig) -> HashMap<u64, u32> {
+    let mut model = HashMap::new();
+    for read in reads {
+        let windows = read.kmers(cfg.k).into_iter().flatten();
+        for (_, km) in windows {
+            let km = if cfg.canonical { km.canonical() } else { km };
+            *model.entry(km.packed()).or_insert(0) += 1;
+        }
+    }
+    model
+}
+
+/// Reads over a 2-letter-heavy alphabet (so k-mers repeat), some with `N`
+/// runs, some shorter than any k used, some empty; enough of them to span
+/// several 256-read batches.
+fn reads() -> impl Strategy<Value = Vec<Vec<u8>>> {
+    let base = prop_oneof![
+        Just(b'A'),
+        Just(b'A'),
+        Just(b'C'),
+        Just(b'C'),
+        Just(b'G'),
+        Just(b'T'),
+        Just(b'N')
+    ];
+    let read = prop_oneof![
+        proptest::collection::vec(base, 0..40),
+        Just(Vec::new()),
+        Just(b"TTTTTTTTTTTTTTTTTTTTTTTTTTTTTTTTTTTT".to_vec()),
+    ];
+    prop_oneof![proptest::collection::vec(read, 0..900), Just(Vec::new()),]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn routed_count_matches_hashmap_and_per_read_absorb(
+        reads in reads(),
+        k in prop_oneof![Just(5usize), Just(11), Just(32)],
+        canonical in any::<bool>(),
+    ) {
+        let packed: Vec<PackedSeq> = reads.iter().map(|r| PackedSeq::from_bytes(r)).collect();
+        let base = CounterConfig { k, canonical, threads: 1, shards: 1 };
+        let model = count_by_hashmap(&packed, base);
+        let reference = count_per_read_absorb(&packed, CounterConfig { threads: 2, shards: 8, ..base });
+        prop_assert_eq!(reference.len(), model.len());
+        for shards in [1usize, 2, 8, 64] {
+            for workers in [1usize, 3] {
+                for round in [1usize, usize::MAX] {
+                    let cfg = CounterConfig { threads: workers, shards, ..base };
+                    let mut team = Rounds { pool: Pool::new(workers), round };
+                    let routed = count_kmers_on(&packed, cfg, &mut team);
+                    prop_assert_eq!(routed.len(), model.len(),
+                        "owners {} workers {} round {}", shards, workers, round);
+                    for (&key, &n) in &model {
+                        prop_assert_eq!(routed.get_packed(key), n);
+                        prop_assert_eq!(reference.get_packed(key), n);
+                    }
+                }
+            }
+        }
+    }
+}

@@ -19,11 +19,11 @@
 //!   in its hot loops; deletion (`retain`) rebuilds, which the abundance
 //!   filter does once, off the hot path.
 //!
-//! [`PackedKmerTable`] is the single-threaded table; [`ShardedKmerTable`]
-//! wraps `S` of them behind per-shard locks for the parallel counting pass
-//! (shard chosen by the *high* hash bits, slot by the *low* bits, so the
-//! two decisions never correlate); [`PackedWeldSet`] is the same layout
-//! over `u128` keys for ≤63-base weld windows.
+//! [`PackedKmerTable`] is the single-threaded table; [`Owners`] partitions
+//! the key space for owner-routed builds and [`ShardedKmerTable`] holds one
+//! table per owner (owner chosen by the *high* hash bits, slot by the *low*
+//! bits, so the two decisions never correlate); [`PackedWeldSet`] is the
+//! same layout over `u128` keys for ≤63-base weld windows.
 
 #![warn(missing_docs)]
 
@@ -32,7 +32,7 @@ pub mod sharded;
 pub mod table;
 
 pub use set::PackedWeldSet;
-pub use sharded::ShardedKmerTable;
+pub use sharded::{Owners, ShardedKmerTable};
 pub use table::PackedKmerTable;
 
 /// Mix all bits of a packed k-mer into a table hash.

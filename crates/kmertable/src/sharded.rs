@@ -1,18 +1,59 @@
-//! The concurrent counting table: per-shard locks over [`PackedKmerTable`]s.
+//! The owner-partitioned table: the key space split over `S` owners, each
+//! a plain [`PackedKmerTable`].
 
 use parking_lot::Mutex;
 
 use crate::mix64;
 use crate::table::PackedKmerTable;
 
-/// A sharded concurrent k-mer table for the parallel counting pass.
+/// The owner partition of the packed-k-mer key space: `2^bits` owners, a
+/// key's owner being the *top* bits of [`mix64`]. A table picks its slot
+/// from the *low* bits of the same hash, so which owner holds a key says
+/// nothing about where it probes inside that owner's table — an owner's
+/// keys spread over its slots as evenly as the whole key set would.
 ///
-/// Keys are spread over `S` shards by the *high* bits of the same
-/// multiplicative hash whose *low* bits pick the slot inside a shard, so
-/// shard choice and probe position never correlate. Each shard is a plain
-/// [`PackedKmerTable`] behind a mutex; worker threads stage counts in a
-/// thread-local table and flush with [`absorb`](Self::absorb), which sorts
-/// the staged entries by shard and takes each lock exactly once.
+/// This is the routing function of every owner-routed build (in memory,
+/// to DSK's partition files, and — the unit a later `alltoallv` would
+/// distribute — across ranks).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Owners {
+    bits: u32,
+}
+
+impl Owners {
+    /// A partition into `owners` owners (rounded up to a power of two,
+    /// min 1).
+    pub fn new(owners: usize) -> Self {
+        Owners {
+            bits: owners.max(1).next_power_of_two().trailing_zeros(),
+        }
+    }
+
+    /// Number of owners (a power of two).
+    pub fn count(self) -> usize {
+        1 << self.bits
+    }
+
+    /// Owner of `key`.
+    #[inline(always)]
+    pub fn of(self, key: u64) -> usize {
+        if self.bits == 0 {
+            0
+        } else {
+            (mix64(key) >> (64 - self.bits)) as usize
+        }
+    }
+}
+
+/// A k-mer table partitioned over [`Owners`], each shard a plain
+/// [`PackedKmerTable`] behind a mutex.
+///
+/// Two ways in: an owner-routed build hands over finished, disjoint owner
+/// tables ([`from_shards`](Self::from_shards)) and never takes a lock;
+/// concurrent writers that have not routed their keys use
+/// [`add`](Self::add) / [`absorb`](Self::absorb), one lock per call or per
+/// touched shard. Either way [`into_merged`](Self::into_merged)
+/// concatenates the shards into one table sized once for the total.
 ///
 /// # Examples
 ///
@@ -35,17 +76,27 @@ use crate::table::PackedKmerTable;
 #[derive(Debug)]
 pub struct ShardedKmerTable {
     shards: Vec<Mutex<PackedKmerTable>>,
-    shard_bits: u32,
+    owners: Owners,
 }
 
 impl ShardedKmerTable {
     /// A table with `shards` shards (rounded up to a power of two, min 1).
     pub fn new(shards: usize) -> Self {
-        let n = shards.max(1).next_power_of_two();
-        ShardedKmerTable {
-            shards: (0..n).map(|_| Mutex::new(PackedKmerTable::new())).collect(),
-            shard_bits: n.trailing_zeros(),
-        }
+        let owners = Owners::new(shards);
+        Self::from_shards((0..owners.count()).map(|_| PackedKmerTable::new()))
+    }
+
+    /// Adopt owner tables built elsewhere: table `i` must hold exactly the
+    /// keys `Owners::new(n).of(key) == i` of an `n`-owner partition.
+    ///
+    /// # Panics
+    ///
+    /// If the number of tables is not a power of two.
+    pub fn from_shards(tables: impl IntoIterator<Item = PackedKmerTable>) -> Self {
+        let shards: Vec<_> = tables.into_iter().map(Mutex::new).collect();
+        let owners = Owners::new(shards.len());
+        assert_eq!(owners.count(), shards.len(), "one table per owner");
+        ShardedKmerTable { shards, owners }
     }
 
     /// Number of shards (a power of two).
@@ -53,14 +104,10 @@ impl ShardedKmerTable {
         self.shards.len()
     }
 
-    /// Shard index of a key: the top `shard_bits` of the mixed hash.
+    /// Shard index of a key: its owner under [`Owners`].
     #[inline(always)]
     pub fn shard_of(&self, key: u64) -> usize {
-        if self.shard_bits == 0 {
-            0
-        } else {
-            (mix64(key) >> (64 - self.shard_bits)) as usize
-        }
+        self.owners.of(key)
     }
 
     /// Add `delta` to `key`'s count (locks one shard).
@@ -138,26 +185,19 @@ impl ShardedKmerTable {
             });
     }
 
-    /// Merge all shards into one owned table. Shards are disjoint by
-    /// construction, so this is a move of each entry, not a re-count.
+    /// Concatenate all shards into one owned table, sized once for the
+    /// total. Shards are disjoint by construction, so every entry is moved
+    /// exactly once and nothing is re-counted or rehashed twice.
     pub fn into_merged(self) -> PackedKmerTable {
-        let mut shards = self.shards.into_iter().map(Mutex::into_inner);
-        let Some(mut merged) = shards.next() else {
-            return PackedKmerTable::new();
-        };
+        let mut shards: Vec<PackedKmerTable> =
+            self.shards.into_iter().map(Mutex::into_inner).collect();
+        if shards.len() == 1 {
+            return shards.remove(0);
+        }
+        let mut merged = PackedKmerTable::with_capacity(shards.iter().map(|s| s.len()).sum());
         for shard in shards {
-            if merged.len() < shard.len() {
-                let big = shard;
-                let small = std::mem::replace(&mut merged, big);
-                merged.reserve(small.len());
-                for (k, v) in small.iter() {
-                    merged.insert(k, v);
-                }
-            } else {
-                merged.reserve(shard.len());
-                for (k, v) in shard.iter() {
-                    merged.insert(k, v);
-                }
+            for (k, v) in shard.iter() {
+                merged.insert(k, v);
             }
         }
         merged
@@ -221,6 +261,27 @@ mod tests {
         for k in 0..2000u64 {
             assert_eq!(t.get(k), Some(4), "key {k}");
         }
+    }
+
+    #[test]
+    fn adopted_shards_answer_like_built_ones() {
+        let owners = Owners::new(8);
+        let mut tables = vec![PackedKmerTable::new(); owners.count()];
+        for k in (0..3000u64).chain([u64::MAX]) {
+            tables[owners.of(k)].add(k, 2);
+        }
+        let t = ShardedKmerTable::from_shards(tables);
+        assert_eq!(t.len(), 3001);
+        assert_eq!(t.get(17), Some(2));
+        assert_eq!(t.get(u64::MAX), Some(2));
+        let merged = t.into_merged();
+        assert_eq!(merged.len(), 3001);
+        // Sized once: the concatenation never grew past the first allocation.
+        assert_eq!(
+            merged.capacity(),
+            PackedKmerTable::with_capacity(3001).capacity()
+        );
+        assert!((0..3000u64).all(|k| merged.get(k) == Some(2)));
     }
 
     #[test]

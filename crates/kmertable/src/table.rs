@@ -113,18 +113,50 @@ impl PackedKmerTable {
     /// Value of `key`, if present.
     #[inline(always)]
     pub fn get(&self, key: u64) -> Option<u32> {
+        self.find(key).map(|(_, v)| v)
+    }
+
+    /// Slot and value of `key`, if present — one probe answers both "what
+    /// is its value" and "where does a caller's per-key side data live".
+    /// Slots are stable until the next insert of a new key and lie in
+    /// `0..=capacity()`: the out-of-line all-T 32-mer owns slot
+    /// `capacity()`, so side arrays hold `capacity() + 1` entries.
+    #[inline(always)]
+    pub fn find(&self, key: u64) -> Option<(usize, u32)> {
         if key == EMPTY {
-            return self.max_key;
+            return self.max_key.map(|v| (self.keys.len(), v));
         }
         if self.keys.is_empty() {
             return None;
         }
         let i = self.probe(key);
-        if self.keys[i] == key {
-            Some(self.vals[i])
-        } else {
-            None
+        (self.keys[i] == key).then(|| (i, self.vals[i]))
+    }
+
+    /// [`find`](Self::find) for several keys at once. The home slots of all
+    /// keys are read before any is examined, so their cache misses overlap
+    /// instead of queueing behind each other's probe loops — what a walk
+    /// that looks up every neighbour of a k-mer per step is bound by once
+    /// the table outgrows the cache.
+    #[inline]
+    pub fn find_each<const N: usize>(&self, keys: [u64; N]) -> [Option<(usize, u32)>; N] {
+        if self.keys.is_empty() {
+            return keys.map(|key| self.find(key));
         }
+        let homes = keys.map(|key| (mix64(key) as usize) & self.mask);
+        let firsts = homes.map(|i| (self.keys[i], self.vals[i]));
+        std::array::from_fn(|j| {
+            let (key, (first, val)) = (keys[j], firsts[j]);
+            if key == EMPTY {
+                self.find(key)
+            } else if first == key {
+                Some((homes[j], val))
+            } else if first == EMPTY {
+                None
+            } else {
+                self.find(key)
+            }
+        })
     }
 
     /// Insert `key → val`, returning the previous value if any.
@@ -184,7 +216,8 @@ impl PackedKmerTable {
     }
 
     /// Keep the minimum of the stored value and `val` (insert if absent) —
-    /// the cross-batch merge rule for first-claim component ids.
+    /// first-claim component ids as an order-independent rule: whatever
+    /// order the claims arrive in, the smallest id keeps the k-mer.
     pub fn update_min(&mut self, key: u64, val: u32) {
         if key == EMPTY {
             let cur = self.max_key.unwrap_or(u32::MAX);
@@ -226,12 +259,19 @@ impl PackedKmerTable {
 
     /// Iterate `(packed key, value)` in unspecified order.
     pub fn iter(&self) -> impl Iterator<Item = (u64, u32)> + '_ {
+        self.iter_slots().map(|(_, k, v)| (k, v))
+    }
+
+    /// Iterate `(slot, packed key, value)` in slot order — each entry with
+    /// the slot [`find`](Self::find) reports for its key.
+    pub fn iter_slots(&self) -> impl Iterator<Item = (usize, u64, u32)> + '_ {
         self.keys
             .iter()
             .zip(&self.vals)
-            .filter(|(&k, _)| k != EMPTY)
-            .map(|(&k, &v)| (k, v))
-            .chain(self.max_key.map(|v| (EMPTY, v)))
+            .enumerate()
+            .filter(|(_, (&k, _))| k != EMPTY)
+            .map(|(i, (&k, &v))| (i, k, v))
+            .chain(self.max_key.map(|v| (self.keys.len(), EMPTY, v)))
     }
 
     /// Fraction of allocated slots occupied, in `[0, 0.5]` by the load cap
@@ -459,6 +499,49 @@ mod tests {
         assert_eq!(snap.gauge("tbl.load_factor"), Some(t.load_factor()));
         // The probe-length histogram intentionally accumulates samples.
         assert_eq!(snap.histogram("tbl.probe_len").unwrap().count, 2000);
+    }
+
+    #[test]
+    fn find_returns_distinct_stable_slots() {
+        let mut t = PackedKmerTable::with_capacity(100);
+        for k in (0..100u64).chain([u64::MAX]) {
+            t.insert(k, k as u32);
+        }
+        let mut slots: Vec<usize> = (0..100u64)
+            .chain([u64::MAX])
+            .map(|k| {
+                let (slot, v) = t.find(k).unwrap();
+                assert_eq!(v, k as u32);
+                slot
+            })
+            .collect();
+        assert_eq!(t.find(u64::MAX).unwrap().0, t.capacity());
+        slots.sort_unstable();
+        slots.dedup();
+        assert_eq!(slots.len(), 101);
+        assert!(slots.iter().all(|&s| s <= t.capacity()));
+        assert_eq!(t.find(1000), None);
+        assert_eq!(PackedKmerTable::new().find(u64::MAX), None);
+    }
+
+    #[test]
+    fn find_each_agrees_with_find() {
+        // Dense small keys collide into probe chains; the sentinel key and
+        // absent keys take the other two exits.
+        let mut t = PackedKmerTable::new();
+        assert_eq!(t.find_each([3, u64::MAX]), [None, None]);
+        for k in (0..400u64).chain([u64::MAX]) {
+            t.insert(k.wrapping_mul(3), k as u32);
+        }
+        for base in 0..1200u64 {
+            let keys = [
+                base,
+                base + 1,
+                u64::MAX,
+                base.wrapping_mul(0x9E37_79B9_7F4A_7C15),
+            ];
+            assert_eq!(t.find_each(keys), keys.map(|k| t.find(k)));
+        }
     }
 
     #[test]

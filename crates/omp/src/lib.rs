@@ -24,6 +24,6 @@ pub mod makespan;
 pub mod pool;
 pub mod schedule;
 
-pub use makespan::{costed_loop, simulate_loop, LoopSim};
-pub use pool::{parallel_map, parallel_map_timed, Pool};
+pub use makespan::{costed_loop, simulate_loop, CostedTeam, LoopSim};
+pub use pool::{parallel_map, parallel_map_timed, Pool, Team};
 pub use schedule::{chunk_sequence, Schedule};

@@ -8,7 +8,9 @@
 //! up front. The result is a per-thread busy-time vector and the loop
 //! makespan, computable for any thread count on any host.
 
-use crate::pool::parallel_map_timed;
+use std::time::Instant;
+
+use crate::pool::{parallel_map_timed, Team};
 use crate::schedule::{chunk_sequence, static_owner, Chunk, Schedule};
 
 /// Outcome of replaying one loop.
@@ -25,6 +27,29 @@ pub struct LoopSim {
 }
 
 impl LoopSim {
+    /// The replay of no loop at all on `threads` threads — the identity of
+    /// [`then`](Self::then).
+    pub fn idle(threads: usize) -> Self {
+        LoopSim {
+            thread_busy: vec![0.0; threads.max(1)],
+            makespan: 0.0,
+            serial_time: 0.0,
+            chunks: 0,
+        }
+    }
+
+    /// Run `next` after this loop on the same team, a barrier in between:
+    /// makespans, busy times, serial time and chunks add.
+    pub fn then(&mut self, next: &LoopSim) {
+        debug_assert_eq!(self.thread_busy.len(), next.thread_busy.len());
+        for (busy, more) in self.thread_busy.iter_mut().zip(&next.thread_busy) {
+            *busy += more;
+        }
+        self.makespan += next.makespan;
+        self.serial_time += next.serial_time;
+        self.chunks += next.chunks;
+    }
+
     /// Parallel efficiency: `serial / (threads * makespan)`, in (0, 1].
     pub fn efficiency(&self) -> f64 {
         if self.makespan == 0.0 {
@@ -138,6 +163,49 @@ pub fn costed_loop<T, R>(
     (results, simulate_loop(&costs, threads, schedule))
 }
 
+/// A [`Team`] on the virtual clock: every loop is a [`costed_loop`], every
+/// serial section is measured and lands on thread 0, and `sim` is the
+/// replay of all of it in program order — what a multi-loop parallel region
+/// (route, barrier, count, barrier, …, concatenate) charges as one figure.
+#[derive(Debug, Clone)]
+pub struct CostedTeam {
+    schedule: Schedule,
+    /// Everything run on this team so far.
+    pub sim: LoopSim,
+}
+
+impl CostedTeam {
+    /// A team of `threads` workers scheduling its loops by `schedule`.
+    pub fn new(threads: usize, schedule: Schedule) -> Self {
+        CostedTeam {
+            schedule,
+            sim: LoopSim::idle(threads),
+        }
+    }
+}
+
+impl Team for CostedTeam {
+    fn threads(&self) -> usize {
+        self.sim.thread_busy.len()
+    }
+
+    fn map<T: Sync, R: Send>(&mut self, items: &[T], f: impl Fn(&T) -> R + Sync) -> Vec<R> {
+        let (results, sim) = costed_loop(items, self.threads(), self.schedule, f);
+        self.sim.then(&sim);
+        results
+    }
+
+    fn serial<R>(&mut self, f: impl FnOnce() -> R) -> R {
+        let t0 = Instant::now();
+        let result = f();
+        let cost = t0.elapsed().as_secs_f64();
+        self.sim.thread_busy[0] += cost;
+        self.sim.makespan += cost;
+        self.sim.serial_time += cost;
+        result
+    }
+}
+
 /// Replay a list of pre-assigned chunk groups (e.g. the chunked round-robin
 /// MPI distribution): each group is one rank's chunk list; within a rank the
 /// chunks' items are further scheduled over `threads` OpenMP threads with
@@ -175,6 +243,42 @@ fn earliest(busy: &[f64]) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn costed_team_adds_loops_and_serial_sections() {
+        let mut team = CostedTeam::new(4, Schedule::Dynamic { chunk: 1 });
+        assert_eq!(team.threads(), 4);
+        let doubled = team.map(&[1u32, 2, 3, 4, 5, 6, 7, 8], |&x| x * 2);
+        assert_eq!(doubled, vec![2, 4, 6, 8, 10, 12, 14, 16]);
+        let after_loop = team.sim.clone();
+        assert_eq!(after_loop.chunks, 8);
+        assert!(after_loop.makespan <= after_loop.serial_time);
+        let spun = team.serial(|| {
+            let t0 = Instant::now();
+            while t0.elapsed().as_secs_f64() < 1e-4 {}
+            7
+        });
+        assert_eq!(spun, 7);
+        // The serial section extends the makespan by its whole duration.
+        let serial = team.sim.makespan - after_loop.makespan;
+        assert!(serial >= 1e-4);
+        assert!((team.sim.serial_time - after_loop.serial_time - serial).abs() < 1e-12);
+        assert!((team.sim.thread_busy[0] - after_loop.thread_busy[0] - serial).abs() < 1e-12);
+        assert_eq!(team.sim.thread_busy[1], after_loop.thread_busy[1]);
+    }
+
+    #[test]
+    fn then_is_additive_with_idle_as_identity() {
+        let a = simulate_loop(&[3.0, 1.0, 2.0], 2, Schedule::Dynamic { chunk: 1 });
+        let b = simulate_loop(&[5.0, 5.0], 2, Schedule::Dynamic { chunk: 1 });
+        let mut sum = LoopSim::idle(2);
+        sum.then(&a);
+        assert_eq!(sum, a);
+        sum.then(&b);
+        assert_eq!(sum.makespan, a.makespan + b.makespan);
+        assert_eq!(sum.serial_time, 16.0);
+        assert_eq!(sum.chunks, 5);
+    }
 
     #[test]
     fn uniform_costs_perfectly_balanced() {

@@ -49,6 +49,33 @@ impl Pool {
     }
 }
 
+/// The team a parallel region runs on. Code written against `Team` runs
+/// unchanged on OS threads ([`Pool`]) and on the virtual clock
+/// ([`crate::makespan::CostedTeam`], which executes once, measures, and
+/// replays the configured thread count).
+pub trait Team {
+    /// Number of workers.
+    fn threads(&self) -> usize;
+
+    /// A parallel-for: map `f` over `items`, results in input order.
+    fn map<T: Sync, R: Send>(&mut self, items: &[T], f: impl Fn(&T) -> R + Sync) -> Vec<R>;
+
+    /// A serial section of the region (one worker runs, the rest wait).
+    fn serial<R>(&mut self, f: impl FnOnce() -> R) -> R {
+        f()
+    }
+}
+
+impl Team for Pool {
+    fn threads(&self) -> usize {
+        self.threads
+    }
+
+    fn map<T: Sync, R: Send>(&mut self, items: &[T], f: impl Fn(&T) -> R + Sync) -> Vec<R> {
+        parallel_map(items, self.threads, f)
+    }
+}
+
 /// Map `f` over `items` using `threads` OS threads and a shared cursor
 /// (dynamic schedule, chunk 1). Results are returned in input order.
 pub fn parallel_map<T: Sync, R: Send>(

@@ -31,10 +31,11 @@ use chrysalis::scaffold::{scaffold_pairs, ScaffoldConfig};
 use chrysalis::timings::{GffTimings, RttTimings};
 use inchworm::assemble::{assemble, InchwormConfig};
 use inchworm::dictionary::Dictionary;
-use kcount::counter::{count_kmers_packed, CounterConfig, KmerCounts};
+use kcount::counter::{count_kmers_on, CounterConfig, KmerCounts};
 use mpisim::cluster::cluster_time;
 use mpisim::{run_cluster, run_cluster_faulty, Comm, FaultPlan, NetModel, RankOutput};
-use omp::makespan::{costed_loop, LoopSim};
+use omp::makespan::{costed_loop, CostedTeam, LoopSim};
+use omp::Team;
 
 use crate::checkpoint as ckpt;
 
@@ -506,59 +507,48 @@ fn assemble_contigs(
     let encode_time = t0.elapsed().as_secs_f64();
 
     // ---- Jellyfish ----
-    // Counting is embarrassingly parallel over read batches (Jellyfish's
-    // lock-free table); time per-batch costs and replay the 16-thread
-    // makespan, then merge serially (measured).
-    let counts = d.stage(
+    // An owner-routed build on the costed team: route and owner-local count
+    // replay as parallel loops, the concatenation and the error filter as
+    // the stage's serial sections.
+    let mut counts = d.stage(
         "Jellyfish",
         ckpt::decode_counts,
         ckpt::encode_counts,
         |c, _| ram::jellyfish(c.len()),
         |d| {
-            let batches: Vec<&[PackedSeq]> = packed_reads.chunks(256).collect();
+            let mut team = CostedTeam::new(cfg.chrysalis.threads, cfg.chrysalis.schedule);
             let counter_cfg = CounterConfig {
-                k,
-                canonical: true,
-                threads: 1,
-                shards: 1,
+                threads: cfg.chrysalis.threads,
+                ..CounterConfig::new(k)
             };
-            let (tables, count_sim) = costed_loop(
-                &batches,
-                cfg.chrysalis.threads,
-                cfg.chrysalis.schedule,
-                |batch| count_kmers_packed(batch, counter_cfg),
-            );
-            let t0 = std::time::Instant::now();
-            let mut counts = KmerCounts::empty(k);
-            for t in tables {
-                for (km, c) in t.iter() {
-                    counts.add(km, c);
-                }
-            }
-            counts.retain_min(cfg.min_kmer_count.max(1));
-            let merge_time = t0.elapsed().as_secs_f64();
-            d.log_omp_loop("jellyfish", &count_sim);
+            let mut counts = count_kmers_on(&packed_reads, counter_cfg, &mut team);
+            team.serial(|| counts.retain_min(cfg.min_kmer_count.max(1)));
+            d.log_omp_loop("jellyfish", &team.sim);
             // The one-time read encode is charged to the counting stage
             // (the first consumer of the packed form).
-            let time = encode_time + count_sim.makespan + merge_time;
-            (counts, StageRun::timed(time))
+            (counts, StageRun::timed(encode_time + team.sim.makespan))
         },
     );
     counts.record_metrics(&d.metrics, "jellyfish");
 
     // ---- Inchworm ----
+    // The dictionary adopts the count table and hands it back: the stage
+    // never holds a second copy of it.
+    let distinct_kmers = counts.len();
     let contigs = d.stage(
         "Inchworm",
         ckpt::decode_records,
         |c| ckpt::encode_records(c),
-        |c, _| ram::inchworm(counts.len(), seq_bytes(c)),
+        |c, _| ram::inchworm(distinct_kmers, seq_bytes(c)),
         |_| {
             let t0 = std::time::Instant::now();
-            let dict = Dictionary::from_counts(counts.clone(), cfg.min_kmer_count.max(1));
+            let table = std::mem::replace(&mut counts, KmerCounts::empty(k));
+            let dict = Dictionary::from_counts(table, cfg.min_kmer_count.max(1));
             let contigs: Vec<Record> = assemble(&dict, cfg.inchworm)
                 .iter()
                 .map(|c| c.to_record())
                 .collect();
+            counts = dict.into_counts();
             (contigs, StageRun::timed(t0.elapsed().as_secs_f64()))
         },
     );
