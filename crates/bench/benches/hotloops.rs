@@ -2,7 +2,8 @@
 //! reverse-complement per position) vs the rolling canonical streams over
 //! 2-bit packed sequences, on the three hot-path shapes the rewrite
 //! touched — k-mer counting, ReadsToTranscripts assignment and the weld
-//! support scan.
+//! support scan — plus Butterfly's per-component reconstruction against a
+//! local copy of the recursive, allocating path enumeration it replaced.
 //!
 //! Run with `cargo bench --bench hotloops`; a custom `main` writes the
 //! measured before/after pairs to `BENCH_hotloops.json` at the workspace
@@ -13,8 +14,11 @@
 
 use criterion::{black_box, Criterion};
 
+use butterfly::paths::PathConfig;
+use butterfly::transcripts::{reconstruct_component, ComponentInput, ReconstructionConfig};
 use chrysalis::config::ChrysalisConfig;
 use chrysalis::weld::{WeldSupport, WeldWindow};
+use graph::debruijn::{DeBruijnGraph, NodeId};
 use kcount::counter::KmerCounts;
 use kmertable::PackedKmerTable;
 use seqio::alphabet::base_to_code;
@@ -102,6 +106,86 @@ fn naive_supports(counts: &KmerCounts, min: u32, k: usize, w: &[u8]) -> bool {
     seen && any
 }
 
+/// The enumeration `butterfly::paths` had before it kept its own stack:
+/// one call frame per node of the path, `out_edges` cloning and sorting a
+/// `Vec` at every visit, `spell_path` decoding a whole (k−1)-mer per base.
+struct RecursiveDfs<'g> {
+    g: &'g DeBruijnGraph,
+    cfg: PathConfig,
+    out: Vec<Vec<NodeId>>,
+    visits: Vec<u8>,
+}
+
+impl RecursiveDfs<'_> {
+    fn run(&mut self, path: &mut Vec<NodeId>, node: NodeId) {
+        if self.out.len() >= self.cfg.max_paths {
+            return;
+        }
+        path.push(node);
+        self.visits[node as usize] += 1;
+        let edges = self.g.out_edges(node);
+        let mut extended = false;
+        for &(next, _w) in edges.iter().take(self.cfg.max_branch) {
+            if (self.visits[next as usize] as usize) < self.cfg.max_node_visits {
+                extended = true;
+                self.run(path, next);
+                if self.out.len() >= self.cfg.max_paths {
+                    break;
+                }
+            }
+        }
+        if !extended {
+            self.out.push(path.clone());
+        }
+        self.visits[node as usize] -= 1;
+        path.pop();
+    }
+}
+
+/// `reconstruct_component`'s sequences through [`RecursiveDfs`].
+fn reconstruct_recursive(input: &ComponentInput, cfg: ReconstructionConfig) -> Vec<Vec<u8>> {
+    let mut g = DeBruijnGraph::new(cfg.k);
+    for contig in &input.contigs {
+        g.add_packed(contig, cfg.contig_weight);
+    }
+    for read in &input.reads {
+        g.add_packed(read, 1);
+    }
+    if cfg.min_edge_weight > 1 {
+        g.prune_edges(cfg.min_edge_weight);
+    }
+    let mut dfs = RecursiveDfs {
+        g: &g,
+        cfg: cfg.paths,
+        out: Vec::new(),
+        visits: vec![0; g.node_count()],
+    };
+    for s in g.sources() {
+        if dfs.out.len() >= cfg.paths.max_paths {
+            break;
+        }
+        dfs.run(&mut Vec::new(), s);
+    }
+    let mut ranked: Vec<(u64, Vec<NodeId>)> = dfs
+        .out
+        .into_iter()
+        .map(|p| (g.path_weight(&p), p))
+        .collect();
+    ranked.sort_unstable_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
+    let mut seqs: Vec<Vec<u8>> = Vec::new();
+    for (_, p) in ranked {
+        let mut s = g.node_kmer(p[0]).bases();
+        for &n in &p[1..] {
+            let km = g.node_kmer(n);
+            s.push(km.bases()[km.k() - 1]);
+        }
+        if s.len() >= cfg.paths.min_len && !seqs.contains(&s) {
+            seqs.push(s);
+        }
+    }
+    seqs
+}
+
 struct Fixtures {
     reads: Vec<Record>,
     packed_reads: Vec<PackedSeq>,
@@ -109,6 +193,9 @@ struct Fixtures {
     rtt: std::sync::Arc<chrysalis::reads_to_transcripts::RttShared>,
     byte_windows: Vec<Vec<u8>>,
     weld_windows: Vec<WeldWindow>,
+    /// The preset's Butterfly inputs: each component's contigs and the
+    /// reads ReadsToTranscripts assigns to it.
+    components: Vec<ComponentInput>,
     cfg: ChrysalisConfig,
 }
 
@@ -167,6 +254,22 @@ fn fixtures() -> Fixtures {
         }
     }
 
+    let mut components: Vec<ComponentInput> = gff
+        .components
+        .iter()
+        .enumerate()
+        .map(|(ci, members)| ComponentInput {
+            component: ci,
+            contigs: members.iter().map(|&m| packed_contigs[m].clone()).collect(),
+            reads: Vec::new(),
+        })
+        .collect();
+    for p in &packed_reads {
+        if let Some(c) = rtt.assign_packed(p) {
+            components[c as usize].reads.push(p.clone());
+        }
+    }
+
     Fixtures {
         reads,
         packed_reads,
@@ -174,6 +277,7 @@ fn fixtures() -> Fixtures {
         rtt,
         byte_windows,
         weld_windows,
+        components,
         cfg,
     }
 }
@@ -226,6 +330,28 @@ fn bench(c: &mut Criterion) {
         assert_eq!(
             naive_supports(&f.counts, f.cfg.min_weld_support.max(1), f.cfg.k, b),
             support.supports_packed(w)
+        );
+    }
+
+    let recon = ReconstructionConfig {
+        k: f.cfg.k,
+        paths: PathConfig {
+            min_len: 2 * f.cfg.k,
+            ..PathConfig::default()
+        },
+        min_edge_weight: 2,
+        ..ReconstructionConfig::default()
+    };
+    for input in &f.components {
+        let shipped: Vec<Vec<u8>> = reconstruct_component(input, recon)
+            .into_iter()
+            .map(|r| r.seq)
+            .collect();
+        assert_eq!(
+            reconstruct_recursive(input, recon),
+            shipped,
+            "component {}",
+            input.component
         );
     }
 
@@ -288,6 +414,28 @@ fn bench(c: &mut Criterion) {
         })
     });
     g.finish();
+
+    let mut g = c.benchmark_group("butterfly_reconstruct");
+    g.sample_size(samples);
+    g.bench_function("recursive_ref", |b| {
+        b.iter(|| {
+            let mut paths = 0usize;
+            for input in &f.components {
+                paths += reconstruct_recursive(input, recon).len();
+            }
+            black_box(paths)
+        })
+    });
+    g.bench_function("iterative", |b| {
+        b.iter(|| {
+            let mut paths = 0usize;
+            for input in &f.components {
+                paths += reconstruct_component(input, recon).len();
+            }
+            black_box(paths)
+        })
+    });
+    g.finish();
 }
 
 fn main() {
@@ -308,12 +456,18 @@ fn main() {
             .map(|r| r.seconds)
             .unwrap_or(f64::NAN)
     };
-    let workloads: Vec<bench::benchjson::Workload> = ["kmer_count", "rtt_assign", "weld_scan"]
+    let pairs = [
+        ("kmer_count", "naive", "rolling"),
+        ("rtt_assign", "naive", "rolling"),
+        ("weld_scan", "naive", "rolling"),
+        ("butterfly_reconstruct", "recursive_ref", "iterative"),
+    ];
+    let workloads: Vec<bench::benchjson::Workload> = pairs
         .iter()
-        .map(|group| bench::benchjson::Workload {
+        .map(|(group, before, after)| bench::benchjson::Workload {
             name: group.to_string(),
-            baseline_ns: second_of(&format!("{group}/naive")) * 1e9,
-            candidate_ns: second_of(&format!("{group}/rolling")) * 1e9,
+            baseline_ns: second_of(&format!("{group}/{before}")) * 1e9,
+            candidate_ns: second_of(&format!("{group}/{after}")) * 1e9,
         })
         .collect();
     bench::benchjson::write(

@@ -3,7 +3,8 @@
 //! A bounded DFS from every source node, branching where the graph
 //! branches. Branch fan-out is capped (heaviest edges first) and a
 //! per-path node-visit limit breaks cycles, so enumeration is total even
-//! on tangled graphs.
+//! on tangled graphs. The walk keeps its own stack and allocates once per
+//! graph and once per reported path, never per visited node.
 
 use graph::debruijn::{DeBruijnGraph, NodeId};
 
@@ -32,66 +33,92 @@ impl Default for PathConfig {
     }
 }
 
-struct Dfs<'g> {
-    g: &'g DeBruijnGraph,
-    cfg: PathConfig,
-    out: Vec<Vec<NodeId>>,
-    visits: Vec<u8>,
+/// Every node's successors in one flat array, each node's run sorted
+/// heaviest first (then by node id — [`DeBruijnGraph::edge_order`]) and cut
+/// to the branch cap: built once per graph, after threading and pruning,
+/// and read as slices by the walk.
+struct Adjacency {
+    /// Node `n`'s successors are `edges[starts[n]..starts[n + 1]]`.
+    starts: Vec<u32>,
+    edges: Vec<NodeId>,
 }
 
-impl<'g> Dfs<'g> {
-    fn run(&mut self, path: &mut Vec<NodeId>, node: NodeId) {
-        if self.out.len() >= self.cfg.max_paths {
-            return;
+impl Adjacency {
+    fn new(g: &DeBruijnGraph, max_branch: usize) -> Self {
+        let mut starts = Vec::with_capacity(g.node_count() + 1);
+        let mut edges = Vec::with_capacity(g.edge_count());
+        let mut sorted: Vec<(NodeId, u32)> = Vec::new();
+        starts.push(0);
+        for id in 0..g.node_count() as NodeId {
+            sorted.clear();
+            sorted.extend(g.successors(id));
+            sorted.sort_unstable_by(DeBruijnGraph::edge_order);
+            edges.extend(sorted.iter().take(max_branch).map(|&(to, _)| to));
+            starts.push(edges.len() as u32);
         }
-        path.push(node);
-        self.visits[node as usize] += 1;
+        Adjacency { starts, edges }
+    }
 
-        let edges = self.g.out_edges(node);
-        let mut extended = false;
-        for &(next, _w) in edges.iter().take(self.cfg.max_branch) {
-            if (self.visits[next as usize] as usize) < self.cfg.max_node_visits {
-                extended = true;
-                self.run(path, next);
-                if self.out.len() >= self.cfg.max_paths {
-                    break;
+    fn of(&self, node: NodeId) -> &[NodeId] {
+        let n = node as usize;
+        &self.edges[self.starts[n] as usize..self.starts[n + 1] as usize]
+    }
+}
+
+/// Depth-first walk from every source on an explicit stack: `path` holds
+/// the nodes from the source to the current one and `cursors[i]` how far
+/// `path[i]`'s successors have been tried and whether any was taken. A
+/// node with no admissible successor (terminal, or every one visit-capped)
+/// ends a path. Depth costs heap, not call stack, so a 200 kb linear
+/// component is walked like a 200 b one.
+fn walk(g: &DeBruijnGraph, adj: &Adjacency, cfg: PathConfig) -> Vec<Vec<NodeId>> {
+    let mut out: Vec<Vec<NodeId>> = Vec::new();
+    let mut visits = vec![0usize; g.node_count()];
+    let mut path: Vec<NodeId> = Vec::new();
+    let mut cursors: Vec<(usize, bool)> = Vec::new();
+    for source in g.sources() {
+        if out.len() >= cfg.max_paths {
+            break;
+        }
+        path.push(source);
+        cursors.push((0, false));
+        visits[source as usize] += 1;
+        while let (Some(&node), Some((cursor, extended))) = (path.last(), cursors.last_mut()) {
+            let untried = &adj.of(node)[*cursor..];
+            let step = untried
+                .iter()
+                .position(|&next| visits[next as usize] < cfg.max_node_visits);
+            if let Some(i) = step {
+                let next = untried[i];
+                *cursor += i + 1;
+                *extended = true;
+                path.push(next);
+                cursors.push((0, false));
+                visits[next as usize] += 1;
+                continue;
+            }
+            if !*extended {
+                out.push(path.clone());
+                if out.len() >= cfg.max_paths {
+                    return out;
                 }
             }
+            visits[node as usize] -= 1;
+            path.pop();
+            cursors.pop();
         }
-        if !extended {
-            // Terminal (or fully cycle-blocked): report the path.
-            self.out.push(path.clone());
-        }
-
-        self.visits[node as usize] -= 1;
-        path.pop();
     }
+    out
 }
 
 /// Enumerate read-supported paths of `g` starting at its source nodes.
 /// Returns spelled sequences, heaviest path first, deduplicated.
 pub fn enumerate_paths(g: &DeBruijnGraph, cfg: PathConfig) -> Vec<Vec<u8>> {
-    let sources = g.sources();
-    let mut dfs = Dfs {
-        g,
-        cfg,
-        out: Vec::new(),
-        visits: vec![0; g.node_count()],
-    };
-    for s in sources {
-        if dfs.out.len() >= cfg.max_paths {
-            break;
-        }
-        let mut path = Vec::new();
-        dfs.run(&mut path, s);
-    }
+    let found = walk(g, &Adjacency::new(g, cfg.max_branch), cfg);
 
     // Rank by total path weight (read support), heaviest first.
-    let mut ranked: Vec<(u64, Vec<NodeId>)> = dfs
-        .out
-        .into_iter()
-        .map(|p| (g.path_weight(&p), p))
-        .collect();
+    let mut ranked: Vec<(u64, Vec<NodeId>)> =
+        found.into_iter().map(|p| (g.path_weight(&p), p)).collect();
     ranked.sort_unstable_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
 
     let mut seqs: Vec<Vec<u8>> = Vec::new();

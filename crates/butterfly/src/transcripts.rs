@@ -63,7 +63,8 @@ impl Default for ReconstructionConfig {
 
 /// Reconstruct transcripts for one component.
 pub fn reconstruct_component(input: &ComponentInput, cfg: ReconstructionConfig) -> Vec<Record> {
-    let mut g = DeBruijnGraph::new(cfg.k);
+    let contig_bases = input.contigs.iter().map(PackedSeq::len).sum();
+    let mut g = DeBruijnGraph::with_capacity(cfg.k, contig_bases);
     for contig in &input.contigs {
         g.add_packed(contig, cfg.contig_weight);
     }

@@ -11,7 +11,7 @@ use std::collections::HashMap;
 use seqio::fasta::Record;
 use seqio::splitter::plan_split;
 
-use bowtie::align::{align_read, AlignConfig};
+use bowtie::align::{align_read, AlignConfig, Alignment, Strand};
 use bowtie::fmindex::FmIndex;
 use bowtie::sam::SamRecord;
 
@@ -39,11 +39,53 @@ pub struct BowtieTimings {
 /// The stage output.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BowtieMpiOutput {
-    /// Merged SAM records (sorted by read name, then contig/position, like
-    /// the concatenated-and-sorted merge of per-rank files).
+    /// Merged SAM records, one per hit, ordered by read, then contig,
+    /// position, strand and mismatches (all by index, not by name).
     pub sam: Vec<SamRecord>,
     /// This rank's timings.
     pub timings: BowtieTimings,
+}
+
+/// One alignment as it crosses ranks: four little-endian `u32` words
+/// (read, contig, offset, `reverse << 8 | mismatches`), no names. Reads
+/// and contigs are replicated, so an index names them on every rank; the
+/// contig index is the *global* one from the split plan, which makes hits
+/// from different slices comparable at the master. Alignments are
+/// end-to-end, so the read length is the read's own and stays off the wire.
+/// The derived order is the merged file's order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct Hit {
+    read: u32,
+    contig: u32,
+    offset: u32,
+    reverse: bool,
+    mismatches: u8,
+}
+
+/// `u32` words per [`Hit`] on the wire.
+const HIT_WORDS: usize = 4;
+
+fn pack_hits(hits: &[Hit]) -> Vec<u8> {
+    let words = hits.iter().flat_map(|h| {
+        let meta = u32::from(h.reverse) << 8 | u32::from(h.mismatches);
+        [h.read, h.contig, h.offset, meta]
+    });
+    pack_u32s(&words.collect::<Vec<u32>>())
+}
+
+fn unpack_hits(buf: &[u8]) -> Option<Vec<Hit>> {
+    let words = unpack_u32s(buf)?;
+    if words.len() % HIT_WORDS != 0 {
+        return None;
+    }
+    let hits = words.chunks_exact(HIT_WORDS).map(|w| Hit {
+        read: w[0],
+        contig: w[1],
+        offset: w[2],
+        reverse: w[3] >> 8 != 0,
+        mismatches: w[3] as u8,
+    });
+    Some(hits.collect())
 }
 
 /// Run the distributed Bowtie step — one rank's program.
@@ -82,12 +124,13 @@ pub fn bowtie_mpi(
     timings.split = comm.clock.now() - t_before;
 
     // ---- Index this rank's slice ----
-    let my_piece: Vec<Record> = unpack_u32s(&plan[comm.rank()])
-        .expect("root sent whole u32s")
+    // `my_piece[i]` is the global index of the slice's contig `i`.
+    let my_piece = unpack_u32s(&plan[comm.rank()]).expect("root sent whole u32s");
+    let slice: Vec<Record> = my_piece
         .iter()
         .map(|&i| contigs[i as usize].clone())
         .collect();
-    let index = comm.charge_measured(|| FmIndex::build(&my_piece));
+    let index = comm.charge_measured(|| FmIndex::build(&slice));
     timings.index = comm.clock.now() - t_before - timings.split;
 
     // ---- Align every read against the slice (multi-threaded) ----
@@ -100,25 +143,44 @@ pub fn bowtie_mpi(
     });
     timings.align = comm.clock.now() - t_before;
 
-    // This rank's SAM file, one line per hit.
-    let mut lines: Vec<Vec<u8>> = Vec::new();
-    for (read, hits) in reads.iter().zip(&hit_lists) {
-        for h in hits {
-            let rec = SamRecord::from_alignment(&read.id, index.contig_name(h.contig), h);
-            lines.push(rec.to_line().into_bytes());
-        }
+    // This rank's SAM file, one tuple per hit.
+    let mut hits: Vec<Hit> = Vec::with_capacity(hit_lists.iter().map(Vec::len).sum());
+    for (read, alns) in hit_lists.iter().enumerate() {
+        hits.extend(alns.iter().map(|a| Hit {
+            read: read as u32,
+            contig: my_piece[a.contig],
+            offset: a.offset as u32,
+            reverse: a.strand == Strand::Reverse,
+            mismatches: a.mismatches,
+        }));
     }
+    drop(hit_lists);
 
     // ---- Merge per-rank SAM files at the master ----
     let t_before = comm.clock.now();
-    let merged = crate::master_merge(comm, lines, pack_byte_strings, |buf| {
-        unpack_byte_strings(buf).expect("peer sent SAM lines")
+    let merged = crate::master_merge(comm, hits, pack_hits, |buf| {
+        unpack_hits(buf).expect("peer sent whole hit tuples")
     });
     timings.merge = comm.clock.now() - t_before;
 
+    // Names come back only here, from the replicated inputs.
     let sam: Vec<SamRecord> = merged
-        .into_iter()
-        .filter_map(|l| SamRecord::parse_line(&String::from_utf8_lossy(&l)))
+        .iter()
+        .map(|h| {
+            let read = &reads[h.read as usize];
+            let aln = Alignment {
+                contig: h.contig as usize,
+                offset: h.offset as usize,
+                strand: if h.reverse {
+                    Strand::Reverse
+                } else {
+                    Strand::Forward
+                },
+                mismatches: h.mismatches,
+                read_len: read.seq.len(),
+            };
+            SamRecord::from_alignment(&read.id, &contigs[aln.contig].id, &aln)
+        })
         .collect();
 
     timings.total = comm.clock.now() - start;
@@ -190,7 +252,7 @@ mod tests {
     #[test]
     fn split_runs_agree_with_single_rank() {
         let single = run(1);
-        for ranks in [2usize, 3, 5] {
+        for ranks in [2usize, 3, 4, 5, 7] {
             let multi = run(ranks);
             for o in &multi {
                 assert_eq!(o.value.sam, single[0].value.sam, "ranks={ranks}");
@@ -214,6 +276,32 @@ mod tests {
         let outs = run(5); // only 3 contigs; two ranks idle
         assert_eq!(outs.len(), 5);
         assert_eq!(outs[0].value.sam.len(), 3);
+    }
+
+    #[test]
+    fn hit_tuples_round_trip() {
+        let hits = [
+            Hit {
+                read: 0,
+                contig: 7,
+                offset: 0,
+                reverse: false,
+                mismatches: 0,
+            },
+            Hit {
+                read: u32::MAX,
+                contig: u32::MAX,
+                offset: u32::MAX,
+                reverse: true,
+                mismatches: 3,
+            },
+        ];
+        let buf = pack_hits(&hits);
+        assert_eq!(buf.len(), hits.len() * HIT_WORDS * 4);
+        assert_eq!(unpack_hits(&buf).as_deref(), Some(&hits[..]));
+        assert_eq!(unpack_hits(&pack_hits(&[])), Some(Vec::new()));
+        assert_eq!(unpack_hits(&buf[..buf.len() - 4]), None, "torn tuple");
+        assert_eq!(unpack_hits(&buf[..buf.len() - 1]), None, "torn word");
     }
 
     #[test]

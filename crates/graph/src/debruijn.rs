@@ -6,11 +6,15 @@
 //! them. Butterfly then reconstructs transcripts as weighted paths.
 
 use kmertable::PackedKmerTable;
+use seqio::alphabet::code_to_base;
 use seqio::kmer::{Kmer, KmerIter};
 use seqio::packed::PackedSeq;
 
 /// Dense node id within one graph.
 pub type NodeId = u32;
+
+/// The successor of an absent edge slot (never a real node id).
+const NO_NODE: NodeId = NodeId::MAX;
 
 /// A weighted de Bruijn graph over (k−1)-mer nodes.
 #[derive(Debug, Clone)]
@@ -20,10 +24,14 @@ pub struct DeBruijnGraph {
     nodes: Vec<Kmer>,
     /// Packed (k-1)-mer -> node id. All nodes share one word size, so the
     /// packed `u64` is a unique key and the open-addressing table makes
-    /// `intern` (two probes per k-mer threaded) allocation- and SipHash-free.
+    /// `intern` (one probe per window on the packed path) allocation- and
+    /// SipHash-free.
     index: PackedKmerTable,
-    /// Out-adjacency: node -> (successor, weight).
-    out: Vec<Vec<(NodeId, u32)>>,
+    /// Out-adjacency. A (k−1)-mer has at most four successors, one per
+    /// appended base, so node `n`'s edge on base code `c` is the slot
+    /// `out[n][c]`: (successor, weight), successor [`NO_NODE`] when absent.
+    /// Threading an edge is one indexed store — no search, no allocation.
+    out: Vec<[(NodeId, u32); 4]>,
     /// In-degree per node (for source detection).
     indeg: Vec<u32>,
     edge_count: usize,
@@ -33,13 +41,21 @@ impl DeBruijnGraph {
     /// Create an empty graph with word size `k` (edges are k-mers, nodes
     /// are (k−1)-mers; requires `2 <= k <= 32`).
     pub fn new(k: usize) -> Self {
+        Self::with_capacity(k, 0)
+    }
+
+    /// An empty graph pre-sized for `nodes` distinct (k−1)-mers. A sequence
+    /// of `n` bases threads at most `n` nodes, so a component sized from
+    /// its contigs' base count grows only for what its reads add — and
+    /// reads mostly re-walk contig k-mers.
+    pub fn with_capacity(k: usize, nodes: usize) -> Self {
         assert!((2..=32).contains(&k), "k must be in 2..=32");
         DeBruijnGraph {
             k,
-            nodes: Vec::new(),
-            index: PackedKmerTable::new(),
-            out: Vec::new(),
-            indeg: Vec::new(),
+            nodes: Vec::with_capacity(nodes),
+            index: PackedKmerTable::with_capacity(nodes),
+            out: Vec::with_capacity(nodes),
+            indeg: Vec::with_capacity(nodes),
             edge_count: 0,
         }
     }
@@ -74,7 +90,7 @@ impl DeBruijnGraph {
         let id = self.index.get_or_insert(km.packed(), next);
         if id == next {
             self.nodes.push(km);
-            self.out.push(Vec::new());
+            self.out.push([(NO_NODE, 0); 4]);
             self.indeg.push(0);
         }
         id
@@ -91,33 +107,44 @@ impl DeBruijnGraph {
         for (_, km) in iter {
             let from = self.intern(km.prefix());
             let to = self.intern(km.suffix());
-            self.add_edge(from, to, weight);
+            self.add_edge(from, km, to, weight);
         }
     }
 
     /// Thread a pre-encoded sequence through the graph — the Butterfly hot
     /// path, which receives its component bundle already packed and never
-    /// re-decodes ASCII. Identical semantics to [`Self::add_sequence`].
+    /// re-decodes ASCII. Identical semantics to [`Self::add_sequence`],
+    /// node ids included: the suffix of one window is the prefix of the
+    /// next while offsets are consecutive, so its node is carried over and
+    /// each window costs one table probe, not two.
     pub fn add_packed(&mut self, seq: &PackedSeq, weight: u32) {
         let iter = match seq.kmers(self.k) {
             Ok(it) => it,
             Err(_) => return,
         };
-        for (_, km) in iter {
-            let from = self.intern(km.prefix());
+        // (offset of the window the node is the prefix of, node)
+        let mut carried: Option<(usize, NodeId)> = None;
+        for (offset, km) in iter {
+            let from = match carried {
+                Some((at, id)) if at == offset => id,
+                _ => self.intern(km.prefix()),
+            };
             let to = self.intern(km.suffix());
-            self.add_edge(from, to, weight);
+            self.add_edge(from, km, to, weight);
+            carried = Some((offset + 1, to));
         }
     }
 
-    fn add_edge(&mut self, from: NodeId, to: NodeId, weight: u32) {
-        let adj = &mut self.out[from as usize];
-        if let Some(e) = adj.iter_mut().find(|(t, _)| *t == to) {
-            e.1 = e.1.saturating_add(weight);
-        } else {
-            adj.push((to, weight));
+    /// Add `weight` to the edge `from -> to` spelled by the k-mer `km`
+    /// (whose last base picks the slot).
+    fn add_edge(&mut self, from: NodeId, km: Kmer, to: NodeId, weight: u32) {
+        let slot = &mut self.out[from as usize][(km.packed() & 0b11) as usize];
+        if slot.0 == NO_NODE {
+            *slot = (to, weight);
             self.indeg[to as usize] += 1;
             self.edge_count += 1;
+        } else {
+            slot.1 = slot.1.saturating_add(weight);
         }
     }
 
@@ -131,10 +158,23 @@ impl DeBruijnGraph {
         self.index.get(km.packed())
     }
 
+    /// Successors of a node with edge weights, in base order, without
+    /// allocating.
+    pub fn successors(&self, id: NodeId) -> impl Iterator<Item = (NodeId, u32)> + '_ {
+        let slots = self.out[id as usize].iter();
+        slots.copied().filter(|&(to, _)| to != NO_NODE)
+    }
+
+    /// The order [`Self::out_edges`] reports successors in: heaviest first,
+    /// ties by node id.
+    pub fn edge_order(a: &(NodeId, u32), b: &(NodeId, u32)) -> std::cmp::Ordering {
+        b.1.cmp(&a.1).then(a.0.cmp(&b.0))
+    }
+
     /// Successors of a node with edge weights, heaviest first.
     pub fn out_edges(&self, id: NodeId) -> Vec<(NodeId, u32)> {
-        let mut edges = self.out[id as usize].clone();
-        edges.sort_unstable_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+        let mut edges: Vec<(NodeId, u32)> = self.successors(id).collect();
+        edges.sort_unstable_by(Self::edge_order);
         edges
     }
 
@@ -145,7 +185,7 @@ impl DeBruijnGraph {
 
     /// Out-degree of a node.
     pub fn out_degree(&self, id: NodeId) -> usize {
-        self.out[id as usize].len()
+        self.successors(id).count()
     }
 
     /// Nodes with in-degree 0 (path starts). If the graph is a single cycle
@@ -164,54 +204,50 @@ impl DeBruijnGraph {
             return Vec::new();
         }
         let mut seq = self.node_kmer(path[0]).bases();
+        seq.reserve(path.len() - 1);
         for w in path.windows(2) {
             debug_assert!(
-                self.out[w[0] as usize].iter().any(|(t, _)| *t == w[1]),
+                self.edge_weight(w[0], w[1]).is_some(),
                 "path edge {}->{} missing",
                 w[0],
                 w[1]
             );
-            let km = self.node_kmer(w[1]);
-            seq.push(km.bases()[km.k() - 1]);
+            // The last base of a packed (k−1)-mer is its two low bits.
+            seq.push(code_to_base((self.node_kmer(w[1]).packed() & 0b11) as u8));
         }
         seq
     }
 
     /// Total weight along a path (sum of its edge weights).
     pub fn path_weight(&self, path: &[NodeId]) -> u64 {
-        let mut total = 0u64;
-        for w in path.windows(2) {
-            if let Some((_, wt)) = self.out[w[0] as usize].iter().find(|(t, _)| *t == w[1]) {
-                total += *wt as u64;
-            }
-        }
-        total
+        let weights = path.windows(2).filter_map(|w| self.edge_weight(w[0], w[1]));
+        weights.map(u64::from).sum()
     }
 
     /// Weight of the edge `from -> to`, if present.
     pub fn edge_weight(&self, from: NodeId, to: NodeId) -> Option<u32> {
-        self.out[from as usize]
-            .iter()
-            .find(|(t, _)| *t == to)
-            .map(|(_, w)| *w)
+        self.successors(from)
+            .find(|&(t, _)| t == to)
+            .map(|(_, w)| w)
     }
 
     /// Remove edges with weight below `min_weight` (error pruning), then
     /// recompute in-degrees. Nodes are kept (possibly isolated).
     pub fn prune_edges(&mut self, min_weight: u32) {
         let mut removed = 0usize;
-        for adj in &mut self.out {
-            let before = adj.len();
-            adj.retain(|(_, w)| *w >= min_weight);
-            removed += before - adj.len();
+        for slot in self.out.iter_mut().flatten() {
+            if slot.0 != NO_NODE && slot.1 < min_weight {
+                *slot = (NO_NODE, 0);
+                removed += 1;
+            }
         }
         if removed > 0 {
             self.edge_count -= removed;
             for d in &mut self.indeg {
                 *d = 0;
             }
-            for adj in &self.out {
-                for &(to, _) in adj {
+            for &(to, _) in self.out.iter().flatten() {
+                if to != NO_NODE {
                     self.indeg[to as usize] += 1;
                 }
             }

@@ -80,6 +80,12 @@ pub mod ram {
 /// rank `r`'s spans land on track `RANK_TRACK_BASE + r`.
 pub const RANK_TRACK_BASE: u32 = 1;
 
+/// Category of the zero-length track-0 marker left where a stage did not
+/// run because nothing downstream consumes its output (Bowtie on a run
+/// that resumes QuantifyGraph). Not a `cat:"stage"` span: it has no
+/// duration to report and no RAM.
+pub const SKIPPED_CAT: &str = "skipped";
+
 /// Serial (single-node OpenMP) or hybrid (MPI+OpenMP) execution.
 #[derive(Debug, Clone, Copy)]
 pub enum PipelineMode {
@@ -201,6 +207,10 @@ impl StageRun {
     }
 }
 
+/// A checkpoint read back: the decoded stage output and its recorded
+/// duration, or why the file cannot be used.
+type Loaded<T> = Result<(T, f64), ckpt::CkptError>;
+
 /// A cluster stage run to completion.
 struct ClusterRun<T> {
     /// Per-rank outputs of the successful attempt (one in serial mode).
@@ -237,7 +247,8 @@ pub struct PipelineOutput {
     pub gff_timings: Vec<GffTimings>,
     /// Per-rank ReadsToTranscripts timings (empty when resumed).
     pub rtt_timings: Vec<RttTimings>,
-    /// Per-rank Bowtie timings.
+    /// Per-rank Bowtie timings (empty when QuantifyGraph was resumed: the
+    /// stage is then skipped).
     pub bowtie_timings: Vec<BowtieTimings>,
 }
 
@@ -295,26 +306,26 @@ impl<'a> Driver<'a> {
         }
     }
 
-    /// Try to resume `stage`. Returns its decoded output and recorded
-    /// duration only if the dir is configured, every earlier stage resumed
-    /// cleanly, this stage's file validates (magic, version, checksum,
-    /// fingerprint) and its payload decodes. A missing file is the normal
-    /// "not completed yet" case; a corrupt or undecodable one (FNV is not a
-    /// MAC, so a crafted file can pass validation) is counted and reported
-    /// before falling back to recompute.
-    fn resume<T>(
-        &mut self,
-        stage: &str,
-        decode: impl FnOnce(&[u8]) -> Option<T>,
-    ) -> Option<(T, f64)> {
-        let dir = self.ckpt_dir?;
-        if !self.prefix_valid {
-            return None;
-        }
-        let loaded = ckpt::load(dir, self.fingerprint, stage).and_then(|ck| {
+    /// Read `stage`'s checkpoint — validate it (magic, version, checksum,
+    /// fingerprint) and decode its payload — without counting anything:
+    /// `None` when no dir is configured or an earlier stage already broke
+    /// the completed prefix. The driver peeks at later stages with this
+    /// before deciding whether Bowtie has a consumer.
+    fn load<T>(&self, stage: &str, decode: impl FnOnce(&[u8]) -> Option<T>) -> Option<Loaded<T>> {
+        let dir = self.ckpt_dir.filter(|_| self.prefix_valid)?;
+        Some(ckpt::load(dir, self.fingerprint, stage).and_then(|ck| {
             let value = decode(&ck.payload).ok_or(ckpt::CkptError::BadPayload)?;
             Ok((value, ck.duration))
-        });
+        }))
+    }
+
+    /// Account for a [`Driver::load`]: a stage resumes only if every earlier
+    /// stage resumed cleanly and its own load succeeded. A missing file is
+    /// the normal "not completed yet" case; a corrupt or undecodable one
+    /// (FNV is not a MAC, so a crafted file can pass validation) is counted
+    /// and reported before falling back to recompute.
+    fn resume<T>(&mut self, stage: &str, loaded: Option<Loaded<T>>) -> Option<(T, f64)> {
+        let loaded = loaded.filter(|_| self.prefix_valid)?;
         match loaded {
             Ok(resumed) => {
                 self.metrics.counter("ckpt.resumed").add(1);
@@ -331,10 +342,11 @@ impl<'a> Driver<'a> {
         }
     }
 
-    /// Persist a computed stage's output (no-op without a checkpoint dir).
-    fn save(&self, stage: &str, duration: f64, payload: &[u8]) {
+    /// Persist a computed stage's output. Without a checkpoint dir nothing
+    /// is written, so nothing is encoded either.
+    fn save(&self, stage: &str, duration: f64, payload: impl FnOnce() -> Vec<u8>) {
         let Some(dir) = self.ckpt_dir else { return };
-        match ckpt::save(dir, self.fingerprint, stage, duration, payload) {
+        match ckpt::save(dir, self.fingerprint, stage, duration, &payload()) {
             Ok(_) => {
                 self.metrics.counter("ckpt.saved").add(1);
             }
@@ -384,7 +396,20 @@ impl<'a> Driver<'a> {
         ram: impl FnOnce(&T, usize) -> u64,
         compute: impl FnOnce(&Self) -> (T, StageRun),
     ) -> T {
-        let resumed = self.resume(name, decode);
+        let loaded = self.load(name, decode);
+        self.stage_from(name, loaded, encode, ram, compute)
+    }
+
+    /// [`Driver::stage`] over a checkpoint that was already read.
+    fn stage_from<T>(
+        &mut self,
+        name: &str,
+        loaded: Option<Loaded<T>>,
+        encode: impl FnOnce(&T) -> Vec<u8>,
+        ram: impl FnOnce(&T, usize) -> u64,
+        compute: impl FnOnce(&Self) -> (T, StageRun),
+    ) -> T {
+        let resumed = self.resume(name, loaded);
         let computed = resumed.is_none();
         let (value, run) = match resumed {
             Some((value, duration)) => (value, StageRun::timed(duration)),
@@ -393,7 +418,7 @@ impl<'a> Driver<'a> {
         let time = run.time;
         self.log_stage(name, ram(&value, run.table_entries), run);
         if computed {
-            self.save(name, time, &encode(&value));
+            self.save(name, time, || encode(&value));
         }
         value
     }
@@ -572,19 +597,34 @@ pub fn run_pipeline_opts(
 
     // ---- Chrysalis: Bowtie ----
     // Not checkpointed: its artifact (the SAM stream) only feeds
-    // scaffolding, whose result is checkpointed at QuantifyGraph.
-    let mut bowtie = d
-        .run_cluster_resilient(|comm| bowtie_mpi(comm, &contigs, reads, &cfg.chrysalis, cfg.align));
-    let bowtie_timings: Vec<BowtieTimings> = bowtie.values.iter().map(|o| o.timings).collect();
-    let sam = bowtie.values.swap_remove(0).sam;
-    let bowtie_ram = ram::bowtie(contig_bytes.div_ceil(d.ranks), seq_bytes(reads));
-    d.log_stage("Bowtie", bowtie_ram, bowtie.stage);
+    // scaffolding, whose result is checkpointed at QuantifyGraph. So the
+    // driver looks ahead: when GraphFromFasta and QuantifyGraph will both
+    // resume, nothing reads a SAM and no read is aligned. The peek counts
+    // nothing and its decoded values are the ones those stages resume from.
+    let gff_loaded = d.load("GraphFromFasta", ckpt::decode_welds);
+    let quantify_loaded = match gff_loaded {
+        Some(Ok(_)) => d.load("QuantifyGraph", ckpt::decode_components),
+        _ => None,
+    };
+    let (sam, bowtie_timings) = if matches!(quantify_loaded, Some(Ok(_))) {
+        d.obs.record(0, SKIPPED_CAT, "Bowtie", d.cursor, d.cursor);
+        (Vec::new(), Vec::new())
+    } else {
+        let mut bowtie = d.run_cluster_resilient(|comm| {
+            bowtie_mpi(comm, &contigs, reads, &cfg.chrysalis, cfg.align)
+        });
+        let timings: Vec<BowtieTimings> = bowtie.values.iter().map(|o| o.timings).collect();
+        let sam = bowtie.values.swap_remove(0).sam;
+        let bowtie_ram = ram::bowtie(contig_bytes.div_ceil(d.ranks), seq_bytes(reads));
+        d.log_stage("Bowtie", bowtie_ram, bowtie.stage);
+        (sam, timings)
+    };
 
     // ---- Chrysalis: GraphFromFasta ----
     let mut gff_timings: Vec<GffTimings> = Vec::new();
-    let (welds, gff_pairs) = d.stage(
+    let (welds, gff_pairs) = d.stage_from(
         "GraphFromFasta",
-        ckpt::decode_welds,
+        gff_loaded,
         |(welds, pairs)| ckpt::encode_welds(welds, pairs),
         |(welds, _), kmap_entries| {
             let weld_bytes = welds.iter().map(Vec::len).sum();
@@ -605,9 +645,9 @@ pub fn run_pipeline_opts(
     d.metrics.counter("gff.pairs").add(gff_pairs.len() as u64);
 
     // ---- Chrysalis: scaffolding (combine Bowtie links with welds) ----
-    let components = d.stage(
+    let components = d.stage_from(
         "QuantifyGraph",
-        ckpt::decode_components,
+        quantify_loaded,
         |c| ckpt::encode_components(c),
         |_, _| ram::graph_from_fasta(contig_bytes, 0, weld_bytes),
         |_| {
@@ -744,6 +784,18 @@ mod tests {
             .expect("spliced gff.total span");
         assert!((sub_start - gff_stage.start).abs() < 1e-9);
         assert!(sub_end <= gff_stage.end + 1e-9);
+    }
+
+    #[test]
+    fn nothing_is_encoded_without_a_checkpoint_dir() {
+        // A plain run used to sort and serialise all five payloads and then
+        // find it had nowhere to write them.
+        let opts = RunOptions::default();
+        let d = Driver::new(&[], &PipelineConfig::small(12), &opts);
+        d.save("Jellyfish", 0.0, || {
+            unreachable!("payload encoded with no checkpoint dir")
+        });
+        assert_eq!(d.metrics.snapshot().counter("ckpt.saved").unwrap_or(0), 0);
     }
 
     #[test]

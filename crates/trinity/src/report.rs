@@ -6,29 +6,42 @@
 
 use obs::{SpanRecord, Trace};
 
-/// Pipeline stage spans: `cat == "stage"` on track 0, in timeline order.
-fn stage_spans(trace: &Trace) -> Vec<&SpanRecord> {
+use crate::pipeline::SKIPPED_CAT;
+
+/// Track-0 spans whose category is one of `cats`, in timeline order.
+fn track0_spans<'t>(trace: &'t Trace, cats: &[&str]) -> Vec<&'t SpanRecord> {
     let mut spans: Vec<&SpanRecord> = trace
-        .with_cat("stage")
-        .into_iter()
-        .filter(|s| s.track == 0)
+        .on_track(0)
+        .filter(|s| cats.contains(&s.cat.as_str()))
         .collect();
     spans.sort_by(|a, b| a.start.total_cmp(&b.start));
     spans
+}
+
+/// Pipeline stage spans: `cat == "stage"` on track 0, in timeline order.
+fn stage_spans(trace: &Trace) -> Vec<&SpanRecord> {
+    track0_spans(trace, &["stage"])
 }
 
 /// Render a trace as an aligned text table (the textual Fig. 2 / Fig. 11).
 ///
 /// The RAM column comes from each stage span's `"ram"` arg (bytes, rendered
 /// as MB); the TOTAL row shows the timeline extent and the peak of the
-/// `"ram"` counter series.
+/// `"ram"` counter series. A stage the driver skipped (its `cat:"skipped"`
+/// marker) gets a row saying so instead of times.
 pub fn render_trace(trace: &Trace) -> String {
     let mut out = String::new();
     out.push_str(&format!(
         "{:<20} {:>12} {:>12} {:>12} {:>10}\n",
         "stage", "start (s)", "end (s)", "dur (s)", "RAM (MB)"
     ));
-    for s in stage_spans(trace) {
+    for s in track0_spans(trace, &["stage", SKIPPED_CAT]) {
+        if s.cat == SKIPPED_CAT {
+            // The only stage the driver ever skips is Bowtie, and only
+            // because the one consumer of its SAM resumed.
+            out.push_str(&format!("{:<20} skipped (QuantifyGraph resumed)\n", s.name));
+            continue;
+        }
         out.push_str(&format!(
             "{:<20} {:>12.3} {:>12.3} {:>12.3} {:>10.1}\n",
             s.name,
@@ -225,6 +238,23 @@ mod tests {
         assert!(s.contains("10.000"));
         assert!(s.contains("4.0")); // RAM MB from the span arg
         assert!(!s.contains("gff.total"), "rank sub-spans excluded");
+    }
+
+    #[test]
+    fn skipped_stage_gets_a_row_without_times() {
+        let obs = obs::Tracer::new();
+        obs.record(0, "stage", "Inchworm", 0.0, 1.0);
+        obs.record(0, SKIPPED_CAT, "Bowtie", 1.0, 1.0);
+        obs.record(0, "stage", "GraphFromFasta", 1.0, 2.0);
+        let table = render_trace(&obs.take());
+        let rows: Vec<&str> = table.lines().map(str::trim_end).collect();
+        assert!(rows[1].starts_with("Inchworm"), "{table}");
+        assert_eq!(
+            rows[2].split_whitespace().collect::<Vec<_>>().join(" "),
+            "Bowtie skipped (QuantifyGraph resumed)",
+            "{table}"
+        );
+        assert!(rows[3].starts_with("GraphFromFasta"), "{table}");
     }
 
     #[test]

@@ -9,12 +9,18 @@ mod common;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
+use std::sync::Arc;
+
+use mpisim::{FaultPlan, NetModel};
 use trinity::checkpoint::{self, stage_path};
-use trinity::pipeline::{run_pipeline_opts, PipelineConfig, PipelineOutput, RunOptions};
+use trinity::pipeline::{
+    run_pipeline_opts, PipelineConfig, PipelineMode, PipelineOutput, RunOptions,
+};
 
 /// The checkpointable stages, in pipeline order. Bowtie is deliberately
 /// absent: its SAM stream only feeds scaffolding, whose result is
-/// checkpointed at QuantifyGraph.
+/// checkpointed at QuantifyGraph — so a run that resumes QuantifyGraph
+/// does not run Bowtie at all.
 const STAGES: [&str; 5] = [
     "Jellyfish",
     "Inchworm",
@@ -50,12 +56,42 @@ impl Drop for ScratchDir {
 }
 
 fn run(reads: &[seqio::fasta::Record], dir: &Path, resume: bool) -> PipelineOutput {
+    run_on(reads, dir, resume, 1, None)
+}
+
+/// [`run`] on `ranks` simulated ranks under an optional fault plan.
+fn run_on(
+    reads: &[seqio::fasta::Record],
+    dir: &Path,
+    resume: bool,
+    ranks: usize,
+    faults: Option<FaultPlan>,
+) -> PipelineOutput {
+    let mut cfg = PipelineConfig::small(12);
+    if ranks > 1 {
+        cfg.mode = PipelineMode::Hybrid {
+            ranks,
+            net: NetModel::idataplex(),
+        };
+    }
     let opts = RunOptions {
-        faults: None,
+        faults: faults.map(Arc::new),
         checkpoint_dir: Some(dir.to_path_buf()),
         resume,
     };
-    run_pipeline_opts(reads, &PipelineConfig::small(12), &opts)
+    run_pipeline_opts(reads, &cfg, &opts)
+}
+
+/// Names of the track-0 stage spans, in timeline order.
+fn stage_names(out: &PipelineOutput) -> Vec<&str> {
+    let mut stages: Vec<&obs::SpanRecord> = out
+        .trace
+        .with_cat("stage")
+        .into_iter()
+        .filter(|s| s.track == 0)
+        .collect();
+    stages.sort_by(|a, b| a.start.total_cmp(&b.start));
+    stages.iter().map(|s| s.name.as_str()).collect()
 }
 
 fn count(out: &PipelineOutput, name: &str) -> u64 {
@@ -91,8 +127,8 @@ fn full_round_trip_resumes_every_stage() {
     assert_eq!(common::artifacts(&resumed), common::artifacts(&seeded));
     // A resumed stage replays its recorded duration, so the wall-clock-
     // measured stages stop being a source of trace jitter. (Comparison is
-    // to ulp-level tolerance, not bits: stage *starts* shift by the
-    // recomputed — wall-measured — Bowtie stage between the runs.)
+    // to ulp-level tolerance, not bits: stage *starts* move up by the
+    // Bowtie stage, which the resumed run skips.)
     for stage in STAGES {
         let (a, b) = (
             stage_duration(&seeded, stage),
@@ -182,6 +218,152 @@ fn validated_but_undecodable_stage_is_recomputed() {
         let crafted = checkpoint::load(dir, fingerprint, stage).expect("crafted file validates");
         assert_eq!(crafted.payload, [0xAB; 37]);
     });
+}
+
+/// Every stage span of a full run; a fully resumed run's are these minus
+/// Bowtie.
+const ALL_STAGES: [&str; 7] = [
+    "Jellyfish",
+    "Inchworm",
+    "Bowtie",
+    "GraphFromFasta",
+    "QuantifyGraph",
+    "ReadsToTranscripts",
+    "Butterfly",
+];
+
+#[test]
+fn fully_resumed_run_skips_bowtie() {
+    let reads = common::tiny_reads(common::CHAOS_WORKLOAD_SEED);
+    // Delays, drops and a crash of the last rank's first collective: on the
+    // seeding run the crash fires in Bowtie; on the resumed run no cluster
+    // stage runs, so the plan has nothing to reach.
+    let chaos = |ranks: usize| {
+        FaultPlan::new(common::CHAOS_PLAN_SEED_BASE)
+            .with_delays(0.8, 1e-3)
+            .with_drops(0.5, 3)
+            .with_crash(ranks - 1, 0)
+    };
+    for (ranks, faulty) in [(1, false), (2, false), (1, true), (2, true)] {
+        let what = format!("ranks={ranks} faulty={faulty}");
+        let dir = ScratchDir::new("skip-bowtie");
+        let seeded = run_on(
+            &reads,
+            dir.path(),
+            false,
+            ranks,
+            faulty.then(|| chaos(ranks)),
+        );
+        assert_eq!(stage_names(&seeded), ALL_STAGES, "{what}");
+        assert_eq!(seeded.bowtie_timings.len(), ranks, "{what}");
+        assert_eq!(
+            count(&seeded, "fault.rank_crashes"),
+            faulty as u64,
+            "{what}"
+        );
+
+        let resumed = run_on(
+            &reads,
+            dir.path(),
+            true,
+            ranks,
+            faulty.then(|| chaos(ranks)),
+        );
+        let without_bowtie: Vec<&str> = ALL_STAGES.into_iter().filter(|s| *s != "Bowtie").collect();
+        assert_eq!(stage_names(&resumed), without_bowtie, "{what}");
+        assert!(
+            !resumed
+                .trace
+                .with_cat("stage")
+                .iter()
+                .any(|s| s.name == "Bowtie"),
+            "{what}: no Bowtie stage span on any track"
+        );
+        assert!(resumed.bowtie_timings.is_empty(), "{what}");
+        assert_eq!(
+            count(&resumed, "ckpt.resumed"),
+            STAGES.len() as u64,
+            "{what}"
+        );
+        assert_eq!(count(&resumed, "ckpt.saved"), 0, "{what}");
+        assert_eq!(count(&resumed, "ckpt.invalid"), 0, "{what}");
+        assert_eq!(count(&resumed, "fault.rank_crashes"), 0, "{what}");
+        assert_eq!(
+            count(&resumed, "comm.collectives"),
+            0,
+            "{what}: no rank program ran"
+        );
+        assert_eq!(
+            common::artifacts(&resumed),
+            common::artifacts(&seeded),
+            "{what}"
+        );
+        // The virtual timeline is the seeded one minus its Bowtie stage:
+        // Butterfly (recomputed, so its own length is measured afresh)
+        // starts that much earlier.
+        let butterfly_start = |out: &PipelineOutput| {
+            let bounds = out.trace.span_bounds(0, "Butterfly");
+            bounds.expect("Butterfly stage span").0
+        };
+        let expected = butterfly_start(&seeded) - stage_duration(&seeded, "Bowtie");
+        let got = butterfly_start(&resumed);
+        assert!(
+            stage_duration(&seeded, "Bowtie") > 0.0 && (got - expected).abs() <= 1e-9 * expected,
+            "{what}: Butterfly starts at {got}, seeded-minus-Bowtie says {expected}"
+        );
+    }
+}
+
+#[test]
+fn damaged_scaffolding_inputs_bring_bowtie_back() {
+    // Bowtie is skipped only when GraphFromFasta *and* QuantifyGraph will
+    // resume. Damage either — a flipped byte, or a file that validates but
+    // does not decode — and the SAM has a consumer again: Bowtie runs in
+    // its usual slot, the damage is counted once, artifacts are unchanged.
+    let reads = common::tiny_reads(common::CHAOS_WORKLOAD_SEED);
+    let flip = |dir: &Path, stage: &str| {
+        let path = stage_path(dir, stage);
+        let mut bytes = std::fs::read(&path).expect("read checkpoint");
+        let mid = bytes.len() / 2;
+        bytes[mid] ^= 0x40;
+        std::fs::write(&path, &bytes).expect("write corrupted checkpoint");
+    };
+    let craft = |dir: &Path, stage: &str| {
+        let bytes = std::fs::read(stage_path(dir, stage)).expect("read checkpoint");
+        let fingerprint = u64::from_le_bytes(bytes[12..20].try_into().expect("8 bytes"));
+        checkpoint::save(dir, fingerprint, stage, 0.25, &[0xAB; 37]).expect("write crafted file");
+    };
+    type Damage<'a> = &'a dyn Fn(&Path, &str);
+    let damages: [(&str, Damage); 2] = [("corrupt", &flip), ("undecodable", &craft)];
+    for ranks in [1usize, 2] {
+        let baseline_dir = ScratchDir::new("bowtie-back");
+        let baseline = common::artifacts(&run_on(&reads, baseline_dir.path(), false, ranks, None));
+        for (kind, damage) in damages {
+            for (idx, stage) in [(2u64, "GraphFromFasta"), (3, "QuantifyGraph")] {
+                let what = format!("ranks={ranks} {kind} {stage}");
+                let dir = ScratchDir::new("bowtie-back");
+                run_on(&reads, dir.path(), false, ranks, None);
+                damage(dir.path(), stage);
+
+                let resumed = run_on(&reads, dir.path(), true, ranks, None);
+                assert_eq!(stage_names(&resumed), ALL_STAGES, "{what}");
+                assert_eq!(resumed.bowtie_timings.len(), ranks, "{what}");
+                assert_eq!(count(&resumed, "ckpt.invalid"), 1, "{what}");
+                assert_eq!(count(&resumed, "ckpt.resumed"), idx, "{what}");
+                assert_eq!(count(&resumed, "ckpt.saved"), 5 - idx, "{what}");
+                assert_eq!(common::artifacts(&resumed), baseline, "{what}");
+            }
+        }
+    }
+    // Damage *behind* the scaffolding result does not: ReadsToTranscripts
+    // recomputes from the resumed components and never needs a SAM.
+    let dir = ScratchDir::new("bowtie-back");
+    run(&reads, dir.path(), false);
+    flip(dir.path(), "ReadsToTranscripts");
+    let resumed = run(&reads, dir.path(), true);
+    assert!(!stage_names(&resumed).contains(&"Bowtie"));
+    assert_eq!(count(&resumed, "ckpt.invalid"), 1);
+    assert_eq!(count(&resumed, "ckpt.resumed"), 4);
 }
 
 #[test]
