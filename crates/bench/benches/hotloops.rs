@@ -62,7 +62,7 @@ fn naive_stream(seq: &[u8], k: usize, mut emit: impl FnMut(u64)) {
 }
 
 /// Naive per-read component vote: ASCII scan, O(k) canonical per window,
-/// heap-allocated tally — the shape `RttShared::assign` had before the
+/// heap-allocated tally — the shape `RttShared::assign_packed` had before the
 /// rolling/packed rewrite.
 fn naive_assign(table: &PackedKmerTable, min: u32, k: usize, read: &[u8]) -> Option<u32> {
     let mut votes: Vec<(u32, u32)> = Vec::new();

@@ -11,6 +11,7 @@ use chrysalis::reads_to_transcripts::{rtt_hybrid, rtt_hybrid_striped, RttShared}
 use mpisim::pack::pack_byte_strings;
 use mpisim::{run_cluster, NetModel};
 use seqio::fasta::Record;
+use seqio::packed::PackedSeq;
 use simulate::datasets::{Dataset, DatasetPreset};
 
 fn shared() -> Arc<RttShared> {
@@ -41,6 +42,13 @@ fn shared() -> Arc<RttShared> {
     ))
 }
 
+/// Votes of a chunk that arrived as bytes: the receiver encodes, then
+/// assigns.
+fn assign_shipped(s: &RttShared, chunk: &[Record]) -> usize {
+    let assigned = |r: &Record| s.assign_packed(&PackedSeq::from_bytes(&r.seq));
+    chunk.iter().filter_map(assigned).count()
+}
+
 fn bench(c: &mut Criterion) {
     let sh = shared();
     let mut g = c.benchmark_group("rtt");
@@ -48,8 +56,8 @@ fn bench(c: &mut Criterion) {
 
     g.bench_function("assign_all_reads", |b| {
         b.iter(|| {
-            for r in &sh.reads {
-                black_box(sh.assign(&r.seq));
+            for r in &sh.packed_reads {
+                black_box(sh.assign_packed(r));
             }
         })
     });
@@ -84,14 +92,14 @@ fn bench(c: &mut Criterion) {
                             &ch.iter().map(|r| r.seq.clone()).collect::<Vec<_>>(),
                         );
                         if dest == 0 {
-                            assigned += ch.iter().filter_map(|r| s.assign(&r.seq)).count();
+                            assigned += assign_shipped(&s, ch);
                         } else {
                             comm.send(dest, ci as u32, payload);
                         }
                     } else if dest == comm.rank() {
                         let payload = comm.recv(0, ci as u32);
                         black_box(&payload);
-                        assigned += ch.iter().filter_map(|r| s.assign(&r.seq)).count();
+                        assigned += assign_shipped(&s, ch);
                     }
                 }
                 comm.barrier();

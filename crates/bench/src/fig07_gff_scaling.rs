@@ -136,7 +136,7 @@ pub(crate) mod tests {
     /// Per-rank loop time in work units under the rank program's partition
     /// (chunked round-robin at the configured chunk size) and inner OpenMP
     /// schedule.
-    fn modelled_loop(shared: &GffShared, ranks: usize) -> PhaseSpread {
+    pub(crate) fn modelled_loop(shared: &GffShared, ranks: usize) -> PhaseSpread {
         let (cfg, work) = (&shared.cfg, work_units(shared));
         let groups = chunked_round_robin(work.len(), ranks, cfg.chunk_size(work.len(), ranks));
         let sims = simulate_grouped(&work, &groups, cfg.threads, cfg.schedule);

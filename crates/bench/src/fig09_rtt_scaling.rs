@@ -132,7 +132,7 @@ pub fn render(data: &Fig09Data) -> String {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use omp::makespan::simulate_loop;
     use omp::schedule::static_owner;
@@ -141,7 +141,7 @@ mod tests {
     /// `len − k + 1` — under the rank program's partition: the file in
     /// `max_mem_reads` chunks, chunk `ci` on rank `static_owner(ci, ranks)`,
     /// each chunk one OpenMP loop.
-    fn modelled_loop(shared: &RttShared, ranks: usize) -> PhaseSpread {
+    pub(crate) fn modelled_loop(shared: &RttShared, ranks: usize) -> PhaseSpread {
         let cfg = &shared.cfg;
         let mut per_rank = vec![0.0f64; ranks];
         for (ci, chunk) in shared.reads.chunks(cfg.max_mem_reads.max(1)).enumerate() {

@@ -68,11 +68,6 @@ impl FmIndex {
         &self.names[i]
     }
 
-    /// Length of contig `i`.
-    pub fn contig_len(&self, i: usize) -> usize {
-        self.lengths[i]
-    }
-
     /// Total reference bases (excluding separators).
     pub fn total_bases(&self) -> usize {
         self.lengths.iter().sum()
@@ -139,7 +134,6 @@ mod tests {
         let idx = FmIndex::build(&contigs());
         assert_eq!(idx.contig_count(), 3);
         assert_eq!(idx.contig_name(1), "c1");
-        assert_eq!(idx.contig_len(2), 4);
         assert_eq!(idx.total_bases(), 20);
     }
 

@@ -6,8 +6,6 @@
 //! the downstream scaffolding step consumes: QNAME, FLAG (strand bit),
 //! RNAME, POS, MAPQ, CIGAR and the NM mismatch tag.
 
-use std::io::{BufRead, Write};
-
 use crate::align::{Alignment, Strand};
 
 /// SAM flag bit: read is reverse-complemented.
@@ -69,11 +67,6 @@ impl SamRecord {
         self.flag & FLAG_UNMAPPED != 0
     }
 
-    /// True if the reverse-strand flag is set.
-    pub fn is_reverse(&self) -> bool {
-        self.flag & FLAG_REVERSE != 0
-    }
-
     /// Serialize as one SAM line (SEQ/QUAL columns elided with `*`).
     pub fn to_line(&self) -> String {
         format!(
@@ -109,24 +102,6 @@ impl SamRecord {
     }
 }
 
-/// Write records as SAM lines (no header; the pipeline's merge step simply
-/// concatenates per-rank files, exactly like the paper's final `cat`).
-pub fn write_sam<W: Write>(mut w: W, records: &[SamRecord]) -> std::io::Result<()> {
-    for r in records {
-        writeln!(w, "{}", r.to_line())?;
-    }
-    Ok(())
-}
-
-/// Read SAM lines, skipping `@` headers and malformed lines.
-pub fn read_sam<R: BufRead>(r: R) -> Vec<SamRecord> {
-    r.lines()
-        .map_while(Result::ok)
-        .filter(|l| !l.starts_with('@') && !l.trim().is_empty())
-        .filter_map(|l| SamRecord::parse_line(&l))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -145,7 +120,7 @@ mod tests {
     fn from_alignment_fields() {
         let r = SamRecord::from_alignment("read1", "contig7", &aln());
         assert_eq!(r.pos, 10); // 1-based
-        assert!(r.is_reverse());
+        assert_ne!(r.flag & FLAG_REVERSE, 0);
         assert!(!r.is_unmapped());
         assert_eq!(r.cigar, "36M");
         assert_eq!(r.nm, 2);
@@ -165,26 +140,6 @@ mod tests {
         let parsed = SamRecord::parse_line(&r.to_line()).unwrap();
         assert!(parsed.is_unmapped());
         assert_eq!(parsed.rname, "*");
-    }
-
-    #[test]
-    fn read_sam_skips_headers_and_garbage() {
-        let text = "@HD\tVN:1.0\nr\t0\tc\t1\t255\t4M\t*\t0\t0\t*\t*\tNM:i:0\nnot a sam line\n";
-        let records = read_sam(text.as_bytes());
-        assert_eq!(records.len(), 1);
-        assert_eq!(records[0].qname, "r");
-    }
-
-    #[test]
-    fn write_then_read() {
-        let records = vec![
-            SamRecord::from_alignment("a", "c0", &aln()),
-            SamRecord::unmapped("b"),
-        ];
-        let mut buf = Vec::new();
-        write_sam(&mut buf, &records).unwrap();
-        let back = read_sam(&buf[..]);
-        assert_eq!(back, records);
     }
 
     #[test]

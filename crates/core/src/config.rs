@@ -6,9 +6,8 @@ use omp::schedule::Schedule;
 #[derive(Debug, Clone, Copy)]
 pub struct ChrysalisConfig {
     /// Seed k-mer size. Trinity uses 25 at production scale; tests use
-    /// smaller k to keep fixtures small. Welds are `2k` long (seed plus
-    /// `k/2` flanks on each side), so `k` must be even and `2k ≤ 64`... in
-    /// practice we only need the *seed* to fit a packed word (`k ≤ 32`).
+    /// smaller k to keep fixtures small. `k ≤ 32`: a k-mer fits a packed
+    /// `u64` and a weld ([`Self::weld_len`] ≤ 63 bases) a packed `u128`.
     pub k: usize,
     /// Minimum number of distinct supporting reads for a weld to count
     /// ("welding pairs of contigs together if read support exists").
@@ -56,9 +55,11 @@ impl ChrysalisConfig {
         }
     }
 
-    /// Weld length: seed k-mer plus `k/2` flanking bases on each side.
+    /// Weld length in bases: the (k−1)-base seed plus [`Self::flank`]
+    /// bases on each side — 47 at k = 24. Every harvested window, the
+    /// loop-1 wire decode and the weld index take their length from here.
     pub fn weld_len(&self) -> usize {
-        2 * self.k
+        2 * self.flank() + self.k - 1
     }
 
     /// Flank length on each side of the seed.
@@ -81,7 +82,7 @@ mod tests {
     fn defaults_match_paper() {
         let c = ChrysalisConfig::default();
         assert_eq!(c.threads, 16);
-        assert_eq!(c.weld_len(), 48);
+        assert_eq!(c.weld_len(), 47);
         assert_eq!(c.flank(), 12);
         assert!(matches!(c.schedule, Schedule::Dynamic { .. }));
     }
@@ -101,6 +102,6 @@ mod tests {
     fn small_config() {
         let c = ChrysalisConfig::small(8);
         assert_eq!(c.k, 8);
-        assert_eq!(c.weld_len(), 16);
+        assert_eq!(c.weld_len(), 15);
     }
 }

@@ -2,7 +2,6 @@
 //! baseline is that program on one rank.
 
 use kcount::counter::KmerCounts;
-use seqio::fasta::Record;
 use seqio::packed::PackedSeq;
 
 use graph::unionfind::UnionFind;
@@ -15,7 +14,9 @@ use omp::schedule::{chunk_sequence, chunked_round_robin, Schedule};
 use crate::config::ChrysalisConfig;
 use crate::pairs::{match_contig, pack_pairs, pairs_from_matches, unpack_pairs, WeldKmerIndex};
 use crate::timings::GffTimings;
-use crate::weld::{harvest_contig, KmerContigMap, WeldSupport};
+use crate::weld::{
+    decode_weld, harvest_contig, pack_welds, unpack_welds, KmerContigMap, WeldSupport,
+};
 
 /// Read-only state every rank needs: the contig set, the seed-occurrence
 /// map and the read k-mer table (support oracle). Built once and shared;
@@ -43,6 +44,12 @@ impl GffShared {
     /// Jellyfish read-k-mer table at the same `k` as `cfg.k`.
     pub fn prepare(contigs: Vec<PackedSeq>, counts: KmerCounts, cfg: ChrysalisConfig) -> Self {
         assert_eq!(counts.k(), cfg.k, "read k-mer table must use the stage's k");
+        assert!(
+            cfg.weld_len() <= 63,
+            "a {}-base weld (k = {}) does not fit a packed u128 window",
+            cfg.weld_len(),
+            cfg.k
+        );
         let mut team = CostedTeam::new(cfg.threads, cfg.schedule);
         let kmap = KmerContigMap::build_routed(&contigs, cfg.k, &mut team);
         GffShared {
@@ -54,12 +61,6 @@ impl GffShared {
         }
     }
 
-    /// [`Self::prepare`] from byte records, encoding each contig once
-    /// (test/CLI convenience).
-    pub fn prepare_records(contigs: &[Record], counts: KmerCounts, cfg: ChrysalisConfig) -> Self {
-        Self::prepare(seqio::packed::encode_all(contigs), counts, cfg)
-    }
-
     fn support(&self) -> WeldSupport<'_> {
         WeldSupport::new(&self.counts, self.cfg.min_weld_support)
     }
@@ -69,7 +70,8 @@ impl GffShared {
 /// clustering (identical on every rank).
 #[derive(Debug, Clone, PartialEq)]
 pub struct GffOutput {
-    /// Pooled, deduplicated welds in rank order.
+    /// Pooled, deduplicated welds in rank order (ASCII: the checkpoint
+    /// payload, decoded once at the end of the rank program).
     pub welds: Vec<Vec<u8>>,
     /// Welded contig pairs (`a < b`, sorted).
     pub pairs: Vec<(u32, u32)>,
@@ -94,14 +96,6 @@ pub fn cluster(n_contigs: usize, pairs: &[(u32, u32)]) -> (Vec<usize>, Vec<Vec<u
         uf.union(a as usize, b as usize);
     }
     uf.into_components()
-}
-
-fn dedup_preserving_order(welds: Vec<Vec<u8>>) -> Vec<Vec<u8>> {
-    let mut seen = std::collections::HashSet::new();
-    welds
-        .into_iter()
-        .filter(|w| seen.insert(w.clone()))
-        .collect()
 }
 
 /// Shared-memory (OpenMP-only) GraphFromFasta: the paper's baseline, "run
@@ -292,20 +286,23 @@ fn gff_rank_program(comm: &mut Comm, shared: &GffShared, partition: Partition) -
     // Replicated seed-map build (each rank pays for its own parallel copy).
     comm.charge_costed("compute", "gff.prep", &[], || ((), shared.prep_cost));
 
-    // Loop 1: weld harvest, pooled as one packed string sequence.
+    // Loop 1: weld harvest, pooled as fixed-width packed words.
     let pooled = pooled_loop(
         comm,
         shared,
         partition,
         ["gff.loop1", "gff.comm1"],
         |i| harvest_contig(i, &shared.contigs, &shared.kmap, &support, cfg),
-        pack_byte_strings,
-        |buf| unpack_byte_strings(buf).expect("peer sent well-formed weld pack"),
+        pack_welds,
+        |buf| unpack_welds(buf).expect("peer sent whole packed welds"),
     );
 
-    // Weld k-mer index: a non-parallel region on every rank.
-    let weld_index =
-        comm.charge_measured_named("gff.weld_index", || WeldKmerIndex::build(&pooled, cfg.k));
+    // Weld k-mer index: a non-parallel region on every rank, and the one
+    // dedup of the pool.
+    let weld_index = comm.charge_measured_named("gff.weld_index", || {
+        WeldKmerIndex::build(&pooled, cfg.weld_len(), cfg.k)
+    });
+    drop(pooled);
 
     // Loop 2: weld matching over the same distribution, pooled as packed
     // integers.
@@ -314,18 +311,22 @@ fn gff_rank_program(comm: &mut Comm, shared: &GffShared, partition: Partition) -
         shared,
         partition,
         ["gff.loop2", "gff.comm2"],
-        |i| match_contig(i, &shared.contigs, &weld_index, cfg),
+        |i| match_contig(i, &shared.contigs, &weld_index),
         pack_pairs,
         unpack_pairs,
     );
 
     // Clustering + output generation: non-parallel, on every rank (the
-    // pooled matches are identical everywhere).
-    let (pairs, component_of, components) = comm.charge_measured_named("gff.cluster", || {
-        let pairs = pairs_from_matches(&matches);
-        let (component_of, components) = cluster(shared.contigs.len(), &pairs);
-        (pairs, component_of, components)
-    });
+    // pooled matches are identical everywhere). The distinct welds leave
+    // 2-bit space here, once: the ASCII list is the checkpoint payload.
+    let (welds, pairs, component_of, components) =
+        comm.charge_measured_named("gff.cluster", || {
+            let pairs = pairs_from_matches(&matches);
+            let (component_of, components) = cluster(shared.contigs.len(), &pairs);
+            let ascii = |&w: &u128| decode_weld(w, cfg.weld_len());
+            let welds = weld_index.welds().iter().map(ascii).collect();
+            (welds, pairs, component_of, components)
+        });
     comm.barrier();
 
     // Everything that is not the parallel prep, a hybrid loop or an
@@ -335,7 +336,7 @@ fn gff_rank_program(comm: &mut Comm, shared: &GffShared, partition: Partition) -
     comm.obs
         .record(track, "stage", "gff.total", start, comm.clock.now());
     GffOutput {
-        welds: dedup_preserving_order(pooled),
+        welds,
         pairs,
         component_of,
         components,
@@ -349,6 +350,7 @@ mod tests {
     use super::*;
     use kcount::counter::{count_kmers, CounterConfig};
     use mpisim::{run_cluster, NetModel};
+    use seqio::fasta::Record;
     use std::sync::Arc;
 
     fn rec(id: &str, seq: &[u8]) -> Record {
@@ -371,7 +373,11 @@ mod tests {
         let junction = [&A_LEFT[A_LEFT.len() - K / 2..], SEED, &B_RIGHT[..K / 2]].concat();
         let reads = vec![a.clone(), b.clone(), c.clone(), junction];
         let counts = count_kmers(&reads, CounterConfig::new(K));
-        GffShared::prepare_records(&contigs, counts, ChrysalisConfig::small(K))
+        GffShared::prepare(
+            seqio::packed::encode_all(&contigs),
+            counts,
+            ChrysalisConfig::small(K),
+        )
     }
 
     #[test]
@@ -382,6 +388,48 @@ mod tests {
         assert_eq!(out.component_of[0], out.component_of[1]);
         assert_ne!(out.component_of[0], out.component_of[2]);
         assert!(out.timings.total > 0.0);
+    }
+
+    /// The `fixtures` shape at any `k`: two pseudo-random contigs sharing
+    /// one (k−1)-base seed, and reads covering both and the junction.
+    fn junction_fixture(k: usize) -> GffShared {
+        let mut state = 0x9e37_79b9_7f4a_7c15u64 ^ k as u64;
+        let mut bases = |n: usize| -> Vec<u8> {
+            let mut next = || {
+                state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
+                b"ACGT"[(state >> 33) as usize % 4]
+            };
+            (0..n).map(|_| next()).collect()
+        };
+        let seed = bases(k - 1);
+        let (a_left, b_right) = (bases(k), bases(k));
+        let a = [&a_left[..], &seed, &bases(k)].concat();
+        let b = [&bases(k)[..], &seed, &b_right].concat();
+        let junction = [&a_left[k - k / 2..], &seed, &b_right[..k / 2]].concat();
+        let counts = count_kmers(&[a.clone(), b.clone(), junction], CounterConfig::new(k));
+        let contigs = seqio::packed::encode_all(&[a, b]);
+        GffShared::prepare(contigs, counts, ChrysalisConfig::small(k))
+    }
+
+    #[test]
+    fn every_output_weld_has_weld_len_bases() {
+        // Even and odd k, and the largest a u128 window holds (63 bases).
+        for (k, weld_len) in [(8, 15), (24, 47), (25, 48), (32, 63)] {
+            let shared = junction_fixture(k);
+            assert_eq!(shared.cfg.weld_len(), weld_len, "k={k}");
+            let out = gff_shared_memory(&shared);
+            assert!(!out.welds.is_empty(), "k={k}: junction harvested");
+            assert!(out.welds.iter().all(|w| w.len() == weld_len), "k={k}");
+            assert_eq!(out.pairs, vec![(0, 1)], "k={k}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "does not fit a packed u128 window")]
+    fn a_weld_longer_than_the_packed_window_is_rejected() {
+        // k = 33 still has a seed that fits a u64, but its weld is 64 bases.
+        let cfg = ChrysalisConfig::small(33);
+        GffShared::prepare(vec![], KmerCounts::empty(33), cfg);
     }
 
     #[test]
@@ -522,6 +570,7 @@ mod dynamic_tests {
     use super::*;
     use kcount::counter::{count_kmers, CounterConfig};
     use mpisim::{run_cluster, NetModel};
+    use seqio::fasta::Record;
     use std::sync::Arc;
 
     const K: usize = 8;
@@ -541,7 +590,11 @@ mod dynamic_tests {
         let junction = [&A_LEFT[A_LEFT.len() - K / 2..], SEED, &B_RIGHT[..K / 2]].concat();
         let reads = vec![a, b, c, junction];
         let counts = count_kmers(&reads, CounterConfig::new(K));
-        GffShared::prepare_records(&contigs, counts, ChrysalisConfig::small(K))
+        GffShared::prepare(
+            seqio::packed::encode_all(&contigs),
+            counts,
+            ChrysalisConfig::small(K),
+        )
     }
 
     #[test]

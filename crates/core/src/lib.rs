@@ -9,8 +9,8 @@
 //!    contigs; the paper distributes this by splitting the contig FASTA
 //!    across ranks (PyFasta) and merging per-rank SAM files.
 //! 2. **GraphFromFasta** ([`graph_from_fasta`]) clusters contigs into
-//!    components: loop 1 ([`weld`]) harvests read-supported 2k-length
-//!    "welding" subsequences shared between contigs; loop 2 ([`pairs`])
+//!    components: loop 1 ([`weld`]) harvests read-supported ≈2k-length
+//!    "welding" subsequences shared between contigs, each a packed `u128`; loop 2 ([`pairs`])
 //!    finds contig pairs sharing a weld; union-find turns pairs (plus
 //!    paired-end scaffold links, [`scaffold`]) into components.
 //! 3. **ReadsToTranscripts** ([`reads_to_transcripts`]) assigns every read
@@ -20,8 +20,8 @@
 //! Both compute loops follow the paper's hybrid scheme: a **chunked
 //! round-robin** distribution of contigs over MPI ranks (Fig. 3), dynamic
 //! OpenMP scheduling within a rank, and `MPI_Allgatherv` pooling of loop
-//! outputs (packed strings after loop 1, packed integer arrays after
-//! loop 2).
+//! outputs (two `u64` words per weld after loop 1, packed integer arrays
+//! after loop 2).
 //!
 //! ## One rank program per stage
 //!

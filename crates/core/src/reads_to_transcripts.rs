@@ -117,17 +117,6 @@ impl RttShared {
         }
     }
 
-    /// [`Self::prepare`] from byte-record contigs, encoding each once
-    /// (test/CLI convenience).
-    pub fn prepare_records(
-        reads: Vec<Record>,
-        contigs: &[Record],
-        components: &[Vec<usize>],
-        cfg: ChrysalisConfig,
-    ) -> Self {
-        Self::prepare(reads, &seqio::packed::encode_all(contigs), components, cfg)
-    }
-
     /// Assign one packed read: the component with the most shared k-mers,
     /// ties to the smallest component id. `None` if below `min_read_kmers`.
     ///
@@ -173,12 +162,6 @@ impl RttShared {
             }
         }
         best.map(|(c, _)| c)
-    }
-
-    /// [`Self::assign_packed`] from bytes, encoding the read first
-    /// (test/CLI convenience).
-    pub fn assign(&self, read: &[u8]) -> Option<u32> {
-        self.assign_packed(&PackedSeq::from_bytes(read))
     }
 }
 
@@ -337,13 +320,28 @@ pub(crate) mod tests_support {
         reads.push(rec("junk", b"TTTTTTTTTTTTTTTT"));
         let mut cfg = ChrysalisConfig::small(8);
         cfg.max_mem_reads = 3;
-        RttShared::prepare_records(reads, &contigs, &components, cfg)
+        prepare(reads, &contigs, &components, cfg)
+    }
+
+    /// [`RttShared::prepare`] over ASCII contigs.
+    pub(crate) fn prepare(
+        reads: Vec<Record>,
+        contigs: &[Record],
+        components: &[Vec<usize>],
+        cfg: ChrysalisConfig,
+    ) -> RttShared {
+        RttShared::prepare(reads, &seqio::packed::encode_all(contigs), components, cfg)
+    }
+
+    /// The component `shared` assigns an ASCII read to.
+    pub(crate) fn assign(shared: &RttShared, read: &[u8]) -> Option<u32> {
+        shared.assign_packed(&PackedSeq::from_bytes(read))
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::tests_support::{fixtures, rec, C0, C1};
+    use super::tests_support::{assign, fixtures, prepare, rec, C0, C1};
     use super::*;
     use mpisim::{run_cluster, NetModel};
     use std::sync::Arc;
@@ -351,9 +349,9 @@ mod tests {
     #[test]
     fn assign_prefers_majority_component() {
         let shared = fixtures();
-        assert_eq!(shared.assign(&C0[..16]), Some(0));
-        assert_eq!(shared.assign(&C1[..16]), Some(1));
-        assert_eq!(shared.assign(b"TTTTTTTTTTTTTTTT"), None);
+        assert_eq!(assign(&shared, &C0[..16]), Some(0));
+        assert_eq!(assign(&shared, &C1[..16]), Some(1));
+        assert_eq!(assign(&shared, b"TTTTTTTTTTTTTTTT"), None);
     }
 
     #[test]
@@ -441,17 +439,15 @@ mod tests {
     fn ties_break_to_smaller_component() {
         let contigs = vec![rec("c0", C0), rec("c1", C0)]; // identical contigs
         let components = vec![vec![0], vec![1]];
-        let shared =
-            RttShared::prepare_records(vec![], &contigs, &components, ChrysalisConfig::small(8));
+        let shared = prepare(vec![], &contigs, &components, ChrysalisConfig::small(8));
         // All k-mers claimed by component 0 (first wins).
-        assert_eq!(shared.assign(&C0[..16]), Some(0));
+        assert_eq!(assign(&shared, &C0[..16]), Some(0));
     }
 
     #[test]
     fn empty_reads() {
         let contigs = vec![rec("c0", C0)];
-        let shared =
-            RttShared::prepare_records(vec![], &contigs, &[vec![0]], ChrysalisConfig::small(8));
+        let shared = prepare(vec![], &contigs, &[vec![0]], ChrysalisConfig::small(8));
         let out = rtt_shared_memory(&shared);
         assert!(out.assignments.is_empty());
     }
@@ -461,8 +457,8 @@ mod tests {
         let contigs = vec![rec("c0", C0)];
         let mut cfg = ChrysalisConfig::small(8);
         cfg.min_read_kmers = 100; // unreachable
-        let shared = RttShared::prepare_records(vec![], &contigs, &[vec![0]], cfg);
-        assert_eq!(shared.assign(&C0[..16]), None);
+        let shared = prepare(vec![], &contigs, &[vec![0]], cfg);
+        assert_eq!(assign(&shared, &C0[..16]), None);
     }
 
     #[test]
@@ -483,13 +479,13 @@ mod tests {
         let components: Vec<Vec<usize>> = (0..contigs.len()).map(|i| vec![i]).collect();
         let mut cfg = ChrysalisConfig::small(8);
         cfg.min_read_kmers = 1;
-        let shared = RttShared::prepare_records(vec![], &contigs, &components, cfg);
+        let shared = prepare(vec![], &contigs, &components, cfg);
         // One read stitched from every contig touches them all.
         let read: Vec<u8> = contigs.iter().flat_map(|c| c.seq.clone()).collect();
         // Reference: plain HashMap tally, same threshold and tie-break.
         let mut votes: std::collections::HashMap<u32, u32> = Default::default();
-        for (_, km) in seqio::kmer::CanonicalKmers::new(&read, 8).unwrap() {
-            if let Some(c) = shared.kmer_to_component.get(km.packed()) {
+        for (_, km) in seqio::kmer::KmerIter::new(&read, 8).unwrap() {
+            if let Some(c) = shared.kmer_to_component.get(km.canonical().packed()) {
                 *votes.entry(c).or_insert(0) += 1;
             }
         }
@@ -502,7 +498,7 @@ mod tests {
             .into_iter()
             .max_by(|a, b| a.1.cmp(&b.1).then(b.0.cmp(&a.0)))
             .map(|(c, _)| c);
-        assert_eq!(shared.assign(&read), expect);
+        assert_eq!(assign(&shared, &read), expect);
     }
 }
 
@@ -530,20 +526,45 @@ mod striped_tests {
 
     #[test]
     fn striped_io_shrinks_with_ranks() {
+        // What a rank uploads is read off the `rtt.io` spans it records —
+        // one per chunk, the chunk named by the span's `chunk` arg — as a
+        // count and a byte volume, so the host's speed cannot move it.
         let shared = Arc::new(fixtures());
-        let s1 = Arc::clone(&shared);
-        let stream = run_cluster(4, NetModel::ideal(), move |comm| {
-            rtt_hybrid(comm, &s1).timings.io
-        });
-        let s2 = Arc::clone(&shared);
-        let striped = run_cluster(4, NetModel::ideal(), move |comm| {
-            rtt_hybrid_striped(comm, &s2).timings.io
-        });
-        let stream_io: f64 = stream.iter().map(|o| o.value).sum();
-        let striped_io: f64 = striped.iter().map(|o| o.value).sum();
+        let chunk_bytes: Vec<usize> = shared
+            .reads
+            .chunks(shared.cfg.max_mem_reads)
+            .map(|c| c.iter().map(|r| r.seq.len()).sum())
+            .collect();
+        let file_bytes: usize = chunk_bytes.iter().sum();
+        let ranks = 4;
+        let uploads = |program: fn(&mut Comm, &RttShared) -> RttOutput| -> Vec<(usize, usize)> {
+            let sh = Arc::clone(&shared);
+            let outs = run_cluster(ranks, NetModel::ideal(), move |comm| program(comm, &sh));
+            let per_rank = outs.iter().map(|o| {
+                let io = o
+                    .trace
+                    .on_track(o.rank as u32)
+                    .filter(|sp| sp.name == "rtt.io");
+                let chunks: Vec<usize> = io.map(|sp| sp.arg("chunk").unwrap() as usize).collect();
+                (chunks.len(), chunks.iter().map(|&ci| chunk_bytes[ci]).sum())
+            });
+            per_rank.collect()
+        };
+        // §III-C: every rank streams the whole file.
+        for upload in uploads(rtt_hybrid) {
+            assert_eq!(upload, (chunk_bytes.len(), file_bytes));
+        }
+        // §VI: the ranks' reads partition it, no rank taking more than its
+        // round-robin share of the chunks.
+        let striped = uploads(rtt_hybrid_striped);
+        let total = |f: fn(&(usize, usize)) -> usize| striped.iter().map(f).sum::<usize>();
+        assert_eq!(total(|u| u.0), chunk_bytes.len());
+        assert_eq!(total(|u| u.1), file_bytes);
+        let share = chunk_bytes.len().div_ceil(ranks);
+        assert!(striped.iter().all(|u| u.0 <= share), "{striped:?}");
         assert!(
-            striped_io < stream_io,
-            "striped total I/O ({striped_io}) must undercut redundant streaming ({stream_io})"
+            share < chunk_bytes.len(),
+            "fixture has more chunks than one share"
         );
     }
 }

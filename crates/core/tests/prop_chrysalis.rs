@@ -1,14 +1,16 @@
 //! Property-based tests for the Chrysalis core: partition-invariance of
-//! the hybrid drivers over randomized workloads, and the owner-routed
-//! table builds against their sequential definitions.
+//! the hybrid drivers over randomized workloads, the owner-routed table
+//! builds against their sequential definitions, and the packed weld index
+//! and wire codec against the byte-keyed index they replaced.
 
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use chrysalis::config::ChrysalisConfig;
 use chrysalis::graph_from_fasta::{cluster, gff_hybrid, gff_shared_memory, GffShared};
-use chrysalis::pairs::pairs_from_matches;
+use chrysalis::pairs::{match_contig, pairs_from_matches, WeldKmerIndex};
 use chrysalis::reads_to_transcripts::{rtt_hybrid, rtt_shared_memory, RttShared};
-use chrysalis::weld::KmerContigMap;
+use chrysalis::weld::{decode_weld, pack_welds, unpack_welds, KmerContigMap};
 use kcount::counter::{count_kmers, CounterConfig};
 use kmertable::PackedKmerTable;
 use mpisim::{run_cluster, NetModel};
@@ -197,6 +199,117 @@ proptest! {
         // Sorted and deduplicated.
         for w in pairs.windows(2) {
             prop_assert!(w[0] < w[1]);
+        }
+    }
+}
+
+/// Pack an ACGT string MSB-first, the layout of a harvested weld.
+fn pack(weld: &[u8]) -> u128 {
+    let code = |b: u8| seqio::alphabet::base_to_code(b).expect("ACGT") as u128;
+    weld.iter().fold(0, |p, &b| (p << 2) | code(b))
+}
+
+/// Canonical k-mers of an ASCII sequence, each rebuilt per window.
+fn naive_canonical_kmers(seq: &[u8], k: usize) -> impl Iterator<Item = u64> + '_ {
+    let kmers = seqio::kmer::KmerIter::new(seq, k).expect("valid k");
+    kmers.map(|(_, km)| km.canonical().packed())
+}
+
+/// The weld index as it was while welds were ASCII: a byte-keyed dedup in
+/// first-occurrence order and k-mers taken from the bytes. Returns the
+/// distinct welds in id order and the k-mer → weld-ids map.
+fn byte_weld_index(pooled: &[Vec<u8>], k: usize) -> (Vec<Vec<u8>>, HashMap<u64, Vec<u32>>) {
+    let mut ids: HashMap<&[u8], u32> = HashMap::new();
+    let mut distinct = Vec::new();
+    let mut map: HashMap<u64, Vec<u32>> = HashMap::new();
+    for w in pooled {
+        let next = ids.len() as u32;
+        if *ids.entry(w.as_slice()).or_insert(next) != next {
+            continue;
+        }
+        distinct.push(w.clone());
+        for km in naive_canonical_kmers(w, k) {
+            let v = map.entry(km).or_default();
+            if v.last() != Some(&next) {
+                v.push(next);
+            }
+        }
+    }
+    (distinct, map)
+}
+
+/// Loop 2's item against the byte index: the distinct weld ids whose
+/// k-mers the contig contains, sorted, paired with the contig index.
+fn byte_match_contig(
+    i: u32,
+    contig: &[u8],
+    map: &HashMap<u64, Vec<u32>>,
+    k: usize,
+) -> Vec<(u32, u32)> {
+    let hits = naive_canonical_kmers(contig, k).flat_map(|km| map.get(&km).into_iter().flatten());
+    let ids: std::collections::BTreeSet<u32> = hits.copied().collect();
+    ids.into_iter().map(|w| (w, i)).collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Pools with duplicates within and across ranks, shipped through the
+    /// wire codec: the `u128` index assigns the ids the byte index did,
+    /// lists the same distinct welds and answers loop 2 identically.
+    #[test]
+    fn packed_weld_index_equals_byte_index(
+        pool in proptest::collection::vec(dna(15..16), 1..7),
+        per_rank in proptest::collection::vec(proptest::collection::vec(0usize..7, 0..9), 1..5),
+        contig_picks in proptest::collection::vec((proptest::collection::vec(0usize..14, 0..4), dna(0..20)), 1..6),
+    ) {
+        const K: usize = 8;
+        let weld_len = ChrysalisConfig::small(K).weld_len();
+        let canonical = |w: &Vec<u8>| w.clone().min(seqio::alphabet::revcomp(w));
+        let pool: Vec<Vec<u8>> = pool.iter().map(canonical).collect();
+        prop_assert!(pool.iter().all(|w| w.len() == weld_len));
+        let rank_welds: Vec<Vec<Vec<u8>>> = per_rank
+            .iter()
+            .map(|picks| picks.iter().map(|&p| pool[p % pool.len()].clone()).collect())
+            .collect();
+
+        // Each rank packs its share; the pool is every buffer unpacked, in
+        // rank order (an idle rank's buffer is empty).
+        let mut pooled: Vec<u128> = Vec::new();
+        for welds in &rank_welds {
+            let mine: Vec<u128> = welds.iter().map(|w| pack(w)).collect();
+            let buf = pack_welds(&mine);
+            prop_assert_eq!(buf.len(), 16 * mine.len());
+            prop_assert_eq!(unpack_welds(&buf).as_ref(), Some(&mine));
+            if !buf.is_empty() {
+                prop_assert_eq!(unpack_welds(&buf[1..]), None);
+                prop_assert_eq!(unpack_welds(&buf[8..]), None);
+            }
+            pooled.extend(mine);
+        }
+        let index = WeldKmerIndex::build(&pooled, weld_len, K);
+        let (distinct, map) = byte_weld_index(&rank_welds.concat(), K);
+        let decoded: Vec<Vec<u8>> = index.welds().iter().map(|&w| decode_weld(w, weld_len)).collect();
+        prop_assert_eq!(decoded, distinct);
+
+        // Contigs stitched from pool welds (either strand) and filler.
+        let contigs: Vec<Vec<u8>> = contig_picks
+            .iter()
+            .map(|(picks, filler)| {
+                let mut seq = filler.clone();
+                for &p in picks {
+                    let weld = &pool[(p / 2) % pool.len()];
+                    seq.extend(if p % 2 == 0 { weld.clone() } else { seqio::alphabet::revcomp(weld) });
+                }
+                seq
+            })
+            .collect();
+        let packed = seqio::packed::encode_all(&contigs);
+        for (i, contig) in contigs.iter().enumerate() {
+            prop_assert_eq!(
+                match_contig(i as u32, &packed, &index),
+                byte_match_contig(i as u32, contig, &map, K)
+            );
         }
     }
 }

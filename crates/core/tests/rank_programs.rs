@@ -16,7 +16,7 @@ use chrysalis::pairs::{match_contig, pairs_from_matches, WeldKmerIndex};
 use chrysalis::reads_to_transcripts::{
     rtt_hybrid, rtt_hybrid_striped, rtt_shared_memory, RttOutput, RttShared,
 };
-use chrysalis::weld::{harvest_contig, WeldSupport};
+use chrysalis::weld::{decode_weld, harvest_contig, WeldSupport};
 use kcount::counter::{count_kmers, CounterConfig};
 use mpisim::{run_cluster, Comm, NetModel};
 use seqio::fasta::Record;
@@ -68,32 +68,33 @@ fn order_digest(welds: &[Vec<u8>]) -> u64 {
 /// Welds (first occurrences, in harvest order), pairs and component ids.
 type GffReference = (Vec<Vec<u8>>, Vec<(u32, u32)>, Vec<usize>);
 
+/// Every contig's harvest, in contig order, duplicates across contigs
+/// included: what loop 1 pools, whatever the rank count.
+fn harvest_all(shared: &GffShared) -> Vec<u128> {
+    let cfg = &shared.cfg;
+    let support = WeldSupport::new(&shared.counts, cfg.min_weld_support);
+    let harvest = |i| harvest_contig(i, &shared.contigs, &shared.kmap, &support, cfg);
+    (0..shared.contigs.len() as u32).flat_map(harvest).collect()
+}
+
+/// Every contig's loop-2 matches against `index`, in contig order.
+fn match_all(shared: &GffShared, index: &WeldKmerIndex) -> Vec<(u32, u32)> {
+    let matches = |i| match_contig(i, &shared.contigs, index);
+    (0..shared.contigs.len() as u32).flat_map(matches).collect()
+}
+
 /// GraphFromFasta in a straight line: harvest every contig in order, index
 /// the welds, match every contig in order, pair, cluster.
 fn gff_reference(shared: &GffShared) -> GffReference {
     let cfg = &shared.cfg;
-    let n = shared.contigs.len();
-    let support = WeldSupport::new(&shared.counts, cfg.min_weld_support);
-    let mut welds = Vec::new();
-    for i in 0..n as u32 {
-        welds.extend(harvest_contig(
-            i,
-            &shared.contigs,
-            &shared.kmap,
-            &support,
-            cfg,
-        ));
-    }
-    let index = WeldKmerIndex::build(&welds, cfg.k);
-    let mut matches = Vec::new();
-    for i in 0..n as u32 {
-        matches.extend(match_contig(i, &shared.contigs, &index, cfg));
-    }
-    let pairs = pairs_from_matches(&matches);
-    let (component_of, _) = cluster(n, &pairs);
+    let mut welds = harvest_all(shared);
+    let index = WeldKmerIndex::build(&welds, cfg.weld_len(), cfg.k);
+    let pairs = pairs_from_matches(&match_all(shared, &index));
+    let (component_of, _) = cluster(shared.contigs.len(), &pairs);
     let mut seen = std::collections::HashSet::new();
-    welds.retain(|w| seen.insert(w.clone()));
-    (welds, pairs, component_of)
+    welds.retain(|&w| seen.insert(w));
+    let ascii = |&w: &u128| decode_weld(w, cfg.weld_len());
+    (welds.iter().map(ascii).collect(), pairs, component_of)
 }
 
 /// ReadsToTranscripts in a straight line: vote every read, in file order.
@@ -167,6 +168,56 @@ fn gff_hybrid_weld_order_is_pinned() {
         got, DIGESTS,
         "weld order per rank count {RANKS:?}: {got:#x?}"
     );
+}
+
+/// FNV-1a over a whole GraphFromFasta output: the welds in order
+/// (newline-terminated), then every pair and every component id as
+/// little-endian `u32`s.
+fn output_digest(out: &GffOutput) -> u64 {
+    let welds = out
+        .welds
+        .iter()
+        .flat_map(|w| w.iter().copied().chain(*b"\n"));
+    let pairs = out.pairs.iter().flat_map(|&(a, b)| [a, b]);
+    let ids = out.component_of.iter().map(|&c| c as u32);
+    let ints = pairs.chain(ids).flat_map(u32::to_le_bytes);
+    welds.chain(ints).fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Welds cross ranks as `u128`s and are decoded once, at the end of the
+/// rank program; the ASCII list, the pairs and the component ids must be
+/// the bytes the rank program produced when welds were ASCII from harvest
+/// on. Digests recorded at that commit (`870561d`), this workload.
+#[test]
+fn gff_hybrid_output_is_byte_identical_to_the_ascii_weld_flow() {
+    const DIGESTS: [u64; 4] = [
+        0x3148_9c22_60d9_f0b0,
+        0xb2da_0f20_f1d8_4764,
+        0x5f2a_ea3a_8d00_f120,
+        0xb0ba_6e21_58a7_f5e8,
+    ];
+    let (shared, _) = workload();
+    let digest = |ranks| output_digest(&gff_on_cluster(&shared, ranks, gff_hybrid)[0]);
+    let got = RANKS.map(digest);
+    assert_eq!(got, DIGESTS, "output per rank count {RANKS:?}: {got:#x?}");
+}
+
+/// Loop 1 ships fixed-width words: 16 bytes per pooled weld, duplicates
+/// included, no framing; loop 2 ships 8 bytes per match. Nothing else in
+/// the rank program carries a payload.
+#[test]
+fn loop1_exchange_is_sixteen_bytes_per_pooled_weld() {
+    let (shared, _) = workload();
+    let pooled = harvest_all(&shared);
+    let index = WeldKmerIndex::build(&pooled, shared.cfg.weld_len(), shared.cfg.k);
+    assert!(index.len() < pooled.len(), "fixture pools duplicate welds");
+    let matches = match_all(&shared, &index);
+    let sh = Arc::clone(&shared);
+    let outs = run_cluster(2, NetModel::idataplex(), move |comm| gff_hybrid(comm, &sh));
+    let sent: u64 = outs.iter().map(|o| o.stats.bytes_sent).sum();
+    assert_eq!(sent, (16 * pooled.len() + 8 * matches.len()) as u64);
 }
 
 #[test]

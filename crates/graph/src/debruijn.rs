@@ -154,7 +154,8 @@ impl DeBruijnGraph {
     }
 
     /// Look up a node by its (k−1)-mer.
-    pub fn node_of(&self, km: Kmer) -> Option<NodeId> {
+    #[cfg(test)]
+    fn node_of(&self, km: Kmer) -> Option<NodeId> {
         self.index.get(km.packed())
     }
 
@@ -179,12 +180,14 @@ impl DeBruijnGraph {
     }
 
     /// In-degree of a node.
-    pub fn in_degree(&self, id: NodeId) -> usize {
+    #[cfg(test)]
+    fn in_degree(&self, id: NodeId) -> usize {
         self.indeg[id as usize] as usize
     }
 
     /// Out-degree of a node.
-    pub fn out_degree(&self, id: NodeId) -> usize {
+    #[cfg(test)]
+    fn out_degree(&self, id: NodeId) -> usize {
         self.successors(id).count()
     }
 

@@ -9,7 +9,6 @@
 pub struct UnionFind {
     parent: Vec<u32>,
     size: Vec<u32>,
-    components: usize,
 }
 
 impl UnionFind {
@@ -22,7 +21,6 @@ impl UnionFind {
         UnionFind {
             parent: (0..n as u32).collect(),
             size: vec![1; n],
-            components: n,
         }
     }
 
@@ -36,9 +34,12 @@ impl UnionFind {
         self.parent.is_empty()
     }
 
-    /// Number of disjoint sets.
-    pub fn component_count(&self) -> usize {
-        self.components
+    /// Number of disjoint sets (one root each).
+    #[cfg(test)]
+    fn component_count(&self) -> usize {
+        (0..self.len())
+            .filter(|&x| self.parent[x] == x as u32)
+            .count()
     }
 
     /// Representative of `x`'s set (path halving).
@@ -63,7 +64,6 @@ impl UnionFind {
         }
         self.parent[rb] = ra as u32;
         self.size[ra] += self.size[rb];
-        self.components -= 1;
         true
     }
 
@@ -73,7 +73,8 @@ impl UnionFind {
     }
 
     /// Size of `x`'s set.
-    pub fn set_size(&mut self, x: usize) -> usize {
+    #[cfg(test)]
+    fn set_size(&mut self, x: usize) -> usize {
         let r = self.find(x);
         self.size[r] as usize
     }

@@ -108,11 +108,12 @@ impl Dictionary {
     }
 
     /// Iterate k-mers in decreasing-abundance order.
-    pub fn iter_by_abundance(&self) -> impl Iterator<Item = (Kmer, u32)> + '_ {
+    #[cfg(test)]
+    fn iter_by_abundance(&self) -> impl Iterator<Item = (Kmer, u32)> + '_ {
         self.seeds().map(|(km, _, count)| (km, count))
     }
 
-    /// [`Self::iter_by_abundance`] with each k-mer's slot (what
+    /// The k-mers in decreasing-abundance order, each with its slot (what
     /// [`Self::find_each`] would report): `(kmer, slot, count)`.
     pub fn seeds(&self) -> impl Iterator<Item = (Kmer, usize, u32)> + '_ {
         let k = self.k;

@@ -118,21 +118,6 @@ impl KmerCounts {
         self.counts.iter()
     }
 
-    /// Drain into a vector sorted by decreasing count (ties: k-mer order) —
-    /// the order Inchworm consumes the dictionary in. The comparator is a
-    /// total order ((count, kmer) pairs are distinct per entry), so the
-    /// unstable sort is deterministic and allocation-free.
-    pub fn into_sorted_by_abundance(self) -> Vec<(Kmer, u32)> {
-        let k = self.k;
-        let mut v: Vec<(Kmer, u32)> = self
-            .counts
-            .iter()
-            .map(|(p, c)| (Kmer::from_packed(p, k).expect("stored kmer valid"), c))
-            .collect();
-        v.sort_unstable_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-        v
-    }
-
     /// Remove k-mers with count below `min`, returning how many were removed.
     pub fn retain_min(&mut self, min: u32) -> usize {
         if self.counts.iter().all(|(_, c)| c >= min) {
@@ -304,16 +289,6 @@ mod tests {
     }
 
     #[test]
-    fn sorted_by_abundance() {
-        let counts = count_kmers(&[b"AAAAACGT".as_slice()], cfg(4, false));
-        let sorted = counts.into_sorted_by_abundance();
-        for w in sorted.windows(2) {
-            assert!(w[0].1 >= w[1].1);
-        }
-        assert_eq!(sorted[0].0.bases(), b"AAAA");
-    }
-
-    #[test]
     fn packed_counting_matches_byte_counting() {
         let reads: Vec<Vec<u8>> = vec![
             b"ACGTACGTGGCCATAT".to_vec(),
@@ -339,23 +314,6 @@ mod tests {
             assert_eq!(counts.get_packed(km.packed()), c);
         }
         assert_eq!(counts.get_packed(u64::MAX), 0);
-    }
-
-    #[test]
-    fn sorted_by_abundance_order_is_pinned() {
-        // AAAA x3, then singletons; ties break by ascending k-mer order.
-        let counts = count_kmers(&[b"AAAAAACGT".as_slice()], cfg(4, false));
-        let sorted = counts.into_sorted_by_abundance();
-        let rendered: Vec<(Vec<u8>, u32)> = sorted.iter().map(|(km, c)| (km.bases(), *c)).collect();
-        assert_eq!(
-            rendered,
-            vec![
-                (b"AAAA".to_vec(), 3),
-                (b"AAAC".to_vec(), 1),
-                (b"AACG".to_vec(), 1),
-                (b"ACGT".to_vec(), 1),
-            ]
-        );
     }
 
     #[test]

@@ -1,28 +1,21 @@
 //! Jellyfish substrate: fast, memory-conscious k-mer counting.
 //!
 //! Jellyfish is the first stage of the Trinity workflow: it counts every
-//! k-mer (k = 25 by default in Trinity) across all reads and dumps the
-//! counts to (very large) text files that Inchworm then ingests. This crate
-//! reproduces that role:
+//! k-mer (k = 25 by default in Trinity) across all reads; upstream dumps
+//! the counts to (very large) text files that Inchworm then ingests, here
+//! the count table is handed to Inchworm in memory. This crate reproduces
+//! that role:
 //!
 //! * [`routed`] — the owner-routed table build every k-mer-keyed table of
 //!   the pipeline goes through (route → owner-local absorb, in rounds);
 //! * [`counter`] — parallel counting over a read set, as a routed build;
-//! * [`dump`] — the text dump/load format (k-mer, count per line) standing
-//!   in for `jellyfish count | jellyfish dump`;
-//! * [`filter`] — minimum-abundance filtering of likely error k-mers plus
-//!   the abundance histogram used in reports;
 //! * [`dsk`] — DSK-style disk-partitioned counting with bounded memory
 //!   (the low-memory alternative the paper cites and targets as future
 //!   work).
 
 pub mod counter;
 pub mod dsk;
-pub mod dump;
-pub mod filter;
 pub mod routed;
 
 pub use counter::{count_kmers, CounterConfig, KmerCounts};
 pub use dsk::{count_kmers_dsk, DskConfig, DskOutcome};
-pub use dump::{dump_counts, load_counts};
-pub use filter::{abundance_histogram, filter_min_count};

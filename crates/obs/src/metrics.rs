@@ -123,17 +123,6 @@ impl HistogramSummary {
             self.sum as f64 / self.count as f64
         }
     }
-
-    /// Upper bound (exclusive) of the highest non-empty bucket — a cheap
-    /// "max is below" statistic. 0 if empty.
-    pub fn max_bound(&self) -> u64 {
-        match self.buckets.iter().rposition(|&c| c > 0) {
-            None => 0,
-            Some(0) => 1,
-            Some(i) if i >= 63 => u64::MAX,
-            Some(i) => 1u64 << i,
-        }
-    }
 }
 
 #[derive(Debug, Clone)]
@@ -345,7 +334,6 @@ mod tests {
         assert_eq!(s.count, 4);
         assert_eq!(s.sum, 104);
         assert_eq!(s.mean(), 26.0);
-        assert_eq!(s.max_bound(), 128);
         assert_eq!(s.buckets[0], 1); // 0
         assert_eq!(s.buckets[1], 1); // 1
         assert_eq!(s.buckets[2], 1); // 3
@@ -356,7 +344,6 @@ mod tests {
     fn empty_histogram() {
         let s = Histogram::default().summary();
         assert_eq!(s.mean(), 0.0);
-        assert_eq!(s.max_bound(), 0);
     }
 
     #[test]

@@ -34,13 +34,6 @@ impl PhaseSpread {
         }
     }
 
-    /// Spread of the summed durations of spans named `name` on each of the
-    /// given tracks of a [`crate::Trace`] — one value per rank, then
-    /// min/max/mean over ranks.
-    pub fn over_spans(trace: &crate::Trace, tracks: &[u32], name: &str) -> PhaseSpread {
-        PhaseSpread::over(tracks, |&t| trace.span_sum(t, name))
-    }
-
     /// Max/min ratio (the paper quotes "the highest time of a process more
     /// than three times the process with the lowest time" at 192 nodes).
     pub fn imbalance(&self) -> f64 {
@@ -55,7 +48,6 @@ impl PhaseSpread {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Tracer;
 
     #[test]
     fn spread_over_records() {
@@ -72,17 +64,5 @@ mod tests {
         let s = PhaseSpread::over::<f64>(&[], |&t| t);
         assert_eq!(s.max, 0.0);
         assert_eq!(s.imbalance(), 1.0);
-    }
-
-    #[test]
-    fn spread_over_spans() {
-        let tr = Tracer::new();
-        tr.record(0, "c", "loop", 0.0, 1.0);
-        tr.record(0, "c", "loop", 1.0, 1.5); // rank 0 total: 1.5
-        tr.record(1, "c", "loop", 0.0, 3.0); // rank 1 total: 3.0
-        let s = PhaseSpread::over_spans(&tr.take(), &[0, 1], "loop");
-        assert_eq!(s.min, 1.5);
-        assert_eq!(s.max, 3.0);
-        assert!((s.imbalance() - 2.0).abs() < 1e-12);
     }
 }

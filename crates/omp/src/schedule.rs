@@ -27,13 +27,6 @@ pub enum Schedule {
     },
 }
 
-impl Schedule {
-    /// The paper's loops: dynamic with a modest chunk.
-    pub fn paper_default() -> Self {
-        Schedule::Dynamic { chunk: 16 }
-    }
-}
-
 /// A half-open range of loop iterations `[start, end)` forming one chunk.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Chunk {

@@ -1,10 +1,8 @@
-//! The DNA alphabet: encoding, complementation and validation.
+//! The DNA alphabet: encoding and complementation.
 //!
 //! Sequences travel through the pipeline as raw `&[u8]` ASCII. The 2-bit
 //! code (`A=0, C=1, G=2, T=3`) defined here is the packing used by
 //! [`crate::kmer::Kmer`] and by the FM-index in the `bowtie` crate.
-
-use crate::error::{Error, Result};
 
 /// Number of symbols in the strict DNA alphabet.
 pub const ALPHABET_SIZE: usize = 4;
@@ -72,29 +70,6 @@ pub fn revcomp_in_place(seq: &mut [u8]) {
     }
 }
 
-/// True if every byte is a strict `ACGT` base (case-insensitive).
-pub fn is_strict_dna(seq: &[u8]) -> bool {
-    seq.iter().all(|&b| base_to_code(b).is_some())
-}
-
-/// Validate a sequence allowing `N`/`n` wildcards; returns the first
-/// offending byte otherwise.
-pub fn validate_dna(seq: &[u8]) -> Result<()> {
-    for &b in seq {
-        if base_to_code(b).is_none() && b != b'N' && b != b'n' {
-            return Err(Error::InvalidBase(b));
-        }
-    }
-    Ok(())
-}
-
-/// Uppercase a sequence in place (ASCII only).
-pub fn uppercase_in_place(seq: &mut [u8]) {
-    for b in seq.iter_mut() {
-        *b = b.to_ascii_uppercase();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -140,23 +115,5 @@ mod tests {
             revcomp_in_place(&mut v);
             assert_eq!(v, revcomp(case));
         }
-    }
-
-    #[test]
-    fn validation() {
-        assert!(is_strict_dna(b"ACGTacgt"));
-        assert!(!is_strict_dna(b"ACGN"));
-        assert!(validate_dna(b"ACGTN").is_ok());
-        assert!(matches!(
-            validate_dna(b"ACGT-"),
-            Err(Error::InvalidBase(b'-'))
-        ));
-    }
-
-    #[test]
-    fn uppercase() {
-        let mut v = b"acGt".to_vec();
-        uppercase_in_place(&mut v);
-        assert_eq!(v, b"ACGT");
     }
 }

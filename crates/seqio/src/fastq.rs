@@ -24,17 +24,6 @@ pub struct FastqRecord {
 }
 
 impl FastqRecord {
-    /// Construct with uniform quality `q` (Phred+33 char).
-    pub fn with_uniform_quality(id: impl Into<String>, seq: Vec<u8>, q: u8) -> Self {
-        let qual = vec![q; seq.len()];
-        FastqRecord {
-            id: id.into(),
-            desc: String::new(),
-            seq,
-            qual,
-        }
-    }
-
     /// Drop the qualities, yielding a FASTA record.
     pub fn into_fasta(self) -> Record {
         Record {
@@ -298,9 +287,13 @@ mod tests {
     }
 
     #[test]
-    fn uniform_quality_and_fasta_conversion() {
-        let rec = FastqRecord::with_uniform_quality("q", b"ACG".to_vec(), b'I');
-        assert_eq!(rec.qual, b"III");
+    fn fasta_conversion_drops_qualities() {
+        let rec = FastqRecord {
+            id: "q".into(),
+            desc: String::new(),
+            seq: b"ACG".to_vec(),
+            qual: b"III".to_vec(),
+        };
         let fa = rec.into_fasta();
         assert_eq!(fa.id, "q");
         assert_eq!(fa.seq, b"ACG");

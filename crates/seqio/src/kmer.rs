@@ -262,7 +262,10 @@ impl<'a> Iterator for KmerIter<'a> {
     }
 }
 
-/// Incremental forward + reverse-complement canonical roller.
+/// Incremental forward + reverse-complement canonical roller — the one
+/// rolling implementation; [`crate::packed::PackedSeq`]'s iterators drive
+/// it over 2-bit words, and [`KmerIter`] + [`Kmer::canonical`] is the naive
+/// reference it is tested against.
 ///
 /// Feeding one 2-bit code per base maintains both the forward window
 /// (`fwd = ((fwd << 2) | c) & mask`) and its reverse complement
@@ -353,69 +356,6 @@ impl RollState {
             fwd: self.fwd,
             rc: self.rc,
         })
-    }
-}
-
-/// Iterator adapter yielding canonical k-mers (min of forward and revcomp).
-///
-/// Rolls both strands incrementally via [`RollState`] — O(1) amortized per
-/// base — instead of reconstructing the reverse complement per window.
-/// Windows containing non-ACGT bytes are skipped, exactly like [`KmerIter`].
-pub struct CanonicalKmers<'a> {
-    seq: &'a [u8],
-    pos: usize,
-    state: RollState,
-    emitted: u64,
-}
-
-impl<'a> CanonicalKmers<'a> {
-    /// Iterate over canonical k-mers of `seq`.
-    pub fn new(seq: &'a [u8], k: usize) -> Result<Self> {
-        Ok(CanonicalKmers {
-            seq,
-            pos: 0,
-            state: RollState::new(k)?,
-            emitted: 0,
-        })
-    }
-}
-
-impl<'a> Iterator for CanonicalKmers<'a> {
-    type Item = (usize, Kmer);
-
-    fn next(&mut self) -> Option<Self::Item> {
-        while self.pos < self.seq.len() {
-            let b = self.seq[self.pos];
-            self.pos += 1;
-            match base_to_code(b) {
-                Some(code) => {
-                    if let Some(rolled) = self.state.push(code) {
-                        self.emitted += 1;
-                        let k = self.state.k();
-                        return Some((
-                            self.pos - k,
-                            Kmer::from_packed_unchecked(rolled.canonical_packed(), k),
-                        ));
-                    }
-                }
-                None => self.state.reset(),
-            }
-        }
-        None
-    }
-}
-
-impl<'a> Drop for CanonicalKmers<'a> {
-    fn drop(&mut self) {
-        crate::packed::add_rolled_windows(self.emitted);
-    }
-}
-
-/// Count of valid k-mer windows in `seq` (convenience used by sizing code).
-pub fn count_kmers(seq: &[u8], k: usize) -> usize {
-    match KmerIter::new(seq, k) {
-        Ok(it) => it.count(),
-        Err(_) => 0,
     }
 }
 
@@ -544,30 +484,10 @@ mod tests {
     }
 
     #[test]
-    fn canonical_iter_matches_manual() {
-        let seq = b"TTTTAAAA";
-        let canon: Vec<_> = CanonicalKmers::new(seq, 4)
-            .unwrap()
-            .map(|(_, km)| km)
-            .collect();
-        let manual: Vec<_> = KmerIter::new(seq, 4)
-            .unwrap()
-            .map(|(_, km)| km.canonical())
-            .collect();
-        assert_eq!(canon, manual);
-    }
-
-    #[test]
     fn display_matches_bases() {
         let km = Kmer::from_bases(b"GATTACA").unwrap();
         assert_eq!(km.to_string(), "GATTACA");
         assert_eq!(format!("{km:?}"), "Kmer(GATTACA)");
-    }
-
-    #[test]
-    fn count_kmers_helper() {
-        assert_eq!(count_kmers(b"ACGTACGT", 4), 5);
-        assert_eq!(count_kmers(b"ACGT", 99), 0);
     }
 
     /// Per-base reference implementation the bit-twiddled revcomp must match.
@@ -596,19 +516,6 @@ mod tests {
                 assert_eq!(km.revcomp(), naive_revcomp(km), "k={k} packed={packed:#x}");
                 assert_eq!(km.revcomp().revcomp(), km, "revcomp is an involution");
             }
-        }
-    }
-
-    #[test]
-    fn rolling_canonical_matches_per_window_reference() {
-        let seq = b"ACGTNNACGTACGTTTTGGGCCCANacgtACGTACGTACGTACGTACGTACGTACGTACGTA";
-        for k in [1usize, 2, 4, 24, 31, 32] {
-            let rolled: Vec<_> = CanonicalKmers::new(seq, k).unwrap().collect();
-            let reference: Vec<_> = KmerIter::new(seq, k)
-                .unwrap()
-                .map(|(off, km)| (off, km.canonical()))
-                .collect();
-            assert_eq!(rolled, reference, "k={k}");
         }
     }
 

@@ -3,7 +3,7 @@
 //! This crate provides the low-level pieces every other stage of the pipeline
 //! builds on:
 //!
-//! * [`alphabet`] — the DNA alphabet, complementation and validation;
+//! * [`alphabet`] — the DNA alphabet and complementation;
 //! * [`kmer`] — 2-bit packed k-mers (k ≤ 32) with canonical forms and
 //!   streaming extraction from arbitrary byte sequences;
 //! * [`packed`] — whole sequences packed 2 bits/base with an N-run index,
@@ -30,5 +30,5 @@ pub mod stats;
 pub use error::{Error, Result};
 pub use fasta::{FastaReader, FastaWriter, Record};
 pub use fastq::{FastqReader, FastqRecord, FastqWriter};
-pub use kmer::{CanonicalKmers, Kmer, KmerIter, RollState, Rolled};
+pub use kmer::{Kmer, KmerIter, RollState, Rolled};
 pub use packed::{PackedSeq, SeqioStats};

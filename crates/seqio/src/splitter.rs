@@ -23,11 +23,6 @@ impl SplitPlan {
     pub fn n_pieces(&self) -> usize {
         self.pieces.len()
     }
-
-    /// Total records across all pieces.
-    pub fn total_records(&self) -> usize {
-        self.pieces.iter().map(Vec::len).sum()
-    }
 }
 
 /// Plan an even-by-bases split of `records` into `n` pieces.
@@ -52,33 +47,6 @@ pub fn plan_split(records: &[Record], n: usize) -> Result<SplitPlan> {
     Ok(SplitPlan { pieces })
 }
 
-/// Materialize a plan into per-piece record vectors (clones the records).
-pub fn split_records(records: &[Record], n: usize) -> Result<Vec<Vec<Record>>> {
-    let plan = plan_split(records, n)?;
-    Ok(plan
-        .pieces
-        .iter()
-        .map(|idxs| idxs.iter().map(|&i| records[i].clone()).collect())
-        .collect())
-}
-
-/// Imbalance of a plan: `max_piece_bases / mean_piece_bases` (1.0 = perfect).
-/// Returns 1.0 for degenerate inputs (no bases).
-pub fn plan_imbalance(records: &[Record], plan: &SplitPlan) -> f64 {
-    let loads: Vec<usize> = plan
-        .pieces
-        .iter()
-        .map(|idxs| idxs.iter().map(|&i| records[i].seq.len()).sum())
-        .collect();
-    let total: usize = loads.iter().sum();
-    if total == 0 {
-        return 1.0;
-    }
-    let mean = total as f64 / loads.len() as f64;
-    let max = *loads.iter().max().expect("nonempty") as f64;
-    max / mean
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -88,6 +56,23 @@ mod tests {
             .enumerate()
             .map(|(i, &l)| Record::new(format!("r{i}"), vec![b'A'; l]))
             .collect()
+    }
+
+    /// Imbalance of a plan: `max_piece_bases / mean_piece_bases` (1.0 = perfect).
+    /// Returns 1.0 for degenerate inputs (no bases).
+    fn plan_imbalance(records: &[Record], plan: &SplitPlan) -> f64 {
+        let loads: Vec<usize> = plan
+            .pieces
+            .iter()
+            .map(|idxs| idxs.iter().map(|&i| records[i].seq.len()).sum())
+            .collect();
+        let total: usize = loads.iter().sum();
+        if total == 0 {
+            return 1.0;
+        }
+        let mean = total as f64 / loads.len() as f64;
+        let max = *loads.iter().max().expect("nonempty") as f64;
+        max / mean
     }
 
     #[test]
@@ -111,7 +96,7 @@ mod tests {
         let records = recs(&[4, 4]);
         let plan = plan_split(&records, 5).unwrap();
         assert_eq!(plan.n_pieces(), 5);
-        assert_eq!(plan.total_records(), 2);
+        assert_eq!(plan.pieces.iter().map(Vec::len).sum::<usize>(), 2);
         assert!(plan.pieces.iter().filter(|p| p.is_empty()).count() == 3);
     }
 
@@ -146,21 +131,6 @@ mod tests {
             assert_eq!(piece.len(), 8);
         }
         assert!((plan_imbalance(&records, &plan) - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn split_records_materializes_clones() {
-        let records = recs(&[2, 4, 6]);
-        let pieces = split_records(&records, 2).unwrap();
-        let total: usize = pieces.iter().map(Vec::len).sum();
-        assert_eq!(total, 3);
-    }
-
-    #[test]
-    fn imbalance_of_empty_input_is_one() {
-        let records: Vec<Record> = vec![];
-        let plan = plan_split(&records, 4).unwrap();
-        assert_eq!(plan_imbalance(&records, &plan), 1.0);
     }
 
     #[test]

@@ -70,25 +70,6 @@ pub fn length_stats<I: IntoIterator<Item = usize>>(lengths: I) -> LengthStats {
     }
 }
 
-/// GC fraction of a sequence (ignores non-ACGT bytes). Returns 0.0 for
-/// sequences with no ACGT content.
-pub fn gc_content(seq: &[u8]) -> f64 {
-    let mut gc = 0usize;
-    let mut at = 0usize;
-    for &b in seq {
-        match b {
-            b'G' | b'g' | b'C' | b'c' => gc += 1,
-            b'A' | b'a' | b'T' | b't' => at += 1,
-            _ => {}
-        }
-    }
-    if gc + at == 0 {
-        0.0
-    } else {
-        gc as f64 / (gc + at) as f64
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -132,14 +113,5 @@ mod tests {
     fn n50_at_least_median_for_skewed() {
         let s = length_stats([1, 1, 1, 1, 100]);
         assert_eq!(s.n50, 100);
-    }
-
-    #[test]
-    fn gc() {
-        assert_eq!(gc_content(b"GGCC"), 1.0);
-        assert_eq!(gc_content(b"AATT"), 0.0);
-        assert!((gc_content(b"ACGT") - 0.5).abs() < 1e-12);
-        assert_eq!(gc_content(b"NNN"), 0.0);
-        assert!((gc_content(b"GcNat") - 0.5).abs() < 1e-12);
     }
 }
