@@ -19,11 +19,24 @@ fn bench(c: &mut Criterion) {
         .into_iter()
         .map(|r| Record::new(r.isoform, r.seq))
         .collect();
-    // Reads: slices of the contigs.
+    // Reads: slices of the contigs in the Bowtie stage's mix — of every 20,
+    // 15 as cut, 4 with one substitution, 1 that aligns nowhere.
+    let rotate =
+        |b: u8, by: usize| b"ACGT"[(b"ACGT".iter().position(|&x| x == b).unwrap() + by) % 4];
     let reads: Vec<Vec<u8>> = contigs
         .iter()
-        .flat_map(|c| c.seq.windows(50).step_by(97).map(|w| w.to_vec()))
+        .flat_map(|c| c.seq.windows(50).step_by(97))
         .take(400)
+        .enumerate()
+        .map(|(i, w)| {
+            let mut read = w.to_vec();
+            match i % 20 {
+                0..=14 => {}
+                15..=18 => read[i * 7 % 50] = rotate(read[i * 7 % 50], 1),
+                _ => (0..50).for_each(|j| read[j] = rotate(read[j], 1 + (i + j * j) % 3)),
+            }
+            read
+        })
         .collect();
 
     let mut g = c.benchmark_group("fmindex");

@@ -3,7 +3,9 @@
 //! 2-bit packed sequences, on the three hot-path shapes the rewrite
 //! touched — k-mer counting, ReadsToTranscripts assignment and the weld
 //! support scan — plus Butterfly's per-component reconstruction against a
-//! local copy of the recursive, allocating path enumeration it replaced.
+//! local copy of the recursive, allocating path enumeration it replaced,
+//! and Bowtie's seed-and-verify aligner against a local copy of the
+//! depth-first backtracking search it replaced.
 //!
 //! Run with `cargo bench --bench hotloops`; a custom `main` writes the
 //! measured before/after pairs to `BENCH_hotloops.json` at the workspace
@@ -14,6 +16,9 @@
 
 use criterion::{black_box, Criterion};
 
+use bowtie::align::{align_read, AlignConfig, Alignment, Strand};
+use bowtie::bwt::Bwt;
+use bowtie::fmindex::FmIndex;
 use butterfly::paths::PathConfig;
 use butterfly::transcripts::{reconstruct_component, ComponentInput, ReconstructionConfig};
 use chrysalis::config::ChrysalisConfig;
@@ -21,7 +26,7 @@ use chrysalis::weld::{WeldSupport, WeldWindow};
 use graph::debruijn::{DeBruijnGraph, NodeId};
 use kcount::counter::KmerCounts;
 use kmertable::PackedKmerTable;
-use seqio::alphabet::base_to_code;
+use seqio::alphabet::{base_to_code, complement_code};
 use seqio::fasta::Record;
 use seqio::packed::PackedSeq;
 use simulate::datasets::{Dataset, DatasetPreset};
@@ -186,6 +191,111 @@ fn reconstruct_recursive(input: &ComponentInput, cfg: ReconstructionConfig) -> V
     seqs
 }
 
+/// The search `bowtie::align` had before it seeded and verified: one
+/// strand's depth-first walk over the whole read, right to left, the true
+/// base free and the three others one unit of `budget` each, every branch
+/// near the root paid for before the read's stratum is known.
+struct Backtrack<'a> {
+    bwt: &'a Bwt,
+    codes: &'a [u8],
+    budget: u8,
+    ranges: Vec<(u8, usize, usize)>,
+}
+
+/// Code of a read `N` in [`Backtrack::codes`].
+const NO_BASE: u8 = 4;
+
+impl Backtrack<'_> {
+    /// Extend `[lo, hi)`, which matches `codes[i..]` with `mm` mismatches,
+    /// leftwards over `codes[..i]`.
+    fn extend(&mut self, i: usize, lo: usize, hi: usize, mm: u8) {
+        if mm == self.budget {
+            let mut range = (lo, hi);
+            for &c in self.codes[..i].iter().rev() {
+                if c == NO_BASE {
+                    return;
+                }
+                let Some(next) = self.bwt.backward_step(range.0, range.1, c) else {
+                    return;
+                };
+                range = next;
+            }
+            self.ranges.push((mm, range.0, range.1));
+            return;
+        }
+        if i == 0 {
+            self.ranges.push((mm, lo, hi));
+            return;
+        }
+        let want = self.codes[i - 1];
+        for c in 0..4u8 {
+            if let Some((l, h)) = self.bwt.backward_step(lo, hi, c) {
+                self.extend(i - 1, l, h, mm + u8::from(c != want));
+            }
+        }
+    }
+}
+
+/// `align_read` through [`Backtrack`], one pass per budget under
+/// `best_strata`. `starts[i]` is where contig `i` begins in the index's
+/// joined text (contigs in input order, one separator after each).
+fn align_backtracking(
+    idx: &FmIndex,
+    starts: &[usize],
+    read: &[u8],
+    cfg: AlignConfig,
+) -> Vec<Alignment> {
+    let fwd: Vec<u8> = read
+        .iter()
+        .map(|&b| base_to_code(b).unwrap_or(NO_BASE))
+        .collect();
+    let comp = |&c: &u8| if c == NO_BASE { c } else { complement_code(c) };
+    let rev: Vec<u8> = fwd.iter().rev().map(comp).collect();
+    let mut strands = vec![(Strand::Forward, fwd)];
+    if cfg.both_strands {
+        strands.push((Strand::Reverse, rev));
+    }
+    let mut out = Vec::new();
+    let max = cfg.max_mismatches.min(3);
+    for budget in if cfg.best_strata { 0 } else { max }..=max {
+        for (strand, codes) in &strands {
+            let mut search = Backtrack {
+                bwt: idx.bwt(),
+                codes,
+                budget,
+                ranges: Vec::new(),
+            };
+            search.extend(codes.len(), 0, idx.bwt().len(), 0);
+            for (mismatches, lo, hi) in search.ranges {
+                for row in lo..hi {
+                    let pos = idx.bwt().sa_at(row);
+                    let contig = starts.partition_point(|&s| s <= pos) - 1;
+                    out.push(Alignment {
+                        contig,
+                        offset: pos - starts[contig],
+                        strand: *strand,
+                        mismatches,
+                        read_len: codes.len(),
+                    });
+                }
+            }
+        }
+        if !out.is_empty() {
+            break;
+        }
+    }
+    out.sort_by_key(|a| {
+        (
+            a.mismatches,
+            a.contig,
+            a.offset,
+            a.strand == Strand::Reverse,
+        )
+    });
+    out.truncate(cfg.max_hits);
+    out
+}
+
 struct Fixtures {
     reads: Vec<Record>,
     packed_reads: Vec<PackedSeq>,
@@ -196,6 +306,10 @@ struct Fixtures {
     /// The preset's Butterfly inputs: each component's contigs and the
     /// reads ReadsToTranscripts assigns to it.
     components: Vec<ComponentInput>,
+    /// The Bowtie stage's index over the Inchworm contigs, and where each
+    /// contig starts in its text.
+    index: FmIndex,
+    contig_starts: Vec<usize>,
     cfg: ChrysalisConfig,
 }
 
@@ -270,6 +384,13 @@ fn fixtures() -> Fixtures {
         }
     }
 
+    let contig_starts = contigs
+        .iter()
+        .scan(0, |at, c| {
+            Some(std::mem::replace(at, *at + c.seq.len() + 1))
+        })
+        .collect();
+
     Fixtures {
         reads,
         packed_reads,
@@ -278,6 +399,8 @@ fn fixtures() -> Fixtures {
         byte_windows,
         weld_windows,
         components,
+        index: FmIndex::build(&contigs),
+        contig_starts,
         cfg,
     }
 }
@@ -352,6 +475,21 @@ fn bench(c: &mut Criterion) {
             shipped,
             "component {}",
             input.component
+        );
+    }
+
+    // The pipeline's aligner settings; the reads are the stage's own mix of
+    // exact, one-substitution and unalignable.
+    let align_cfg = AlignConfig {
+        max_mismatches: 1,
+        ..AlignConfig::default()
+    };
+    for r in &f.reads {
+        assert_eq!(
+            align_backtracking(&f.index, &f.contig_starts, &r.seq, align_cfg),
+            align_read(&f.index, &r.seq, align_cfg),
+            "read {}",
+            r.id
         );
     }
 
@@ -436,6 +574,28 @@ fn bench(c: &mut Criterion) {
         })
     });
     g.finish();
+
+    let mut g = c.benchmark_group("bowtie_align");
+    g.sample_size(samples);
+    g.bench_function("backtrack_ref", |b| {
+        b.iter(|| {
+            let mut hits = 0usize;
+            for r in &f.reads {
+                hits += align_backtracking(&f.index, &f.contig_starts, &r.seq, align_cfg).len();
+            }
+            black_box(hits)
+        })
+    });
+    g.bench_function("seed_verify", |b| {
+        b.iter(|| {
+            let mut hits = 0usize;
+            for r in &f.reads {
+                hits += align_read(&f.index, &r.seq, align_cfg).len();
+            }
+            black_box(hits)
+        })
+    });
+    g.finish();
 }
 
 fn main() {
@@ -461,6 +621,7 @@ fn main() {
         ("rtt_assign", "naive", "rolling"),
         ("weld_scan", "naive", "rolling"),
         ("butterfly_reconstruct", "recursive_ref", "iterative"),
+        ("bowtie_align", "backtrack_ref", "seed_verify"),
     ];
     let workloads: Vec<bench::benchjson::Workload> = pairs
         .iter()

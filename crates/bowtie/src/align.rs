@@ -1,17 +1,19 @@
 //! `-v`-mode read alignment: up to `v` mismatches, both strands.
 //!
 //! Bowtie 1's `-v` mode reports end-to-end (ungapped) alignments with at
-//! most `v` substitutions. We reproduce it with depth-first backtracking
-//! over the FM-index: the read is consumed right-to-left through backward
-//! search; at each position the true base extends free, the other three
-//! bases spend one unit of mismatch budget. With `best_strata` the budgets
-//! are tried in increasing order, so a read that aligns exactly never pays
-//! for the mismatch search whose results would be discarded.
+//! most `v` substitutions. We reproduce it by seed-and-verify: each strand
+//! is cut into `v + 1` pieces, and by pigeonhole a placement with at most
+//! `v` substitutions holds one of them exactly. A piece is backward-searched
+//! only until one row is left (the rows of a piece's suffix are a superset
+//! of the piece's own); each row proposes a start for the whole read, and a
+//! linear comparison against the index's text, giving up at the first
+//! substitution too many, decides it. With `best_strata` a hit with `b`
+//! substitutions lowers the bar for everything after it: a hit no worse
+//! holds one of the *first* `b + 1` pieces exactly, so the rest are skipped.
 
 use seqio::alphabet::{base_to_code, complement_code};
 
-use crate::bwt::Bwt;
-use crate::fmindex::FmIndex;
+use crate::fmindex::{FmIndex, NO_BASE};
 
 /// Which strand of the read matched the reference.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -42,7 +44,7 @@ pub struct Alignment {
 pub struct AlignConfig {
     /// Maximum substitutions (`-v`). Bowtie caps this at 3; so do we.
     pub max_mismatches: u8,
-    /// Report at most this many alignments per read (`-k`).
+    /// Report at most this many alignments per read (`-k`); 0 reports none.
     pub max_hits: usize,
     /// Only report the best stratum (fewest mismatches), like
     /// `--best --strata`.
@@ -62,78 +64,59 @@ impl Default for AlignConfig {
     }
 }
 
-/// Code of a read byte that is not a base (`N`): it mismatches every
-/// reference base.
-const NO_BASE: u8 = 4;
-
-/// One strand's depth-first search: SA ranges of full-length matches of
-/// `codes` with their mismatch counts.
-struct Backtrack<'a> {
-    bwt: &'a Bwt,
-    codes: &'a [u8],
-    budget: u8,
-    ranges: Vec<(u8, usize, usize)>,
-}
-
-impl Backtrack<'_> {
-    /// Extend `[lo, hi)`, which matches `codes[i..]` with `mm` mismatches,
-    /// leftwards over `codes[..i]`.
-    fn extend(&mut self, i: usize, lo: usize, hi: usize, mm: u8) {
-        if mm == self.budget {
-            // Budget spent: the rest of the read must match exactly.
-            let mut range = (lo, hi);
-            for &c in self.codes[..i].iter().rev() {
-                if c == NO_BASE {
-                    return;
-                }
-                let Some(next) = self.bwt.backward_step(range.0, range.1, c) else {
-                    return;
-                };
-                range = next;
-            }
-            self.ranges.push((mm, range.0, range.1));
-            return;
-        }
-        if i == 0 {
-            self.ranges.push((mm, lo, hi));
-            return;
-        }
-        let want = self.codes[i - 1];
-        for (c, (l, h)) in (0u8..).zip(self.bwt.backward_step_all(lo, hi)) {
-            if l < h {
-                self.extend(i - 1, l, h, mm + u8::from(c != want));
-            }
+/// Substitutions between a text window and a read of equal length, `None`
+/// past `cap` or when the window holds anything but bases (a contig `N`, a
+/// separator, the terminator). A read `N` mismatches every base.
+fn substitutions(window: &[u8], codes: &[u8], cap: u8) -> Option<u8> {
+    let mut mm = 0u8;
+    for (&t, &c) in window.iter().zip(codes) {
+        mm += u8::from(t != c);
+        if t == NO_BASE || mm > cap {
+            return None;
         }
     }
+    Some(mm)
 }
 
-fn align_one_strand(
+/// Seed with `codes[start..end]`, verify every placement of `codes` it
+/// proposes and push those with at most `cap` substitutions.
+fn seed_and_verify(
     idx: &FmIndex,
     codes: &[u8],
+    (start, end): (usize, usize),
     strand: Strand,
-    budget: u8,
+    cap: u8,
     out: &mut Vec<Alignment>,
 ) {
-    let mut search = Backtrack {
-        bwt: idx.bwt(),
-        codes,
-        budget,
-        ranges: Vec::new(),
-    };
-    search.extend(codes.len(), 0, idx.bwt().len(), 0);
-    for (mm, lo, hi) in search.ranges {
-        for r in lo..hi {
-            if let Some(hit) = idx.resolve(idx.bwt().sa_at(r), codes.len()) {
-                out.push(Alignment {
-                    contig: hit.contig,
-                    offset: hit.offset,
-                    strand,
-                    mismatches: mm,
-                    read_len: codes.len(),
-                });
-            }
+    let bwt = idx.bwt();
+    // `[lo, hi)` are the rows of `codes[at..end]`.
+    let (mut lo, mut hi, mut at) = (0, bwt.len(), end);
+    while at > start && hi - lo > 1 {
+        let c = codes[at - 1];
+        if c == NO_BASE {
+            return;
         }
+        let Some(next) = bwt.backward_step(lo, hi, c) else {
+            return;
+        };
+        (lo, hi) = next;
+        at -= 1;
     }
+    let n = codes.len();
+    out.extend((lo..hi).filter_map(|row| {
+        // The seed sits `at` bases into the read: a start before the text
+        // or a window past its end is no placement.
+        let pos = bwt.sa_at(row).checked_sub(at)?;
+        let mismatches = substitutions(idx.text.get(pos..pos + n)?, codes, cap)?;
+        let hit = idx.resolve(pos, n)?;
+        Some(Alignment {
+            contig: hit.contig,
+            offset: hit.offset,
+            strand,
+            mismatches,
+            read_len: n,
+        })
+    }));
 }
 
 /// Align one read against the index per `cfg`. Results are sorted by
@@ -141,29 +124,34 @@ fn align_one_strand(
 /// `best_strata` only the fewest-mismatch stratum survives.
 pub fn align_read(idx: &FmIndex, read: &[u8], cfg: AlignConfig) -> Vec<Alignment> {
     let mut out = Vec::new();
-    if read.is_empty() {
+    if read.is_empty() || cfg.max_hits == 0 {
         return out;
     }
     let fwd: Vec<u8> = read
         .iter()
         .map(|&b| base_to_code(b).unwrap_or(NO_BASE))
         .collect();
-    let rev: Option<Vec<u8>> = cfg.both_strands.then(|| {
-        let comp = |&c: &u8| if c == NO_BASE { c } else { complement_code(c) };
-        fwd.iter().rev().map(comp).collect()
-    });
-    // With `best_strata` only the lowest stratum is reported, so walk the
-    // budgets upwards and stop at the first that hits: nothing matched with
-    // fewer mismatches, hence every hit found has exactly `budget` of them.
-    let max = cfg.max_mismatches.min(3);
-    let first = if cfg.best_strata { 0 } else { max };
-    for budget in first..=max {
-        align_one_strand(idx, &fwd, Strand::Forward, budget, &mut out);
-        if let Some(rev) = &rev {
-            align_one_strand(idx, rev, Strand::Reverse, budget, &mut out);
-        }
-        if !out.is_empty() {
+    let comp = |&c: &u8| if c == NO_BASE { c } else { complement_code(c) };
+    let rev: Vec<u8> = fwd.iter().rev().map(comp).collect();
+    let strands = [(Strand::Forward, &fwd), (Strand::Reverse, &rev)];
+    // The most substitutions still worth reporting. A placement within it
+    // holds one of pieces `0..=cap` exactly, so piece `p > cap` has nothing
+    // to add; under `best_strata` every hit lowers it to its own stratum.
+    let mut cap = cfg.max_mismatches.min(3);
+    // A read of fewer bases than pieces has empty ones: they are exact
+    // everywhere, which is what a read that may mismatch at every base needs.
+    let (n, pieces) = (read.len(), usize::from(cap) + 1);
+    for p in 0..pieces {
+        if p > usize::from(cap) {
             break;
+        }
+        let piece = (p * n / pieces, (p + 1) * n / pieces);
+        for &(strand, codes) in &strands[..1 + usize::from(cfg.both_strands)] {
+            let found = out.len();
+            seed_and_verify(idx, codes, piece, strand, cap, &mut out);
+            if cfg.best_strata {
+                cap = out[found..].iter().fold(cap, |c, a| c.min(a.mismatches));
+            }
         }
     }
     out.sort_by_key(|a| {
@@ -171,10 +159,15 @@ pub fn align_read(idx: &FmIndex, read: &[u8], cfg: AlignConfig) -> Vec<Alignment
             a.mismatches,
             a.contig,
             a.offset,
-            matches!(a.strand, Strand::Reverse),
+            a.strand == Strand::Reverse,
         )
     });
-    out.truncate(cfg.max_hits.max(1));
+    // Two pieces of one placement can both be exact.
+    out.dedup();
+    if cfg.best_strata {
+        out.retain(|a| a.mismatches == cap);
+    }
+    out.truncate(cfg.max_hits);
     out
 }
 

@@ -144,14 +144,6 @@ impl Bwt {
         (new_lo < new_hi).then_some((new_lo, new_hi))
     }
 
-    /// All four backward-search steps from `[lo, hi)` at once — two block
-    /// loads. Entry `c` is the (possibly empty) range after prepending
-    /// base `c`.
-    #[inline]
-    pub fn backward_step_all(&self, lo: usize, hi: usize) -> [(usize, usize); 4] {
-        [0u8, 1, 2, 3].map(|c| (self.lf(c, lo), self.lf(c, hi)))
-    }
-
     /// Full backward search for the ASCII `pattern`; returns the SA range of
     /// exact occurrences. A pattern byte outside uppercase `ACGT` matches
     /// nothing.
@@ -268,14 +260,21 @@ mod tests {
 
     #[test]
     fn all_four_steps_agree_with_single_steps() {
+        // `backward_step` on any range, full or empty, is the LF-mapping of
+        // its two ends under that base.
         let mut t: Vec<u8> = b"GATTACAN\x01".repeat(17);
         t.push(0);
         let b = Bwt::build(&t);
         for (lo, hi) in [(0, b.len()), (3, 90), (64, 128), (10, 10)] {
-            let all = b.backward_step_all(lo, hi);
             for c in 0..4u8 {
-                let (l, h) = all[c as usize];
+                let (l, h) = (b.lf(c, lo), b.lf(c, hi));
                 assert_eq!(b.backward_step(lo, hi, c), (l < h).then_some((l, h)));
+                // Stepping one row at a time splits the range without gaps.
+                let rows: usize = (lo..hi)
+                    .filter_map(|r| b.backward_step(r, r + 1, c))
+                    .map(|(l, h)| h - l)
+                    .sum();
+                assert_eq!(rows, h.saturating_sub(l), "base {c} of [{lo}, {hi})");
             }
         }
     }

@@ -6,14 +6,23 @@
 //! positions are mapped back to `(contig, offset)` through the boundary
 //! table.
 
+use seqio::alphabet::base_to_code;
 use seqio::fasta::Record;
 
 use crate::bwt::Bwt;
+
+/// Code of a byte that is not a base — a read or contig `N`, a separator,
+/// the terminator: it equals no base's 2-bit code.
+pub(crate) const NO_BASE: u8 = 4;
 
 /// An FM-index over a set of named contigs.
 #[derive(Debug, Clone)]
 pub struct FmIndex {
     bwt: Bwt,
+    /// The joined text the BWT was built over, as 2-bit codes with
+    /// [`NO_BASE`] wherever backward search cannot step: what a candidate
+    /// alignment is verified against.
+    pub(crate) text: Vec<u8>,
     /// Contig names, in input order.
     names: Vec<String>,
     /// Start offset of each contig in the concatenated text.
@@ -50,8 +59,13 @@ impl FmIndex {
             text.push(1); // separator
         }
         text.push(0); // unique terminator
+        let bwt = Bwt::build(&text);
+        for b in &mut text {
+            *b = base_to_code(*b).unwrap_or(NO_BASE);
+        }
         FmIndex {
-            bwt: Bwt::build(&text),
+            bwt,
+            text,
             names,
             starts,
             lengths,
@@ -100,8 +114,8 @@ impl FmIndex {
     }
 
     /// Map a text position to `(contig, offset)`; `None` if the match would
-    /// overlap a separator (cannot happen for ACGT-only patterns, but the
-    /// check keeps `resolve` total).
+    /// overlap a separator (cannot happen for ACGT-only patterns or verified
+    /// windows, but the check keeps `resolve` total).
     pub(crate) fn resolve(&self, pos: usize, pattern_len: usize) -> Option<Hit> {
         // Binary search for the contig whose range contains `pos`.
         let idx = match self.starts.binary_search(&pos) {

@@ -12,9 +12,10 @@
 //! * [`bwt`] — Burrows–Wheeler transform as 2-bit blocks with popcount
 //!   rank (C/Occ);
 //! * [`fmindex`] — the queryable index over a multi-contig reference with
-//!   exact backward search and position location;
+//!   exact backward search, position location and the joined text;
 //! * [`align`] — `-v`-style alignment: up to `v` mismatches, both strands,
-//!   backtracking over the index, best stratum first;
+//!   by seed-and-verify: a piece of the read is backward-searched until one
+//!   row is left, the rest of the read compared with the text;
 //! * [`sam`] — minimal SAM records for the alignment output files the
 //!   pipeline merges.
 

@@ -31,7 +31,8 @@ fn naive_count(text: &[u8], pat: &[u8]) -> usize {
 /// The aligner's oracle: every end-to-end placement of `read` on either
 /// strand of every contig with at most `v` substitutions, by scanning all
 /// offsets; then the documented order, stratum filter and truncation. A
-/// window holding a byte outside `ACGT` aligns to nothing.
+/// window holding a byte outside `ACGT` aligns to nothing; a read `N`
+/// mismatches whatever it lies on.
 fn brute_force_align(contigs: &[Vec<u8>], read: &[u8], cfg: AlignConfig) -> Vec<Alignment> {
     let mut strands = vec![(Strand::Forward, read.to_vec())];
     if cfg.both_strands {
@@ -40,6 +41,8 @@ fn brute_force_align(contigs: &[Vec<u8>], read: &[u8], cfg: AlignConfig) -> Vec<
     let mut out = Vec::new();
     for (strand, seq) in &strands {
         for (contig, text) in contigs.iter().enumerate() {
+            // As `FmIndex::build` does; a read is matched as given.
+            let text = text.to_ascii_uppercase();
             for (offset, window) in text.windows(seq.len().max(1)).enumerate() {
                 if seq.is_empty() || !window.iter().all(|b| b"ACGT".contains(b)) {
                     continue;
@@ -85,7 +88,7 @@ fn assert_aligner_matches_oracle(contigs: &[Vec<u8>], read: &[u8]) {
         for (best_strata, both_strands) in
             [(true, true), (true, false), (false, true), (false, false)]
         {
-            for max_hits in [1usize, 4, 16] {
+            for max_hits in [0usize, 1, 4, 16, usize::MAX] {
                 let cfg = AlignConfig {
                     max_mismatches,
                     max_hits,
@@ -120,8 +123,8 @@ fn assert_rank_matches_naive(text: &[u8]) {
         let mut occ = 0;
         for i in 0..=n {
             assert_eq!(
-                bwt.backward_step_all(0, i)[code],
-                (smaller, smaller + occ),
+                bwt.backward_step(0, i, code as u8),
+                (occ > 0).then_some((smaller, smaller + occ)),
                 "base {} row {i} of {n}",
                 *base as char
             );
@@ -204,15 +207,23 @@ proptest! {
 
     #[test]
     fn align_read_matches_brute_force(
-        seqs in proptest::collection::vec(dna(20..120), 1..5),
-        repeat in dna(8..30),
-        plants in proptest::collection::vec((0usize..1000, 0usize..1000), 0..5),
-        source in (0usize..1000, 0usize..1000, 12usize..40, any::<bool>()),
-        subs in proptest::collection::vec((0usize..1000, 1usize..4), 0..5),
-        junk in dna(12..40),
+        (seqs, repeat, plants, copies) in (
+            proptest::collection::vec(dna(20..120), 1..5),
+            dna(8..30),
+            proptest::collection::vec((0usize..1000, 0usize..1000), 0..5),
+            2usize..6,
+        ),
+        (source, subs, read_ns) in (
+            (0usize..1000, 0usize..1000, 12usize..40, any::<bool>()),
+            proptest::collection::vec((0usize..1000, 1usize..4), 0..5),
+            proptest::collection::vec(0usize..1000, 0..3),
+        ),
+        (junk, short, overhang, kept) in (dna(12..40), dna(1..5), dna(1..6), 4usize..30),
+        noise in proptest::collection::vec((0usize..1000, 0usize..1000, 0u8..3), 0..4),
     ) {
         // Plant the repeat unit so multi-hit reads and paralog-like
-        // near-repeats occur.
+        // near-repeats occur, and a tandem run of it so the unit itself has
+        // more rows than `max_hits: 1` (and, mostly, 4) keeps: tie order.
         let mut contigs = seqs;
         let n_contigs = contigs.len();
         for (c, at) in plants {
@@ -222,8 +233,10 @@ proptest! {
                 contig[at..at + repeat.len()].copy_from_slice(&repeat);
             }
         }
-        // A read sampled from the reference with 0-4 substitutions, on
-        // either strand; and one that aligns nowhere (or by accident).
+        contigs.push(repeat.repeat(copies));
+        // A read sampled from the reference with 0-4 substitutions and 0-2
+        // `N`s, on either strand; and one that aligns nowhere (or by
+        // accident).
         let (c, at, len, flip) = source;
         let contig = &contigs[c % contigs.len()];
         let len = len.min(contig.len());
@@ -233,11 +246,38 @@ proptest! {
             let b = &mut read[pos % len];
             *b = b"ACGT"[(b"ACGT".iter().position(|x| x == b).unwrap() + rot) % 4];
         }
+        for pos in read_ns {
+            read[pos % len] = b'N';
+        }
         if flip {
             read = revcomp(&read);
         }
-        assert_aligner_matches_oracle(&contigs, &read);
-        assert_aligner_matches_oracle(&contigs, &junk);
+        // Where a candidate window leaves its contig. A whole contig, and one
+        // base more; the first (last) bases of the first (last) contig behind
+        // (before) an overhang, so the seed's start falls before the text
+        // (its window runs past the terminator); the same at an inner
+        // boundary, across a separator.
+        let (first, last) = (&contigs[0], &contigs[contigs.len() - 1]);
+        let whole = contig.clone();
+        let longer = [&contig[..], &overhang[..1]].concat();
+        let before_text = [&overhang[..], &first[..kept.min(first.len())]].concat();
+        let past_end = [&last[last.len() - kept.min(last.len())..], &overhang[..]].concat();
+        let across = [&first[first.len() - kept.min(first.len())..], &overhang[..]].concat();
+        // Contig `N`s (either case) and lowercase bases, after the reads
+        // were cut: a read may now lie across a byte that matches nothing.
+        for (c, at, kind) in noise {
+            let contig = &mut contigs[c % (n_contigs + 1)];
+            let at = at % contig.len();
+            let b = &mut contig[at];
+            *b = match kind {
+                0 => b'N',
+                1 => b'n',
+                _ => b.to_ascii_lowercase(),
+            };
+        }
+        for read in [read, junk, short, repeat, whole, longer, before_text, past_end, across] {
+            assert_aligner_matches_oracle(&contigs, &read);
+        }
     }
 
     #[test]

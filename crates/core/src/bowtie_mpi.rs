@@ -88,12 +88,38 @@ fn unpack_hits(buf: &[u8]) -> Option<Vec<Hit>> {
     Some(hits.collect())
 }
 
+/// What one aligner run over all contigs would have kept of the sorted,
+/// gathered `hits`: a slice's aligner cuts to *its* best stratum and *its*
+/// first `max_hits`, so a read's exact hit in one slice arrives beside a
+/// one-substitution hit from another. Every hit the whole-reference run
+/// reports survives its own slice's cut (slices keep contig order), so
+/// cutting each read once more gives that run's list.
+fn recut_per_read(hits: &mut Vec<Hit>, cfg: AlignConfig) {
+    let mut kept: Vec<Hit> = Vec::with_capacity(hits.len());
+    for group in hits.chunk_by(|a, b| a.read == b.read) {
+        let from = kept.len();
+        let best = group.iter().map(|h| h.mismatches).min();
+        kept.extend(
+            group
+                .iter()
+                .filter(|h| !cfg.best_strata || Some(h.mismatches) == best),
+        );
+        if kept.len() - from > cfg.max_hits {
+            // The aligner's report order decides who is dropped.
+            kept[from..].sort_by_key(|h| (h.mismatches, h.contig, h.offset, h.reverse));
+            kept.truncate(from + cfg.max_hits);
+            kept[from..].sort();
+        }
+    }
+    *hits = kept;
+}
+
 /// Run the distributed Bowtie step — one rank's program.
 ///
-/// `contigs` and `reads` are the replicated inputs. Alignment semantics
-/// note (inherited from the paper's design): `best_strata` applies *within
-/// a rank's slice*; a read may report best-stratum hits from several
-/// slices, exactly as with per-slice Bowtie runs.
+/// `contigs` and `reads` are the replicated inputs. Each slice's aligner
+/// applies `best_strata` and `max_hits` to its own hits, as per-slice
+/// Bowtie runs would; the master applies both once more per read over the
+/// gathered hits, so the merged file is the 1-rank file at every rank count.
 pub fn bowtie_mpi(
     comm: &mut Comm,
     contigs: &[Record],
@@ -158,9 +184,13 @@ pub fn bowtie_mpi(
 
     // ---- Merge per-rank SAM files at the master ----
     let t_before = comm.clock.now();
-    let merged = crate::master_merge(comm, hits, pack_hits, |buf| {
-        unpack_hits(buf).expect("peer sent whole hit tuples")
-    });
+    let merged = crate::master_merge(
+        comm,
+        hits,
+        pack_hits,
+        |buf| unpack_hits(buf).expect("peer sent whole hit tuples"),
+        |all| recut_per_read(all, align_cfg),
+    );
     timings.merge = comm.clock.now() - t_before;
 
     // Names come back only here, from the replicated inputs.
@@ -224,7 +254,15 @@ mod tests {
     }
 
     fn run(ranks: usize) -> Vec<mpisim::RankOutput<BowtieMpiOutput>> {
-        let contigs = Arc::new(contigs());
+        run_with(contigs(), 0, ranks)
+    }
+
+    fn run_with(
+        contigs: Vec<Record>,
+        max_mismatches: u8,
+        ranks: usize,
+    ) -> Vec<mpisim::RankOutput<BowtieMpiOutput>> {
+        let contigs = Arc::new(contigs);
         let reads = Arc::new(reads());
         run_cluster(ranks, NetModel::ideal(), move |comm| {
             bowtie_mpi(
@@ -233,7 +271,7 @@ mod tests {
                 &reads,
                 &ChrysalisConfig::small(8),
                 AlignConfig {
-                    max_mismatches: 0,
+                    max_mismatches,
                     ..AlignConfig::default()
                 },
             )
@@ -251,11 +289,27 @@ mod tests {
 
     #[test]
     fn split_runs_agree_with_single_rank() {
-        let single = run(1);
-        for ranks in [2usize, 3, 4, 5, 7] {
-            let multi = run(ranks);
-            for o in &multi {
-                assert_eq!(o.value.sam, single[0].value.sam, "ranks={ranks}");
+        // `c0` and its paralog (one substitution, under read `r0/1`) are
+        // neighbours in input order, so every split of two or more puts them
+        // in different slices: one slice's best stratum for `r0/1` is 0, the
+        // other's is 1, and only the first may reach the merged file.
+        let mut paralogs = contigs();
+        let mut copy = paralogs[0].seq.clone();
+        copy[5] = b'A';
+        paralogs.insert(1, rec("c0p", &copy));
+        for max_mismatches in 0..=2u8 {
+            let single = run_with(paralogs.clone(), max_mismatches, 1);
+            let sam = &single[0].value.sam;
+            let r0: Vec<&str> = sam
+                .iter()
+                .filter(|r| r.qname == "r0/1")
+                .map(|r| r.rname.as_str())
+                .collect();
+            assert_eq!(r0, ["c0"], "v={max_mismatches}");
+            for ranks in [2usize, 3, 4, 5, 7] {
+                for o in run_with(paralogs.clone(), max_mismatches, ranks) {
+                    assert_eq!(&o.value.sam, sam, "v={max_mismatches} ranks={ranks}");
+                }
             }
         }
     }

@@ -75,14 +75,16 @@ pub mod weld;
 
 /// The closing step the Bowtie and ReadsToTranscripts rank programs share:
 /// every rank's output file is gathered at the master, merged there in
-/// sorted order (a measured serial region) and broadcast back (in the paper
-/// only the master's file exists; broadcasting lets every rank return it
-/// without changing the timing story). `mine` is freed once packed.
+/// sorted order and passed through `cut` (a measured serial region) and
+/// broadcast back (in the paper only the master's file exists; broadcasting
+/// lets every rank return it without changing the timing story). `mine` is
+/// freed once packed.
 pub(crate) fn master_merge<T: Ord>(
     comm: &mut mpisim::Comm,
     mine: Vec<T>,
     pack: impl Fn(&[T]) -> Vec<u8>,
     unpack: impl Fn(&[u8]) -> Vec<T>,
+    cut: impl FnOnce(&mut Vec<T>),
 ) -> Vec<T> {
     let packed = pack(&mine);
     drop(mine);
@@ -92,6 +94,7 @@ pub(crate) fn master_merge<T: Ord>(
         Some(parts) => pack(&comm.charge_measured(|| {
             let mut all: Vec<T> = parts.iter().flat_map(|p| unpack(p)).collect();
             all.sort();
+            cut(&mut all);
             all
         })),
         None => Vec::new(),

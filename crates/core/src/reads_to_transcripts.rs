@@ -283,7 +283,7 @@ fn rtt_rank_program(comm: &mut Comm, shared: &RttShared, policy: ReadPolicy) -> 
     // Each rank writes its own output file; the master concatenates them
     // ("a simple cat command").
     let t_before = comm.clock.now();
-    let assignments = crate::master_merge(comm, my_assignments, pack_pairs, unpack_pairs);
+    let assignments = crate::master_merge(comm, my_assignments, pack_pairs, unpack_pairs, |_| {});
     comm.obs
         .record(track, "comm", "rtt.concat", t_before, comm.clock.now());
 

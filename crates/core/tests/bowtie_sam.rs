@@ -1,6 +1,7 @@
 //! The merged SAM of `bowtie_mpi` across rank counts: its order (by read
 //! and contig index, never by name), a read whose hits come from several
-//! slices, and the records against the path the stage used to take — every
+//! slices, strata and `-k` that must not be per slice, and the records
+//! against the path the stage used to take — every
 //! hit formatted as a SAM line, the lines sorted as strings at the master,
 //! each line parsed back.
 
@@ -104,6 +105,46 @@ fn read_with_max_hits_hits_survives_every_split() {
             ("multi/1", "c3", 16, "20M"),
         ];
         assert_eq!(placed, expected, "ranks={ranks}");
+    }
+}
+
+#[test]
+fn paralogs_in_different_slices_yield_the_single_rank_sam() {
+    // `c0p` is `c0` with one substitution and `c0q` with two, and they are
+    // neighbours in input order: any split of two or more separates `c0`
+    // from `c0p`, so the slices' best strata for a read cut from `c0` differ.
+    let mut contigs = contigs();
+    let (mut p, mut q) = (contigs[0].seq.clone(), contigs[0].seq.clone());
+    p[5] = b'A';
+    q[5] = b'A';
+    q[20] = b'C';
+    contigs.insert(1, rec("c0p", &p));
+    contigs.insert(2, rec("c0q", &q));
+    let reads = vec![
+        rec("from_c0/1", &contigs[0].seq[..24]),
+        rec("from_c0p/1", &contigs[1].seq[..24]),
+        rec("from_c0q/1", &contigs[2].seq[..24]),
+        rec("shared/1", &contigs[0].seq[8..20]),
+        rec("junk/1", b"TTTTTTTTTTTTTTTT"),
+    ];
+    let strata = |max_mismatches| AlignConfig {
+        max_mismatches,
+        ..AlignConfig::default()
+    };
+    let first_of_all = AlignConfig {
+        max_hits: 1,
+        best_strata: false,
+        ..strata(2)
+    };
+    for cfg in [strata(1), strata(2), first_of_all] {
+        let single = merged_sam(&contigs, &reads, cfg, 1);
+        let hits_of = |q: &str| single.iter().filter(|r| r.qname == q).count();
+        assert_eq!(hits_of("from_c0/1"), 1, "{cfg:?}: the exact hit alone");
+        assert_eq!(hits_of("shared/1"), cfg.max_hits.min(3), "{cfg:?}");
+        for ranks in [2usize, 3, 4, 5, 7] {
+            let multi = merged_sam(&contigs, &reads, cfg, ranks);
+            assert_eq!(multi, single, "{cfg:?} ranks={ranks}");
+        }
     }
 }
 
