@@ -25,7 +25,7 @@ use chrysalis::config::ChrysalisConfig;
 use chrysalis::weld::{WeldSupport, WeldWindow};
 use graph::debruijn::{DeBruijnGraph, NodeId};
 use kcount::counter::KmerCounts;
-use kmertable::PackedKmerTable;
+use kmertable::{PackedKmerTable, PartitionedKmerTable};
 use seqio::alphabet::{base_to_code, complement_code};
 use seqio::fasta::Record;
 use seqio::packed::PackedSeq;
@@ -69,7 +69,7 @@ fn naive_stream(seq: &[u8], k: usize, mut emit: impl FnMut(u64)) {
 /// Naive per-read component vote: ASCII scan, O(k) canonical per window,
 /// heap-allocated tally — the shape `RttShared::assign_packed` had before the
 /// rolling/packed rewrite.
-fn naive_assign(table: &PackedKmerTable, min: u32, k: usize, read: &[u8]) -> Option<u32> {
+fn naive_assign(table: &PartitionedKmerTable, min: u32, k: usize, read: &[u8]) -> Option<u32> {
     let mut votes: Vec<(u32, u32)> = Vec::new();
     naive_stream(read, k, |p| {
         if let Some(c) = table.get(p) {

@@ -43,7 +43,7 @@ fn count_per_read_absorb(reads: &[PackedSeq], cfg: CounterConfig) -> KmerCounts 
         }
         shared.absorb(&local);
     });
-    KmerCounts::from_table(cfg.k, shared.into_merged())
+    KmerCounts::from_partition(cfg.k, shared.freeze())
 }
 
 fn bench(c: &mut Criterion) {

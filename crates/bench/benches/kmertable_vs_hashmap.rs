@@ -1,7 +1,11 @@
 //! Head-to-head: std `HashMap` (SipHash) vs the packed open-addressing
 //! `kmertable::PackedKmerTable` on the two Chrysalis hot-path shapes it
 //! replaced — k-mer counting (build-heavy: one `add` per window) and
-//! ReadsToTranscripts assignment (probe-heavy: one `get` per read window).
+//! ReadsToTranscripts assignment (probe-heavy: one `get` per read window) —
+//! and, table against table, the lookup of the owner-partitioned form every
+//! stage now queries (`kmer_lookup/partitioned`: one hash, top bits → owner,
+//! low bits → slot) against the one concatenated table it replaced
+//! (`kmer_lookup/merged`).
 //!
 //! Run with `cargo bench --bench kmertable_vs_hashmap`; a custom `main`
 //! writes the measured before/after pairs to `BENCH_kmertable.json` at the
@@ -10,7 +14,7 @@
 use criterion::{black_box, Criterion};
 use std::collections::HashMap;
 
-use kmertable::PackedKmerTable;
+use kmertable::{Owners, PackedKmerTable, PartitionedKmerTable};
 use seqio::kmer::KmerIter;
 use simulate::datasets::{Dataset, DatasetPreset};
 
@@ -63,13 +67,33 @@ fn assign_hashmap(keys: &[u64], map: &HashMap<u64, u32>) -> u64 {
 }
 
 fn assign_kmertable(keys: &[u64], map: &PackedKmerTable) -> u64 {
+    sum_hits(keys, |k| map.get(k))
+}
+
+/// The same probe loop over the owner-partitioned table.
+fn assign_partitioned(keys: &[u64], map: &PartitionedKmerTable) -> u64 {
+    sum_hits(keys, |k| map.get(k))
+}
+
+#[inline(always)]
+fn sum_hits(keys: &[u64], get: impl Fn(u64) -> Option<u32>) -> u64 {
     let mut hits = 0u64;
     for &k in keys {
-        if let Some(c) = map.get(k) {
+        if let Some(c) = get(k) {
             hits += c as u64;
         }
     }
     hits
+}
+
+/// The counts as an owner-routed build leaves them: one table per owner.
+fn count_partitioned(keys: &[u64]) -> PartitionedKmerTable {
+    let owners = Owners::new(kcount::routed::OWNERS);
+    let mut tables = vec![PackedKmerTable::new(); owners.count()];
+    for &k in keys {
+        tables[owners.of(k)].add(k, 1);
+    }
+    PartitionedKmerTable::from_owners(tables)
 }
 
 fn bench(c: &mut Criterion) {
@@ -102,6 +126,31 @@ fn bench(c: &mut Criterion) {
         b.iter(|| black_box(assign_kmertable(&keys, &kt)))
     });
     g.finish();
+
+    // Every window key (a hit) followed by a scrambled copy (almost surely
+    // a miss), against the merged table and its 64-owner partition.
+    let probes: Vec<u64> = keys
+        .iter()
+        .flat_map(|&k| [k, k.rotate_left(21) ^ 0x5555_5555_5555])
+        .collect();
+    let pt = count_partitioned(&keys);
+    assert_eq!(pt.len(), kt.len());
+    assert!(probes.iter().all(|&k| pt.get(k) == kt.get(k)));
+    let expect = assign_kmertable(&probes, &kt);
+    assert_eq!(assign_partitioned(&probes, &pt), expect);
+    assert!(
+        expect < 2 * assign_kmertable(&keys, &kt),
+        "scrambled keys miss"
+    );
+    let mut g = c.benchmark_group("kmer_lookup");
+    g.sample_size(20);
+    g.bench_function("merged", |b| {
+        b.iter(|| black_box(assign_kmertable(&probes, &kt)))
+    });
+    g.bench_function("partitioned", |b| {
+        b.iter(|| black_box(assign_partitioned(&probes, &pt)))
+    });
+    g.finish();
 }
 
 fn main() {
@@ -122,12 +171,17 @@ fn main() {
             .map(|r| r.seconds)
             .unwrap_or(f64::NAN)
     };
-    let workloads: Vec<bench::benchjson::Workload> = ["kmer_count", "rtt_assign"]
+    let pairs = [
+        ("kmer_count", "hashmap", "kmertable"),
+        ("rtt_assign", "hashmap", "kmertable"),
+        ("kmer_lookup", "merged", "partitioned"),
+    ];
+    let workloads: Vec<bench::benchjson::Workload> = pairs
         .iter()
-        .map(|group| bench::benchjson::Workload {
+        .map(|(group, baseline, candidate)| bench::benchjson::Workload {
             name: group.to_string(),
-            baseline_ns: second_of(&format!("{group}/hashmap")) * 1e9,
-            candidate_ns: second_of(&format!("{group}/kmertable")) * 1e9,
+            baseline_ns: second_of(&format!("{group}/{baseline}")) * 1e9,
+            candidate_ns: second_of(&format!("{group}/{candidate}")) * 1e9,
         })
         .collect();
     bench::benchjson::write(

@@ -21,7 +21,7 @@ use crate::weld::{
 /// Read-only state every rank needs: the contig set, the seed-occurrence
 /// map and the read k-mer table (support oracle). Built once and shared;
 /// `prep_cost` — the virtual time of the seed map's owner-routed build
-/// (both parallel loops and the serial concatenation) — is charged to
+/// (its three parallel loops; it has no serial section) — is charged to
 /// each rank's clock as if it had built its own copy (see crate-level
 /// notes). The read k-mer table is produced by the
 /// Jellyfish stage and only *consumed* here.
@@ -550,7 +550,7 @@ mod tests {
         // Spot-check the junction seed's occurrence list.
         let seed = seqio::kmer::Kmer::from_bases(SEED).unwrap().canonical();
         assert_eq!(shared.kmap.occurrences(seed), serial.occurrences(seed));
-        // The whole routed build, concatenation included, is on the clock.
+        // The routed build is on the clock.
         assert!(shared.prep_cost > 0.0);
     }
 

@@ -57,8 +57,10 @@
 //! * Read-only *replicated* structures (the k-mer→contig map, the read
 //!   support index, the k-mer→component map) are built once and shared by
 //!   reference; every rank charges the build's whole virtual cost (the
-//!   owner-routed build's two loops and its concatenation) to its clock,
-//!   exactly as if it had built its own copy concurrently.
+//!   owner-routed build's loops — route, absorb, per-owner finalisation; the
+//!   owner tables are queried where they were built, so there is no
+//!   concatenation and no serial section) to its clock, exactly as if it
+//!   had built its own copy concurrently.
 //! * Final output generation (clustering, bundle emission, file merges)
 //!   runs on the master rank with its measured cost; peers synchronize
 //!   through the closing collective, so cluster elapsed time is identical

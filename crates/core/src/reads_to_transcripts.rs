@@ -10,7 +10,7 @@
 //! paper). Which chunks a rank *reads* is the rank program's `ReadPolicy`.
 
 use kcount::routed::{routed_build, OWNERS};
-use kmertable::{PackedKmerTable, ShardedKmerTable};
+use kmertable::{PackedKmerTable, PartitionedKmerTable};
 use seqio::fasta::Record;
 use seqio::packed::PackedSeq;
 
@@ -34,12 +34,13 @@ pub struct RttShared {
     /// rolls canonical k-mers off this form.
     pub packed_reads: Vec<PackedSeq>,
     /// Canonical k-mer → component table ("assignment of k-mers to
-    /// Inchworm bundles", OpenMP-only in the paper). An open-addressing
-    /// packed-k-mer table: the per-read voting loop probes it once per
-    /// read k-mer, making it the stage's hottest structure.
-    pub kmer_to_component: PackedKmerTable,
+    /// Inchworm bundles", OpenMP-only in the paper). The open-addressing
+    /// owner tables of the routed build, queried in place: the per-read
+    /// voting loop probes them once per read k-mer, making this the
+    /// stage's hottest structure.
+    pub kmer_to_component: PartitionedKmerTable,
     /// Virtual cost of building the table with the configured threads:
-    /// both loops of the routed build plus the serial concatenation.
+    /// both loops of the routed build (it has no serial section).
     pub kmer_setup_cost: f64,
     /// Number of components.
     pub n_components: usize,
@@ -74,25 +75,43 @@ impl RttShared {
             packed_reads.len(),
             "one packed form per read, in file order"
         );
-        // "the OpenMP-enabled assignment of k-mers to Inchworm bundles":
-        // an owner-routed build over component batches. The first
-        // component to claim a k-mer keeps it; ids are dense and ascending,
-        // so owner-locally that is "smallest id wins", whatever order the
-        // claims arrive in.
+        let mut team = CostedTeam::new(cfg.threads, cfg.schedule);
+        let kmer_to_component = Self::build_table(contigs, components, cfg.k, &mut team);
+        RttShared {
+            reads,
+            packed_reads,
+            kmer_to_component,
+            kmer_setup_cost: team.sim.makespan,
+            n_components: components.len(),
+            cfg,
+        }
+    }
+
+    /// "the OpenMP-enabled assignment of k-mers to Inchworm bundles": the
+    /// canonical k-mer → component table as an owner-routed build over
+    /// component batches on `team`. The first component to claim a k-mer
+    /// keeps it; ids are dense and ascending, so owner-locally that is
+    /// "smallest id wins", whatever order the claims arrive in. The owner
+    /// tables are the result.
+    pub fn build_table(
+        contigs: &[PackedSeq],
+        components: &[Vec<usize>],
+        k: usize,
+        team: &mut impl Team,
+    ) -> PartitionedKmerTable {
         let batches: Vec<(usize, &[Vec<usize>])> = components
             .chunks(COMPONENT_BATCH)
             .enumerate()
             .map(|(b, batch)| (b * COMPONENT_BATCH, batch))
             .collect();
-        let mut team = CostedTeam::new(cfg.threads, cfg.schedule);
         let owners = routed_build(
             &batches,
             vec![PackedKmerTable::new(); OWNERS],
-            &mut team,
+            team,
             |&(first, batch), router| {
                 for (ci, members) in batch.iter().enumerate() {
                     for &m in members {
-                        if let Ok(iter) = contigs[m].canonical_kmers(cfg.k) {
+                        if let Ok(iter) = contigs[m].canonical_kmers(k) {
                             for (_, km) in iter {
                                 router.push(km.packed(), (first + ci) as u32);
                             }
@@ -106,15 +125,7 @@ impl RttShared {
                 }
             },
         );
-        let map = team.serial(|| ShardedKmerTable::from_shards(owners).into_merged());
-        RttShared {
-            reads,
-            packed_reads,
-            kmer_to_component: map,
-            kmer_setup_cost: team.sim.makespan,
-            n_components: components.len(),
-            cfg,
-        }
+        PartitionedKmerTable::from_owners(owners)
     }
 
     /// Assign one packed read: the component with the most shared k-mers,

@@ -12,8 +12,8 @@
 //! table with sufficient count, i.e. real reads span the junction.
 
 use kcount::counter::KmerCounts;
-use kcount::routed::{routed_build, OWNERS};
-use kmertable::{PackedKmerTable, PackedWeldSet};
+use kcount::routed::{for_each_owner, routed_build, OWNERS};
+use kmertable::{PackedKmerTable, PackedWeldSet, PartitionedKmerTable};
 use mpisim::pack::{pack_u64s, unpack_u64s};
 use omp::Team;
 use seqio::alphabet::{code_to_base, complement_code};
@@ -130,17 +130,26 @@ pub struct SeedOcc {
 /// owner-routed one ([`kcount::routed`]) accounted as an OpenMP-parallel
 /// region, matching the paper's attribution of "non-parallel regions" to
 /// the weld-set setup and final output only.
-/// Occurrences live in one flat array grouped by seed; the open-addressing
-/// [`PackedKmerTable`] maps a packed canonical seed to its group, so the
-/// hot probe (one per contig window per candidate pair) never hashes with
-/// SipHash, chases `HashMap` buckets or follows a per-seed allocation.
+/// The map stays partitioned as the build leaves it: each owner has its
+/// own flat occurrence array grouped by seed, and the open-addressing
+/// [`PartitionedKmerTable`] maps a packed canonical seed to its owner and
+/// group from one hash, so the hot probe (one per contig window per
+/// candidate pair) never hashes with SipHash, chases `HashMap` buckets or
+/// follows a per-seed allocation.
 #[derive(Debug, Clone)]
 pub struct KmerContigMap {
     seed_len: usize,
-    /// Canonical packed seed → seed id.
-    index: PackedKmerTable,
-    /// Seed `id` occurs at `occs[starts[id]..starts[id + 1]]`, in ascending
-    /// (contig, position) order.
+    /// Canonical packed seed → seed id, dense within the seed's owner.
+    index: PartitionedKmerTable,
+    /// Per owner of `index`, the occurrences of its seeds.
+    occs: Vec<SeedOccs>,
+}
+
+/// One owner's occurrences: seed `id` (owner-local) occurs at
+/// `occs[starts[id]..starts[id + 1]]`, in ascending (contig, position)
+/// order.
+#[derive(Debug, Clone)]
+struct SeedOccs {
     starts: Vec<u32>,
     occs: Vec<SeedOcc>,
 }
@@ -154,10 +163,43 @@ struct SeedOwner {
 }
 
 impl SeedOwner {
+    /// An owner pre-sized for `occurrences` arrivals, each possibly a new
+    /// seed: neither its index nor its arrival list then grows by doubling,
+    /// which would leave as much freed memory behind as the owner ends up
+    /// holding.
+    fn with_capacity(occurrences: usize) -> Self {
+        SeedOwner {
+            index: PackedKmerTable::with_capacity(occurrences),
+            arrivals: Vec::with_capacity(occurrences),
+        }
+    }
+
     #[inline]
     fn push(&mut self, key: u64, occ: SeedOcc) {
         let id = self.index.get_or_insert(key, self.index.len() as u32);
         self.arrivals.push((id, occ));
+    }
+
+    /// The owner's finished share: its index as built, and the arrivals
+    /// counting-sorted by seed id — stable, so arrival order survives
+    /// inside every group.
+    fn finish(self) -> (PackedKmerTable, SeedOccs) {
+        let seeds = self.index.len();
+        let mut starts = vec![0u32; seeds + 1];
+        for &(id, _) in &self.arrivals {
+            starts[id as usize + 1] += 1;
+        }
+        for id in 0..seeds {
+            starts[id + 1] += starts[id];
+        }
+        let mut next = starts.clone();
+        let mut occs = vec![SeedOcc::default(); self.arrivals.len()];
+        for (id, occ) in self.arrivals {
+            let at = &mut next[id as usize];
+            occs[*at as usize] = occ;
+            *at += 1;
+        }
+        (self.index, SeedOccs { starts, occs })
     }
 }
 
@@ -201,14 +243,15 @@ impl KmerContigMap {
                 owner.push(key, occ);
             }
         }
-        Self::concat(seed_len, vec![owner])
+        Self::from_owners(seed_len, vec![owner.finish()])
     }
 
     /// [`Self::build`] as an owner-routed build on `team`: contig batches
     /// route `(seed, occurrence)` pairs, each owner records what it
     /// receives — in batch order, so every seed's occurrences come out in
     /// ascending (contig, position) order exactly as the sequential build
-    /// leaves them — and the owners are concatenated in a serial section.
+    /// leaves them — and, in a third loop, groups its own arrivals by
+    /// seed. The owners are kept as they are; nothing is concatenated.
     pub fn build_routed(contigs: &[PackedSeq], k: usize, team: &mut impl Team) -> Self {
         let seed_len = Self::seed_len_for(k);
         let batches: Vec<(usize, &[PackedSeq])> = contigs
@@ -216,9 +259,19 @@ impl KmerContigMap {
             .enumerate()
             .map(|(b, batch)| (b * CONTIG_BATCH, batch))
             .collect();
-        let owners = routed_build(
+        // Contigs are k-mer-disjoint, so nearly every window is a new seed:
+        // an owner's share of the windows (plus 1/16 for the spread of the
+        // hash) is the size it will reach.
+        let windows: usize = contigs
+            .iter()
+            .map(|c| (c.len() + 1).saturating_sub(seed_len))
+            .sum();
+        let per_owner = windows / OWNERS + windows / (16 * OWNERS) + 1;
+        let mut owners = routed_build(
             &batches,
-            (0..OWNERS).map(|_| SeedOwner::default()).collect(),
+            (0..OWNERS)
+                .map(|_| SeedOwner::with_capacity(per_owner))
+                .collect(),
             team,
             |&(first, batch), router| {
                 for (i, c) in batch.iter().enumerate() {
@@ -233,45 +286,16 @@ impl KmerContigMap {
                 }
             },
         );
-        team.serial(|| Self::concat(seed_len, owners))
+        let finished = for_each_owner(&mut owners, team, |_, owner| std::mem::take(owner).finish());
+        Self::from_owners(seed_len, finished)
     }
 
-    /// Concatenate disjoint owners: one index sized for the total, each
-    /// owner's seed ids shifted past the owners before it, and the arrivals
-    /// counting-sorted by seed id — stable, so arrival order survives
-    /// inside every group.
-    fn concat(seed_len: usize, owners: Vec<SeedOwner>) -> Self {
-        let seeds: usize = owners.iter().map(|o| o.index.len()).sum();
-        let mut starts = vec![0u32; seeds + 1];
-        let mut base = 0;
-        for owner in &owners {
-            for &(id, _) in &owner.arrivals {
-                starts[base + id as usize + 1] += 1;
-            }
-            base += owner.index.len();
-        }
-        for id in 0..seeds {
-            starts[id + 1] += starts[id];
-        }
-        let mut index = PackedKmerTable::with_capacity(seeds);
-        let mut next = starts.clone();
-        let mut occs = vec![SeedOcc::default(); starts[seeds] as usize];
-        let mut base = 0;
-        for owner in owners {
-            for (key, id) in owner.index.iter() {
-                index.insert(key, base as u32 + id);
-            }
-            for (id, occ) in owner.arrivals {
-                let at = &mut next[base + id as usize];
-                occs[*at as usize] = occ;
-                *at += 1;
-            }
-            base += owner.index.len();
-        }
+    /// Adopt finished owners, in owner order.
+    fn from_owners(seed_len: usize, owners: Vec<(PackedKmerTable, SeedOccs)>) -> Self {
+        let (index, occs) = owners.into_iter().unzip();
         KmerContigMap {
             seed_len,
-            index,
-            starts,
+            index: PartitionedKmerTable::from_owners(index),
             occs,
         }
     }
@@ -284,10 +308,10 @@ impl KmerContigMap {
     /// Occurrences of a canonical seed (empty slice if none).
     #[inline]
     pub fn occurrences(&self, canon: Kmer) -> &[SeedOcc] {
-        match self.index.get(canon.packed()) {
-            Some(id) => {
-                let (start, end) = (self.starts[id as usize], self.starts[id as usize + 1]);
-                &self.occs[start as usize..end as usize]
+        match self.index.get_with_owner(canon.packed()) {
+            Some((owner, id)) => {
+                let SeedOccs { starts, occs } = &self.occs[owner];
+                &occs[starts[id as usize] as usize..starts[id as usize + 1] as usize]
             }
             None => &[],
         }
@@ -305,7 +329,7 @@ impl KmerContigMap {
 
     /// Record the seed index's table health (entries, capacity, load
     /// factor, probe-length histogram — see
-    /// [`PackedKmerTable::record_metrics`]) plus a `{prefix}.occurrences`
+    /// [`PartitionedKmerTable::record_metrics`]) plus a `{prefix}.occurrences`
     /// gauge (total seed occurrences across contigs — a snapshot of the
     /// built index, so re-recording overwrites rather than double-counts)
     /// into `registry`.
@@ -313,7 +337,7 @@ impl KmerContigMap {
         self.index.record_metrics(registry, prefix);
         registry
             .gauge(format!("{prefix}.occurrences"))
-            .set(self.occs.len() as f64);
+            .set(self.occs.iter().map(|o| o.occs.len()).sum::<usize>() as f64);
     }
 }
 

@@ -7,7 +7,7 @@
 //! way, just on smaller simulated datasets).
 
 use kcount::counter::KmerCounts;
-use kmertable::PackedKmerTable;
+use kmertable::{PackedKmerTable, PartitionedKmerTable};
 use seqio::kmer::Kmer;
 
 /// A dictionary entry in seeding order.
@@ -18,6 +18,17 @@ struct Seed {
     slot: u32,
 }
 
+impl Seed {
+    /// The seed record of one `iter_slots` entry.
+    fn at((slot, packed, count): (usize, u64, u32)) -> Self {
+        Seed {
+            packed,
+            count,
+            slot: u32::try_from(slot).expect("tables index their values by u32"),
+        }
+    }
+}
+
 /// Abundance-sorted dictionary over canonical k-mers.
 #[derive(Debug, Clone)]
 pub struct Dictionary {
@@ -25,11 +36,12 @@ pub struct Dictionary {
     /// Canonical packed k-mers in decreasing-count order (ties: k-mer
     /// order), each with its slot in `counts`.
     sorted: Vec<Seed>,
-    /// Canonical packed k-mer -> count, for O(1) extension lookups. The
-    /// open-addressing table keeps the greedy extension probes (4 per
-    /// extension step, the Inchworm inner loop) SipHash-free, and its slot
+    /// Canonical packed k-mer -> count, for O(1) extension lookups: the
+    /// counting pass's owner tables as it left them. The open-addressing
+    /// tables keep the greedy extension probes (4 per extension step, the
+    /// Inchworm inner loop) SipHash-free, and the partition's global slot
     /// indices key the assembler's used-k-mer bitset.
-    counts: PackedKmerTable,
+    counts: PartitionedKmerTable,
 }
 
 impl Dictionary {
@@ -42,25 +54,25 @@ impl Dictionary {
     pub fn from_counts(table: KmerCounts, min_count: u32) -> Self {
         let k = table.k();
         let canonical = |p: u64| Kmer::from_packed_unchecked(p, k).canonical().packed();
-        let mut counts = table.into_table();
-        if counts
-            .iter()
-            .any(|(p, c)| c < min_count || canonical(p) != p)
-        {
+        let mut counts = table.into_partition();
+        // One pass over the table builds the seed records and learns
+        // whether it can be adopted.
+        let mut adoptable = true;
+        let mut sorted: Vec<Seed> = Vec::with_capacity(counts.len());
+        sorted.extend(
+            counts
+                .iter_slots()
+                .inspect(|&(_, p, c)| adoptable &= c >= min_count && canonical(p) == p)
+                .map(Seed::at),
+        );
+        if !adoptable {
             let mut merged = PackedKmerTable::with_capacity(counts.len());
             for (p, c) in counts.iter().filter(|&(_, c)| c >= min_count) {
                 merged.add(canonical(p), c);
             }
-            counts = merged;
+            counts = merged.into();
+            sorted = counts.iter_slots().map(Seed::at).collect();
         }
-        let mut sorted: Vec<Seed> = counts
-            .iter_slots()
-            .map(|(slot, packed, count)| Seed {
-                packed,
-                count,
-                slot: u32::try_from(slot).expect("tables index their values by u32"),
-            })
-            .collect();
         // Total order over distinct (kmer, count) pairs — unstable sort is
         // deterministic here and skips the merge-sort allocation. Packed
         // order is k-mer order at equal k.
@@ -70,7 +82,7 @@ impl Dictionary {
 
     /// Give the (canonical, filtered) count table back.
     pub fn into_counts(self) -> KmerCounts {
-        KmerCounts::from_table(self.k, self.counts)
+        KmerCounts::from_partition(self.k, self.counts)
     }
 
     /// Word size.
@@ -104,7 +116,7 @@ impl Dictionary {
 
     /// Exclusive upper bound of the slots [`Self::find_each`] returns.
     pub fn slots(&self) -> usize {
-        self.counts.capacity() + 1
+        self.counts.slots()
     }
 
     /// Iterate k-mers in decreasing-abundance order.

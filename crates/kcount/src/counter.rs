@@ -5,17 +5,18 @@
 //! The count itself is an owner-routed build ([`crate::routed`]): workers
 //! roll canonical k-mers off read batches and route each to its owner,
 //! owners count what they receive into their own [`PackedKmerTable`], and
-//! the disjoint owner tables are concatenated into one owned, queryable
-//! table — no SipHash, no per-entry boxing, no per-read staging table, no
-//! lock on the counting path and no merge of partial counts.
+//! the disjoint owner tables are the result, queried in place as a
+//! [`PartitionedKmerTable`] — no SipHash, no per-entry boxing, no per-read
+//! staging table, no lock on the counting path, no merge of partial counts
+//! and no concatenated copy of the owners.
 
-use kmertable::{Owners, PackedKmerTable, ShardedKmerTable};
+use kmertable::{Owners, PackedKmerTable, PartitionedKmerTable};
 use omp::{Pool, Team};
 use seqio::error::Result;
 use seqio::kmer::Kmer;
 use seqio::packed::PackedSeq;
 
-use crate::routed::{routed_build, OWNERS};
+use crate::routed::{for_each_owner, routed_build, OWNERS};
 
 /// Configuration for a counting pass.
 #[derive(Debug, Clone, Copy)]
@@ -44,29 +45,33 @@ impl CounterConfig {
     }
 }
 
-/// An owned k-mer count table over an open-addressing packed-k-mer table.
+/// An owned k-mer count table: the owner tables of the counting pass,
+/// queried as one (a table that was not built by owners — loaded from a
+/// checkpoint, filled by [`add`](Self::add) — is the one-owner partition).
 #[derive(Debug, Clone)]
 pub struct KmerCounts {
     k: usize,
-    counts: PackedKmerTable,
+    counts: PartitionedKmerTable,
 }
 
 impl KmerCounts {
     /// An empty table for word size `k`.
     pub fn empty(k: usize) -> Self {
-        KmerCounts {
-            k,
-            counts: PackedKmerTable::new(),
-        }
+        Self::from_table(k, PackedKmerTable::new())
     }
 
-    /// Wrap a table of packed `k`-mers and their counts.
+    /// Wrap a plain table of packed `k`-mers and their counts.
     pub fn from_table(k: usize, counts: PackedKmerTable) -> Self {
+        Self::from_partition(k, counts.into())
+    }
+
+    /// Wrap the owner tables of a routed count of packed `k`-mers.
+    pub fn from_partition(k: usize, counts: PartitionedKmerTable) -> Self {
         KmerCounts { k, counts }
     }
 
     /// The underlying packed k-mer → count table.
-    pub fn into_table(self) -> PackedKmerTable {
+    pub fn into_partition(self) -> PartitionedKmerTable {
         self.counts
     }
 
@@ -120,15 +125,27 @@ impl KmerCounts {
 
     /// Remove k-mers with count below `min`, returning how many were removed.
     pub fn retain_min(&mut self, min: u32) -> usize {
-        if self.counts.iter().all(|(_, c)| c >= min) {
-            return 0; // nothing to drop: keep the table as built
-        }
-        let before = self.counts.len();
-        self.counts.retain(|_, c| c >= min);
-        before - self.counts.len()
+        self.retain_min_on(min, &mut Pool::new(1))
     }
 
-    /// Insert or add a count directly (used by the dump loader).
+    /// [`retain_min`](Self::retain_min) as a loop over owners on `team`:
+    /// each owner scans its own table and rebuilds it only if something in
+    /// it falls below `min`.
+    pub fn retain_min_on(&mut self, min: u32, team: &mut impl Team) -> usize {
+        let removed = self.counts.update_owners(|tables| {
+            for_each_owner(tables, team, |_, table| {
+                if table.iter().all(|(_, c)| c >= min) {
+                    return 0; // nothing to drop: keep the table as built
+                }
+                let before = table.len();
+                table.retain(|_, c| c >= min);
+                before - table.len()
+            })
+        });
+        removed.into_iter().sum()
+    }
+
+    /// Insert or add a count directly (used by the checkpoint loader).
     pub fn add(&mut self, km: Kmer, count: u32) {
         debug_assert_eq!(km.k(), self.k);
         self.counts.add(km.packed(), count);
@@ -136,7 +153,7 @@ impl KmerCounts {
 
     /// Record the underlying table's health (entries, capacity, load
     /// factor, probe-length histogram) plus `{prefix}.total_count` into
-    /// `registry`. See [`PackedKmerTable::record_metrics`]. Everything but
+    /// `registry`. See [`PartitionedKmerTable::record_metrics`]. Everything but
     /// the probe-length histogram is a snapshot gauge — `total_count`
     /// describes the table's current state, so re-recording (per-batch
     /// health checks) overwrites instead of double-counting.
@@ -169,11 +186,11 @@ pub(crate) fn for_each_kmer(
 }
 
 /// Count all k-mers of pre-encoded reads per `cfg` on `team` — the routed
-/// build with `cfg.shards` owners; `cfg.threads` is not consulted, the
-/// team is the workers. The pipeline passes an [`omp::CostedTeam`], which
-/// ends up holding the virtual cost of both loops and of the concatenation
-/// (the build's only serial section). A word size outside `1..=32` counts
-/// nothing.
+/// build with `cfg.shards` owners, whose tables are the result;
+/// `cfg.threads` is not consulted, the team is the workers. The pipeline
+/// passes an [`omp::CostedTeam`], which ends up holding the virtual cost of
+/// both loops; the build has no serial section. A word size outside
+/// `1..=32` counts nothing.
 pub fn count_kmers_on(reads: &[PackedSeq], cfg: CounterConfig, team: &mut impl Team) -> KmerCounts {
     let batches: Vec<&[PackedSeq]> = reads.chunks(READ_BATCH).collect();
     let owners = vec![PackedKmerTable::new(); Owners::new(cfg.shards).count()];
@@ -192,8 +209,7 @@ pub fn count_kmers_on(reads: &[PackedSeq], cfg: CounterConfig, team: &mut impl T
             }
         },
     );
-    let merged = team.serial(|| ShardedKmerTable::from_shards(owners).into_merged());
-    KmerCounts::from_table(cfg.k, merged)
+    KmerCounts::from_partition(cfg.k, PartitionedKmerTable::from_owners(owners))
 }
 
 /// Count all k-mers of pre-encoded reads per `cfg`: [`count_kmers_on`] a

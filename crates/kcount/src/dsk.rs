@@ -16,7 +16,7 @@ use std::io::{BufReader, BufWriter, Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use kmertable::{Owners, PackedKmerTable, ShardedKmerTable};
+use kmertable::{Owners, PackedKmerTable, PartitionedKmerTable};
 use seqio::error::{Error, Result};
 use seqio::kmer::Kmer;
 use seqio::packed::PackedSeq;
@@ -49,7 +49,7 @@ impl DskConfig {
 /// partition size, the quantity that bounds memory.
 #[derive(Debug)]
 pub struct DskOutcome {
-    /// The merged counts — identical to an in-memory pass.
+    /// The complete counts — identical to an in-memory pass.
     pub counts: KmerCounts,
     /// Distinct k-mers in the largest partition (the memory bound).
     pub max_partition_distinct: usize,
@@ -83,11 +83,12 @@ impl Drop for SpillDir {
 ///
 /// Pass 1 streams every read and appends each (canonical) packed k-mer to
 /// its owner's partition file; pass 2 loads one partition at a time and
-/// counts it owner-locally. The owner tables are then concatenated, which
-/// makes the *returned* table full-size (convenient for comparison); a
-/// production caller would consume partitions one at a time and never
-/// hold the union — the `max_partition_distinct` field reports the memory
-/// bound that caller would see.
+/// counts it owner-locally. The owner tables are all kept and returned as
+/// one partitioned table, which makes the *returned* table full-size
+/// (convenient for comparison); a production caller would consume
+/// partitions one at a time and never hold the union — the
+/// `max_partition_distinct` field reports the memory bound that caller
+/// would see.
 pub fn count_kmers_dsk<S: AsRef<[u8]>>(reads: &[S], cfg: &DskConfig) -> Result<DskOutcome> {
     let owners = Owners::new(cfg.partitions);
     let spill_dir = SpillDir::create(&cfg.work_dir)?;
@@ -126,9 +127,8 @@ pub fn count_kmers_dsk<S: AsRef<[u8]>>(reads: &[S], cfg: &DskConfig) -> Result<D
         .map(|path| count_partition(path, cfg.counter.k))
         .collect::<Result<_>>()?;
     let max_partition_distinct = parts.iter().map(|p| p.len()).max().unwrap_or(0);
-    let merged = ShardedKmerTable::from_shards(parts).into_merged();
     Ok(DskOutcome {
-        counts: KmerCounts::from_table(cfg.counter.k, merged),
+        counts: KmerCounts::from_partition(cfg.counter.k, PartitionedKmerTable::from_owners(parts)),
         max_partition_distinct,
         spilled_kmers: spilled,
     })

@@ -7,8 +7,11 @@
 //! that role:
 //!
 //! * [`routed`] — the owner-routed table build every k-mer-keyed table of
-//!   the pipeline goes through (route → owner-local absorb, in rounds);
-//! * [`counter`] — parallel counting over a read set, as a routed build;
+//!   the pipeline goes through (route → owner-local absorb, in rounds,
+//!   then a per-owner finalisation loop where one is needed); its owner
+//!   tables are the finished table, never concatenated;
+//! * [`counter`] — parallel counting over a read set, as a routed build
+//!   whose owners [`KmerCounts`] holds as one partitioned table;
 //! * [`dsk`] — DSK-style disk-partitioned counting with bounded memory
 //!   (the low-memory alternative the paper cites and targets as future
 //!   work).

@@ -17,9 +17,13 @@
 //! contended lock, nothing is staged in a per-read or per-batch table, and
 //! no partial tables are merged: each key instance is hashed once to route
 //! it and once to place it. What is left after the last round is one
-//! disjoint state per owner, which the caller concatenates (a serial
-//! section of the same [`Team`], see
-//! [`kmertable::ShardedKmerTable::into_merged`]).
+//! disjoint state per owner, and that *is* the table: the callers adopt
+//! the owner tables as a [`kmertable::PartitionedKmerTable`] (or their own
+//! per-owner form), which routes a lookup with the same [`Owners::of`] the
+//! build routed the key with. Nothing is concatenated, so no build has a
+//! serial section proportional to its table; whatever an owner still has to
+//! do once its last buffer is absorbed (filter, sort its arrivals) is a
+//! third loop over owners, [`for_each_owner`].
 //!
 //! A round routes [`Team::threads`] batches, so the routed k-mers resident
 //! at any time are one round's worth — a few MB at the pipeline's batch
@@ -71,7 +75,7 @@ impl<P> Router<P> {
 /// first-claim or append-only `absorb` reproduces the sequential build.
 pub fn routed_build<B, P, O>(
     batches: &[B],
-    owners: Vec<O>,
+    mut owners: Vec<O>,
     team: &mut impl Team,
     route: impl Fn(&B, &mut Router<P>) + Sync,
     absorb: impl Fn(&mut O, &[(u64, P)]) + Sync,
@@ -83,10 +87,6 @@ where
 {
     let partition = Owners::new(owners.len());
     assert_eq!(partition.count(), owners.len(), "one state per owner");
-    // The mutex only carries `&mut O` through the `Fn` loop body: owner `o`
-    // is locked once per round, by the one task that absorbs for it.
-    let owners: Vec<Mutex<O>> = owners.into_iter().map(Mutex::new).collect();
-    let owner_ids: Vec<usize> = (0..owners.len()).collect();
     // Buffers start at the fullest one of the round before, so after the
     // first round routing appends without reallocating.
     let mut capacity = 0;
@@ -96,17 +96,33 @@ where
             route(batch, &mut router);
             router
         });
-        team.map(&owner_ids, |&o| {
-            let mut state = owners[o].lock().expect("an absorb task panicked");
+        for_each_owner(&mut owners, team, |o, state| {
             for router in &routed {
-                absorb(&mut state, &router.buffers[o]);
+                absorb(state, &router.buffers[o]);
             }
         });
         let fullest = routed.iter().flat_map(|r| r.buffers.iter().map(Vec::len));
         capacity = fullest.max().unwrap_or(0);
     }
     owners
-        .into_iter()
-        .map(|o| o.into_inner().expect("an absorb task panicked"))
-        .collect()
+}
+
+/// A loop over owners on `team`: `f(o, state)` runs once per owner with
+/// exclusive access to that owner's state — the absorb loop of a round, and
+/// any per-owner finalisation after the last one. Results in owner order.
+pub fn for_each_owner<O: Send, R: Send>(
+    owners: &mut [O],
+    team: &mut impl Team,
+    f: impl Fn(usize, &mut O) -> R + Sync,
+) -> Vec<R> {
+    // The mutex only carries `&mut O` through the `Fn` loop body: owner `o`
+    // is locked once, by the one task that runs for it.
+    let cells: Vec<(usize, Mutex<&mut O>)> = owners
+        .iter_mut()
+        .enumerate()
+        .map(|(o, state)| (o, Mutex::new(state)))
+        .collect();
+    team.map(&cells, |(o, cell)| {
+        f(*o, &mut cell.lock().expect("an owner task panicked"))
+    })
 }

@@ -13,10 +13,12 @@ use proptest::prelude::*;
 use seqio::packed::PackedSeq;
 
 /// A pool whose rounds are `round` batches long instead of one batch per
-/// worker: the result of a routed build must not depend on it.
+/// worker: the result of a routed build must not depend on it. It counts
+/// the serial sections run on it: a routed build must have none.
 struct Rounds {
     pool: Pool,
     round: usize,
+    serial_sections: usize,
 }
 
 impl Team for Rounds {
@@ -27,9 +29,14 @@ impl Team for Rounds {
     fn map<T: Sync, R: Send>(&mut self, items: &[T], f: impl Fn(&T) -> R + Sync) -> Vec<R> {
         Team::map(&mut self.pool, items, f)
     }
+
+    fn serial<R>(&mut self, f: impl FnOnce() -> R) -> R {
+        self.serial_sections += 1;
+        f()
+    }
 }
 
-/// The counter this PR replaced, kept as a reference: a fresh staging
+/// The counter the routed build replaced, kept as a reference: a fresh staging
 /// table per read, flushed into the sharded table under its shard locks.
 fn count_per_read_absorb(reads: &[PackedSeq], cfg: CounterConfig) -> KmerCounts {
     let shared = ShardedKmerTable::new(cfg.shards);
@@ -46,7 +53,7 @@ fn count_per_read_absorb(reads: &[PackedSeq], cfg: CounterConfig) -> KmerCounts 
         }
         shared.absorb(&local);
     });
-    KmerCounts::from_table(cfg.k, shared.into_merged())
+    KmerCounts::from_partition(cfg.k, shared.freeze())
 }
 
 fn count_by_hashmap(reads: &[PackedSeq], cfg: CounterConfig) -> HashMap<u64, u32> {
@@ -100,7 +107,7 @@ proptest! {
             for workers in [1usize, 3] {
                 for round in [1usize, usize::MAX] {
                     let cfg = CounterConfig { threads: workers, shards, ..base };
-                    let mut team = Rounds { pool: Pool::new(workers), round };
+                    let mut team = Rounds { pool: Pool::new(workers), round, serial_sections: 0 };
                     let routed = count_kmers_on(&packed, cfg, &mut team);
                     prop_assert_eq!(routed.len(), model.len(),
                         "owners {} workers {} round {}", shards, workers, round);
@@ -108,6 +115,13 @@ proptest! {
                         prop_assert_eq!(routed.get_packed(key), n);
                         prop_assert_eq!(reference.get_packed(key), n);
                     }
+                    // The error filter is a loop over owners on the same team.
+                    let mut filtered = routed;
+                    let removed = filtered.retain_min_on(2, &mut team);
+                    prop_assert_eq!(removed, model.values().filter(|&&n| n < 2).count());
+                    prop_assert_eq!(filtered.len(), model.len() - removed);
+                    prop_assert!(filtered.iter_packed().all(|(key, n)| n >= 2 && model[&key] == n));
+                    prop_assert_eq!(team.serial_sections, 0, "no serial section in the build");
                 }
             }
         }

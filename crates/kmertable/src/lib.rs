@@ -20,19 +20,25 @@
 //!   filter does once, off the hot path.
 //!
 //! [`PackedKmerTable`] is the single-threaded table; [`Owners`] partitions
-//! the key space for owner-routed builds and [`ShardedKmerTable`] holds one
-//! table per owner (owner chosen by the *high* hash bits, slot by the *low*
-//! bits, so the two decisions never correlate); [`PackedWeldSet`] is the
-//! same layout over `u128` keys for ≤63-base weld windows.
+//! the key space for owner-routed builds (owner chosen by the *high* hash
+//! bits, slot by the *low* bits, so the two decisions never correlate) and
+//! [`PartitionedKmerTable`] is what such a build leaves behind and what
+//! every pipeline stage then queries: one table per owner, adopted as
+//! built, answering from a single hash per key — no concatenated copy is
+//! ever made. [`ShardedKmerTable`] is the same partition behind per-owner
+//! locks, for writers that have not routed their keys; [`PackedWeldSet`]
+//! is the table layout over `u128` keys for ≤63-base weld windows.
 
 #![warn(missing_docs)]
 
+pub mod partitioned;
 pub mod set;
 pub mod sharded;
 pub mod table;
 
+pub use partitioned::{Owners, PartitionedKmerTable};
 pub use set::PackedWeldSet;
-pub use sharded::{Owners, ShardedKmerTable};
+pub use sharded::ShardedKmerTable;
 pub use table::PackedKmerTable;
 
 /// Mix all bits of a packed k-mer into a table hash.

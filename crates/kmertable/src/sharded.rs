@@ -1,59 +1,21 @@
-//! The owner-partitioned table: the key space split over `S` owners, each
-//! a plain [`PackedKmerTable`].
+//! The owner-partitioned table while unrouted writers share it: one
+//! [`PackedKmerTable`] per owner, each behind a mutex.
 
 use parking_lot::Mutex;
 
-use crate::mix64;
+use crate::partitioned::{record_owner_metrics, Owners, PartitionedKmerTable};
 use crate::table::PackedKmerTable;
-
-/// The owner partition of the packed-k-mer key space: `2^bits` owners, a
-/// key's owner being the *top* bits of [`mix64`]. A table picks its slot
-/// from the *low* bits of the same hash, so which owner holds a key says
-/// nothing about where it probes inside that owner's table — an owner's
-/// keys spread over its slots as evenly as the whole key set would.
-///
-/// This is the routing function of every owner-routed build (in memory,
-/// to DSK's partition files, and — the unit a later `alltoallv` would
-/// distribute — across ranks).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Owners {
-    bits: u32,
-}
-
-impl Owners {
-    /// A partition into `owners` owners (rounded up to a power of two,
-    /// min 1).
-    pub fn new(owners: usize) -> Self {
-        Owners {
-            bits: owners.max(1).next_power_of_two().trailing_zeros(),
-        }
-    }
-
-    /// Number of owners (a power of two).
-    pub fn count(self) -> usize {
-        1 << self.bits
-    }
-
-    /// Owner of `key`.
-    #[inline(always)]
-    pub fn of(self, key: u64) -> usize {
-        if self.bits == 0 {
-            0
-        } else {
-            (mix64(key) >> (64 - self.bits)) as usize
-        }
-    }
-}
 
 /// A k-mer table partitioned over [`Owners`], each shard a plain
 /// [`PackedKmerTable`] behind a mutex.
 ///
-/// Two ways in: an owner-routed build hands over finished, disjoint owner
-/// tables ([`from_shards`](Self::from_shards)) and never takes a lock;
-/// concurrent writers that have not routed their keys use
-/// [`add`](Self::add) / [`absorb`](Self::absorb), one lock per call or per
-/// touched shard. Either way [`into_merged`](Self::into_merged)
-/// concatenates the shards into one table sized once for the total.
+/// For concurrent writers that have not routed their keys:
+/// [`add`](Self::add) / [`absorb`](Self::absorb) take one lock per call or
+/// per touched shard. An owner-routed build never needs it — its owners are
+/// disjoint by construction and go straight to
+/// [`PartitionedKmerTable::from_owners`]. When the writers are done,
+/// [`freeze`](Self::freeze) drops the locks and hands the same shards over
+/// as that lock-free form; nothing is copied.
 ///
 /// # Examples
 ///
@@ -71,7 +33,7 @@ impl Owners {
 ///     }
 /// });
 /// assert_eq!(table.get(42), Some(4));
-/// assert_eq!(table.into_merged().len(), 100);
+/// assert_eq!(table.freeze().len(), 100);
 /// ```
 #[derive(Debug)]
 pub struct ShardedKmerTable {
@@ -159,48 +121,13 @@ impl ShardedKmerTable {
     /// into one histogram. Snapshot gauges overwrite on re-recording; only
     /// the histogram accumulates.
     pub fn record_metrics(&self, registry: &obs::MetricsRegistry, prefix: &str) {
-        let mut entries = 0u64;
-        let mut capacity = 0u64;
-        let hist = registry.histogram(format!("{prefix}.probe_len"));
-        for shard in &self.shards {
-            let shard = shard.lock();
-            entries += shard.len() as u64;
-            capacity += shard.capacity() as u64;
-            for d in shard.probe_lengths() {
-                hist.record(d);
-            }
-        }
-        registry
-            .gauge(format!("{prefix}.entries"))
-            .set(entries as f64);
-        registry
-            .gauge(format!("{prefix}.capacity"))
-            .set(capacity as f64);
-        registry
-            .gauge(format!("{prefix}.load_factor"))
-            .set(if capacity == 0 {
-                0.0
-            } else {
-                entries as f64 / capacity as f64
-            });
+        record_owner_metrics(self.shards.iter().map(|s| s.lock()), registry, prefix);
     }
 
-    /// Concatenate all shards into one owned table, sized once for the
-    /// total. Shards are disjoint by construction, so every entry is moved
-    /// exactly once and nothing is re-counted or rehashed twice.
-    pub fn into_merged(self) -> PackedKmerTable {
-        let mut shards: Vec<PackedKmerTable> =
-            self.shards.into_iter().map(Mutex::into_inner).collect();
-        if shards.len() == 1 {
-            return shards.remove(0);
-        }
-        let mut merged = PackedKmerTable::with_capacity(shards.iter().map(|s| s.len()).sum());
-        for shard in shards {
-            for (k, v) in shard.iter() {
-                merged.insert(k, v);
-            }
-        }
-        merged
+    /// Drop the locks: the shards, as they are, become the owners of a
+    /// [`PartitionedKmerTable`].
+    pub fn freeze(self) -> PartitionedKmerTable {
+        PartitionedKmerTable::from_owners(self.shards.into_iter().map(Mutex::into_inner).collect())
     }
 }
 
@@ -237,10 +164,10 @@ mod tests {
         }
         t.absorb(&local);
         t.absorb(&local);
-        let merged = t.into_merged();
-        assert_eq!(merged.len(), 500);
+        let frozen = t.freeze();
+        assert_eq!(frozen.len(), 500);
         for k in 0..500u64 {
-            assert_eq!(merged.get(k), Some(6));
+            assert_eq!(frozen.get(k), Some(6));
         }
     }
 
@@ -274,19 +201,22 @@ mod tests {
         assert_eq!(t.len(), 3001);
         assert_eq!(t.get(17), Some(2));
         assert_eq!(t.get(u64::MAX), Some(2));
-        let merged = t.into_merged();
-        assert_eq!(merged.len(), 3001);
-        // Sized once: the concatenation never grew past the first allocation.
-        assert_eq!(
-            merged.capacity(),
-            PackedKmerTable::with_capacity(3001).capacity()
-        );
-        assert!((0..3000u64).all(|k| merged.get(k) == Some(2)));
+        let capacities: Vec<usize> = t.shards.iter().map(|s| s.lock().capacity()).collect();
+        let frozen = t.freeze();
+        assert_eq!(frozen.len(), 3001);
+        // Adopted, not rebuilt: every owner is the shard it was.
+        let adopted: Vec<usize> = frozen.owners().iter().map(|o| o.capacity()).collect();
+        assert_eq!(adopted, capacities);
+        assert!((0..3000u64).all(|k| frozen.get(k) == Some(2)));
+        assert_eq!(frozen.get(u64::MAX), Some(2));
     }
 
     #[test]
     fn merge_of_empty_is_empty() {
-        assert!(ShardedKmerTable::new(4).into_merged().is_empty());
+        let frozen = ShardedKmerTable::new(4).freeze();
+        assert!(frozen.is_empty());
+        assert_eq!(frozen.owners().len(), 4);
+        assert_eq!(frozen.iter().count(), 0);
     }
 
     #[test]

@@ -74,7 +74,13 @@ impl PackedKmerTable {
     /// Requires a non-full table (guaranteed by the 1/2 load cap).
     #[inline(always)]
     fn probe(&self, key: u64) -> usize {
-        let mut i = (mix64(key) as usize) & self.mask;
+        self.probe_from(key, mix64(key))
+    }
+
+    /// [`probe`](Self::probe) with `hash == mix64(key)` already computed.
+    #[inline(always)]
+    fn probe_from(&self, key: u64, hash: u64) -> usize {
+        let mut i = (hash as usize) & self.mask;
         loop {
             let k = unsafe { *self.keys.get_unchecked(i) };
             if k == key || k == EMPTY {
@@ -123,14 +129,55 @@ impl PackedKmerTable {
     /// `capacity()`, so side arrays hold `capacity() + 1` entries.
     #[inline(always)]
     pub fn find(&self, key: u64) -> Option<(usize, u32)> {
+        self.find_hashed(key, mix64(key))
+    }
+
+    /// [`find`](Self::find) with `hash == mix64(key)` supplied by the
+    /// caller — the partitioned table hashes a key once and spends the top
+    /// bits on the owner, the low bits here.
+    #[inline(always)]
+    pub(crate) fn find_hashed(&self, key: u64, hash: u64) -> Option<(usize, u32)> {
         if key == EMPTY {
             return self.max_key.map(|v| (self.keys.len(), v));
         }
         if self.keys.is_empty() {
             return None;
         }
-        let i = self.probe(key);
+        let i = self.probe_from(key, hash);
         (self.keys[i] == key).then(|| (i, self.vals[i]))
+    }
+
+    /// The key and value in the home slot of `hash` (an empty slot if
+    /// nothing is allocated): the one read a batched lookup issues per key
+    /// before it examines any of them.
+    #[inline(always)]
+    pub(crate) fn home(&self, hash: u64) -> (u64, u32) {
+        if self.keys.is_empty() {
+            return (EMPTY, 0);
+        }
+        let i = (hash as usize) & self.mask;
+        (self.keys[i], self.vals[i])
+    }
+
+    /// [`find_hashed`](Self::find_hashed) given what [`home`](Self::home)
+    /// read for `hash`: a hit or an empty home slot answers at once, a
+    /// collision falls back to the probe loop.
+    #[inline(always)]
+    pub(crate) fn find_from_home(
+        &self,
+        key: u64,
+        hash: u64,
+        (first, val): (u64, u32),
+    ) -> Option<(usize, u32)> {
+        if key == EMPTY {
+            self.max_key.map(|v| (self.keys.len(), v))
+        } else if first == key {
+            Some(((hash as usize) & self.mask, val))
+        } else if first == EMPTY {
+            None
+        } else {
+            self.find_hashed(key, hash)
+        }
     }
 
     /// [`find`](Self::find) for several keys at once. The home slots of all
@@ -140,23 +187,9 @@ impl PackedKmerTable {
     /// the table outgrows the cache.
     #[inline]
     pub fn find_each<const N: usize>(&self, keys: [u64; N]) -> [Option<(usize, u32)>; N] {
-        if self.keys.is_empty() {
-            return keys.map(|key| self.find(key));
-        }
-        let homes = keys.map(|key| (mix64(key) as usize) & self.mask);
-        let firsts = homes.map(|i| (self.keys[i], self.vals[i]));
-        std::array::from_fn(|j| {
-            let (key, (first, val)) = (keys[j], firsts[j]);
-            if key == EMPTY {
-                self.find(key)
-            } else if first == key {
-                Some((homes[j], val))
-            } else if first == EMPTY {
-                None
-            } else {
-                self.find(key)
-            }
-        })
+        let hashes = keys.map(mix64);
+        let homes = hashes.map(|h| self.home(h));
+        std::array::from_fn(|j| self.find_from_home(keys[j], hashes[j], homes[j]))
     }
 
     /// Insert `key → val`, returning the previous value if any.

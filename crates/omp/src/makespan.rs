@@ -166,7 +166,7 @@ pub fn costed_loop<T, R>(
 /// A [`Team`] on the virtual clock: every loop is a [`costed_loop`], every
 /// serial section is measured and lands on thread 0, and `sim` is the
 /// replay of all of it in program order — what a multi-loop parallel region
-/// (route, barrier, count, barrier, …, concatenate) charges as one figure.
+/// (encode, barrier, route, barrier, count, barrier, …) charges as one figure.
 #[derive(Debug, Clone)]
 pub struct CostedTeam {
     schedule: Schedule,

@@ -516,6 +516,9 @@ pub fn run_pipeline(reads: &[Record], cfg: &PipelineConfig) -> PipelineOutput {
     run_pipeline_opts(reads, cfg, &RunOptions::default())
 }
 
+/// Reads per item of the ingest loop.
+const ENCODE_BATCH: usize = 256;
+
 /// The front half — ingest, Jellyfish, Inchworm: the packed reads, their
 /// k-mer counts and the contigs assembled from them.
 fn assemble_contigs(
@@ -524,17 +527,13 @@ fn assemble_contigs(
     cfg: &PipelineConfig,
 ) -> (Vec<PackedSeq>, KmerCounts, Vec<Record>) {
     let k = cfg.chrysalis.k;
-    // ---- Ingest: 2-bit pack every read exactly once ----
-    // Jellyfish counts, ReadsToTranscripts votes and Butterfly threads all
-    // consume this same encoding; no stage re-walks the ASCII.
-    let t0 = std::time::Instant::now();
-    let packed_reads = seqio::packed::encode_all(reads);
-    let encode_time = t0.elapsed().as_secs_f64();
-
     // ---- Jellyfish ----
-    // An owner-routed build on the costed team: route and owner-local count
-    // replay as parallel loops, the concatenation and the error filter as
-    // the stage's serial sections.
+    // One parallel region on the costed team, and no serial section in it:
+    // the ingest loop 2-bit packs every read exactly once (Jellyfish
+    // counts, ReadsToTranscripts votes and Butterfly threads all consume
+    // this same encoding; no stage re-walks the ASCII), the owner-routed
+    // build routes and counts, and the error filter is a loop over owners.
+    let mut packed_reads = None;
     let mut counts = d.stage(
         "Jellyfish",
         ckpt::decode_counts,
@@ -542,18 +541,24 @@ fn assemble_contigs(
         |c, _| ram::jellyfish(c.len()),
         |d| {
             let mut team = CostedTeam::new(cfg.chrysalis.threads, cfg.chrysalis.schedule);
+            let batches: Vec<&[Record]> = reads.chunks(ENCODE_BATCH).collect();
+            let encoded = team.map(&batches, |batch| seqio::packed::encode_all(batch));
+            let mut packed: Vec<PackedSeq> = Vec::with_capacity(reads.len());
+            packed.extend(encoded.into_iter().flatten());
             let counter_cfg = CounterConfig {
                 threads: cfg.chrysalis.threads,
                 ..CounterConfig::new(k)
             };
-            let mut counts = count_kmers_on(&packed_reads, counter_cfg, &mut team);
-            team.serial(|| counts.retain_min(cfg.min_kmer_count.max(1)));
+            let mut counts = count_kmers_on(&packed, counter_cfg, &mut team);
+            counts.retain_min_on(cfg.min_kmer_count.max(1), &mut team);
+            packed_reads = Some(packed);
             d.log_omp_loop("jellyfish", &team.sim);
-            // The one-time read encode is charged to the counting stage
-            // (the first consumer of the packed form).
-            (counts, StageRun::timed(encode_time + team.sim.makespan))
+            (counts, StageRun::timed(team.sim.makespan))
         },
     );
+    // A resumed stage counted nothing, but the later stages still read the
+    // packed form.
+    let packed_reads = packed_reads.unwrap_or_else(|| seqio::packed::encode_all(reads));
     counts.record_metrics(&d.metrics, "jellyfish");
 
     // ---- Inchworm ----
@@ -784,6 +789,75 @@ mod tests {
             .expect("spliced gff.total span");
         assert!((sub_start - gff_stage.start).abs() < 1e-9);
         assert!(sub_end <= gff_stage.end + 1e-9);
+    }
+
+    #[test]
+    fn jellyfish_stage_is_its_teams_makespan_encode_included() {
+        // The stage lasts exactly as long as the replay of its one parallel
+        // region (a serially charged encode time used to come on top), and
+        // the region's first loop is the read encode: one chunk per read
+        // batch ahead of the build's route, absorb and filter loops.
+        let reads = tiny_reads();
+        let cfg = PipelineConfig::small(12);
+        let out = run_pipeline(&reads, &cfg);
+        let stages = out.trace.with_cat("stage");
+        let stage = stages
+            .iter()
+            .find(|s| s.track == 0 && s.name == "Jellyfish")
+            .expect("Jellyfish stage span");
+        let lanes = out
+            .trace
+            .spans
+            .iter()
+            .filter(|s| s.name.starts_with("jellyfish."));
+        let makespan = lanes.map(|s| s.end).fold(0.0, f64::max);
+        assert!(makespan > 0.0);
+        assert_eq!((stage.start, stage.end), (0.0, makespan));
+        let owners = kcount::routed::OWNERS;
+        let batches = reads.len().div_ceil(ENCODE_BATCH);
+        let rounds = batches.div_ceil(cfg.chrysalis.threads);
+        let chunks = 2 * batches + rounds * owners + owners;
+        let counted = out.metrics.counter("jellyfish.loop.chunks");
+        assert_eq!(
+            counted,
+            Some(chunks as u64),
+            "encode, route, absorb, filter"
+        );
+    }
+
+    #[test]
+    fn resumed_jellyfish_still_hands_packed_reads_on() {
+        // Only the Jellyfish checkpoint survives: that stage resumes — no
+        // team, no ingest loop — every later one recomputes, and
+        // ReadsToTranscripts and Butterfly still get the packed reads.
+        let reads = tiny_reads();
+        let cfg = PipelineConfig::small(12);
+        let dir = std::env::temp_dir().join(format!("trinity-jf-resume-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut opts = RunOptions {
+            checkpoint_dir: Some(dir.clone()),
+            ..Default::default()
+        };
+        let first = run_pipeline_opts(&reads, &cfg, &opts);
+        for stage in [
+            "Inchworm",
+            "GraphFromFasta",
+            "QuantifyGraph",
+            "ReadsToTranscripts",
+        ] {
+            std::fs::remove_file(ckpt::stage_path(&dir, stage)).expect("checkpoint was written");
+        }
+        opts.resume = true;
+        let second = run_pipeline_opts(&reads, &cfg, &opts);
+        let _ = std::fs::remove_dir_all(&dir);
+        assert_eq!(second.metrics.counter("ckpt.resumed"), Some(1));
+        assert!(!second
+            .trace
+            .spans
+            .iter()
+            .any(|s| s.name == "jellyfish.busy"));
+        assert_eq!(second.assignments, first.assignments);
+        assert_eq!(second.transcripts, first.transcripts);
     }
 
     #[test]
