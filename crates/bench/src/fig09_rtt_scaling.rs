@@ -176,19 +176,30 @@ pub(crate) mod tests {
     #[test]
     fn io_is_redundant_and_constant() {
         let shared = prepare(2, 0.1);
-        let data = run(shared, &[1, 4]);
         // Every rank streams the whole file, so I/O does not shrink with
-        // rank count (the paper's §III-C redundancy argument). If I/O
-        // partitioned perfectly it would drop to 1/4 here; assert it stays
-        // well above that. The band is loose because both sides are
-        // millisecond-scale wall-clock measurements and the suite runs
-        // many test threads on a small CI machine — the shape (not ~1/4)
-        // is the paper-derived claim, the exact ratio is not.
-        assert!(
-            data.rows[1].io > 0.1 * data.rows[0].io,
-            "io {} vs {}",
-            data.rows[1].io,
-            data.rows[0].io
-        );
+        // rank count (the paper's §III-C redundancy argument). What a rank
+        // reads is the chunks its `rtt.io` spans name, so the host's speed
+        // cannot move it: each of 4 ranks reads the chunks the single rank
+        // reads, hence their count and byte volume. (That those are the
+        // whole file is `chrysalis`'s `striped_io_shrinks_with_ranks`.)
+        let chunks_read = |ranks| -> Vec<Vec<f64>> {
+            let sh = Arc::clone(&shared);
+            let outs = run_cluster(ranks, NetModel::idataplex(), move |comm| {
+                rtt_hybrid(comm, &sh)
+            });
+            let per_rank = outs.iter().map(|o| {
+                let io = o.trace.on_track(o.rank as u32);
+                io.filter(|sp| sp.name == "rtt.io")
+                    .map(|sp| sp.arg("chunk").unwrap())
+                    .collect()
+            });
+            per_rank.collect()
+        };
+        let single = chunks_read(1).remove(0);
+        // Enough chunks that a partitioned read would show at 4 ranks.
+        assert!(single.len() >= 4, "{} chunks", single.len());
+        for (rank, chunks) in chunks_read(4).iter().enumerate() {
+            assert_eq!(chunks, &single, "rank {rank} of 4");
+        }
     }
 }

@@ -53,13 +53,18 @@ pub fn prepare(seed: u64, scale: f64) -> (Arc<Vec<Record>>, Arc<Vec<Record>>) {
     (Arc::new(contigs), Arc::new(w.reads))
 }
 
+/// The figure's alignment setting: the pipeline's `-v 1`.
+fn align_config() -> AlignConfig {
+    AlignConfig {
+        max_mismatches: 1,
+        ..AlignConfig::default()
+    }
+}
+
 /// Run the scaling sweep.
 pub fn run(contigs: Arc<Vec<Record>>, reads: Arc<Vec<Record>>, rank_counts: &[usize]) -> Fig10Data {
     let cfg = bench_pipeline_config();
-    let align_cfg = AlignConfig {
-        max_mismatches: 1,
-        ..AlignConfig::default()
-    };
+    let align_cfg = align_config();
     let mut rows = Vec::with_capacity(rank_counts.len());
     for &ranks in rank_counts {
         let (c, r) = (Arc::clone(&contigs), Arc::clone(&reads));
@@ -114,31 +119,69 @@ pub fn render(data: &Fig10Data) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use omp::makespan::simulate_loop;
+
+    /// What each rank's `bowtie.align` span says it did at `ranks` ranks:
+    /// `(reads aligned, contig bases in the slice it indexed)`.
+    fn rank_work(
+        contigs: &Arc<Vec<Record>>,
+        reads: &Arc<Vec<Record>>,
+        ranks: usize,
+    ) -> Vec<(usize, usize)> {
+        let (c, r) = (Arc::clone(contigs), Arc::clone(reads));
+        let ch = bench_pipeline_config().chrysalis;
+        let outs = run_cluster(ranks, NetModel::idataplex(), move |comm| {
+            bowtie_mpi(comm, &c, &r, &ch, align_config());
+        });
+        let per_rank = outs.iter().map(|o| {
+            let mut spans = o.trace.on_track(o.rank as u32);
+            let align = spans.find(|sp| sp.name == "bowtie.align").unwrap();
+            let arg = |name| align.arg(name).unwrap() as usize;
+            (arg("reads"), arg("slice_bases"))
+        });
+        per_rank.collect()
+    }
 
     #[test]
     fn split_is_constant_while_align_shrinks() {
         let (contigs, reads) = prepare(2, 0.08);
-        let data = run(contigs, reads, &[1, 8]);
-        let (r1, r8) = (&data.rows[0], &data.rows[1]);
-        // The split is serial: it does not shrink with ranks.
-        assert!(
-            r8.split > 0.3 * r1.split,
-            "split {} vs {}",
-            r8.split,
-            r1.split
-        );
-        // Index build shrinks with the slice (each rank indexes 1/8th).
-        assert!(r8.index < r1.index, "index {} vs {}", r8.index, r1.index);
+        let data = run(Arc::clone(&contigs), Arc::clone(&reads), &[1, 8]);
         assert!(render(&data).contains("split"));
+        // Asserted on what the rank program reports, not the measured rows
+        // above. The split is serial: the slices the ranks index cover every
+        // contig base at any rank count, all of it planned on the master.
+        // The index shrinks with the slice: no rank's slice holds more than
+        // an eighth of the bases plus one contig.
+        let all_bases: usize = contigs.iter().map(|c| c.seq.len()).sum();
+        let longest = contigs.iter().map(|c| c.seq.len()).max().unwrap_or(0);
+        let one = rank_work(&contigs, &reads, 1);
+        let eight = rank_work(&contigs, &reads, 8);
+        assert_eq!(one[0].1, all_bases);
+        assert_eq!(eight.iter().map(|w| w.1).sum::<usize>(), all_bases);
+        let index8 = eight.iter().map(|w| w.1).max().unwrap_or(0);
+        assert!(index8 <= all_bases / 8 + longest, "{index8} of {all_bases}");
+        assert!(index8 < all_bases, "index {index8} vs {all_bases}");
     }
 
     #[test]
     fn total_speedup_is_modest() {
         let (contigs, reads) = prepare(2, 0.08);
-        let data = run(contigs, reads, &[1, 8]);
-        let speedup = data.rows[0].total / data.rows[1].total.max(f64::MIN_POSITIVE);
         // The paper saw only ~3x at 128 nodes: alignment work is
-        // replicated per rank, so speedup must be well below linear.
+        // replicated per rank, so speedup must be well below linear. Every
+        // rank reports aligning every read. In work units on the slowest
+        // rank (its slice's bases indexed, the read bases aligned over the
+        // configured threads); the serial split and the merge, which grows
+        // with ranks, are left out, so the bound is generous.
+        let cfg = bench_pipeline_config().chrysalis;
+        let read_bases: Vec<f64> = reads.iter().map(|r| r.seq.len() as f64).collect();
+        let align = simulate_loop(&read_bases, cfg.threads, cfg.schedule).makespan;
+        let slowest = |ranks| {
+            let work = rank_work(&contigs, &reads, ranks);
+            assert!(work.iter().all(|w| w.0 == reads.len()), "{work:?}");
+            let index = work.iter().map(|w| w.1).max().unwrap_or(0);
+            index as f64 + align
+        };
+        let speedup = slowest(1) / slowest(8);
         assert!(
             speedup < 6.0,
             "8 ranks must give sublinear speedup, got {speedup:.2}"

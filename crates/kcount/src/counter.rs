@@ -168,14 +168,9 @@ impl KmerCounts {
 /// Reads per routed batch: the unit a worker rolls and routes at a time.
 const READ_BATCH: usize = 256;
 
-/// Every k-mer of `read` per `cfg`, as a packed word — the one rolling
-/// loop under the in-memory count and DSK's spill pass. Canonical windows
+/// Every k-mer of `read` per `cfg`, as a packed word. Canonical windows
 /// are rolled incrementally (O(1)/base), never reconstructed per window.
-pub(crate) fn for_each_kmer(
-    read: &PackedSeq,
-    cfg: &CounterConfig,
-    mut emit: impl FnMut(u64),
-) -> Result<()> {
+fn for_each_kmer(read: &PackedSeq, cfg: &CounterConfig, mut emit: impl FnMut(u64)) -> Result<()> {
     if cfg.canonical {
         read.canonical_kmers(cfg.k)?
             .for_each(|(_, km)| emit(km.packed()));

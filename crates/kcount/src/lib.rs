@@ -11,14 +11,9 @@
 //!   then a per-owner finalisation loop where one is needed); its owner
 //!   tables are the finished table, never concatenated;
 //! * [`counter`] — parallel counting over a read set, as a routed build
-//!   whose owners [`KmerCounts`] holds as one partitioned table;
-//! * [`dsk`] — DSK-style disk-partitioned counting with bounded memory
-//!   (the low-memory alternative the paper cites and targets as future
-//!   work).
+//!   whose owners [`KmerCounts`] holds as one partitioned table.
 
 pub mod counter;
-pub mod dsk;
 pub mod routed;
 
 pub use counter::{count_kmers, CounterConfig, KmerCounts};
-pub use dsk::{count_kmers_dsk, DskConfig, DskOutcome};

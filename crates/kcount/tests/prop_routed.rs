@@ -1,24 +1,20 @@
 //! Property test: the owner-routed count must equal a `HashMap` reference
-//! and the counter it replaced — one staging table per read, absorbed into
-//! a lock-per-shard table — whatever the owner count, the worker count and
-//! the round size, on reads with `N`s, reads shorter than k, empty reads
-//! and empty input, canonical or not.
+//! whatever the owner count, the worker count and the round size, on reads
+//! with `N`s, reads shorter than k, empty reads and empty input, canonical
+//! or not.
 
 use std::collections::HashMap;
 
-use kcount::counter::{count_kmers_on, CounterConfig, KmerCounts};
-use kmertable::{PackedKmerTable, ShardedKmerTable};
+use kcount::counter::{count_kmers_on, CounterConfig};
 use omp::{Pool, Team};
 use proptest::prelude::*;
 use seqio::packed::PackedSeq;
 
 /// A pool whose rounds are `round` batches long instead of one batch per
-/// worker: the result of a routed build must not depend on it. It counts
-/// the serial sections run on it: a routed build must have none.
+/// worker: the result of a routed build must not depend on it.
 struct Rounds {
     pool: Pool,
     round: usize,
-    serial_sections: usize,
 }
 
 impl Team for Rounds {
@@ -29,31 +25,6 @@ impl Team for Rounds {
     fn map<T: Sync, R: Send>(&mut self, items: &[T], f: impl Fn(&T) -> R + Sync) -> Vec<R> {
         Team::map(&mut self.pool, items, f)
     }
-
-    fn serial<R>(&mut self, f: impl FnOnce() -> R) -> R {
-        self.serial_sections += 1;
-        f()
-    }
-}
-
-/// The counter the routed build replaced, kept as a reference: a fresh staging
-/// table per read, flushed into the sharded table under its shard locks.
-fn count_per_read_absorb(reads: &[PackedSeq], cfg: CounterConfig) -> KmerCounts {
-    let shared = ShardedKmerTable::new(cfg.shards);
-    omp::parallel_map(reads, cfg.threads, |read| {
-        let mut local = PackedKmerTable::new();
-        if cfg.canonical {
-            for (_, km) in read.canonical_kmers(cfg.k).into_iter().flatten() {
-                local.add(km.packed(), 1);
-            }
-        } else {
-            for (_, km) in read.kmers(cfg.k).into_iter().flatten() {
-                local.add(km.packed(), 1);
-            }
-        }
-        shared.absorb(&local);
-    });
-    KmerCounts::from_partition(cfg.k, shared.freeze())
 }
 
 fn count_by_hashmap(reads: &[PackedSeq], cfg: CounterConfig) -> HashMap<u64, u32> {
@@ -93,7 +64,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     #[test]
-    fn routed_count_matches_hashmap_and_per_read_absorb(
+    fn routed_count_matches_hashmap(
         reads in reads(),
         k in prop_oneof![Just(5usize), Just(11), Just(32)],
         canonical in any::<bool>(),
@@ -101,19 +72,16 @@ proptest! {
         let packed: Vec<PackedSeq> = reads.iter().map(|r| PackedSeq::from_bytes(r)).collect();
         let base = CounterConfig { k, canonical, threads: 1, shards: 1 };
         let model = count_by_hashmap(&packed, base);
-        let reference = count_per_read_absorb(&packed, CounterConfig { threads: 2, shards: 8, ..base });
-        prop_assert_eq!(reference.len(), model.len());
         for shards in [1usize, 2, 8, 64] {
             for workers in [1usize, 3] {
                 for round in [1usize, usize::MAX] {
                     let cfg = CounterConfig { threads: workers, shards, ..base };
-                    let mut team = Rounds { pool: Pool::new(workers), round, serial_sections: 0 };
+                    let mut team = Rounds { pool: Pool::new(workers), round };
                     let routed = count_kmers_on(&packed, cfg, &mut team);
                     prop_assert_eq!(routed.len(), model.len(),
                         "owners {} workers {} round {}", shards, workers, round);
                     for (&key, &n) in &model {
                         prop_assert_eq!(routed.get_packed(key), n);
-                        prop_assert_eq!(reference.get_packed(key), n);
                     }
                     // The error filter is a loop over owners on the same team.
                     let mut filtered = routed;
@@ -121,7 +89,6 @@ proptest! {
                     prop_assert_eq!(removed, model.values().filter(|&&n| n < 2).count());
                     prop_assert_eq!(filtered.len(), model.len() - removed);
                     prop_assert!(filtered.iter_packed().all(|(key, n)| n >= 2 && model[&key] == n));
-                    prop_assert_eq!(team.serial_sections, 0, "no serial section in the build");
                 }
             }
         }

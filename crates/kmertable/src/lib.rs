@@ -25,20 +25,18 @@
 //! [`PartitionedKmerTable`] is what such a build leaves behind and what
 //! every pipeline stage then queries: one table per owner, adopted as
 //! built, answering from a single hash per key — no concatenated copy is
-//! ever made. [`ShardedKmerTable`] is the same partition behind per-owner
-//! locks, for writers that have not routed their keys; [`PackedWeldSet`]
-//! is the table layout over `u128` keys for ≤63-base weld windows.
+//! ever made, and no table is ever written behind a lock.
+//! [`PackedWeldSet`] is the table layout over `u128` keys for ≤63-base
+//! weld windows.
 
 #![warn(missing_docs)]
 
 pub mod partitioned;
 pub mod set;
-pub mod sharded;
 pub mod table;
 
 pub use partitioned::{Owners, PartitionedKmerTable};
 pub use set::PackedWeldSet;
-pub use sharded::ShardedKmerTable;
 pub use table::PackedKmerTable;
 
 /// Mix all bits of a packed k-mer into a table hash.

@@ -11,8 +11,7 @@ use crate::table::PackedKmerTable;
 /// keys spread over its slots as evenly as the whole key set would.
 ///
 /// This is the routing function of every owner-routed build (in memory,
-/// to DSK's partition files, and — the unit a later `alltoallv` would
-/// distribute — across ranks).
+/// and — the unit a later `alltoallv` would distribute — across ranks).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Owners {
     bits: u32,
@@ -251,40 +250,30 @@ impl PartitionedKmerTable {
     /// into one histogram. Snapshot gauges overwrite on re-recording; only
     /// the histogram accumulates.
     pub fn record_metrics(&self, registry: &obs::MetricsRegistry, prefix: &str) {
-        record_owner_metrics(self.tables.iter(), registry, prefix);
-    }
-}
-
-/// The aggregate health of a set of owner tables; see
-/// [`PartitionedKmerTable::record_metrics`].
-pub(crate) fn record_owner_metrics<T: std::ops::Deref<Target = PackedKmerTable>>(
-    tables: impl Iterator<Item = T>,
-    registry: &obs::MetricsRegistry,
-    prefix: &str,
-) {
-    let mut entries = 0u64;
-    let mut capacity = 0u64;
-    let hist = registry.histogram(format!("{prefix}.probe_len"));
-    for table in tables {
-        entries += table.len() as u64;
-        capacity += table.capacity() as u64;
-        for d in table.probe_lengths() {
-            hist.record(d);
+        let mut entries = 0u64;
+        let mut capacity = 0u64;
+        let hist = registry.histogram(format!("{prefix}.probe_len"));
+        for table in &self.tables {
+            entries += table.len() as u64;
+            capacity += table.capacity() as u64;
+            for d in table.probe_lengths() {
+                hist.record(d);
+            }
         }
+        registry
+            .gauge(format!("{prefix}.entries"))
+            .set(entries as f64);
+        registry
+            .gauge(format!("{prefix}.capacity"))
+            .set(capacity as f64);
+        registry
+            .gauge(format!("{prefix}.load_factor"))
+            .set(if capacity == 0 {
+                0.0
+            } else {
+                entries as f64 / capacity as f64
+            });
     }
-    registry
-        .gauge(format!("{prefix}.entries"))
-        .set(entries as f64);
-    registry
-        .gauge(format!("{prefix}.capacity"))
-        .set(capacity as f64);
-    registry
-        .gauge(format!("{prefix}.load_factor"))
-        .set(if capacity == 0 {
-            0.0
-        } else {
-            entries as f64 / capacity as f64
-        });
 }
 
 #[cfg(test)]
@@ -302,6 +291,8 @@ mod tests {
 
     #[test]
     fn owner_is_the_top_hash_bits() {
+        assert_eq!(Owners::new(0).count(), 1);
+        assert_eq!(Owners::new(5).count(), 8);
         assert_eq!(Owners::new(1).of(12345), 0);
         for owners in [2usize, 8, 64] {
             let partition = Owners::new(owners);
@@ -399,6 +390,45 @@ mod tests {
         for (slot, k, v) in t.iter_slots() {
             assert_eq!(t.find(k), Some((slot, v)));
         }
+    }
+
+    #[test]
+    fn adopted_shards_answer_like_built_ones() {
+        let owners = Owners::new(8);
+        let mut tables = vec![PackedKmerTable::new(); owners.count()];
+        for k in (0..3000u64).chain([u64::MAX]) {
+            tables[owners.of(k)].add(k, 2);
+        }
+        let capacities: Vec<usize> = tables.iter().map(PackedKmerTable::capacity).collect();
+        let t = PartitionedKmerTable::from_owners(tables);
+        assert_eq!(t.len(), 3001);
+        // Adopted, not rebuilt: every owner is the table it was.
+        let adopted: Vec<usize> = t.owners().iter().map(PackedKmerTable::capacity).collect();
+        assert_eq!(adopted, capacities);
+        assert!((0..3000u64).all(|k| t.get(k) == Some(2)));
+        assert_eq!(t.get(u64::MAX), Some(2));
+    }
+
+    #[test]
+    fn merge_of_empty_is_empty() {
+        let t = PartitionedKmerTable::from_owners(vec![PackedKmerTable::new(); 4]);
+        assert!(t.is_empty());
+        assert_eq!(t.owners().len(), 4);
+        assert_eq!(t.iter().count(), 0);
+    }
+
+    #[test]
+    fn metrics_aggregate_over_owners() {
+        let t = built(4, 0..800u64);
+        let reg = obs::MetricsRegistry::new();
+        t.record_metrics(&reg, "jf");
+        // Re-recording must overwrite the snapshot gauges, not add to them.
+        t.record_metrics(&reg, "jf");
+        let snap = reg.snapshot();
+        assert_eq!(snap.gauge("jf.entries"), Some(800.0));
+        let lf = snap.gauge("jf.load_factor").unwrap();
+        assert!(lf > 0.0 && lf <= 0.5, "whole-table load factor {lf}");
+        assert_eq!(snap.histogram("jf.probe_len").unwrap().count, 1600);
     }
 
     #[test]

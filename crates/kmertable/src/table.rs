@@ -270,14 +270,6 @@ impl PackedKmerTable {
         }
     }
 
-    /// Add every entry of `other` into this table (count semantics).
-    pub fn absorb(&mut self, other: &PackedKmerTable) {
-        self.reserve(other.len());
-        for (k, v) in other.iter() {
-            self.add(k, v);
-        }
-    }
-
     /// Pre-size for `additional` more distinct keys.
     pub fn reserve(&mut self, additional: usize) {
         let want = Self::capacity_for(self.occupied + additional);
@@ -473,20 +465,6 @@ mod tests {
         // Still usable after rebuild.
         t.add(3, 1);
         assert_eq!(t.get(3), Some(1));
-    }
-
-    #[test]
-    fn absorb_merges_counts() {
-        let mut a = PackedKmerTable::new();
-        a.add(1, 1);
-        a.add(2, 2);
-        let mut b = PackedKmerTable::new();
-        b.add(2, 5);
-        b.add(3, 1);
-        a.absorb(&b);
-        assert_eq!(a.get(1), Some(1));
-        assert_eq!(a.get(2), Some(7));
-        assert_eq!(a.get(3), Some(1));
     }
 
     #[test]

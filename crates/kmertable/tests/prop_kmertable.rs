@@ -1,11 +1,11 @@
-//! Property tests: [`PackedKmerTable`], [`PartitionedKmerTable`] and
-//! [`ShardedKmerTable`] must match a `std::collections::HashMap` reference
-//! model on random packed-k-mer workloads — the correctness contract for
-//! swapping the table into every Chrysalis hot path.
+//! Property tests: [`PackedKmerTable`] and [`PartitionedKmerTable`] must
+//! match a `std::collections::HashMap` reference model on random
+//! packed-k-mer workloads — the correctness contract for swapping the
+//! table into every Chrysalis hot path.
 
 use std::collections::{HashMap, HashSet};
 
-use kmertable::{Owners, PackedKmerTable, PackedWeldSet, PartitionedKmerTable, ShardedKmerTable};
+use kmertable::{Owners, PackedKmerTable, PackedWeldSet, PartitionedKmerTable};
 use proptest::prelude::*;
 
 /// Random packed k-mers biased toward collisions: a small key universe
@@ -190,46 +190,6 @@ proptest! {
                 }
             }
             prop_assert_eq!(slots.len(), kept.len());
-        }
-    }
-
-    #[test]
-    fn sharded_concurrent_matches_hashmap(
-        ks in keys(),
-        threads in 2usize..5,
-        shards in 1usize..9)
-    {
-        // cfg.threads > 1: several real threads hammer the same sharded
-        // table; the frozen result must equal a serial HashMap count that
-        // saw every thread's stream.
-        let sharded = ShardedKmerTable::new(shards);
-        std::thread::scope(|scope| {
-            for _ in 0..threads {
-                let sharded = &sharded;
-                let ks = &ks;
-                scope.spawn(move || {
-                    // Half direct adds, half staged-and-absorbed, the two
-                    // write paths the counting pass uses.
-                    let (direct, staged) = ks.split_at(ks.len() / 2);
-                    for &k in direct {
-                        sharded.add(k, 1);
-                    }
-                    let mut local = PackedKmerTable::new();
-                    for &k in staged {
-                        local.add(k, 1);
-                    }
-                    sharded.absorb(&local);
-                });
-            }
-        });
-        let mut model: HashMap<u64, u32> = HashMap::new();
-        for &k in &ks {
-            *model.entry(k).or_insert(0) += threads as u32;
-        }
-        let frozen = sharded.freeze();
-        prop_assert_eq!(frozen.len(), model.len());
-        for (&k, &v) in &model {
-            prop_assert_eq!(frozen.get(k), Some(v));
         }
     }
 

@@ -8,8 +8,6 @@
 //! up front. The result is a per-thread busy-time vector and the loop
 //! makespan, computable for any thread count on any host.
 
-use std::time::Instant;
-
 use crate::pool::{parallel_map_timed, Team};
 use crate::schedule::{chunk_sequence, static_owner, Chunk, Schedule};
 
@@ -163,10 +161,10 @@ pub fn costed_loop<T, R>(
     (results, simulate_loop(&costs, threads, schedule))
 }
 
-/// A [`Team`] on the virtual clock: every loop is a [`costed_loop`], every
-/// serial section is measured and lands on thread 0, and `sim` is the
-/// replay of all of it in program order — what a multi-loop parallel region
-/// (encode, barrier, route, barrier, count, barrier, …) charges as one figure.
+/// A [`Team`] on the virtual clock: every loop is a [`costed_loop`], and
+/// `sim` is the replay of all of them in program order — what a multi-loop
+/// parallel region (encode, barrier, route, barrier, count, barrier, …)
+/// charges as one figure.
 #[derive(Debug, Clone)]
 pub struct CostedTeam {
     schedule: Schedule,
@@ -193,16 +191,6 @@ impl Team for CostedTeam {
         let (results, sim) = costed_loop(items, self.threads(), self.schedule, f);
         self.sim.then(&sim);
         results
-    }
-
-    fn serial<R>(&mut self, f: impl FnOnce() -> R) -> R {
-        let t0 = Instant::now();
-        let result = f();
-        let cost = t0.elapsed().as_secs_f64();
-        self.sim.thread_busy[0] += cost;
-        self.sim.makespan += cost;
-        self.sim.serial_time += cost;
-        result
     }
 }
 
@@ -245,26 +233,23 @@ mod tests {
     use super::*;
 
     #[test]
-    fn costed_team_adds_loops_and_serial_sections() {
+    fn costed_team_adds_consecutive_loops() {
         let mut team = CostedTeam::new(4, Schedule::Dynamic { chunk: 1 });
         assert_eq!(team.threads(), 4);
         let doubled = team.map(&[1u32, 2, 3, 4, 5, 6, 7, 8], |&x| x * 2);
         assert_eq!(doubled, vec![2, 4, 6, 8, 10, 12, 14, 16]);
-        let after_loop = team.sim.clone();
-        assert_eq!(after_loop.chunks, 8);
-        assert!(after_loop.makespan <= after_loop.serial_time);
-        let spun = team.serial(|| {
-            let t0 = Instant::now();
-            while t0.elapsed().as_secs_f64() < 1e-4 {}
-            7
-        });
-        assert_eq!(spun, 7);
-        // The serial section extends the makespan by its whole duration.
-        let serial = team.sim.makespan - after_loop.makespan;
-        assert!(serial >= 1e-4);
-        assert!((team.sim.serial_time - after_loop.serial_time - serial).abs() < 1e-12);
-        assert!((team.sim.thread_busy[0] - after_loop.thread_busy[0] - serial).abs() < 1e-12);
-        assert_eq!(team.sim.thread_busy[1], after_loop.thread_busy[1]);
+        let first = team.sim.clone();
+        assert_eq!(first.chunks, 8);
+        assert!(first.makespan <= first.serial_time);
+        // A one-item loop after the barrier: its makespan is its one item,
+        // run by thread 0 while the other three stay idle.
+        assert_eq!(team.map(&[7u32], |&x| x + 1), vec![8]);
+        assert_eq!(team.sim.chunks, 9);
+        let second = team.sim.makespan - first.makespan;
+        assert!(second >= 0.0);
+        assert!((team.sim.serial_time - first.serial_time - second).abs() < 1e-12);
+        assert!((team.sim.thread_busy[0] - first.thread_busy[0] - second).abs() < 1e-12);
+        assert_eq!(team.sim.thread_busy[1..], first.thread_busy[1..]);
     }
 
     #[test]

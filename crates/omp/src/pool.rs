@@ -34,15 +34,6 @@ impl Pool {
         }
     }
 
-    /// A team sized to the host's available parallelism.
-    pub fn host() -> Self {
-        Pool::new(
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1),
-        )
-    }
-
     /// Map `f` over `items` with dynamic self-scheduling.
     pub fn map<T: Sync, R: Send>(&self, items: &[T], f: impl Fn(&T) -> R + Sync) -> Vec<R> {
         parallel_map(items, self.threads, f)
@@ -53,17 +44,15 @@ impl Pool {
 /// unchanged on OS threads ([`Pool`]) and on the virtual clock
 /// ([`crate::makespan::CostedTeam`], which executes once, measures, and
 /// replays the configured thread count).
+///
+/// A region on a team is parallel-fors and nothing else: it has no serial
+/// section for its workers to idle behind.
 pub trait Team {
     /// Number of workers.
     fn threads(&self) -> usize;
 
     /// A parallel-for: map `f` over `items`, results in input order.
     fn map<T: Sync, R: Send>(&mut self, items: &[T], f: impl Fn(&T) -> R + Sync) -> Vec<R>;
-
-    /// A serial section of the region (one worker runs, the rest wait).
-    fn serial<R>(&mut self, f: impl FnOnce() -> R) -> R {
-        f()
-    }
 }
 
 impl Team for Pool {
@@ -181,7 +170,6 @@ mod tests {
         assert_eq!(p.threads, 1);
         let out = Pool::new(3).map(&[1, 2, 3, 4], |&x| x * x);
         assert_eq!(out, vec![1, 4, 9, 16]);
-        assert!(Pool::host().threads >= 1);
     }
 
     #[test]

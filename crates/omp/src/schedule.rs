@@ -146,9 +146,9 @@ mod tests {
     fn covers_exactly(chunks: &[Chunk], n: usize) {
         let mut covered = vec![false; n];
         for c in chunks {
-            for i in c.start..c.end {
-                assert!(!covered[i], "iteration {i} covered twice");
-                covered[i] = true;
+            for (i, seen) in covered[c.start..c.end].iter_mut().enumerate() {
+                assert!(!*seen, "iteration {} covered twice", c.start + i);
+                *seen = true;
             }
         }
         assert!(covered.iter().all(|&c| c), "not all iterations covered");

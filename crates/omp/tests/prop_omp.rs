@@ -21,8 +21,8 @@ proptest! {
         for c in &chunks {
             prop_assert!(c.start < c.end || n == 0);
             prop_assert!(c.end <= n);
-            for i in c.start..c.end {
-                covered[i] += 1;
+            for seen in &mut covered[c.start..c.end] {
+                *seen += 1;
             }
         }
         prop_assert!(covered.iter().all(|&c| c == 1));
@@ -39,8 +39,8 @@ proptest! {
         let mut covered = vec![0u8; n];
         for chunks in &per_rank {
             for c in chunks {
-                for i in c.start..c.end {
-                    covered[i] += 1;
+                for seen in &mut covered[c.start..c.end] {
+                    *seen += 1;
                 }
             }
         }

@@ -378,7 +378,7 @@ mod tests {
         let km = Kmer::from_bases(&s).unwrap();
         assert_eq!(km.packed(), u64::MAX);
         assert_eq!(km.bases(), s);
-        assert!(Kmer::from_bases(&vec![b'A'; 33]).is_err());
+        assert!(Kmer::from_bases(&[b'A'; 33]).is_err());
         assert!(Kmer::from_bases(b"").is_err());
     }
 

@@ -109,7 +109,7 @@ mod tests {
     fn balances_by_bases_not_count() {
         // One huge record plus many tiny ones: the huge one should sit alone.
         let mut lens = vec![1000];
-        lens.extend(std::iter::repeat(10).take(100));
+        lens.extend(std::iter::repeat_n(10, 100));
         let records = recs(&lens);
         let plan = plan_split(&records, 2).unwrap();
         let piece_of_big = plan

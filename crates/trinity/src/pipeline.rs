@@ -323,7 +323,9 @@ impl<'a> Driver<'a> {
     /// stage resumed cleanly and its own load succeeded. A missing file is
     /// the normal "not completed yet" case; a corrupt or undecodable one
     /// (FNV is not a MAC, so a crafted file can pass validation) is counted
-    /// and reported before falling back to recompute.
+    /// and reported before falling back to recompute. Each call site's
+    /// `decode` also rejects a payload that does not fit what the run
+    /// already holds (its `k`, contig, read and component counts).
     fn resume<T>(&mut self, stage: &str, loaded: Option<Loaded<T>>) -> Option<(T, f64)> {
         let loaded = loaded.filter(|_| self.prefix_valid)?;
         match loaded {
@@ -511,6 +513,14 @@ impl<'a> Driver<'a> {
     }
 }
 
+/// True if every `(a, b)` indexes into lists of `na` and `nb` items — the
+/// check a decoded pair checkpoint must pass before the run indexes with it.
+fn pairs_below(pairs: &[(u32, u32)], na: usize, nb: usize) -> bool {
+    pairs
+        .iter()
+        .all(|&(a, b)| (a as usize) < na && (b as usize) < nb)
+}
+
 /// Run the pipeline over `reads` (fault-free, no checkpointing).
 pub fn run_pipeline(reads: &[Record], cfg: &PipelineConfig) -> PipelineOutput {
     run_pipeline_opts(reads, cfg, &RunOptions::default())
@@ -536,7 +546,7 @@ fn assemble_contigs(
     let mut packed_reads = None;
     let mut counts = d.stage(
         "Jellyfish",
-        ckpt::decode_counts,
+        |p| ckpt::decode_counts(p).filter(|c| c.k() == k),
         ckpt::encode_counts,
         |c, _| ram::jellyfish(c.len()),
         |d| {
@@ -606,9 +616,14 @@ pub fn run_pipeline_opts(
     // driver looks ahead: when GraphFromFasta and QuantifyGraph will both
     // resume, nothing reads a SAM and no read is aligned. The peek counts
     // nothing and its decoded values are the ones those stages resume from.
-    let gff_loaded = d.load("GraphFromFasta", ckpt::decode_welds);
+    let gff_loaded = d.load("GraphFromFasta", |p| {
+        let n = contigs.len();
+        ckpt::decode_welds(p).filter(|(_, pairs)| pairs_below(pairs, n, n))
+    });
     let quantify_loaded = match gff_loaded {
-        Some(Ok(_)) => d.load("QuantifyGraph", ckpt::decode_components),
+        Some(Ok(_)) => d.load("QuantifyGraph", |p| {
+            ckpt::decode_components(p).filter(|c| c.iter().flatten().all(|&m| m < contigs.len()))
+        }),
         _ => None,
     };
     let (sam, bowtie_timings) = if matches!(quantify_loaded, Some(Ok(_))) {
@@ -677,7 +692,7 @@ pub fn run_pipeline_opts(
     let mut rtt_timings: Vec<RttTimings> = Vec::new();
     let assignments = d.stage(
         "ReadsToTranscripts",
-        ckpt::decode_pairs,
+        |p| ckpt::decode_pairs(p).filter(|a| pairs_below(a, reads.len(), components.len())),
         |a| ckpt::encode_pairs(a),
         |_, table_entries| ram::reads_to_transcripts(table_entries, chunk_bytes),
         |d| {

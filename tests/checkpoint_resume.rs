@@ -156,13 +156,18 @@ fn resume_into_empty_dir_is_a_seeding_run() {
     assert_eq!(count(&out, "ckpt.saved"), STAGES.len() as u64);
 }
 
-/// Seed a run, `damage` one stage's checkpoint file, resume: the damage is
-/// counted once, the stages before it resume, it and everything after are
-/// recomputed and rewritten, and the artifacts are the fault-free ones.
-fn damaged_stage_is_recomputed(tag: &str, damage: impl Fn(&Path, &str)) {
+/// For each of `stages`: seed a run, `damage` that stage's checkpoint file,
+/// resume: the damage is counted once, the stages before it resume, it and
+/// everything after are recomputed and rewritten, and the artifacts are the
+/// fault-free ones.
+fn damaged_stage_is_recomputed(tag: &str, stages: &[&str], damage: impl Fn(&Path, &str)) {
     let reads = common::tiny_reads(common::CHAOS_WORKLOAD_SEED);
     let baseline = common::artifacts(&run(&reads, ScratchDir::new(tag).path(), false));
-    for (idx, stage) in STAGES.iter().enumerate() {
+    for stage in stages {
+        let idx = STAGES
+            .iter()
+            .position(|s| s == stage)
+            .expect("a checkpointed stage");
         let dir = ScratchDir::new(tag);
         run(&reads, dir.path(), false);
         damage(dir.path(), stage);
@@ -195,7 +200,7 @@ fn damaged_stage_is_recomputed(tag: &str, damage: impl Fn(&Path, &str)) {
 
 #[test]
 fn corrupting_any_stage_is_detected_and_recomputed() {
-    damaged_stage_is_recomputed("corrupt", |dir, stage| {
+    damaged_stage_is_recomputed("corrupt", &STAGES, |dir, stage| {
         // Flip one mid-file byte. The trailing FNV checksum covers every
         // preceding byte, so any single-byte change must be rejected.
         let path = stage_path(dir, stage);
@@ -208,7 +213,7 @@ fn corrupting_any_stage_is_detected_and_recomputed() {
 
 #[test]
 fn validated_but_undecodable_stage_is_recomputed() {
-    damaged_stage_is_recomputed("undecodable", |dir, stage| {
+    damaged_stage_is_recomputed("undecodable", &STAGES, |dir, stage| {
         // FNV is not a MAC: keep the run's fingerprint (header bytes
         // 12..20), swap the body for garbage and seal it with a correct
         // trailer. The file validates; the stage codec must refuse it.
@@ -217,6 +222,38 @@ fn validated_but_undecodable_stage_is_recomputed() {
         checkpoint::save(dir, fingerprint, stage, 0.25, &[0xAB; 37]).expect("write crafted file");
         let crafted = checkpoint::load(dir, fingerprint, stage).expect("crafted file validates");
         assert_eq!(crafted.payload, [0xAB; 37]);
+    });
+}
+
+#[test]
+fn validated_but_inconsistent_stage_is_recomputed() {
+    // A payload that validates *and* decodes, but does not fit the run: a
+    // count table at another k, or an index past the contigs, components
+    // or reads the run holds. Inchworm's contigs are any record list, so
+    // that stage has no inconsistent form and is left out.
+    let reads = common::tiny_reads(common::CHAOS_WORKLOAD_SEED);
+    let seqs: Vec<Vec<u8>> = reads.iter().map(|r| r.seq.clone()).collect();
+    let other_k =
+        checkpoint::encode_counts(&kcount::count_kmers(&seqs, kcount::CounterConfig::new(9)));
+    const FAR: u32 = 5_000_000;
+    let stages = [
+        "Jellyfish",
+        "GraphFromFasta",
+        "QuantifyGraph",
+        "ReadsToTranscripts",
+    ];
+    damaged_stage_is_recomputed("inconsistent", &stages, |dir, stage| {
+        let payload = match stage {
+            "Jellyfish" => other_k.clone(),
+            "GraphFromFasta" => checkpoint::encode_welds(&[], &[(0, FAR)]),
+            "QuantifyGraph" => checkpoint::encode_components(&[vec![0, FAR as usize]]),
+            "ReadsToTranscripts" => checkpoint::encode_pairs(&[(0, FAR)]),
+            _ => unreachable!("{stage} has no inconsistent form"),
+        };
+        let bytes = std::fs::read(stage_path(dir, stage)).expect("read checkpoint");
+        let fingerprint = u64::from_le_bytes(bytes[12..20].try_into().expect("8 bytes"));
+        checkpoint::save(dir, fingerprint, stage, 0.25, &payload).expect("write crafted file");
+        checkpoint::load(dir, fingerprint, stage).expect("crafted file validates");
     });
 }
 
