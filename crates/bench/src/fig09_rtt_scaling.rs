@@ -134,6 +134,7 @@ pub fn render(data: &Fig09Data) -> String {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use chrysalis::timings::rtt_io_chunks;
     use omp::makespan::simulate_loop;
     use omp::schedule::static_owner;
 
@@ -182,17 +183,12 @@ pub(crate) mod tests {
         // cannot move it: each of 4 ranks reads the chunks the single rank
         // reads, hence their count and byte volume. (That those are the
         // whole file is `chrysalis`'s `striped_io_shrinks_with_ranks`.)
-        let chunks_read = |ranks| -> Vec<Vec<f64>> {
+        let chunks_read = |ranks| -> Vec<Vec<usize>> {
             let sh = Arc::clone(&shared);
             let outs = run_cluster(ranks, NetModel::idataplex(), move |comm| {
                 rtt_hybrid(comm, &sh)
             });
-            let per_rank = outs.iter().map(|o| {
-                let io = o.trace.on_track(o.rank as u32);
-                io.filter(|sp| sp.name == "rtt.io")
-                    .map(|sp| sp.arg("chunk").unwrap())
-                    .collect()
-            });
+            let per_rank = outs.iter().map(|o| rtt_io_chunks(&o.trace, o.rank as u32));
             per_rank.collect()
         };
         let single = chunks_read(1).remove(0);

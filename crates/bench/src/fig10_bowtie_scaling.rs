@@ -8,8 +8,8 @@
 use std::sync::Arc;
 
 use bowtie::align::AlignConfig;
-use chrysalis::bowtie_mpi::{bowtie_mpi, BowtieTimings};
-use chrysalis::timings::PhaseSpread;
+use chrysalis::bowtie_mpi::bowtie_mpi;
+use chrysalis::timings::{BowtieTimings, PhaseSpread};
 use mpisim::{run_cluster, NetModel};
 use seqio::fasta::Record;
 use simulate::datasets::DatasetPreset;

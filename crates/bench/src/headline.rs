@@ -10,8 +10,6 @@
 //! | Bowtie             | >8 h            | ~⅓ (128)       | ~3×     |
 //! | Chrysalis total    | >50 h           | <5 h           | >10×    |
 
-use std::sync::Arc;
-
 use crate::{fig07_gff_scaling, fig09_rtt_scaling, fig10_bowtie_scaling};
 
 /// One stage's headline row.
@@ -102,10 +100,6 @@ pub fn render(rows: &[HeadlineRow]) -> String {
     );
     out
 }
-
-/// Keep `Arc` in the public API surface documented (the sweeps share
-/// prepared state across rank counts).
-pub type SharedGff = Arc<chrysalis::graph_from_fasta::GffShared>;
 
 #[cfg(test)]
 mod tests {

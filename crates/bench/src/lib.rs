@@ -52,43 +52,16 @@ impl Default for Cli {
     }
 }
 
-/// Write a trace as a Chrome `trace_event` artifact next to the figure's
-/// text output: `<dir>/<name>` (dir from `--trace-out`, default
-/// `target/figs`). Open in `chrome://tracing` or <https://ui.perfetto.dev>.
-pub fn write_chrome_trace(cli: &Cli, name: &str, trace: &obs::Trace) {
-    let dir = cli
-        .trace_out
-        .clone()
-        .unwrap_or_else(|| std::path::PathBuf::from("target/figs"));
-    if let Err(e) = std::fs::create_dir_all(&dir) {
+/// Write `files` (name, content) into `dir` (default `target/figs`),
+/// reporting each path written; a directory or file that cannot be written
+/// is a warning, never a failed figure run.
+fn write_artifacts(dir: Option<&std::path::Path>, files: &[(String, String)]) {
+    let dir = dir.unwrap_or(std::path::Path::new("target/figs"));
+    if let Err(e) = std::fs::create_dir_all(dir) {
         eprintln!("warning: cannot create {}: {e}", dir.display());
         return;
     }
-    let path = dir.join(name);
-    match std::fs::write(&path, obs::export::chrome_trace(trace)) {
-        Ok(()) => eprintln!("wrote {}", path.display()),
-        Err(e) => eprintln!("warning: cannot write {}: {e}", path.display()),
-    }
-}
-
-/// Write a trace's flamegraph artifacts — `<stem>.txt` (collapsed stacks,
-/// merged across lanes, for speedscope / inferno) and `<stem>.svg` (the
-/// self-contained renderer) — into the `--flame-out` directory (default
-/// `target/figs`).
-pub fn write_flame(cli: &Cli, stem: &str, trace: &obs::Trace) {
-    let dir = cli
-        .flame_out
-        .clone()
-        .unwrap_or_else(|| std::path::PathBuf::from("target/figs"));
-    if let Err(e) = std::fs::create_dir_all(&dir) {
-        eprintln!("warning: cannot create {}: {e}", dir.display());
-        return;
-    }
-    let folds = obs::flame::collapsed_merged(trace);
-    for (name, content) in [
-        (format!("{stem}.txt"), obs::flame::to_text(&folds)),
-        (format!("{stem}.svg"), obs::flame::svg(&folds, stem)),
-    ] {
+    for (name, content) in files {
         let path = dir.join(name);
         match std::fs::write(&path, content) {
             Ok(()) => eprintln!("wrote {}", path.display()),
@@ -97,26 +70,36 @@ pub fn write_flame(cli: &Cli, stem: &str, trace: &obs::Trace) {
     }
 }
 
+/// Write a trace as a Chrome `trace_event` artifact next to the figure's
+/// text output: `<dir>/<name>` (dir from `--trace-out`, default
+/// `target/figs`). Open in `chrome://tracing` or <https://ui.perfetto.dev>.
+pub fn write_chrome_trace(cli: &Cli, name: &str, trace: &obs::Trace) {
+    let file = (name.to_string(), obs::export::chrome_trace(trace));
+    write_artifacts(cli.trace_out.as_deref(), &[file]);
+}
+
+/// Write a trace's flamegraph artifacts — `<stem>.txt` (collapsed stacks,
+/// merged across lanes, for speedscope / inferno) and `<stem>.svg` (the
+/// self-contained renderer) — into the `--flame-out` directory (default
+/// `target/figs`).
+pub fn write_flame(cli: &Cli, stem: &str, trace: &obs::Trace) {
+    let folds = obs::flame::collapsed_merged(trace);
+    let files = [
+        (format!("{stem}.txt"), obs::flame::to_text(&folds)),
+        (format!("{stem}.svg"), obs::flame::svg(&folds, stem)),
+    ];
+    write_artifacts(cli.flame_out.as_deref(), &files);
+}
+
 /// Analyze a trace and write the `analysis.json` artifact next to the
 /// figure's trace output (same directory rules as [`write_chrome_trace`]).
 /// `baseline_total` (a serial run's total, seconds) adds the
 /// scaling-efficiency section. The artifact feeds `trinity diff` and the
 /// CI perf-gate.
 pub fn write_analysis(cli: &Cli, name: &str, trace: &obs::Trace, baseline_total: Option<f64>) {
-    let dir = cli
-        .trace_out
-        .clone()
-        .unwrap_or_else(|| std::path::PathBuf::from("target/figs"));
-    if let Err(e) = std::fs::create_dir_all(&dir) {
-        eprintln!("warning: cannot create {}: {e}", dir.display());
-        return;
-    }
     let analysis = obs::analyze_vs(trace, baseline_total);
-    let path = dir.join(name);
-    match std::fs::write(&path, obs::analyze::analysis_json(&analysis)) {
-        Ok(()) => eprintln!("wrote {}", path.display()),
-        Err(e) => eprintln!("warning: cannot write {}: {e}", path.display()),
-    }
+    let file = (name.to_string(), obs::analyze::analysis_json(&analysis));
+    write_artifacts(cli.trace_out.as_deref(), &[file]);
 }
 
 impl Cli {

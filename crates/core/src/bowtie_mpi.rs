@@ -20,21 +20,7 @@ use mpisim::pack::{pack_byte_strings, pack_u32s, unpack_byte_strings, unpack_u32
 use omp::makespan::costed_loop;
 
 use crate::config::ChrysalisConfig;
-
-/// Per-rank phase times of the distributed Bowtie step.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct BowtieTimings {
-    /// PyFasta split (single-threaded, serial; every rank waits on it).
-    pub split: f64,
-    /// FM-index construction over this rank's slice.
-    pub index: f64,
-    /// Read alignment on this rank.
-    pub align: f64,
-    /// SAM merge at the master.
-    pub merge: f64,
-    /// Total stage time on this rank.
-    pub total: f64,
-}
+use crate::timings::BowtieTimings;
 
 /// The stage output.
 #[derive(Debug, Clone, PartialEq)]
@@ -127,27 +113,32 @@ pub fn bowtie_mpi(
     cfg: &ChrysalisConfig,
     align_cfg: AlignConfig,
 ) -> BowtieMpiOutput {
+    let track = comm.track();
     let start = comm.clock.now();
-    let mut timings = BowtieTimings::default();
     let size = comm.size();
 
     // ---- PyFasta split: single-threaded on the master ----
-    let t_before = comm.clock.now();
     // The paper writes split files; here the master ships each rank's
-    // piece as contig indices.
+    // piece as contig indices. Every rank waits on the plan, so the split
+    // span covers the broadcast too.
     let packed = if comm.is_root() {
-        let plan = comm.charge_measured(|| plan_split(contigs, size).expect("size > 0"));
-        let pieces: Vec<Vec<u8>> = plan
-            .pieces
-            .iter()
-            .map(|piece| pack_u32s(&piece.iter().map(|&i| i as u32).collect::<Vec<_>>()))
-            .collect();
-        pack_byte_strings(&pieces)
+        comm.charge_costed("compute", "bowtie.plan", &[], || {
+            omp::timed(|| {
+                let plan = plan_split(contigs, size).expect("size > 0");
+                let pieces: Vec<Vec<u8>> = plan
+                    .pieces
+                    .iter()
+                    .map(|piece| pack_u32s(&piece.iter().map(|&i| i as u32).collect::<Vec<_>>()))
+                    .collect();
+                pack_byte_strings(&pieces)
+            })
+        })
     } else {
         Vec::new()
     };
     let plan = unpack_byte_strings(&comm.bcast(0, &packed)).expect("root sent well-formed plan");
-    timings.split = comm.clock.now() - t_before;
+    comm.obs
+        .record(track, "comm", "bowtie.split", start, comm.clock.now());
 
     // ---- Index this rank's slice ----
     // `my_piece[i]` is the global index of the slice's contig `i`.
@@ -156,11 +147,11 @@ pub fn bowtie_mpi(
         .iter()
         .map(|&i| contigs[i as usize].clone())
         .collect();
-    let index = comm.charge_measured(|| FmIndex::build(&slice));
-    timings.index = comm.clock.now() - t_before - timings.split;
+    let index = comm.charge_costed("compute", "bowtie.index", &[], || {
+        omp::timed(|| FmIndex::build(&slice))
+    });
 
     // ---- Align every read against the slice (multi-threaded) ----
-    let t_before = comm.clock.now();
     // The span names its work: every read, against this slice's bases.
     let slice_bases: usize = slice.iter().map(|c| c.seq.len()).sum();
     let work = [
@@ -173,7 +164,6 @@ pub fn bowtie_mpi(
         });
         (hits, sim.makespan)
     });
-    timings.align = comm.clock.now() - t_before;
 
     // This rank's SAM file, one tuple per hit.
     let mut hits: Vec<Hit> = Vec::with_capacity(hit_lists.iter().map(Vec::len).sum());
@@ -189,15 +179,14 @@ pub fn bowtie_mpi(
     drop(hit_lists);
 
     // ---- Merge per-rank SAM files at the master ----
-    let t_before = comm.clock.now();
     let merged = crate::master_merge(
         comm,
+        "bowtie.merge",
         hits,
         pack_hits,
         |buf| unpack_hits(buf).expect("peer sent whole hit tuples"),
         |all| recut_per_read(all, align_cfg),
     );
-    timings.merge = comm.clock.now() - t_before;
 
     // Names come back only here, from the replicated inputs.
     let sam: Vec<SamRecord> = merged
@@ -219,8 +208,12 @@ pub fn bowtie_mpi(
         })
         .collect();
 
-    timings.total = comm.clock.now() - start;
-    BowtieMpiOutput { sam, timings }
+    comm.obs
+        .record(track, "stage", "bowtie.total", start, comm.clock.now());
+    BowtieMpiOutput {
+        sam,
+        timings: BowtieTimings::from_trace(&comm.obs.snapshot(), track),
+    }
 }
 
 /// Build the `contig name → dense index` map the scaffolder consumes.

@@ -299,8 +299,8 @@ fn gff_rank_program(comm: &mut Comm, shared: &GffShared, partition: Partition) -
 
     // Weld k-mer index: a non-parallel region on every rank, and the one
     // dedup of the pool.
-    let weld_index = comm.charge_measured_named("gff.weld_index", || {
-        WeldKmerIndex::build(&pooled, cfg.weld_len(), cfg.k)
+    let weld_index = comm.charge_costed("compute", "gff.weld_index", &[], || {
+        omp::timed(|| WeldKmerIndex::build(&pooled, cfg.weld_len(), cfg.k))
     });
     drop(pooled);
 
@@ -320,12 +320,14 @@ fn gff_rank_program(comm: &mut Comm, shared: &GffShared, partition: Partition) -
     // pooled matches are identical everywhere). The distinct welds leave
     // 2-bit space here, once: the ASCII list is the checkpoint payload.
     let (welds, pairs, component_of, components) =
-        comm.charge_measured_named("gff.cluster", || {
-            let pairs = pairs_from_matches(&matches);
-            let (component_of, components) = cluster(shared.contigs.len(), &pairs);
-            let ascii = |&w: &u128| decode_weld(w, cfg.weld_len());
-            let welds = weld_index.welds().iter().map(ascii).collect();
-            (welds, pairs, component_of, components)
+        comm.charge_costed("compute", "gff.cluster", &[], || {
+            omp::timed(|| {
+                let pairs = pairs_from_matches(&matches);
+                let (component_of, components) = cluster(shared.contigs.len(), &pairs);
+                let ascii = |&w: &u128| decode_weld(w, cfg.weld_len());
+                let welds = weld_index.welds().iter().map(ascii).collect();
+                (welds, pairs, component_of, components)
+            })
         });
     comm.barrier();
 

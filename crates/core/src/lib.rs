@@ -44,9 +44,11 @@
 //!   rank `ci mod size`. Which chunks a rank *reads* is a crate-private
 //!   *read policy*: the whole file ([`rtt_hybrid`], §III-C) or its own
 //!   chunks ([`rtt_hybrid_striped`], §VI's MPI-I/O direction).
-//! * Every measured loop is an `omp::costed_loop`; on a rank it is charged
-//!   through `mpisim::Comm::charge_costed`, which owns the measurement
-//!   lock and the named span.
+//! * Every measured loop is an `omp::costed_loop` and every measured serial
+//!   region an `omp::timed`; on a rank either is charged through
+//!   `mpisim::Comm::charge_costed`, which owns the measurement lock and the
+//!   named span — so every second of a rank's stage time lies under a span
+//!   that names it.
 //!
 //! ## Simulation notes (documented deviations)
 //!
@@ -77,31 +79,42 @@ pub mod weld;
 
 /// The closing step the Bowtie and ReadsToTranscripts rank programs share:
 /// every rank's output file is gathered at the master, merged there in
-/// sorted order and passed through `cut` (a measured serial region) and
-/// broadcast back (in the paper only the master's file exists; broadcasting
-/// lets every rank return it without changing the timing story). `mine` is
-/// freed once packed.
+/// sorted order and passed through `cut` (a measured serial region, the
+/// `master.sort` span) and broadcast back (in the paper only the master's
+/// file exists; broadcasting lets every rank return it without changing the
+/// timing story). The whole step is recorded as a `cat:"comm"` span `name`.
+/// `mine` is freed once packed.
 pub(crate) fn master_merge<T: Ord>(
     comm: &mut mpisim::Comm,
+    name: &str,
     mine: Vec<T>,
     pack: impl Fn(&[T]) -> Vec<u8>,
     unpack: impl Fn(&[u8]) -> Vec<T>,
     cut: impl FnOnce(&mut Vec<T>),
 ) -> Vec<T> {
+    let start = comm.clock.now();
     let packed = pack(&mine);
     drop(mine);
     let gathered = comm.gatherv(0, &packed);
     drop(packed);
     let merged = match gathered {
-        Some(parts) => pack(&comm.charge_measured(|| {
-            let mut all: Vec<T> = parts.iter().flat_map(|p| unpack(p)).collect();
-            all.sort();
-            cut(&mut all);
-            all
-        })),
+        Some(parts) => {
+            let all = comm.charge_costed("compute", "master.sort", &[], || {
+                omp::timed(|| {
+                    let mut all: Vec<T> = parts.iter().flat_map(|p| unpack(p)).collect();
+                    all.sort();
+                    cut(&mut all);
+                    all
+                })
+            });
+            pack(&all)
+        }
         None => Vec::new(),
     };
-    unpack(&comm.bcast(0, &merged))
+    let out = unpack(&comm.bcast(0, &merged));
+    comm.obs
+        .record(comm.track(), "comm", name, start, comm.clock.now());
+    out
 }
 
 pub use config::ChrysalisConfig;
@@ -111,4 +124,4 @@ pub use graph_from_fasta::{
 pub use reads_to_transcripts::{
     rtt_hybrid, rtt_hybrid_striped, rtt_shared_memory, RttOutput, RttShared,
 };
-pub use timings::{GffTimings, PhaseSpread, RttTimings};
+pub use timings::{BowtieTimings, GffTimings, PhaseSpread, RttTimings};

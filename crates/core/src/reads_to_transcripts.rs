@@ -197,10 +197,9 @@ pub struct RttOutput {
     pub trace: obs::Trace,
 }
 
-/// Simulated "upload" of one chunk: walk the bytes as a parser would.
-/// Returns the measured seconds, which stand in for file I/O.
-fn stream_chunk(reads: &[Record]) -> f64 {
-    let t0 = std::time::Instant::now();
+/// Simulated "upload" of one chunk: walk the bytes as a parser would. Its
+/// measured seconds stand in for file I/O.
+fn stream_chunk(reads: &[Record]) {
     let mut bytes = 0usize;
     for r in reads {
         // Touch every byte so the measured cost scales with data volume.
@@ -208,7 +207,6 @@ fn stream_chunk(reads: &[Record]) -> f64 {
         bytes += r.seq.len() + r.id.len();
     }
     std::hint::black_box(bytes);
-    t0.elapsed().as_secs_f64()
 }
 
 /// Assign a chunk's reads (the OpenMP-parallel inner loop); returns
@@ -280,7 +278,9 @@ fn rtt_rank_program(comm: &mut Comm, shared: &RttShared, policy: ReadPolicy) -> 
         let mine = static_owner(ci, comm.size()) == comm.rank();
         let chunk_arg = ("chunk", ci as f64);
         if mine || policy == ReadPolicy::WholeFile {
-            comm.charge_costed("io", "rtt.io", &[chunk_arg], || ((), stream_chunk(chunk)));
+            comm.charge_costed("io", "rtt.io", &[chunk_arg], || {
+                omp::timed(|| stream_chunk(chunk))
+            });
         }
         if mine {
             let args = [chunk_arg, ("reads", chunk.len() as f64)];
@@ -293,10 +293,14 @@ fn rtt_rank_program(comm: &mut Comm, shared: &RttShared, policy: ReadPolicy) -> 
 
     // Each rank writes its own output file; the master concatenates them
     // ("a simple cat command").
-    let t_before = comm.clock.now();
-    let assignments = crate::master_merge(comm, my_assignments, pack_pairs, unpack_pairs, |_| {});
-    comm.obs
-        .record(track, "comm", "rtt.concat", t_before, comm.clock.now());
+    let assignments = crate::master_merge(
+        comm,
+        "rtt.concat",
+        my_assignments,
+        pack_pairs,
+        unpack_pairs,
+        |_| {},
+    );
 
     comm.obs
         .record(track, "stage", "rtt.total", start, comm.clock.now());
@@ -517,6 +521,7 @@ mod tests {
 mod striped_tests {
     use super::tests_support::fixtures;
     use super::*;
+    use crate::timings::rtt_io_chunks;
     use mpisim::{run_cluster, NetModel};
     use std::sync::Arc;
 
@@ -552,11 +557,7 @@ mod striped_tests {
             let sh = Arc::clone(&shared);
             let outs = run_cluster(ranks, NetModel::ideal(), move |comm| program(comm, &sh));
             let per_rank = outs.iter().map(|o| {
-                let io = o
-                    .trace
-                    .on_track(o.rank as u32)
-                    .filter(|sp| sp.name == "rtt.io");
-                let chunks: Vec<usize> = io.map(|sp| sp.arg("chunk").unwrap() as usize).collect();
+                let chunks = rtt_io_chunks(&o.trace, o.rank as u32);
                 (chunks.len(), chunks.iter().map(|&ci| chunk_bytes[ci]).sum())
             });
             per_rank.collect()

@@ -1,13 +1,50 @@
 //! Timing records for the Chrysalis stages — the quantities Figs. 7–10 plot.
 //!
 //! Since the `obs` layer landed, these are *views* over an [`obs::Trace`]:
-//! the stage drivers record named spans (`"gff.loop1"`, `"rtt.io"`, …) and
-//! the [`GffTimings::from_trace`] / [`RttTimings::from_trace`] constructors
-//! fold them back into the flat per-rank records the figure drivers plot.
+//! the stage drivers record named spans (`"gff.loop1"`, `"rtt.io"`,
+//! `"bowtie.index"`, …) and the [`BowtieTimings::from_trace`] /
+//! [`GffTimings::from_trace`] / [`RttTimings::from_trace`] constructors fold
+//! them back into the flat per-rank records the figure drivers plot.
 //! [`PhaseSpread`] itself now lives in `obs` and is re-exported here.
 
 /// Min/max/mean of one phase across ranks (re-exported from [`obs`]).
 pub use obs::PhaseSpread;
+
+/// Extent of the first span named `name` on `track`, 0 when absent.
+fn extent(trace: &obs::Trace, track: u32, name: &str) -> f64 {
+    trace.span_bounds(track, name).map_or(0.0, |(s, e)| e - s)
+}
+
+/// Per-rank phase times of the distributed Bowtie step (virtual seconds).
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct BowtieTimings {
+    /// PyFasta split (single-threaded, serial; every rank waits on it).
+    pub split: f64,
+    /// FM-index construction over this rank's slice.
+    pub index: f64,
+    /// Read alignment on this rank.
+    pub align: f64,
+    /// SAM merge at the master.
+    pub merge: f64,
+    /// Total stage time on this rank.
+    pub total: f64,
+}
+
+impl BowtieTimings {
+    /// Fold one rank's `bowtie.*` spans back into the flat record: each
+    /// phase sums the spans of its name on `track` (`split`/`index`/
+    /// `align`/`merge` → `"bowtie.split"`, …), and `total` is the extent of
+    /// the `"bowtie.total"` stage span.
+    pub fn from_trace(trace: &obs::Trace, track: u32) -> BowtieTimings {
+        BowtieTimings {
+            split: trace.span_sum(track, "bowtie.split"),
+            index: trace.span_sum(track, "bowtie.index"),
+            align: trace.span_sum(track, "bowtie.align"),
+            merge: trace.span_sum(track, "bowtie.merge"),
+            total: extent(trace, track, "bowtie.total"),
+        }
+    }
+}
 
 /// Per-rank GraphFromFasta phase times (virtual seconds).
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -39,9 +76,7 @@ impl GffTimings {
         let loop2 = trace.span_sum(track, "gff.loop2");
         let comm2 = trace.span_sum(track, "gff.comm2");
         let prep = trace.span_sum(track, "gff.prep");
-        let total = trace
-            .span_bounds(track, "gff.total")
-            .map_or(0.0, |(s, e)| e - s);
+        let total = extent(trace, track, "gff.total");
         GffTimings {
             loop1,
             comm1,
@@ -80,11 +115,17 @@ impl RttTimings {
             main_loop: trace.span_sum(track, "rtt.loop"),
             io: trace.span_sum(track, "rtt.io"),
             concat: trace.span_sum(track, "rtt.concat"),
-            total: trace
-                .span_bounds(track, "rtt.total")
-                .map_or(0.0, |(s, e)| e - s),
+            total: extent(trace, track, "rtt.total"),
         }
     }
+}
+
+/// The read-file chunks a ReadsToTranscripts rank uploaded, in upload
+/// order: the `chunk` arg of each `"rtt.io"` span on `track`.
+pub fn rtt_io_chunks(trace: &obs::Trace, track: u32) -> Vec<usize> {
+    let io = trace.on_track(track).filter(|sp| sp.name == "rtt.io");
+    io.filter_map(|sp| Some(sp.arg("chunk")? as usize))
+        .collect()
 }
 
 #[cfg(test)]
@@ -127,6 +168,26 @@ mod tests {
     }
 
     #[test]
+    fn bowtie_from_trace_sums_phases() {
+        let tr = obs::Tracer::new();
+        tr.record(1, "stage", "bowtie.total", 0.0, 9.0);
+        tr.record(1, "compute", "bowtie.plan", 0.0, 1.0);
+        tr.record(1, "comm", "mpi.bcast", 1.0, 1.5);
+        tr.record(1, "comm", "bowtie.split", 0.0, 1.5);
+        tr.record(1, "compute", "bowtie.index", 1.5, 3.0);
+        tr.record(1, "compute", "bowtie.align", 3.0, 7.0);
+        tr.record(1, "comm", "bowtie.merge", 7.0, 9.0);
+        // Another rank's lane does not leak in.
+        tr.record(2, "compute", "bowtie.align", 0.0, 100.0);
+        let t = BowtieTimings::from_trace(&tr.take(), 1);
+        assert_eq!(t.split, 1.5);
+        assert_eq!(t.index, 1.5);
+        assert_eq!(t.align, 4.0);
+        assert_eq!(t.merge, 2.0);
+        assert_eq!(t.total, 9.0);
+    }
+
+    #[test]
     fn rtt_from_trace_sums_repeated_spans() {
         let tr = obs::Tracer::new();
         tr.record(0, "stage", "rtt.total", 0.0, 8.0);
@@ -148,6 +209,10 @@ mod tests {
     #[test]
     fn missing_spans_give_zeroed_timings() {
         let empty = obs::Trace::default();
+        assert_eq!(
+            BowtieTimings::from_trace(&empty, 0),
+            BowtieTimings::default()
+        );
         assert_eq!(GffTimings::from_trace(&empty, 0), GffTimings::default());
         assert_eq!(RttTimings::from_trace(&empty, 0), RttTimings::default());
     }

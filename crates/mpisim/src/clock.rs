@@ -42,34 +42,6 @@ impl VClock {
             self.now = t;
         }
     }
-
-    /// Reset to zero (used between pipeline phases that report separately).
-    pub fn reset(&mut self) {
-        self.now = 0.0;
-    }
-}
-
-/// A scoped wall-clock timer whose elapsed time is charged to a `VClock`
-/// when dropped. Used around *serial* regions that are measured directly.
-pub struct ChargeGuard<'a> {
-    clock: &'a mut VClock,
-    start: std::time::Instant,
-}
-
-impl<'a> ChargeGuard<'a> {
-    /// Start timing; charges on drop.
-    pub fn new(clock: &'a mut VClock) -> Self {
-        ChargeGuard {
-            clock,
-            start: std::time::Instant::now(),
-        }
-    }
-}
-
-impl Drop for ChargeGuard<'_> {
-    fn drop(&mut self) {
-        self.clock.charge(self.start.elapsed().as_secs_f64());
-    }
 }
 
 #[cfg(test)]
@@ -101,23 +73,5 @@ mod tests {
         assert_eq!(c.now(), 5.0);
         c.advance_to(f64::NAN);
         assert_eq!(c.now(), 5.0);
-    }
-
-    #[test]
-    fn reset() {
-        let mut c = VClock::new();
-        c.charge(2.0);
-        c.reset();
-        assert_eq!(c.now(), 0.0);
-    }
-
-    #[test]
-    fn guard_charges_on_drop() {
-        let mut c = VClock::new();
-        {
-            let _g = ChargeGuard::new(&mut c);
-            std::thread::sleep(std::time::Duration::from_millis(2));
-        }
-        assert!(c.now() > 0.0);
     }
 }

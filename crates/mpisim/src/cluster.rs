@@ -454,7 +454,7 @@ mod tests {
             comm.charge(1.0);
             comm.allgatherv(&[0u8; 256]);
             comm.barrier();
-            comm.charge_measured_named("work", || std::hint::black_box(7));
+            comm.charge_costed("compute", "work", &[], || ((), 0.5));
         });
         let trace = merge_traces(&out);
         for rank in 0..2u32 {

@@ -125,10 +125,12 @@ impl Comm {
         self.clock.charge(seconds);
     }
 
-    /// The clock-charging form of `omp::costed_loop`: run the costed section
-    /// `f` under the cluster-wide measurement lock (so concurrent ranks do
-    /// not pollute each other's item costs), charge the virtual seconds it
-    /// returns and record them as a `cat` span `name` on this rank's track.
+    /// The one way compute or I/O time reaches this rank's clock: run the
+    /// costed section `f` under the cluster-wide measurement lock (so
+    /// concurrent ranks do not pollute each other's costs), charge the
+    /// virtual seconds it returns and record them as a `cat` span `name` on
+    /// this rank's track. `f` is an `omp::costed_loop` replay, a serial
+    /// region wrapped in `omp::timed`, or a precomputed cost.
     pub fn charge_costed<T>(
         &mut self,
         cat: &str,
@@ -144,28 +146,6 @@ impl Comm {
         self.obs
             .record_with(self.track(), cat, name, start, self.clock.now(), args);
         out
-    }
-
-    /// Run `f`, measure its wall-clock duration, charge it to the clock and
-    /// return the result. For serial regions that are measured directly
-    /// (under the same measurement lock as [`Comm::charge_costed`]).
-    pub fn charge_measured<T>(&mut self, f: impl FnOnce() -> T) -> T {
-        let guard = crate::compute_lock();
-        let t0 = std::time::Instant::now();
-        let out = f();
-        self.clock.charge(t0.elapsed().as_secs_f64());
-        drop(guard);
-        out
-    }
-
-    /// [`Comm::charge_measured`] plus a named `cat:"compute"` span on this
-    /// rank's track covering the charged virtual-time interval.
-    pub fn charge_measured_named<T>(&mut self, name: &str, f: impl FnOnce() -> T) -> T {
-        self.charge_costed("compute", name, &[], || {
-            let t0 = std::time::Instant::now();
-            let out = f();
-            (out, t0.elapsed().as_secs_f64())
-        })
     }
 
     // ---- fault machinery ------------------------------------------------

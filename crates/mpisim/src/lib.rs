@@ -55,7 +55,7 @@ pub use stats::CommStats;
 ///
 /// Crate-private: a rank blocked in a collective while holding the guard
 /// would deadlock its peers, so it is only taken around a closure handed to
-/// [`Comm::charge_costed`], [`Comm::charge_measured`] or
+/// [`Comm::charge_costed`] (every measured section) or
 /// [`Comm::transport_bcast`] — which cannot reach the communicator.
 pub(crate) fn compute_lock() -> parking_lot::MutexGuard<'static, ()> {
     static COMPUTE_LOCK: parking_lot::Mutex<()> = parking_lot::Mutex::new(());

@@ -8,9 +8,8 @@
 //! primitives:
 //!
 //! * [`Tracer`] — a thread-safe recorder of named, categorized time
-//!   intervals ([`SpanRecord`]s) on per-rank/per-thread *tracks*, driven
-//!   either by wall-clock RAII guards ([`Span`]) or by explicit
-//!   virtual-clock timestamps ([`Tracer::record`]);
+//!   intervals ([`SpanRecord`]s) on per-rank/per-thread *tracks*, all on
+//!   the virtual clock: [`Tracer::record`] takes explicit timestamps;
 //! * [`MetricsRegistry`] — named typed counters, gauges and power-of-two
 //!   histograms (bytes sent, k-mers welded, probe lengths, queue depths).
 //!
@@ -38,15 +37,14 @@
 //! # Examples
 //!
 //! ```
-//! use obs::{Obs, export};
+//! use obs::{export, MetricsRegistry, Tracer};
 //!
-//! let obs = Obs::new();
-//! {
-//!     let _stage = obs.tracer.span("assemble");       // wall-clock RAII
-//!     obs.metrics.counter("contigs").add(3);
-//! }
-//! obs.tracer.record(1, "comm", "mpi.allgatherv", 0.5, 0.9); // virtual time
-//! let trace = obs.tracer.take();
+//! let tracer = Tracer::new();
+//! let metrics = MetricsRegistry::new();
+//! tracer.record(0, "compute", "assemble", 0.0, 0.5);
+//! metrics.counter("contigs").add(3);
+//! tracer.record(1, "comm", "mpi.allgatherv", 0.5, 0.9);
+//! let trace = tracer.take();
 //! assert_eq!(trace.spans.len(), 2);
 //! let json = export::chrome_trace(&trace);
 //! assert!(json.contains("\"traceEvents\""));
@@ -70,7 +68,7 @@ pub use metrics::{
     Counter, Gauge, Histogram, HistogramSummary, MetricValue, MetricsRegistry, MetricsSnapshot,
 };
 pub use sampler::{Sampler, StackSample};
-pub use span::{CounterSample, Span, SpanNode, SpanRecord, Trace, Tracer};
+pub use span::{CounterSample, SpanNode, SpanRecord, Trace, Tracer};
 pub use stats::PhaseSpread;
 
 /// First track id used for per-thread (OpenMP worker) spans, keeping them
@@ -78,30 +76,3 @@ pub use stats::PhaseSpread;
 /// on track `r`; thread `t` of a replayed loop records on
 /// `THREAD_TRACK_BASE + t`.
 pub const THREAD_TRACK_BASE: u32 = 1000;
-
-/// A tracer and a metrics registry bundled together — the handle most
-/// instrumented call-sites take. Cloning is cheap (both halves are
-/// internally reference-counted) and clones record into the same storage.
-///
-/// # Examples
-///
-/// ```
-/// let obs = obs::Obs::new();
-/// let clone = obs.clone();
-/// clone.metrics.counter("reads").add(10);
-/// assert_eq!(obs.metrics.snapshot().counter("reads"), Some(10));
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct Obs {
-    /// The span recorder.
-    pub tracer: Tracer,
-    /// The metrics registry.
-    pub metrics: MetricsRegistry,
-}
-
-impl Obs {
-    /// A fresh tracer + registry pair.
-    pub fn new() -> Self {
-        Obs::default()
-    }
-}

@@ -9,8 +9,7 @@
 //! instant) plus one cumulative `profile.samples.<leaf>` staircase per leaf
 //! frame, which Perfetto renders as a progress ramp under the span.
 //!
-//! The period is in *trace* time, so the same sampler serves wall-clock
-//! traces and the virtual-clock traces the makespan replays produce.
+//! The period is in *trace* time — the virtual clock every span is on.
 //! [`Sampler::folded`] gives the classic sampled flamegraph fold
 //! (period-weighted), which converges on [`crate::flame::collapsed`] as
 //! the period shrinks.
@@ -84,8 +83,8 @@ impl Sampler {
     }
 
     /// Walk `track`'s open-span stack at each midpoint instant
-    /// `(i + 1/2) * period` up to the track's horizon. Instants where no
-    /// span is open yield a sample with empty `frames` (idle), so sample
+    /// `(i + 1/2) * period` up to the track's horizon. Sample times where
+    /// no span is open yield a sample with empty `frames` (idle), so sample
     /// counts are comparable across tracks.
     pub fn samples(&self, trace: &Trace, track: u32) -> Vec<StackSample> {
         // Non-finite ends (a NaN-poisoned clock) would make `ts >= horizon`

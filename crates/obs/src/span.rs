@@ -1,5 +1,5 @@
-//! Span tracing: RAII wall-clock timers, explicit virtual-clock records,
-//! and the [`Trace`] they accumulate into.
+//! Span tracing: explicit virtual-clock records and the [`Trace`] they
+//! accumulate into.
 //!
 //! A *span* is a named, categorized `[start, end)` interval on a *track*.
 //! Tracks are small integers that map onto Chrome/Perfetto thread lanes:
@@ -7,17 +7,14 @@
 //! (track 0 doubles as the serial/pipeline lane) and
 //! [`crate::THREAD_TRACK_BASE`]` + t` for OpenMP worker thread `t`.
 //!
-//! Two time sources coexist:
-//!
-//! * **wall time** — [`Tracer::span`] returns a RAII [`Span`] guard that
-//!   measures real elapsed time against the tracer's epoch;
-//! * **virtual time** — [`Tracer::record`] takes explicit start/end
-//!   seconds, which is how the `mpisim` virtual clocks and the `omp`
-//!   makespan replays report (the timebase of every figure in the paper).
+//! Every span is on the *virtual* clock: [`Tracer::record`] takes explicit
+//! start/end seconds, which is how the `mpisim` virtual clocks and the
+//! `omp` makespan replays report (the timebase of every figure in the
+//! paper). Wall time enters the program only as measured costs that those
+//! clocks are charged with, never as a span's timestamps.
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
-use std::time::Instant;
 
 /// One finished span: a named interval on a track.
 #[derive(Debug, Clone, PartialEq)]
@@ -29,7 +26,7 @@ pub struct SpanRecord {
     pub cat: String,
     /// Track (Chrome `tid`): rank id, or `THREAD_TRACK_BASE + thread`.
     pub track: u32,
-    /// Start time, seconds (virtual or wall, per the recording call).
+    /// Start time, virtual seconds.
     pub start: f64,
     /// End time, seconds.
     pub end: f64,
@@ -273,58 +270,21 @@ pub struct SpanNode {
 ///
 /// ```
 /// let tracer = obs::Tracer::new();
-/// {
-///     let _outer = tracer.span("outer");
-///     let _inner = tracer.span("inner"); // drops first -> recorded first
-/// }
-/// tracer.record(0, "comm", "exchange", 1.0, 2.5); // explicit virtual time
+/// tracer.record(0, "compute", "index", 0.0, 1.0);
+/// tracer.record(0, "comm", "exchange", 1.0, 2.5);
 /// let trace = tracer.take();
-/// assert_eq!(trace.spans.len(), 3);
+/// assert_eq!(trace.spans.len(), 2);
 /// assert_eq!(trace.span_sum(0, "exchange"), 1.5);
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct Tracer {
     inner: Arc<Mutex<Trace>>,
-    epoch: Instant,
-}
-
-impl Default for Tracer {
-    fn default() -> Self {
-        Tracer {
-            inner: Arc::new(Mutex::new(Trace::default())),
-            epoch: Instant::now(),
-        }
-    }
 }
 
 impl Tracer {
-    /// A fresh, empty tracer whose wall-clock epoch is "now".
+    /// A fresh, empty tracer.
     pub fn new() -> Self {
         Tracer::default()
-    }
-
-    /// Seconds since the tracer's epoch (the wall-clock timebase of
-    /// [`Span`] guards).
-    pub fn now(&self) -> f64 {
-        self.epoch.elapsed().as_secs_f64()
-    }
-
-    /// Start a wall-clock RAII span on track 0, category `"wall"`. The
-    /// interval is recorded when the guard drops.
-    pub fn span(&self, name: impl Into<String>) -> Span {
-        self.span_on(0, "wall", name)
-    }
-
-    /// Start a wall-clock RAII span on an explicit track and category.
-    pub fn span_on(&self, track: u32, cat: impl Into<String>, name: impl Into<String>) -> Span {
-        Span {
-            tracer: self.clone(),
-            name: name.into(),
-            cat: cat.into(),
-            track,
-            start: self.now(),
-            args: Vec::new(),
-        }
     }
 
     /// Record a span with explicit (virtual-clock) times.
@@ -395,76 +355,9 @@ impl Tracer {
     }
 }
 
-/// A RAII wall-clock span: measures from creation to drop and records the
-/// interval into its [`Tracer`]. Attach numeric attributes with
-/// [`Span::arg`].
-///
-/// # Examples
-///
-/// ```
-/// let tracer = obs::Tracer::new();
-/// {
-///     let _span = tracer.span("weld").arg("contigs", 42.0);
-///     // ... timed work ...
-/// }
-/// let trace = tracer.take();
-/// assert_eq!(trace.spans[0].name, "weld");
-/// assert_eq!(trace.spans[0].arg("contigs"), Some(42.0));
-/// assert!(trace.spans[0].duration() >= 0.0);
-/// ```
-#[must_use = "a Span records its interval when dropped; binding it to _ drops it immediately"]
-pub struct Span {
-    tracer: Tracer,
-    name: String,
-    cat: String,
-    track: u32,
-    start: f64,
-    args: Vec<(String, f64)>,
-}
-
-impl Span {
-    /// Attach a numeric attribute (builder-style).
-    pub fn arg(mut self, name: impl Into<String>, value: f64) -> Self {
-        self.args.push((name.into(), value));
-        self
-    }
-}
-
-impl Drop for Span {
-    fn drop(&mut self) {
-        let end = self.tracer.now();
-        let rec = SpanRecord {
-            name: std::mem::take(&mut self.name),
-            cat: std::mem::take(&mut self.cat),
-            track: self.track,
-            start: self.start,
-            end: end.max(self.start),
-            args: std::mem::take(&mut self.args),
-        };
-        self.tracer
-            .inner
-            .lock()
-            .expect("tracer lock")
-            .spans
-            .push(rec);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn raii_span_records_on_drop() {
-        let tr = Tracer::new();
-        {
-            let _s = tr.span("a");
-        }
-        let t = tr.take();
-        assert_eq!(t.spans.len(), 1);
-        assert_eq!(t.spans[0].name, "a");
-        assert!(t.spans[0].end >= t.spans[0].start);
-    }
 
     #[test]
     fn virtual_records_are_exact() {

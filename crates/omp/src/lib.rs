@@ -25,5 +25,5 @@ pub mod pool;
 pub mod schedule;
 
 pub use makespan::{costed_loop, simulate_loop, CostedTeam, LoopSim};
-pub use pool::{parallel_map, parallel_map_timed, Pool, Team};
+pub use pool::{parallel_map, parallel_map_timed, timed, Pool, Team};
 pub use schedule::{chunk_sequence, Schedule};

@@ -7,7 +7,6 @@
 //! *results* come from here, the *clock* from the replay.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::time::Instant;
 
 /// A simple reusable description of a thread team.
 ///
@@ -96,18 +95,20 @@ pub fn parallel_map<T: Sync, R: Send>(
     out.into_iter().map(|r| r.expect("slot filled")).collect()
 }
 
+/// Run `f` and measure its wall-clock duration in seconds — the program's
+/// one wall-clock read. Every virtual-clock charge of measured work starts
+/// here, either per item ([`parallel_map_timed`]) or around a serial region.
+pub fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
+    let t0 = std::time::Instant::now();
+    let out = f();
+    (out, t0.elapsed().as_secs_f64())
+}
+
 /// Map `f` over `items`, also measuring each item's wall-clock cost in
 /// seconds. Runs *single-threaded* so the per-item costs are clean; callers
 /// feed the costs into the makespan replay to obtain parallel timings.
 pub fn parallel_map_timed<T, R>(items: &[T], mut f: impl FnMut(&T) -> R) -> (Vec<R>, Vec<f64>) {
-    let mut results = Vec::with_capacity(items.len());
-    let mut costs = Vec::with_capacity(items.len());
-    for item in items {
-        let t0 = Instant::now();
-        results.push(f(item));
-        costs.push(t0.elapsed().as_secs_f64());
-    }
-    (results, costs)
+    items.iter().map(|item| timed(|| f(item))).unzip()
 }
 
 /// Shared-slot writer used by `parallel_map` to scatter results by index

@@ -23,12 +23,12 @@ use seqio::packed::{PackedSeq, SeqioStats};
 
 use bowtie::align::AlignConfig;
 use butterfly::transcripts::{reconstruct_component, ComponentInput, ReconstructionConfig};
-use chrysalis::bowtie_mpi::{bowtie_mpi, contig_name_index, BowtieTimings};
+use chrysalis::bowtie_mpi::{bowtie_mpi, contig_name_index};
 use chrysalis::config::ChrysalisConfig;
 use chrysalis::graph_from_fasta::{cluster, gff_hybrid, GffShared};
 use chrysalis::reads_to_transcripts::{rtt_hybrid, RttShared};
 use chrysalis::scaffold::{scaffold_pairs, ScaffoldConfig};
-use chrysalis::timings::{GffTimings, RttTimings};
+use chrysalis::timings::{BowtieTimings, GffTimings, RttTimings};
 use inchworm::assemble::{assemble, InchwormConfig};
 use inchworm::dictionary::Dictionary;
 use kcount::counter::{count_kmers_on, CounterConfig, KmerCounts};
@@ -581,15 +581,17 @@ fn assemble_contigs(
         |c| ckpt::encode_records(c),
         |c, _| ram::inchworm(distinct_kmers, seq_bytes(c)),
         |_| {
-            let t0 = std::time::Instant::now();
-            let table = std::mem::replace(&mut counts, KmerCounts::empty(k));
-            let dict = Dictionary::from_counts(table, cfg.min_kmer_count.max(1));
-            let contigs: Vec<Record> = assemble(&dict, cfg.inchworm)
-                .iter()
-                .map(|c| c.to_record())
-                .collect();
-            counts = dict.into_counts();
-            (contigs, StageRun::timed(t0.elapsed().as_secs_f64()))
+            let (contigs, seconds) = omp::timed(|| {
+                let table = std::mem::replace(&mut counts, KmerCounts::empty(k));
+                let dict = Dictionary::from_counts(table, cfg.min_kmer_count.max(1));
+                let contigs: Vec<Record> = assemble(&dict, cfg.inchworm)
+                    .iter()
+                    .map(|c| c.to_record())
+                    .collect();
+                counts = dict.into_counts();
+                contigs
+            });
+            (contigs, StageRun::timed(seconds))
         },
     );
     (packed_reads, counts, contigs)
@@ -671,16 +673,17 @@ pub fn run_pipeline_opts(
         |c| ckpt::encode_components(c),
         |_, _| ram::graph_from_fasta(contig_bytes, 0, weld_bytes),
         |_| {
-            let t0 = std::time::Instant::now();
-            let name_index = contig_name_index(&contigs);
-            let lens: Vec<usize> = contigs.iter().map(|c| c.seq.len()).collect();
-            let scaf_pairs = scaffold_pairs(&sam, &name_index, &lens, cfg.scaffold);
-            let mut all_pairs = gff_pairs.clone();
-            all_pairs.extend(scaf_pairs);
-            all_pairs.sort_unstable();
-            all_pairs.dedup();
-            let (_, components) = cluster(contigs.len(), &all_pairs);
-            (components, StageRun::timed(t0.elapsed().as_secs_f64()))
+            let (components, seconds) = omp::timed(|| {
+                let name_index = contig_name_index(&contigs);
+                let lens: Vec<usize> = contigs.iter().map(|c| c.seq.len()).collect();
+                let scaf_pairs = scaffold_pairs(&sam, &name_index, &lens, cfg.scaffold);
+                let mut all_pairs = gff_pairs.clone();
+                all_pairs.extend(scaf_pairs);
+                all_pairs.sort_unstable();
+                all_pairs.dedup();
+                cluster(contigs.len(), &all_pairs).1
+            });
+            (components, StageRun::timed(seconds))
         },
     );
     d.metrics

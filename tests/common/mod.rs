@@ -37,6 +37,10 @@ pub const CHAOS_WORKLOAD_SEED: u64 = 41;
 /// critical path must account for the full wall-clock.
 pub const ANALYTICS_SEED: u64 = 43;
 
+/// Workload for `trace_analytics`' named-time check (the span-tree golden
+/// run's seed): every second of a rank's stage time lies under a span.
+pub const NAMED_TIME_SEED: u64 = 11;
+
 /// Base seed for the chaos fault plans; plan `i` uses
 /// `CHAOS_PLAN_SEED_BASE + i` so each plan draws a distinct but
 /// reproducible decision stream.

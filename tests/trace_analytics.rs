@@ -73,6 +73,37 @@ fn critical_path_accounts_for_the_full_run() {
     assert_eq!(obs::analyze::parse_analysis(&text).unwrap(), a);
 }
 
+/// Every second of a rank's stage time sits under a span that names it: in
+/// each cluster stage, every rank lane is busy for the stage's whole
+/// duration, so the imbalance rows and the critical path are built from
+/// all of a rank's time, not from whatever happened to be recorded.
+#[test]
+fn every_second_of_rank_stage_time_is_named() {
+    let reads = common::tiny_reads(common::NAMED_TIME_SEED);
+    for ranks in [1usize, 2, 4] {
+        let mut cfg = PipelineConfig::small(12);
+        if ranks > 1 {
+            cfg.mode = PipelineMode::Hybrid {
+                ranks,
+                net: NetModel::idataplex(),
+            };
+        }
+        let a = obs::analyze(&run_pipeline(&reads, &cfg).trace);
+        for name in ["Bowtie", "GraphFromFasta", "ReadsToTranscripts"] {
+            let stage = a.stages.iter().find(|s| s.name == name).expect(name);
+            let dur = stage.duration();
+            assert!(dur > 0.0, "{name} at {ranks} ranks");
+            assert_eq!(stage.lane_busy.len(), ranks, "{name} at {ranks} ranks");
+            for &(lane, busy) in &stage.lane_busy {
+                assert!(
+                    (busy - dur).abs() <= 1e-9 * dur,
+                    "{name} at {ranks} ranks: lane {lane} names {busy:e} s of {dur:e} s"
+                );
+            }
+        }
+    }
+}
+
 #[test]
 fn diff_flags_exactly_the_injected_regression() {
     let out = four_rank_run();
