@@ -23,6 +23,7 @@ pub mod fig09_rtt_scaling;
 pub mod fig10_bowtie_scaling;
 pub mod fig11_parallel_trace;
 pub mod headline;
+pub mod inchworm_epochs;
 pub mod workloads;
 
 /// Parse a `--scale X` / `--seed N` style argument list (every figure

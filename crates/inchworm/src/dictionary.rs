@@ -6,27 +6,159 @@
 //! footprint; we reproduce the structure (the footprint scales the same
 //! way, just on smaller simulated datasets).
 
+use std::sync::Mutex;
+
 use kcount::counter::KmerCounts;
 use kmertable::{PackedKmerTable, PartitionedKmerTable};
 use seqio::kmer::Kmer;
 
-/// A dictionary entry in seeding order.
-#[derive(Debug, Clone, Copy)]
-struct Seed {
-    packed: u64,
-    count: u32,
-    slot: u32,
+use crate::par_map;
+
+/// A dictionary entry as one integer whose order is the seeding order: its
+/// count complemented (counts descend), its packed k-mer (k-mer order at
+/// equal k), then its table slot. The k-mers are distinct, so the order is
+/// total and an unstable sort of the integers is deterministic.
+fn record((slot, packed, count): (usize, u64, u32)) -> u128 {
+    let slot = u32::try_from(slot).expect("tables index their values by u32");
+    (u128::from(!count) << 96) | (u128::from(packed) << 32) | u128::from(slot)
 }
 
-impl Seed {
-    /// The seed record of one `iter_slots` entry.
-    fn at((slot, packed, count): (usize, u64, u32)) -> Self {
-        Seed {
-            packed,
-            count,
-            slot: u32::try_from(slot).expect("tables index their values by u32"),
+/// A [`record`]'s `(packed k-mer, slot, count)`.
+fn fields(record: u128) -> (u64, usize, u32) {
+    let count = !((record >> 96) as u32);
+    ((record >> 32) as u64, record as u32 as usize, count)
+}
+
+/// Buckets of the splitter sort: more than any configured thread count, so
+/// the bucket loop balances.
+const BUCKETS: usize = 64;
+
+/// The splitter sort's bucketing: `BUCKETS − 1` ascending splitters over a
+/// [`record`]'s leading 64 bits with the k-mer left-aligned — the count,
+/// then the k-mer's first 16 bases. Coarser than the record, but never
+/// against its order, which is all a bucket boundary needs.
+struct Splitters {
+    k: usize,
+    bounds: [u64; BUCKETS - 1],
+}
+
+impl Splitters {
+    /// Splitters evenly spaced over `sample`'s records.
+    fn new(k: usize, sample: impl Iterator<Item = u128>) -> Self {
+        let mut splitters = Splitters {
+            k,
+            bounds: [u64::MAX; BUCKETS - 1],
+        };
+        let mut leads: Vec<u64> = sample.map(|r| splitters.lead(r)).collect();
+        leads.sort_unstable();
+        for (b, bound) in splitters.bounds.iter_mut().enumerate() {
+            if let Some(&lead) = leads.get((b + 1) * leads.len() / BUCKETS) {
+                *bound = lead;
+            }
         }
+        splitters
     }
+
+    fn lead(&self, record: u128) -> u64 {
+        let (packed, _, count) = fields(record);
+        (u64::from(!count) << 32) | ((packed << (64 - 2 * self.k)) >> 32)
+    }
+
+    /// The bucket of `record`: how many splitters lie below its lead, by a
+    /// branch-free binary search.
+    fn bucket(&self, record: u128) -> usize {
+        let lead = self.lead(record);
+        let mut b = 0;
+        let mut half = BUCKETS / 2;
+        while half > 0 {
+            if self.bounds[b + half - 1] < lead {
+                b += half;
+            }
+            half /= 2;
+        }
+        b
+    }
+}
+
+/// `data` cut into consecutive pieces of the given lengths.
+fn cut<T>(mut data: &mut [T], lens: impl Iterator<Item = usize>) -> Vec<&mut [T]> {
+    lens.map(|len| {
+        let (piece, rest) = std::mem::take(&mut data).split_at_mut(len);
+        data = rest;
+        piece
+    })
+    .collect()
+}
+
+/// The [`record`]s of `counts` in seeding order, or `None` if an entry
+/// fails `valid`. A splitter sort in three loops on `par`, writing one
+/// array:
+///
+/// 1. per owner: check every entry and count how many fall in each bucket —
+///    the buckets split by records drawn from owner 0, which is a uniform
+///    sample because owners are hash partitions;
+/// 2. per owner: write each entry into its bucket's share for that owner;
+/// 3. per bucket: sort in place. The buckets are in order, so the array is
+///    sorted.
+fn seeding_order(
+    k: usize,
+    counts: &PartitionedKmerTable,
+    par: &mut impl FnMut(usize, &(dyn Fn(usize) + Sync)),
+    valid: impl Fn(u64, u32) -> bool + Sync,
+) -> Option<Vec<u128>> {
+    let owners = counts.owners().len();
+    let stride = counts.owners()[0].len().div_ceil(BUCKETS * BUCKETS).max(1);
+    let splitters = Splitters::new(k, counts.owner_slots(0).step_by(stride).map(record));
+
+    let tallies = par_map(par, owners, |o| {
+        let mut tally = [0usize; BUCKETS];
+        for (slot, packed, count) in counts.owner_slots(o) {
+            if !valid(packed, count) {
+                return None;
+            }
+            tally[splitters.bucket(record((slot, packed, count)))] += 1;
+        }
+        Some(tally)
+    });
+    let tallies: Vec<[usize; BUCKETS]> = tallies.into_iter().collect::<Option<_>>()?;
+
+    // Zeroed, so its pages are first written by the loop below. Cut
+    // bucket-major, owner-minor: owner `o`'s share of bucket `b` is piece
+    // `b * owners + o`, and a bucket's shares are adjacent.
+    let mut sorted = vec![0u128; counts.len()];
+    let share_lens = (0..BUCKETS).flat_map(|b| tallies.iter().map(move |tally| tally[b]));
+    let mut shares: Vec<Vec<&mut [u128]>> = (0..owners).map(|_| Vec::new()).collect();
+    for (i, share) in cut(&mut sorted, share_lens).into_iter().enumerate() {
+        shares[i % owners].push(share);
+    }
+    // The mutexes only carry `&mut` through the `Fn` loop bodies: each is
+    // locked once, by the one task that runs for it.
+    let shares: Vec<Mutex<Vec<&mut [u128]>>> = shares.into_iter().map(Mutex::new).collect();
+    par(owners, &|o| {
+        let mut shares = shares[o].lock().expect("an owner task panicked");
+        let mut filled = [0usize; BUCKETS];
+        for entry in counts.owner_slots(o) {
+            let r = record(entry);
+            let b = splitters.bucket(r);
+            shares[b][filled[b]] = r;
+            filled[b] += 1;
+        }
+    });
+    drop(shares);
+
+    let bucket_lens = (0..BUCKETS).map(|b| tallies.iter().map(|tally| tally[b]).sum());
+    let buckets: Vec<Mutex<&mut [u128]>> = cut(&mut sorted, bucket_lens)
+        .into_iter()
+        .map(Mutex::new)
+        .collect();
+    par(BUCKETS, &|b| {
+        buckets[b]
+            .lock()
+            .expect("a bucket task panicked")
+            .sort_unstable();
+    });
+    drop(buckets);
+    Some(sorted)
 }
 
 /// Abundance-sorted dictionary over canonical k-mers.
@@ -34,8 +166,8 @@ impl Seed {
 pub struct Dictionary {
     k: usize,
     /// Canonical packed k-mers in decreasing-count order (ties: k-mer
-    /// order), each with its slot in `counts`.
-    sorted: Vec<Seed>,
+    /// order), each with its slot in `counts`, as [`record`]s.
+    sorted: Vec<u128>,
     /// Canonical packed k-mer -> count, for O(1) extension lookups: the
     /// counting pass's owner tables as it left them. The open-addressing
     /// tables keep the greedy extension probes (4 per extension step, the
@@ -52,31 +184,29 @@ impl Dictionary {
     /// hands over — is adopted as is; anything else is strand-merged and
     /// filtered into a fresh table sized once for the input.
     pub fn from_counts(table: KmerCounts, min_count: u32) -> Self {
+        Self::from_counts_on(table, min_count, &mut crate::sequential)
+    }
+
+    /// [`from_counts`](Self::from_counts) with the seeding-order sort's
+    /// loops run by `par` (see the crate docs): the first of them also
+    /// checks whether the table can be adopted.
+    pub fn from_counts_on(
+        table: KmerCounts,
+        min_count: u32,
+        par: &mut impl FnMut(usize, &(dyn Fn(usize) + Sync)),
+    ) -> Self {
         let k = table.k();
         let canonical = |p: u64| Kmer::from_packed_unchecked(p, k).canonical().packed();
         let mut counts = table.into_partition();
-        // One pass over the table builds the seed records and learns
-        // whether it can be adopted.
-        let mut adoptable = true;
-        let mut sorted: Vec<Seed> = Vec::with_capacity(counts.len());
-        sorted.extend(
-            counts
-                .iter_slots()
-                .inspect(|&(_, p, c)| adoptable &= c >= min_count && canonical(p) == p)
-                .map(Seed::at),
-        );
-        if !adoptable {
+        let adoptable = |p: u64, c: u32| c >= min_count && canonical(p) == p;
+        let sorted = seeding_order(k, &counts, par, adoptable).unwrap_or_else(|| {
             let mut merged = PackedKmerTable::with_capacity(counts.len());
             for (p, c) in counts.iter().filter(|&(_, c)| c >= min_count) {
                 merged.add(canonical(p), c);
             }
             counts = merged.into();
-            sorted = counts.iter_slots().map(Seed::at).collect();
-        }
-        // Total order over distinct (kmer, count) pairs — unstable sort is
-        // deterministic here and skips the merge-sort allocation. Packed
-        // order is k-mer order at equal k.
-        sorted.sort_unstable_by(|a, b| b.count.cmp(&a.count).then(a.packed.cmp(&b.packed)));
+            seeding_order(k, &counts, par, |_, _| true).expect("every entry is valid")
+        });
         Dictionary { k, sorted, counts }
     }
 
@@ -129,12 +259,9 @@ impl Dictionary {
     /// [`Self::find_each`] would report): `(kmer, slot, count)`.
     pub fn seeds(&self) -> impl Iterator<Item = (Kmer, usize, u32)> + '_ {
         let k = self.k;
-        self.sorted.iter().map(move |s| {
-            (
-                Kmer::from_packed_unchecked(s.packed, k),
-                s.slot as usize,
-                s.count,
-            )
+        self.sorted.iter().map(move |&r| {
+            let (packed, slot, count) = fields(r);
+            (Kmer::from_packed_unchecked(packed, k), slot, count)
         })
     }
 }
@@ -212,6 +339,41 @@ mod tests {
         let back = dict_of(&reads, 5, 2).into_counts();
         assert_eq!(back.len(), dict_of(&reads, 5, 2).len());
         assert!(back.iter().all(|(_, c)| c >= 2));
+    }
+
+    #[test]
+    fn splitter_sort_is_the_full_sort_in_any_loop_order() {
+        // Enough distinct k-mers that every one of the 64 owners holds
+        // some and the buckets are not trivially one.
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        let read: Vec<u8> = (0..6000)
+            .map(|_| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                b"ACGT"[(state >> 62) as usize]
+            })
+            .collect();
+        let reads = [
+            read.clone(),
+            read[..3000].to_vec(),
+            read[1000..2000].to_vec(),
+        ];
+        let counts = count_kmers(&reads, CounterConfig::new(11));
+        assert!(counts.len() > 4000);
+        let table = counts.clone().into_partition();
+        let mut expect: Vec<(u64, usize, u32)> =
+            table.iter_slots().map(|(s, p, c)| (p, s, c)).collect();
+        expect.sort_unstable_by_key(|&(packed, _, count)| (std::cmp::Reverse(count), packed));
+        let reversed = &mut |n: usize, body: &(dyn Fn(usize) + Sync)| (0..n).rev().for_each(body);
+        for dict in [
+            Dictionary::from_counts(counts.clone(), 1),
+            Dictionary::from_counts_on(counts.clone(), 1, reversed),
+        ] {
+            let got: Vec<(u64, usize, u32)> =
+                dict.seeds().map(|(km, s, c)| (km.packed(), s, c)).collect();
+            assert_eq!(got, expect);
+        }
     }
 
     #[test]

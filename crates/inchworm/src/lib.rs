@@ -10,12 +10,49 @@
 //! 4. reports the linear contig, marks its k-mers used, and repeats until
 //!    the dictionary is exhausted.
 //!
+//! Steps 2–4 run in epochs ([`assemble::assemble_on`]): the next `width`
+//! unused seeds are walked at once against a snapshot of the used k-mers,
+//! then committed in abundance order, a walk whose claims an earlier commit
+//! took being replayed at its turn. A walk only ever loses candidates to
+//! earlier commits, and losing a candidate that did not win changes no
+//! step, so a walk whose claims are all still free is the serial walk: the
+//! contigs are the serial contigs at every width.
+//!
 //! The output — a FASTA of "Inchworm contigs" — is what Chrysalis clusters.
+//!
+//! The parallel loops (the dictionary sort's and the walks') are the
+//! caller's: a function taking a loop as `par(n, body)` calls `body(i)` once
+//! for every `i` in `0..n`, in any order and on any threads.
+//! [`sequential`] runs it in place; the pipeline passes its stage team.
+
+use std::sync::OnceLock;
 
 pub mod assemble;
 pub mod contig;
 pub mod dictionary;
 
-pub use assemble::{assemble, InchwormConfig};
+pub use assemble::{assemble, assemble_on, EpochStats, InchwormConfig};
 pub use contig::Contig;
 pub use dictionary::Dictionary;
+
+/// The parallel loop that runs `body` over `0..n` one index at a time, in
+/// order, on the calling thread.
+pub fn sequential(n: usize, body: &(dyn Fn(usize) + Sync)) {
+    (0..n).for_each(body)
+}
+
+/// `f` over `0..n` through the caller's loop `par`, results in index order.
+fn par_map<R: Send + Sync>(
+    par: &mut impl FnMut(usize, &(dyn Fn(usize) + Sync)),
+    n: usize,
+    f: impl Fn(usize) -> R + Sync,
+) -> Vec<R> {
+    let slots: Vec<OnceLock<R>> = (0..n).map(|_| OnceLock::new()).collect();
+    par(n, &|i| {
+        let _ = slots[i].set(f(i));
+    });
+    let filled = slots.into_iter().map(OnceLock::into_inner);
+    filled
+        .map(|r| r.expect("the loop ran every index"))
+        .collect()
+}

@@ -1,0 +1,322 @@
+//! Property and directed tests of Inchworm's speculative epochs: the
+//! contigs are the serial loop's at every epoch width and in every loop
+//! order — against a plain reimplementation of that loop (one walk at a
+//! time, rightward then leftward, a `HashSet` of used slots) — on random
+//! reads, tandem repeats (walks that run back into their own claims),
+//! palindromic k-mers at even k, the k = 32 all-T key, and seed and
+//! extension thresholds above 1.
+
+use std::collections::HashSet;
+
+use inchworm::{assemble, assemble_on, sequential, Contig, Dictionary, InchwormConfig};
+use kcount::counter::{count_kmers, CounterConfig};
+use proptest::prelude::*;
+use seqio::alphabet::{code_to_base, revcomp};
+use seqio::kmer::Kmer;
+
+const WIDTHS: [usize; 5] = [1, 2, 3, 16, 64];
+
+/// The serial Inchworm loop, written out the plain way. Ties go to the
+/// smallest base (no jitter).
+fn serial(dict: &Dictionary, cfg: InchwormConfig) -> Vec<Contig> {
+    let mut used = HashSet::new();
+    let mut contigs = Vec::new();
+    let extend = |used: &mut HashSet<usize>,
+                  seed: Kmer,
+                  roll: fn(Kmer, u8) -> Kmer,
+                  bases: &mut Vec<u8>,
+                  cov: &mut (u64, usize)| {
+        let mut cur = seed;
+        loop {
+            let next: [Kmer; 4] = std::array::from_fn(|code| roll(cur, code as u8));
+            let mut best: Option<(u32, usize, usize)> = None;
+            for (code, found) in dict.find_each(next).into_iter().enumerate() {
+                let Some((slot, count)) = found else { continue };
+                let eligible = count >= cfg.min_extend_count.max(1) && !used.contains(&slot);
+                if eligible && best.is_none_or(|(c, ..)| count > c) {
+                    best = Some((count, code, slot));
+                }
+            }
+            let Some((count, code, slot)) = best else {
+                break;
+            };
+            used.insert(slot);
+            bases.push(code_to_base(code as u8));
+            *cov = (cov.0 + u64::from(count), cov.1 + 1);
+            cur = next[code];
+        }
+    };
+    for (seed, slot, count) in dict.seeds() {
+        if count < cfg.min_seed_count.max(1) || !used.insert(slot) {
+            continue;
+        }
+        let mut cov = (u64::from(count), 1);
+        let mut body = seed.bases();
+        extend(&mut used, seed, Kmer::roll_right, &mut body, &mut cov);
+        let mut seq = Vec::new();
+        extend(&mut used, seed, Kmer::roll_left, &mut seq, &mut cov);
+        seq.reverse();
+        seq.extend_from_slice(&body);
+        if seq.len() >= cfg.min_contig_len {
+            let id = contigs.len();
+            let coverage = cov.0 as f64 / cov.1 as f64;
+            contigs.push(Contig { id, seq, coverage });
+        }
+    }
+    contigs
+}
+
+fn dictionary(reads: &[Vec<u8>], k: usize, canonical: bool) -> Dictionary {
+    let counts = count_kmers(
+        reads,
+        CounterConfig {
+            canonical,
+            ..CounterConfig::new(k)
+        },
+    );
+    Dictionary::from_counts(counts, 1)
+}
+
+fn cfg(min_seed_count: u32, min_extend_count: u32, min_contig_len: usize) -> InchwormConfig {
+    InchwormConfig {
+        min_seed_count,
+        min_extend_count,
+        min_contig_len,
+        jitter_seed: None,
+    }
+}
+
+/// `dict`'s contigs at every width, in index order and in reverse, all
+/// equal to the plain serial loop's.
+fn check_every_width(dict: &Dictionary, cfg: InchwormConfig) {
+    let expect = serial(dict, cfg);
+    assert_eq!(assemble(dict, cfg), expect);
+    let mut reversed = |n: usize, body: &(dyn Fn(usize) + Sync)| (0..n).rev().for_each(body);
+    for width in WIDTHS {
+        let (contigs, stats) = assemble_on(dict, cfg, width, &mut sequential);
+        assert_eq!(contigs, expect, "width {width}");
+        assert_eq!(assemble_on(dict, cfg, width, &mut reversed).0, expect);
+        assert!(stats.wasted_steps <= stats.steps);
+        if width == 1 {
+            assert_eq!((stats.replays, stats.wasted_steps), (0, 0));
+            assert_eq!(stats.walks, stats.epochs);
+        }
+    }
+}
+
+fn bases(alphabet: &'static [u8], len: std::ops::Range<usize>) -> impl Strategy<Value = Vec<u8>> {
+    let base = (0..alphabet.len()).prop_map(move |i| alphabet[i]);
+    proptest::collection::vec(base, len)
+}
+
+/// Reads sampled from a few random transcripts (so k-mers repeat and
+/// unitigs branch), some reverse-complemented, plus unrelated noise reads.
+fn transcript_reads() -> impl Strategy<Value = Vec<Vec<u8>>> {
+    let transcripts = proptest::collection::vec(bases(b"ACGT", 20..120), 1..4);
+    let picks =
+        proptest::collection::vec((0usize..4, 0usize..120, 8usize..50, any::<bool>()), 0..60);
+    let noise = proptest::collection::vec(bases(b"AACGT", 0..30), 0..6);
+    (transcripts, picks, noise).prop_map(|(transcripts, picks, noise)| {
+        let mut reads = noise;
+        for (t, start, len, flip) in picks {
+            let t = &transcripts[t % transcripts.len()];
+            let start = start % t.len();
+            let read = t[start..(start + len).min(t.len())].to_vec();
+            reads.push(if flip { revcomp(&read) } else { read });
+        }
+        reads
+    })
+}
+
+/// Tandem repeats: a short unit many times over, with the occasional
+/// substitution and flank — cyclic k-mer graphs, where a walk's two ends
+/// meet.
+fn tandem_reads() -> impl Strategy<Value = Vec<Vec<u8>>> {
+    let read = (
+        bases(b"ACGT", 1..8),
+        2usize..30,
+        bases(b"ACGT", 0..12),
+        0usize..200,
+    );
+    proptest::collection::vec(read, 1..6).prop_map(|reads| {
+        reads
+            .into_iter()
+            .map(|(unit, times, flank, at)| {
+                let mut read = unit.repeat(times);
+                read.extend_from_slice(&flank);
+                if !read.is_empty() {
+                    let i = at % read.len();
+                    read[i] = b"ACGT"[(read[i] as usize + at) % 4];
+                }
+                read
+            })
+            .collect()
+    })
+}
+
+/// Reads made of reverse-complement palindromes `x + revcomp(x)`: at even
+/// k the k-mer centred on each is its own reverse complement.
+fn palindrome_reads() -> impl Strategy<Value = Vec<Vec<u8>>> {
+    let half = (bases(b"ACGT", 2..20), bases(b"ACGT", 0..10));
+    proptest::collection::vec(half, 1..12).prop_map(|halves| {
+        halves
+            .into_iter()
+            .map(|(x, tail)| [x.clone(), revcomp(&x), tail].concat())
+            .collect()
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    #[test]
+    fn epochs_equal_serial_on_random_reads(
+        reads in transcript_reads(),
+        k in 5usize..14,
+        min_seed in 1u32..4,
+        min_extend in 1u32..3,
+    ) {
+        let dict = dictionary(&reads, k, true);
+        check_every_width(&dict, cfg(min_seed, min_extend, k + 3));
+    }
+
+    #[test]
+    fn epochs_equal_serial_on_tandem_repeats(
+        reads in tandem_reads(),
+        k in 3usize..12,
+        min_extend in 1u32..3,
+    ) {
+        let dict = dictionary(&reads, k, true);
+        check_every_width(&dict, cfg(1, min_extend, k));
+    }
+
+    #[test]
+    fn epochs_equal_serial_on_palindromes(reads in palindrome_reads(), half_k in 2usize..8) {
+        let k = 2 * half_k;
+        let dict = dictionary(&reads, k, true);
+        check_every_width(&dict, cfg(1, 1, k));
+    }
+
+    #[test]
+    fn epochs_equal_serial_at_k32_with_the_all_t_key(
+        runs in proptest::collection::vec((0usize..3, 30usize..60, bases(b"ACGT", 0..40)), 1..6),
+        canonical in any::<bool>(),
+    ) {
+        // Poly-A and poly-T runs with random flanks: the all-T 32-mer packs
+        // to `u64::MAX`, the tables' out-of-line key; a table counted
+        // without strand merging takes the dictionary's rebuild path.
+        let reads: Vec<Vec<u8>> = runs
+            .into_iter()
+            .map(|(kind, len, flank)| {
+                let run = vec![b"ATA"[kind]; len];
+                [flank.clone(), run, flank].concat()
+            })
+            .collect();
+        let dict = dictionary(&reads, 32, canonical);
+        check_every_width(&dict, cfg(1, 1, 32));
+    }
+}
+
+/// A transcript with no repeated 8-mer on either strand, drawn from a fixed
+/// generator.
+fn transcript(len: usize, mut state: u64) -> Vec<u8> {
+    let seq: Vec<u8> = (0..len)
+        .map(|_| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            b"ACGT"[(state >> 62) as usize]
+        })
+        .collect();
+    let kmers: HashSet<Kmer> = (0..=len - 8)
+        .map(|i| Kmer::from_bases(&seq[i..i + 8]).unwrap().canonical())
+        .collect();
+    assert_eq!(kmers.len(), len - 7, "pick another state");
+    seq
+}
+
+#[test]
+fn a_later_seed_on_an_earlier_seeds_unitig_aborts_early() {
+    // One unitig of 53 8-mers; the 8-mer at 20 seen 4 times (seed A), the
+    // one at 40 three times (seed B), everything else once. At width 2 both
+    // seeds share an epoch. A's walk covers the whole unitig, B's seed
+    // included, so B's walk is thrown away — and it stops at A instead of
+    // walking the unitig too.
+    let t = transcript(60, 0x2545_F491_4F6C_DD1D);
+    let mut reads = vec![t.clone()];
+    reads.extend(std::iter::repeat_n(t[20..28].to_vec(), 3));
+    reads.extend(std::iter::repeat_n(t[40..48].to_vec(), 2));
+    let dict = dictionary(&reads, 8, true);
+    let cfg = cfg(1, 1, 8);
+    let (contigs, stats) = assemble_on(&dict, cfg, 2, &mut sequential);
+    assert_eq!(contigs, serial(&dict, cfg));
+    assert_eq!(contigs.len(), 1);
+    assert_eq!((stats.epochs, stats.walks, stats.replays), (1, 2, 0));
+    // B's walk stopped at A: fewer steps than the 53 k-mers it would have
+    // looked up walking the unitig end to end.
+    assert!(
+        stats.wasted_steps > 0 && stats.wasted_steps < 53,
+        "{stats:?}"
+    );
+}
+
+#[test]
+fn walks_that_meet_from_opposite_branches_replay() {
+    // Two branches X and Y run into one stem S. Seed A on X (count 4) and
+    // seed B on Y (count 3) share an epoch at width 2, and both walks run
+    // on through S. A commits first, so B's claims on S conflict: B is
+    // replayed at its turn and stops where Y meets S.
+    let (x, y, s) = (
+        transcript(30, 0x9E37_79B9_7F4A_7C15),
+        transcript(30, 0xD1B5_4A32_D192_ED03),
+        transcript(40, 0x2545_F491_4F6C_DD1D),
+    );
+    let mut reads = vec![[x.clone(), s.clone()].concat(), [y.clone(), s].concat()];
+    reads.extend(std::iter::repeat_n(x[10..18].to_vec(), 3));
+    reads.extend(std::iter::repeat_n(y[10..18].to_vec(), 2));
+    let dict = dictionary(&reads, 8, true);
+    let cfg = cfg(1, 1, 8);
+    let (contigs, stats) = assemble_on(&dict, cfg, 2, &mut sequential);
+    assert_eq!(contigs, serial(&dict, cfg));
+    assert_eq!(contigs.len(), 2);
+    assert_eq!((stats.walks, stats.replays), (2, 1), "{stats:?}");
+}
+
+/// Ten small transcripts, each with a two-way branch of equal count: ten
+/// independent ties.
+fn branchy_reads() -> Vec<Vec<u8>> {
+    let mut reads = Vec::new();
+    for i in 0..10u64 {
+        let stem = transcript(
+            24,
+            0x9E37_79B9_7F4A_7C15 ^ (i + 1).wrapping_mul(0xD1B5_4A32_D192_ED03),
+        );
+        let mut a = stem.clone();
+        a.extend_from_slice(b"ACGTTGCA");
+        let mut c = stem;
+        c.extend_from_slice(b"CATGGTAC");
+        reads.extend([a, c]);
+    }
+    reads
+}
+
+#[test]
+fn jitter_is_a_pure_tie_break() {
+    let dict = dictionary(&branchy_reads(), 8, true);
+    let jittered = |seed| InchwormConfig {
+        jitter_seed: Some(seed),
+        ..cfg(1, 1, 8)
+    };
+    for seed in [1, 2] {
+        let one = assemble(&dict, jittered(seed));
+        for width in WIDTHS {
+            assert_eq!(
+                assemble_on(&dict, jittered(seed), width, &mut sequential).0,
+                one
+            );
+        }
+    }
+    assert_ne!(assemble(&dict, jittered(1)), assemble(&dict, jittered(2)));
+    // Without jitter every tie goes to the smallest base.
+    assert_eq!(assemble(&dict, cfg(1, 1, 8)), serial(&dict, cfg(1, 1, 8)));
+}

@@ -233,14 +233,16 @@ impl PartitionedKmerTable {
     /// Iterate `(global slot, packed key, value)` in slot order — each
     /// entry with the slot [`find`](Self::find) reports for its key.
     pub fn iter_slots(&self) -> impl Iterator<Item = (usize, u64, u32)> + '_ {
-        self.tables
-            .iter()
-            .zip(&self.base)
-            .flat_map(|(table, &base)| {
-                table
-                    .iter_slots()
-                    .map(move |(slot, k, v)| (base + slot, k, v))
-            })
+        (0..self.tables.len()).flat_map(|o| self.owner_slots(o))
+    }
+
+    /// [`iter_slots`](Self::iter_slots) of owner `o`'s table alone: its
+    /// entries with their global slots — what a loop over owners reads.
+    pub fn owner_slots(&self, o: usize) -> impl Iterator<Item = (usize, u64, u32)> + '_ {
+        let base = self.base[o];
+        self.tables[o]
+            .iter_slots()
+            .map(move |(slot, k, v)| (base + slot, k, v))
     }
 
     /// Record the table's aggregate health into `registry` under `prefix`:
@@ -335,6 +337,9 @@ mod tests {
         for (slot, k, v) in t.iter_slots() {
             assert_eq!(t.find(k), Some((slot, v)));
         }
+        let by_owner = (0..8).flat_map(|o| t.owner_slots(o));
+        assert!(by_owner.eq(t.iter_slots()));
+        assert!(t.owner_slots(3).all(|(_, k, _)| Owners::new(8).of(k) == 3));
     }
 
     #[test]

@@ -29,7 +29,7 @@ use chrysalis::graph_from_fasta::{cluster, gff_hybrid, GffShared};
 use chrysalis::reads_to_transcripts::{rtt_hybrid, RttShared};
 use chrysalis::scaffold::{scaffold_pairs, ScaffoldConfig};
 use chrysalis::timings::{BowtieTimings, GffTimings, RttTimings};
-use inchworm::assemble::{assemble, InchwormConfig};
+use inchworm::assemble::{assemble_on, InchwormConfig};
 use inchworm::dictionary::Dictionary;
 use kcount::counter::{count_kmers_on, CounterConfig, KmerCounts};
 use mpisim::cluster::cluster_time;
@@ -573,25 +573,44 @@ fn assemble_contigs(
 
     // ---- Inchworm ----
     // The dictionary adopts the count table and hands it back: the stage
-    // never holds a second copy of it.
+    // never holds a second copy of it. The seeding-order sort and the walks
+    // of each epoch are loops of the stage's team; what runs between them
+    // (epoch selection, commits, replays, `to_record`) is serial, and the
+    // stage is charged both: the team's makespan plus the wall time of the
+    // whole stage outside the team's items.
     let distinct_kmers = counts.len();
     let contigs = d.stage(
         "Inchworm",
         ckpt::decode_records,
         |c| ckpt::encode_records(c),
         |c, _| ram::inchworm(distinct_kmers, seq_bytes(c)),
-        |_| {
-            let (contigs, seconds) = omp::timed(|| {
+        |d| {
+            let threads = cfg.chrysalis.threads;
+            let mut team = CostedTeam::new(threads, cfg.chrysalis.schedule);
+            let ((contigs, stats), seconds) = omp::timed(|| {
+                let mut par = |n: usize, body: &(dyn Fn(usize) + Sync)| {
+                    team.map(&(0..n).collect::<Vec<_>>(), |&i| body(i));
+                };
                 let table = std::mem::replace(&mut counts, KmerCounts::empty(k));
-                let dict = Dictionary::from_counts(table, cfg.min_kmer_count.max(1));
-                let contigs: Vec<Record> = assemble(&dict, cfg.inchworm)
-                    .iter()
-                    .map(|c| c.to_record())
-                    .collect();
+                let min_count = cfg.min_kmer_count.max(1);
+                let dict = Dictionary::from_counts_on(table, min_count, &mut par);
+                let (contigs, stats) = assemble_on(&dict, cfg.inchworm, 2 * threads, &mut par);
+                let contigs: Vec<Record> = contigs.iter().map(|c| c.to_record()).collect();
                 counts = dict.into_counts();
-                contigs
+                (contigs, stats)
             });
-            (contigs, StageRun::timed(seconds))
+            let serial = seconds - team.sim.serial_time;
+            d.metrics.gauge("inchworm.serial_s").set(serial);
+            let counts = [
+                ("inchworm.epochs", stats.epochs),
+                ("inchworm.walks", stats.walks),
+                ("inchworm.replays", stats.replays),
+            ];
+            for (name, n) in counts {
+                d.metrics.counter(name).add(n as u64);
+            }
+            d.log_omp_loop("inchworm", &team.sim);
+            (contigs, StageRun::timed(team.sim.makespan + serial))
         },
     );
     (packed_reads, counts, contigs)
@@ -841,6 +860,49 @@ mod tests {
             Some(chunks as u64),
             "encode, route, absorb, filter"
         );
+    }
+
+    #[test]
+    fn inchworm_stage_is_its_teams_makespan_plus_its_serial_sections() {
+        // The seeding-order sort's loops and each epoch's walks run on the
+        // stage's team and are charged at its makespan; epoch selection,
+        // commits, replays and `to_record` run between them and are charged
+        // at their wall time, the `inchworm.serial_s` the run reports. On
+        // one thread the makespan is the items' summed cost.
+        let reads = tiny_reads();
+        for threads in [16, 1] {
+            let mut cfg = PipelineConfig::small(12);
+            cfg.chrysalis.threads = threads;
+            let out = run_pipeline(&reads, &cfg);
+            let stages = out.trace.with_cat("stage");
+            let stage = stages
+                .iter()
+                .find(|s| s.track == 0 && s.name == "Inchworm")
+                .expect("Inchworm stage span");
+            let lanes = out
+                .trace
+                .spans
+                .iter()
+                .filter(|s| s.name.starts_with("inchworm."));
+            let makespan = lanes.map(|s| s.end).fold(stage.start, f64::max) - stage.start;
+            let serial = out
+                .metrics
+                .gauge("inchworm.serial_s")
+                .expect("serial sections");
+            let duration = stage.end - stage.start;
+            assert!(makespan > 0.0 && serial > 0.0);
+            assert!((duration - (makespan + serial)).abs() <= 1e-9 * duration);
+            if threads == 1 {
+                let items = out.trace.span_sum(obs::THREAD_TRACK_BASE, "inchworm.busy");
+                assert!((duration - (items + serial)).abs() <= 1e-9 * duration);
+            }
+            // Epochs of up to twice as many seeds as there are threads.
+            let counter = |name| out.metrics.counter(name).unwrap_or(0);
+            let (epochs, walks) = (counter("inchworm.epochs"), counter("inchworm.walks"));
+            assert!(epochs > 0 && walks <= 2 * threads as u64 * epochs);
+            assert!(walks > epochs || threads == 1);
+            assert!(counter("inchworm.loop.chunks") > walks);
+        }
     }
 
     #[test]
