@@ -1,10 +1,12 @@
-//! Microbench: FM-index construction and -v-mode alignment.
+//! Microbench: FM-index construction — sequential, and as the Bowtie stage
+//! runs it, on a costed team — and -v-mode alignment.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
 use bowtie::align::{align_read, AlignConfig};
 use bowtie::fmindex::FmIndex;
+use omp::{par_loop, CostedTeam, Schedule};
 use seqio::fasta::Record;
 use simulate::transcriptome::{Transcriptome, TranscriptomeConfig};
 
@@ -39,11 +41,22 @@ fn bench(c: &mut Criterion) {
         })
         .collect();
 
+    // The build's loops in reverse order give the sequential index.
+    let index = FmIndex::build(&contigs);
+    let reversed = &mut |n: usize, body: &(dyn Fn(usize) + Sync)| (0..n).rev().for_each(body);
+    assert_eq!(FmIndex::build_on(&contigs, reversed), index, "build_on");
+
     let mut g = c.benchmark_group("fmindex");
     g.sample_size(15);
     g.bench_function("build", |b| b.iter(|| black_box(FmIndex::build(&contigs))));
+    g.bench_function("build_on", |b| {
+        b.iter(|| {
+            let mut team = CostedTeam::new(16, Schedule::Dynamic { chunk: 1 });
+            let index = FmIndex::build_on(&contigs, &mut par_loop(&mut team));
+            black_box(index)
+        })
+    });
 
-    let index = FmIndex::build(&contigs);
     for v in [0u8, 1, 2] {
         g.bench_with_input(BenchmarkId::new("align_400_reads_v", v), &v, |b, &v| {
             let cfg = AlignConfig {

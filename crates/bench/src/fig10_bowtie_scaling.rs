@@ -11,6 +11,7 @@ use bowtie::align::AlignConfig;
 use chrysalis::bowtie_mpi::bowtie_mpi;
 use chrysalis::timings::{BowtieTimings, PhaseSpread};
 use mpisim::{run_cluster, NetModel};
+use omp::makespan::simulate_loop;
 use seqio::fasta::Record;
 use simulate::datasets::DatasetPreset;
 
@@ -89,6 +90,56 @@ pub fn run(contigs: Arc<Vec<Record>>, reads: Arc<Vec<Record>>, rank_counts: &[us
     }
 }
 
+/// What one rank's `bowtie.*` spans say it did.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RankWork {
+    /// Reads aligned: `bowtie.align`'s `reads`.
+    pub reads: usize,
+    /// Contig bases indexed: `bowtie.index`'s `bases`.
+    pub bases: usize,
+}
+
+/// Each rank's [`RankWork`] at `ranks` ranks.
+pub fn rank_work(
+    contigs: &Arc<Vec<Record>>,
+    reads: &Arc<Vec<Record>>,
+    ranks: usize,
+) -> Vec<RankWork> {
+    let (c, r) = (Arc::clone(contigs), Arc::clone(reads));
+    let ch = bench_pipeline_config().chrysalis;
+    let outs = run_cluster(ranks, NetModel::idataplex(), move |comm| {
+        bowtie_mpi(comm, &c, &r, &ch, align_config());
+    });
+    let per_rank = outs.iter().map(|o| {
+        let arg = |span: &str, name: &str| {
+            let mut spans = o.trace.on_track(o.rank as u32);
+            let sp = spans
+                .find(|sp| sp.name == span)
+                .expect("the rank ran the phase");
+            sp.arg(name).expect("the phase reports its work") as usize
+        };
+        RankWork {
+            reads: arg("bowtie.align", "reads"),
+            bases: arg("bowtie.index", "bases"),
+        }
+    });
+    per_rank.collect()
+}
+
+/// The stage on its slowest rank at `ranks` ranks, in the paper's work
+/// units with the split and the merge left out: the slice's bases indexed
+/// by one thread (the paper's `bowtie-build` is single-threaded) plus the
+/// makespan of every read's bases aligned over the configured threads.
+pub fn modelled_work(contigs: &Arc<Vec<Record>>, reads: &Arc<Vec<Record>>, ranks: usize) -> f64 {
+    let cfg = bench_pipeline_config().chrysalis;
+    let work = rank_work(contigs, reads, ranks);
+    assert!(work.iter().all(|w| w.reads == reads.len()), "{work:?}");
+    let read_bases: Vec<f64> = reads.iter().map(|r| r.seq.len() as f64).collect();
+    let align = simulate_loop(&read_bases, cfg.threads, cfg.schedule).makespan;
+    let index = work.iter().map(|w| w.bases).max().unwrap_or(0);
+    index as f64 + align
+}
+
 /// Render the figure's series.
 pub fn render(data: &Fig10Data) -> String {
     let mut out = format!(
@@ -119,28 +170,6 @@ pub fn render(data: &Fig10Data) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use omp::makespan::simulate_loop;
-
-    /// What each rank's `bowtie.align` span says it did at `ranks` ranks:
-    /// `(reads aligned, contig bases in the slice it indexed)`.
-    fn rank_work(
-        contigs: &Arc<Vec<Record>>,
-        reads: &Arc<Vec<Record>>,
-        ranks: usize,
-    ) -> Vec<(usize, usize)> {
-        let (c, r) = (Arc::clone(contigs), Arc::clone(reads));
-        let ch = bench_pipeline_config().chrysalis;
-        let outs = run_cluster(ranks, NetModel::idataplex(), move |comm| {
-            bowtie_mpi(comm, &c, &r, &ch, align_config());
-        });
-        let per_rank = outs.iter().map(|o| {
-            let mut spans = o.trace.on_track(o.rank as u32);
-            let align = spans.find(|sp| sp.name == "bowtie.align").unwrap();
-            let arg = |name| align.arg(name).unwrap() as usize;
-            (arg("reads"), arg("slice_bases"))
-        });
-        per_rank.collect()
-    }
 
     #[test]
     fn split_is_constant_while_align_shrinks() {
@@ -156,9 +185,9 @@ mod tests {
         let longest = contigs.iter().map(|c| c.seq.len()).max().unwrap_or(0);
         let one = rank_work(&contigs, &reads, 1);
         let eight = rank_work(&contigs, &reads, 8);
-        assert_eq!(one[0].1, all_bases);
-        assert_eq!(eight.iter().map(|w| w.1).sum::<usize>(), all_bases);
-        let index8 = eight.iter().map(|w| w.1).max().unwrap_or(0);
+        assert_eq!(one[0].bases, all_bases);
+        assert_eq!(eight.iter().map(|w| w.bases).sum::<usize>(), all_bases);
+        let index8 = eight.iter().map(|w| w.bases).max().unwrap_or(0);
         assert!(index8 <= all_bases / 8 + longest, "{index8} of {all_bases}");
         assert!(index8 < all_bases, "index {index8} vs {all_bases}");
     }
@@ -168,19 +197,10 @@ mod tests {
         let (contigs, reads) = prepare(2, 0.08);
         // The paper saw only ~3x at 128 nodes: alignment work is
         // replicated per rank, so speedup must be well below linear. Every
-        // rank reports aligning every read. In work units on the slowest
-        // rank (its slice's bases indexed, the read bases aligned over the
-        // configured threads); the serial split and the merge, which grows
-        // with ranks, are left out, so the bound is generous.
-        let cfg = bench_pipeline_config().chrysalis;
-        let read_bases: Vec<f64> = reads.iter().map(|r| r.seq.len() as f64).collect();
-        let align = simulate_loop(&read_bases, cfg.threads, cfg.schedule).makespan;
-        let slowest = |ranks| {
-            let work = rank_work(&contigs, &reads, ranks);
-            assert!(work.iter().all(|w| w.0 == reads.len()), "{work:?}");
-            let index = work.iter().map(|w| w.1).max().unwrap_or(0);
-            index as f64 + align
-        };
+        // rank reports aligning every read. The serial split and the merge,
+        // which grows with ranks, are left out of the model, so the bound is
+        // generous.
+        let slowest = |ranks| modelled_work(&contigs, &reads, ranks);
         let speedup = slowest(1) / slowest(8);
         assert!(
             speedup < 6.0,

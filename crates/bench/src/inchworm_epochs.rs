@@ -6,7 +6,7 @@
 
 use inchworm::{assemble_on, Contig, Dictionary, EpochStats};
 use kcount::counter::{count_kmers, CounterConfig, KmerCounts};
-use omp::{CostedTeam, Team};
+use omp::{par_loop, CostedTeam};
 use simulate::datasets::DatasetPreset;
 use trinity::pipeline::PipelineConfig;
 
@@ -45,13 +45,6 @@ pub fn prepare(seed: u64, scale: f64) -> (KmerCounts, PipelineConfig) {
     (counts, cfg)
 }
 
-/// `team`'s parallel loop over `0..n`, as Inchworm takes one.
-fn on(team: &mut CostedTeam) -> impl FnMut(usize, &(dyn Fn(usize) + Sync)) + '_ {
-    move |n, body| {
-        team.map(&(0..n).collect::<Vec<_>>(), |&i| body(i));
-    }
-}
-
 /// Build the dictionary and assemble at `width` on two costed teams of the
 /// configured threads, one for the dictionary's loops and one for the
 /// walks'.
@@ -59,17 +52,15 @@ fn run_width(counts: &KmerCounts, cfg: &PipelineConfig, width: usize) -> (Vec<Co
     let new_team = || CostedTeam::new(cfg.chrysalis.threads, cfg.chrysalis.schedule);
     let (mut sort_team, mut walk_team) = (new_team(), new_team());
     let table = counts.clone();
-    let (dict, sort_s) = omp::timed(|| {
-        Dictionary::from_counts_on(table, cfg.min_kmer_count.max(1), &mut on(&mut sort_team))
-    });
-    let ((contigs, stats), walk_s) =
-        omp::timed(|| assemble_on(&dict, cfg.inchworm, width, &mut on(&mut walk_team)));
-    let charged =
-        |seconds: f64, team: &CostedTeam| seconds - team.sim.serial_time + team.sim.makespan;
+    let min_count = cfg.min_kmer_count.max(1);
+    let (dict, sort) =
+        sort_team.region(|team| Dictionary::from_counts_on(table, min_count, &mut par_loop(team)));
+    let ((contigs, stats), walk) =
+        walk_team.region(|team| assemble_on(&dict, cfg.inchworm, width, &mut par_loop(team)));
     let row = WidthRow {
         width,
-        stage_s: charged(sort_s, &sort_team) + charged(walk_s, &walk_team),
-        walk_makespan_s: walk_team.sim.makespan,
+        stage_s: sort.charge() + walk.charge(),
+        walk_makespan_s: walk.makespan,
         walk_work_s: walk_team.sim.serial_time,
         stats,
     };

@@ -10,8 +10,10 @@
 //! but can never be stepped through.
 
 use seqio::alphabet::BASES;
+use seqio::par::{chunks, map_pieces};
 
-use crate::suffix::suffix_array;
+use crate::fmindex::NO_BASE;
+use crate::suffix::suffix_array_on;
 
 /// Symbols per rank block: one `u64` word per bit-plane.
 const BLOCK: usize = 64;
@@ -20,7 +22,7 @@ const BLOCK: usize = 64;
 /// block; row `r` of the block holds base `hi[r] << 1 | lo[r]` iff
 /// `acgt[r]` is set. 40 bytes, aligned so that a rank query reads exactly
 /// one cache line.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 #[repr(C, align(64))]
 struct Block {
     counts: [u32; 4],
@@ -41,15 +43,21 @@ impl Block {
     }
 }
 
-/// The 2-bit code of an uppercase base. The text is matched byte-exactly
-/// (the suffix order is over bytes), so lowercase is *not* folded here.
-#[inline]
-fn strict_code(b: u8) -> Option<u8> {
-    BASES.iter().position(|&base| base == b).map(|c| c as u8)
-}
+/// The 2-bit code of every byte: [`NO_BASE`] for all but uppercase `ACGT`.
+/// The text is matched byte-exactly (the suffix order is over bytes), so
+/// lowercase is *not* folded here.
+pub(crate) const CODE: [u8; 256] = {
+    let mut code = [NO_BASE; 256];
+    let mut c = 0;
+    while c < BASES.len() {
+        code[BASES[c] as usize] = c as u8;
+        c += 1;
+    }
+    code
+};
 
 /// The BWT with rank support for the four bases.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Bwt {
     /// `len() / BLOCK + 1` rank blocks (so that row `len()` is addressable).
     blocks: Vec<Block>,
@@ -58,57 +66,95 @@ pub struct Bwt {
     c_table: [usize; 4],
     /// Suffix array (kept whole; locating is a direct lookup).
     sa: Vec<u32>,
+    /// Doubling rounds the suffix sort took after its seed sort.
+    sort_rounds: usize,
 }
 
 impl Bwt {
     /// Build the BWT of `text`. `text` must end with a byte 0 terminator
     /// that appears nowhere else.
     pub fn build(text: &[u8]) -> Self {
+        Self::build_on(text, &mut seqio::par::sequential)
+    }
+
+    /// [`build`](Self::build) with the suffix sort's and the Occ fill's
+    /// loops run by `par` ([`seqio::par`]). The Occ fill is two loops over
+    /// ranges of blocks: the first fills each range's blocks with counts
+    /// local to the range and returns its base totals and byte
+    /// frequencies; after a prefix sum over the ranges, the second adds
+    /// each range's offset to its blocks' counts.
+    pub fn build_on(text: &[u8], par: &mut impl FnMut(usize, &(dyn Fn(usize) + Sync))) -> Self {
         assert!(!text.is_empty(), "text must be non-empty");
         assert_eq!(
             *text.last().unwrap(),
             0,
             "text must end with the 0 terminator"
         );
-        assert_eq!(
-            text.iter().filter(|&&b| b == 0).count(),
-            1,
-            "terminator must be unique"
-        );
-        let sa = suffix_array(text);
+        let (sa, sort_rounds) = suffix_array_on(text, par);
         let n = text.len();
 
+        // Ranges of whole blocks: the text's chunks, rounded up to blocks.
         let mut blocks = vec![Block::default(); n / BLOCK + 1];
-        let mut running = [0u32; 4];
-        for (blk, rows) in blocks.iter_mut().zip(sa.chunks(BLOCK)) {
-            blk.counts = running;
-            for (bit, &p) in rows.iter().enumerate() {
-                // Row of suffix 0 holds the terminator: not a base.
-                let Some(c) = p.checked_sub(1).and_then(|q| strict_code(text[q as usize])) else {
-                    continue;
-                };
-                blk.lo |= u64::from(c & 1) << bit;
-                blk.hi |= u64::from(c >> 1) << bit;
-                blk.acgt |= 1 << bit;
-                running[c as usize] += 1;
+        let mut starts: Vec<usize> = chunks(n).iter().map(|r| r.start.div_ceil(BLOCK)).collect();
+        starts.push(blocks.len());
+        let lens = || starts.windows(2).map(|w| w[1] - w[0]);
+        let local = map_pieces(&mut blocks, lens(), par, |g, range| {
+            let mut running = [0u32; 4];
+            let mut freq = [0u32; 256];
+            for (j, blk) in (starts[g]..).zip(range) {
+                blk.counts = running;
+                let rows = &sa[(j * BLOCK).min(n)..((j + 1) * BLOCK).min(n)];
+                for (bit, &p) in rows.iter().enumerate() {
+                    // Row of suffix 0 holds the terminator: not a base.
+                    let b = text[(p as usize).checked_sub(1).unwrap_or(n - 1)];
+                    freq[b as usize] += 1;
+                    let c = CODE[b as usize];
+                    if c == NO_BASE {
+                        continue;
+                    }
+                    blk.lo |= u64::from(c & 1) << bit;
+                    blk.hi |= u64::from(c >> 1) << bit;
+                    blk.acgt |= 1 << bit;
+                    running[c as usize] += 1;
+                }
+            }
+            (running, freq)
+        });
+        let mut offsets = Vec::with_capacity(local.len());
+        let mut total = [0u32; 4];
+        let mut freq = [0usize; 256];
+        for (running, range_freq) in &local {
+            offsets.push(total);
+            for (t, r) in total.iter_mut().zip(running) {
+                *t += r;
+            }
+            for (f, &r) in freq.iter_mut().zip(range_freq) {
+                *f += r as usize;
             }
         }
-        if n % BLOCK == 0 {
-            blocks[n / BLOCK].counts = running;
-        }
+        map_pieces(&mut blocks, lens(), par, |g, range| {
+            for blk in range {
+                for (count, offset) in blk.counts.iter_mut().zip(offsets[g]) {
+                    *count += offset;
+                }
+            }
+        });
+        assert_eq!(freq[0], 1, "terminator must be unique");
 
         // C array: bytes smaller than each base, in byte order.
-        let mut freq = [0usize; 256];
-        for &b in text {
-            freq[b as usize] += 1;
-        }
         let c_table = BASES.map(|base| freq[..base as usize].iter().sum());
 
         Bwt {
             blocks,
             c_table,
             sa,
+            sort_rounds,
         }
+    }
+
+    /// Doubling rounds the suffix sort took after its seed sort.
+    pub fn sort_rounds(&self) -> usize {
+        self.sort_rounds
     }
 
     /// Length of the text (including terminator).
@@ -150,7 +196,11 @@ impl Bwt {
     pub fn search(&self, pattern: &[u8]) -> Option<(usize, usize)> {
         let mut range = (0usize, self.len());
         for &b in pattern.iter().rev() {
-            range = self.backward_step(range.0, range.1, strict_code(b)?)?;
+            let c = CODE[b as usize];
+            if c == NO_BASE {
+                return None;
+            }
+            range = self.backward_step(range.0, range.1, c)?;
         }
         Some(range)
     }
@@ -256,6 +306,21 @@ mod tests {
             let p = b.sa_at(r);
             assert_eq!(&t[p..p + 6], b"GTACGT");
         }
+    }
+
+    #[test]
+    fn build_on_gives_every_row_the_same_lf() {
+        // Long enough for many Occ ranges; the loops run last to first.
+        let mut t: Vec<u8> = b"GATTACANACGT\x01ACGGT".repeat(700);
+        t.push(0);
+        let reversed = &mut |n: usize, body: &(dyn Fn(usize) + Sync)| (0..n).rev().for_each(body);
+        let (b, on) = (Bwt::build(&t), Bwt::build_on(&t, reversed));
+        for i in 0..=t.len() {
+            for c in 0..4u8 {
+                assert_eq!(on.lf(c, i), b.lf(c, i), "base {c} row {i}");
+            }
+        }
+        assert_eq!(on, b);
     }
 
     #[test]

@@ -6,17 +6,17 @@
 //! positions are mapped back to `(contig, offset)` through the boundary
 //! table.
 
-use seqio::alphabet::base_to_code;
 use seqio::fasta::Record;
+use seqio::par::map_chunks;
 
-use crate::bwt::Bwt;
+use crate::bwt::{Bwt, CODE};
 
 /// Code of a byte that is not a base — a read or contig `N`, a separator,
 /// the terminator: it equals no base's 2-bit code.
 pub(crate) const NO_BASE: u8 = 4;
 
 /// An FM-index over a set of named contigs.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FmIndex {
     bwt: Bwt,
     /// The joined text the BWT was built over, as 2-bit codes with
@@ -46,6 +46,16 @@ impl FmIndex {
     /// an equal byte in a read, and not as a paid mismatch either, so no
     /// alignment spans one.
     pub fn build(contigs: &[Record]) -> Self {
+        Self::build_on(contigs, &mut seqio::par::sequential)
+    }
+
+    /// [`build`](Self::build) with every pass over the text — uppercasing,
+    /// the suffix sort, the Occ fill, the 2-bit codes — a loop run by `par`
+    /// ([`seqio::par`]). The index is the same under every `par`.
+    pub fn build_on(
+        contigs: &[Record],
+        par: &mut impl FnMut(usize, &(dyn Fn(usize) + Sync)),
+    ) -> Self {
         let total: usize = contigs.iter().map(|c| c.seq.len() + 1).sum();
         let mut text = Vec::with_capacity(total + 1);
         let mut names = Vec::with_capacity(contigs.len());
@@ -55,14 +65,15 @@ impl FmIndex {
             names.push(rec.id.clone());
             starts.push(text.len());
             lengths.push(rec.seq.len());
-            text.extend(rec.seq.iter().map(|b| b.to_ascii_uppercase()));
+            text.extend_from_slice(&rec.seq);
             text.push(1); // separator
         }
         text.push(0); // unique terminator
-        let bwt = Bwt::build(&text);
-        for b in &mut text {
-            *b = base_to_code(*b).unwrap_or(NO_BASE);
-        }
+        map_chunks(&mut text, par, |_, piece| piece.make_ascii_uppercase());
+        let bwt = Bwt::build_on(&text, par);
+        map_chunks(&mut text, par, |_, piece| {
+            piece.iter_mut().for_each(|b| *b = CODE[*b as usize]);
+        });
         FmIndex {
             bwt,
             text,
@@ -70,6 +81,11 @@ impl FmIndex {
             starts,
             lengths,
         }
+    }
+
+    /// Doubling rounds the suffix sort took after its seed sort.
+    pub fn sort_rounds(&self) -> usize {
+        self.bwt.sort_rounds()
     }
 
     /// Number of indexed contigs.

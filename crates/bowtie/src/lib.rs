@@ -7,8 +7,8 @@
 //!
 //! This crate is the aligner itself, same algorithmic family as Bowtie 1:
 //!
-//! * [`suffix`] — suffix-array construction (packed-key seed, then prefix
-//!   doubling over the tied groups);
+//! * [`suffix`] — suffix-array construction (a splitter sort by packed-key
+//!   seed, then prefix doubling over the tied runs);
 //! * [`bwt`] — Burrows–Wheeler transform as 2-bit blocks with popcount
 //!   rank (C/Occ);
 //! * [`fmindex`] — the queryable index over a multi-contig reference with
@@ -18,6 +18,12 @@
 //!   row is left, the rest of the read compared with the text;
 //! * [`sam`] — minimal SAM records for the alignment output files the
 //!   pipeline merges.
+//!
+//! The index build takes its loops as a `par(n, body)` loop
+//! ([`seqio::par`]): `FmIndex::build_on` runs every pass over the text —
+//! the suffix sort's, the Occ fill's — as a loop of the caller's, and gives
+//! the same index in any loop order; `FmIndex::build` is it on the
+//! sequential loop. The distributed Bowtie step passes each rank's team.
 
 pub mod align;
 pub mod bwt;

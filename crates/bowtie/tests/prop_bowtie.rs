@@ -3,15 +3,20 @@
 //! aligner agrees with a brute-force Hamming scan, the rank structure with
 //! naive counting, and the suffix sort with the naive one on the
 //! low-complexity texts a packed-key seed and group refinement get wrong
-//! first.
+//! first — in whatever order the builders' parallel loops run.
 
 use bowtie::align::{align_read, AlignConfig, Alignment, Strand};
 use bowtie::bwt::Bwt;
 use bowtie::fmindex::FmIndex;
-use bowtie::suffix::{suffix_array, suffix_array_naive};
+use bowtie::suffix::{suffix_array, suffix_array_naive, suffix_array_on};
 use proptest::prelude::*;
 use seqio::alphabet::revcomp;
 use seqio::fasta::Record;
+
+/// A parallel loop that runs its indices last to first.
+fn reversed(n: usize, body: &(dyn Fn(usize) + Sync)) {
+    (0..n).rev().for_each(body)
+}
 
 fn dna(len: std::ops::Range<usize>) -> impl Strategy<Value = Vec<u8>> {
     proptest::collection::vec(
@@ -296,6 +301,43 @@ proptest! {
         prop_assert_eq!(suffix_array(&text), suffix_array_naive(&text));
     }
 
+    /// The parallel region's loops in reverse order build the sequential
+    /// array, and both are the naive one: empty and one-byte texts, texts
+    /// shorter than one suffix-sort bucket per byte, and texts of many
+    /// buckets mixing DNA, separators, `N`, lowercase and a tandem repeat
+    /// long enough to need three doubling rounds or more.
+    #[test]
+    fn suffix_array_on_matches_naive_in_any_loop_order(
+        size in 0usize..4,
+        segments in proptest::collection::vec((dna(1..120), 0u8..4), 1..12),
+        (unit, copies) in (dna(1..6), 40usize..200),
+    ) {
+        let mut text: Vec<u8> = Vec::new();
+        for (seq, kind) in segments {
+            match kind {
+                0 => text.extend(seq),
+                1 => text.extend(seq.iter().map(u8::to_ascii_lowercase)),
+                2 => text.extend([&seq[..seq.len() / 2], b"N", &seq[seq.len() / 2..]].concat()),
+                _ => text.extend([&seq[..], b"\x01"].concat()),
+            }
+        }
+        let tandem = unit.repeat(copies);
+        let long_repeat = size == 3 && tandem.len() >= 200;
+        match size {
+            0 => text.clear(),
+            1 => text.truncate(1),
+            2 => text.truncate(63),
+            _ => text.extend(tandem),
+        }
+        text.push(0);
+        let text = if size == 0 { Vec::new() } else { text };
+        let expect = suffix_array_naive(&text);
+        let (sequential, rounds) = suffix_array_on(&text, &mut seqio::par::sequential);
+        prop_assert_eq!(&sequential, &expect);
+        prop_assert_eq!(suffix_array_on(&text, &mut reversed), (expect, rounds));
+        prop_assert!(!long_repeat || rounds >= 3, "{} rounds", rounds);
+    }
+
     #[test]
     fn fmindex_count_matches_naive(seqs in proptest::collection::vec(dna(5..80), 1..5),
                                    pat in dna(1..12)) {
@@ -305,6 +347,7 @@ proptest! {
             .map(|(i, s)| Record::new(format!("c{i}"), s.clone()))
             .collect();
         let idx = FmIndex::build(&contigs);
+        prop_assert_eq!(&FmIndex::build_on(&contigs, &mut reversed), &idx);
         let expect: usize = seqs.iter().map(|s| naive_count(s, &pat)).sum();
         prop_assert_eq!(idx.count(&pat), expect);
         // locate agrees with count and every hit verifies.

@@ -5,6 +5,8 @@
 //! paper identifies as the dominant overhead (Fig. 10). Each rank builds an
 //! FM-index over its slice, aligns **all** input reads against it, and
 //! writes a SAM file; the files are merged into one at the end of the job.
+//! The paper's per-rank `bowtie-build` is single-threaded; here the index
+//! build is a parallel region on the rank's team, like the alignment.
 
 use std::collections::HashMap;
 
@@ -15,9 +17,10 @@ use bowtie::align::{align_read, AlignConfig, Alignment, Strand};
 use bowtie::fmindex::FmIndex;
 use bowtie::sam::SamRecord;
 
-use mpisim::comm::Comm;
+use mpisim::comm::{Comm, Cost};
 use mpisim::pack::{pack_byte_strings, pack_u32s, unpack_byte_strings, unpack_u32s};
-use omp::makespan::costed_loop;
+use omp::makespan::{costed_loop, CostedTeam};
+use omp::par_loop;
 
 use crate::config::ChrysalisConfig;
 use crate::timings::BowtieTimings;
@@ -147,13 +150,31 @@ pub fn bowtie_mpi(
         .iter()
         .map(|&i| contigs[i as usize].clone())
         .collect();
-    let index = comm.charge_costed("compute", "bowtie.index", &[], || {
-        omp::timed(|| FmIndex::build(&slice))
+    // A parallel region on the rank's team: every pass over the slice's text
+    // is a loop, charged at the team's makespan and drawn on the rank's
+    // thread lanes; what runs between the loops is charged at its wall
+    // time. The span names its work: the slice's bases and the suffix
+    // sort's doubling rounds.
+    let slice_bases: usize = slice.iter().map(|c| c.seq.len()).sum();
+    let mut team = CostedTeam::new(cfg.threads, cfg.schedule);
+    let index_start = comm.clock.now();
+    let bases = [("bases", slice_bases as f64)];
+    let index = comm.charge_costed("compute", "bowtie.index", &bases, || {
+        let (index, cost) = team.region(|team| FmIndex::build_on(&slice, &mut par_loop(team)));
+        let args = vec![
+            ("sort_rounds", index.sort_rounds() as f64),
+            ("serial_s", cost.serial),
+        ];
+        let seconds = cost.charge();
+        (index, Cost { seconds, args })
     });
+    crate::name_thread_lanes(comm, cfg);
+    let lanes = crate::thread_lanes(comm, cfg);
+    team.sim
+        .record_spans(&comm.obs, index_start, lanes, "bowtie.index");
 
     // ---- Align every read against the slice (multi-threaded) ----
     // The span names its work: every read, against this slice's bases.
-    let slice_bases: usize = slice.iter().map(|c| c.seq.len()).sum();
     let work = [
         ("reads", reads.len() as f64),
         ("slice_bases", slice_bases as f64),
@@ -309,6 +330,42 @@ mod tests {
                 for o in run_with(paralogs.clone(), max_mismatches, ranks) {
                     assert_eq!(&o.value.sam, sam, "v={max_mismatches} ranks={ranks}");
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn index_span_is_the_teams_makespan_plus_its_serial_remainder() {
+        // The index build's loops are charged at the team's makespan, drawn
+        // on the rank's thread lanes, and what runs between them at its wall
+        // time, the `serial_s` the span reports. On one thread the makespan
+        // is the items' summed cost.
+        let (contigs, reads) = (Arc::new(contigs()), Arc::new(reads()));
+        for threads in [4, 1] {
+            let cfg = ChrysalisConfig {
+                threads,
+                ..ChrysalisConfig::small(8)
+            };
+            let (c, r) = (Arc::clone(&contigs), Arc::clone(&reads));
+            let outs = run_cluster(2, NetModel::ideal(), move |comm| {
+                bowtie_mpi(comm, &c, &r, &cfg, AlignConfig::default())
+            });
+            for o in &outs {
+                let mut spans = o.trace.on_track(o.rank as u32);
+                let index = spans.find(|sp| sp.name == "bowtie.index").unwrap();
+                let lane = obs::THREAD_TRACK_BASE + (o.rank * threads) as u32;
+                let busy = o.trace.span_sum(lane, "bowtie.index.busy");
+                let idle = o.trace.span_sum(lane, "bowtie.index.idle");
+                let serial = index.arg("serial_s").unwrap();
+                let duration = index.duration();
+                assert!(busy > 0.0 && serial > 0.0);
+                assert!((duration - (busy + idle + serial)).abs() <= 1e-9 * duration);
+                if threads == 1 {
+                    assert_eq!(idle, 0.0, "one thread runs every item");
+                }
+                assert_eq!(o.value.timings.index, duration);
+                assert!(index.arg("bases").unwrap() > 0.0);
+                assert_eq!(index.arg("sort_rounds"), Some(0.0), "distinct 21-mers");
             }
         }
     }

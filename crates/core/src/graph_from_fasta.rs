@@ -17,6 +17,7 @@ use crate::timings::GffTimings;
 use crate::weld::{
     decode_weld, harvest_contig, pack_welds, unpack_welds, KmerContigMap, WeldSupport,
 };
+use crate::{name_thread_lanes, thread_lanes};
 
 /// Read-only state every rank needs: the contig set, the seed-occurrence
 /// map and the read k-mer table (support oracle). Built once and shared;
@@ -204,11 +205,6 @@ fn master_dealt<R>(
     (mine, busy[rank])
 }
 
-/// First obs track of this rank's OpenMP thread lanes.
-fn thread_lanes(comm: &Comm, cfg: &ChrysalisConfig) -> u32 {
-    obs::THREAD_TRACK_BASE + (comm.rank() * cfg.threads) as u32
-}
-
 /// One pooled hybrid loop (§III-B): distribute the contigs over the ranks,
 /// run `item` on this rank's share, charge the replayed OpenMP makespan as
 /// span `loop_name`, and pool every rank's packed outputs with
@@ -278,10 +274,7 @@ fn gff_rank_program(comm: &mut Comm, shared: &GffShared, partition: Partition) -
     let support = shared.support();
     let track = comm.track();
     let start = comm.clock.now();
-    for t in 0..cfg.threads as u32 {
-        let name = format!("rank {} thread {t}", comm.rank());
-        comm.obs.name_track(thread_lanes(comm, cfg) + t, name);
-    }
+    name_thread_lanes(comm, cfg);
 
     // Replicated seed-map build (each rank pays for its own parallel copy).
     comm.charge_costed("compute", "gff.prep", &[], || ((), shared.prep_cost));

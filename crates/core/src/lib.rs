@@ -77,6 +77,19 @@ pub mod scaffold;
 pub mod timings;
 pub mod weld;
 
+/// First obs track of this rank's OpenMP thread lanes.
+pub(crate) fn thread_lanes(comm: &mpisim::Comm, cfg: &ChrysalisConfig) -> u32 {
+    obs::THREAD_TRACK_BASE + (comm.rank() * cfg.threads) as u32
+}
+
+/// Name this rank's OpenMP thread lanes in its trace.
+pub(crate) fn name_thread_lanes(comm: &mpisim::Comm, cfg: &ChrysalisConfig) {
+    for t in 0..cfg.threads as u32 {
+        let name = format!("rank {} thread {t}", comm.rank());
+        comm.obs.name_track(thread_lanes(comm, cfg) + t, name);
+    }
+}
+
 /// The closing step the Bowtie and ReadsToTranscripts rank programs share:
 /// every rank's output file is gathered at the master, merged there in
 /// sorted order and passed through `cut` (a measured serial region, the

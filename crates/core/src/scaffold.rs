@@ -6,7 +6,7 @@
 //! output is later combined with 'welding' pairs of Inchworm contigs from
 //! GraphFromFasta for full construction of Inchworm bundles." (§III-A)
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 use bowtie::sam::SamRecord;
 
@@ -42,65 +42,50 @@ fn pair_key(qname: &str) -> &str {
 ///
 /// `contig_index` maps contig names to dense indices; `contig_lens` gives
 /// each contig's length (for the end-window test). Returns `(a, b)` pairs
-/// with `a < b`, sorted.
+/// with `a < b`, sorted: the contigs whose ends the mates of at least
+/// `min_pairs` read pairs align near.
 pub fn scaffold_pairs(
     sam: &[SamRecord],
     contig_index: &HashMap<String, u32>,
     contig_lens: &[usize],
     cfg: ScaffoldConfig,
 ) -> Vec<(u32, u32)> {
-    // read-pair key -> set of (contig, near_end) placements.
-    let mut placements: HashMap<&str, Vec<(u32, bool)>> = HashMap::new();
-    for rec in sam {
-        if rec.is_unmapped() {
-            continue;
-        }
-        let Some(&contig) = contig_index.get(&rec.rname) else {
-            continue;
-        };
-        let len = contig_lens[contig as usize];
-        let pos = (rec.pos.max(1) - 1) as usize; // SAM POS is 1-based
-        let read_span = rec
-            .cigar
-            .strip_suffix('M')
-            .and_then(|n| n.parse::<usize>().ok())
-            .unwrap_or(0);
-        let near_start = pos < cfg.end_window;
-        let near_end = pos + read_span + cfg.end_window >= len;
-        let near = near_start || near_end;
-        placements
-            .entry(pair_key(&rec.qname))
-            .or_default()
-            .push((contig, near));
-    }
-
-    // Count read pairs whose mates land near the ends of two different contigs.
-    let mut link_counts: HashMap<(u32, u32), u32> = HashMap::new();
-    for (_key, places) in placements {
-        let ends: HashSet<u32> = places
-            .iter()
-            .filter(|(_, near)| *near)
-            .map(|(c, _)| *c)
-            .collect();
-        let ends: Vec<u32> = {
-            let mut v: Vec<u32> = ends.into_iter().collect();
-            v.sort_unstable();
-            v
-        };
-        for i in 0..ends.len() {
-            for j in i + 1..ends.len() {
-                *link_counts.entry((ends[i], ends[j])).or_insert(0) += 1;
-            }
-        }
-    }
-
-    let mut pairs: Vec<(u32, u32)> = link_counts
-        .into_iter()
-        .filter(|&(_, n)| n >= cfg.min_pairs)
-        .map(|(p, _)| p)
+    // (read-pair key, contig) of every placement near a contig end, each
+    // once, grouped by read pair with its contigs ascending.
+    let mut ends: Vec<(&str, u32)> = sam
+        .iter()
+        .filter(|rec| !rec.is_unmapped())
+        .filter_map(|rec| {
+            let &contig = contig_index.get(&rec.rname)?;
+            let len = contig_lens[contig as usize];
+            let pos = (rec.pos.max(1) - 1) as usize; // SAM POS is 1-based
+            let read_span = rec
+                .cigar
+                .strip_suffix('M')
+                .and_then(|n| n.parse::<usize>().ok())
+                .unwrap_or(0);
+            let near_start = pos < cfg.end_window;
+            let near_end = pos + read_span + cfg.end_window >= len;
+            (near_start || near_end).then(|| (pair_key(&rec.qname), contig))
+        })
         .collect();
-    pairs.sort_unstable();
-    pairs
+    ends.sort_unstable();
+    ends.dedup();
+
+    // One link per read pair and pair of its contigs; a link made by
+    // `min_pairs` read pairs or more is kept.
+    let mut links: Vec<(u32, u32)> = Vec::new();
+    for pair in ends.chunk_by(|a, b| a.0 == b.0) {
+        for (i, &(_, a)) in pair.iter().enumerate() {
+            links.extend(pair[i + 1..].iter().map(|&(_, b)| (a, b)));
+        }
+    }
+    links.sort_unstable();
+    links
+        .chunk_by(|a, b| a == b)
+        .filter(|run| run.len() >= cfg.min_pairs as usize)
+        .map(|run| run[0])
+        .collect()
 }
 
 #[cfg(test)]
@@ -185,6 +170,99 @@ mod tests {
         }
         let pairs = scaffold_pairs(&records, &idx, &lens, cfg());
         assert_eq!(pairs, vec![(0, 1)]);
+    }
+
+    /// The `HashMap` body `scaffold_pairs` had before it sorted instead.
+    fn hashmap_oracle(
+        sam: &[SamRecord],
+        contig_index: &HashMap<String, u32>,
+        contig_lens: &[usize],
+        cfg: ScaffoldConfig,
+    ) -> Vec<(u32, u32)> {
+        use std::collections::HashSet;
+        let mut placements: HashMap<&str, Vec<(u32, bool)>> = HashMap::new();
+        for rec in sam {
+            if rec.is_unmapped() {
+                continue;
+            }
+            let Some(&contig) = contig_index.get(&rec.rname) else {
+                continue;
+            };
+            let len = contig_lens[contig as usize];
+            let pos = (rec.pos.max(1) - 1) as usize;
+            let read_span = rec
+                .cigar
+                .strip_suffix('M')
+                .and_then(|n| n.parse::<usize>().ok())
+                .unwrap_or(0);
+            let near_start = pos < cfg.end_window;
+            let near_end = pos + read_span + cfg.end_window >= len;
+            let near = near_start || near_end;
+            placements
+                .entry(pair_key(&rec.qname))
+                .or_default()
+                .push((contig, near));
+        }
+        let mut link_counts: HashMap<(u32, u32), u32> = HashMap::new();
+        for (_key, places) in placements {
+            let ends: HashSet<u32> = places
+                .iter()
+                .filter(|(_, near)| *near)
+                .map(|(c, _)| *c)
+                .collect();
+            let mut ends: Vec<u32> = ends.into_iter().collect();
+            ends.sort_unstable();
+            for i in 0..ends.len() {
+                for j in i + 1..ends.len() {
+                    *link_counts.entry((ends[i], ends[j])).or_insert(0) += 1;
+                }
+            }
+        }
+        let mut pairs: Vec<(u32, u32)> = link_counts
+            .into_iter()
+            .filter(|&(_, n)| n >= cfg.min_pairs)
+            .map(|(p, _)| p)
+            .collect();
+        pairs.sort_unstable();
+        pairs
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// Mates of a few read pairs (some unmapped, some on contigs the
+        /// index does not know, some with a name without a mate suffix)
+        /// anywhere on a handful of short contigs, so ends, middles,
+        /// repeats of one placement and every `min_pairs` occur.
+        #[test]
+        fn sorted_links_equal_the_hashmap_body(
+            records in proptest::collection::vec(
+                (0usize..12, 0usize..4, 0usize..7, 0u64..700, 20usize..60, 0u8..8),
+                0..120,
+            ),
+            lens in proptest::collection::vec(100usize..700, 6),
+            end_window in 0usize..200,
+            min_pairs in 0u32..4,
+        ) {
+            let names = ["c0", "c1", "c2", "c3", "c4", "c5", "unknown"];
+            let idx: HashMap<String, u32> =
+                (0..6).map(|c| (names[c].to_string(), c as u32)).collect();
+            let sam: Vec<SamRecord> = records
+                .into_iter()
+                .map(|(pair, mate, contig, pos, span, kind)| {
+                    let qname = format!("p{pair}{}", ["/1", "/2", "/s", ""][mate]);
+                    match kind {
+                        0 => SamRecord::unmapped(&qname),
+                        _ => sam(&qname, names[contig], pos, span),
+                    }
+                })
+                .collect();
+            let cfg = ScaffoldConfig { end_window, min_pairs };
+            proptest::prop_assert_eq!(
+                scaffold_pairs(&sam, &idx, &lens, cfg),
+                hashmap_oracle(&sam, &idx, &lens, cfg)
+            );
+        }
     }
 
     #[test]

@@ -3,17 +3,20 @@
 //! slices, strata and `-k` that must not be per slice, and the records
 //! against the path the stage used to take — every
 //! hit formatted as a SAM line, the lines sorted as strings at the master,
-//! each line parsed back.
+//! each line parsed back. And the slice index itself, built on OS threads.
 
 use std::sync::Arc;
 
 use bowtie::align::AlignConfig;
+use bowtie::fmindex::FmIndex;
 use bowtie::sam::SamRecord;
 use chrysalis::bowtie_mpi::{bowtie_mpi, contig_name_index};
 use chrysalis::config::ChrysalisConfig;
 use chrysalis::scaffold::{scaffold_pairs, ScaffoldConfig};
 use mpisim::{run_cluster, NetModel};
+use omp::{par_loop, Pool};
 use seqio::fasta::Record;
+use simulate::transcriptome::{Transcriptome, TranscriptomeConfig};
 
 const RANKS: [usize; 4] = [1, 2, 4, 7];
 
@@ -183,4 +186,31 @@ fn scaffold_pairs_match_the_text_merge() {
         assert_eq!(pairs, [(0, 1), (1, 2)], "ranks={ranks}");
         assert_eq!(pairs, scaffold_pairs(&via_text, &name_index, &lens, cfg));
     }
+}
+
+#[test]
+fn fmindex_built_on_two_os_threads_is_the_sequential_index() {
+    // A transcriptome's isoforms — shared exons tie suffixes far past the
+    // seed — with `N`s and lowercase bases; every loop of the build on a
+    // pool of two OS threads, so chunks, buckets and batches run at once.
+    let t = Transcriptome::generate(TranscriptomeConfig {
+        genes: 30,
+        ..Default::default()
+    });
+    let mut contigs: Vec<Record> = t
+        .reference()
+        .into_iter()
+        .map(|r| Record::new(r.isoform, r.seq))
+        .collect();
+    for (i, c) in contigs.iter_mut().enumerate() {
+        let at = i * 7 % c.seq.len();
+        c.seq[at] = match i % 2 {
+            0 => b'N',
+            _ => c.seq[at].to_ascii_lowercase(),
+        };
+    }
+    let index = FmIndex::build(&contigs);
+    assert!(index.sort_rounds() > 0);
+    let mut pool = Pool::new(2);
+    assert_eq!(FmIndex::build_on(&contigs, &mut par_loop(&mut pool)), index);
 }

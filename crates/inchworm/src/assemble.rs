@@ -26,10 +26,10 @@ use std::sync::Mutex;
 
 use seqio::alphabet::code_to_base;
 use seqio::kmer::Kmer;
+use seqio::par::par_map;
 
 use crate::contig::Contig;
 use crate::dictionary::Dictionary;
-use crate::par_map;
 
 /// Assembly parameters.
 #[derive(Debug, Clone, Copy)]
@@ -332,7 +332,7 @@ impl Walker<'_> {
 
 /// Run the Inchworm main loop over a dictionary, one seed at a time.
 pub fn assemble(dict: &Dictionary, cfg: InchwormConfig) -> Vec<Contig> {
-    assemble_on(dict, cfg, 1, &mut crate::sequential).0
+    assemble_on(dict, cfg, 1, &mut seqio::par::sequential).0
 }
 
 /// Run the Inchworm main loop in epochs of `width` seeds, each epoch's
@@ -683,7 +683,7 @@ mod tests {
             min_seed_count: 5,
             ..tiny_cfg()
         };
-        let (contigs, stats) = assemble_on(&dict, cfg, 4, &mut crate::sequential);
+        let (contigs, stats) = assemble_on(&dict, cfg, 4, &mut seqio::par::sequential);
         assert!(contigs.is_empty());
         assert_eq!(stats, EpochStats::default());
     }

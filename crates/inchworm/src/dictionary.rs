@@ -6,13 +6,10 @@
 //! footprint; we reproduce the structure (the footprint scales the same
 //! way, just on smaller simulated datasets).
 
-use std::sync::Mutex;
-
 use kcount::counter::KmerCounts;
 use kmertable::{PackedKmerTable, PartitionedKmerTable};
 use seqio::kmer::Kmer;
-
-use crate::par_map;
+use seqio::par::{map_pieces, par_map, scatter, Splitters, BUCKETS};
 
 /// A dictionary entry as one integer whose order is the seeding order: its
 /// count complemented (counts descend), its packed k-mer (k-mer order at
@@ -29,65 +26,13 @@ fn fields(record: u128) -> (u64, usize, u32) {
     ((record >> 32) as u64, record as u32 as usize, count)
 }
 
-/// Buckets of the splitter sort: more than any configured thread count, so
-/// the bucket loop balances.
-const BUCKETS: usize = 64;
-
-/// The splitter sort's bucketing: `BUCKETS − 1` ascending splitters over a
-/// [`record`]'s leading 64 bits with the k-mer left-aligned — the count,
-/// then the k-mer's first 16 bases. Coarser than the record, but never
-/// against its order, which is all a bucket boundary needs.
-struct Splitters {
-    k: usize,
-    bounds: [u64; BUCKETS - 1],
-}
-
-impl Splitters {
-    /// Splitters evenly spaced over `sample`'s records.
-    fn new(k: usize, sample: impl Iterator<Item = u128>) -> Self {
-        let mut splitters = Splitters {
-            k,
-            bounds: [u64::MAX; BUCKETS - 1],
-        };
-        let mut leads: Vec<u64> = sample.map(|r| splitters.lead(r)).collect();
-        leads.sort_unstable();
-        for (b, bound) in splitters.bounds.iter_mut().enumerate() {
-            if let Some(&lead) = leads.get((b + 1) * leads.len() / BUCKETS) {
-                *bound = lead;
-            }
-        }
-        splitters
-    }
-
-    fn lead(&self, record: u128) -> u64 {
-        let (packed, _, count) = fields(record);
-        (u64::from(!count) << 32) | ((packed << (64 - 2 * self.k)) >> 32)
-    }
-
-    /// The bucket of `record`: how many splitters lie below its lead, by a
-    /// branch-free binary search.
-    fn bucket(&self, record: u128) -> usize {
-        let lead = self.lead(record);
-        let mut b = 0;
-        let mut half = BUCKETS / 2;
-        while half > 0 {
-            if self.bounds[b + half - 1] < lead {
-                b += half;
-            }
-            half /= 2;
-        }
-        b
-    }
-}
-
-/// `data` cut into consecutive pieces of the given lengths.
-fn cut<T>(mut data: &mut [T], lens: impl Iterator<Item = usize>) -> Vec<&mut [T]> {
-    lens.map(|len| {
-        let (piece, rest) = std::mem::take(&mut data).split_at_mut(len);
-        data = rest;
-        piece
-    })
-    .collect()
+/// The splitter sort's lead of a [`record`]: its leading 64 bits with the
+/// k-mer left-aligned — the count, then the k-mer's first 16 bases.
+/// Coarser than the record, but never against its order, which is all a
+/// bucket boundary needs.
+fn lead(k: usize, record: u128) -> u64 {
+    let (packed, _, count) = fields(record);
+    (u64::from(!count) << 32) | ((packed << (64 - 2 * k)) >> 32)
 }
 
 /// The [`record`]s of `counts` in seeding order, or `None` if an entry
@@ -97,7 +42,8 @@ fn cut<T>(mut data: &mut [T], lens: impl Iterator<Item = usize>) -> Vec<&mut [T]
 /// 1. per owner: check every entry and count how many fall in each bucket —
 ///    the buckets split by records drawn from owner 0, which is a uniform
 ///    sample because owners are hash partitions;
-/// 2. per owner: write each entry into its bucket's share for that owner;
+/// 2. per owner: write each entry into its bucket's share for that owner
+///    ([`scatter`]);
 /// 3. per bucket: sort in place. The buckets are in order, so the array is
 ///    sorted.
 fn seeding_order(
@@ -108,7 +54,9 @@ fn seeding_order(
 ) -> Option<Vec<u128>> {
     let owners = counts.owners().len();
     let stride = counts.owners()[0].len().div_ceil(BUCKETS * BUCKETS).max(1);
-    let splitters = Splitters::new(k, counts.owner_slots(0).step_by(stride).map(record));
+    let sample = counts.owner_slots(0).step_by(stride);
+    let splitters = Splitters::new(sample.map(|entry| lead(k, record(entry))));
+    let bucket = |r: u128| splitters.bucket(lead(k, r));
 
     let tallies = par_map(par, owners, |o| {
         let mut tally = [0usize; BUCKETS];
@@ -116,48 +64,23 @@ fn seeding_order(
             if !valid(packed, count) {
                 return None;
             }
-            tally[splitters.bucket(record((slot, packed, count)))] += 1;
+            tally[bucket(record((slot, packed, count)))] += 1;
         }
         Some(tally)
     });
     let tallies: Vec<[usize; BUCKETS]> = tallies.into_iter().collect::<Option<_>>()?;
 
-    // Zeroed, so its pages are first written by the loop below. Cut
-    // bucket-major, owner-minor: owner `o`'s share of bucket `b` is piece
-    // `b * owners + o`, and a bucket's shares are adjacent.
+    // Zeroed, so its pages are first written by the scatter loop.
     let mut sorted = vec![0u128; counts.len()];
-    let share_lens = (0..BUCKETS).flat_map(|b| tallies.iter().map(move |tally| tally[b]));
-    let mut shares: Vec<Vec<&mut [u128]>> = (0..owners).map(|_| Vec::new()).collect();
-    for (i, share) in cut(&mut sorted, share_lens).into_iter().enumerate() {
-        shares[i % owners].push(share);
-    }
-    // The mutexes only carry `&mut` through the `Fn` loop bodies: each is
-    // locked once, by the one task that runs for it.
-    let shares: Vec<Mutex<Vec<&mut [u128]>>> = shares.into_iter().map(Mutex::new).collect();
-    par(owners, &|o| {
-        let mut shares = shares[o].lock().expect("an owner task panicked");
-        let mut filled = [0usize; BUCKETS];
+    let bucket_lens = scatter(&mut sorted, &tallies, par, |o, shares| {
         for entry in counts.owner_slots(o) {
             let r = record(entry);
-            let b = splitters.bucket(r);
-            shares[b][filled[b]] = r;
-            filled[b] += 1;
+            shares.put(bucket(r), r);
         }
     });
-    drop(shares);
-
-    let bucket_lens = (0..BUCKETS).map(|b| tallies.iter().map(|tally| tally[b]).sum());
-    let buckets: Vec<Mutex<&mut [u128]>> = cut(&mut sorted, bucket_lens)
-        .into_iter()
-        .map(Mutex::new)
-        .collect();
-    par(BUCKETS, &|b| {
-        buckets[b]
-            .lock()
-            .expect("a bucket task panicked")
-            .sort_unstable();
+    map_pieces(&mut sorted, bucket_lens.into_iter(), par, |_, bucket| {
+        bucket.sort_unstable()
     });
-    drop(buckets);
     Some(sorted)
 }
 
@@ -184,7 +107,7 @@ impl Dictionary {
     /// hands over — is adopted as is; anything else is strand-merged and
     /// filtered into a fresh table sized once for the input.
     pub fn from_counts(table: KmerCounts, min_count: u32) -> Self {
-        Self::from_counts_on(table, min_count, &mut crate::sequential)
+        Self::from_counts_on(table, min_count, &mut seqio::par::sequential)
     }
 
     /// [`from_counts`](Self::from_counts) with the seeding-order sort's

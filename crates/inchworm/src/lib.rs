@@ -21,11 +21,9 @@
 //! The output — a FASTA of "Inchworm contigs" — is what Chrysalis clusters.
 //!
 //! The parallel loops (the dictionary sort's and the walks') are the
-//! caller's: a function taking a loop as `par(n, body)` calls `body(i)` once
-//! for every `i` in `0..n`, in any order and on any threads.
-//! [`sequential`] runs it in place; the pipeline passes its stage team.
-
-use std::sync::OnceLock;
+//! caller's, taken as a `par(n, body)` loop ([`seqio::par`]):
+//! [`seqio::par::sequential`] runs them in place; the pipeline passes its
+//! stage team.
 
 pub mod assemble;
 pub mod contig;
@@ -34,25 +32,3 @@ pub mod dictionary;
 pub use assemble::{assemble, assemble_on, EpochStats, InchwormConfig};
 pub use contig::Contig;
 pub use dictionary::Dictionary;
-
-/// The parallel loop that runs `body` over `0..n` one index at a time, in
-/// order, on the calling thread.
-pub fn sequential(n: usize, body: &(dyn Fn(usize) + Sync)) {
-    (0..n).for_each(body)
-}
-
-/// `f` over `0..n` through the caller's loop `par`, results in index order.
-fn par_map<R: Send + Sync>(
-    par: &mut impl FnMut(usize, &(dyn Fn(usize) + Sync)),
-    n: usize,
-    f: impl Fn(usize) -> R + Sync,
-) -> Vec<R> {
-    let slots: Vec<OnceLock<R>> = (0..n).map(|_| OnceLock::new()).collect();
-    par(n, &|i| {
-        let _ = slots[i].set(f(i));
-    });
-    let filled = slots.into_iter().map(OnceLock::into_inner);
-    filled
-        .map(|r| r.expect("the loop ran every index"))
-        .collect()
-}

@@ -8,11 +8,12 @@
 
 use std::collections::HashSet;
 
-use inchworm::{assemble, assemble_on, sequential, Contig, Dictionary, InchwormConfig};
+use inchworm::{assemble, assemble_on, Contig, Dictionary, InchwormConfig};
 use kcount::counter::{count_kmers, CounterConfig};
 use proptest::prelude::*;
 use seqio::alphabet::{code_to_base, revcomp};
 use seqio::kmer::Kmer;
+use seqio::par::sequential;
 
 const WIDTHS: [usize; 5] = [1, 2, 3, 16, 64];
 

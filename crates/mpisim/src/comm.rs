@@ -48,6 +48,26 @@ pub(crate) struct Shared {
     pub fail_reports: Vec<Mutex<Option<FailReport>>>,
 }
 
+/// What a section charged through [`Comm::charge_costed`] costs: its
+/// virtual seconds, and the span args it only knows once it has run. A
+/// bare `f64` is a cost with no such args.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Cost {
+    /// Virtual seconds to charge.
+    pub seconds: f64,
+    /// Span args measured by the section.
+    pub args: Vec<(&'static str, f64)>,
+}
+
+impl From<f64> for Cost {
+    fn from(seconds: f64) -> Self {
+        Cost {
+            seconds,
+            args: Vec::new(),
+        }
+    }
+}
+
 /// A rank's handle to the simulated communicator — the analogue of
 /// `MPI_COMM_WORLD` plus the rank's virtual clock and counters.
 pub struct Comm {
@@ -129,22 +149,25 @@ impl Comm {
     /// costed section `f` under the cluster-wide measurement lock (so
     /// concurrent ranks do not pollute each other's costs), charge the
     /// virtual seconds it returns and record them as a `cat` span `name` on
-    /// this rank's track. `f` is an `omp::costed_loop` replay, a serial
-    /// region wrapped in `omp::timed`, or a precomputed cost.
-    pub fn charge_costed<T>(
+    /// this rank's track, with `args` and any the section's [`Cost`] adds.
+    /// `f` is an `omp::costed_loop` replay, a serial region wrapped in
+    /// `omp::timed`, a team region, or a precomputed cost.
+    pub fn charge_costed<T, C: Into<Cost>>(
         &mut self,
         cat: &str,
         name: &str,
         args: &[(&str, f64)],
-        f: impl FnOnce() -> (T, f64),
+        f: impl FnOnce() -> (T, C),
     ) -> T {
         let start = self.clock.now();
         let guard = crate::compute_lock();
-        let (out, seconds) = f();
+        let (out, cost) = f();
         drop(guard);
-        self.clock.charge(seconds);
+        let cost = cost.into();
+        self.clock.charge(cost.seconds);
+        let args = [args, &cost.args].concat();
         self.obs
-            .record_with(self.track(), cat, name, start, self.clock.now(), args);
+            .record_with(self.track(), cat, name, start, self.clock.now(), &args);
         out
     }
 

@@ -39,7 +39,7 @@ pub use cluster::{
     crashed_ranks, merge_traces, run_cluster, run_cluster_faulty, unwrap_clean, RankOutput,
     RankState,
 };
-pub use comm::Comm;
+pub use comm::{Comm, Cost};
 pub use fault::FaultPlan;
 pub use netmodel::NetModel;
 pub use stats::CommStats;

@@ -8,7 +8,7 @@
 //! up front. The result is a per-thread busy-time vector and the loop
 //! makespan, computable for any thread count on any host.
 
-use crate::pool::{parallel_map_timed, Team};
+use crate::pool::{parallel_map_timed, timed, Team};
 use crate::schedule::{chunk_sequence, static_owner, Chunk, Schedule};
 
 /// Outcome of replaying one loop.
@@ -180,6 +180,37 @@ impl CostedTeam {
             sim: LoopSim::idle(threads),
         }
     }
+
+    /// Run `f`, a parallel region whose loops run on this team with serial
+    /// sections between them, and return its result with the region's
+    /// cost: the makespan of its loops plus its serial remainder — the
+    /// region's wall time outside those loops' items.
+    pub fn region<T>(&mut self, f: impl FnOnce(&mut Self) -> T) -> (T, RegionCost) {
+        let (makespan, work) = (self.sim.makespan, self.sim.serial_time);
+        let (out, seconds) = timed(|| f(self));
+        let cost = RegionCost {
+            makespan: self.sim.makespan - makespan,
+            serial: seconds - (self.sim.serial_time - work),
+        };
+        (out, cost)
+    }
+}
+
+/// What [`CostedTeam::region`] charges, in seconds.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct RegionCost {
+    /// Makespan of the region's loops on the team.
+    pub makespan: f64,
+    /// The region's wall time outside its loops' items.
+    pub serial: f64,
+}
+
+impl RegionCost {
+    /// The region on the virtual clock: its loops' makespan, then its
+    /// serial sections.
+    pub fn charge(&self) -> f64 {
+        self.makespan + self.serial
+    }
 }
 
 impl Team for CostedTeam {
@@ -250,6 +281,24 @@ mod tests {
         assert!((team.sim.serial_time - first.serial_time - second).abs() < 1e-12);
         assert!((team.sim.thread_busy[0] - first.thread_busy[0] - second).abs() < 1e-12);
         assert_eq!(team.sim.thread_busy[1..], first.thread_busy[1..]);
+    }
+
+    #[test]
+    fn region_charges_its_loops_makespan_and_serial_remainder() {
+        let mut team = CostedTeam::new(2, Schedule::Dynamic { chunk: 1 });
+        team.map(&[1u32], |&x| x);
+        let before = team.sim.clone();
+        let spin = |n: u64| (0..n).fold(0u64, |a, i| std::hint::black_box(a ^ i));
+        let (out, cost) = team.region(|team| {
+            let serial = spin(20_000);
+            let loops = team.map(&[30_000u64, 10_000, 10_000], |&n| spin(n));
+            serial + loops.len() as u64
+        });
+        assert!(out > 0);
+        let makespan = team.sim.makespan - before.makespan;
+        assert_eq!(cost.makespan, makespan, "only the region's loops");
+        assert!(cost.serial > 0.0);
+        assert_eq!(cost.charge(), cost.makespan + cost.serial);
     }
 
     #[test]

@@ -64,6 +64,14 @@ impl Team for Pool {
     }
 }
 
+/// `team`'s parallel-for as a `par(n, body)` loop over `0..n`: the form in
+/// which the stage builders (`seqio::par`) take their loops.
+pub fn par_loop<T: Team>(team: &mut T) -> impl FnMut(usize, &(dyn Fn(usize) + Sync)) + '_ {
+    move |n, body| {
+        team.map(&(0..n).collect::<Vec<_>>(), |&i| body(i));
+    }
+}
+
 /// Map `f` over `items` using `threads` OS threads and a shared cursor
 /// (dynamic schedule, chunk 1). Results are returned in input order.
 pub fn parallel_map<T: Sync, R: Send>(
@@ -180,6 +188,18 @@ mod tests {
         assert_eq!(out, vec![11, 21, 31]);
         assert_eq!(costs.len(), 3);
         assert!(costs.iter().all(|&c| c >= 0.0));
+    }
+
+    #[test]
+    fn par_loop_runs_every_index_once() {
+        use std::sync::atomic::AtomicU64;
+        let hits: Vec<AtomicU64> = (0..100).map(|_| AtomicU64::new(0)).collect();
+        let mut pool = Pool::new(3);
+        par_loop(&mut pool)(hits.len(), &|i| {
+            hits[i].fetch_add(i as u64 + 1, Ordering::Relaxed);
+        });
+        let got: Vec<u64> = hits.iter().map(|h| h.load(Ordering::Relaxed)).collect();
+        assert_eq!(got, (1..=100).collect::<Vec<u64>>());
     }
 
     #[test]

@@ -13,6 +13,9 @@
 //!   interchange formats the Trinity pipeline moves data through;
 //! * [`splitter`] — a PyFasta-equivalent even-by-bases partitioner used by
 //!   the distributed Bowtie step;
+//! * [`par`] — the `par(n, body)` loop contract the stage builders take
+//!   instead of owning threads, and the splitter-sort pieces their loops
+//!   share;
 //! * [`stats`] — assembly statistics (N50 and friends) used by reports.
 //!
 //! All parsing is byte-oriented (no UTF-8 validation on sequence data) and
@@ -24,6 +27,7 @@ pub mod fasta;
 pub mod fastq;
 pub mod kmer;
 pub mod packed;
+pub mod par;
 pub mod splitter;
 pub mod stats;
 

@@ -587,10 +587,8 @@ fn assemble_contigs(
         |d| {
             let threads = cfg.chrysalis.threads;
             let mut team = CostedTeam::new(threads, cfg.chrysalis.schedule);
-            let ((contigs, stats), seconds) = omp::timed(|| {
-                let mut par = |n: usize, body: &(dyn Fn(usize) + Sync)| {
-                    team.map(&(0..n).collect::<Vec<_>>(), |&i| body(i));
-                };
+            let ((contigs, stats), cost) = team.region(|team| {
+                let mut par = omp::par_loop(team);
                 let table = std::mem::replace(&mut counts, KmerCounts::empty(k));
                 let min_count = cfg.min_kmer_count.max(1);
                 let dict = Dictionary::from_counts_on(table, min_count, &mut par);
@@ -599,8 +597,7 @@ fn assemble_contigs(
                 counts = dict.into_counts();
                 (contigs, stats)
             });
-            let serial = seconds - team.sim.serial_time;
-            d.metrics.gauge("inchworm.serial_s").set(serial);
+            d.metrics.gauge("inchworm.serial_s").set(cost.serial);
             let counts = [
                 ("inchworm.epochs", stats.epochs),
                 ("inchworm.walks", stats.walks),
@@ -610,7 +607,7 @@ fn assemble_contigs(
                 d.metrics.counter(name).add(n as u64);
             }
             d.log_omp_loop("inchworm", &team.sim);
-            (contigs, StageRun::timed(team.sim.makespan + serial))
+            (contigs, StageRun::timed(cost.charge()))
         },
     );
     (packed_reads, counts, contigs)

@@ -6,22 +6,19 @@
 
 use inchworm::{assemble, assemble_on, Dictionary, InchwormConfig};
 use kcount::counter::{count_kmers, CounterConfig, KmerCounts};
-use omp::Pool;
+use omp::{par_loop, Pool};
 use proptest::prelude::*;
 use simulate::datasets::{Dataset, DatasetPreset};
 
-/// `body` over `0..n` on two OS threads.
-fn two_threads(n: usize, body: &(dyn Fn(usize) + Sync)) {
-    Pool::new(2).map(&(0..n).collect::<Vec<_>>(), |&i| body(i));
-}
-
 fn check(counts: KmerCounts, cfg: InchwormConfig) {
+    let mut pool = Pool::new(2);
+    let two_threads = &mut par_loop(&mut pool);
     let serial = Dictionary::from_counts(counts.clone(), 1);
-    let threaded = Dictionary::from_counts_on(counts, 1, &mut two_threads);
+    let threaded = Dictionary::from_counts_on(counts, 1, two_threads);
     assert!(serial.seeds().eq(threaded.seeds()));
     let expect = assemble(&serial, cfg);
     for width in [1, 2, 3, 16, 64] {
-        let (contigs, stats) = assemble_on(&threaded, cfg, width, &mut two_threads);
+        let (contigs, stats) = assemble_on(&threaded, cfg, width, two_threads);
         assert_eq!(contigs, expect, "width {width}");
         assert!(stats.walks >= stats.epochs);
     }
