@@ -1,10 +1,11 @@
-//! Inchworm's replay rate per epoch size on the Fig. 11 input: stage time,
-//! walks, replays and wasted speculative work at epoch widths of 1, 1×, 2×,
-//! 4× and 8× the thread count (the pipeline runs 2×).
+//! Inchworm's ordered loop per window size on the Fig. 11 input: stage
+//! time, walks, replays, wasted speculative work and the lock-held share
+//! with a window of 1 walk and of 1, 2, 4, 8 and 16 walks per thread (the
+//! pipeline runs 8).
 //!
 //! Usage: `cargo run --release -p bench --bin inchworm_epochs [--scale X]
 //! [--seed N]`. Each row is the fastest of three runs; the run panics if any
-//! width assembles other contigs than width 1.
+//! window assembles other contigs than the serial loop.
 
 fn main() {
     let cli = bench::Cli::parse(std::env::args().skip(1));

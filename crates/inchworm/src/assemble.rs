@@ -1,17 +1,18 @@
-//! Greedy contig assembly (the Inchworm main loop), in speculative epochs.
+//! Greedy contig assembly (the Inchworm main loop), as one ordered loop.
 //!
 //! The serial loop walks each unused seed in abundance order and claims the
-//! k-mers the walk extends through. [`assemble_on`] runs the same walks
-//! `width` at a time: an epoch takes the next `width` unused seeds, walks
-//! each one in one parallel loop against the `used` bitset as the epoch
-//! found it plus the walk's own claims, and commits the walks in seed order.
-//! A walk commits if no earlier commit of its epoch took one of its claims
-//! (its seed first); it is replayed at its turn against the live bitset
-//! otherwise, or skipped if its seed is gone. Three rules keep this cheap
-//! and exact:
+//! k-mers the walk extends through. [`assemble_on`] runs the same walks as
+//! an ordered loop (`seqio::par`'s `ord`): a worker takes the next unused
+//! seed and walks it against the `used` bitset as it stands, plus the
+//! walk's own claims, while other walks are in flight — at most `window`
+//! taken and not yet committed — and each walk commits in seed order as
+//! soon as every earlier one has. A walk commits if no commit took one of
+//! its claims (its seed first); it is replayed at its turn against the live
+//! bitset otherwise, or skipped if its seed is gone. Three rules keep this
+//! cheap and exact:
 //!
-//! * **early abort** — a walk about to claim the seed of an earlier walk of
-//!   its epoch stops there: by its turn every earlier seed of the epoch is
+//! * **early abort** — a walk about to claim a k-mer that comes before its
+//!   own seed in seeding order stops there: by its turn every such k-mer is
 //!   claimed, so it would be replayed anyway;
 //! * **alternating ends** — a walk's two ends take a step each in turn, so
 //!   an earlier seed on either side is met early; that is the serial walk
@@ -22,14 +23,18 @@
 //!   threaded through the walks, so what a walk picks depends only on the
 //!   bitset it sees.
 
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering::Relaxed};
 use std::sync::Mutex;
 
 use seqio::alphabet::code_to_base;
 use seqio::kmer::Kmer;
-use seqio::par::par_map;
 
 use crate::contig::Contig;
 use crate::dictionary::Dictionary;
+
+/// The ordered loop's window per thread of the team it runs on: walks taken
+/// but not yet committed (DESIGN §3i has the sweep this was picked from).
+pub const WINDOW_PER_THREAD: usize = 8;
 
 /// Assembly parameters.
 #[derive(Debug, Clone, Copy)]
@@ -61,15 +66,13 @@ impl Default for InchwormConfig {
     }
 }
 
-/// What an epoch run did, counted in walks and extension steps (a step is
-/// one neighbour lookup).
+/// What an ordered run did, counted in walks and extension steps (a step
+/// is one neighbour lookup).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct EpochStats {
-    /// Epochs run.
-    pub epochs: usize,
-    /// Speculative walks run: one per seed an epoch took.
+pub struct WalkStats {
+    /// Speculative walks run: one per seed taken.
     pub walks: usize,
-    /// Walks redone at their turn because an earlier commit of their epoch
+    /// Walks redone at their turn because a commit made after they started
     /// took one of their claims.
     pub replays: usize,
     /// Extension steps of the speculative walks.
@@ -79,38 +82,28 @@ pub struct EpochStats {
     pub wasted_steps: usize,
 }
 
-/// One flag per dictionary slot.
-struct Bits(Vec<u64>);
+/// One flag per dictionary slot. Walks read it while commits set flags: a
+/// flag is only ever set, and only under the loop's lock, so what a walk
+/// sees is part of what its commit will see. `Relaxed` suffices: the flags
+/// publish no other data, a stale read is an older subset of the flags, and
+/// the takes and commits that must see every earlier commit run under the
+/// loop's lock, which orders them.
+struct Bits(Vec<AtomicU64>);
 
 impl Bits {
     fn new(slots: usize) -> Self {
-        Bits(vec![0; slots.div_ceil(64)])
+        Bits((0..slots.div_ceil(64)).map(|_| AtomicU64::new(0)).collect())
     }
 
     fn get(&self, slot: usize) -> bool {
-        self.0[slot / 64] >> (slot % 64) & 1 == 1
+        self.0[slot / 64].load(Relaxed) >> (slot % 64) & 1 == 1
     }
 
-    fn set(&mut self, slot: usize) {
-        self.0[slot / 64] |= 1 << (slot % 64);
-    }
-
-    /// Set every flag of `slots` — unless one is set already: then leave
-    /// them all as they were and return false.
-    fn claim_all(&mut self, slots: &[u32]) -> bool {
-        let taken = slots.iter().position(|&slot| {
-            let (word, bit) = (&mut self.0[slot as usize / 64], 1 << (slot % 64));
-            let was = *word & bit != 0;
-            *word |= bit;
-            was
-        });
-        let Some(taken) = taken else {
-            return true;
-        };
-        for &slot in &slots[..taken] {
-            self.0[slot as usize / 64] &= !(1 << (slot % 64));
-        }
-        false
+    /// Only the holder of the loop's lock sets flags, so a plain store
+    /// does (no read-modify-write).
+    fn set(&self, slot: usize) {
+        let word = &self.0[slot / 64];
+        word.store(word.load(Relaxed) | 1 << (slot % 64), Relaxed);
     }
 }
 
@@ -141,14 +134,26 @@ impl Own {
     }
 }
 
+/// A [`Dictionary::seeds`] entry: `(k-mer, slot, count)`.
+type Seed = (Kmer, usize, u32);
+
 /// What a walk may not claim, and where it gives up.
-struct Seen<'a, S> {
+struct Seen<'a> {
     /// The bitset the walk runs against.
     used: &'a Bits,
     own: &'a mut Own,
-    /// True for a winner (slot, count) that is the seed of an earlier walk
-    /// of the epoch.
-    stop: &'a S,
+    /// The walk's seed: a winner that comes before it in seeding order
+    /// aborts the walk.
+    seed: Seed,
+}
+
+impl Seen<'_> {
+    /// Does the winner `next`, counted `count`, come before the seed in
+    /// seeding order (decreasing count, then increasing canonical k-mer)?
+    fn before_seed(&self, next: Kmer, count: u32) -> bool {
+        let (seed, _, seed_count) = self.seed;
+        count > seed_count || count == seed_count && next.canonical().packed() < seed.packed()
+    }
 }
 
 /// One growing end of a walk: the k-mer it grows from and the bases it
@@ -166,7 +171,7 @@ struct Walk {
     claims: Vec<u32>,
     /// Sum and number of the claimed k-mers' counts.
     coverage: (u64, usize),
-    /// Stopped before claiming the seed of an earlier walk of its epoch.
+    /// Stopped before claiming a k-mer that comes before its seed.
     aborted: bool,
     steps: usize,
 }
@@ -174,7 +179,7 @@ struct Walk {
 /// Why a walk stopped short.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Halt {
-    /// The winner is the seed of an earlier walk of the epoch.
+    /// The winner comes before the walk's seed in seeding order.
     Aborted,
     /// The rightward end met a k-mer the leftward end claimed first: the
     /// alternation has left the serial walk's path.
@@ -208,11 +213,11 @@ impl Walker<'_> {
     /// dictionary holds, claim the one that neither `seen.used` nor the
     /// walk claimed, with the highest count, then the highest tie rank,
     /// then the smallest base — or close the end if there is none.
-    fn step<const E: usize, S: Fn(usize, u32) -> bool>(
+    fn step<const E: usize>(
         &self,
         end: &mut End,
         walk: &mut Walk,
-        seen: &mut Seen<S>,
+        seen: &mut Seen,
     ) -> Result<(), Halt> {
         let next: [Kmer; 4] = std::array::from_fn(|code| match E {
             RIGHT => end.cur.roll_right(code as u8),
@@ -243,7 +248,7 @@ impl Walker<'_> {
             end.open = false;
             return Ok(());
         };
-        if (seen.stop)(slot, count) {
+        if seen.before_seed(next[code as usize], count) {
             return Err(Halt::Aborted);
         }
         end.bases.push(code_to_base(code));
@@ -258,39 +263,35 @@ impl Walker<'_> {
     /// Step until neither end extends: the two ends in turn if
     /// `alternate`, else the rightward end to its stop first (the serial
     /// order).
-    fn run<S: Fn(usize, u32) -> bool>(
+    fn run(
         &self,
         [right, left]: &mut [End; 2],
         alternate: bool,
         walk: &mut Walk,
-        seen: &mut Seen<S>,
+        seen: &mut Seen,
     ) -> Result<(), Halt> {
         while right.open || left.open {
             if right.open {
-                self.step::<RIGHT, S>(right, walk, seen)?;
+                self.step::<RIGHT>(right, walk, seen)?;
             }
             if left.open && (alternate || !right.open) {
-                self.step::<LEFT, S>(left, walk, seen)?;
+                self.step::<LEFT>(left, walk, seen)?;
             }
         }
         Ok(())
     }
 
-    /// The walk from `seed` (a [`Dictionary::seeds`] entry) against `used`
-    /// plus its own claims, which it keeps in `own` — clean on entry and
-    /// left clean. It is the serial loop's walk, which extends rightward
-    /// and then leftward; the two ends take a step each in turn, so that an
-    /// earlier seed on either side is met early. That is the same walk
-    /// unless the rightward end reaches a k-mer the leftward one claimed
-    /// first — then it is walked again in the serial order. It stops short,
-    /// aborted, at a winner `stop` names.
-    fn walk(
-        &self,
-        (seed, slot, count): (Kmer, usize, u32),
-        used: &Bits,
-        own: &mut Own,
-        stop: impl Fn(usize, u32) -> bool,
-    ) -> Walk {
+    /// The walk from `seed` against `used` plus its own claims, which it
+    /// keeps in `own` — clean on entry and left clean. It is the serial
+    /// loop's walk, which extends rightward and then leftward; the two ends
+    /// take a step each in turn, so that an earlier seed on either side is
+    /// met early. That is the same walk unless the rightward end reaches a
+    /// k-mer the leftward one claimed first — then it is walked again in
+    /// the serial order. It stops short, aborted, at a winner that comes
+    /// before `seed` in seeding order: against the bitset of its turn there
+    /// is none.
+    fn walk(&self, seed: Seed, used: &Bits, own: &mut Own) -> Walk {
+        let (kmer, slot, count) = seed;
         let mut steps = 0;
         for alternate in [true, false] {
             let mut walk = Walk {
@@ -304,10 +305,10 @@ impl Walker<'_> {
             let mut seen = Seen {
                 used,
                 own: &mut *own,
-                stop: &stop,
+                seed,
             };
-            let mut ends = [seed.bases(), Vec::new()].map(|bases| End {
-                cur: seed,
+            let mut ends = [kmer.bases(), Vec::new()].map(|bases| End {
+                cur: kmer,
                 bases,
                 open: true,
             });
@@ -332,90 +333,103 @@ impl Walker<'_> {
 
 /// Run the Inchworm main loop over a dictionary, one seed at a time.
 pub fn assemble(dict: &Dictionary, cfg: InchwormConfig) -> Vec<Contig> {
-    assemble_on(dict, cfg, 1, &mut seqio::par::sequential).0
+    assemble_on(dict, cfg, 1, &mut seqio::par::in_order).0
 }
 
-/// Run the Inchworm main loop in epochs of `width` seeds, each epoch's
-/// walks one loop on `par` (see the crate docs). The contigs are
-/// [`assemble`]'s at every width, in every loop order.
+/// A walk in flight: its seed and, once walked, the walk.
+type Task = (Seed, Option<Walk>);
+
+/// Run the Inchworm main loop as one ordered loop `ord` with `window`
+/// walks in flight (see the crate docs). The contigs are [`assemble`]'s at
+/// every window, under every executor of the `ord` contract.
 pub fn assemble_on(
     dict: &Dictionary,
     cfg: InchwormConfig,
-    width: usize,
-    par: &mut impl FnMut(usize, &(dyn Fn(usize) + Sync)),
-) -> (Vec<Contig>, EpochStats) {
+    window: usize,
+    ord: &mut impl FnMut(
+        usize,
+        &mut (dyn FnMut() -> bool + Send),
+        &(dyn Fn(usize) + Sync),
+        &mut (dyn FnMut(usize) + Send),
+    ),
+) -> (Vec<Contig>, WalkStats) {
     let walker = Walker { dict, cfg };
-    let mut used = Bits::new(dict.slots());
+    let used = Bits::new(dict.slots());
+    let window = window.max(1);
+    // The walks in flight, each at its index modulo the window: task `i`
+    // is taken only once task `i − window` has committed.
+    let line: Vec<Mutex<Option<Task>>> = (0..window).map(|_| Mutex::new(None)).collect();
+    let task = |i: usize| line[i % window].lock().expect("a walk panicked");
     // Own-claim flags for the walks in flight, and one set for the replays.
     let spare = Mutex::new(Vec::new());
     let mut own = Own::new(dict.slots());
     // Seeds come in decreasing count: the first one below the threshold
-    // ends the run.
+    // ends the run. `next` is where the next take looks from; a walk moves
+    // it past the seeds it finds used behind the last take — a used seed
+    // stays used — so that a take, under the lock, seldom has to skip any.
+    // It only ever grows (`fetch_max`) and a take re-checks from it, so it
+    // is a hint that publishes nothing: `Relaxed`.
     let min_seed = cfg.min_seed_count.max(1);
-    let mut seeds = dict.seeds().take_while(|&(_, _, count)| count >= min_seed);
-    let mut epoch = Vec::with_capacity(width.max(1));
-    let mut stats = EpochStats::default();
+    let next = AtomicUsize::new(0);
+    let unused_from = |from: usize| {
+        (from..dict.len())
+            .map_while(|at| dict.seed(at).map(|seed| (at, seed)))
+            .take_while(|&(_, (_, _, count))| count >= min_seed)
+            .find(|&(_, (_, slot, _))| !used.get(slot))
+    };
+    let mut taken = 0;
+    let mut stats = WalkStats::default();
     let mut contigs = Vec::new();
-    loop {
-        epoch.clear();
-        let unused = seeds.by_ref().filter(|&(_, slot, _)| !used.get(slot));
-        epoch.extend(unused.take(width.max(1)));
-        if epoch.is_empty() {
-            break;
-        }
-        // Each epoch seed's slot with its position, for the early abort.
-        let mut positions: Vec<(usize, usize)> = epoch
-            .iter()
-            .enumerate()
-            .map(|(i, &(_, slot, _))| (slot, i))
-            .collect();
-        positions.sort_unstable();
-        let position = |slot| {
-            let found = positions.binary_search_by_key(&slot, |&(s, _)| s);
-            found.map(|p| positions[p].1)
+    let mut take = || {
+        let Some((at, seed)) = unused_from(next.load(Relaxed)) else {
+            return false;
         };
-        let walks = par_map(par, epoch.len(), |i| {
-            let spare_own = spare.lock().expect("a walk panicked").pop();
-            let mut own = spare_own.unwrap_or_else(|| Own::new(dict.slots()));
-            // The unused k-mers counted above this walk's seed are all
-            // earlier seeds of the epoch: only a tie needs looking up.
-            let (_, _, seed_count) = epoch[i];
-            let walk = walker.walk(epoch[i], &used, &mut own, |slot, count| {
-                count > seed_count || count == seed_count && position(slot).is_ok_and(|j| j < i)
-            });
-            spare.lock().expect("a walk panicked").push(own);
-            walk
-        });
-        stats.epochs += 1;
-        stats.walks += epoch.len();
-        for (&seed, walk) in epoch.iter().zip(walks) {
-            stats.steps += walk.steps;
-            if used.get(seed.1) {
-                stats.wasted_steps += walk.steps;
-                continue;
-            }
-            // A claim an earlier commit of the epoch took means the walk
-            // saw a different bitset from the serial loop's: redo it.
-            let walk = if !walk.aborted && used.claim_all(&walk.claims) {
-                walk
-            } else {
-                stats.replays += 1;
-                stats.wasted_steps += walk.steps;
-                let replay = walker.walk(seed, &used, &mut own, |_, _| false);
-                for &claim in &replay.claims {
-                    used.set(claim as usize);
-                }
-                replay
-            };
-            if walk.seq.len() >= cfg.min_contig_len {
-                contigs.push(Contig {
-                    id: contigs.len(),
-                    coverage: walk.coverage.0 as f64 / walk.coverage.1 as f64,
-                    seq: walk.seq,
-                });
-            }
+        next.fetch_max(at + 1, Relaxed);
+        *task(taken) = Some((seed, None));
+        taken += 1;
+        true
+    };
+    let work = |i| {
+        let seed = task(i).as_ref().expect("a taken walk").0;
+        let spare_own = spare.lock().expect("a walk panicked").pop();
+        let mut walk_own = spare_own.unwrap_or_else(|| Own::new(dict.slots()));
+        let walk = walker.walk(seed, &used, &mut walk_own);
+        spare.lock().expect("a walk panicked").push(walk_own);
+        task(i).as_mut().expect("a taken walk").1 = Some(walk);
+        let ahead = unused_from(next.load(Relaxed)).map_or(usize::MAX, |(at, _)| at);
+        next.fetch_max(ahead, Relaxed);
+    };
+    let mut commit = |i| {
+        let (seed, walk) = task(i).take().expect("a taken walk");
+        let walk = walk.expect("walked before its commit");
+        stats.walks += 1;
+        stats.steps += walk.steps;
+        if used.get(seed.1) {
+            stats.wasted_steps += walk.steps;
+            return;
         }
-    }
+        // A claim a commit took since the walk started means it saw a
+        // different bitset from the serial loop's: redo it.
+        let free = !walk.aborted && walk.claims.iter().all(|&c| !used.get(c as usize));
+        let walk = if free {
+            walk
+        } else {
+            stats.replays += 1;
+            stats.wasted_steps += walk.steps;
+            walker.walk(seed, &used, &mut own)
+        };
+        for &claim in &walk.claims {
+            used.set(claim as usize);
+        }
+        if walk.seq.len() >= cfg.min_contig_len {
+            contigs.push(Contig {
+                id: contigs.len(),
+                coverage: walk.coverage.0 as f64 / walk.coverage.1 as f64,
+                seq: walk.seq,
+            });
+        }
+    };
+    ord(window, &mut take, &work, &mut commit);
     (contigs, stats)
 }
 
@@ -659,7 +673,7 @@ mod tests {
         };
         let mut own = Own::new(dict.slots());
         let seed = dict.seeds().next().unwrap();
-        let walk = walker.walk(seed, &Bits::new(dict.slots()), &mut own, |_, _| false);
+        let walk = walker.walk(seed, &Bits::new(dict.slots()), &mut own);
         assert!(!walk.aborted);
         assert_eq!(walk.claims.len(), ring.len());
         assert_eq!(walk.seq.len(), ring.len() + 7);
@@ -673,7 +687,7 @@ mod tests {
     #[test]
     fn seeds_below_min_seed_count_end_the_run() {
         // Every seed is below the threshold: the loop stops at the first
-        // one instead of checking them all, so no epoch starts.
+        // one instead of checking them all, so no walk is taken.
         let table = count_kmers(
             &[b"CGAGTCGGTTATCTTCGGATAC".as_slice()],
             CounterConfig::new(8),
@@ -683,8 +697,8 @@ mod tests {
             min_seed_count: 5,
             ..tiny_cfg()
         };
-        let (contigs, stats) = assemble_on(&dict, cfg, 4, &mut seqio::par::sequential);
+        let (contigs, stats) = assemble_on(&dict, cfg, 4, &mut seqio::par::in_order);
         assert!(contigs.is_empty());
-        assert_eq!(stats, EpochStats::default());
+        assert_eq!(stats, WalkStats::default());
     }
 }

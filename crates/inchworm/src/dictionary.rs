@@ -181,11 +181,13 @@ impl Dictionary {
     /// The k-mers in decreasing-abundance order, each with its slot (what
     /// [`Self::find_each`] would report): `(kmer, slot, count)`.
     pub fn seeds(&self) -> impl Iterator<Item = (Kmer, usize, u32)> + '_ {
-        let k = self.k;
-        self.sorted.iter().map(move |&r| {
-            let (packed, slot, count) = fields(r);
-            (Kmer::from_packed_unchecked(packed, k), slot, count)
-        })
+        (0..self.sorted.len()).filter_map(|at| self.seed(at))
+    }
+
+    /// The `at`-th entry of [`Self::seeds`], if there is one.
+    pub fn seed(&self, at: usize) -> Option<(Kmer, usize, u32)> {
+        let (packed, slot, count) = fields(*self.sorted.get(at)?);
+        Some((Kmer::from_packed_unchecked(packed, self.k), slot, count))
     }
 }
 

@@ -10,25 +10,27 @@
 //! 4. reports the linear contig, marks its k-mers used, and repeats until
 //!    the dictionary is exhausted.
 //!
-//! Steps 2–4 run in epochs ([`assemble::assemble_on`]): the next `width`
-//! unused seeds are walked at once against a snapshot of the used k-mers,
-//! then committed in abundance order, a walk whose claims an earlier commit
-//! took being replayed at its turn. A walk only ever loses candidates to
-//! earlier commits, and losing a candidate that did not win changes no
-//! step, so a walk whose claims are all still free is the serial walk: the
-//! contigs are the serial contigs at every width.
+//! Steps 2–4 run as one ordered loop ([`assemble::assemble_on`]): workers
+//! take the next unused seed and walk it against the used k-mers as they
+//! stand, up to a window of walks in flight, and the walks commit in
+//! abundance order, each as soon as every earlier one has; a walk whose
+//! claims a commit took since it started is replayed at its turn. A walk
+//! only ever loses candidates to earlier commits, and losing a candidate
+//! that did not win changes no step, so a walk whose claims are all still
+//! free is the serial walk: the contigs are the serial contigs at every
+//! window.
 //!
 //! The output — a FASTA of "Inchworm contigs" — is what Chrysalis clusters.
 //!
-//! The parallel loops (the dictionary sort's and the walks') are the
-//! caller's, taken as a `par(n, body)` loop ([`seqio::par`]):
-//! [`seqio::par::sequential`] runs them in place; the pipeline passes its
-//! stage team.
+//! The loops are the caller's ([`seqio::par`]): the dictionary sort's as a
+//! `par(n, body)` loop, the walks as an `ord(window, take, work, commit)`
+//! loop. [`seqio::par::sequential`] and [`seqio::par::in_order`] run them
+//! in place; the pipeline passes its stage team's.
 
 pub mod assemble;
 pub mod contig;
 pub mod dictionary;
 
-pub use assemble::{assemble, assemble_on, EpochStats, InchwormConfig};
+pub use assemble::{assemble, assemble_on, InchwormConfig, WalkStats, WINDOW_PER_THREAD};
 pub use contig::Contig;
 pub use dictionary::Dictionary;

@@ -1,21 +1,22 @@
-//! Property and directed tests of Inchworm's speculative epochs: the
-//! contigs are the serial loop's at every epoch width and in every loop
-//! order — against a plain reimplementation of that loop (one walk at a
-//! time, rightward then leftward, a `HashSet` of used slots) — on random
-//! reads, tandem repeats (walks that run back into their own claims),
-//! palindromic k-mers at even k, the k = 32 all-T key, and seed and
-//! extension thresholds above 1.
+//! Property and directed tests of Inchworm's ordered loop: the contigs are
+//! the serial loop's at every window, on the in-order loop and on an
+//! executor that holds each commit back for a random number of later takes
+//! — against a plain reimplementation of that loop (one walk at a time,
+//! rightward then leftward, a `HashSet` of used slots) — on random reads,
+//! tandem repeats (walks that run back into their own claims), palindromic
+//! k-mers at even k, the k = 32 all-T key, and seed and extension
+//! thresholds above 1.
 
-use std::collections::HashSet;
+use std::collections::{HashSet, VecDeque};
 
 use inchworm::{assemble, assemble_on, Contig, Dictionary, InchwormConfig};
 use kcount::counter::{count_kmers, CounterConfig};
 use proptest::prelude::*;
 use seqio::alphabet::{code_to_base, revcomp};
 use seqio::kmer::Kmer;
-use seqio::par::sequential;
+use seqio::par::in_order;
 
-const WIDTHS: [usize; 5] = [1, 2, 3, 16, 64];
+const WINDOWS: [usize; 6] = [1, 2, 3, 16, 64, 256];
 
 /// The serial Inchworm loop, written out the plain way. Ties go to the
 /// smallest base (no jitter).
@@ -67,6 +68,60 @@ fn serial(dict: &Dictionary, cfg: InchwormConfig) -> Vec<Contig> {
     contigs
 }
 
+/// An ordered loop on the calling thread that runs each task's work as soon
+/// as it is taken and holds its commit back for `delay(window)` later takes
+/// — or until the window is full or no task is left — so that walks run
+/// against a bitset missing some earlier walks' commits. Commits stay in
+/// index order: a task whose delay ran out waits for the ones before it.
+#[allow(clippy::type_complexity)]
+fn delayed(
+    mut delay: impl FnMut(usize) -> usize,
+) -> impl FnMut(
+    usize,
+    &mut (dyn FnMut() -> bool + Send),
+    &(dyn Fn(usize) + Sync),
+    &mut (dyn FnMut(usize) + Send),
+) {
+    move |window, take, work, commit| {
+        // Each task in flight with the takes left before its commit.
+        let mut pending: VecDeque<(usize, usize)> = VecDeque::new();
+        for i in 0.. {
+            while let Some(&(j, left)) = pending.front() {
+                if left > 0 && pending.len() < window {
+                    break;
+                }
+                commit(j);
+                pending.pop_front();
+            }
+            if !take() {
+                break;
+            }
+            work(i);
+            pending
+                .iter_mut()
+                .for_each(|(_, left)| *left = left.saturating_sub(1));
+            pending.push_back((i, delay(window)));
+        }
+        pending.into_iter().for_each(|(j, _)| commit(j));
+    }
+}
+
+/// Delays drawn from a xorshift stream: below the window.
+fn random_delays(mut state: u64) -> impl FnMut(usize) -> usize {
+    move |window| {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        (state % window as u64) as usize
+    }
+}
+
+/// Every commit held back until the window is full: each walk runs against
+/// the bitset of `window − 1` commits ago.
+fn fully_delayed() -> impl FnMut(usize) -> usize {
+    |window| window
+}
+
 fn dictionary(reads: &[Vec<u8>], k: usize, canonical: bool) -> Dictionary {
     let counts = count_kmers(
         reads,
@@ -87,21 +142,24 @@ fn cfg(min_seed_count: u32, min_extend_count: u32, min_contig_len: usize) -> Inc
     }
 }
 
-/// `dict`'s contigs at every width, in index order and in reverse, all
-/// equal to the plain serial loop's.
-fn check_every_width(dict: &Dictionary, cfg: InchwormConfig) {
+/// `dict`'s contigs at every window, in order and with commits held back,
+/// all equal to the plain serial loop's.
+fn check_every_window(dict: &Dictionary, cfg: InchwormConfig) {
     let expect = serial(dict, cfg);
     assert_eq!(assemble(dict, cfg), expect);
-    let mut reversed = |n: usize, body: &(dyn Fn(usize) + Sync)| (0..n).rev().for_each(body);
-    for width in WIDTHS {
-        let (contigs, stats) = assemble_on(dict, cfg, width, &mut sequential);
-        assert_eq!(contigs, expect, "width {width}");
-        assert_eq!(assemble_on(dict, cfg, width, &mut reversed).0, expect);
-        assert!(stats.wasted_steps <= stats.steps);
-        if width == 1 {
-            assert_eq!((stats.replays, stats.wasted_steps), (0, 0));
-            assert_eq!(stats.walks, stats.epochs);
+    for window in WINDOWS {
+        let (contigs, stats) = assemble_on(dict, cfg, window, &mut in_order);
+        assert_eq!(contigs, expect, "window {window}, in order");
+        // Taken in order, every walk sees every earlier commit.
+        assert_eq!((stats.replays, stats.wasted_steps), (0, 0));
+        for executor in [0x2545_F491_4F6C_DD1D, window as u64] {
+            let mut ord = delayed(random_delays(executor));
+            let (contigs, stats) = assemble_on(dict, cfg, window, &mut ord);
+            assert_eq!(contigs, expect, "window {window}, delays {executor}");
+            assert!(stats.wasted_steps <= stats.steps);
         }
+        let (contigs, _) = assemble_on(dict, cfg, window, &mut delayed(fully_delayed()));
+        assert_eq!(contigs, expect, "window {window}, fully delayed");
     }
 }
 
@@ -178,7 +236,7 @@ proptest! {
         min_extend in 1u32..3,
     ) {
         let dict = dictionary(&reads, k, true);
-        check_every_width(&dict, cfg(min_seed, min_extend, k + 3));
+        check_every_window(&dict, cfg(min_seed, min_extend, k + 3));
     }
 
     #[test]
@@ -188,14 +246,14 @@ proptest! {
         min_extend in 1u32..3,
     ) {
         let dict = dictionary(&reads, k, true);
-        check_every_width(&dict, cfg(1, min_extend, k));
+        check_every_window(&dict, cfg(1, min_extend, k));
     }
 
     #[test]
     fn epochs_equal_serial_on_palindromes(reads in palindrome_reads(), half_k in 2usize..8) {
         let k = 2 * half_k;
         let dict = dictionary(&reads, k, true);
-        check_every_width(&dict, cfg(1, 1, k));
+        check_every_window(&dict, cfg(1, 1, k));
     }
 
     #[test]
@@ -214,7 +272,7 @@ proptest! {
             })
             .collect();
         let dict = dictionary(&reads, 32, canonical);
-        check_every_width(&dict, cfg(1, 1, 32));
+        check_every_window(&dict, cfg(1, 1, 32));
     }
 }
 
@@ -239,20 +297,20 @@ fn transcript(len: usize, mut state: u64) -> Vec<u8> {
 #[test]
 fn a_later_seed_on_an_earlier_seeds_unitig_aborts_early() {
     // One unitig of 53 8-mers; the 8-mer at 20 seen 4 times (seed A), the
-    // one at 40 three times (seed B), everything else once. At width 2 both
-    // seeds share an epoch. A's walk covers the whole unitig, B's seed
-    // included, so B's walk is thrown away — and it stops at A instead of
-    // walking the unitig too.
+    // one at 40 three times (seed B), everything else once. In a window of
+    // 2 both walks run before A commits. A's walk covers the whole unitig,
+    // B's seed included, so B's walk is thrown away — and it stops at A
+    // instead of walking the unitig too.
     let t = transcript(60, 0x2545_F491_4F6C_DD1D);
     let mut reads = vec![t.clone()];
     reads.extend(std::iter::repeat_n(t[20..28].to_vec(), 3));
     reads.extend(std::iter::repeat_n(t[40..48].to_vec(), 2));
     let dict = dictionary(&reads, 8, true);
     let cfg = cfg(1, 1, 8);
-    let (contigs, stats) = assemble_on(&dict, cfg, 2, &mut sequential);
+    let (contigs, stats) = assemble_on(&dict, cfg, 2, &mut delayed(fully_delayed()));
     assert_eq!(contigs, serial(&dict, cfg));
     assert_eq!(contigs.len(), 1);
-    assert_eq!((stats.epochs, stats.walks, stats.replays), (1, 2, 0));
+    assert_eq!((stats.walks, stats.replays), (2, 0));
     // B's walk stopped at A: fewer steps than the 53 k-mers it would have
     // looked up walking the unitig end to end.
     assert!(
@@ -264,9 +322,9 @@ fn a_later_seed_on_an_earlier_seeds_unitig_aborts_early() {
 #[test]
 fn walks_that_meet_from_opposite_branches_replay() {
     // Two branches X and Y run into one stem S. Seed A on X (count 4) and
-    // seed B on Y (count 3) share an epoch at width 2, and both walks run
-    // on through S. A commits first, so B's claims on S conflict: B is
-    // replayed at its turn and stops where Y meets S.
+    // seed B on Y (count 3) are in flight together in a window of 2, and
+    // both walks run on through S. A commits first, so B's claims on S
+    // conflict: B is replayed at its turn and stops where Y meets S.
     let (x, y, s) = (
         transcript(30, 0x9E37_79B9_7F4A_7C15),
         transcript(30, 0xD1B5_4A32_D192_ED03),
@@ -277,10 +335,13 @@ fn walks_that_meet_from_opposite_branches_replay() {
     reads.extend(std::iter::repeat_n(y[10..18].to_vec(), 2));
     let dict = dictionary(&reads, 8, true);
     let cfg = cfg(1, 1, 8);
-    let (contigs, stats) = assemble_on(&dict, cfg, 2, &mut sequential);
+    let (contigs, stats) = assemble_on(&dict, cfg, 2, &mut delayed(fully_delayed()));
     assert_eq!(contigs, serial(&dict, cfg));
     assert_eq!(contigs.len(), 2);
-    assert_eq!((stats.walks, stats.replays), (2, 1), "{stats:?}");
+    assert_eq!(stats.replays, 1, "{stats:?}");
+    // Taken in order, B sees A's commit and walks Y alone.
+    let (_, stats) = assemble_on(&dict, cfg, 2, &mut in_order);
+    assert_eq!((stats.walks, stats.replays, stats.wasted_steps), (2, 0, 0));
 }
 
 /// Ten small transcripts, each with a two-way branch of equal count: ten
@@ -310,11 +371,9 @@ fn jitter_is_a_pure_tie_break() {
     };
     for seed in [1, 2] {
         let one = assemble(&dict, jittered(seed));
-        for width in WIDTHS {
-            assert_eq!(
-                assemble_on(&dict, jittered(seed), width, &mut sequential).0,
-                one
-            );
+        for window in WINDOWS {
+            let mut ord = delayed(random_delays(seed));
+            assert_eq!(assemble_on(&dict, jittered(seed), window, &mut ord).0, one);
         }
     }
     assert_ne!(assemble(&dict, jittered(1)), assemble(&dict, jittered(2)));

@@ -25,6 +25,16 @@ impl Team for Rounds {
     fn map<T: Sync, R: Send>(&mut self, items: &[T], f: impl Fn(&T) -> R + Sync) -> Vec<R> {
         Team::map(&mut self.pool, items, f)
     }
+
+    fn ordered(
+        &mut self,
+        window: usize,
+        take: &mut (dyn FnMut() -> bool + Send),
+        work: &(dyn Fn(usize) + Sync),
+        commit: &mut (dyn FnMut(usize) + Send),
+    ) {
+        self.pool.ordered(window, take, work, commit)
+    }
 }
 
 fn count_by_hashmap(reads: &[PackedSeq], cfg: CounterConfig) -> HashMap<u64, u32> {

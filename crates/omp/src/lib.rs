@@ -24,6 +24,6 @@ pub mod makespan;
 pub mod pool;
 pub mod schedule;
 
-pub use makespan::{costed_loop, simulate_loop, CostedTeam, LoopSim, RegionCost};
-pub use pool::{par_loop, parallel_map, parallel_map_timed, timed, Pool, Team};
+pub use makespan::{costed_loop, simulate_loop, simulate_ordered, CostedTeam, LoopSim, RegionCost};
+pub use pool::{ord_loop, par_loop, parallel_map, parallel_map_timed, timed, Pool, Team};
 pub use schedule::{chunk_sequence, Schedule};

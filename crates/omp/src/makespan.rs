@@ -8,6 +8,9 @@
 //! up front. The result is a per-thread busy-time vector and the loop
 //! makespan, computable for any thread count on any host.
 
+use std::collections::VecDeque;
+use std::ops::Range;
+
 use crate::pool::{parallel_map_timed, timed, Team};
 use crate::schedule::{chunk_sequence, static_owner, Chunk, Schedule};
 
@@ -22,6 +25,9 @@ pub struct LoopSim {
     pub serial_time: f64,
     /// Number of chunks dispatched.
     pub chunks: usize,
+    /// The part of `serial_time` spent holding an ordered loop's lock
+    /// ([`simulate_ordered`]); 0 for a parallel-for.
+    pub lock_time: f64,
 }
 
 impl LoopSim {
@@ -33,6 +39,7 @@ impl LoopSim {
             makespan: 0.0,
             serial_time: 0.0,
             chunks: 0,
+            lock_time: 0.0,
         }
     }
 
@@ -46,6 +53,7 @@ impl LoopSim {
         self.makespan += next.makespan;
         self.serial_time += next.serial_time;
         self.chunks += next.chunks;
+        self.lock_time += next.lock_time;
     }
 
     /// Parallel efficiency: `serial / (threads * makespan)`, in (0, 1].
@@ -144,6 +152,80 @@ pub fn simulate_loop(costs: &[f64], threads: usize, schedule: Schedule) -> LoopS
         serial_time: costs.iter().sum(),
         chunks: chunks.len(),
         thread_busy: busy,
+        lock_time: 0.0,
+    }
+}
+
+/// Replay an ordered loop (`seqio::par`'s `ord(window, take, work, commit)`
+/// contract) on `threads` workers, running its closures on the calling
+/// thread in the order of the modelled schedule. `stay(commits, take, t)`
+/// is one stay in the lock, starting at modelled time `t`: it commits the
+/// tasks `commits` in order, then takes the next task if `take`, and
+/// returns whether it claimed one and its cost. `work(i, t)` runs task `i`
+/// from `t` and returns its cost.
+///
+/// A worker that becomes free at `t` acquires the lock at `max(t, lock
+/// free)` — and, while the window is full, not before the oldest task has
+/// finished — commits every task finished by then and takes the next one,
+/// holding the lock and the worker; then it runs the task's `work`. So
+/// every `work` call sees exactly the commits modelled before its start. A
+/// worker that finds no task left retires; the workers still running tasks
+/// commit the rest. Busy time is work plus lock-held time; the makespan is
+/// the last worker's retirement.
+pub fn simulate_ordered(
+    threads: usize,
+    window: usize,
+    mut stay: impl FnMut(Range<usize>, bool, f64) -> (bool, f64),
+    mut work: impl FnMut(usize, f64) -> f64,
+) -> LoopSim {
+    let threads = threads.max(1);
+    let window = window.max(1);
+    let mut free = vec![0.0f64; threads];
+    let mut busy = vec![0.0f64; threads];
+    // Finish times of the taken, uncommitted tasks, oldest first.
+    let mut finished: VecDeque<f64> = VecDeque::new();
+    let (mut taken, mut committed, mut done) = (0, 0, false);
+    let (mut lock_free, mut lock_time, mut makespan) = (0.0f64, 0.0, 0.0f64);
+    let mut active: Vec<usize> = (0..threads).collect();
+    while !active.is_empty() {
+        // The worker free first; on a tie the lowest, as `simulate_loop`.
+        let at = (0..active.len())
+            .min_by(|&a, &b| free[active[a]].total_cmp(&free[active[b]]))
+            .expect("a worker is active");
+        let w = active[at];
+        let mut now = free[w].max(lock_free);
+        if !done && finished.len() == window {
+            now = now.max(finished[0]);
+        }
+        let ready = finished.iter().take_while(|&&f| f <= now).count();
+        let claimed = if ready > 0 || !done {
+            let (claimed, held) = stay(committed..committed + ready, !done, now);
+            finished.drain(..ready);
+            committed += ready;
+            (now, lock_time, busy[w]) = (now + held, lock_time + held, busy[w] + held);
+            lock_free = now;
+            claimed
+        } else {
+            false
+        };
+        if claimed {
+            let cost = work(taken, now);
+            busy[w] += cost;
+            free[w] = now + cost;
+            finished.push_back(free[w]);
+            taken += 1;
+        } else {
+            done = true;
+            makespan = makespan.max(now);
+            active.swap_remove(at);
+        }
+    }
+    LoopSim {
+        makespan,
+        serial_time: busy.iter().sum(),
+        chunks: taken,
+        thread_busy: busy,
+        lock_time,
     }
 }
 
@@ -161,7 +243,8 @@ pub fn costed_loop<T, R>(
     (results, simulate_loop(&costs, threads, schedule))
 }
 
-/// A [`Team`] on the virtual clock: every loop is a [`costed_loop`], and
+/// A [`Team`] on the virtual clock: every parallel-for is a
+/// [`costed_loop`], every ordered loop a [`simulate_ordered`] replay, and
 /// `sim` is the replay of all of them in program order — what a multi-loop
 /// parallel region (encode, barrier, route, barrier, count, barrier, …)
 /// charges as one figure.
@@ -222,6 +305,25 @@ impl Team for CostedTeam {
         let (results, sim) = costed_loop(items, self.threads(), self.schedule, f);
         self.sim.then(&sim);
         results
+    }
+
+    /// The ordered loop as [`simulate_ordered`] replays it, each call
+    /// measured by [`timed`].
+    fn ordered(
+        &mut self,
+        window: usize,
+        take: &mut (dyn FnMut() -> bool + Send),
+        work: &(dyn Fn(usize) + Sync),
+        commit: &mut (dyn FnMut(usize) + Send),
+    ) {
+        let stay = |commits: Range<usize>, claim: bool, _| {
+            timed(|| {
+                commits.for_each(&mut *commit);
+                claim && take()
+            })
+        };
+        let sim = simulate_ordered(self.threads(), window, stay, |i, _| timed(|| work(i)).1);
+        self.sim.then(&sim);
     }
 }
 

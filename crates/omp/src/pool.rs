@@ -6,7 +6,10 @@
 //! exactly why timing is handled separately by [`crate::makespan`]: the
 //! *results* come from here, the *clock* from the replay.
 
+use std::collections::VecDeque;
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Condvar, Mutex, PoisonError};
 
 /// A simple reusable description of a thread team.
 ///
@@ -44,14 +47,27 @@ impl Pool {
 /// ([`crate::makespan::CostedTeam`], which executes once, measures, and
 /// replays the configured thread count).
 ///
-/// A region on a team is parallel-fors and nothing else: it has no serial
-/// section for its workers to idle behind.
+/// A region on a team is parallel-fors and ordered loops: the only serial
+/// sections its workers idle behind are an ordered loop's lock.
 pub trait Team {
     /// Number of workers.
     fn threads(&self) -> usize;
 
     /// A parallel-for: map `f` over `items`, results in input order.
     fn map<T: Sync, R: Send>(&mut self, items: &[T], f: impl Fn(&T) -> R + Sync) -> Vec<R>;
+
+    /// An ordered loop, `seqio::par`'s `ord(window, take, work, commit)`:
+    /// `take` claims task `i` (the count so far) or returns false, `work(i)`
+    /// runs on any worker, `take` and `commit(i)` run under one lock and
+    /// commits come in index order, with at most `window` tasks taken but
+    /// not yet committed.
+    fn ordered(
+        &mut self,
+        window: usize,
+        take: &mut (dyn FnMut() -> bool + Send),
+        work: &(dyn Fn(usize) + Sync),
+        commit: &mut (dyn FnMut(usize) + Send),
+    );
 }
 
 impl Team for Pool {
@@ -62,6 +78,82 @@ impl Team for Pool {
     fn map<T: Sync, R: Send>(&mut self, items: &[T], f: impl Fn(&T) -> R + Sync) -> Vec<R> {
         parallel_map(items, self.threads, f)
     }
+
+    /// One mutex guards `take`, `commit` and the window; a worker that
+    /// finds the window full waits on a condvar for the next commit. The
+    /// worker that finishes the oldest task commits every finished task
+    /// behind it.
+    fn ordered(
+        &mut self,
+        window: usize,
+        take: &mut (dyn FnMut() -> bool + Send),
+        work: &(dyn Fn(usize) + Sync),
+        commit: &mut (dyn FnMut(usize) + Send),
+    ) {
+        /// What the lock guards.
+        struct Line<'a> {
+            take: &'a mut (dyn FnMut() -> bool + Send),
+            commit: &'a mut (dyn FnMut(usize) + Send),
+            committed: usize,
+            /// Per taken, uncommitted task, oldest first: has it finished?
+            finished: VecDeque<bool>,
+            done: bool,
+        }
+        let window = window.max(1);
+        let line = Mutex::new(Line {
+            take,
+            commit,
+            committed: 0,
+            finished: VecDeque::new(),
+            done: false,
+        });
+        let room = Condvar::new();
+        let poisoned = "another worker of the ordered loop panicked";
+        let worker = || {
+            let mut last: Option<usize> = None;
+            loop {
+                let mut l = line.lock().expect(poisoned);
+                if let Some(i) = last {
+                    let at = i - l.committed;
+                    l.finished[at] = true;
+                }
+                while l.finished.front() == Some(&true) {
+                    l.finished.pop_front();
+                    let i = l.committed;
+                    (l.commit)(i);
+                    l.committed += 1;
+                    room.notify_all();
+                }
+                while !l.done && l.finished.len() == window {
+                    l = room.wait(l).expect(poisoned);
+                }
+                if l.done || !(l.take)() {
+                    l.done = true;
+                    room.notify_all();
+                    return;
+                }
+                let i = l.committed + l.finished.len();
+                l.finished.push_back(false);
+                drop(l);
+                work(i);
+                last = Some(i);
+            }
+        };
+        crossbeam::scope(|scope| {
+            for _ in 0..self.threads {
+                scope.spawn(|_| {
+                    // A task that panicked never commits: release the
+                    // workers waiting for room before unwinding.
+                    if let Err(payload) = panic::catch_unwind(AssertUnwindSafe(worker)) {
+                        line.lock().unwrap_or_else(PoisonError::into_inner).done = true;
+                        room.notify_all();
+                        panic::resume_unwind(payload);
+                    }
+                });
+            }
+        })
+        .expect("worker thread panicked");
+    }
 }
 
 /// `team`'s parallel-for as a `par(n, body)` loop over `0..n`: the form in
@@ -70,6 +162,20 @@ pub fn par_loop<T: Team>(team: &mut T) -> impl FnMut(usize, &(dyn Fn(usize) + Sy
     move |n, body| {
         team.map(&(0..n).collect::<Vec<_>>(), |&i| body(i));
     }
+}
+
+/// `team`'s ordered loop as `ord(window, take, work, commit)`: the form in
+/// which the Inchworm walks (`seqio::par`) take it.
+#[allow(clippy::type_complexity)]
+pub fn ord_loop<T: Team>(
+    team: &mut T,
+) -> impl FnMut(
+    usize,
+    &mut (dyn FnMut() -> bool + Send),
+    &(dyn Fn(usize) + Sync),
+    &mut (dyn FnMut(usize) + Send),
+) + '_ {
+    move |window, take, work, commit| team.ordered(window, take, work, commit)
 }
 
 /// Map `f` over `items` using `threads` OS threads and a shared cursor
@@ -200,6 +306,60 @@ mod tests {
         });
         let got: Vec<u64> = hits.iter().map(|h| h.load(Ordering::Relaxed)).collect();
         assert_eq!(got, (1..=100).collect::<Vec<u64>>());
+    }
+
+    #[test]
+    fn ordered_commits_each_task_once_in_order_when_completions_come_reversed() {
+        use std::sync::atomic::AtomicBool;
+        // Four workers, four tasks, each waiting for every later one to
+        // finish: they finish 3, 2, 1, 0 and still commit 0, 1, 2, 3.
+        let n = 4;
+        let done: Vec<AtomicBool> = (0..n).map(|_| AtomicBool::new(false)).collect();
+        let finish_order = Mutex::new(Vec::new());
+        let (mut taken, mut commits) = (0, Vec::new());
+        Pool::new(n).ordered(
+            n,
+            &mut || {
+                taken += 1;
+                taken <= n
+            },
+            &|i| {
+                while done[i + 1..].iter().any(|d| !d.load(Ordering::SeqCst)) {
+                    std::thread::yield_now();
+                }
+                finish_order.lock().unwrap().push(i);
+                done[i].store(true, Ordering::SeqCst);
+            },
+            &mut |i| commits.push(i),
+        );
+        assert_eq!(finish_order.into_inner().unwrap(), [3, 2, 1, 0]);
+        assert_eq!(commits, [0, 1, 2, 3]);
+    }
+
+    #[test]
+    fn ordered_keeps_at_most_window_tasks_in_flight() {
+        let (n, window) = (200, 5);
+        let (mut taken, mut commits) = (0, Vec::new());
+        let in_flight = AtomicUsize::new(0);
+        Pool::new(3).ordered(
+            window,
+            &mut || {
+                let more = taken < n;
+                if more {
+                    taken += 1;
+                    assert!(in_flight.fetch_add(1, Ordering::SeqCst) < window);
+                }
+                more
+            },
+            &|i| {
+                std::hint::black_box((0..(i % 7) * 100).sum::<usize>());
+            },
+            &mut |i| {
+                in_flight.fetch_sub(1, Ordering::SeqCst);
+                commits.push(i);
+            },
+        );
+        assert_eq!(commits, (0..n).collect::<Vec<_>>());
     }
 
     #[test]

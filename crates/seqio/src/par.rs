@@ -9,6 +9,16 @@
 //! builder whose loop bodies write only what their own index owns gives the
 //! same result under every `par`.
 //!
+//! A loop whose tasks must land in order (the Inchworm walks) takes the
+//! second contract, `ord(window, take, work, commit)`: `take()` claims the
+//! next task, which gets index `i` — the number taken before it — or returns
+//! false when none is left; `work(i)` may run concurrently with other `work`
+//! calls and with `take` or `commit`; `take` and `commit(i)` run one at a
+//! time, under one lock, and `commit` is called once per task in index
+//! order; at most `window` tasks are taken but not yet committed.
+//! [`in_order`] is the sequential form — take, work, commit, repeat — and a
+//! caller with a thread team passes the team's (`omp::ord_loop`).
+//!
 //! The rest is what those builders' loops have in common: cutting one array
 //! into pieces a loop writes ([`cut`], [`map_pieces`], [`map_chunks`]), and
 //! the splitter sort ([`Splitters`], [`scatter`]).
@@ -20,6 +30,22 @@ use std::sync::{Mutex, OnceLock};
 /// order, on the calling thread.
 pub fn sequential(n: usize, body: &(dyn Fn(usize) + Sync)) {
     (0..n).for_each(body)
+}
+
+/// The ordered loop that runs each task to its commit before taking the
+/// next, on the calling thread: no task is ever speculative.
+pub fn in_order(
+    _window: usize,
+    take: &mut (dyn FnMut() -> bool + Send),
+    work: &(dyn Fn(usize) + Sync),
+    commit: &mut (dyn FnMut(usize) + Send),
+) {
+    let mut i = 0;
+    while take() {
+        work(i);
+        commit(i);
+        i += 1;
+    }
 }
 
 /// `f` over `0..n` through the caller's loop `par`, results in index order.

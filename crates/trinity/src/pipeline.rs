@@ -29,7 +29,7 @@ use chrysalis::graph_from_fasta::{cluster, gff_hybrid, GffShared};
 use chrysalis::reads_to_transcripts::{rtt_hybrid, RttShared};
 use chrysalis::scaffold::{scaffold_pairs, ScaffoldConfig};
 use chrysalis::timings::{BowtieTimings, GffTimings, RttTimings};
-use inchworm::assemble::{assemble_on, InchwormConfig};
+use inchworm::assemble::{assemble_on, InchwormConfig, WINDOW_PER_THREAD};
 use inchworm::dictionary::Dictionary;
 use kcount::counter::{count_kmers_on, CounterConfig, KmerCounts};
 use mpisim::cluster::cluster_time;
@@ -573,11 +573,12 @@ fn assemble_contigs(
 
     // ---- Inchworm ----
     // The dictionary adopts the count table and hands it back: the stage
-    // never holds a second copy of it. The seeding-order sort and the walks
-    // of each epoch are loops of the stage's team; what runs between them
-    // (epoch selection, commits, replays, `to_record`) is serial, and the
-    // stage is charged both: the team's makespan plus the wall time of the
-    // whole stage outside the team's items.
+    // never holds a second copy of it. The seeding-order sort's loops and
+    // the walks' ordered loop run on the stage's team — the walks' takes
+    // and commits (replays included) under its lock, on its lanes — and
+    // `to_record` after them is serial. The stage is charged both: the
+    // team's makespan plus the wall time of the whole stage outside the
+    // team's items.
     let distinct_kmers = counts.len();
     let contigs = d.stage(
         "Inchworm",
@@ -588,20 +589,22 @@ fn assemble_contigs(
             let threads = cfg.chrysalis.threads;
             let mut team = CostedTeam::new(threads, cfg.chrysalis.schedule);
             let ((contigs, stats), cost) = team.region(|team| {
-                let mut par = omp::par_loop(team);
                 let table = std::mem::replace(&mut counts, KmerCounts::empty(k));
                 let min_count = cfg.min_kmer_count.max(1);
-                let dict = Dictionary::from_counts_on(table, min_count, &mut par);
-                let (contigs, stats) = assemble_on(&dict, cfg.inchworm, 2 * threads, &mut par);
+                let dict = Dictionary::from_counts_on(table, min_count, &mut omp::par_loop(team));
+                let window = WINDOW_PER_THREAD * threads;
+                let (contigs, stats) =
+                    assemble_on(&dict, cfg.inchworm, window, &mut omp::ord_loop(team));
                 let contigs: Vec<Record> = contigs.iter().map(|c| c.to_record()).collect();
                 counts = dict.into_counts();
                 (contigs, stats)
             });
             d.metrics.gauge("inchworm.serial_s").set(cost.serial);
+            d.metrics.gauge("inchworm.lock_s").set(team.sim.lock_time);
             let counts = [
-                ("inchworm.epochs", stats.epochs),
                 ("inchworm.walks", stats.walks),
                 ("inchworm.replays", stats.replays),
+                ("inchworm.wasted_steps", stats.wasted_steps),
             ];
             for (name, n) in counts {
                 d.metrics.counter(name).add(n as u64);
@@ -861,11 +864,12 @@ mod tests {
 
     #[test]
     fn inchworm_stage_is_its_teams_makespan_plus_its_serial_sections() {
-        // The seeding-order sort's loops and each epoch's walks run on the
-        // stage's team and are charged at its makespan; epoch selection,
-        // commits, replays and `to_record` run between them and are charged
-        // at their wall time, the `inchworm.serial_s` the run reports. On
-        // one thread the makespan is the items' summed cost.
+        // The seeding-order sort's loops and the walks' ordered loop run on
+        // the stage's team and are charged at its makespan — the walks'
+        // takes and commits under its lock, on its lanes; `to_record` and
+        // the loops' bookkeeping are charged at their wall time, the
+        // `inchworm.serial_s` the run reports. On one thread the makespan
+        // is the items' summed cost.
         let reads = tiny_reads();
         for threads in [16, 1] {
             let mut cfg = PipelineConfig::small(12);
@@ -893,12 +897,20 @@ mod tests {
                 let items = out.trace.span_sum(obs::THREAD_TRACK_BASE, "inchworm.busy");
                 assert!((duration - (items + serial)).abs() <= 1e-9 * duration);
             }
-            // Epochs of up to twice as many seeds as there are threads.
             let counter = |name| out.metrics.counter(name).unwrap_or(0);
-            let (epochs, walks) = (counter("inchworm.epochs"), counter("inchworm.walks"));
-            assert!(epochs > 0 && walks <= 2 * threads as u64 * epochs);
-            assert!(walks > epochs || threads == 1);
-            assert!(counter("inchworm.loop.chunks") > walks);
+            let walks = counter("inchworm.walks");
+            assert!(walks > 0 && counter("inchworm.loop.chunks") > walks);
+            let lock = out
+                .metrics
+                .gauge("inchworm.lock_s")
+                .expect("lock-held time");
+            assert!(lock > 0.0 && lock < makespan);
+            // One thread walks each seed against every earlier commit: the
+            // serial loop, nothing replayed or thrown away.
+            if threads == 1 {
+                let wasted = counter("inchworm.wasted_steps");
+                assert_eq!((counter("inchworm.replays"), wasted), (0, 0));
+            }
         }
     }
 

@@ -1,26 +1,25 @@
 //! Inchworm's parallel loops on real OS threads: the seeding-order sort and
-//! the epochs' walks run on an `omp::Pool` of two workers — walks of one
-//! epoch truly concurrent, each against the same snapshot — and the
-//! dictionary and the contigs are what the sequential run produces, at
-//! every epoch width.
+//! the walks' ordered loop run on an `omp::Pool` of two workers — walks
+//! truly concurrent, each reading the used k-mers while the other's commits
+//! land — and the dictionary and the contigs are what the sequential run
+//! produces, at every window.
 
 use inchworm::{assemble, assemble_on, Dictionary, InchwormConfig};
 use kcount::counter::{count_kmers, CounterConfig, KmerCounts};
-use omp::{par_loop, Pool};
+use omp::{ord_loop, par_loop, Pool};
 use proptest::prelude::*;
 use simulate::datasets::{Dataset, DatasetPreset};
 
 fn check(counts: KmerCounts, cfg: InchwormConfig) {
     let mut pool = Pool::new(2);
-    let two_threads = &mut par_loop(&mut pool);
     let serial = Dictionary::from_counts(counts.clone(), 1);
-    let threaded = Dictionary::from_counts_on(counts, 1, two_threads);
+    let threaded = Dictionary::from_counts_on(counts, 1, &mut par_loop(&mut pool));
     assert!(serial.seeds().eq(threaded.seeds()));
     let expect = assemble(&serial, cfg);
-    for width in [1, 2, 3, 16, 64] {
-        let (contigs, stats) = assemble_on(&threaded, cfg, width, two_threads);
-        assert_eq!(contigs, expect, "width {width}");
-        assert!(stats.walks >= stats.epochs);
+    for window in [1, 2, 3, 16, 64, 256] {
+        let (contigs, stats) = assemble_on(&threaded, cfg, window, &mut ord_loop(&mut pool));
+        assert_eq!(contigs, expect, "window {window}");
+        assert!(stats.walks >= contigs.len() && stats.wasted_steps <= stats.steps);
     }
 }
 
