@@ -17,7 +17,7 @@ use bowtie::align::{align_read, AlignConfig, Alignment, Strand};
 use bowtie::fmindex::FmIndex;
 use bowtie::sam::SamRecord;
 
-use mpisim::comm::{Comm, Cost};
+use mpisim::comm::Comm;
 use mpisim::pack::{pack_byte_strings, pack_u32s, unpack_byte_strings, unpack_u32s};
 use omp::makespan::{costed_loop, CostedTeam};
 use omp::par_loop;
@@ -75,6 +75,22 @@ fn unpack_hits(buf: &[u8]) -> Option<Vec<Hit>> {
         mismatches: w[3] as u8,
     });
     Some(hits.collect())
+}
+
+impl crate::ReadLine for Hit {
+    const WIDTH: usize = 4 * HIT_WORDS;
+
+    fn read(&self) -> u32 {
+        self.read
+    }
+
+    fn pack(lines: &[Self]) -> Vec<u8> {
+        pack_hits(lines)
+    }
+
+    fn unpack(buf: &[u8]) -> Vec<Self> {
+        unpack_hits(buf).expect("peer sent whole hit tuples")
+    }
 }
 
 /// What one aligner run over all contigs would have kept of the sorted,
@@ -161,12 +177,8 @@ pub fn bowtie_mpi(
     let bases = [("bases", slice_bases as f64)];
     let index = comm.charge_costed("compute", "bowtie.index", &bases, || {
         let (index, cost) = team.region(|team| FmIndex::build_on(&slice, &mut par_loop(team)));
-        let args = vec![
-            ("sort_rounds", index.sort_rounds() as f64),
-            ("serial_s", cost.serial),
-        ];
-        let seconds = cost.charge();
-        (index, Cost { seconds, args })
+        let rounds = vec![("sort_rounds", index.sort_rounds() as f64)];
+        (index, crate::region_charge(cost, rounds))
     });
     crate::name_thread_lanes(comm, cfg);
     let lanes = crate::thread_lanes(comm, cfg);
@@ -200,14 +212,9 @@ pub fn bowtie_mpi(
     drop(hit_lists);
 
     // ---- Merge per-rank SAM files at the master ----
-    let merged = crate::master_merge(
-        comm,
-        "bowtie.merge",
-        hits,
-        pack_hits,
-        |buf| unpack_hits(buf).expect("peer sent whole hit tuples"),
-        |all| recut_per_read(all, align_cfg),
-    );
+    let merged = crate::master_merge(comm, cfg, "bowtie.merge", hits, |all| {
+        recut_per_read(all, align_cfg)
+    });
 
     // Names come back only here, from the replicated inputs.
     let sam: Vec<SamRecord> = merged

@@ -17,7 +17,7 @@ use crate::timings::GffTimings;
 use crate::weld::{
     decode_weld, harvest_contig, pack_welds, unpack_welds, KmerContigMap, WeldSupport,
 };
-use crate::{name_thread_lanes, thread_lanes};
+use crate::{name_thread_lanes, region_charge, thread_lanes};
 
 /// Read-only state every rank needs: the contig set, the seed-occurrence
 /// map and the read k-mer table (support oracle). Built once and shared;
@@ -290,11 +290,21 @@ fn gff_rank_program(comm: &mut Comm, shared: &GffShared, partition: Partition) -
         |buf| unpack_welds(buf).expect("peer sent whole packed welds"),
     );
 
-    // Weld k-mer index: a non-parallel region on every rank, and the one
-    // dedup of the pool.
+    // Weld k-mer index: the one dedup of the pool, then an owner-routed
+    // build — a parallel region on the rank's team, replicated on every
+    // rank. Its loops are charged at the team's makespan and drawn on the
+    // rank's thread lanes; the dedup and what runs between the loops at
+    // their wall time, the `serial_s` the span reports.
+    let mut team = CostedTeam::new(cfg.threads, cfg.schedule);
+    let index_start = comm.clock.now();
     let weld_index = comm.charge_costed("compute", "gff.weld_index", &[], || {
-        omp::timed(|| WeldKmerIndex::build(&pooled, cfg.weld_len(), cfg.k))
+        let (index, cost) =
+            team.region(|team| WeldKmerIndex::build_on(&pooled, cfg.weld_len(), cfg.k, team));
+        (index, region_charge(cost, Vec::new()))
     });
+    let lanes = thread_lanes(comm, cfg);
+    team.sim
+        .record_spans(&comm.obs, index_start, lanes, "gff.weld_index");
     drop(pooled);
 
     // Loop 2: weld matching over the same distribution, pooled as packed
@@ -473,6 +483,34 @@ mod tests {
                 "phases {parts} ≉ total {}",
                 t.total
             );
+        }
+    }
+
+    #[test]
+    fn weld_index_span_is_the_teams_makespan_plus_its_serial_remainder() {
+        // The weld index build's loops are charged at the team's makespan,
+        // drawn on the rank's thread lanes, and the dedup and what runs
+        // between the loops at their wall time, the `serial_s` the span
+        // reports. On one thread the makespan is the items' summed cost.
+        for threads in [4, 1] {
+            let mut shared = fixtures();
+            shared.cfg.threads = threads;
+            let shared = Arc::new(shared);
+            let outs = run_cluster(2, NetModel::ideal(), move |comm| gff_hybrid(comm, &shared));
+            for o in &outs {
+                let mut spans = o.trace.on_track(o.rank as u32);
+                let index = spans.find(|sp| sp.name == "gff.weld_index").unwrap();
+                let lane = obs::THREAD_TRACK_BASE + (o.rank * threads) as u32;
+                let busy = o.trace.span_sum(lane, "gff.weld_index.busy");
+                let idle = o.trace.span_sum(lane, "gff.weld_index.idle");
+                let serial = index.arg("serial_s").unwrap();
+                let duration = index.duration();
+                assert!(busy > 0.0 && serial > 0.0);
+                assert!((duration - (busy + idle + serial)).abs() <= 1e-9 * duration);
+                if threads == 1 {
+                    assert_eq!(idle, 0.0, "one thread runs every item");
+                }
+            }
         }
     }
 

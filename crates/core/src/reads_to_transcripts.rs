@@ -21,7 +21,6 @@ use omp::schedule::static_owner;
 use omp::Team;
 
 use crate::config::ChrysalisConfig;
-use crate::pairs::{pack_pairs, unpack_pairs};
 use crate::timings::RttTimings;
 
 /// Read-only state for the stage: the read set (standing in for the
@@ -293,14 +292,7 @@ fn rtt_rank_program(comm: &mut Comm, shared: &RttShared, policy: ReadPolicy) -> 
 
     // Each rank writes its own output file; the master concatenates them
     // ("a simple cat command").
-    let assignments = crate::master_merge(
-        comm,
-        "rtt.concat",
-        my_assignments,
-        pack_pairs,
-        unpack_pairs,
-        |_| {},
-    );
+    let assignments = crate::master_merge(comm, &shared.cfg, "rtt.concat", my_assignments, |_| {});
 
     comm.obs
         .record(track, "stage", "rtt.total", start, comm.clock.now());

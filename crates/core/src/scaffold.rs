@@ -9,6 +9,7 @@
 use std::collections::HashMap;
 
 use bowtie::sam::SamRecord;
+use seqio::par::{par_map, BUCKETS};
 
 /// Scaffolding parameters.
 #[derive(Debug, Clone, Copy)]
@@ -38,6 +39,19 @@ fn pair_key(qname: &str) -> &str {
         .unwrap_or(qname)
 }
 
+/// FNV-1a of a pair key, mixed: the lead that buckets the key. Simulated
+/// read names share long prefixes, so a byte prefix would not spread them.
+fn key_hash(key: &str) -> u64 {
+    let fnv = key.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    });
+    kmertable::mix64(fnv)
+}
+
+/// One placement near a contig end: the pair key's hash, the key, the
+/// contig. Sorting by hash first compares whole keys only on a tie.
+type Placement<'a> = (u64, &'a str, u32);
+
 /// Derive scaffold pairs from merged SAM records.
 ///
 /// `contig_index` maps contig names to dense indices; `contig_lens` gives
@@ -50,13 +64,45 @@ pub fn scaffold_pairs(
     contig_lens: &[usize],
     cfg: ScaffoldConfig,
 ) -> Vec<(u32, u32)> {
-    // (read-pair key, contig) of every placement near a contig end, each
-    // once, grouped by read pair with its contigs ascending.
-    let mut ends: Vec<(&str, u32)> = sam
-        .iter()
-        .filter(|rec| !rec.is_unmapped())
-        .filter_map(|rec| {
-            let &contig = contig_index.get(&rec.rname)?;
+    scaffold_pairs_on(
+        sam,
+        contig_index,
+        contig_lens,
+        cfg,
+        &mut seqio::par::sequential,
+    )
+}
+
+/// [`scaffold_pairs`] as three loops run by `par` ([`seqio::par`]); the
+/// links are the same under every `par`.
+///
+/// 1. Per chunk of records: drop unmapped records and unknown contigs,
+///    apply the end-window test, and put each `(hash, pair key, contig)`
+///    in the bucket of its hash's top bits — so every placement of a read
+///    pair lands in one bucket.
+/// 2. Per pair bucket: sort, dedup, group by pair key and emit one link
+///    per read pair and pair of its contigs, into the bucket of the link's
+///    first contig — buckets in `(a, b)` order, equal links together.
+/// 3. Per link bucket: sort and keep each link made by `min_pairs` read
+///    pairs or more. The buckets concatenate to the sorted list.
+pub fn scaffold_pairs_on(
+    sam: &[SamRecord],
+    contig_index: &HashMap<String, u32>,
+    contig_lens: &[usize],
+    cfg: ScaffoldConfig,
+    par: &mut impl FnMut(usize, &(dyn Fn(usize) + Sync)),
+) -> Vec<(u32, u32)> {
+    let shift = 64 - BUCKETS.trailing_zeros();
+    let chunks = seqio::par::chunks(sam.len());
+    let placed: Vec<Vec<Vec<Placement>>> = par_map(par, chunks.len(), |c| {
+        let mut out = vec![Vec::new(); BUCKETS];
+        for rec in &sam[chunks[c].clone()] {
+            if rec.is_unmapped() {
+                continue;
+            }
+            let Some(&contig) = contig_index.get(&rec.rname) else {
+                continue;
+            };
             let len = contig_lens[contig as usize];
             let pos = (rec.pos.max(1) - 1) as usize; // SAM POS is 1-based
             let read_span = rec
@@ -66,26 +112,41 @@ pub fn scaffold_pairs(
                 .unwrap_or(0);
             let near_start = pos < cfg.end_window;
             let near_end = pos + read_span + cfg.end_window >= len;
-            (near_start || near_end).then(|| (pair_key(&rec.qname), contig))
-        })
-        .collect();
-    ends.sort_unstable();
-    ends.dedup();
-
-    // One link per read pair and pair of its contigs; a link made by
-    // `min_pairs` read pairs or more is kept.
-    let mut links: Vec<(u32, u32)> = Vec::new();
-    for pair in ends.chunk_by(|a, b| a.0 == b.0) {
-        for (i, &(_, a)) in pair.iter().enumerate() {
-            links.extend(pair[i + 1..].iter().map(|&(_, b)| (a, b)));
+            if near_start || near_end {
+                let key = pair_key(&rec.qname);
+                let hash = key_hash(key);
+                out[(hash >> shift) as usize].push((hash, key, contig));
+            }
         }
-    }
-    links.sort_unstable();
-    links
-        .chunk_by(|a, b| a == b)
-        .filter(|run| run.len() >= cfg.min_pairs as usize)
-        .map(|run| run[0])
-        .collect()
+        out
+    });
+
+    let contigs = contig_lens.len().max(1);
+    let linked: Vec<Vec<Vec<(u32, u32)>>> = par_map(par, BUCKETS, |b| {
+        let mut ends: Vec<Placement> = placed.iter().flat_map(|c| c[b].iter().copied()).collect();
+        ends.sort_unstable();
+        ends.dedup();
+        let mut out = vec![Vec::new(); BUCKETS];
+        for pair in ends.chunk_by(|x, y| (x.0, x.1) == (y.0, y.1)) {
+            for (i, &(_, _, a)) in pair.iter().enumerate() {
+                let to = &mut out[a as usize * BUCKETS / contigs];
+                to.extend(pair[i + 1..].iter().map(|&(_, _, b)| (a, b)));
+            }
+        }
+        out
+    });
+    drop(placed);
+
+    let kept: Vec<Vec<(u32, u32)>> = par_map(par, BUCKETS, |b| {
+        let mut links: Vec<(u32, u32)> = linked.iter().flat_map(|p| p[b].iter().copied()).collect();
+        links.sort_unstable();
+        links
+            .chunk_by(|x, y| x == y)
+            .filter(|run| run.len() >= cfg.min_pairs as usize)
+            .map(|run| run[0])
+            .collect()
+    });
+    kept.concat()
 }
 
 #[cfg(test)]
@@ -172,6 +233,10 @@ mod tests {
         assert_eq!(pairs, vec![(0, 1)]);
     }
 
+    fn reversed(n: usize, body: &(dyn Fn(usize) + Sync)) {
+        (0..n).rev().for_each(body)
+    }
+
     /// The `HashMap` body `scaffold_pairs` had before it sorted instead.
     fn hashmap_oracle(
         sam: &[SamRecord],
@@ -234,6 +299,9 @@ mod tests {
         /// index does not know, some with a name without a mate suffix)
         /// anywhere on a handful of short contigs, so ends, middles,
         /// repeats of one placement and every `min_pairs` occur.
+        /// A hub pair whose mates sit at the start of every contig, so
+        /// one pair key spans them all. Every loop order gives the
+        /// oracle's links: in place, reversed, and on two OS threads.
         #[test]
         fn sorted_links_equal_the_hashmap_body(
             records in proptest::collection::vec(
@@ -243,11 +311,12 @@ mod tests {
             lens in proptest::collection::vec(100usize..700, 6),
             end_window in 0usize..200,
             min_pairs in 0u32..4,
+            hubs in 0usize..3,
         ) {
             let names = ["c0", "c1", "c2", "c3", "c4", "c5", "unknown"];
             let idx: HashMap<String, u32> =
                 (0..6).map(|c| (names[c].to_string(), c as u32)).collect();
-            let sam: Vec<SamRecord> = records
+            let mut records: Vec<SamRecord> = records
                 .into_iter()
                 .map(|(pair, mate, contig, pos, span, kind)| {
                     let qname = format!("p{pair}{}", ["/1", "/2", "/s", ""][mate]);
@@ -257,12 +326,53 @@ mod tests {
                     }
                 })
                 .collect();
+            for hub in 0..hubs {
+                for (c, name) in names.iter().enumerate() {
+                    let mate = ["/1", "/2"][c % 2];
+                    records.push(sam(&format!("hub{hub}{mate}"), name, 1, 30));
+                }
+            }
             let cfg = ScaffoldConfig { end_window, min_pairs };
-            proptest::prop_assert_eq!(
-                scaffold_pairs(&sam, &idx, &lens, cfg),
-                hashmap_oracle(&sam, &idx, &lens, cfg)
-            );
+            let expect = hashmap_oracle(&records, &idx, &lens, cfg);
+            proptest::prop_assert_eq!(&scaffold_pairs(&records, &idx, &lens, cfg), &expect);
+            let on_reversed = scaffold_pairs_on(&records, &idx, &lens, cfg, &mut reversed);
+            proptest::prop_assert_eq!(&on_reversed, &expect);
+            let mut pool = omp::Pool::new(2);
+            let on_threads =
+                scaffold_pairs_on(&records, &idx, &lens, cfg, &mut omp::par_loop(&mut pool));
+            proptest::prop_assert_eq!(&on_threads, &expect);
         }
+    }
+
+    #[test]
+    fn many_records_spread_over_the_buckets() {
+        // More records than one chunk holds, on many contigs: every loop
+        // has several tasks, and links land in many buckets.
+        let contigs = 200;
+        let idx: HashMap<String, u32> = (0..contigs).map(|c| (format!("c{c}"), c)).collect();
+        let lens = vec![1000; contigs as usize];
+        let mut records = Vec::new();
+        for p in 0..3000u32 {
+            let (a, b) = (p % contigs, (p * 7 + 1) % contigs);
+            records.push(sam(
+                &format!("read{}/1", p % 1500),
+                &format!("c{a}"),
+                950,
+                36,
+            ));
+            records.push(sam(
+                &format!("read{}/2", p % 1500),
+                &format!("c{b}"),
+                10,
+                36,
+            ));
+        }
+        let cfg = cfg();
+        let expect = hashmap_oracle(&records, &idx, &lens, cfg);
+        assert!(expect.len() > 100);
+        assert_eq!(scaffold_pairs(&records, &idx, &lens, cfg), expect);
+        let on_reversed = scaffold_pairs_on(&records, &idx, &lens, cfg, &mut reversed);
+        assert_eq!(on_reversed, expect);
     }
 
     #[test]

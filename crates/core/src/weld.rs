@@ -12,7 +12,7 @@
 //! table with sufficient count, i.e. real reads span the junction.
 
 use kcount::counter::KmerCounts;
-use kcount::routed::{for_each_owner, routed_build, OWNERS};
+use kcount::routed::{for_each_owner, routed_build, Router, OWNERS};
 use kmertable::{PackedKmerTable, PackedWeldSet, PartitionedKmerTable};
 use mpisim::pack::{pack_u64s, unpack_u64s};
 use omp::Team;
@@ -124,83 +124,151 @@ pub struct SeedOcc {
     pub forward: bool,
 }
 
+/// A k-mer → items map as an owner-routed build leaves it: each key's items
+/// in one flat array per owner, grouped by key, and the open-addressing
+/// [`PartitionedKmerTable`] mapping a packed key to its owner and group from
+/// one hash — so a probe never hashes with SipHash, chases `HashMap`
+/// buckets or follows a per-key allocation.
+#[derive(Debug, Clone)]
+pub(crate) struct GroupedKmerMap<T> {
+    /// Packed key → group id, dense within the key's owner.
+    index: PartitionedKmerTable,
+    /// Per owner of `index`, the items of its keys.
+    groups: Vec<Groups<T>>,
+}
+
+/// One owner's items: key `id` (owner-local) has
+/// `items[starts[id]..starts[id + 1]]`, in arrival order.
+#[derive(Debug, Clone)]
+struct Groups<T> {
+    starts: Vec<u32>,
+    items: Vec<T>,
+}
+
+/// One owner's share of a [`GroupedKmerMap`] under construction: its keys,
+/// ids dense in first-seen order, and every item in arrival order.
+#[derive(Default)]
+struct GroupOwner<T> {
+    index: PackedKmerTable,
+    arrivals: Vec<(u32, T)>,
+}
+
+impl<T: Copy + Default> GroupOwner<T> {
+    /// An owner pre-sized for `arrivals` items, each possibly a new key:
+    /// neither its index nor its arrival list then grows by doubling, which
+    /// would leave as much freed memory behind as the owner ends up holding.
+    fn with_capacity(arrivals: usize) -> Self {
+        GroupOwner {
+            index: PackedKmerTable::with_capacity(arrivals),
+            arrivals: Vec::with_capacity(arrivals),
+        }
+    }
+
+    #[inline]
+    fn push(&mut self, key: u64, item: T) {
+        let id = self.index.get_or_insert(key, self.index.len() as u32);
+        self.arrivals.push((id, item));
+    }
+
+    /// The owner's finished share: its index as built, and the arrivals
+    /// counting-sorted by key id — stable, so arrival order survives inside
+    /// every group.
+    fn finish(self) -> (PackedKmerTable, Groups<T>) {
+        let keys = self.index.len();
+        let mut starts = vec![0u32; keys + 1];
+        for &(id, _) in &self.arrivals {
+            starts[id as usize + 1] += 1;
+        }
+        for id in 0..keys {
+            starts[id + 1] += starts[id];
+        }
+        let mut next = starts.clone();
+        let mut items = vec![T::default(); self.arrivals.len()];
+        for (id, item) in self.arrivals {
+            let at = &mut next[id as usize];
+            items[*at as usize] = item;
+            *at += 1;
+        }
+        (self.index, Groups { starts, items })
+    }
+}
+
+impl<T: Copy + Default + Send + Sync> GroupedKmerMap<T> {
+    /// The map built sequentially from `(key, item)` pairs, in order — one
+    /// owner, the reference the routed build must reproduce.
+    fn build(pairs: impl Iterator<Item = (u64, T)>) -> Self {
+        let mut owner = GroupOwner::default();
+        pairs.for_each(|(key, item)| owner.push(key, item));
+        Self::from_owners(vec![owner.finish()])
+    }
+
+    /// An owner-routed build on `team`: `route` sends each batch's
+    /// `(key, item)` pairs, each owner records what it receives — in batch
+    /// order, so every key's items come out in the order a sequential pass
+    /// over the batches emits them — and, in a third loop, groups its own
+    /// arrivals by key. `per_owner` pre-sizes each owner. The owners are
+    /// kept as they are; nothing is concatenated.
+    pub(crate) fn build_routed<B: Sync>(
+        batches: &[B],
+        per_owner: usize,
+        team: &mut impl Team,
+        route: impl Fn(&B, &mut Router<T>) + Sync,
+    ) -> Self {
+        let owners = (0..OWNERS).map(|_| GroupOwner::with_capacity(per_owner));
+        let mut owners = routed_build(batches, owners.collect(), team, route, |owner, routed| {
+            for &(key, item) in routed {
+                owner.push(key, item);
+            }
+        });
+        let finished = for_each_owner(&mut owners, team, |_, owner| std::mem::take(owner).finish());
+        Self::from_owners(finished)
+    }
+
+    /// Adopt finished owners, in owner order.
+    fn from_owners(owners: Vec<(PackedKmerTable, Groups<T>)>) -> Self {
+        let (index, groups) = owners.into_iter().unzip();
+        GroupedKmerMap {
+            index: PartitionedKmerTable::from_owners(index),
+            groups,
+        }
+    }
+
+    /// The items of `key` (empty if absent).
+    #[inline]
+    pub(crate) fn get(&self, key: u64) -> &[T] {
+        match self.index.get_with_owner(key) {
+            Some((owner, id)) => {
+                let Groups { starts, items } = &self.groups[owner];
+                &items[starts[id as usize] as usize..starts[id as usize + 1] as usize]
+            }
+            None => &[],
+        }
+    }
+
+    /// Number of distinct keys.
+    pub(crate) fn len(&self) -> usize {
+        self.index.len()
+    }
+
+    /// Number of items over all keys.
+    fn items(&self) -> usize {
+        self.groups.iter().map(|g| g.items.len()).sum()
+    }
+}
+
 /// Global map from canonical (k−1)-mer to its occurrences across contigs.
 /// Replicated read-only on every rank in the paper's code; built once and
 /// shared here (see the crate-level simulation notes). The build is an
 /// owner-routed one ([`kcount::routed`]) accounted as an OpenMP-parallel
 /// region, matching the paper's attribution of "non-parallel regions" to
-/// the weld-set setup and final output only.
-/// The map stays partitioned as the build leaves it: each owner has its
-/// own flat occurrence array grouped by seed, and the open-addressing
-/// [`PartitionedKmerTable`] maps a packed canonical seed to its owner and
-/// group from one hash, so the hot probe (one per contig window per
-/// candidate pair) never hashes with SipHash, chases `HashMap` buckets or
-/// follows a per-seed allocation.
+/// the weld-set setup and final output only. The map stays partitioned as
+/// the build leaves it (a `GroupedKmerMap`), each seed's occurrences in
+/// ascending (contig, position) order — the hot probe is one per contig
+/// window per candidate pair.
 #[derive(Debug, Clone)]
 pub struct KmerContigMap {
     seed_len: usize,
-    /// Canonical packed seed → seed id, dense within the seed's owner.
-    index: PartitionedKmerTable,
-    /// Per owner of `index`, the occurrences of its seeds.
-    occs: Vec<SeedOccs>,
-}
-
-/// One owner's occurrences: seed `id` (owner-local) occurs at
-/// `occs[starts[id]..starts[id + 1]]`, in ascending (contig, position)
-/// order.
-#[derive(Debug, Clone)]
-struct SeedOccs {
-    starts: Vec<u32>,
-    occs: Vec<SeedOcc>,
-}
-
-/// One owner's share of the seed map under construction: its seeds, ids
-/// dense in first-seen order, and every occurrence in arrival order.
-#[derive(Default)]
-struct SeedOwner {
-    index: PackedKmerTable,
-    arrivals: Vec<(u32, SeedOcc)>,
-}
-
-impl SeedOwner {
-    /// An owner pre-sized for `occurrences` arrivals, each possibly a new
-    /// seed: neither its index nor its arrival list then grows by doubling,
-    /// which would leave as much freed memory behind as the owner ends up
-    /// holding.
-    fn with_capacity(occurrences: usize) -> Self {
-        SeedOwner {
-            index: PackedKmerTable::with_capacity(occurrences),
-            arrivals: Vec::with_capacity(occurrences),
-        }
-    }
-
-    #[inline]
-    fn push(&mut self, key: u64, occ: SeedOcc) {
-        let id = self.index.get_or_insert(key, self.index.len() as u32);
-        self.arrivals.push((id, occ));
-    }
-
-    /// The owner's finished share: its index as built, and the arrivals
-    /// counting-sorted by seed id — stable, so arrival order survives
-    /// inside every group.
-    fn finish(self) -> (PackedKmerTable, SeedOccs) {
-        let seeds = self.index.len();
-        let mut starts = vec![0u32; seeds + 1];
-        for &(id, _) in &self.arrivals {
-            starts[id as usize + 1] += 1;
-        }
-        for id in 0..seeds {
-            starts[id + 1] += starts[id];
-        }
-        let mut next = starts.clone();
-        let mut occs = vec![SeedOcc::default(); self.arrivals.len()];
-        for (id, occ) in self.arrivals {
-            let at = &mut next[id as usize];
-            occs[*at as usize] = occ;
-            *at += 1;
-        }
-        (self.index, SeedOccs { starts, occs })
-    }
+    map: GroupedKmerMap<SeedOcc>,
 }
 
 /// Contigs per routed batch of the seed-map build.
@@ -237,21 +305,20 @@ impl KmerContigMap {
     /// reproduce.
     pub fn build(contigs: &[PackedSeq], k: usize) -> Self {
         let seed_len = Self::seed_len_for(k);
-        let mut owner = SeedOwner::default();
-        for (i, c) in contigs.iter().enumerate() {
-            for (key, occ) in Self::seeds_of(i, c, seed_len) {
-                owner.push(key, occ);
-            }
+        let seeds = contigs
+            .iter()
+            .enumerate()
+            .flat_map(|(i, c)| Self::seeds_of(i, c, seed_len));
+        KmerContigMap {
+            seed_len,
+            map: GroupedKmerMap::build(seeds),
         }
-        Self::from_owners(seed_len, vec![owner.finish()])
     }
 
     /// [`Self::build`] as an owner-routed build on `team`: contig batches
-    /// route `(seed, occurrence)` pairs, each owner records what it
-    /// receives — in batch order, so every seed's occurrences come out in
-    /// ascending (contig, position) order exactly as the sequential build
-    /// leaves them — and, in a third loop, groups its own arrivals by
-    /// seed. The owners are kept as they are; nothing is concatenated.
+    /// route `(seed, occurrence)` pairs, so every seed's occurrences come
+    /// out in ascending (contig, position) order exactly as the sequential
+    /// build leaves them.
     pub fn build_routed(contigs: &[PackedSeq], k: usize, team: &mut impl Team) -> Self {
         let seed_len = Self::seed_len_for(k);
         let batches: Vec<(usize, &[PackedSeq])> = contigs
@@ -267,37 +334,15 @@ impl KmerContigMap {
             .map(|c| (c.len() + 1).saturating_sub(seed_len))
             .sum();
         let per_owner = windows / OWNERS + windows / (16 * OWNERS) + 1;
-        let mut owners = routed_build(
-            &batches,
-            (0..OWNERS)
-                .map(|_| SeedOwner::with_capacity(per_owner))
-                .collect(),
-            team,
-            |&(first, batch), router| {
+        let map =
+            GroupedKmerMap::build_routed(&batches, per_owner, team, |&(first, batch), router| {
                 for (i, c) in batch.iter().enumerate() {
                     for (key, occ) in Self::seeds_of(first + i, c, seed_len) {
                         router.push(key, occ);
                     }
                 }
-            },
-            |owner: &mut SeedOwner, routed| {
-                for &(key, occ) in routed {
-                    owner.push(key, occ);
-                }
-            },
-        );
-        let finished = for_each_owner(&mut owners, team, |_, owner| std::mem::take(owner).finish());
-        Self::from_owners(seed_len, finished)
-    }
-
-    /// Adopt finished owners, in owner order.
-    fn from_owners(seed_len: usize, owners: Vec<(PackedKmerTable, SeedOccs)>) -> Self {
-        let (index, occs) = owners.into_iter().unzip();
-        KmerContigMap {
-            seed_len,
-            index: PartitionedKmerTable::from_owners(index),
-            occs,
-        }
+            });
+        KmerContigMap { seed_len, map }
     }
 
     /// Seed length (k − 1).
@@ -308,23 +353,17 @@ impl KmerContigMap {
     /// Occurrences of a canonical seed (empty slice if none).
     #[inline]
     pub fn occurrences(&self, canon: Kmer) -> &[SeedOcc] {
-        match self.index.get_with_owner(canon.packed()) {
-            Some((owner, id)) => {
-                let SeedOccs { starts, occs } = &self.occs[owner];
-                &occs[starts[id as usize] as usize..starts[id as usize + 1] as usize]
-            }
-            None => &[],
-        }
+        self.map.get(canon.packed())
     }
 
     /// Number of distinct seeds.
     pub fn len(&self) -> usize {
-        self.index.len()
+        self.map.len()
     }
 
     /// True if no seeds were indexed.
     pub fn is_empty(&self) -> bool {
-        self.index.is_empty()
+        self.map.len() == 0
     }
 
     /// Record the seed index's table health (entries, capacity, load
@@ -334,10 +373,10 @@ impl KmerContigMap {
     /// built index, so re-recording overwrites rather than double-counts)
     /// into `registry`.
     pub fn record_metrics(&self, registry: &obs::MetricsRegistry, prefix: &str) {
-        self.index.record_metrics(registry, prefix);
+        self.map.index.record_metrics(registry, prefix);
         registry
             .gauge(format!("{prefix}.occurrences"))
-            .set(self.occs.iter().map(|o| o.occs.len()).sum::<usize>() as f64);
+            .set(self.map.items() as f64);
     }
 }
 

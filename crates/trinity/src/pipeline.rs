@@ -27,7 +27,7 @@ use chrysalis::bowtie_mpi::{bowtie_mpi, contig_name_index};
 use chrysalis::config::ChrysalisConfig;
 use chrysalis::graph_from_fasta::{cluster, gff_hybrid, GffShared};
 use chrysalis::reads_to_transcripts::{rtt_hybrid, RttShared};
-use chrysalis::scaffold::{scaffold_pairs, ScaffoldConfig};
+use chrysalis::scaffold::{scaffold_pairs_on, ScaffoldConfig};
 use chrysalis::timings::{BowtieTimings, GffTimings, RttTimings};
 use inchworm::assemble::{assemble_on, InchwormConfig, WINDOW_PER_THREAD};
 use inchworm::dictionary::Dictionary;
@@ -573,12 +573,11 @@ fn assemble_contigs(
 
     // ---- Inchworm ----
     // The dictionary adopts the count table and hands it back: the stage
-    // never holds a second copy of it. The seeding-order sort's loops and
-    // the walks' ordered loop run on the stage's team — the walks' takes
-    // and commits (replays included) under its lock, on its lanes — and
-    // `to_record` after them is serial. The stage is charged both: the
-    // team's makespan plus the wall time of the whole stage outside the
-    // team's items.
+    // never holds a second copy of it. The seeding-order sort's loops, the
+    // walks' ordered loop and the `to_record` loop after them run on the
+    // stage's team — the walks' takes and commits (replays included) under
+    // its lock, on its lanes. The stage is charged the team's makespan plus
+    // the wall time of the whole stage outside the team's items.
     let distinct_kmers = counts.len();
     let contigs = d.stage(
         "Inchworm",
@@ -595,7 +594,7 @@ fn assemble_contigs(
                 let window = WINDOW_PER_THREAD * threads;
                 let (contigs, stats) =
                     assemble_on(&dict, cfg.inchworm, window, &mut omp::ord_loop(team));
-                let contigs: Vec<Record> = contigs.iter().map(|c| c.to_record()).collect();
+                let contigs: Vec<Record> = team.map(&contigs, |c| c.to_record());
                 counts = dict.into_counts();
                 (contigs, stats)
             });
@@ -686,23 +685,32 @@ pub fn run_pipeline_opts(
     d.metrics.counter("gff.pairs").add(gff_pairs.len() as u64);
 
     // ---- Chrysalis: scaffolding (combine Bowtie links with welds) ----
+    // One parallel region on the stage's team: the scaffolding's loops are
+    // charged at the team's makespan and drawn on its lanes; the contig
+    // name index, the pair merge and the clustering are its serial
+    // remainder, charged at their wall time (`quantify.serial_s`).
     let components = d.stage_from(
         "QuantifyGraph",
         quantify_loaded,
         |c| ckpt::encode_components(c),
         |_, _| ram::graph_from_fasta(contig_bytes, 0, weld_bytes),
-        |_| {
-            let (components, seconds) = omp::timed(|| {
+        |d| {
+            let mut team = CostedTeam::new(cfg.chrysalis.threads, cfg.chrysalis.schedule);
+            let (components, cost) = team.region(|team| {
                 let name_index = contig_name_index(&contigs);
                 let lens: Vec<usize> = contigs.iter().map(|c| c.seq.len()).collect();
-                let scaf_pairs = scaffold_pairs(&sam, &name_index, &lens, cfg.scaffold);
+                let mut par = omp::par_loop(team);
+                let scaf_pairs =
+                    scaffold_pairs_on(&sam, &name_index, &lens, cfg.scaffold, &mut par);
                 let mut all_pairs = gff_pairs.clone();
                 all_pairs.extend(scaf_pairs);
                 all_pairs.sort_unstable();
                 all_pairs.dedup();
                 cluster(contigs.len(), &all_pairs).1
             });
-            (components, StageRun::timed(seconds))
+            d.metrics.gauge("quantify.serial_s").set(cost.serial);
+            d.log_omp_loop("quantify", &team.sim);
+            (components, StageRun::timed(cost.charge()))
         },
     );
     d.metrics
@@ -911,6 +919,53 @@ mod tests {
                 let wasted = counter("inchworm.wasted_steps");
                 assert_eq!((counter("inchworm.replays"), wasted), (0, 0));
             }
+        }
+    }
+
+    #[test]
+    fn quantify_stage_is_its_teams_makespan_plus_its_serial_section() {
+        // The scaffolding's loops run on the stage's team and are charged
+        // at its makespan, on its lanes; the contig name index, the pair
+        // merge and the clustering are charged at their wall time, the
+        // `quantify.serial_s` the run reports. On one thread the makespan
+        // is the items' summed cost.
+        let reads = tiny_reads();
+        for threads in [16, 1] {
+            let mut cfg = PipelineConfig::small(12);
+            cfg.chrysalis.threads = threads;
+            let out = run_pipeline(&reads, &cfg);
+            let stages = out.trace.with_cat("stage");
+            let stage = stages
+                .iter()
+                .find(|s| s.track == 0 && s.name == "QuantifyGraph")
+                .expect("QuantifyGraph stage span");
+            let lanes = out
+                .trace
+                .spans
+                .iter()
+                .filter(|s| s.name.starts_with("quantify."));
+            let makespan = lanes.map(|s| s.end).fold(stage.start, f64::max) - stage.start;
+            let serial = out
+                .metrics
+                .gauge("quantify.serial_s")
+                .expect("serial section");
+            let duration = stage.end - stage.start;
+            assert!(makespan > 0.0 && serial > 0.0);
+            assert!((duration - (makespan + serial)).abs() <= 1e-9 * duration);
+            let idle: f64 = (0..threads as u32)
+                .map(|t| {
+                    out.trace
+                        .span_sum(obs::THREAD_TRACK_BASE + t, "quantify.idle")
+                })
+                .sum();
+            if threads == 1 {
+                let items = out.trace.span_sum(obs::THREAD_TRACK_BASE, "quantify.busy");
+                assert!((duration - (items + serial)).abs() <= 1e-9 * duration);
+                assert_eq!(idle, 0.0, "one thread runs every item");
+            }
+            // Record chunks, then pair buckets, then link buckets.
+            let chunks = out.metrics.counter("quantify.loop.chunks").unwrap_or(0);
+            assert!(chunks > 2 * seqio::par::BUCKETS as u64);
         }
     }
 
