@@ -21,24 +21,26 @@ pub fn run(seed: u64, scale: f64) -> Trace {
     run_pipeline(&w.reads, &cfg).trace
 }
 
+/// The pipeline's stages in a trace, in order, each with its duration in
+/// seconds.
+pub fn stage_times(trace: &Trace) -> Vec<(String, f64)> {
+    let stages = trace.with_cat("stage").into_iter().filter(|s| s.track == 0);
+    stages.map(|s| (s.name.clone(), s.end - s.start)).collect()
+}
+
 /// Total time in the Chrysalis stages (Bowtie + GraphFromFasta +
-/// QuantifyGraph + ReadsToTranscripts) of a pipeline trace.
-pub fn chrysalis_time(trace: &Trace) -> f64 {
-    trace
-        .with_cat("stage")
-        .into_iter()
-        .filter(|s| {
-            s.track == 0
-                && [
-                    "Bowtie",
-                    "GraphFromFasta",
-                    "QuantifyGraph",
-                    "ReadsToTranscripts",
-                ]
-                .contains(&s.name.as_str())
-        })
-        .map(|s| s.end - s.start)
-        .sum()
+/// QuantifyGraph + ReadsToTranscripts) of a run's [`stage_times`].
+pub fn chrysalis_time(stages: &[(String, f64)]) -> f64 {
+    const CHRYSALIS: [&str; 4] = [
+        "Bowtie",
+        "GraphFromFasta",
+        "QuantifyGraph",
+        "ReadsToTranscripts",
+    ];
+    let chrysalis = stages
+        .iter()
+        .filter(|(name, _)| CHRYSALIS.contains(&name.as_str()));
+    chrysalis.map(|(_, seconds)| seconds).sum()
 }
 
 /// Render the figure as text (stage table + duration bars).
@@ -50,7 +52,7 @@ pub fn render(trace: &Trace) -> String {
     out.push_str(&render_bars(trace, 50));
     out.push_str(&format!(
         "\nChrysalis share of runtime: {:.1}% (paper: >83%, '50 of ~60 hours')\n",
-        100.0 * chrysalis_time(trace) / trace.total_time().max(f64::MIN_POSITIVE)
+        100.0 * chrysalis_time(&stage_times(trace)) / trace.total_time().max(f64::MIN_POSITIVE)
     ));
     out
 }
@@ -61,16 +63,24 @@ mod tests {
 
     #[test]
     fn chrysalis_dominates_at_small_scale() {
-        let trace = run(1, 0.1);
-        let stages = trace
-            .with_cat("stage")
-            .into_iter()
-            .filter(|s| s.track == 0)
-            .count();
-        assert_eq!(stages, 7);
-        let text = render(&trace);
+        // Three runs, each stage at its fastest: a wall-replayed stage that
+        // one run caught in a host stall does not decide the share.
+        let traces: Vec<Trace> = (0..3).map(|_| run(1, 0.1)).collect();
+        let runs: Vec<_> = traces.iter().map(stage_times).collect();
+        assert_eq!(runs[0].len(), 7);
+        let text = render(&traces[0]);
         assert!(text.contains("Chrysalis share"));
-        let chrysalis = chrysalis_time(&trace);
+        let fastest: Vec<(String, f64)> = (0..runs[0].len())
+            .map(|stage| {
+                let times = runs.iter().map(|run| run[stage].1);
+                (
+                    runs[0][stage].0.clone(),
+                    times.fold(f64::INFINITY, f64::min),
+                )
+            })
+            .collect();
+        let chrysalis = chrysalis_time(&fastest);
+        let total: f64 = fastest.iter().map(|(_, seconds)| seconds).sum();
         // The paper's ">83%" Chrysalis share holds for the real C++ Trinity
         // at sugarbeet scale. At this test's tiny scale the per-stage
         // constants shift (and the packed-k-mer-table work in this repo
@@ -79,9 +89,8 @@ mod tests {
         // component — not the full-scale ratio, which only the rendered
         // figure reports.
         assert!(
-            chrysalis > 0.15 * trace.total_time(),
-            "Chrysalis must be a major cost: {chrysalis} of {}",
-            trace.total_time()
+            chrysalis > 0.15 * total,
+            "Chrysalis must be a major cost: {chrysalis} of {total}"
         );
     }
 }

@@ -65,20 +65,28 @@ mod tests {
     #[test]
     fn serial_share_grows_with_ranks() {
         let shared = prepare(2, 0.12);
-        let data = run(shared, &[4, 48]);
-        let rows = breakdown(&data);
+        // Three runs, each figure at its fastest: a wall-replayed phase that
+        // one run caught in a host stall does not decide the trend.
+        let runs: Vec<_> = (0..3).map(|_| run(shared.clone(), &[4, 48])).collect();
+        let rows = breakdown(&runs[0]);
         assert_eq!(rows.len(), 2);
         // Mean-based shares are noise-robust (the max is granularity-bound
         // at this workload size): the loops' share of the stage falls with
         // ranks, i.e. the non-parallel share grows — Fig. 8's trend.
-        let loop_share = |r: &crate::fig07_gff_scaling::ScalingRow| {
-            (r.loop1.mean + r.loop2.mean) / r.total.max(f64::MIN_POSITIVE)
+        let loop_share = |row: usize| {
+            let fastest = |f: &dyn Fn(&crate::fig07_gff_scaling::ScalingRow) -> f64| {
+                runs.iter()
+                    .map(|data| f(&data.rows[row]))
+                    .fold(f64::INFINITY, f64::min)
+            };
+            let loops = fastest(&|r| r.loop1.mean) + fastest(&|r| r.loop2.mean);
+            loops / fastest(&|r| r.total).max(f64::MIN_POSITIVE)
         };
         assert!(
-            loop_share(&data.rows[1]) < loop_share(&data.rows[0]),
+            loop_share(1) < loop_share(0),
             "loop share must fall: {} -> {}",
-            loop_share(&data.rows[0]),
-            loop_share(&data.rows[1])
+            loop_share(0),
+            loop_share(1)
         );
         for r in &rows {
             let sum = r.loop1_pct + r.loop2_pct + r.serial_pct;

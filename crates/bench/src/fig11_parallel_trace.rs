@@ -11,7 +11,7 @@ use simulate::datasets::DatasetPreset;
 use trinity::pipeline::{run_pipeline, PipelineMode};
 use trinity::report::{render_bars, render_trace};
 
-use crate::fig02_baseline::chrysalis_time;
+use crate::fig02_baseline::{chrysalis_time, stage_times};
 use crate::workloads::{bench_pipeline_config, scaled};
 
 /// Run the hybrid pipeline at `ranks` nodes and return its trace.
@@ -32,7 +32,7 @@ pub fn render(parallel: &Trace, baseline: &Trace) -> String {
     out.push_str(&render_trace(parallel));
     out.push('\n');
     out.push_str(&render_bars(parallel, 50));
-    let (cb, cp) = (chrysalis_time(baseline), chrysalis_time(parallel));
+    let [cb, cp] = [baseline, parallel].map(|trace| chrysalis_time(&stage_times(trace)));
     out.push_str(&format!(
         "\nChrysalis time: baseline {:.3}s -> parallel {:.3}s ({:.1}x; paper: >50h -> <5h, >10x)\n",
         cb,

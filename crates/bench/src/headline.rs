@@ -105,9 +105,27 @@ pub fn render(rows: &[HeadlineRow]) -> String {
 mod tests {
     use super::*;
 
+    /// Per stage, the fastest baseline and the fastest hybrid over `runs`.
+    fn fastest(runs: &[Vec<HeadlineRow>]) -> Vec<HeadlineRow> {
+        let min = |stage: usize, f: fn(&HeadlineRow) -> f64| {
+            let times = runs.iter().map(|rows| f(&rows[stage]));
+            times.fold(f64::INFINITY, f64::min)
+        };
+        (0..runs[0].len())
+            .map(|stage| HeadlineRow {
+                baseline: min(stage, |r| r.baseline),
+                hybrid: min(stage, |r| r.hybrid),
+                ..runs[0][stage].clone()
+            })
+            .collect()
+    }
+
     #[test]
     fn stage_speedup_ordering_matches_paper() {
-        let rows = run(2, 0.1, 24, 8, 8);
+        // Three runs, each stage at its fastest: a wall-replayed stage that
+        // one run caught in a host stall does not decide a floor.
+        let runs: Vec<_> = (0..3).map(|_| run(2, 0.1, 24, 8, 8)).collect();
+        let rows = fastest(&runs);
         assert_eq!(rows.len(), 3);
         let gff = rows[0].speedup();
         let rtt = rows[1].speedup();

@@ -1,13 +1,19 @@
 //! Inchworm's ordered loop per window size (an extension: the paper leaves
 //! Inchworm serial). The Fig. 11 input's dictionary and walks run on a
-//! 16-thread costed team with a window of 1 walk and of 1, 2, 4, 8 and 16
-//! walks per thread; per window, what the stage is charged, how many walks
-//! and replays it took, how much speculative work was thrown away, and how
-//! much of the walks' makespan the loop's lock was held.
+//! 16-thread costed team with a window of 1 walk and of 1, 2, 4, 8, 16, 32
+//! and 64 walks per thread; per window, what the stage is charged, how many
+//! walks it took and deferred, and how much of the walks' makespan the
+//! loop's lock was held, and for commits how much of that. The costed team
+//! walks in take order, so no walk may be replayed or thrown away: each
+//! walk sees an earlier walk's whole path of marks, even where on the
+//! virtual clock that walk has not reached them yet. The same walks on OS
+//! threads (`omp::Pool`, at the pipeline's window) see only the part of a
+//! path walked so far, and are replayed where they raced: their rows count
+//! what a truly concurrent run defers, replays and throws away.
 
-use inchworm::{assemble, assemble_on, Contig, Dictionary, WalkStats};
+use inchworm::{assemble, assemble_on, Contig, Dictionary, WalkStats, WINDOW_PER_THREAD};
 use kcount::counter::{count_kmers, CounterConfig, KmerCounts};
-use omp::{ord_loop, par_loop, CostedTeam};
+use omp::{ord_loop, par_loop, timed, CostedTeam, Pool, Team};
 use simulate::datasets::DatasetPreset;
 use trinity::pipeline::PipelineConfig;
 
@@ -28,6 +34,8 @@ pub struct WindowRow {
     /// Seconds the loop's lock was held: takes and commits, replays
     /// included.
     pub lock_s: f64,
+    /// The part of `lock_s` spent in commits.
+    pub commit_s: f64,
     /// Walk counts and extension steps.
     pub stats: WalkStats,
 }
@@ -36,6 +44,11 @@ impl WindowRow {
     /// The share of the walks' makespan during which the lock was held.
     pub fn lock_share(&self) -> f64 {
         self.lock_s / self.walk_makespan_s.max(f64::MIN_POSITIVE)
+    }
+
+    /// The share of the lock-held time spent in commits.
+    pub fn commit_share(&self) -> f64 {
+        self.commit_s / self.lock_s.max(f64::MIN_POSITIVE)
     }
 }
 
@@ -50,7 +63,7 @@ pub fn prepare(seed: u64, scale: f64) -> (KmerCounts, PipelineConfig) {
 
 /// Build the dictionary and assemble with `window` walks in flight on two
 /// costed teams of the configured threads, one for the dictionary's loops
-/// and one for the walks'.
+/// and one for the walks', whose commits are timed apart.
 fn run_window(
     counts: &KmerCounts,
     cfg: &PipelineConfig,
@@ -62,28 +75,40 @@ fn run_window(
     let min_count = cfg.min_kmer_count.max(1);
     let (dict, sort) =
         sort_team.region(|team| Dictionary::from_counts_on(table, min_count, &mut par_loop(team)));
-    let ((contigs, stats), walk) =
-        walk_team.region(|team| assemble_on(&dict, cfg.inchworm, window, &mut ord_loop(team)));
+    let mut commit_s = 0.0;
+    let ((contigs, stats), walk) = walk_team.region(|team| {
+        let mut ord = |window,
+                       take: &mut (dyn FnMut() -> bool + Send),
+                       work: &(dyn Fn(usize) + Sync),
+                       commit: &mut (dyn FnMut(usize) + Send)| {
+            team.ordered(window, take, work, &mut |i| {
+                commit_s += timed(|| commit(i)).1
+            })
+        };
+        assemble_on(&dict, cfg.inchworm, window, &mut ord)
+    });
     let row = WindowRow {
         window,
         stage_s: sort.charge() + walk.charge(),
         walk_makespan_s: walk.makespan,
         walk_work_s: walk_team.sim.serial_time,
         lock_s: walk_team.sim.lock_time,
+        commit_s,
         stats,
     };
     (contigs, row)
 }
 
-/// One row per window — 1, then 1, 2, 4, 8 and 16 times the thread count —
-/// each the fastest stage of `reps` runs. Panics unless every window
-/// assembled the serial loop's contigs.
+/// One row per window — 1, then 1, 2, 4, 8, 16, 32 and 64 times the thread
+/// count — each the fastest stage of `reps` runs. Panics unless every
+/// window assembled the serial loop's contigs with no walk replayed and no
+/// step thrown away.
 pub fn run(counts: &KmerCounts, cfg: &PipelineConfig, reps: usize) -> Vec<WindowRow> {
     let threads = cfg.chrysalis.threads;
     let dict = Dictionary::from_counts(counts.clone(), cfg.min_kmer_count.max(1));
     let serial = assemble(&dict, cfg.inchworm);
     drop(dict);
-    let per_thread = [1, 2, 4, 8, 16].map(|m| m * threads);
+    let per_thread = [1, 2, 4, 8, 16, 32, 64].map(|m| m * threads);
     std::iter::once(1)
         .chain(per_thread)
         .map(|window| {
@@ -91,6 +116,8 @@ pub fn run(counts: &KmerCounts, cfg: &PipelineConfig, reps: usize) -> Vec<Window
             let mut best: Option<WindowRow> = None;
             for (contigs, row) in runs {
                 assert!(contigs == serial, "window {window} changed the contigs");
+                let exact = (row.stats.replays, row.stats.wasted_steps) == (0, 0);
+                assert!(exact, "window {window} threw walks away: {:?}", row.stats);
                 if best.as_ref().is_none_or(|b| row.stage_s < b.stage_s) {
                     best = Some(row);
                 }
@@ -100,37 +127,103 @@ pub fn run(counts: &KmerCounts, cfg: &PipelineConfig, reps: usize) -> Vec<Window
         .collect()
 }
 
+/// The walks' ordered loop on OS threads.
+#[derive(Debug, Clone)]
+pub struct PoolRow {
+    /// Workers of the `omp::Pool`.
+    pub threads: usize,
+    /// Walks taken but not yet committed, at most: the pipeline's window.
+    pub window: usize,
+    /// Wall time of the walks' loop, seconds.
+    pub wall_s: f64,
+    /// Walk counts and extension steps.
+    pub stats: WalkStats,
+}
+
+/// One row per width of `widths`: the walks on an `omp::Pool` of that many
+/// workers with the pipeline's window. Panics unless each assembled the
+/// serial loop's contigs.
+pub fn run_pool(counts: &KmerCounts, cfg: &PipelineConfig, widths: &[usize]) -> Vec<PoolRow> {
+    let dict = Dictionary::from_counts(counts.clone(), cfg.min_kmer_count.max(1));
+    let serial = assemble(&dict, cfg.inchworm);
+    let row = |threads| {
+        let mut pool = Pool::new(threads);
+        let window = WINDOW_PER_THREAD * threads;
+        let ord = &mut ord_loop(&mut pool);
+        let ((contigs, stats), wall_s) = timed(|| assemble_on(&dict, cfg.inchworm, window, ord));
+        assert!(contigs == serial, "{threads} threads changed the contigs");
+        PoolRow {
+            threads,
+            window,
+            wall_s,
+            stats,
+        }
+    };
+    widths.iter().map(|&threads| row(threads)).collect()
+}
+
 /// Render the rows as the EXPERIMENTS table.
 pub fn render(rows: &[WindowRow], threads: usize) -> String {
     let mut out = format!(
         "Inchworm ordered loop — stage and speculation per window ({threads} threads, sugarbeet-like)\n\n\
-         {:>6} {:>10} {:>10} {:>7} {:>8} {:>12} {:>11} {:>6}\n",
+         {:>6} {:>10} {:>10} {:>7} {:>8} {:>8} {:>12} {:>6} {:>8}\n",
         "window",
         "stage (s)",
         "walks (s)",
         "walks",
+        "deferred",
         "replays",
         "wasted steps",
-        "wasted (s)",
-        "lock"
+        "lock",
+        "commits"
     );
     for r in rows {
-        let wasted_s = r.walk_work_s * r.stats.wasted_steps as f64 / r.stats.steps.max(1) as f64;
         out.push_str(&format!(
-            "{:>6} {:>10.4} {:>10.4} {:>7} {:>8} {:>12} {:>11.4} {:>5.0}%\n",
+            "{:>6} {:>10.4} {:>10.4} {:>7} {:>8} {:>8} {:>12} {:>5.0}% {:>7.0}%\n",
             r.window,
             r.stage_s,
             r.walk_makespan_s,
             r.stats.walks,
+            r.stats.deferred,
             r.stats.replays,
             r.stats.wasted_steps,
-            wasted_s,
-            100.0 * r.lock_share()
+            100.0 * r.lock_share(),
+            100.0 * r.commit_share()
         ));
     }
     out.push_str(
-        "\n(walks (s): makespan of the walks' loop; wasted: speculative work replayed or skipped, \
-         its share of the loop's work; lock: share of that makespan the lock was held)\n",
+        "\n(walks (s): makespan of the walks' loop; deferred: walks whose seed a walk in flight \
+         had claimed, not walked; wasted: speculative steps replayed or skipped; lock: share of \
+         the walks' makespan the lock was held; commits: share of that lock-held time spent \
+         committing)\n",
+    );
+    out
+}
+
+/// Render the OS-thread rows.
+pub fn render_pool(rows: &[PoolRow]) -> String {
+    let mut out = format!(
+        "\nThe same walks on OS threads (omp::Pool, window {WINDOW_PER_THREAD} per thread)\n\n\
+         {:>7} {:>6} {:>9} {:>7} {:>8} {:>8} {:>12} {:>7}\n",
+        "threads", "window", "wall (s)", "walks", "deferred", "replays", "wasted steps", "wasted"
+    );
+    for r in rows {
+        let wasted = r.stats.wasted_steps as f64 / r.stats.steps.max(1) as f64;
+        out.push_str(&format!(
+            "{:>7} {:>6} {:>9.4} {:>7} {:>8} {:>8} {:>12} {:>6.1}%\n",
+            r.threads,
+            r.window,
+            r.wall_s,
+            r.stats.walks,
+            r.stats.deferred,
+            r.stats.replays,
+            r.stats.wasted_steps,
+            100.0 * wasted
+        ));
+    }
+    out.push_str(
+        "\n(walks see each other's marks only as far as they have walked; wasted: share of the \
+         speculative steps replayed or skipped)\n",
     );
     out
 }
@@ -145,17 +238,27 @@ mod tests {
         // here are the counts, which the host cannot move.
         let (counts, cfg) = prepare(1, 0.05);
         let rows = run(&counts, &cfg, 1);
-        assert_eq!(rows.len(), 6);
+        assert_eq!(rows.len(), 8);
         // A window of one walk is the serial loop: every walk sees every
         // earlier commit.
         let serial = rows[0].stats;
-        assert_eq!((serial.replays, serial.wasted_steps), (0, 0));
         for r in &rows {
-            assert!(r.stats.walks >= serial.walks);
-            // Steps that were not thrown away are serial walks' steps.
-            assert!(r.stats.steps - r.stats.wasted_steps <= serial.steps);
+            // The seeds walked are the serial loop's at every window — the
+            // rest are deferred — and every step is a serial walk's step.
+            assert_eq!(r.stats.walks, serial.walks);
+            assert_eq!(r.stats.steps, serial.steps);
             assert!(r.lock_s > 0.0 && r.lock_s <= r.walk_makespan_s);
+            assert!(r.commit_s > 0.0 && r.commit_s < r.lock_s);
         }
-        assert!(render(&rows, cfg.chrysalis.threads).contains("replays"));
+        assert!(render(&rows, cfg.chrysalis.threads).contains("deferred"));
+    }
+
+    #[test]
+    fn os_threads_assemble_the_serial_contigs() {
+        let (counts, cfg) = prepare(1, 0.05);
+        let rows = run_pool(&counts, &cfg, &[2]);
+        let stats = rows[0].stats;
+        assert!(stats.walks > 0 && stats.wasted_steps <= stats.steps);
+        assert!(render_pool(&rows).contains("replays"));
     }
 }

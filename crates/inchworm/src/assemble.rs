@@ -7,10 +7,17 @@
 //! walk's own claims, while other walks are in flight — at most `window`
 //! taken and not yet committed — and each walk commits in seed order as
 //! soon as every earlier one has. A walk commits if no commit took one of
-//! its claims (its seed first); it is replayed at its turn against the live
-//! bitset otherwise, or skipped if its seed is gone. Three rules keep this
-//! cheap and exact:
+//! its claims (its seed first) and every slot it stepped around as claimed
+//! by a walk in flight has been committed; it is replayed at its turn
+//! against the live bitset otherwise, or skipped if its seed is gone. Four
+//! rules keep this cheap and exact:
 //!
+//! * **marks** — a walk marks each slot it claims, and a later walk treats
+//!   a marked slot as used and records it as *assumed*; a seed already
+//!   marked is not walked and takes no place in the window: it is deferred
+//!   to its turn, which the commit of the next walk taken settles. On an
+//!   executor that walks in take order every mark is an earlier walk's
+//!   claim, which that walk commits, so no walk is replayed or thrown away;
 //! * **early abort** — a walk about to claim a k-mer that comes before its
 //!   own seed in seeding order stops there: by its turn every such k-mer is
 //!   claimed, so it would be replayed anyway;
@@ -23,7 +30,8 @@
 //!   threaded through the walks, so what a walk picks depends only on the
 //!   bitset it sees.
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering::Relaxed};
+use std::collections::VecDeque;
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::Mutex;
 
 use seqio::alphabet::code_to_base;
@@ -70,10 +78,15 @@ impl Default for InchwormConfig {
 /// is one neighbour lookup).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WalkStats {
-    /// Speculative walks run: one per seed taken.
+    /// Speculative walks run: one per seed taken and walked.
     pub walks: usize,
-    /// Walks redone at their turn because a commit made after they started
-    /// took one of their claims.
+    /// Seeds not walked because a walk in flight had marked them, or a
+    /// commit taken them, when they were reached: at their turn they are
+    /// skipped, or walked as a replay if the seed is still free.
+    pub deferred: usize,
+    /// Walks redone at their turn: a commit made after they started took
+    /// one of their claims, a slot they stepped around was left free, or
+    /// their deferred seed was.
     pub replays: usize,
     /// Extension steps of the speculative walks.
     pub steps: usize,
@@ -82,36 +95,81 @@ pub struct WalkStats {
     pub wasted_steps: usize,
 }
 
-/// One flag per dictionary slot. Walks read it while commits set flags: a
-/// flag is only ever set, and only under the loop's lock, so what a walk
-/// sees is part of what its commit will see. `Relaxed` suffices: the flags
-/// publish no other data, a stale read is an older subset of the flags, and
-/// the takes and commits that must see every earlier commit run under the
-/// loop's lock, which orders them.
-struct Bits(Vec<AtomicU64>);
+/// A slot's flags: a commit took it.
+const USED: u64 = 1;
+/// A slot's flags: a walk in flight claims it.
+const MARKED: u64 = 2;
+
+/// Two flags per dictionary slot, `USED` and `MARKED`, kept per 64 slots in
+/// a pair of words side by side (one cache line holds both). `USED` is only
+/// ever set, and only under the loop's lock, so what a walk sees of it is
+/// part of what its commit will see; as only the lock's holder writes the
+/// `USED` words, a plain load and store sets a flag. Marks are hints: walks
+/// set them with `fetch_or` and clear the ones they abandon with
+/// `fetch_and`, in words of their own, so no commit can lose one — and no
+/// commit trusts one: it checks the slots a walk claimed and assumed
+/// instead. `Relaxed` suffices: the flags publish no other data, a stale
+/// read of `USED` is an older subset of the flags, and the takes and commits
+/// that must see every earlier commit run under the loop's lock, which
+/// orders them.
+struct Bits(Vec<[AtomicU64; 2]>);
 
 impl Bits {
     fn new(slots: usize) -> Self {
-        Bits((0..slots.div_ceil(64)).map(|_| AtomicU64::new(0)).collect())
+        let words = || [AtomicU64::new(0), AtomicU64::new(0)];
+        Bits((0..slots.div_ceil(64)).map(|_| words()).collect())
     }
 
-    fn get(&self, slot: usize) -> bool {
-        self.0[slot / 64].load(Relaxed) >> (slot % 64) & 1 == 1
+    /// The slot's `USED` and `MARKED` words, and its bit in each.
+    fn words(&self, slot: usize) -> (&[AtomicU64; 2], u32) {
+        (&self.0[slot / 64], (slot % 64) as u32)
     }
 
-    /// Only the holder of the loop's lock sets flags, so a plain store
-    /// does (no read-modify-write).
-    fn set(&self, slot: usize) {
-        let word = &self.0[slot / 64];
-        word.store(word.load(Relaxed) | 1 << (slot % 64), Relaxed);
+    /// The slot's flags.
+    fn get(&self, slot: usize) -> u64 {
+        let ([used, marked], at) = self.words(slot);
+        flags(used.load(Relaxed), marked.load(Relaxed), at)
     }
+
+    fn used(&self, slot: usize) -> bool {
+        let ([used, _], at) = self.words(slot);
+        used.load(Relaxed) >> at & 1 == 1
+    }
+
+    /// Mark the slot and return its flags before.
+    fn mark(&self, slot: usize) -> u64 {
+        let ([used, marked], at) = self.words(slot);
+        let was_marked = marked.fetch_or(1 << at, Relaxed);
+        flags(used.load(Relaxed), was_marked, at)
+    }
+
+    /// Set the slot's `USED` flag: only the holder of the loop's lock does.
+    fn set_used(&self, slot: usize) {
+        let ([used, _], at) = self.words(slot);
+        used.store(used.load(Relaxed) | 1 << at, Relaxed);
+    }
+
+    /// Clear the marks of `slots`.
+    fn unmark(&self, slots: &[u32]) {
+        for &slot in slots {
+            let ([_, marked], at) = self.words(slot as usize);
+            marked.fetch_and(!(1 << at), Relaxed);
+        }
+    }
+}
+
+/// The flags of the slot at bit `at` of a `USED` and a `MARKED` word.
+fn flags(used: u64, marked: u64, at: u32) -> u64 {
+    let flag = |word: u64, flag| if word >> at & 1 == 1 { flag } else { 0 };
+    flag(used, USED) | flag(marked, MARKED)
 }
 
 /// The growing ends of a walk.
 const RIGHT: usize = 0;
 const LEFT: usize = 1;
 
-/// A walk's own claims: one flag per dictionary slot and end.
+/// A walk's own claims: one flag per dictionary slot and end. Private to
+/// the walk, unlike its marks, which a racing walk may set too.
 struct Own(Vec<[u64; 2]>);
 
 impl Own {
@@ -140,7 +198,10 @@ type Seed = (Kmer, usize, u32);
 /// What a walk may not claim, and where it gives up.
 struct Seen<'a> {
     /// The bitset the walk runs against.
-    used: &'a Bits,
+    bits: &'a Bits,
+    /// A speculative walk marks its claims and steps around marked slots;
+    /// a walk at its turn does neither.
+    speculative: bool,
     own: &'a mut Own,
     /// The walk's seed: a winner that comes before it in seeding order
     /// aborts the walk.
@@ -165,15 +226,31 @@ struct End {
 }
 
 /// A walk from one seed.
+#[derive(Default)]
 struct Walk {
     seq: Vec<u8>,
     /// Claimed slots, the seed's first.
     claims: Vec<u32>,
+    /// Unused slots it stepped around because a walk in flight marked
+    /// them: its commit needs them used.
+    assumed: Vec<u32>,
     /// Sum and number of the claimed k-mers' counts.
     coverage: (u64, usize),
     /// Stopped before claiming a k-mer that comes before its seed.
     aborted: bool,
+    /// Not walked: its seed was claimed when its turn to walk came.
+    deferred: bool,
     steps: usize,
+}
+
+impl Walk {
+    /// A seed's walk that was not walked: its seed was claimed.
+    fn deferred() -> Self {
+        Walk {
+            deferred: true,
+            ..Walk::default()
+        }
+    }
 }
 
 /// Why a walk stopped short.
@@ -210,9 +287,10 @@ impl Walker<'_> {
     }
 
     /// One step of end `E`: among the four neighbours of its k-mer that the
-    /// dictionary holds, claim the one that neither `seen.used` nor the
-    /// walk claimed, with the highest count, then the highest tie rank,
-    /// then the smallest base — or close the end if there is none.
+    /// dictionary holds, claim the one that is neither used, claimed by the
+    /// walk nor — for a speculative walk — marked, with the highest count,
+    /// then the highest tie rank, then the smallest base — or close the end
+    /// if there is none.
     fn step<const E: usize>(
         &self,
         end: &mut End,
@@ -229,7 +307,11 @@ impl Walker<'_> {
             let Some((slot, count)) = candidate else {
                 continue;
             };
-            if count < self.cfg.min_extend_count.max(1) || seen.used.get(slot) {
+            if count < self.cfg.min_extend_count.max(1) {
+                continue;
+            }
+            let flags = seen.bits.get(slot);
+            if flags & USED != 0 {
                 continue;
             }
             match seen.own.end_of(slot) {
@@ -238,6 +320,12 @@ impl Walker<'_> {
                 Some(LEFT) if E == RIGHT => return Err(Halt::Crossed),
                 Some(_) => continue,
                 None => {}
+            }
+            if seen.speculative && flags & MARKED != 0 {
+                // Another walk in flight claims it: step around it as if
+                // its commit had landed, and have this walk's commit check.
+                walk.assumed.push(slot as u32);
+                continue;
             }
             let rank = (count, self.tie_rank(end.cur, code as u8));
             if best.is_none_or(|(best_rank, ..)| rank > best_rank) {
@@ -254,6 +342,9 @@ impl Walker<'_> {
         end.bases.push(code_to_base(code));
         end.cur = next[code as usize];
         seen.own.set(slot, E);
+        if seen.speculative {
+            seen.bits.mark(slot);
+        }
         walk.claims.push(slot as u32);
         walk.coverage.0 += u64::from(count);
         walk.coverage.1 += 1;
@@ -281,29 +372,31 @@ impl Walker<'_> {
         Ok(())
     }
 
-    /// The walk from `seed` against `used` plus its own claims, which it
-    /// keeps in `own` — clean on entry and left clean. It is the serial
-    /// loop's walk, which extends rightward and then leftward; the two ends
-    /// take a step each in turn, so that an earlier seed on either side is
-    /// met early. That is the same walk unless the rightward end reaches a
-    /// k-mer the leftward one claimed first — then it is walked again in
-    /// the serial order. It stops short, aborted, at a winner that comes
-    /// before `seed` in seeding order: against the bitset of its turn there
-    /// is none.
-    fn walk(&self, seed: Seed, used: &Bits, own: &mut Own) -> Walk {
+    /// The walk from `seed` against `bits` plus its own claims, which it
+    /// keeps in `own` — clean on entry and left clean. A `speculative`
+    /// walk, whose seed its caller has marked, marks its claims and steps
+    /// around marked slots; one at its turn reads `USED` alone. It is the
+    /// serial loop's walk, which extends rightward and then leftward; the
+    /// two ends take a step each in turn, so that an earlier seed on either
+    /// side is met early. That is the same walk unless the rightward end
+    /// reaches a k-mer the leftward one claimed first — then the marks of
+    /// that attempt are cleared and it is walked again in the serial order.
+    /// It stops short, aborted, at a winner that comes before `seed` in
+    /// seeding order: against the bitset of its turn there is none.
+    fn walk(&self, seed: Seed, bits: &Bits, speculative: bool, own: &mut Own) -> Walk {
         let (kmer, slot, count) = seed;
         let mut steps = 0;
         for alternate in [true, false] {
             let mut walk = Walk {
-                seq: Vec::new(),
                 claims: vec![slot as u32],
                 coverage: (u64::from(count), 1),
-                aborted: false,
                 steps,
+                ..Walk::default()
             };
             own.set(slot, RIGHT);
             let mut seen = Seen {
-                used,
+                bits,
+                speculative,
                 own: &mut *own,
                 seed,
             };
@@ -317,6 +410,9 @@ impl Walker<'_> {
                 own.unset(claim as usize);
             }
             if outcome == Err(Halt::Crossed) {
+                if speculative {
+                    bits.unmark(&walk.claims[1..]);
+                }
                 steps = walk.steps;
                 continue;
             }
@@ -336,11 +432,26 @@ pub fn assemble(dict: &Dictionary, cfg: InchwormConfig) -> Vec<Contig> {
     assemble_on(dict, cfg, 1, &mut seqio::par::in_order).0
 }
 
-/// A walk in flight: its seed and, once walked, the walk.
-type Task = (Seed, Option<Walk>);
+/// A walk in flight: its seed, the seed's place in seeding order and, once
+/// walked, the walk. A commit leaves the walk's buffers in place; the next
+/// walk at the same place in the window frees them, outside the lock.
+struct Task {
+    at: usize,
+    seed: Seed,
+    walk: Option<Walk>,
+}
+
+/// Where the seeding order stands ahead of the walks in flight.
+struct Ahead {
+    /// The first seed neither taken nor passed over.
+    next: usize,
+    /// Seeds passed over while a walk in flight had marked them, with their
+    /// places in seeding order: each is settled at its turn.
+    deferred: VecDeque<(usize, Seed)>,
+}
 
 /// Run the Inchworm main loop as one ordered loop `ord` with `window`
-/// walks in flight (see the crate docs). The contigs are [`assemble`]'s at
+/// walks in flight (see the module docs). The contigs are [`assemble`]'s at
 /// every window, under every executor of the `ord` contract.
 pub fn assemble_on(
     dict: &Dictionary,
@@ -354,7 +465,7 @@ pub fn assemble_on(
     ),
 ) -> (Vec<Contig>, WalkStats) {
     let walker = Walker { dict, cfg };
-    let used = Bits::new(dict.slots());
+    let bits = Bits::new(dict.slots());
     let window = window.max(1);
     // The walks in flight, each at its index modulo the window: task `i`
     // is taken only once task `i − window` has committed.
@@ -364,72 +475,132 @@ pub fn assemble_on(
     let spare = Mutex::new(Vec::new());
     let mut own = Own::new(dict.slots());
     // Seeds come in decreasing count: the first one below the threshold
-    // ends the run. `next` is where the next take looks from; a walk moves
-    // it past the seeds it finds used behind the last take — a used seed
-    // stays used — so that a take, under the lock, seldom has to skip any.
-    // It only ever grows (`fetch_max`) and a take re-checks from it, so it
-    // is a hint that publishes nothing: `Relaxed`.
+    // ends the run. Most seeds are claimed, or marked, by some walk before
+    // their turn, and a take would have to pass over them — serial work,
+    // under the loop's lock. So after each walk its worker moves `ahead`
+    // past them up to the next free seed: a used seed stays used, and a
+    // marked one is deferred to its turn. A take then mostly finds a free
+    // seed at once.
     let min_seed = cfg.min_seed_count.max(1);
-    let next = AtomicUsize::new(0);
-    let unused_from = |from: usize| {
-        (from..dict.len())
-            .map_while(|at| dict.seed(at).map(|seed| (at, seed)))
-            .take_while(|&(_, (_, _, count))| count >= min_seed)
-            .find(|&(_, (_, slot, _))| !used.get(slot))
+    let ahead = Mutex::new(Ahead {
+        next: 0,
+        deferred: VecDeque::new(),
+    });
+    let pass_over = |ahead: &mut Ahead| {
+        while let Some(seed) = dict.seed(ahead.next).filter(|seed| seed.2 >= min_seed) {
+            match bits.get(seed.1) {
+                0 => return Some((ahead.next, seed)),
+                MARKED => ahead.deferred.push_back((ahead.next, seed)),
+                _ => {}
+            }
+            ahead.next += 1;
+        }
+        None
     };
     let mut taken = 0;
-    let mut stats = WalkStats::default();
-    let mut contigs = Vec::new();
     let mut take = || {
-        let Some((at, seed)) = unused_from(next.load(Relaxed)) else {
+        let mut ahead = ahead.lock().expect("a walk panicked");
+        let Some((at, seed)) = pass_over(&mut ahead) else {
             return false;
         };
-        next.fetch_max(at + 1, Relaxed);
-        *task(taken) = Some((seed, None));
+        ahead.next = at + 1;
+        drop(ahead);
+        match &mut *task(taken) {
+            Some(task) => (task.at, task.seed) = (at, seed),
+            empty => {
+                *empty = Some(Task {
+                    at,
+                    seed,
+                    walk: None,
+                })
+            }
+        }
         taken += 1;
         true
     };
     let work = |i| {
-        let seed = task(i).as_ref().expect("a taken walk").0;
-        let spare_own = spare.lock().expect("a walk panicked").pop();
-        let mut walk_own = spare_own.unwrap_or_else(|| Own::new(dict.slots()));
-        let walk = walker.walk(seed, &used, &mut walk_own);
-        spare.lock().expect("a walk panicked").push(walk_own);
-        task(i).as_mut().expect("a taken walk").1 = Some(walk);
-        let ahead = unused_from(next.load(Relaxed)).map_or(usize::MAX, |(at, _)| at);
-        next.fetch_max(ahead, Relaxed);
+        let seed = task(i).as_ref().expect("a taken walk").seed;
+        // A seed claimed since its take, committed or marked, is left to
+        // its commit; otherwise the walk owns its seed's mark.
+        let walk = if bits.mark(seed.1) != 0 {
+            Walk::deferred()
+        } else {
+            let spare_own = spare.lock().expect("a walk panicked").pop();
+            let mut walk_own = spare_own.unwrap_or_else(|| Own::new(dict.slots()));
+            let walk = walker.walk(seed, &bits, true, &mut walk_own);
+            spare.lock().expect("a walk panicked").push(walk_own);
+            walk
+        };
+        task(i).as_mut().expect("a taken walk").walk = Some(walk);
+        pass_over(&mut ahead.lock().expect("a walk panicked"));
     };
-    let mut commit = |i| {
-        let (seed, walk) = task(i).take().expect("a taken walk");
-        let walk = walk.expect("walked before its commit");
-        stats.walks += 1;
+    let mut stats = WalkStats::default();
+    let mut contigs = Vec::new();
+    // Land `seed`'s walk at its turn: skip it if its seed is used, commit
+    // it if it is the serial walk, walk it again against the live bitset
+    // otherwise.
+    let mut land = |seed: Seed, walk: &mut Walk| {
+        stats.walks += usize::from(!walk.deferred);
+        stats.deferred += usize::from(walk.deferred);
         stats.steps += walk.steps;
-        if used.get(seed.1) {
+        if bits.used(seed.1) {
             stats.wasted_steps += walk.steps;
+            bits.unmark(&walk.claims);
             return;
         }
-        // A claim a commit took since the walk started means it saw a
-        // different bitset from the serial loop's: redo it.
-        let free = !walk.aborted && walk.claims.iter().all(|&c| !used.get(c as usize));
-        let walk = if free {
+        // The walk saw the commits made before it plus the slots it
+        // assumed. If those are all used now and its claims all free, it
+        // saw part of this bitset and took the serial walk's path.
+        let exact = !walk.aborted
+            && !walk.deferred
+            && walk.claims.iter().all(|&c| !bits.used(c as usize))
+            && walk.assumed.iter().all(|&a| bits.used(a as usize));
+        let mut replay;
+        let walk = if exact {
             walk
         } else {
             stats.replays += 1;
             stats.wasted_steps += walk.steps;
-            walker.walk(seed, &used, &mut own)
+            bits.unmark(&walk.claims);
+            replay = walker.walk(seed, &bits, false, &mut own);
+            &mut replay
         };
         for &claim in &walk.claims {
-            used.set(claim as usize);
+            bits.set_used(claim as usize);
         }
         if walk.seq.len() >= cfg.min_contig_len {
             contigs.push(Contig {
                 id: contigs.len(),
                 coverage: walk.coverage.0 as f64 / walk.coverage.1 as f64,
-                seq: walk.seq,
+                seq: std::mem::take(&mut walk.seq),
             });
         }
     };
+    // Land the deferred seeds that come before seed number `before`. They
+    // leave the queue under `ahead`'s lock and land after it, which a
+    // replay would otherwise hold against every worker's pass-over.
+    let mut due = Vec::new();
+    let mut settle = |before: usize, land: &mut dyn FnMut(Seed, &mut Walk)| {
+        let mut ahead = ahead.lock().expect("a walk panicked");
+        let queued = ahead.deferred.iter().take_while(|&&(at, _)| at < before);
+        let count = queued.count();
+        due.extend(ahead.deferred.drain(..count).map(|(_, seed)| seed));
+        drop(ahead);
+        for seed in due.drain(..) {
+            land(seed, &mut Walk::deferred());
+        }
+    };
+    let mut commit = |i| {
+        let mut task = task(i);
+        let task = task.as_mut().expect("a taken walk");
+        settle(task.at, &mut land);
+        land(
+            task.seed,
+            task.walk.as_mut().expect("walked before its commit"),
+        );
+    };
     ord(window, &mut take, &work, &mut commit);
+    settle(usize::MAX, &mut land);
     (contigs, stats)
 }
 
@@ -673,7 +844,7 @@ mod tests {
         };
         let mut own = Own::new(dict.slots());
         let seed = dict.seeds().next().unwrap();
-        let walk = walker.walk(seed, &Bits::new(dict.slots()), &mut own);
+        let walk = walker.walk(seed, &Bits::new(dict.slots()), true, &mut own);
         assert!(!walk.aborted);
         assert_eq!(walk.claims.len(), ring.len());
         assert_eq!(walk.seq.len(), ring.len() + 7);

@@ -13,12 +13,13 @@
 //! Steps 2–4 run as one ordered loop ([`assemble::assemble_on`]): workers
 //! take the next unused seed and walk it against the used k-mers as they
 //! stand, up to a window of walks in flight, and the walks commit in
-//! abundance order, each as soon as every earlier one has; a walk whose
-//! claims a commit took since it started is replayed at its turn. A walk
-//! only ever loses candidates to earlier commits, and losing a candidate
-//! that did not win changes no step, so a walk whose claims are all still
-//! free is the serial walk: the contigs are the serial contigs at every
-//! window.
+//! abundance order, each as soon as every earlier one has. Each walk marks
+//! the k-mers it claims, and a later walk steps around marked k-mers as if
+//! they were used; a walk whose claims a commit took since it started, or
+//! whose stepped-around k-mers are still free at its turn, is replayed
+//! then. A walk that saw only k-mers used by its turn, and whose claims are
+//! all still free, is the serial walk — losing a candidate that did not win
+//! changes no step — so the contigs are the serial contigs at every window.
 //!
 //! The output — a FASTA of "Inchworm contigs" — is what Chrysalis clusters.
 //!

@@ -1,15 +1,17 @@
 //! Property and directed tests of Inchworm's ordered loop: the contigs are
-//! the serial loop's at every window, on the in-order loop and on an
-//! executor that holds each commit back for a random number of later takes
-//! — against a plain reimplementation of that loop (one walk at a time,
-//! rightward then leftward, a `HashSet` of used slots) — on random reads,
-//! tandem repeats (walks that run back into their own claims), palindromic
-//! k-mers at even k, the k = 32 all-T key, and seed and extension
-//! thresholds above 1.
+//! the serial loop's at every window — on the in-order loop, on executors
+//! that hold each commit back for a number of later takes (walks in take
+//! order, which are never replayed) and on one that walks each window's
+//! tasks in reverse take order (walks that see later walks' marks, which
+//! are) — against a plain reimplementation of that loop (one walk at a
+//! time, rightward then leftward, a `HashSet` of used slots) — on random
+//! reads, tandem repeats (walks that run back into their own claims),
+//! palindromic k-mers at even k, the k = 32 all-T key, and seed and
+//! extension thresholds above 1.
 
 use std::collections::{HashSet, VecDeque};
 
-use inchworm::{assemble, assemble_on, Contig, Dictionary, InchwormConfig};
+use inchworm::{assemble, assemble_on, Contig, Dictionary, InchwormConfig, WalkStats};
 use kcount::counter::{count_kmers, CounterConfig};
 use proptest::prelude::*;
 use seqio::alphabet::{code_to_base, revcomp};
@@ -106,6 +108,38 @@ fn delayed(
     }
 }
 
+/// An ordered loop on the calling thread that takes as many tasks as the
+/// window holds, runs their work in the order `order(n)` gives for `n`
+/// tasks — a permutation of `0..n` — and then commits them in index order:
+/// walks that run before earlier walks of their window have walked.
+#[allow(clippy::type_complexity)]
+fn batched(
+    mut order: impl FnMut(usize) -> Vec<usize>,
+) -> impl FnMut(
+    usize,
+    &mut (dyn FnMut() -> bool + Send),
+    &(dyn Fn(usize) + Sync),
+    &mut (dyn FnMut(usize) + Send),
+) {
+    move |window, take, work, commit| {
+        let mut first = 0;
+        loop {
+            let n = (0..window).take_while(|_| take()).count();
+            order(n).into_iter().for_each(|j| work(first + j));
+            (first..first + n).for_each(&mut *commit);
+            first += n;
+            if n < window {
+                break;
+            }
+        }
+    }
+}
+
+/// Each window's walks in reverse take order.
+fn reversed(n: usize) -> Vec<usize> {
+    (0..n).rev().collect()
+}
+
 /// Delays drawn from a xorshift stream: below the window.
 fn random_delays(mut state: u64) -> impl FnMut(usize) -> usize {
     move |window| {
@@ -142,24 +176,33 @@ fn cfg(min_seed_count: u32, min_extend_count: u32, min_contig_len: usize) -> Inc
     }
 }
 
-/// `dict`'s contigs at every window, in order and with commits held back,
-/// all equal to the plain serial loop's.
+/// `dict`'s contigs at every window — in order, with commits held back and
+/// walked in reverse — all equal to the plain serial loop's.
 fn check_every_window(dict: &Dictionary, cfg: InchwormConfig) {
     let expect = serial(dict, cfg);
     assert_eq!(assemble(dict, cfg), expect);
+    // Walked in take order, every walk sees every earlier walk's commit or
+    // marks: nothing is replayed or thrown away.
+    let exact = |stats: WalkStats| (stats.replays, stats.wasted_steps) == (0, 0);
     for window in WINDOWS {
         let (contigs, stats) = assemble_on(dict, cfg, window, &mut in_order);
         assert_eq!(contigs, expect, "window {window}, in order");
-        // Taken in order, every walk sees every earlier commit.
-        assert_eq!((stats.replays, stats.wasted_steps), (0, 0));
+        assert!(exact(stats), "window {window}, in order: {stats:?}");
         for executor in [0x2545_F491_4F6C_DD1D, window as u64] {
             let mut ord = delayed(random_delays(executor));
             let (contigs, stats) = assemble_on(dict, cfg, window, &mut ord);
             assert_eq!(contigs, expect, "window {window}, delays {executor}");
-            assert!(stats.wasted_steps <= stats.steps);
+            assert!(
+                exact(stats),
+                "window {window}, delays {executor}: {stats:?}"
+            );
         }
-        let (contigs, _) = assemble_on(dict, cfg, window, &mut delayed(fully_delayed()));
+        let (contigs, stats) = assemble_on(dict, cfg, window, &mut delayed(fully_delayed()));
         assert_eq!(contigs, expect, "window {window}, fully delayed");
+        assert!(exact(stats), "window {window}, fully delayed: {stats:?}");
+        let (contigs, stats) = assemble_on(dict, cfg, window, &mut batched(reversed));
+        assert_eq!(contigs, expect, "window {window}, reversed");
+        assert!(stats.wasted_steps <= stats.steps);
     }
 }
 
@@ -298,23 +341,37 @@ fn transcript(len: usize, mut state: u64) -> Vec<u8> {
 fn a_later_seed_on_an_earlier_seeds_unitig_aborts_early() {
     // One unitig of 53 8-mers; the 8-mer at 20 seen 4 times (seed A), the
     // one at 40 three times (seed B), everything else once. In a window of
-    // 2 both walks run before A commits. A's walk covers the whole unitig,
-    // B's seed included, so B's walk is thrown away — and it stops at A
-    // instead of walking the unitig too.
+    // 2, walked in take order, A's walk marks the whole unitig, so the
+    // other 52 8-mers — each a seed at a minimum count of 1, B's among
+    // them — are deferred without a step and skipped at their turn. Walked
+    // in reverse, A and B are taken together and B does not see A's marks:
+    // it stops at A instead of walking the unitig too, and is skipped at
+    // its turn.
     let t = transcript(60, 0x2545_F491_4F6C_DD1D);
     let mut reads = vec![t.clone()];
     reads.extend(std::iter::repeat_n(t[20..28].to_vec(), 3));
     reads.extend(std::iter::repeat_n(t[40..48].to_vec(), 2));
     let dict = dictionary(&reads, 8, true);
     let cfg = cfg(1, 1, 8);
+    let expect = serial(&dict, cfg);
+    assert_eq!(expect.len(), 1);
     let (contigs, stats) = assemble_on(&dict, cfg, 2, &mut delayed(fully_delayed()));
-    assert_eq!(contigs, serial(&dict, cfg));
-    assert_eq!(contigs.len(), 1);
-    assert_eq!((stats.walks, stats.replays), (2, 0));
-    // B's walk stopped at A: fewer steps than the 53 k-mers it would have
-    // looked up walking the unitig end to end.
+    assert_eq!(contigs, expect);
+    let exact = (
+        stats.walks,
+        stats.deferred,
+        stats.replays,
+        stats.wasted_steps,
+    );
+    assert_eq!(exact, (1, 52, 0, 0), "{stats:?}");
+    let (contigs, stats) = assemble_on(&dict, cfg, 2, &mut batched(reversed));
+    assert_eq!(contigs, expect);
+    // B's walk stopped at A instead of claiming A's seed, so A was walked,
+    // not deferred; it stepped around B's marks, which B's skip left free,
+    // so A was replayed, and both walks' steps were thrown away.
+    assert_eq!((stats.walks, stats.replays), (2, 1), "{stats:?}");
     assert!(
-        stats.wasted_steps > 0 && stats.wasted_steps < 53,
+        stats.wasted_steps == stats.steps && stats.steps > 0,
         "{stats:?}"
     );
 }
@@ -322,9 +379,11 @@ fn a_later_seed_on_an_earlier_seeds_unitig_aborts_early() {
 #[test]
 fn walks_that_meet_from_opposite_branches_replay() {
     // Two branches X and Y run into one stem S. Seed A on X (count 4) and
-    // seed B on Y (count 3) are in flight together in a window of 2, and
-    // both walks run on through S. A commits first, so B's claims on S
-    // conflict: B is replayed at its turn and stops where Y meets S.
+    // seed B on Y (count 3) are in flight together in a window of 2. Walked
+    // in take order, B finds S marked by A, steps around it and walks Y
+    // alone, and both commit. Walked in reverse, B walks on through S and
+    // A steps around B's marks: A is replayed because S was left free for
+    // it, and B because A's commit took S.
     let (x, y, s) = (
         transcript(30, 0x9E37_79B9_7F4A_7C15),
         transcript(30, 0xD1B5_4A32_D192_ED03),
@@ -335,13 +394,61 @@ fn walks_that_meet_from_opposite_branches_replay() {
     reads.extend(std::iter::repeat_n(y[10..18].to_vec(), 2));
     let dict = dictionary(&reads, 8, true);
     let cfg = cfg(1, 1, 8);
+    let expect = serial(&dict, cfg);
+    assert_eq!(expect.len(), 2);
     let (contigs, stats) = assemble_on(&dict, cfg, 2, &mut delayed(fully_delayed()));
-    assert_eq!(contigs, serial(&dict, cfg));
-    assert_eq!(contigs.len(), 2);
-    assert_eq!(stats.replays, 1, "{stats:?}");
-    // Taken in order, B sees A's commit and walks Y alone.
-    let (_, stats) = assemble_on(&dict, cfg, 2, &mut in_order);
-    assert_eq!((stats.walks, stats.replays, stats.wasted_steps), (2, 0, 0));
+    assert_eq!(contigs, expect);
+    assert_eq!((stats.replays, stats.wasted_steps), (0, 0), "{stats:?}");
+    let (contigs, stats) = assemble_on(&dict, cfg, 2, &mut batched(reversed));
+    assert_eq!(contigs, expect);
+    assert_eq!(stats.replays, 2, "{stats:?}");
+}
+
+#[test]
+fn a_slot_assumed_from_a_replayed_walk_fails_the_commit() {
+    // At k = 12: read 1 is W·J·V (twice), read 2 is S·J·L (once), so the
+    // 12-mer J joins them; the 12-mers of S next to J are seen twice more,
+    // so that a walk leftward through J prefers S (count 3) over W (2),
+    // while one rightward through J prefers V (2) over L (1). Reads B·S
+    // (once) and C·S (twice) end where S begins, so a walk leftward off S
+    // prefers C. Seed Z in W (count 6), seed A in L (5), seed B in B (4).
+    // Serially Z takes W·J·V; A then stops at J: L alone; B takes B·S up
+    // to J, and C is left to a later seed.
+    //
+    // A window of 3 walks A, B and then Z. A walks before Z and passes
+    // through J into S and C; B then finds S's first 12-mer marked by A and
+    // steps around it. At A's turn J is Z's, so A is replayed along L alone
+    // and its marks on S go: S's first 12-mer, which B assumed, is still
+    // free at B's turn, so B is replayed too — and takes S. (Z, walked
+    // last, found J marked by A and is replayed as well.)
+    let t = transcript(260, 0x9E37_79B9_7F4A_7C15);
+    let (w, j, v) = (&t[0..40], &t[40..52], &t[52..92]);
+    let (s, l, b, c) = (&t[92..132], &t[132..192], &t[192..232], &t[232..258]);
+    let read1 = [w, j, v].concat();
+    let c_s = [c, &s[..11]].concat();
+    let mut reads = vec![read1.clone(), read1, [s, j, l].concat(), c_s.clone(), c_s];
+    reads.push([b, &s[..11]].concat());
+    reads.extend(std::iter::repeat_n([&s[28..], &j[..11]].concat(), 2));
+    reads.extend(std::iter::repeat_n(w[10..22].to_vec(), 4));
+    reads.extend(std::iter::repeat_n(l[30..42].to_vec(), 4));
+    reads.extend(std::iter::repeat_n(b[10..22].to_vec(), 3));
+    let dict = dictionary(&reads, 12, true);
+    let cfg = cfg(1, 1, 12);
+    let expect = serial(&dict, cfg);
+    let lens: Vec<usize> = expect.iter().map(|c| c.seq.len()).collect();
+    assert_eq!(lens, [92, 71, 91, 37], "W·J·V; L; B·S; C");
+    let mut first = true;
+    let mut order = |n| match std::mem::take(&mut first) {
+        true => vec![1, 2, 0],
+        false => (0..n).collect(),
+    };
+    let (contigs, stats) = assemble_on(&dict, cfg, 3, &mut batched(&mut order));
+    assert_eq!(contigs, expect);
+    assert_eq!(stats.replays, 3, "{stats:?}");
+    // Walked in take order, the three walks step around each other.
+    let (contigs, stats) = assemble_on(&dict, cfg, 3, &mut delayed(fully_delayed()));
+    assert_eq!(contigs, expect);
+    assert_eq!((stats.replays, stats.wasted_steps), (0, 0), "{stats:?}");
 }
 
 /// Ten small transcripts, each with a two-way branch of equal count: ten
@@ -373,6 +480,8 @@ fn jitter_is_a_pure_tie_break() {
         let one = assemble(&dict, jittered(seed));
         for window in WINDOWS {
             let mut ord = delayed(random_delays(seed));
+            assert_eq!(assemble_on(&dict, jittered(seed), window, &mut ord).0, one);
+            let mut ord = batched(reversed);
             assert_eq!(assemble_on(&dict, jittered(seed), window, &mut ord).0, one);
         }
     }
