@@ -19,11 +19,11 @@ use bowtie::sam::SamRecord;
 
 use mpisim::comm::Comm;
 use mpisim::pack::{pack_byte_strings, pack_u32s, unpack_byte_strings, unpack_u32s};
-use omp::makespan::{costed_loop, CostedTeam};
-use omp::par_loop;
+use omp::{par_loop, Team};
 
 use crate::config::ChrysalisConfig;
 use crate::timings::BowtieTimings;
+use crate::{no_args, rank_region};
 
 /// The stage output.
 #[derive(Debug, Clone, PartialEq)]
@@ -141,16 +141,14 @@ pub fn bowtie_mpi(
     // piece as contig indices. Every rank waits on the plan, so the split
     // span covers the broadcast too.
     let packed = if comm.is_root() {
-        comm.charge_costed("compute", "bowtie.plan", &[], || {
-            omp::timed(|| {
-                let plan = plan_split(contigs, size).expect("size > 0");
-                let pieces: Vec<Vec<u8>> = plan
-                    .pieces
-                    .iter()
-                    .map(|piece| pack_u32s(&piece.iter().map(|&i| i as u32).collect::<Vec<_>>()))
-                    .collect();
-                pack_byte_strings(&pieces)
-            })
+        rank_region(comm, cfg, ["compute", "bowtie.plan"], no_args, |_| {
+            let plan = plan_split(contigs, size).expect("size > 0");
+            let pieces: Vec<Vec<u8>> = plan
+                .pieces
+                .iter()
+                .map(|piece| pack_u32s(&piece.iter().map(|&i| i as u32).collect::<Vec<_>>()))
+                .collect();
+            pack_byte_strings(&pieces)
         })
     } else {
         Vec::new()
@@ -167,35 +165,22 @@ pub fn bowtie_mpi(
         .map(|&i| contigs[i as usize].clone())
         .collect();
     // A parallel region on the rank's team: every pass over the slice's text
-    // is a loop, charged at the team's makespan and drawn on the rank's
-    // thread lanes; what runs between the loops is charged at its wall
-    // time. The span names its work: the slice's bases and the suffix
+    // is a loop. The span names its work: the slice's bases and the suffix
     // sort's doubling rounds.
-    let slice_bases: usize = slice.iter().map(|c| c.seq.len()).sum();
-    let mut team = CostedTeam::new(cfg.threads, cfg.schedule);
-    let index_start = comm.clock.now();
-    let bases = [("bases", slice_bases as f64)];
-    let index = comm.charge_costed("compute", "bowtie.index", &bases, || {
-        let (index, cost) = team.region(|team| FmIndex::build_on(&slice, &mut par_loop(team)));
-        let rounds = vec![("sort_rounds", index.sort_rounds() as f64)];
-        (index, crate::region_charge(cost, rounds))
+    let slice_bases = slice.iter().map(|c| c.seq.len()).sum::<usize>() as f64;
+    let args = |index: &FmIndex| {
+        let rounds = index.sort_rounds() as f64;
+        vec![("bases", slice_bases), ("sort_rounds", rounds)]
+    };
+    let index = rank_region(comm, cfg, ["compute", "bowtie.index"], args, |team| {
+        FmIndex::build_on(&slice, &mut par_loop(team))
     });
-    crate::name_thread_lanes(comm, cfg);
-    let lanes = crate::thread_lanes(comm, cfg);
-    team.sim
-        .record_spans(&comm.obs, index_start, lanes, "bowtie.index");
 
     // ---- Align every read against the slice (multi-threaded) ----
     // The span names its work: every read, against this slice's bases.
-    let work = [
-        ("reads", reads.len() as f64),
-        ("slice_bases", slice_bases as f64),
-    ];
-    let hit_lists = comm.charge_costed("compute", "bowtie.align", &work, || {
-        let (hits, sim) = costed_loop(reads, cfg.threads, cfg.schedule, |read| {
-            align_read(&index, &read.seq, align_cfg)
-        });
-        (hits, sim.makespan)
+    let work = |_: &_| vec![("reads", reads.len() as f64), ("slice_bases", slice_bases)];
+    let hit_lists = rank_region(comm, cfg, ["compute", "bowtie.align"], work, |team| {
+        team.map(reads, |read| align_read(&index, &read.seq, align_cfg))
     });
 
     // This rank's SAM file, one tuple per hit.
@@ -343,10 +328,10 @@ mod tests {
 
     #[test]
     fn index_span_is_the_teams_makespan_plus_its_serial_remainder() {
-        // The index build's loops are charged at the team's makespan, drawn
-        // on the rank's thread lanes, and what runs between them at its wall
-        // time, the `serial_s` the span reports. On one thread the makespan
-        // is the items' summed cost.
+        // The index build's and the alignment's loops are charged at the
+        // team's makespan, drawn on the rank's thread lanes, and what runs
+        // outside the loop calls at its wall time, the `serial_s` each span
+        // reports. On one thread the makespan is the items' summed cost.
         let (contigs, reads) = (Arc::new(contigs()), Arc::new(reads()));
         for threads in [4, 1] {
             let cfg = ChrysalisConfig {
@@ -358,19 +343,29 @@ mod tests {
                 bowtie_mpi(comm, &c, &r, &cfg, AlignConfig::default())
             });
             for o in &outs {
+                for name in ["bowtie.index", "bowtie.align"] {
+                    let mut spans = o.trace.on_track(o.rank as u32);
+                    let span = spans.find(|sp| sp.name == name).unwrap();
+                    let lane = obs::THREAD_TRACK_BASE + (o.rank * threads) as u32;
+                    let lanes = lane..lane + threads as u32;
+                    let sum = |what| -> f64 {
+                        let what = format!("{name}.{what}");
+                        lanes.clone().map(|t| o.trace.span_sum(t, &what)).sum()
+                    };
+                    let (busy, idle) = (sum("busy"), sum("idle"));
+                    let serial = span.arg("serial_s").unwrap();
+                    let duration = span.duration();
+                    assert!(busy > 0.0 && serial >= 0.0, "{name}");
+                    let makespan = (busy + idle) / threads as f64;
+                    assert!((duration - (makespan + serial)).abs() <= 1e-9 * duration);
+                    if threads == 1 {
+                        assert_eq!(idle, 0.0, "one thread runs every item");
+                    }
+                }
                 let mut spans = o.trace.on_track(o.rank as u32);
                 let index = spans.find(|sp| sp.name == "bowtie.index").unwrap();
-                let lane = obs::THREAD_TRACK_BASE + (o.rank * threads) as u32;
-                let busy = o.trace.span_sum(lane, "bowtie.index.busy");
-                let idle = o.trace.span_sum(lane, "bowtie.index.idle");
-                let serial = index.arg("serial_s").unwrap();
-                let duration = index.duration();
-                assert!(busy > 0.0 && serial > 0.0);
-                assert!((duration - (busy + idle + serial)).abs() <= 1e-9 * duration);
-                if threads == 1 {
-                    assert_eq!(idle, 0.0, "one thread runs every item");
-                }
-                assert_eq!(o.value.timings.index, duration);
+                assert!(index.arg("serial_s").unwrap() > 0.0);
+                assert_eq!(o.value.timings.index, index.duration());
                 assert!(index.arg("bases").unwrap() > 0.0);
                 assert_eq!(index.arg("sort_rounds"), Some(0.0), "distinct 21-mers");
             }

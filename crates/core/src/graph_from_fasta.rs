@@ -8,8 +8,9 @@ use graph::unionfind::UnionFind;
 use mpisim::comm::Comm;
 use mpisim::pack::{pack_byte_strings, pack_u64s, unpack_byte_strings, unpack_u64s};
 use mpisim::{run_cluster, NetModel};
-use omp::makespan::{costed_loop, CostedTeam, LoopSim};
+use omp::makespan::CostedTeam;
 use omp::schedule::{chunk_sequence, chunked_round_robin, Schedule};
+use omp::Team;
 
 use crate::config::ChrysalisConfig;
 use crate::pairs::{match_contig, pack_pairs, pairs_from_matches, unpack_pairs, WeldKmerIndex};
@@ -17,15 +18,14 @@ use crate::timings::GffTimings;
 use crate::weld::{
     decode_weld, harvest_contig, pack_welds, unpack_welds, KmerContigMap, WeldSupport,
 };
-use crate::{name_thread_lanes, region_charge, thread_lanes};
+use crate::{no_args, rank_region};
 
 /// Read-only state every rank needs: the contig set, the seed-occurrence
 /// map and the read k-mer table (support oracle). Built once and shared;
-/// `prep_cost` — the virtual time of the seed map's owner-routed build
-/// (its three parallel loops; it has no serial section) — is charged to
-/// each rank's clock as if it had built its own copy (see crate-level
-/// notes). The read k-mer table is produced by the
-/// Jellyfish stage and only *consumed* here.
+/// `prep_cost` — the virtual time of the seed map's owner-routed build, a
+/// region on a team of the configured threads — is charged to each rank's
+/// clock as if it had built its own copy (see crate-level notes). The read
+/// k-mer table is produced by the Jellyfish stage and only *consumed* here.
 pub struct GffShared {
     /// The Inchworm contigs, 2-bit packed once at stage entry — every
     /// harvest/match loop iterates the packed form directly.
@@ -34,7 +34,9 @@ pub struct GffShared {
     pub kmap: KmerContigMap,
     /// Read k-mer counts (the weld-support oracle).
     pub counts: KmerCounts,
-    /// Virtual cost of building the seed map with the configured threads.
+    /// Virtual cost of building the seed map with the configured threads:
+    /// the build's region charge, its loops' makespan plus its wall time
+    /// outside them (the routing rounds' code between loops).
     pub prep_cost: f64,
     /// Stage configuration.
     pub cfg: ChrysalisConfig,
@@ -52,12 +54,12 @@ impl GffShared {
             cfg.k
         );
         let mut team = CostedTeam::new(cfg.threads, cfg.schedule);
-        let kmap = KmerContigMap::build_routed(&contigs, cfg.k, &mut team);
+        let (kmap, cost) = team.region(|team| KmerContigMap::build_routed(&contigs, cfg.k, team));
         GffShared {
             contigs,
             kmap,
             counts,
-            prep_cost: team.sim.makespan,
+            prep_cost: cost.charge(),
             cfg,
         }
     }
@@ -164,15 +166,15 @@ pub fn dynamic_deal(chunk_costs: &[f64], ranks: usize, deal: f64) -> (Vec<f64>, 
 ///
 /// Simulation note: the modeled system computes each chunk on the rank the
 /// queue deals it to. To replay the dealing protocol deterministically the
-/// master executes and measures (`run`) every chunk once and ships costs
-/// and packed outputs over the uncharged [`Comm::transport_bcast`]; each
+/// master executes and measures (`run`: the chunk's outputs and cost)
+/// every chunk once and ships costs and packed outputs over the uncharged [`Comm::transport_bcast`]; each
 /// rank then takes the chunks and the busy time — per-chunk queue latency
 /// included — that [`dynamic_deal`] assigns it.
 fn master_dealt<R>(
     comm: &mut Comm,
     n: usize,
     chunk: usize,
-    run: impl Fn(&[u32]) -> (Vec<R>, LoopSim),
+    run: impl Fn(&[u32]) -> (Vec<R>, f64),
     pack: impl Fn(&[R]) -> Vec<u8>,
     unpack: impl Fn(&[u8]) -> Vec<R>,
 ) -> (Vec<R>, f64) {
@@ -182,8 +184,8 @@ fn master_dealt<R>(
         let mut parts = Vec::new();
         for c in chunk_sequence(n, size, Schedule::Dynamic { chunk }) {
             let ids: Vec<u32> = (c.start as u32..c.end as u32).collect();
-            let (outputs, sim) = run(&ids);
-            costs.push(sim.makespan.to_bits());
+            let (outputs, cost) = run(&ids);
+            costs.push(cost.to_bits());
             parts.push(pack(&outputs));
         }
         parts.push(pack_u64s(&costs));
@@ -206,42 +208,41 @@ fn master_dealt<R>(
 }
 
 /// One pooled hybrid loop (§III-B): distribute the contigs over the ranks,
-/// run `item` on this rank's share, charge the replayed OpenMP makespan as
-/// span `loop_name`, and pool every rank's packed outputs with
+/// run `item` on this rank's share as a region on its team (span
+/// `loop_name`), and pool every rank's packed outputs with
 /// `MPI_Allgatherv` under span `comm_name`. Returns the pooled outputs in
 /// rank order — identical on every rank.
-fn pooled_loop<R>(
+fn pooled_loop<R: Send>(
     comm: &mut Comm,
     shared: &GffShared,
     partition: Partition,
     [loop_name, comm_name]: [&str; 2],
-    item: impl Fn(u32) -> Vec<R>,
+    item: impl Fn(u32) -> Vec<R> + Sync,
     pack: impl Fn(&[R]) -> Vec<u8>,
     unpack: impl Fn(&[u8]) -> Vec<R>,
 ) -> Vec<R> {
     let cfg = &shared.cfg;
     let n = shared.contigs.len();
     let chunk = cfg.chunk_size(n, comm.size());
-    let run = |ids: &[u32]| {
-        let (lists, sim) = costed_loop(ids, cfg.threads, cfg.schedule, |&i| item(i));
-        let outputs: Vec<R> = lists.into_iter().flatten().collect();
-        (outputs, sim)
+    let on_team = |team: &mut CostedTeam, ids: &[u32]| -> Vec<R> {
+        team.map(ids, |&i| item(i)).into_iter().flatten().collect()
     };
     let mine = match partition {
         Partition::ChunkedRoundRobin => {
             let ids = rank_items(n, comm.rank(), comm.size(), chunk);
-            let args = [("items", ids.len() as f64)];
-            let start = comm.clock.now();
-            let (outputs, sim) = comm.charge_costed("compute", loop_name, &args, || {
-                let ran = run(&ids);
-                let makespan = ran.1.makespan;
-                (ran, makespan)
-            });
-            // This rank's OpenMP threads, busy then idle, on its own lanes.
-            sim.record_spans(&comm.obs, start, thread_lanes(comm, cfg), loop_name);
-            outputs
+            let items = |_: &_| vec![("items", ids.len() as f64)];
+            rank_region(comm, cfg, ["compute", loop_name], items, |team| {
+                on_team(team, &ids)
+            })
         }
         Partition::MasterDealt => {
+            // Each chunk is a region on its own team, as the rank it is
+            // dealt to runs it.
+            let run = |ids: &[u32]| {
+                let mut team = CostedTeam::new(cfg.threads, cfg.schedule);
+                let (outputs, cost) = team.region(|team| on_team(team, ids));
+                (outputs, cost.charge())
+            };
             let dealt = master_dealt(comm, n, chunk, run, &pack, &unpack);
             comm.charge_costed("compute", loop_name, &[], || dealt)
         }
@@ -274,7 +275,6 @@ fn gff_rank_program(comm: &mut Comm, shared: &GffShared, partition: Partition) -
     let support = shared.support();
     let track = comm.track();
     let start = comm.clock.now();
-    name_thread_lanes(comm, cfg);
 
     // Replicated seed-map build (each rank pays for its own parallel copy).
     comm.charge_costed("compute", "gff.prep", &[], || ((), shared.prep_cost));
@@ -292,19 +292,10 @@ fn gff_rank_program(comm: &mut Comm, shared: &GffShared, partition: Partition) -
 
     // Weld k-mer index: the one dedup of the pool, then an owner-routed
     // build — a parallel region on the rank's team, replicated on every
-    // rank. Its loops are charged at the team's makespan and drawn on the
-    // rank's thread lanes; the dedup and what runs between the loops at
-    // their wall time, the `serial_s` the span reports.
-    let mut team = CostedTeam::new(cfg.threads, cfg.schedule);
-    let index_start = comm.clock.now();
-    let weld_index = comm.charge_costed("compute", "gff.weld_index", &[], || {
-        let (index, cost) =
-            team.region(|team| WeldKmerIndex::build_on(&pooled, cfg.weld_len(), cfg.k, team));
-        (index, region_charge(cost, Vec::new()))
+    // rank.
+    let weld_index = rank_region(comm, cfg, ["compute", "gff.weld_index"], no_args, |team| {
+        WeldKmerIndex::build_on(&pooled, cfg.weld_len(), cfg.k, team)
     });
-    let lanes = thread_lanes(comm, cfg);
-    team.sim
-        .record_spans(&comm.obs, index_start, lanes, "gff.weld_index");
     drop(pooled);
 
     // Loop 2: weld matching over the same distribution, pooled as packed
@@ -322,16 +313,14 @@ fn gff_rank_program(comm: &mut Comm, shared: &GffShared, partition: Partition) -
     // Clustering + output generation: non-parallel, on every rank (the
     // pooled matches are identical everywhere). The distinct welds leave
     // 2-bit space here, once: the ASCII list is the checkpoint payload.
-    let (welds, pairs, component_of, components) =
-        comm.charge_costed("compute", "gff.cluster", &[], || {
-            omp::timed(|| {
-                let pairs = pairs_from_matches(&matches);
-                let (component_of, components) = cluster(shared.contigs.len(), &pairs);
-                let ascii = |&w: &u128| decode_weld(w, cfg.weld_len());
-                let welds = weld_index.welds().iter().map(ascii).collect();
-                (welds, pairs, component_of, components)
-            })
-        });
+    let name = ["compute", "gff.cluster"];
+    let (welds, pairs, component_of, components) = rank_region(comm, cfg, name, no_args, |_| {
+        let pairs = pairs_from_matches(&matches);
+        let (component_of, components) = cluster(shared.contigs.len(), &pairs);
+        let ascii = |&w: &u128| decode_weld(w, cfg.weld_len());
+        let welds = weld_index.welds().iter().map(ascii).collect();
+        (welds, pairs, component_of, components)
+    });
     comm.barrier();
 
     // Everything that is not the parallel prep, a hybrid loop or an
@@ -489,9 +478,9 @@ mod tests {
     #[test]
     fn weld_index_span_is_the_teams_makespan_plus_its_serial_remainder() {
         // The weld index build's loops are charged at the team's makespan,
-        // drawn on the rank's thread lanes, and the dedup and what runs
-        // between the loops at their wall time, the `serial_s` the span
-        // reports. On one thread the makespan is the items' summed cost.
+        // drawn on the rank's thread lanes, and the dedup and what else
+        // runs outside the loop calls at its wall time, the `serial_s` the
+        // span reports. On one thread the makespan is the items' summed cost.
         for threads in [4, 1] {
             let mut shared = fixtures();
             shared.cfg.threads = threads;

@@ -44,14 +44,15 @@
 //!   rank `ci mod size`. Which chunks a rank *reads* is a crate-private
 //!   *read policy*: the whole file ([`rtt_hybrid`], §III-C) or its own
 //!   chunks ([`rtt_hybrid_striped`], §VI's MPI-I/O direction).
-//! * Every measured loop is an `omp::costed_loop`, every region of loops a
-//!   `CostedTeam::region` (the loops' makespan plus the serial remainder,
-//!   reported as span arg `serial_s`: `bowtie.index`, `gff.weld_index`,
-//!   `master.sort`) and every measured serial block an `omp::timed`; on a
-//!   rank each is charged through
+//! * Every measured section of a rank — a loop, a region of loops or a
+//!   serial block — is one `omp::CostedTeam::region` on a fresh team of the
+//!   rank's threads, charged by one rule: its loops' makespan plus its wall
+//!   time outside its loop calls, reported as span arg `serial_s`. A loop
+//!   is a region with one `map`, a serial block a region with no loop.
+//!   The crate-private `rank_region` charges each through
 //!   `mpisim::Comm::charge_costed`, which owns the measurement lock and the
-//!   named span — so every second of a rank's stage time lies under a span
-//!   that names it.
+//!   named span, and draws its loops on the rank's thread lanes — so every
+//!   second of a rank's stage time lies under a span that names it.
 //!
 //! ## Simulation notes (documented deviations)
 //!
@@ -62,10 +63,11 @@
 //! * Read-only *replicated* structures (the k-mer→contig map, the read
 //!   support index, the k-mer→component map) are built once and shared by
 //!   reference; every rank charges the build's whole virtual cost (the
-//!   owner-routed build's loops — route, absorb, per-owner finalisation; the
-//!   owner tables are queried where they were built, so there is no
-//!   concatenation and no serial section) to its clock, exactly as if it
-//!   had built its own copy concurrently.
+//!   owner-routed build as a region: its loops — route, absorb, per-owner
+//!   finalisation — plus the routing rounds' code between them; the owner
+//!   tables are queried where they were built, so there is no
+//!   concatenation) to its clock, exactly as if it had built its own copy
+//!   concurrently.
 //! * Final output generation (clustering, bundle emission, file merges)
 //!   runs on the master rank with its measured cost; peers synchronize
 //!   through the closing collective, so cluster elapsed time is identical
@@ -81,31 +83,46 @@ pub mod timings;
 pub mod weld;
 
 use mpisim::comm::Cost;
-use omp::makespan::{CostedTeam, RegionCost};
+use omp::makespan::CostedTeam;
 use seqio::par::{Splitters, BUCKETS};
 
-/// First obs track of this rank's OpenMP thread lanes.
-pub(crate) fn thread_lanes(comm: &mpisim::Comm, cfg: &ChrysalisConfig) -> u32 {
-    obs::THREAD_TRACK_BASE + (comm.rank() * cfg.threads) as u32
+/// The one way a rank's compute or I/O reaches its clock: run `body` as one
+/// [`CostedTeam::region`] on a fresh team of the rank's threads, charge the
+/// region's cost through [`mpisim::Comm::charge_costed`] as a `cat` span
+/// `name` with the span args `args(&out)` and the region's serial time as
+/// `serial_s`, and draw its loops on the rank's named thread lanes (from
+/// `obs::THREAD_TRACK_BASE + rank·threads`). A loop is a region with one
+/// `map`; a serial block is a region with no loop, charged its wall time.
+pub(crate) fn rank_region<T>(
+    comm: &mut mpisim::Comm,
+    cfg: &ChrysalisConfig,
+    [cat, name]: [&str; 2],
+    args: impl FnOnce(&T) -> Vec<(&'static str, f64)>,
+    body: impl FnOnce(&mut CostedTeam) -> T,
+) -> T {
+    let mut team = CostedTeam::new(cfg.threads, cfg.schedule);
+    let start = comm.clock.now();
+    let out = comm.charge_costed(cat, name, &[], || {
+        let (out, cost) = team.region(body);
+        let mut args = args(&out);
+        args.push(("serial_s", cost.serial));
+        let seconds = cost.charge();
+        (out, Cost { seconds, args })
+    });
+    if team.sim.chunks > 0 {
+        let lanes = obs::THREAD_TRACK_BASE + (comm.rank() * cfg.threads) as u32;
+        for t in 0..cfg.threads as u32 {
+            let lane = format!("rank {} thread {t}", comm.rank());
+            comm.obs.name_track(lanes + t, lane);
+        }
+        team.sim.record_spans(&comm.obs, start, lanes, name);
+    }
+    out
 }
 
-/// Name this rank's OpenMP thread lanes in its trace.
-pub(crate) fn name_thread_lanes(comm: &mpisim::Comm, cfg: &ChrysalisConfig) {
-    for t in 0..cfg.threads as u32 {
-        let name = format!("rank {} thread {t}", comm.rank());
-        comm.obs.name_track(thread_lanes(comm, cfg) + t, name);
-    }
-}
-
-/// What a rank charges for a region on its team: the region's makespan
-/// plus its serial remainder, with the remainder as span arg `serial_s`
-/// after `args`.
-pub(crate) fn region_charge(cost: RegionCost, mut args: Vec<(&'static str, f64)>) -> Cost {
-    args.push(("serial_s", cost.serial));
-    Cost {
-        seconds: cost.charge(),
-        args,
-    }
+/// The span args of a [`rank_region`] that reports none but `serial_s`.
+pub(crate) fn no_args<T>(_: &T) -> Vec<(&'static str, f64)> {
+    Vec::new()
 }
 
 /// A line of a per-rank output file the master merges: its wire form and
@@ -194,18 +211,9 @@ pub(crate) fn master_merge<T: ReadLine>(
     let gathered = comm.gatherv(0, &packed);
     drop(packed);
     let merged = match gathered {
-        Some(parts) => {
-            let mut team = CostedTeam::new(cfg.threads, cfg.schedule);
-            let sort_start = comm.clock.now();
-            let merged = comm.charge_costed("compute", "master.sort", &[], || {
-                let (merged, cost) = team.region(|team| merge_parts(&parts, team, &cut));
-                (merged, region_charge(cost, Vec::new()))
-            });
-            let lanes = thread_lanes(comm, cfg);
-            team.sim
-                .record_spans(&comm.obs, sort_start, lanes, "master.sort");
-            merged
-        }
+        Some(parts) => rank_region(comm, cfg, ["compute", "master.sort"], no_args, |team| {
+            merge_parts(&parts, team, &cut)
+        }),
         None => Vec::new(),
     };
     let out = T::unpack(&comm.bcast(0, &merged));
@@ -348,9 +356,9 @@ mod tests {
     #[test]
     fn master_sort_span_is_the_teams_makespan_plus_its_serial_remainder() {
         // The master's merge loops are charged at the team's makespan,
-        // drawn on rank 0's thread lanes, and what runs between them at its
-        // wall time, the `serial_s` the span reports. On one thread the
-        // makespan is the items' summed cost.
+        // drawn on rank 0's thread lanes, and what runs outside the loop
+        // calls at its wall time, the `serial_s` the span reports. On one
+        // thread the makespan is the items' summed cost.
         let lines = lines(20_000, 5000);
         for threads in [4, 1] {
             let files = Arc::new(deal(&lines, 2, 3));

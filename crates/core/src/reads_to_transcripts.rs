@@ -16,11 +16,12 @@ use seqio::packed::PackedSeq;
 
 use mpisim::comm::Comm;
 use mpisim::{run_cluster, NetModel};
-use omp::makespan::{costed_loop, CostedTeam};
+use omp::makespan::CostedTeam;
 use omp::schedule::static_owner;
 use omp::Team;
 
 use crate::config::ChrysalisConfig;
+use crate::rank_region;
 use crate::timings::RttTimings;
 
 /// Read-only state for the stage: the read set (standing in for the
@@ -39,7 +40,8 @@ pub struct RttShared {
     /// stage's hottest structure.
     pub kmer_to_component: PartitionedKmerTable,
     /// Virtual cost of building the table with the configured threads:
-    /// both loops of the routed build (it has no serial section).
+    /// the routed build's region charge, its loops' makespan plus its wall
+    /// time outside them.
     pub kmer_setup_cost: f64,
     /// Number of components.
     pub n_components: usize,
@@ -75,12 +77,13 @@ impl RttShared {
             "one packed form per read, in file order"
         );
         let mut team = CostedTeam::new(cfg.threads, cfg.schedule);
-        let kmer_to_component = Self::build_table(contigs, components, cfg.k, &mut team);
+        let (kmer_to_component, cost) =
+            team.region(|team| Self::build_table(contigs, components, cfg.k, team));
         RttShared {
             reads,
             packed_reads,
             kmer_to_component,
-            kmer_setup_cost: team.sim.makespan,
+            kmer_setup_cost: cost.charge(),
             n_components: components.len(),
             cfg,
         }
@@ -208,19 +211,20 @@ fn stream_chunk(reads: &[Record]) {
     std::hint::black_box(bytes);
 }
 
-/// Assign a chunk's reads (the OpenMP-parallel inner loop); returns
-/// assignments plus the simulated loop makespan.
-fn assign_chunk(shared: &RttShared, base: usize, chunk: &[Record]) -> (Vec<(u32, u32)>, f64) {
+/// Assign a chunk's reads (the OpenMP-parallel inner loop) on `team`.
+fn assign_chunk(
+    shared: &RttShared,
+    base: usize,
+    chunk: &[Record],
+    team: &mut impl Team,
+) -> Vec<(u32, u32)> {
     let items: Vec<usize> = (base..base + chunk.len()).collect();
-    let (results, sim) = costed_loop(&items, shared.cfg.threads, shared.cfg.schedule, |&i| {
-        shared.assign_packed(&shared.packed_reads[i])
-    });
-    let assignments = items
+    let results = team.map(&items, |&i| shared.assign_packed(&shared.packed_reads[i]));
+    items
         .iter()
         .zip(results)
         .filter_map(|(&i, c)| c.map(|c| (i as u32, c)))
-        .collect();
-    (assignments, sim.makespan)
+        .collect()
 }
 
 /// Shared-memory (OpenMP-only) ReadsToTranscripts: the baseline ("on a
@@ -262,7 +266,7 @@ pub fn rtt_hybrid_striped(comm: &mut Comm, shared: &RttShared) -> RttOutput {
 }
 
 fn rtt_rank_program(comm: &mut Comm, shared: &RttShared, policy: ReadPolicy) -> RttOutput {
-    let track = comm.track();
+    let (cfg, track) = (&shared.cfg, comm.track());
     let start = comm.clock.now();
 
     // Replicated k-mer→bundle table (OpenMP-only region, per rank).
@@ -271,20 +275,19 @@ fn rtt_rank_program(comm: &mut Comm, shared: &RttShared, policy: ReadPolicy) -> 
     });
 
     // The streaming loop: no communication inside.
-    let chunk_size = shared.cfg.max_mem_reads.max(1);
+    let chunk_size = cfg.max_mem_reads.max(1);
     let mut my_assignments: Vec<(u32, u32)> = Vec::new();
     for (ci, chunk) in shared.reads.chunks(chunk_size).enumerate() {
         let mine = static_owner(ci, comm.size()) == comm.rank();
         let chunk_arg = ("chunk", ci as f64);
         if mine || policy == ReadPolicy::WholeFile {
-            comm.charge_costed("io", "rtt.io", &[chunk_arg], || {
-                omp::timed(|| stream_chunk(chunk))
-            });
+            let args = |_: &_| vec![chunk_arg];
+            rank_region(comm, cfg, ["io", "rtt.io"], args, |_| stream_chunk(chunk));
         }
         if mine {
-            let args = [chunk_arg, ("reads", chunk.len() as f64)];
-            let assigned = comm.charge_costed("compute", "rtt.loop", &args, || {
-                assign_chunk(shared, ci * chunk_size, chunk)
+            let args = |_: &_| vec![chunk_arg, ("reads", chunk.len() as f64)];
+            let assigned = rank_region(comm, cfg, ["compute", "rtt.loop"], args, |team| {
+                assign_chunk(shared, ci * chunk_size, chunk, team)
             });
             my_assignments.extend(assigned);
         }
@@ -292,7 +295,7 @@ fn rtt_rank_program(comm: &mut Comm, shared: &RttShared, policy: ReadPolicy) -> 
 
     // Each rank writes its own output file; the master concatenates them
     // ("a simple cat command").
-    let assignments = crate::master_merge(comm, &shared.cfg, "rtt.concat", my_assignments, |_| {});
+    let assignments = crate::master_merge(comm, cfg, "rtt.concat", my_assignments, |_| {});
 
     comm.obs
         .record(track, "stage", "rtt.total", start, comm.clock.now());
@@ -430,6 +433,7 @@ mod tests {
     #[test]
     fn hybrid_records_spans_on_comm_tracer() {
         let shared = Arc::new(fixtures());
+        let threads = shared.cfg.threads;
         let outs = run_cluster(2, NetModel::idataplex(), move |comm| {
             let out = rtt_hybrid(comm, &shared);
             (out.timings, comm.rank() as u32)
@@ -439,6 +443,22 @@ mod tests {
             assert!(o.trace.span_bounds(track, "rtt.total").is_some());
             assert!((o.trace.span_sum(track, "rtt.loop") - timings.main_loop).abs() < 1e-12);
             assert!((o.trace.span_sum(track, "rtt.concat") - timings.concat).abs() < 1e-12);
+            // Each chunk's loop is a region on the rank's team: its
+            // makespan, drawn on the rank's thread lanes, plus the wall
+            // time outside its loop call, the `serial_s` the span reports.
+            let loops = o.trace.on_track(track).filter(|sp| sp.name == "rtt.loop");
+            let serial: f64 = loops.map(|sp| sp.arg("serial_s").unwrap()).sum();
+            let lane = obs::THREAD_TRACK_BASE + track * threads as u32;
+            let lanes = lane..lane + threads as u32;
+            let busy: f64 = lanes
+                .clone()
+                .map(|t| o.trace.span_sum(t, "rtt.loop.busy"))
+                .sum();
+            let idle: f64 = lanes.map(|t| o.trace.span_sum(t, "rtt.loop.idle")).sum();
+            let makespan = (busy + idle) / threads as f64;
+            assert!(busy > 0.0 && serial >= 0.0);
+            let main_loop = timings.main_loop;
+            assert!((main_loop - (makespan + serial)).abs() <= 1e-9 * main_loop);
         }
     }
 

@@ -9,7 +9,8 @@
 use std::collections::HashMap;
 
 use bowtie::sam::SamRecord;
-use seqio::par::{par_map, BUCKETS};
+use omp::{Pool, Team};
+use seqio::par::BUCKETS;
 
 /// Scaffolding parameters.
 #[derive(Debug, Clone, Copy)]
@@ -64,17 +65,11 @@ pub fn scaffold_pairs(
     contig_lens: &[usize],
     cfg: ScaffoldConfig,
 ) -> Vec<(u32, u32)> {
-    scaffold_pairs_on(
-        sam,
-        contig_index,
-        contig_lens,
-        cfg,
-        &mut seqio::par::sequential,
-    )
+    scaffold_pairs_on(sam, contig_index, contig_lens, cfg, &mut Pool::new(1))
 }
 
-/// [`scaffold_pairs`] as three loops run by `par` ([`seqio::par`]); the
-/// links are the same under every `par`.
+/// [`scaffold_pairs`] as three loops on `team`; the links are the same on
+/// every team.
 ///
 /// 1. Per chunk of records: drop unmapped records and unknown contigs,
 ///    apply the end-window test, and put each `(hash, pair key, contig)`
@@ -90,13 +85,13 @@ pub fn scaffold_pairs_on(
     contig_index: &HashMap<String, u32>,
     contig_lens: &[usize],
     cfg: ScaffoldConfig,
-    par: &mut impl FnMut(usize, &(dyn Fn(usize) + Sync)),
+    team: &mut impl Team,
 ) -> Vec<(u32, u32)> {
     let shift = 64 - BUCKETS.trailing_zeros();
     let chunks = seqio::par::chunks(sam.len());
-    let placed: Vec<Vec<Vec<Placement>>> = par_map(par, chunks.len(), |c| {
+    let placed: Vec<Vec<Vec<Placement>>> = team.map(&chunks, |chunk| {
         let mut out = vec![Vec::new(); BUCKETS];
-        for rec in &sam[chunks[c].clone()] {
+        for rec in &sam[chunk.clone()] {
             if rec.is_unmapped() {
                 continue;
             }
@@ -122,7 +117,8 @@ pub fn scaffold_pairs_on(
     });
 
     let contigs = contig_lens.len().max(1);
-    let linked: Vec<Vec<Vec<(u32, u32)>>> = par_map(par, BUCKETS, |b| {
+    let buckets: Vec<usize> = (0..BUCKETS).collect();
+    let linked: Vec<Vec<Vec<(u32, u32)>>> = team.map(&buckets, |&b| {
         let mut ends: Vec<Placement> = placed.iter().flat_map(|c| c[b].iter().copied()).collect();
         ends.sort_unstable();
         ends.dedup();
@@ -137,7 +133,7 @@ pub fn scaffold_pairs_on(
     });
     drop(placed);
 
-    let kept: Vec<Vec<(u32, u32)>> = par_map(par, BUCKETS, |b| {
+    let kept: Vec<Vec<(u32, u32)>> = team.map(&buckets, |&b| {
         let mut links: Vec<(u32, u32)> = linked.iter().flat_map(|p| p[b].iter().copied()).collect();
         links.sort_unstable();
         links
@@ -231,10 +227,6 @@ mod tests {
         }
         let pairs = scaffold_pairs(&records, &idx, &lens, cfg());
         assert_eq!(pairs, vec![(0, 1)]);
-    }
-
-    fn reversed(n: usize, body: &(dyn Fn(usize) + Sync)) {
-        (0..n).rev().for_each(body)
     }
 
     /// The `HashMap` body `scaffold_pairs` had before it sorted instead.
@@ -335,11 +327,10 @@ mod tests {
             let cfg = ScaffoldConfig { end_window, min_pairs };
             let expect = hashmap_oracle(&records, &idx, &lens, cfg);
             proptest::prop_assert_eq!(&scaffold_pairs(&records, &idx, &lens, cfg), &expect);
-            let on_reversed = scaffold_pairs_on(&records, &idx, &lens, cfg, &mut reversed);
+            let reversed = &mut crate::test_teams::Reversed;
+            let on_reversed = scaffold_pairs_on(&records, &idx, &lens, cfg, reversed);
             proptest::prop_assert_eq!(&on_reversed, &expect);
-            let mut pool = omp::Pool::new(2);
-            let on_threads =
-                scaffold_pairs_on(&records, &idx, &lens, cfg, &mut omp::par_loop(&mut pool));
+            let on_threads = scaffold_pairs_on(&records, &idx, &lens, cfg, &mut Pool::new(2));
             proptest::prop_assert_eq!(&on_threads, &expect);
         }
     }
@@ -371,7 +362,8 @@ mod tests {
         let expect = hashmap_oracle(&records, &idx, &lens, cfg);
         assert!(expect.len() > 100);
         assert_eq!(scaffold_pairs(&records, &idx, &lens, cfg), expect);
-        let on_reversed = scaffold_pairs_on(&records, &idx, &lens, cfg, &mut reversed);
+        let on_reversed =
+            scaffold_pairs_on(&records, &idx, &lens, cfg, &mut crate::test_teams::Reversed);
         assert_eq!(on_reversed, expect);
     }
 

@@ -183,9 +183,9 @@ fn for_each_kmer(read: &PackedSeq, cfg: &CounterConfig, mut emit: impl FnMut(u64
 /// Count all k-mers of pre-encoded reads per `cfg` on `team` — the routed
 /// build with `cfg.shards` owners, whose tables are the result;
 /// `cfg.threads` is not consulted, the team is the workers. The pipeline
-/// passes an [`omp::CostedTeam`], which ends up holding the virtual cost of
-/// both loops; the build has no serial section. A word size outside
-/// `1..=32` counts nothing.
+/// runs it inside a region on an [`omp::CostedTeam`], which charges both
+/// loops' makespan plus the routing rounds' code between them. A word size
+/// outside `1..=32` counts nothing.
 pub fn count_kmers_on(reads: &[PackedSeq], cfg: CounterConfig, team: &mut impl Team) -> KmerCounts {
     let batches: Vec<&[PackedSeq]> = reads.chunks(READ_BATCH).collect();
     let owners = vec![PackedKmerTable::new(); Owners::new(cfg.shards).count()];

@@ -150,8 +150,8 @@ impl Comm {
     /// concurrent ranks do not pollute each other's costs), charge the
     /// virtual seconds it returns and record them as a `cat` span `name` on
     /// this rank's track, with `args` and any the section's [`Cost`] adds.
-    /// `f` is an `omp::costed_loop` replay, a serial region wrapped in
-    /// `omp::timed`, a team region, or a precomputed cost.
+    /// `f` is a costed team's region — its loops' makespan plus its wall
+    /// time outside its loop calls — or a precomputed cost.
     pub fn charge_costed<T, C: Into<Cost>>(
         &mut self,
         cat: &str,

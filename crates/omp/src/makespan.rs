@@ -102,14 +102,9 @@ impl LoopSim {
     }
 
     /// Record this loop's summary into a [`obs::MetricsRegistry`]:
-    /// `{prefix}.chunks` (counter), `{prefix}.efficiency` and
-    /// `{prefix}.imbalance` (gauges).
-    ///
-    /// `chunks` is *intentionally additive*: each call describes one loop
-    /// replay, so recording several replays under one prefix (e.g. the
-    /// per-chunk `rtt.loop` invocations) accumulates total chunks
-    /// scheduled — an event count, not a snapshot. The efficiency and
-    /// imbalance gauges are snapshots and keep the latest replay's value.
+    /// `{prefix}.chunks` (a counter: replays recorded under one prefix add
+    /// up), `{prefix}.efficiency` and `{prefix}.imbalance` (gauges, the
+    /// latest replay's).
     pub fn record_metrics(&self, registry: &obs::MetricsRegistry, prefix: &str) {
         registry
             .counter(format!("{prefix}.chunks"))
@@ -229,28 +224,18 @@ pub fn simulate_ordered(
     }
 }
 
-/// The costed loop: run `f` over `items` measuring each item, then replay
-/// the measured costs over `threads` under `schedule`. Every parallel-for
-/// the workspace models goes through here, so how an item is costed (today
-/// its wall time) is decided in this one place.
-pub fn costed_loop<T, R>(
-    items: &[T],
-    threads: usize,
-    schedule: Schedule,
-    f: impl FnMut(&T) -> R,
-) -> (Vec<R>, LoopSim) {
-    let (results, costs) = parallel_map_timed(items, f);
-    (results, simulate_loop(&costs, threads, schedule))
-}
-
-/// A [`Team`] on the virtual clock: every parallel-for is a
-/// [`costed_loop`], every ordered loop a [`simulate_ordered`] replay, and
-/// `sim` is the replay of all of them in program order — what a multi-loop
-/// parallel region (encode, barrier, route, barrier, count, barrier, …)
-/// charges as one figure.
+/// A [`Team`] on the virtual clock: every parallel-for is run once, its
+/// items measured and replayed by [`simulate_loop`], every ordered loop a
+/// [`simulate_ordered`] replay, and `sim` is the replay of all of them in
+/// program order — what a multi-loop parallel region (encode, barrier,
+/// route, barrier, count, barrier, …) charges as one figure. How an item is
+/// costed (today its wall time) is decided here alone.
 #[derive(Debug, Clone)]
 pub struct CostedTeam {
     schedule: Schedule,
+    /// Wall time spent in this team's loop calls, each timed whole: its
+    /// items, their timing and the replay.
+    loops_s: f64,
     /// Everything run on this team so far.
     pub sim: LoopSim,
 }
@@ -260,22 +245,32 @@ impl CostedTeam {
     pub fn new(threads: usize, schedule: Schedule) -> Self {
         CostedTeam {
             schedule,
+            loops_s: 0.0,
             sim: LoopSim::idle(threads),
         }
     }
 
     /// Run `f`, a parallel region whose loops run on this team with serial
     /// sections between them, and return its result with the region's
-    /// cost: the makespan of its loops plus its serial remainder — the
-    /// region's wall time outside those loops' items.
+    /// cost: the makespan of its loops plus its wall time outside its loop
+    /// calls. A loop's item timing and replay are inside its call, so they
+    /// are charged nowhere; a region with no loop is charged its wall time.
     pub fn region<T>(&mut self, f: impl FnOnce(&mut Self) -> T) -> (T, RegionCost) {
-        let (makespan, work) = (self.sim.makespan, self.sim.serial_time);
+        let (makespan, loops_s) = (self.sim.makespan, self.loops_s);
         let (out, seconds) = timed(|| f(self));
         let cost = RegionCost {
             makespan: self.sim.makespan - makespan,
-            serial: seconds - (self.sim.serial_time - work),
+            serial: seconds - (self.loops_s - loops_s),
         };
         (out, cost)
+    }
+
+    /// Run the loop `f`, timed whole, and add its replay to `sim`.
+    fn costed<R>(&mut self, f: impl FnOnce(usize, Schedule) -> (R, LoopSim)) -> R {
+        let ((out, sim), seconds) = timed(|| f(self.threads(), self.schedule));
+        self.sim.then(&sim);
+        self.loops_s += seconds;
+        out
     }
 }
 
@@ -284,7 +279,7 @@ impl CostedTeam {
 pub struct RegionCost {
     /// Makespan of the region's loops on the team.
     pub makespan: f64,
-    /// The region's wall time outside its loops' items.
+    /// The region's wall time outside its loop calls.
     pub serial: f64,
 }
 
@@ -301,10 +296,13 @@ impl Team for CostedTeam {
         self.sim.thread_busy.len()
     }
 
+    /// The parallel-for run on the calling thread, each item measured by
+    /// [`timed`], the costs replayed by [`simulate_loop`].
     fn map<T: Sync, R: Send>(&mut self, items: &[T], f: impl Fn(&T) -> R + Sync) -> Vec<R> {
-        let (results, sim) = costed_loop(items, self.threads(), self.schedule, f);
-        self.sim.then(&sim);
-        results
+        self.costed(|threads, schedule| {
+            let (results, costs) = parallel_map_timed(items, f);
+            (results, simulate_loop(&costs, threads, schedule))
+        })
     }
 
     /// The ordered loop as [`simulate_ordered`] replays it, each call
@@ -322,8 +320,10 @@ impl Team for CostedTeam {
                 claim && take()
             })
         };
-        let sim = simulate_ordered(self.threads(), window, stay, |i, _| timed(|| work(i)).1);
-        self.sim.then(&sim);
+        self.costed(|threads, _| {
+            let sim = simulate_ordered(threads, window, stay, |i, _| timed(|| work(i)).1);
+            ((), sim)
+        });
     }
 }
 
@@ -404,6 +404,36 @@ mod tests {
     }
 
     #[test]
+    fn region_charges_no_bookkeeping_of_its_loops() {
+        // One loop of many near-empty items: timing each item and replaying
+        // 20 000 chunks on 16 threads costs more than the items measure,
+        // and all of it happens inside the loop call, which the region
+        // charges at its makespan only. Best of three, against scheduler
+        // noise.
+        let items: Vec<u64> = (0..20_000).collect();
+        let (serial, work) = (0..3)
+            .map(|_| {
+                let mut team = CostedTeam::new(16, Schedule::Dynamic { chunk: 1 });
+                let (_, cost) = team.region(|team| team.map(&items, |&x| std::hint::black_box(x)));
+                (cost.serial, team.sim.serial_time)
+            })
+            .min_by(|a, b| a.0.total_cmp(&b.0))
+            .unwrap();
+        assert!(serial < work, "serial {serial} s vs items {work} s");
+    }
+
+    #[test]
+    fn region_with_no_loop_is_charged_its_wall_time() {
+        let mut team = CostedTeam::new(4, Schedule::Dynamic { chunk: 1 });
+        let pause = std::time::Duration::from_millis(2);
+        let ((_, cost), wall) = timed(|| team.region(|_| std::thread::sleep(pause)));
+        assert_eq!(cost.makespan, 0.0);
+        assert!(cost.serial >= pause.as_secs_f64() && cost.serial <= wall);
+        assert_eq!(cost.charge(), cost.serial);
+        assert_eq!(team.sim, LoopSim::idle(4));
+    }
+
+    #[test]
     fn then_is_additive_with_idle_as_identity() {
         let a = simulate_loop(&[3.0, 1.0, 2.0], 2, Schedule::Dynamic { chunk: 1 });
         let b = simulate_loop(&[5.0, 5.0], 2, Schedule::Dynamic { chunk: 1 });
@@ -478,11 +508,11 @@ mod tests {
 
     #[test]
     fn costed_loop_keeps_item_order_and_replays_every_item() {
-        let items = [3u32, 1, 2];
-        let (out, sim) = costed_loop(&items, 2, Schedule::Dynamic { chunk: 1 }, |&x| x * 10);
+        let mut team = CostedTeam::new(2, Schedule::Dynamic { chunk: 1 });
+        let out = team.map(&[3u32, 1, 2], |&x| x * 10);
         assert_eq!(out, vec![30, 10, 20]);
-        assert_eq!(sim.chunks, 3);
-        assert!(sim.makespan <= sim.serial_time);
+        assert_eq!(team.sim.chunks, 3);
+        assert!(team.sim.makespan <= team.sim.serial_time);
     }
 
     #[test]

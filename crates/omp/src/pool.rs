@@ -211,7 +211,8 @@ pub fn parallel_map<T: Sync, R: Send>(
 
 /// Run `f` and measure its wall-clock duration in seconds — the program's
 /// one wall-clock read. Every virtual-clock charge of measured work starts
-/// here, either per item ([`parallel_map_timed`]) or around a serial region.
+/// here: per item ([`parallel_map_timed`]), and around each loop call and
+/// each region of a [`crate::makespan::CostedTeam`].
 pub fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
     let t0 = std::time::Instant::now();
     let out = f();

@@ -1,6 +1,8 @@
 //! The parallel-loop contract the stage builders take, and the pieces their
 //! loops share.
 //!
+//! Only `bowtie` and `inchworm`, the crates that do not depend on `omp`,
+//! take these closures; every other builder takes an `&mut impl omp::Team`.
 //! A builder with parallel loops (the Inchworm dictionary and walks, the
 //! FM-index's suffix sort and Occ fill) does not own threads: it takes the
 //! loop as `par(n, body)`, which calls `body(i)` once for every `i` in

@@ -34,8 +34,8 @@ use inchworm::dictionary::Dictionary;
 use kcount::counter::{count_kmers_on, CounterConfig, KmerCounts};
 use mpisim::cluster::cluster_time;
 use mpisim::{run_cluster, run_cluster_faulty, Comm, FaultPlan, NetModel, RankOutput};
-use omp::makespan::{costed_loop, CostedTeam, LoopSim};
-use omp::Team;
+use omp::makespan::CostedTeam;
+use omp::{Schedule, Team};
 
 use crate::checkpoint as ckpt;
 
@@ -275,6 +275,8 @@ struct Driver<'a> {
     ranks: usize,
     net: NetModel,
     faults: Option<&'a Arc<FaultPlan>>,
+    /// Workers and schedule of each one-node stage's team.
+    team: (usize, Schedule),
 }
 
 impl<'a> Driver<'a> {
@@ -303,6 +305,7 @@ impl<'a> Driver<'a> {
             ranks,
             net,
             faults: opts.faults.as_ref(),
+            team: (cfg.chrysalis.threads, cfg.chrysalis.schedule),
         }
     }
 
@@ -377,12 +380,27 @@ impl<'a> Driver<'a> {
         }
     }
 
-    /// Draw an OpenMP loop replay of the stage about to be logged on the
-    /// thread lanes (`{label}.busy`/`{label}.idle` from the stage's start)
-    /// and record its summary under `{label}.loop`.
-    fn log_omp_loop(&self, label: &str, sim: &LoopSim) {
-        sim.record_metrics(&self.metrics, &format!("{label}.loop"));
-        sim.record_spans(&self.obs, self.cursor, obs::THREAD_TRACK_BASE, label);
+    /// The one way a one-node stage reaches the clock: run `body` as one
+    /// [`CostedTeam::region`] on a fresh team and charge the stage the
+    /// region's cost. Its serial and lock-held time are recorded as
+    /// `{label}.serial_s` and `{label}.lock_s`, its loops' summary under
+    /// `{label}.loop`, and its loops are drawn on the thread lanes
+    /// (`{label}.busy`/`{label}.idle` from the stage's start).
+    fn region_stage<T>(
+        &self,
+        label: &str,
+        body: impl FnOnce(&mut CostedTeam) -> T,
+    ) -> (T, StageRun) {
+        let mut team = CostedTeam::new(self.team.0, self.team.1);
+        let (out, cost) = team.region(body);
+        let gauge = |name: &str, value| self.metrics.gauge(format!("{label}.{name}")).set(value);
+        gauge("serial_s", cost.serial);
+        gauge("lock_s", team.sim.lock_time);
+        team.sim
+            .record_metrics(&self.metrics, &format!("{label}.loop"));
+        team.sim
+            .record_spans(&self.obs, self.cursor, obs::THREAD_TRACK_BASE, label);
+        (out, StageRun::timed(cost.charge()))
     }
 
     /// The one checkpointed-stage routine. A checkpoint that validates
@@ -538,11 +556,12 @@ fn assemble_contigs(
 ) -> (Vec<PackedSeq>, KmerCounts, Vec<Record>) {
     let k = cfg.chrysalis.k;
     // ---- Jellyfish ----
-    // One parallel region on the costed team, and no serial section in it:
-    // the ingest loop 2-bit packs every read exactly once (Jellyfish
-    // counts, ReadsToTranscripts votes and Butterfly threads all consume
-    // this same encoding; no stage re-walks the ASCII), the owner-routed
-    // build routes and counts, and the error filter is a loop over owners.
+    // One parallel region on the stage's team: the ingest loop 2-bit packs
+    // every read exactly once (Jellyfish counts, ReadsToTranscripts votes
+    // and Butterfly threads all consume this same encoding; no stage
+    // re-walks the ASCII), the owner-routed build routes and counts, and
+    // the error filter is a loop over owners. The batches' flatten and the
+    // build's code between its loops are the region's serial time.
     let mut packed_reads = None;
     let mut counts = d.stage(
         "Jellyfish",
@@ -550,20 +569,16 @@ fn assemble_contigs(
         ckpt::encode_counts,
         |c, _| ram::jellyfish(c.len()),
         |d| {
-            let mut team = CostedTeam::new(cfg.chrysalis.threads, cfg.chrysalis.schedule);
-            let batches: Vec<&[Record]> = reads.chunks(ENCODE_BATCH).collect();
-            let encoded = team.map(&batches, |batch| seqio::packed::encode_all(batch));
-            let mut packed: Vec<PackedSeq> = Vec::with_capacity(reads.len());
-            packed.extend(encoded.into_iter().flatten());
-            let counter_cfg = CounterConfig {
-                threads: cfg.chrysalis.threads,
-                ..CounterConfig::new(k)
-            };
-            let mut counts = count_kmers_on(&packed, counter_cfg, &mut team);
-            counts.retain_min_on(cfg.min_kmer_count.max(1), &mut team);
-            packed_reads = Some(packed);
-            d.log_omp_loop("jellyfish", &team.sim);
-            (counts, StageRun::timed(team.sim.makespan))
+            d.region_stage("jellyfish", |team| {
+                let batches: Vec<&[Record]> = reads.chunks(ENCODE_BATCH).collect();
+                let encoded = team.map(&batches, |batch| seqio::packed::encode_all(batch));
+                let mut packed: Vec<PackedSeq> = Vec::with_capacity(reads.len());
+                packed.extend(encoded.into_iter().flatten());
+                let mut counts = count_kmers_on(&packed, CounterConfig::new(k), team);
+                counts.retain_min_on(cfg.min_kmer_count.max(1), team);
+                packed_reads = Some(packed);
+                counts
+            })
         },
     );
     // A resumed stage counted nothing, but the later stages still read the
@@ -576,8 +591,7 @@ fn assemble_contigs(
     // never holds a second copy of it. The seeding-order sort's loops, the
     // walks' ordered loop and the `to_record` loop after them run on the
     // stage's team — the walks' takes and commits (replays included) under
-    // its lock, on its lanes. The stage is charged the team's makespan plus
-    // the wall time of the whole stage outside the team's items.
+    // its lock, on its lanes.
     let distinct_kmers = counts.len();
     let contigs = d.stage(
         "Inchworm",
@@ -585,21 +599,17 @@ fn assemble_contigs(
         |c| ckpt::encode_records(c),
         |c, _| ram::inchworm(distinct_kmers, seq_bytes(c)),
         |d| {
-            let threads = cfg.chrysalis.threads;
-            let mut team = CostedTeam::new(threads, cfg.chrysalis.schedule);
-            let ((contigs, stats), cost) = team.region(|team| {
+            let ((contigs, stats), run) = d.region_stage("inchworm", |team| {
                 let table = std::mem::replace(&mut counts, KmerCounts::empty(k));
                 let min_count = cfg.min_kmer_count.max(1);
                 let dict = Dictionary::from_counts_on(table, min_count, &mut omp::par_loop(team));
-                let window = WINDOW_PER_THREAD * threads;
+                let window = WINDOW_PER_THREAD * team.threads();
                 let (contigs, stats) =
                     assemble_on(&dict, cfg.inchworm, window, &mut omp::ord_loop(team));
                 let contigs: Vec<Record> = team.map(&contigs, |c| c.to_record());
                 counts = dict.into_counts();
                 (contigs, stats)
             });
-            d.metrics.gauge("inchworm.serial_s").set(cost.serial);
-            d.metrics.gauge("inchworm.lock_s").set(team.sim.lock_time);
             let counts = [
                 ("inchworm.walks", stats.walks),
                 ("inchworm.deferred", stats.deferred),
@@ -609,8 +619,7 @@ fn assemble_contigs(
             for (name, n) in counts {
                 d.metrics.counter(name).add(n as u64);
             }
-            d.log_omp_loop("inchworm", &team.sim);
-            (contigs, StageRun::timed(cost.charge()))
+            (contigs, run)
         },
     );
     (packed_reads, counts, contigs)
@@ -625,7 +634,7 @@ pub fn run_pipeline_opts(
 ) -> PipelineOutput {
     let mut d = Driver::new(reads, cfg, opts);
     let seqio_before = seqio::packed::stats_snapshot();
-    let (packed_reads, counts, contigs) = assemble_contigs(&mut d, reads, cfg);
+    let (mut packed_reads, counts, contigs) = assemble_contigs(&mut d, reads, cfg);
     let contig_bytes = seq_bytes(&contigs);
     // Contigs, like reads, are packed exactly once; GraphFromFasta,
     // ReadsToTranscripts and Butterfly all share this encoding.
@@ -686,32 +695,25 @@ pub fn run_pipeline_opts(
     d.metrics.counter("gff.pairs").add(gff_pairs.len() as u64);
 
     // ---- Chrysalis: scaffolding (combine Bowtie links with welds) ----
-    // One parallel region on the stage's team: the scaffolding's loops are
-    // charged at the team's makespan and drawn on its lanes; the contig
-    // name index, the pair merge and the clustering are its serial
-    // remainder, charged at their wall time (`quantify.serial_s`).
+    // One parallel region on the stage's team: the scaffolding's loops, and
+    // the contig name index, the pair merge and the clustering as its
+    // serial time.
     let components = d.stage_from(
         "QuantifyGraph",
         quantify_loaded,
         |c| ckpt::encode_components(c),
         |_, _| ram::graph_from_fasta(contig_bytes, 0, weld_bytes),
         |d| {
-            let mut team = CostedTeam::new(cfg.chrysalis.threads, cfg.chrysalis.schedule);
-            let (components, cost) = team.region(|team| {
+            d.region_stage("quantify", |team| {
                 let name_index = contig_name_index(&contigs);
                 let lens: Vec<usize> = contigs.iter().map(|c| c.seq.len()).collect();
-                let mut par = omp::par_loop(team);
-                let scaf_pairs =
-                    scaffold_pairs_on(&sam, &name_index, &lens, cfg.scaffold, &mut par);
+                let scaf_pairs = scaffold_pairs_on(&sam, &name_index, &lens, cfg.scaffold, team);
                 let mut all_pairs = gff_pairs.clone();
                 all_pairs.extend(scaf_pairs);
                 all_pairs.sort_unstable();
                 all_pairs.dedup();
                 cluster(contigs.len(), &all_pairs).1
-            });
-            d.metrics.gauge("quantify.serial_s").set(cost.serial);
-            d.log_omp_loop("quantify", &team.sim);
-            (components, StageRun::timed(cost.charge()))
+            })
         },
     );
     d.metrics
@@ -719,6 +721,9 @@ pub fn run_pipeline_opts(
         .set(components.len() as f64);
 
     // ---- Chrysalis: ReadsToTranscripts ----
+    // The stage holds the packed reads while it runs and hands them back
+    // for Butterfly: moved, not cloned, since on read-heavy inputs the run's
+    // peak memory is reached here.
     let chunk_bytes = seq_bytes(&reads[..reads.len().min(cfg.chrysalis.max_mem_reads)]);
     let mut rtt_timings: Vec<RttTimings> = Vec::new();
     let assignments = d.stage(
@@ -729,7 +734,7 @@ pub fn run_pipeline_opts(
         |d| {
             let shared = RttShared::prepare_with_packed(
                 reads.to_vec(),
-                packed_reads.clone(),
+                std::mem::take(&mut packed_reads),
                 &packed_contigs,
                 &components,
                 cfg.chrysalis,
@@ -740,6 +745,7 @@ pub fn run_pipeline_opts(
             let mut run = d.run_cluster_resilient(|comm| rtt_hybrid(comm, &shared));
             run.stage.table_entries = shared.kmer_to_component.len();
             rtt_timings = run.values.iter().map(|o| o.timings).collect();
+            packed_reads = shared.packed_reads;
             (run.values.swap_remove(0).assignments, run.stage)
         },
     );
@@ -749,7 +755,9 @@ pub fn run_pipeline_opts(
 
     // ---- Butterfly ----
     // Not checkpointed: it is the last stage, so its artifact is the run's
-    // output.
+    // output. The stage is one loop over components, a region with one
+    // `map`; gathering each component's inputs and concatenating the
+    // transcripts are the pipeline's glue around it.
     let mut comp_inputs: Vec<ComponentInput> = components
         .iter()
         .enumerate()
@@ -764,13 +772,12 @@ pub fn run_pipeline_opts(
             .reads
             .push(packed_reads[r as usize].clone());
     }
-    let (transcript_lists, butterfly_sim) = costed_loop(
-        &comp_inputs,
-        cfg.chrysalis.threads,
-        cfg.chrysalis.schedule,
-        |input| reconstruct_component(input, cfg.reconstruction),
-    );
-    let transcripts: Vec<Record> = transcript_lists.into_iter().flatten().collect();
+    let (lists, run) = d.region_stage("butterfly", |team| {
+        team.map(&comp_inputs, |input| {
+            reconstruct_component(input, cfg.reconstruction)
+        })
+    });
+    let transcripts: Vec<Record> = lists.into_iter().flatten().collect();
     let max_nodes = comp_inputs
         .iter()
         .map(|c| c.contigs.iter().map(|s| s.len()).sum::<usize>())
@@ -779,8 +786,6 @@ pub fn run_pipeline_opts(
     d.metrics
         .counter("butterfly.transcripts")
         .add(transcripts.len() as u64);
-    d.log_omp_loop("butterfly", &butterfly_sim);
-    let run = StageRun::timed(butterfly_sim.makespan);
     d.log_stage("Butterfly", ram::butterfly(max_nodes), run);
 
     let (trace, metrics) = d.finish(seqio_before);
@@ -839,26 +844,33 @@ mod tests {
 
     #[test]
     fn jellyfish_stage_is_its_teams_makespan_encode_included() {
-        // The stage lasts exactly as long as the replay of its one parallel
-        // region (a serially charged encode time used to come on top), and
-        // the region's first loop is the read encode: one chunk per read
-        // batch ahead of the build's route, absorb and filter loops.
+        // Jellyfish and Butterfly each last their team's makespan plus the
+        // region's serial time, the `{label}.serial_s` the run reports — as
+        // the Inchworm and QuantifyGraph stages do. Jellyfish's first loop
+        // is the read encode: one chunk per read batch ahead of the build's
+        // route, absorb and filter loops; the batches' flatten and the
+        // build's code between loops are serial.
         let reads = tiny_reads();
         let cfg = PipelineConfig::small(12);
         let out = run_pipeline(&reads, &cfg);
         let stages = out.trace.with_cat("stage");
-        let stage = stages
-            .iter()
-            .find(|s| s.track == 0 && s.name == "Jellyfish")
-            .expect("Jellyfish stage span");
-        let lanes = out
-            .trace
-            .spans
-            .iter()
-            .filter(|s| s.name.starts_with("jellyfish."));
-        let makespan = lanes.map(|s| s.end).fold(0.0, f64::max);
-        assert!(makespan > 0.0);
-        assert_eq!((stage.start, stage.end), (0.0, makespan));
+        for (name, label) in [("Jellyfish", "jellyfish"), ("Butterfly", "butterfly")] {
+            let stage = stages
+                .iter()
+                .find(|s| s.track == 0 && s.name == name)
+                .expect("stage span");
+            let prefix = format!("{label}.");
+            let lanes = out.trace.spans.iter();
+            let lanes = lanes.filter(|s| s.name.starts_with(&prefix));
+            let makespan = lanes.map(|s| s.end).fold(stage.start, f64::max) - stage.start;
+            let serial = out.metrics.gauge(&format!("{label}.serial_s"));
+            let serial = serial.expect("serial time");
+            let duration = stage.end - stage.start;
+            assert!(makespan > 0.0 && serial >= 0.0, "{name}");
+            assert!((duration - (makespan + serial)).abs() <= 1e-9 * duration);
+        }
+        let serial = out.metrics.gauge("jellyfish.serial_s").unwrap();
+        assert!(serial > 0.0, "flatten and routing rounds");
         let owners = kcount::routed::OWNERS;
         let batches = reads.len().div_ceil(ENCODE_BATCH);
         let rounds = batches.div_ceil(cfg.chrysalis.threads);
@@ -875,8 +887,8 @@ mod tests {
     fn inchworm_stage_is_its_teams_makespan_plus_its_serial_sections() {
         // The seeding-order sort's loops and the walks' ordered loop run on
         // the stage's team and are charged at its makespan — the walks'
-        // takes and commits under its lock, on its lanes; `to_record` and
-        // the loops' bookkeeping are charged at their wall time, the
+        // takes and commits under its lock, on its lanes; what runs outside
+        // the loop calls is charged at its wall time, the
         // `inchworm.serial_s` the run reports. On one thread the makespan
         // is the items' summed cost.
         let reads = tiny_reads();
