@@ -4,9 +4,6 @@
 //! code (`A=0, C=1, G=2, T=3`) defined here is the packing used by
 //! [`crate::kmer::Kmer`] and by the FM-index in the `bowtie` crate.
 
-/// Number of symbols in the strict DNA alphabet.
-pub const ALPHABET_SIZE: usize = 4;
-
 /// The four bases in code order.
 pub const BASES: [u8; 4] = [b'A', b'C', b'G', b'T'];
 
@@ -56,20 +53,6 @@ pub fn revcomp(seq: &[u8]) -> Vec<u8> {
     seq.iter().rev().map(|&b| complement_base(b)).collect()
 }
 
-/// Reverse-complement a sequence in place (no allocation).
-pub fn revcomp_in_place(seq: &mut [u8]) {
-    let n = seq.len();
-    for i in 0..n / 2 {
-        let (a, b) = (seq[i], seq[n - 1 - i]);
-        seq[i] = complement_base(b);
-        seq[n - 1 - i] = complement_base(a);
-    }
-    if n % 2 == 1 {
-        let mid = n / 2;
-        seq[mid] = complement_base(seq[mid]);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -105,15 +88,5 @@ mod tests {
         assert_eq!(revcomp(b"AACC"), b"GGTT".to_vec());
         assert_eq!(revcomp(b""), Vec::<u8>::new());
         assert_eq!(revcomp(b"G"), b"C".to_vec());
-    }
-
-    #[test]
-    fn revcomp_in_place_matches_alloc_version() {
-        let cases: [&[u8]; 4] = [b"A", b"ACGTN", b"GGGCCCAT", b"TTTTT"];
-        for case in cases {
-            let mut v = case.to_vec();
-            revcomp_in_place(&mut v);
-            assert_eq!(v, revcomp(case));
-        }
     }
 }

@@ -5,12 +5,10 @@ use std::fmt;
 /// Convenience alias used throughout `seqio`.
 pub type Result<T> = std::result::Result<T, Error>;
 
-/// Errors produced while parsing or writing sequence data.
+/// Errors produced while parsing sequence data or building k-mers.
 #[derive(Debug)]
 pub enum Error {
-    /// Underlying I/O failure.
-    Io(std::io::Error),
-    /// A FASTA/FASTQ record violated the format (message, byte offset hint).
+    /// A FASTA/FASTQ record violated the format (the message names the line).
     Format(String),
     /// A base outside `ACGTN` (case-insensitive) was encountered where a
     /// strict alphabet was required.
@@ -22,7 +20,6 @@ pub enum Error {
 impl fmt::Display for Error {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            Error::Io(e) => write!(f, "I/O error: {e}"),
             Error::Format(msg) => write!(f, "format error: {msg}"),
             Error::InvalidBase(b) => {
                 write!(f, "invalid base byte 0x{b:02x} ({:?})", *b as char)
@@ -32,20 +29,7 @@ impl fmt::Display for Error {
     }
 }
 
-impl std::error::Error for Error {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            Error::Io(e) => Some(e),
-            _ => None,
-        }
-    }
-}
-
-impl From<std::io::Error> for Error {
-    fn from(e: std::io::Error) -> Self {
-        Error::Io(e)
-    }
-}
+impl std::error::Error for Error {}
 
 #[cfg(test)]
 mod tests {
@@ -59,12 +43,5 @@ mod tests {
         assert!(e.to_string().contains("33"));
         let e = Error::Format("bad header".into());
         assert!(e.to_string().contains("bad header"));
-    }
-
-    #[test]
-    fn io_error_source_is_preserved() {
-        let io = std::io::Error::new(std::io::ErrorKind::NotFound, "gone");
-        let e = Error::from(io);
-        assert!(std::error::Error::source(&e).is_some());
     }
 }

@@ -1,16 +1,20 @@
-//! FASTA records, readers and writers.
+//! FASTA and FASTQ records, parsed from and written to byte buffers.
 //!
 //! The Trinity pipeline exchanges almost all of its data as (multi-)FASTA
 //! files: reads, Inchworm contigs, component bundles and final transcripts.
-//! The reader here handles multi-line records, arbitrary description text
-//! after the identifier, and is buffered and byte-oriented.
-
-use std::io::{BufRead, BufReader, Read, Write};
-use std::path::Path;
+//! Reads may also arrive as FASTQ, whose qualities no stage reads; the
+//! parser checks them and drops them, as `Trinity.pl` converts FASTQ to
+//! FASTA. Files are read whole, so both parsers take the file's bytes.
+//!
+//! Both parsers walk the same lines: each ends at `\n`, loses its trailing
+//! `\r`s, and must be UTF-8 (a line that is not fails, naming the line).
+//! Both split a header the same way: the id runs to the first whitespace and
+//! must not be empty; the description is the rest, leading whitespace
+//! removed.
 
 use crate::error::{Error, Result};
 
-/// One FASTA record: `>id description` header plus concatenated sequence.
+/// One sequence record: `>id description` header plus concatenated sequence.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Record {
     /// Identifier: header text up to the first whitespace.
@@ -58,186 +62,117 @@ impl AsRef<[u8]> for Record {
     }
 }
 
-/// Streaming FASTA reader over any `Read`.
-pub struct FastaReader<R: Read> {
-    inner: BufReader<R>,
-    /// Header line of the next record (without `>`), if already consumed.
-    pending_header: Option<String>,
-    line_no: usize,
-    finished: bool,
+/// The lines of a buffer as `(1-based line number, text)`, each without its
+/// `\n` and trailing `\r`s; a line that is not UTF-8 is an error naming it.
+fn lines(bytes: &[u8]) -> impl Iterator<Item = Result<(usize, &str)>> {
+    bytes
+        .split_inclusive(|&b| b == b'\n')
+        .zip(1..)
+        .map(|(line, no)| {
+            std::str::from_utf8(line)
+                .map(|text| (no, text.trim_end_matches(['\n', '\r'])))
+                .map_err(|_| Error::Format(format!("line {no}: not UTF-8")))
+        })
 }
 
-impl FastaReader<std::fs::File> {
-    /// Open a FASTA file from a path.
-    pub fn from_path(path: impl AsRef<Path>) -> Result<Self> {
-        Ok(Self::new(std::fs::File::open(path)?))
+/// Split a header (marker removed) on line `no` into `(id, description)`.
+fn split_header(no: usize, header: &str) -> Result<(String, String)> {
+    let (id, desc) = match header.split_once(char::is_whitespace) {
+        Some((id, rest)) => (id, rest.trim_start()),
+        None => (header, ""),
+    };
+    if id.is_empty() {
+        return Err(Error::Format(format!("line {no}: empty record identifier")));
     }
+    Ok((id.to_string(), desc.to_string()))
 }
 
-impl<R: Read> FastaReader<R> {
-    /// Wrap a reader.
-    pub fn new(reader: R) -> Self {
-        FastaReader {
-            inner: BufReader::with_capacity(1 << 16, reader),
-            pending_header: None,
-            line_no: 0,
-            finished: false,
-        }
-    }
-
-    fn read_line(&mut self, buf: &mut String) -> Result<usize> {
-        buf.clear();
-        let n = self.inner.read_line(buf)?;
-        if n > 0 {
-            self.line_no += 1;
-        }
-        while buf.ends_with('\n') || buf.ends_with('\r') {
-            buf.pop();
-        }
-        Ok(n)
-    }
-
-    /// Read the next record, or `None` at end of input.
-    pub fn next_record(&mut self) -> Result<Option<Record>> {
-        if self.finished {
-            return Ok(None);
-        }
-        let mut line = String::new();
-        let header = match self.pending_header.take() {
-            Some(h) => h,
-            None => loop {
-                let n = self.read_line(&mut line)?;
-                if n == 0 {
-                    self.finished = true;
-                    return Ok(None);
-                }
-                if line.is_empty() {
-                    continue; // tolerate blank lines between records
-                }
-                if let Some(h) = line.strip_prefix('>') {
-                    break h.to_string();
-                }
-                return Err(Error::Format(format!(
-                    "line {}: expected '>' header, found {:?}",
-                    self.line_no, line
-                )));
-            },
-        };
-
-        let (id, desc) = match header.split_once(char::is_whitespace) {
-            Some((id, rest)) => (id.to_string(), rest.trim_start().to_string()),
-            None => (header, String::new()),
-        };
-        if id.is_empty() {
+/// Parse a whole FASTA buffer: multi-line records, blank lines anywhere.
+pub fn parse_fasta(bytes: &[u8]) -> Result<Vec<Record>> {
+    let mut records: Vec<Record> = Vec::new();
+    for line in lines(bytes) {
+        let (no, line) = line?;
+        if let Some(header) = line.strip_prefix('>') {
+            let (id, desc) = split_header(no, header)?;
+            records.push(Record {
+                id,
+                desc,
+                seq: Vec::new(),
+            });
+        } else if let Some(rec) = records.last_mut() {
+            rec.seq.extend_from_slice(line.as_bytes());
+        } else if !line.is_empty() {
             return Err(Error::Format(format!(
-                "line {}: empty record identifier",
-                self.line_no
+                "line {no}: expected '>' header, found {line:?}"
             )));
         }
+    }
+    Ok(records)
+}
 
-        let mut seq = Vec::new();
-        loop {
-            let n = self.read_line(&mut line)?;
-            if n == 0 {
-                self.finished = true;
-                break;
-            }
-            if line.is_empty() {
-                continue;
-            }
-            if let Some(h) = line.strip_prefix('>') {
-                self.pending_header = Some(h.to_string());
-                break;
-            }
-            seq.extend_from_slice(line.as_bytes());
+/// Parse a whole FASTQ buffer of 4-line records (blank lines allowed between
+/// records). Each quality line must be as long as its sequence; the
+/// qualities are then dropped.
+pub fn parse_fastq(bytes: &[u8]) -> Result<Vec<Record>> {
+    let mut lines = lines(bytes);
+    let mut records = Vec::new();
+    while let Some(line) = lines.next() {
+        let (no, header) = line?;
+        if header.is_empty() {
+            continue;
         }
-        Ok(Some(Record { id, desc, seq }))
-    }
-
-    /// Collect every record into memory.
-    pub fn read_all(mut self) -> Result<Vec<Record>> {
-        let mut out = Vec::new();
-        while let Some(rec) = self.next_record()? {
-            out.push(rec);
+        let header = header.strip_prefix('@').ok_or_else(|| {
+            Error::Format(format!("line {no}: expected '@' header, found {header:?}"))
+        })?;
+        let (id, desc) = split_header(no, header)?;
+        let mut next = |what: &str| {
+            lines.next().unwrap_or_else(|| {
+                Err(Error::Format(format!(
+                    "line {no}: truncated record (missing {what})"
+                )))
+            })
+        };
+        let (_, seq) = next("sequence")?;
+        let (plus_no, plus) = next("'+' separator")?;
+        if !plus.starts_with('+') {
+            return Err(Error::Format(format!(
+                "line {plus_no}: expected '+' separator"
+            )));
         }
-        Ok(out)
-    }
-}
-
-impl<R: Read> Iterator for FastaReader<R> {
-    type Item = Result<Record>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        self.next_record().transpose()
-    }
-}
-
-/// Buffered FASTA writer with configurable line wrapping.
-pub struct FastaWriter<W: Write> {
-    inner: W,
-    /// Wrap sequence lines at this many bases (0 = no wrapping).
-    pub line_width: usize,
-}
-
-impl FastaWriter<std::io::BufWriter<std::fs::File>> {
-    /// Create (truncate) a FASTA file at a path.
-    pub fn create(path: impl AsRef<Path>) -> Result<Self> {
-        Ok(Self::new(std::io::BufWriter::new(std::fs::File::create(
-            path,
-        )?)))
-    }
-}
-
-impl<W: Write> FastaWriter<W> {
-    /// Wrap a writer with the conventional 60-column wrapping.
-    pub fn new(writer: W) -> Self {
-        FastaWriter {
-            inner: writer,
-            line_width: 60,
+        let (qual_no, qual) = next("quality")?;
+        if qual.len() != seq.len() {
+            return Err(Error::Format(format!(
+                "line {qual_no}: quality length {} != sequence length {}",
+                qual.len(),
+                seq.len()
+            )));
         }
+        records.push(Record {
+            id,
+            desc,
+            seq: seq.as_bytes().to_vec(),
+        });
     }
-
-    /// Write one record.
-    pub fn write_record(&mut self, rec: &Record) -> Result<()> {
-        if rec.desc.is_empty() {
-            writeln!(self.inner, ">{}", rec.id)?;
-        } else {
-            writeln!(self.inner, ">{} {}", rec.id, rec.desc)?;
-        }
-        if self.line_width == 0 {
-            self.inner.write_all(&rec.seq)?;
-            self.inner.write_all(b"\n")?;
-        } else {
-            for chunk in rec.seq.chunks(self.line_width) {
-                self.inner.write_all(chunk)?;
-                self.inner.write_all(b"\n")?;
-            }
-        }
-        Ok(())
-    }
-
-    /// Flush the underlying writer.
-    pub fn flush(&mut self) -> Result<()> {
-        self.inner.flush()?;
-        Ok(())
-    }
+    Ok(records)
 }
 
-/// Read a whole FASTA byte buffer (convenience for tests and in-memory flows).
-pub fn parse_fasta(bytes: &[u8]) -> Result<Vec<Record>> {
-    FastaReader::new(bytes).read_all()
-}
-
-/// Serialize records to a FASTA byte buffer.
+/// Serialize records as FASTA, sequences wrapped at 60 columns.
 pub fn to_fasta_bytes(records: &[Record]) -> Vec<u8> {
-    let mut buf = Vec::new();
-    {
-        let mut w = FastaWriter::new(&mut buf);
-        for rec in records {
-            w.write_record(rec).expect("write to Vec cannot fail");
+    let mut out = Vec::new();
+    for rec in records {
+        out.push(b'>');
+        out.extend_from_slice(rec.id.as_bytes());
+        if !rec.desc.is_empty() {
+            out.push(b' ');
+            out.extend_from_slice(rec.desc.as_bytes());
+        }
+        out.push(b'\n');
+        for chunk in rec.seq.chunks(60) {
+            out.extend_from_slice(chunk);
+            out.push(b'\n');
         }
     }
-    buf
+    out
 }
 
 #[cfg(test)]
@@ -266,6 +201,8 @@ mod tests {
         let recs = parse_fasta(b">a\r\nACGT\r\n>b\r\nTT\r\n").unwrap();
         assert_eq!(recs[0].seq, b"ACGT");
         assert_eq!(recs[1].seq, b"TT");
+        let recs = parse_fastq(b"@a x\r\nAC\r\n+\r\nII\r\n").unwrap();
+        assert_eq!((recs[0].desc.as_str(), &recs[0].seq[..]), ("x", &b"AC"[..]));
     }
 
     #[test]
@@ -276,11 +213,31 @@ mod tests {
     #[test]
     fn rejects_empty_id() {
         assert!(parse_fasta(b">\nACGT\n").is_err());
+        assert!(parse_fasta(b"> desc\nACGT\n").is_err());
+    }
+
+    #[test]
+    fn fastq_rejects_empty_id() {
+        let err = parse_fastq(b"@a\nAC\n+\nII\n@ desc\nAC\n+\nII\n").unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "format error: line 5: empty record identifier"
+        );
+        assert!(parse_fastq(b"@\nAC\n+\nII\n").is_err());
+    }
+
+    #[test]
+    fn names_the_line_that_is_not_utf8() {
+        let err = parse_fasta(b">a\nAC\nG\xffT\n").unwrap_err();
+        assert_eq!(err.to_string(), "format error: line 3: not UTF-8");
+        let err = parse_fastq(b"@a\nAC\n+\nI\xff\n").unwrap_err();
+        assert_eq!(err.to_string(), "format error: line 4: not UTF-8");
     }
 
     #[test]
     fn empty_input_is_empty() {
         assert!(parse_fasta(b"").unwrap().is_empty());
+        assert!(parse_fastq(b"\n\n").unwrap().is_empty());
     }
 
     #[test]
@@ -288,65 +245,66 @@ mod tests {
         let recs = parse_fasta(b">a\n>b\nAC\n").unwrap();
         assert_eq!(recs[0].seq, b"");
         assert_eq!(recs[1].seq, b"AC");
+        assert_eq!(to_fasta_bytes(&recs), b">a\n>b\nAC\n");
     }
 
     #[test]
     fn round_trip_with_wrapping() {
         let records = vec![
-            Record::new("x", b"ACGTACGTACGT".to_vec()),
+            Record::new("x", b"ACGT".repeat(32)),
             Record {
                 id: "y".into(),
                 desc: "len=3".into(),
                 seq: b"GGG".to_vec(),
             },
         ];
-        let mut buf = Vec::new();
-        {
-            let mut w = FastaWriter::new(&mut buf);
-            w.line_width = 5;
-            for r in &records {
-                w.write_record(r).unwrap();
-            }
-        }
-        let parsed = parse_fasta(&buf).unwrap();
-        assert_eq!(parsed, records);
-        // 12 bases at width 5 -> 3 sequence lines
-        let text = String::from_utf8(buf).unwrap();
-        assert_eq!(text.lines().filter(|l| !l.starts_with('>')).count(), 4);
-    }
-
-    #[test]
-    fn round_trip_unwrapped() {
-        let records = vec![Record::new("n1", b"ACGT".repeat(50))];
-        let mut buf = Vec::new();
-        {
-            let mut w = FastaWriter::new(&mut buf);
-            w.line_width = 0;
-            w.write_record(&records[0]).unwrap();
-        }
+        let buf = to_fasta_bytes(&records);
         assert_eq!(parse_fasta(&buf).unwrap(), records);
+        // 128 bases at 60 columns -> 3 sequence lines, then y's one line.
+        let text = String::from_utf8(buf).unwrap();
+        let widths: Vec<usize> = text
+            .lines()
+            .filter(|l| !l.starts_with('>'))
+            .map(str::len)
+            .collect();
+        assert_eq!(widths, [60, 60, 8, 3]);
     }
 
     #[test]
-    fn iterator_interface() {
-        let r = FastaReader::new(&b">a\nAC\n>b\nGT\n"[..]);
-        let ids: Vec<String> = r.map(|rec| rec.unwrap().id).collect();
-        assert_eq!(ids, ["a", "b"]);
+    fn parses_basic_record() {
+        let recs = parse_fastq(b"@r1 left\nACGT\n+\nIIII\n").unwrap();
+        assert_eq!(recs.len(), 1);
+        assert_eq!(recs[0].id, "r1");
+        assert_eq!(recs[0].desc, "left");
+        assert_eq!(recs[0].seq, b"ACGT");
     }
 
     #[test]
-    fn file_round_trip() {
-        let dir = std::env::temp_dir().join("seqio_fasta_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("t.fa");
-        {
-            let mut w = FastaWriter::create(&path).unwrap();
-            w.write_record(&Record::new("f", b"ACGTACGA".to_vec()))
-                .unwrap();
-            w.flush().unwrap();
-        }
-        let recs = FastaReader::from_path(&path).unwrap().read_all().unwrap();
-        assert_eq!(recs[0].seq, b"ACGTACGA");
-        std::fs::remove_file(&path).ok();
+    fn parses_multiple_records() {
+        let recs = parse_fastq(b"@a\nAC\n+\nII\n@b\nGT\n+a\nJJ\n").unwrap();
+        assert_eq!(recs.len(), 2);
+        assert_eq!(recs[1], Record::new("b", b"GT".to_vec()));
+    }
+
+    #[test]
+    fn rejects_mismatched_quality_length() {
+        assert!(parse_fastq(b"@a\nACGT\n+\nII\n").is_err());
+    }
+
+    #[test]
+    fn rejects_missing_plus() {
+        assert!(parse_fastq(b"@a\nACGT\nIIII\n").is_err());
+    }
+
+    #[test]
+    fn rejects_truncation() {
+        assert!(parse_fastq(b"@a\nACGT\n+\n").is_err());
+        assert!(parse_fastq(b"@a\nACGT\n").is_err());
+        assert!(parse_fastq(b"@a\n").is_err());
+    }
+
+    #[test]
+    fn rejects_bad_header() {
+        assert!(parse_fastq(b">a\nAC\n+\nII\n").is_err());
     }
 }

@@ -9,8 +9,8 @@
 //! * [`packed`] — whole sequences packed 2 bits/base with an N-run index,
 //!   encoded once at ingest, plus rolling canonical k-mer iterators
 //!   (O(1) amortized per base) that every hot stage consumes;
-//! * [`fasta`] / [`fastq`] — record types, readers and writers for the two
-//!   interchange formats the Trinity pipeline moves data through;
+//! * [`fasta`] — the record type, the FASTA and FASTQ parsers and the FASTA
+//!   writer, over whole files held as byte buffers;
 //! * [`splitter`] — a PyFasta-equivalent even-by-bases partitioner used by
 //!   the distributed Bowtie step;
 //! * [`par`] — the `par(n, body)` loop contract the stage builders take
@@ -18,13 +18,12 @@
 //!   share;
 //! * [`stats`] — assembly statistics (N50 and friends) used by reports.
 //!
-//! All parsing is byte-oriented (no UTF-8 validation on sequence data) and
-//! buffered, per the I/O guidance for HPC Rust.
+//! Files are read whole and parsed from memory; a line that is not UTF-8 is
+//! rejected with its line number (see [`fasta`]).
 
 pub mod alphabet;
 pub mod error;
 pub mod fasta;
-pub mod fastq;
 pub mod kmer;
 pub mod packed;
 pub mod par;
@@ -32,7 +31,6 @@ pub mod splitter;
 pub mod stats;
 
 pub use error::{Error, Result};
-pub use fasta::{FastaReader, FastaWriter, Record};
-pub use fastq::{FastqReader, FastqRecord, FastqWriter};
+pub use fasta::Record;
 pub use kmer::{Kmer, KmerIter, RollState, Rolled};
 pub use packed::{PackedSeq, SeqioStats};

@@ -18,13 +18,6 @@ pub struct SplitPlan {
     pub pieces: Vec<Vec<usize>>,
 }
 
-impl SplitPlan {
-    /// Number of pieces.
-    pub fn n_pieces(&self) -> usize {
-        self.pieces.len()
-    }
-}
-
 /// Plan an even-by-bases split of `records` into `n` pieces.
 ///
 /// Mirrors PyFasta's greedy strategy: records are assigned, in input order,
@@ -95,7 +88,7 @@ mod tests {
     fn more_pieces_than_records() {
         let records = recs(&[4, 4]);
         let plan = plan_split(&records, 5).unwrap();
-        assert_eq!(plan.n_pieces(), 5);
+        assert_eq!(plan.pieces.len(), 5);
         assert_eq!(plan.pieces.iter().map(Vec::len).sum::<usize>(), 2);
         assert!(plan.pieces.iter().filter(|p| p.is_empty()).count() == 3);
     }

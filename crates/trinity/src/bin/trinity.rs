@@ -36,15 +36,14 @@
 //! under tolerance bands and exits non-zero on a regression, which is the
 //! CI perf-gate.
 
-use std::io::Write;
+use std::fmt::Write;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 use std::sync::Arc;
 
 use mpisim::{FaultPlan, NetModel};
-use seqio::fasta::{FastaWriter, Record};
-use seqio::fastq::FastqReader;
+use seqio::fasta::{parse_fasta, parse_fastq, to_fasta_bytes, Record};
 use seqio::stats::length_stats;
 use simulate::datasets::{Dataset, DatasetPreset};
 use trinity::pipeline::{run_pipeline_opts, PipelineConfig, PipelineMode, RunOptions};
@@ -210,22 +209,16 @@ fn check_cluster_flags(args: &Args) -> Result<(), String> {
 
 fn load_reads(path: &Path) -> Result<Vec<Record>, String> {
     let bytes = std::fs::read(path).map_err(|e| format!("{}: {e}", path.display()))?;
-    match bytes.first() {
-        Some(b'>') => seqio::fasta::parse_fasta(&bytes).map_err(|e| e.to_string()),
-        Some(b'@') => FastqReader::new(&bytes[..])
-            .read_all()
-            .map(|v| v.into_iter().map(|r| r.into_fasta()).collect())
-            .map_err(|e| e.to_string()),
-        _ => Err(format!("{}: not FASTA or FASTQ", path.display())),
-    }
+    let parsed = match bytes.first() {
+        Some(b'>') => parse_fasta(&bytes),
+        Some(b'@') => parse_fastq(&bytes),
+        _ => return Err(format!("{}: not FASTA or FASTQ", path.display())),
+    };
+    parsed.map_err(|e| format!("{}: {e}", path.display()))
 }
 
 fn write_fasta(path: &Path, records: &[Record]) -> Result<(), String> {
-    let mut w = FastaWriter::create(path).map_err(|e| e.to_string())?;
-    for r in records {
-        w.write_record(r).map_err(|e| e.to_string())?;
-    }
-    w.flush().map_err(|e| e.to_string())
+    std::fs::write(path, to_fasta_bytes(records)).map_err(|e| e.to_string())
 }
 
 fn run(args: Args) -> Result<(), String> {
@@ -271,20 +264,21 @@ fn run(args: Args) -> Result<(), String> {
     write_fasta(&args.out.join("inchworm.fasta"), &out.contigs)?;
     write_fasta(&args.out.join("transcripts.fasta"), &out.transcripts)?;
 
-    let mut f =
-        std::fs::File::create(args.out.join("components.txt")).map_err(|e| e.to_string())?;
+    let mut text = String::new();
     for (c, members) in out.components.iter().enumerate() {
         let names: Vec<&str> = members
             .iter()
             .map(|&m| out.contigs[m].id.as_str())
             .collect();
-        writeln!(f, "comp{c}\t{}", names.join(",")).map_err(|e| e.to_string())?;
+        writeln!(text, "comp{c}\t{}", names.join(",")).expect("writing to a String cannot fail");
     }
-    let mut f =
-        std::fs::File::create(args.out.join("read_assignments.txt")).map_err(|e| e.to_string())?;
+    std::fs::write(args.out.join("components.txt"), text).map_err(|e| e.to_string())?;
+    let mut text = String::new();
     for &(r, c) in &out.assignments {
-        writeln!(f, "{}\tcomp{c}", reads[r as usize].id).map_err(|e| e.to_string())?;
+        writeln!(text, "{}\tcomp{c}", reads[r as usize].id)
+            .expect("writing to a String cannot fail");
     }
+    std::fs::write(args.out.join("read_assignments.txt"), text).map_err(|e| e.to_string())?;
     let analysis = obs::analyze(&out.trace);
     std::fs::write(
         args.out.join("analysis.json"),

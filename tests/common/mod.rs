@@ -41,6 +41,9 @@ pub const ANALYTICS_SEED: u64 = 43;
 /// run's seed): every second of a rank's stage time lies under a span.
 pub const NAMED_TIME_SEED: u64 = 11;
 
+/// Workload for `read_files`: the reads the CLI reads back from files.
+pub const READ_FILES_SEED: u64 = 7;
+
 /// Base seed for the chaos fault plans; plan `i` uses
 /// `CHAOS_PLAN_SEED_BASE + i` so each plan draws a distinct but
 /// reproducible decision stream.
