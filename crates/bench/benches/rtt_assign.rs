@@ -1,5 +1,8 @@
-//! Microbench + ablation: ReadsToTranscripts assignment and the paper's
-//! two I/O strategies (§III-C): master-distributes vs every-rank-reads.
+//! Microbench + ablation: ReadsToTranscripts assignment, and the paper's
+//! every-rank-reads I/O (§III-C) against the striped MPI-IO access it names
+//! as future work. Master-distributes, the strategy §III-C argues against,
+//! is not reproduced: wall time carries no α–β cost, so it cannot show
+//! what made that strategy lose.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -8,10 +11,8 @@ use std::sync::Arc;
 use chrysalis::config::ChrysalisConfig;
 use chrysalis::graph_from_fasta::{gff_shared_memory, GffShared};
 use chrysalis::reads_to_transcripts::{rtt_hybrid, rtt_hybrid_striped, RttShared};
-use mpisim::pack::pack_byte_strings;
 use mpisim::{run_cluster, NetModel};
 use seqio::fasta::Record;
-use seqio::packed::PackedSeq;
 use simulate::datasets::{Dataset, DatasetPreset};
 
 fn shared() -> Arc<RttShared> {
@@ -42,13 +43,6 @@ fn shared() -> Arc<RttShared> {
     ))
 }
 
-/// Votes of a chunk that arrived as bytes: the receiver encodes, then
-/// assigns.
-fn assign_shipped(s: &RttShared, chunk: &[Record]) -> usize {
-    let assigned = |r: &Record| s.assign_packed(&PackedSeq::from_bytes(&r.seq));
-    chunk.iter().filter_map(assigned).count()
-}
-
 fn bench(c: &mut Criterion) {
     let sh = shared();
     let mut g = c.benchmark_group("rtt");
@@ -73,46 +67,12 @@ fn bench(c: &mut Criterion) {
         })
     });
 
-    // ...vs the abandoned master-distributes strategy: rank 0 ships each
-    // chunk to its worker (heavy communication, the bottleneck §III-C
-    // describes).
-    let s2 = Arc::clone(&sh);
-    g.bench_function("io_master_distributes", |b| {
-        b.iter(|| {
-            let s = Arc::clone(&s2);
-            black_box(run_cluster(4, NetModel::idataplex(), move |comm| {
-                let chunk = s.cfg.max_mem_reads.max(1);
-                let size = comm.size();
-                let mut assigned = 0usize;
-                let chunks: Vec<&[Record]> = s.reads.chunks(chunk).collect();
-                for (ci, ch) in chunks.iter().enumerate() {
-                    let dest = ci % size;
-                    if comm.rank() == 0 {
-                        let payload = pack_byte_strings(
-                            &ch.iter().map(|r| r.seq.clone()).collect::<Vec<_>>(),
-                        );
-                        if dest == 0 {
-                            assigned += assign_shipped(&s, ch);
-                        } else {
-                            comm.send(dest, ci as u32, payload);
-                        }
-                    } else if dest == comm.rank() {
-                        let payload = comm.recv(0, ci as u32);
-                        black_box(&payload);
-                        assigned += assign_shipped(&s, ch);
-                    }
-                }
-                comm.barrier();
-                (assigned, comm.clock.now())
-            }))
-        })
-    });
     // ...vs the future-work MPI-I/O strided access: each rank reads only
     // its own chunks.
-    let s3 = Arc::clone(&sh);
+    let s2 = Arc::clone(&sh);
     g.bench_function("io_striped_mpiio", |b| {
         b.iter(|| {
-            let s = Arc::clone(&s3);
+            let s = Arc::clone(&s2);
             black_box(run_cluster(4, NetModel::idataplex(), move |comm| {
                 rtt_hybrid_striped(comm, &s).timings.total
             }))

@@ -8,7 +8,7 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 use crate::barrier::SimBarrier;
-use crate::comm::{Comm, Message, Shared};
+use crate::comm::{Comm, Shared};
 use crate::fault::{FaultPlan, FaultState, PeerAborted, RankCrash};
 use crate::netmodel::NetModel;
 use crate::stats::CommStats;
@@ -90,30 +90,22 @@ where
     if plan.is_some() {
         install_quiet_fault_hook();
     }
-    let mut senders = Vec::with_capacity(ranks);
-    let mut receivers = Vec::with_capacity(ranks);
-    for _ in 0..ranks {
-        let (tx, rx) = crossbeam::channel::unbounded::<Message>();
-        senders.push(tx);
-        receivers.push(rx);
-    }
     let shared = Arc::new(Shared {
         size: ranks,
         barrier: SimBarrier::new(ranks),
         slots: (0..ranks).map(|_| Mutex::new(Vec::new())).collect(),
         times: (0..ranks).map(|_| Mutex::new(0.0)).collect(),
-        mail: senders,
         fail_reports: (0..ranks).map(|_| Mutex::new(None)).collect(),
     });
 
     let genuine_panic = std::sync::atomic::AtomicBool::new(false);
-    let run_rank = |rank: usize, inbox| {
+    let run_rank = |rank: usize| {
         let fault = plan
             .clone()
             .filter(|p| p.is_active())
             .map(|p| FaultState::new(p, rank));
         let run = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            let mut comm = Comm::new(rank, Arc::clone(&shared), inbox, net, fault);
+            let mut comm = Comm::new(rank, Arc::clone(&shared), net, fault);
             let value = f(&mut comm);
             RankOutput {
                 rank,
@@ -153,20 +145,18 @@ where
 
     // Rank 0 runs on the caller's thread, every other rank on its own: a
     // one-rank cluster spawns nothing and allocates where its caller does.
-    let mut inboxes = receivers.into_iter().enumerate();
-    let (_, inbox0) = inboxes.next().expect("ranks > 0");
     let outputs = std::thread::scope(|scope| {
         let run_rank = &run_rank;
-        let peers: Vec<_> = inboxes
-            .map(|(rank, inbox)| {
+        let peers: Vec<_> = (1..ranks)
+            .map(|rank| {
                 std::thread::Builder::new()
                     .name(format!("rank-{rank}"))
                     .stack_size(4 << 20)
-                    .spawn_scoped(scope, move || run_rank(rank, inbox))
+                    .spawn_scoped(scope, move || run_rank(rank))
                     .expect("failed to spawn rank thread")
             })
             .collect();
-        let mut outputs = vec![run_rank(0, inbox0)];
+        let mut outputs = vec![run_rank(0)];
         let joined = peers.into_iter().map(|h| h.join());
         outputs.extend(joined.map(|o| o.expect("a rank catches its own panics")));
         outputs
@@ -258,16 +248,6 @@ pub fn cluster_time<T>(outputs: &[RankOutput<T>]) -> f64 {
     outputs.iter().map(|o| o.time).fold(0.0, f64::max)
 }
 
-/// Merge every rank's recorded spans into one [`obs::Trace`] (per-rank
-/// tracks already equal rank ids, so no shifting is needed).
-pub fn merge_traces<T>(outputs: &[RankOutput<T>]) -> obs::Trace {
-    let mut merged = obs::Trace::default();
-    for o in outputs {
-        merged.merge_shifted(o.trace.clone(), 0.0, 0);
-    }
-    merged
-}
-
 /// Convenience: (min, max) rank times — the paper's load-imbalance bars.
 pub fn rank_time_spread<T>(outputs: &[RankOutput<T>]) -> (f64, f64) {
     let min = outputs.iter().map(|o| o.time).fold(f64::INFINITY, f64::min);
@@ -278,6 +258,18 @@ pub fn rank_time_spread<T>(outputs: &[RankOutput<T>]) -> (f64, f64) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Sum a `u64` over every rank with one `allgatherv`.
+    fn sum_over_ranks(comm: &mut Comm, value: u64) -> u64 {
+        let parts = comm.allgatherv(&value.to_le_bytes());
+        let word = |p: &Vec<u8>| u64::from_le_bytes(p[..].try_into().expect("8-byte part"));
+        parts.iter().map(word).sum()
+    }
+
+    /// Charge `seconds` of compute to `comm`'s clock as a span `name`.
+    fn work(comm: &mut Comm, name: &str, seconds: f64) {
+        comm.charge_costed("compute", name, &[], || ((), seconds));
+    }
 
     #[test]
     fn single_rank_runs() {
@@ -318,7 +310,7 @@ mod tests {
         let out = run_cluster(3, NetModel::ideal(), |comm| {
             let mut acc = 0u64;
             for round in 0..10u64 {
-                acc += comm.allreduce_sum_u64(round + comm.rank() as u64);
+                acc += sum_over_ranks(comm, round + comm.rank() as u64);
             }
             acc
         });
@@ -357,42 +349,55 @@ mod tests {
         }
     }
 
+    /// `bcast` from the last rank, then an uneven `gatherv` to rank 0, each
+    /// rank entering late by its own precharge: per rank, the counters, the
+    /// clock (the latest entry time plus `tree_move` of what was read) and
+    /// each span's args.
     #[test]
-    fn p2p_ring() {
-        let out = run_cluster(5, NetModel::ideal(), |comm| {
-            let next = (comm.rank() + 1) % comm.size();
-            let prev = (comm.rank() + comm.size() - 1) % comm.size();
-            comm.send(next, 7, vec![comm.rank() as u8]);
-            let got = comm.recv(prev, 7);
-            got[0] as usize
-        });
-        for o in &out {
-            assert_eq!(o.value, (o.rank + 4) % 5);
-        }
-    }
-
-    #[test]
-    fn p2p_tag_matching_out_of_order() {
-        let out = run_cluster(2, NetModel::ideal(), |comm| {
-            if comm.rank() == 0 {
-                comm.send(1, 1, vec![b'a']);
-                comm.send(1, 2, vec![b'b']);
-                0
-            } else {
-                // Receive tag 2 first even though tag 1 arrived first.
-                let b = comm.recv(0, 2);
-                let a = comm.recv(0, 1);
-                assert_eq!((a[0], b[0]), (b'a', b'b'));
-                1
+    fn bcast_and_gatherv_charge_what_they_move() {
+        let net = NetModel::idataplex();
+        let pre = [0.3, 0.1, 0.5, 0.2, 0.4];
+        let len = |r: usize| 10 * r + 3;
+        for size in [1, 2, 3, 5] {
+            let root = size - 1;
+            let out = run_cluster(size, net, |comm| {
+                let r = comm.rank();
+                work(comm, "pre", pre[r]);
+                let msg = if r == root { vec![7u8; 100] } else { vec![] };
+                assert_eq!(comm.bcast(root, &msg), vec![7u8; 100]);
+                let after_bcast = comm.clock.now();
+                comm.gatherv(0, &vec![r as u8; len(r)]);
+                after_bcast
+            });
+            let bcast_end =
+                pre[..size].iter().copied().fold(0.0, f64::max) + net.tree_move(size, 100);
+            let gathered: usize = (0..size).map(len).sum();
+            for (r, o) in out.iter().enumerate() {
+                let gather_read = if r == 0 { gathered } else { len(r) };
+                let bcast_sent = if r == root { 100 } else { 0 };
+                assert_eq!(o.value, bcast_end, "rank {r} of {size} leaves bcast");
+                assert_eq!(o.time, bcast_end + net.tree_move(size, gather_read));
+                assert_eq!(o.stats.collectives, 2);
+                assert_eq!(o.stats.bytes_sent, (bcast_sent + len(r)) as u64);
+                assert_eq!(
+                    o.stats.bytes_received,
+                    (100 - bcast_sent + gather_read - len(r)) as u64
+                );
+                let spans = &o.trace.spans;
+                let names: Vec<&str> = spans.iter().map(|s| s.name.as_str()).collect();
+                assert_eq!(names, ["pre", "mpi.bcast", "mpi.gatherv"]);
+                assert_eq!((spans[1].start, spans[1].end), (pre[r], bcast_end));
+                assert_eq!(spans[1].args, [("bytes".to_string(), 100.0)]);
+                assert_eq!((spans[2].start, spans[2].end), (bcast_end, o.time));
+                assert_eq!(spans[2].args, [("bytes_sent".to_string(), len(r) as f64)]);
             }
-        });
-        assert_eq!(out.len(), 2);
+        }
     }
 
     #[test]
     fn virtual_time_synchronizes_at_barrier() {
         let out = run_cluster(4, NetModel::ideal(), |comm| {
-            comm.charge(comm.rank() as f64); // rank r works r seconds
+            work(comm, "work", comm.rank() as f64); // rank r works r seconds
             comm.barrier();
             comm.clock.now()
         });
@@ -422,24 +427,17 @@ mod tests {
     #[test]
     fn stats_are_counted() {
         let out = run_cluster(2, NetModel::ideal(), |comm| {
-            if comm.rank() == 0 {
-                comm.send(1, 0, vec![1, 2, 3]);
-            } else {
-                comm.recv(0, 0);
-            }
             comm.barrier();
             comm.allgatherv(&[9]);
         });
-        assert_eq!(out[0].stats.p2p_sends, 1);
-        assert_eq!(out[1].stats.p2p_recvs, 1);
-        assert_eq!(out[1].stats.bytes_received, 3 + 1);
+        assert_eq!(out[1].stats.bytes_received, 1);
         assert!(out[0].stats.collectives >= 2);
     }
 
     #[test]
     fn spread_helpers() {
         let out = run_cluster(3, NetModel::ideal(), |comm| {
-            comm.charge((comm.rank() + 1) as f64);
+            work(comm, "work", (comm.rank() + 1) as f64);
             comm.rank()
         });
         let (min, max) = rank_time_spread(&out);
@@ -451,21 +449,27 @@ mod tests {
     #[test]
     fn collectives_record_spans() {
         let out = run_cluster(2, NetModel::idataplex(), |comm| {
-            comm.charge(1.0);
+            work(comm, "setup", 1.0);
             comm.allgatherv(&[0u8; 256]);
             comm.barrier();
-            comm.charge_costed("compute", "work", &[], || ((), 0.5));
+            work(comm, "work", 0.5);
         });
-        let trace = merge_traces(&out);
-        for rank in 0..2u32 {
-            let names: Vec<&str> = trace.on_track(rank).map(|s| s.name.as_str()).collect();
-            assert_eq!(names, vec!["mpi.allgatherv", "mpi.barrier", "work"]);
+        for (rank, o) in out.iter().enumerate() {
+            let names: Vec<&str> = o
+                .trace
+                .on_track(rank as u32)
+                .map(|s| s.name.as_str())
+                .collect();
+            assert_eq!(
+                names,
+                vec!["setup", "mpi.allgatherv", "mpi.barrier", "work"]
+            );
         }
-        let ag = trace.with_cat("comm")[0];
+        let ag = out[0].trace.with_cat("comm")[0];
         assert_eq!(ag.arg("bytes_sent"), Some(256.0));
         assert!(ag.start >= 1.0 && ag.end > ag.start);
         assert_eq!(
-            trace.track_names.get(&1).map(String::as_str),
+            out[1].trace.track_names.get(&1).map(String::as_str),
             Some("rank 1")
         );
     }
@@ -473,7 +477,7 @@ mod tests {
     #[test]
     fn many_ranks_smoke() {
         let out = run_cluster(64, NetModel::idataplex(), |comm| {
-            let total = comm.allreduce_sum_u64(1);
+            let total = sum_over_ranks(comm, 1);
             comm.barrier();
             total
         });
@@ -587,22 +591,6 @@ mod tests {
         for (r, c) in replay.iter().zip(&clean) {
             assert_eq!(r.value, c.value);
         }
-    }
-
-    #[test]
-    fn crash_during_p2p_wait_unwinds_receiver() {
-        // Rank 0 crashes before sending; rank 1 is blocked in recv and must
-        // unwind once the cluster aborts instead of waiting forever.
-        let plan = Arc::new(FaultPlan::new(0).with_crash(0, 0));
-        let outs = run_cluster_faulty(2, NetModel::ideal(), plan, |comm| {
-            if comm.rank() == 0 {
-                comm.send(1, 9, vec![42]);
-            } else {
-                comm.recv(0, 9);
-            }
-        });
-        assert_eq!(outs[0].state, RankState::Crashed { op: 0 });
-        assert_eq!(outs[1].state, RankState::Aborted);
     }
 
     #[test]

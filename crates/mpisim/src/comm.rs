@@ -1,11 +1,8 @@
-//! The per-rank communicator: point-to-point messages and collectives with
-//! MPI semantics, plus virtual-clock synchronization and deterministic
-//! fault injection.
+//! The per-rank communicator: collectives with MPI semantics, plus
+//! virtual-clock synchronization and deterministic fault injection.
 
 use std::sync::Arc;
-use std::time::Duration;
 
-use crossbeam::channel::{Receiver, Sender};
 use parking_lot::Mutex;
 
 use crate::barrier::SimBarrier;
@@ -13,15 +10,6 @@ use crate::clock::VClock;
 use crate::fault::{FaultState, PeerAborted, RankCrash};
 use crate::netmodel::NetModel;
 use crate::stats::CommStats;
-
-/// A point-to-point message in flight.
-#[derive(Debug)]
-pub(crate) struct Message {
-    pub from: usize,
-    pub tag: u32,
-    pub send_time: f64,
-    pub payload: Vec<u8>,
-}
 
 /// Partial state a rank salvages while unwinding from a crash or a peer
 /// abort, so even failed ranks report clock/stats/trace.
@@ -42,8 +30,6 @@ pub(crate) struct Shared {
     pub slots: Vec<Mutex<Vec<u8>>>,
     /// Virtual entry time of each rank into the current collective.
     pub times: Vec<Mutex<f64>>,
-    /// Mailbox senders, indexed by destination rank.
-    pub mail: Vec<Sender<Message>>,
     /// Where an unwinding rank deposits its partial state (indexed by rank).
     pub fail_reports: Vec<Mutex<Option<FailReport>>>,
 }
@@ -68,14 +54,21 @@ impl From<f64> for Cost {
     }
 }
 
+/// What one collective moved, as this rank saw it once it read: the α–β
+/// seconds past the latest entry time, the bytes it sent and received, and
+/// its span's args.
+struct Moved {
+    price: f64,
+    sent: usize,
+    received: usize,
+    args: Vec<(&'static str, f64)>,
+}
+
 /// A rank's handle to the simulated communicator — the analogue of
 /// `MPI_COMM_WORLD` plus the rank's virtual clock and counters.
 pub struct Comm {
     rank: usize,
     shared: Arc<Shared>,
-    inbox: Receiver<Message>,
-    /// Out-of-order messages awaiting a matching `recv`.
-    pending: Vec<Message>,
     /// Deterministic fault schedule, if this run injects faults.
     fault: Option<FaultState>,
     /// This rank's virtual clock.
@@ -96,7 +89,6 @@ impl Comm {
     pub(crate) fn new(
         rank: usize,
         shared: Arc<Shared>,
-        inbox: Receiver<Message>,
         net: NetModel,
         fault: Option<FaultState>,
     ) -> Self {
@@ -105,8 +97,6 @@ impl Comm {
         Comm {
             rank,
             shared,
-            inbox,
-            pending: Vec::new(),
             fault,
             clock: VClock::new(),
             net,
@@ -137,12 +127,6 @@ impl Comm {
     #[inline]
     pub fn is_root(&self) -> bool {
         self.rank == 0
-    }
-
-    /// Charge virtual compute seconds to this rank.
-    #[inline]
-    pub fn charge(&mut self, seconds: f64) {
-        self.clock.charge(seconds);
     }
 
     /// The one way compute or I/O time reaches this rank's clock: run the
@@ -212,13 +196,6 @@ impl Comm {
             .record_with(self.track(), "fault", name, t0, self.clock.now(), args);
     }
 
-    /// Salvage clock/stats/trace for the cluster driver, then unwind
-    /// because a peer crashed.
-    fn abort_unwind(&mut self) -> ! {
-        self.deposit_fail_report();
-        std::panic::panic_any(PeerAborted);
-    }
-
     fn deposit_fail_report(&mut self) {
         *self.shared.fail_reports[self.rank].lock() = Some(FailReport {
             time: self.clock.now(),
@@ -227,78 +204,14 @@ impl Comm {
         });
     }
 
-    /// Enter the collective barrier; unwind (instead of deadlocking) if the
-    /// cluster aborted because a rank crashed.
+    /// Enter the collective barrier; if the cluster aborted because a rank
+    /// crashed, salvage clock/stats/trace for the cluster driver and unwind
+    /// instead of deadlocking.
     fn sync(&mut self) {
         if self.shared.barrier.wait().is_err() {
-            self.abort_unwind();
+            self.deposit_fail_report();
+            std::panic::panic_any(PeerAborted);
         }
-    }
-
-    // ---- point-to-point -------------------------------------------------
-
-    /// Non-blocking-ish send (buffered, like `MPI_Send` with small messages).
-    pub fn send(&mut self, to: usize, tag: u32, payload: Vec<u8>) {
-        assert!(to < self.size(), "send to rank {to} out of range");
-        self.fault_point(payload.len());
-        let bytes = payload.len();
-        let msg = Message {
-            from: self.rank,
-            tag,
-            send_time: self.clock.now(),
-            payload,
-        };
-        if self.shared.mail[to].send(msg).is_err() {
-            // The destination's inbox is gone: either the cluster is
-            // aborting (unwind with it) or a rank vanished outside any
-            // fault plan (a genuine bug).
-            if self.shared.barrier.is_aborted() {
-                self.abort_unwind();
-            }
-            panic!("destination rank hung up");
-        }
-        self.stats.p2p_sends += 1;
-        self.stats.bytes_sent += bytes as u64;
-    }
-
-    /// Blocking receive matching `(from, tag)`. Advances the clock to
-    /// `max(own time, send time + α + β·bytes)`.
-    pub fn recv(&mut self, from: usize, tag: u32) -> Vec<u8> {
-        // Check messages that arrived earlier but didn't match then.
-        if let Some(i) = self
-            .pending
-            .iter()
-            .position(|m| m.from == from && m.tag == tag)
-        {
-            let msg = self.pending.remove(i);
-            return self.complete_recv(msg);
-        }
-        loop {
-            match self.inbox.recv_timeout(Duration::from_millis(5)) {
-                Ok(msg) => {
-                    if msg.from == from && msg.tag == tag {
-                        return self.complete_recv(msg);
-                    }
-                    self.pending.push(msg);
-                }
-                // Waiting on a sender that may have crashed: bail out once
-                // the cluster aborts instead of blocking forever.
-                Err(_) if self.shared.barrier.is_aborted() => self.abort_unwind(),
-                Err(crossbeam::channel::RecvTimeoutError::Timeout) => {}
-                Err(crossbeam::channel::RecvTimeoutError::Disconnected) => {
-                    panic!("all senders hung up")
-                }
-            }
-        }
-    }
-
-    fn complete_recv(&mut self, msg: Message) -> Vec<u8> {
-        self.fault_point(msg.payload.len());
-        let cost = self.net.p2p(msg.payload.len());
-        self.clock.advance_to(msg.send_time + cost);
-        self.stats.p2p_recvs += 1;
-        self.stats.bytes_received += msg.payload.len() as u64;
-        msg.payload
     }
 
     // ---- collectives ----------------------------------------------------
@@ -325,17 +238,47 @@ impl Comm {
         (out, entry_max)
     }
 
+    /// The one charged collective, which every public one calls: the fault
+    /// point (sized by `bytes`, what this rank passed), the rendezvous, the
+    /// clock advanced to the latest entry time plus the price `moved` puts
+    /// on what was read, the counters, and one `cat:"comm"` span `name`.
+    fn collective<T>(
+        &mut self,
+        name: &str,
+        bytes: usize,
+        deposit: Option<Vec<u8>>,
+        read: impl FnOnce(&[Mutex<Vec<u8>>]) -> T,
+        moved: impl FnOnce(&T) -> Moved,
+    ) -> T {
+        let start = self.clock.now();
+        self.fault_point(bytes);
+        let (out, entry_max) = self.rendezvous(deposit, read);
+        let m = moved(&out);
+        self.clock.advance_to(entry_max + m.price);
+        self.stats.collectives += 1;
+        self.stats.bytes_sent += m.sent as u64;
+        self.stats.bytes_received += m.received as u64;
+        self.obs
+            .record_with(self.track(), "comm", name, start, self.clock.now(), &m.args);
+        out
+    }
+
     /// Synchronize all ranks (`MPI_Barrier`): clocks advance to the latest
     /// entry time plus the barrier's latency cost.
     pub fn barrier(&mut self) {
-        let start = self.clock.now();
-        self.fault_point(0);
-        let ((), entry_max) = self.rendezvous(None, |_| ());
-        self.clock
-            .advance_to(entry_max + self.net.barrier(self.size()));
-        self.stats.collectives += 1;
-        self.obs
-            .record(self.track(), "comm", "mpi.barrier", start, self.clock.now());
+        let price = self.net.barrier(self.size());
+        self.collective(
+            "mpi.barrier",
+            0,
+            None,
+            |_| (),
+            |()| Moved {
+                price,
+                sent: 0,
+                received: 0,
+                args: vec![],
+            },
+        );
     }
 
     /// `MPI_Allgatherv` over raw bytes: every rank contributes a buffer and
@@ -344,91 +287,64 @@ impl Comm {
     /// every rank always has exactly `size` positional entries, which is
     /// what lets crash-replay pool partial work by rank index.
     pub fn allgatherv(&mut self, data: &[u8]) -> Vec<Vec<u8>> {
-        let start = self.clock.now();
-        self.fault_point(data.len());
-        let (parts, entry_max) = self.rendezvous(Some(data.to_vec()), read_all);
-        let total: usize = parts.iter().map(Vec::len).sum();
-        self.clock
-            .advance_to(entry_max + self.net.allgatherv(self.size(), total));
-        self.stats.collectives += 1;
-        self.stats.bytes_sent += data.len() as u64;
-        self.stats.bytes_received += (total - data.len()) as u64;
-        self.obs.record_with(
-            self.track(),
-            "comm",
+        let (net, size) = (self.net, self.size());
+        self.collective(
             "mpi.allgatherv",
-            start,
-            self.clock.now(),
-            &[
-                ("bytes_sent", data.len() as f64),
-                ("bytes_total", total as f64),
-            ],
-        );
-        parts
+            data.len(),
+            Some(data.to_vec()),
+            read_all,
+            |parts| {
+                let total: usize = parts.iter().map(Vec::len).sum();
+                Moved {
+                    price: net.allgatherv(size, total),
+                    sent: data.len(),
+                    received: total - data.len(),
+                    args: vec![
+                        ("bytes_sent", data.len() as f64),
+                        ("bytes_total", total as f64),
+                    ],
+                }
+            },
+        )
     }
 
     /// `MPI_Bcast` from `root`: returns the root's buffer on every rank.
     pub fn bcast(&mut self, root: usize, data: &[u8]) -> Vec<u8> {
         assert!(root < self.size());
-        let start = self.clock.now();
-        self.fault_point(data.len());
-        let deposit = (self.rank == root).then(|| data.to_vec());
-        let (out, entry_max) = self.rendezvous(deposit, |slots| slots[root].lock().clone());
-        self.clock
-            .advance_to(entry_max + self.net.tree_move(self.size(), out.len()));
-        self.stats.collectives += 1;
-        if self.rank == root {
-            self.stats.bytes_sent += out.len() as u64;
-        } else {
-            self.stats.bytes_received += out.len() as u64;
-        }
-        self.obs.record_with(
-            self.track(),
-            "comm",
-            "mpi.bcast",
-            start,
-            self.clock.now(),
-            &[("bytes", out.len() as f64)],
-        );
-        out
+        let (net, size, is_root) = (self.net, self.size(), self.rank == root);
+        let deposit = is_root.then(|| data.to_vec());
+        let read = |slots: &[Mutex<Vec<u8>>]| slots[root].lock().clone();
+        self.collective("mpi.bcast", data.len(), deposit, read, |out| Moved {
+            price: net.tree_move(size, out.len()),
+            sent: if is_root { out.len() } else { 0 },
+            received: if is_root { 0 } else { out.len() },
+            args: vec![("bytes", out.len() as f64)],
+        })
     }
 
     /// `MPI_Gatherv` to `root`: root receives every rank's buffer (indexed
     /// by rank); other ranks receive `None`.
     pub fn gatherv(&mut self, root: usize, data: &[u8]) -> Option<Vec<Vec<u8>>> {
         assert!(root < self.size());
-        let start = self.clock.now();
-        self.fault_point(data.len());
-        let is_root = self.rank == root;
-        let (out, entry_max) = self.rendezvous(Some(data.to_vec()), |slots| {
-            is_root.then(|| read_all(slots))
-        });
-        let total: usize = out
-            .as_ref()
-            .map_or(data.len(), |parts| parts.iter().map(Vec::len).sum());
-        self.clock
-            .advance_to(entry_max + self.net.tree_move(self.size(), total));
-        self.stats.collectives += 1;
-        self.stats.bytes_sent += data.len() as u64;
-        self.stats.bytes_received += (total - data.len()) as u64;
-        self.obs.record_with(
-            self.track(),
-            "comm",
+        let (net, size, is_root) = (self.net, self.size(), self.rank == root);
+        let read = |slots: &[Mutex<Vec<u8>>]| is_root.then(|| read_all(slots));
+        self.collective(
             "mpi.gatherv",
-            start,
-            self.clock.now(),
-            &[("bytes_sent", data.len() as f64)],
-        );
-        out
-    }
-
-    /// `MPI_Allreduce(SUM)` over a `u64`.
-    pub fn allreduce_sum_u64(&mut self, value: u64) -> u64 {
-        let parts = self.allgatherv(&value.to_le_bytes());
-        parts
-            .iter()
-            .map(|p| u64::from_le_bytes(p.as_slice().try_into().expect("8-byte payload")))
-            .sum()
+            data.len(),
+            Some(data.to_vec()),
+            read,
+            |out| {
+                let total: usize = out
+                    .as_ref()
+                    .map_or(data.len(), |parts| parts.iter().map(Vec::len).sum());
+                Moved {
+                    price: net.tree_move(size, total),
+                    sent: data.len(),
+                    received: total - data.len(),
+                    args: vec![("bytes_sent", data.len() as f64)],
+                }
+            },
+        )
     }
 
     /// Simulation-internal broadcast: `root` runs `materialize` (under the

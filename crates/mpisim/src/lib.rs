@@ -1,17 +1,19 @@
 //! In-process MPI substrate.
 //!
 //! The paper's hybrid Chrysalis runs one MPI process per node with OpenMP
-//! threads inside; it uses point-to-point sends, `MPI_Barrier` and
-//! `MPI_Allgatherv` (strings after GraphFromFasta loop 1, packed integer
-//! arrays after loop 2). Rust MPI bindings are immature and the benchmark
-//! host is a single core, so this crate *simulates* a cluster in-process:
+//! threads inside; its ranks exchange data only through collectives:
+//! `MPI_Barrier`, `MPI_Allgatherv` (strings after GraphFromFasta loop 1,
+//! packed integer arrays after loop 2) and the master's merge of per-rank
+//! files. Rust MPI bindings are immature and the benchmark host is a single
+//! core, so this crate *simulates* a cluster in-process:
 //!
 //! * every rank is an OS thread (rank 0 the caller's own, so a one-rank
 //!   cluster spawns nothing) executing the real algorithm on its real
 //!   partition of the data — results are genuinely computed with the
 //!   configured rank count;
-//! * communication goes through shared-memory mailboxes and collective
-//!   slots with the same semantics as the MPI calls the paper uses;
+//! * ranks exchange data only through collectives (`barrier`,
+//!   `allgatherv`, `bcast`, `gatherv`) over one shared slot per rank, with
+//!   the same semantics as the MPI calls the paper uses;
 //! * *time* is virtual: each rank owns a [`clock::VClock`] that the compute
 //!   loops charge with measured or replayed durations, and every
 //!   communication primitive synchronizes clocks under an α–β network cost
@@ -36,8 +38,7 @@ pub mod stats;
 
 pub use clock::VClock;
 pub use cluster::{
-    crashed_ranks, merge_traces, run_cluster, run_cluster_faulty, unwrap_clean, RankOutput,
-    RankState,
+    crashed_ranks, run_cluster, run_cluster_faulty, unwrap_clean, RankOutput, RankState,
 };
 pub use comm::{Comm, Cost};
 pub use fault::FaultPlan;

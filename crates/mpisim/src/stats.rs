@@ -6,14 +6,10 @@
 /// communication" than loop 1's string exchange — these counters show it).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CommStats {
-    /// Bytes this rank contributed to sends and collectives.
+    /// Bytes this rank contributed to collectives.
     pub bytes_sent: u64,
-    /// Bytes this rank received (including its share of collectives).
+    /// Bytes this rank received from its peers in collectives.
     pub bytes_received: u64,
-    /// Point-to-point messages sent.
-    pub p2p_sends: u64,
-    /// Point-to-point messages received.
-    pub p2p_recvs: u64,
     /// Collective operations participated in (barriers included).
     pub collectives: u64,
     /// Retransmissions of dropped messages injected by a fault plan.
@@ -27,8 +23,6 @@ impl CommStats {
     pub fn merge(&mut self, other: &CommStats) {
         self.bytes_sent += other.bytes_sent;
         self.bytes_received += other.bytes_received;
-        self.p2p_sends += other.p2p_sends;
-        self.p2p_recvs += other.p2p_recvs;
         self.collectives += other.collectives;
         self.retries += other.retries;
         self.delays += other.delays;
@@ -44,8 +38,6 @@ mod tests {
         let mut a = CommStats {
             bytes_sent: 10,
             bytes_received: 20,
-            p2p_sends: 1,
-            p2p_recvs: 2,
             collectives: 3,
             retries: 4,
             delays: 5,
@@ -62,13 +54,7 @@ mod tests {
     fn default_is_zero() {
         let s = CommStats::default();
         assert_eq!(
-            s.bytes_sent
-                + s.bytes_received
-                + s.p2p_sends
-                + s.p2p_recvs
-                + s.collectives
-                + s.retries
-                + s.delays,
+            s.bytes_sent + s.bytes_received + s.collectives + s.retries + s.delays,
             0
         );
     }

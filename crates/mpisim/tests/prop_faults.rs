@@ -11,13 +11,17 @@ use mpisim::{
 };
 use proptest::prelude::*;
 
-/// A rank program with four communication operations (the allreduce is an
-/// allgatherv underneath), giving crash points at ops 0..=3 something to
-/// hit and drop/delay streams a few draws per rank.
+/// A rank program with four communication operations (the sum is a second
+/// allgatherv), giving crash points at ops 0..=3 something to hit and
+/// drop/delay streams a few draws per rank.
 fn program(comm: &mut Comm) -> (Vec<Vec<u8>>, u64, Vec<u8>) {
     let mine = vec![comm.rank() as u8 + 1; comm.rank() % 4 + 1];
     let pooled = comm.allgatherv(&mine);
-    let sum = comm.allreduce_sum_u64(comm.rank() as u64 + 7);
+    let words = comm.allgatherv(&(comm.rank() as u64 + 7).to_le_bytes());
+    let sum = words
+        .iter()
+        .map(|w| u64::from_le_bytes(w[..].try_into().expect("8-byte part")))
+        .sum();
     let bc = comm.bcast(0, &mine);
     comm.barrier();
     (pooled, sum, bc)

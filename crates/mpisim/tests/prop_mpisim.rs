@@ -90,22 +90,11 @@ proptest! {
     }
 
     #[test]
-    fn allreduce_sum_is_rank_invariant(ranks in 1usize..9, values in proptest::collection::vec(0u64..1000, 9)) {
-        let vals = values.clone();
-        let outs = run_cluster(ranks, NetModel::idataplex(), move |comm| {
-            comm.allreduce_sum_u64(vals[comm.rank()])
-        });
-        let expect: u64 = values[..ranks].iter().sum();
-        for o in &outs {
-            prop_assert_eq!(o.value, expect);
-        }
-    }
-
-    #[test]
     fn barrier_clock_sync_is_max(ranks in 2usize..8, charges in proptest::collection::vec(0.0f64..5.0, 8)) {
         let ch = charges.clone();
         let outs = run_cluster(ranks, NetModel::ideal(), move |comm| {
-            comm.charge(ch[comm.rank()]);
+            let seconds = ch[comm.rank()];
+            comm.charge_costed("compute", "work", &[], || ((), seconds));
             comm.barrier();
             comm.clock.now()
         });

@@ -31,13 +31,6 @@ use crate::span::{SpanNode, SpanRecord, Trace};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-/// Tracks in `(0, THREAD_TRACK_BASE)` are parallel rank lanes (the
-/// pipeline splices rank `r` at track `1 + r`); track 0 is the serial
-/// pipeline lane and tracks at or above [`crate::THREAD_TRACK_BASE`] are
-/// OpenMP thread lanes, which the analyzer ignores (their busy/idle pairs
-/// are already summarized by the makespan metrics).
-pub const RANK_LANE_BASE: u32 = 1;
-
 /// One step of the critical path (see module docs).
 #[derive(Debug, Clone, PartialEq)]
 pub struct PathStep {
@@ -183,7 +176,10 @@ fn anchor_stages(trace: &Trace) -> Vec<SpanRecord> {
 }
 
 /// Rank lanes with at least one span: every track in
-/// `(0, THREAD_TRACK_BASE)`.
+/// `(0, THREAD_TRACK_BASE)`. Track 0 is the serial pipeline lane; tracks at
+/// or above [`crate::THREAD_TRACK_BASE`] are OpenMP thread lanes, which the
+/// analyzer ignores (their busy/idle pairs are already summarized by the
+/// makespan metrics).
 fn rank_lanes(trace: &Trace) -> Vec<u32> {
     let mut lanes: Vec<u32> = trace
         .spans

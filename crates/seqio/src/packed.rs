@@ -114,7 +114,7 @@ impl PackedSeq {
     }
 
     /// The 2-bit code at position `i`. Gap positions read as code 0; use
-    /// [`PackedSeq::is_valid`] or [`PackedSeq::run_span`] to distinguish.
+    /// [`PackedSeq::run_span`] to distinguish.
     #[inline(always)]
     pub fn code_at(&self, i: usize) -> u8 {
         debug_assert!(i < self.len);
@@ -136,12 +136,6 @@ impl PackedSeq {
         }
         let (s, e) = self.runs[idx - 1];
         (i < e).then_some((s, e))
-    }
-
-    /// True when position `i` holds a real ACGT base (not a gap).
-    #[inline]
-    pub fn is_valid(&self, i: usize) -> bool {
-        self.run_span(i).is_some()
     }
 
     /// True when the whole half-open range `[start, end)` is gap-free.

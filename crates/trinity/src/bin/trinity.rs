@@ -48,8 +48,8 @@ use seqio::stats::length_stats;
 use simulate::datasets::{Dataset, DatasetPreset};
 use trinity::pipeline::{run_pipeline_opts, PipelineConfig, PipelineMode, RunOptions};
 use trinity::report::{
-    render_bars, render_critical_path, render_faults, render_imbalance, render_self_time,
-    render_trace,
+    lane_label, render_bars, render_critical_path, render_faults, render_imbalance,
+    render_self_time, render_trace,
 };
 
 struct Args {
@@ -189,10 +189,13 @@ fn parse_args() -> Result<Args, String> {
 }
 
 /// Cluster flags that would otherwise silently mean something else: a
-/// cluster needs a rank, and a crash point needs a rank that exists.
+/// cluster needs a rank and a rank a thread, and a crash point needs a rank
+/// that exists.
 fn check_cluster_flags(args: &Args) -> Result<(), String> {
-    if args.nprocs == 0 {
-        return Err(format!("--nprocs must be at least 1\n{}", usage()));
+    for (flag, n) in [("--nprocs", args.nprocs), ("--threads", args.threads)] {
+        if n == 0 {
+            return Err(format!("{flag} must be at least 1\n{}", usage()));
+        }
     }
     let mut crashes = args.faults.iter().flat_map(|plan| plan.crashes());
     if let Some(c) = crashes.find(|c| c.rank >= args.nprocs) {
@@ -243,7 +246,7 @@ fn run(args: Args) -> Result<(), String> {
     }
 
     let mut cfg = PipelineConfig::small(args.k);
-    cfg.chrysalis.threads = args.threads.max(1);
+    cfg.chrysalis.threads = args.threads;
     cfg.mode = if args.nprocs > 1 {
         PipelineMode::Hybrid {
             ranks: args.nprocs,
@@ -422,7 +425,7 @@ fn run_analyze(argv: &[String]) -> Result<(), String> {
             println!(
                 "{:<18} {:>6} {:>8} {:>14.0} {:>10.4}",
                 c.op,
-                format!("r{}", c.track.saturating_sub(1)),
+                lane_label(c.track),
                 c.calls,
                 c.bytes,
                 c.time

@@ -6,7 +6,16 @@
 
 use obs::{SpanRecord, Trace};
 
-use crate::pipeline::SKIPPED_CAT;
+use crate::pipeline::{RANK_TRACK_BASE, SKIPPED_CAT};
+
+/// The label of a trace lane in the analysis tables: `pipe` for the
+/// pipeline's own track, `r{n}` for rank `n`'s lane.
+pub fn lane_label(track: u32) -> String {
+    match track.checked_sub(RANK_TRACK_BASE) {
+        Some(rank) => format!("r{rank}"),
+        None => "pipe".to_string(),
+    }
+}
 
 /// Track-0 spans whose category is one of `cats`, in timeline order.
 fn track0_spans<'t>(trace: &'t Trace, cats: &[&str]) -> Vec<&'t SpanRecord> {
@@ -121,15 +130,10 @@ pub fn render_critical_path(analysis: &obs::Analysis) -> String {
         analysis.total, "span", "lane", "contrib (s)", "slack (s)", "share"
     );
     for step in &analysis.critical_path {
-        let lane = if step.track == 0 {
-            "pipe".to_string()
-        } else {
-            format!("r{}", step.track - 1)
-        };
         out.push_str(&format!(
             "{:<26} {:>6} {:>12.3} {:>12.3} {:>7.1}%\n",
             step.name,
-            lane,
+            lane_label(step.track),
             step.contribution,
             step.slack,
             100.0 * step.contribution / analysis.total.max(f64::MIN_POSITIVE),
@@ -148,10 +152,7 @@ pub fn render_imbalance(analysis: &obs::Analysis) -> String {
         "stage", "ranks", "max (s)", "mean (s)", "max/mean", "idle", "straggler"
     );
     for s in &analysis.stages {
-        let straggler = match s.straggler {
-            Some(t) => format!("r{}", t.saturating_sub(1)),
-            None => "-".to_string(),
-        };
+        let straggler = s.straggler.map_or("-".to_string(), lane_label);
         out.push_str(&format!(
             "{:<20} {:>6} {:>10.3} {:>10.3} {:>9.2} {:>6.1}% {:>10}\n",
             s.name,

@@ -361,12 +361,14 @@ fn hostile_json_nesting_is_a_usage_error_not_an_abort() {
 
 #[test]
 fn cluster_flags_that_name_no_rank_are_usage_errors() {
-    // `--nprocs 0` used to run serial and report "0 ranks"; a crash point
-    // on a rank the cluster does not have used to be accepted and never
-    // fire. Both are bad usage: exit 2, nothing run or written.
+    // `--nprocs 0` used to run serial and report "0 ranks", `--threads 0`
+    // to run on one thread and report "1 threads"; a crash point on a rank
+    // the cluster does not have used to be accepted and never fire. All
+    // are bad usage: exit 2, nothing run or written.
     let dir = scratch_dir("flags");
-    let cases: [(&[&str], &str); 2] = [
+    let cases: [(&[&str], &str); 3] = [
         (&["--nprocs", "0"], "--nprocs must be at least 1"),
+        (&["--threads", "0"], "--threads must be at least 1"),
         (
             &["--nprocs", "2", "--faults", "42,crash=2@1"],
             "no such rank",
