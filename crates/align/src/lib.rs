@@ -12,10 +12,9 @@
 //!    transcripts spanning multiple reference genes (Fig. 6).
 //!
 //! [`sw`] implements affine-gap local alignment (Smith–Waterman, the same
-//! algorithm the FASTA program uses), [`global`] the Needleman–Wunsch
-//! variant, and [`validate`] the categorization and counting logic.
+//! algorithm the FASTA program uses) and [`validate`] the categorization
+//! and counting logic.
 
-pub mod global;
 pub mod sw;
 pub mod validate;
 

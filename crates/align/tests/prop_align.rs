@@ -1,6 +1,5 @@
 //! Property-based tests for the alignment substrate.
 
-use align::global::needleman_wunsch;
 use align::sw::{smith_waterman, ScoringScheme};
 use proptest::prelude::*;
 
@@ -53,33 +52,5 @@ proptest! {
         prop_assert_eq!(al.matches, len);
         prop_assert_eq!(al.score, 5 * len as i32);
         prop_assert!((al.query_coverage(len) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn nw_identity_le_one_and_symmetric(a in dna(0..50), b in dna(0..50)) {
-        let s = ScoringScheme::default();
-        let ab = needleman_wunsch(&a, &b, s);
-        let ba = needleman_wunsch(&b, &a, s);
-        prop_assert_eq!(ab.score, ba.score);
-        prop_assert!(ab.identity() <= 1.0 + 1e-12);
-        // Global alignment length covers both sequences.
-        prop_assert!(ab.alignment_len() >= a.len().max(b.len()));
-    }
-
-    #[test]
-    fn nw_never_beats_perfect_self(a in dna(1..50)) {
-        let s = ScoringScheme::default();
-        let self_score = needleman_wunsch(&a, &a, s).score;
-        prop_assert_eq!(self_score, 5 * a.len() as i32);
-    }
-
-    #[test]
-    fn sw_at_least_nw(a in dna(1..40), b in dna(1..40)) {
-        // Local alignment can always do at least as well as global
-        // (it may skip penalized flanks; global must pay them).
-        let s = ScoringScheme::default();
-        let local = smith_waterman(&a, &b, s).score;
-        let global = needleman_wunsch(&a, &b, s).score;
-        prop_assert!(local >= global);
     }
 }

@@ -59,10 +59,7 @@ fn bench(c: &mut Criterion) {
 
     for v in [0u8, 1, 2] {
         g.bench_with_input(BenchmarkId::new("align_400_reads_v", v), &v, |b, &v| {
-            let cfg = AlignConfig {
-                max_mismatches: v,
-                ..AlignConfig::default()
-            };
+            let cfg = AlignConfig { max_mismatches: v };
             b.iter(|| {
                 for r in &reads {
                     black_box(align_read(&index, r, cfg));

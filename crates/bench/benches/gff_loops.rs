@@ -38,7 +38,7 @@ fn bench(c: &mut Criterion) {
     let (contigs, counts, cfg) = fixtures();
     let contigs = seqio::packed::encode_all(&contigs);
     let kmap = KmerContigMap::build(&contigs, cfg.k);
-    let support = WeldSupport::new(&counts, cfg.min_weld_support);
+    let support = WeldSupport::new(&counts);
 
     let mut g = c.benchmark_group("gff");
     g.sample_size(15);

@@ -16,11 +16,13 @@
 
 use criterion::{black_box, Criterion};
 
-use bowtie::align::{align_read, AlignConfig, Alignment, Strand};
+use bowtie::align::{align_read, AlignConfig, Alignment, Strand, MAX_HITS};
 use bowtie::bwt::Bwt;
 use bowtie::fmindex::FmIndex;
-use butterfly::paths::PathConfig;
-use butterfly::transcripts::{reconstruct_component, ComponentInput, ReconstructionConfig};
+use butterfly::paths::{MAX_NODE_VISITS, MAX_PATHS};
+use butterfly::transcripts::{
+    reconstruct_component, ComponentInput, ReconstructionConfig, CONTIG_WEIGHT, MIN_EDGE_WEIGHT,
+};
 use chrysalis::config::ChrysalisConfig;
 use chrysalis::weld::{WeldSupport, WeldWindow};
 use graph::debruijn::{DeBruijnGraph, NodeId};
@@ -69,7 +71,7 @@ fn naive_stream(seq: &[u8], k: usize, mut emit: impl FnMut(u64)) {
 /// Naive per-read component vote: ASCII scan, O(k) canonical per window,
 /// heap-allocated tally — the shape `RttShared::assign_packed` had before the
 /// rolling/packed rewrite.
-fn naive_assign(table: &PartitionedKmerTable, min: u32, k: usize, read: &[u8]) -> Option<u32> {
+fn naive_assign(table: &PartitionedKmerTable, k: usize, read: &[u8]) -> Option<u32> {
     let mut votes: Vec<(u32, u32)> = Vec::new();
     naive_stream(read, k, |p| {
         if let Some(c) = table.get(p) {
@@ -81,9 +83,6 @@ fn naive_assign(table: &PartitionedKmerTable, min: u32, k: usize, read: &[u8]) -
     });
     let mut best: Option<(u32, u32)> = None;
     for &(c, n) in &votes {
-        if n < min {
-            continue;
-        }
         let better = match best {
             Some((bc, bn)) => n > bn || (n == bn && c < bc),
             None => true,
@@ -96,7 +95,7 @@ fn naive_assign(table: &PartitionedKmerTable, min: u32, k: usize, read: &[u8]) -
 }
 
 /// Naive weld support probe: ASCII window, O(k) canonical per k-window.
-fn naive_supports(counts: &KmerCounts, min: u32, k: usize, w: &[u8]) -> bool {
+fn naive_supports(counts: &KmerCounts, k: usize, w: &[u8]) -> bool {
     if w.len() < k {
         return false;
     }
@@ -104,7 +103,7 @@ fn naive_supports(counts: &KmerCounts, min: u32, k: usize, w: &[u8]) -> bool {
     let mut seen = false;
     naive_stream(w, k, |p| {
         seen = true;
-        if counts.get_packed(p) < min {
+        if counts.get_packed(p) == 0 {
             any = false;
         }
     });
@@ -116,25 +115,24 @@ fn naive_supports(counts: &KmerCounts, min: u32, k: usize, w: &[u8]) -> bool {
 /// `Vec` at every visit, `spell_path` decoding a whole (k−1)-mer per base.
 struct RecursiveDfs<'g> {
     g: &'g DeBruijnGraph,
-    cfg: PathConfig,
     out: Vec<Vec<NodeId>>,
     visits: Vec<u8>,
 }
 
 impl RecursiveDfs<'_> {
     fn run(&mut self, path: &mut Vec<NodeId>, node: NodeId) {
-        if self.out.len() >= self.cfg.max_paths {
+        if self.out.len() >= MAX_PATHS {
             return;
         }
         path.push(node);
         self.visits[node as usize] += 1;
         let edges = self.g.out_edges(node);
         let mut extended = false;
-        for &(next, _w) in edges.iter().take(self.cfg.max_branch) {
-            if (self.visits[next as usize] as usize) < self.cfg.max_node_visits {
+        for &(next, _w) in &edges {
+            if (self.visits[next as usize] as usize) < MAX_NODE_VISITS {
                 extended = true;
                 self.run(path, next);
-                if self.out.len() >= self.cfg.max_paths {
+                if self.out.len() >= MAX_PATHS {
                     break;
                 }
             }
@@ -151,22 +149,19 @@ impl RecursiveDfs<'_> {
 fn reconstruct_recursive(input: &ComponentInput, cfg: ReconstructionConfig) -> Vec<Vec<u8>> {
     let mut g = DeBruijnGraph::new(cfg.k);
     for contig in &input.contigs {
-        g.add_packed(contig, cfg.contig_weight);
+        g.add_packed(contig, CONTIG_WEIGHT);
     }
     for read in &input.reads {
         g.add_packed(read, 1);
     }
-    if cfg.min_edge_weight > 1 {
-        g.prune_edges(cfg.min_edge_weight);
-    }
+    g.prune_edges(MIN_EDGE_WEIGHT);
     let mut dfs = RecursiveDfs {
         g: &g,
-        cfg: cfg.paths,
         out: Vec::new(),
         visits: vec![0; g.node_count()],
     };
     for s in g.sources() {
-        if dfs.out.len() >= cfg.paths.max_paths {
+        if dfs.out.len() >= MAX_PATHS {
             break;
         }
         dfs.run(&mut Vec::new(), s);
@@ -184,7 +179,7 @@ fn reconstruct_recursive(input: &ComponentInput, cfg: ReconstructionConfig) -> V
             let km = g.node_kmer(n);
             s.push(km.bases()[km.k() - 1]);
         }
-        if s.len() >= cfg.paths.min_len && !seqs.contains(&s) {
+        if s.len() >= 2 * cfg.k && !seqs.contains(&s) {
             seqs.push(s);
         }
     }
@@ -236,8 +231,8 @@ impl Backtrack<'_> {
     }
 }
 
-/// `align_read` through [`Backtrack`], one pass per budget under
-/// `best_strata`. `starts[i]` is where contig `i` begins in the index's
+/// `align_read` through [`Backtrack`], one pass per budget until one
+/// finds a hit: the best stratum. `starts[i]` is where contig `i` begins in the index's
 /// joined text (contigs in input order, one separator after each).
 fn align_backtracking(
     idx: &FmIndex,
@@ -251,13 +246,9 @@ fn align_backtracking(
         .collect();
     let comp = |&c: &u8| if c == NO_BASE { c } else { complement_code(c) };
     let rev: Vec<u8> = fwd.iter().rev().map(comp).collect();
-    let mut strands = vec![(Strand::Forward, fwd)];
-    if cfg.both_strands {
-        strands.push((Strand::Reverse, rev));
-    }
+    let strands = [(Strand::Forward, fwd), (Strand::Reverse, rev)];
     let mut out = Vec::new();
-    let max = cfg.max_mismatches.min(3);
-    for budget in if cfg.best_strata { 0 } else { max }..=max {
+    for budget in 0..=cfg.max_mismatches.min(3) {
         for (strand, codes) in &strands {
             let mut search = Backtrack {
                 bwt: idx.bwt(),
@@ -292,7 +283,7 @@ fn align_backtracking(
             a.strand == Strand::Reverse,
         )
     });
-    out.truncate(cfg.max_hits);
+    out.truncate(MAX_HITS);
     out
 }
 
@@ -441,30 +432,21 @@ fn bench(c: &mut Criterion) {
         tn.iter().map(|(_, v)| v as u64).sum::<u64>(),
         tr.iter().map(|(_, v)| v as u64).sum::<u64>()
     );
-    let min = f.rtt.cfg.min_read_kmers.max(1) as u32;
     for (r, p) in f.reads.iter().zip(&f.packed_reads) {
         assert_eq!(
-            naive_assign(&f.rtt.kmer_to_component, min, f.cfg.k, &r.seq),
+            naive_assign(&f.rtt.kmer_to_component, f.cfg.k, &r.seq),
             f.rtt.assign_packed(p)
         );
     }
-    let support = WeldSupport::new(&f.counts, f.cfg.min_weld_support);
+    let support = WeldSupport::new(&f.counts);
     for (b, w) in f.byte_windows.iter().zip(&f.weld_windows) {
         assert_eq!(
-            naive_supports(&f.counts, f.cfg.min_weld_support.max(1), f.cfg.k, b),
+            naive_supports(&f.counts, f.cfg.k, b),
             support.supports_packed(w)
         );
     }
 
-    let recon = ReconstructionConfig {
-        k: f.cfg.k,
-        paths: PathConfig {
-            min_len: 2 * f.cfg.k,
-            ..PathConfig::default()
-        },
-        min_edge_weight: 2,
-        ..ReconstructionConfig::default()
-    };
+    let recon = ReconstructionConfig { k: f.cfg.k };
     for input in &f.components {
         let shipped: Vec<Vec<u8>> = reconstruct_component(input, recon)
             .into_iter()
@@ -480,10 +462,7 @@ fn bench(c: &mut Criterion) {
 
     // The pipeline's aligner settings; the reads are the stage's own mix of
     // exact, one-substitution and unalignable.
-    let align_cfg = AlignConfig {
-        max_mismatches: 1,
-        ..AlignConfig::default()
-    };
+    let align_cfg = AlignConfig { max_mismatches: 1 };
     for r in &f.reads {
         assert_eq!(
             align_backtracking(&f.index, &f.contig_starts, &r.seq, align_cfg),
@@ -507,7 +486,7 @@ fn bench(c: &mut Criterion) {
         b.iter(|| {
             let mut hits = 0u64;
             for r in &f.reads {
-                if naive_assign(&f.rtt.kmer_to_component, min, f.cfg.k, &r.seq).is_some() {
+                if naive_assign(&f.rtt.kmer_to_component, f.cfg.k, &r.seq).is_some() {
                     hits += 1;
                 }
             }
@@ -533,7 +512,7 @@ fn bench(c: &mut Criterion) {
         b.iter(|| {
             let mut ok = 0u64;
             for w in &f.byte_windows {
-                if naive_supports(&f.counts, f.cfg.min_weld_support.max(1), f.cfg.k, w) {
+                if naive_supports(&f.counts, f.cfg.k, w) {
                     ok += 1;
                 }
             }

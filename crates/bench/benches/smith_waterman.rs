@@ -1,9 +1,8 @@
-//! Microbench: Smith-Waterman and Needleman-Wunsch on transcript-scale pairs.
+//! Microbench: Smith-Waterman on transcript-scale pairs.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
-use align::global::needleman_wunsch;
 use align::sw::{smith_waterman, ScoringScheme};
 use simulate::transcriptome::{Transcriptome, TranscriptomeConfig};
 
@@ -29,13 +28,6 @@ fn bench(c: &mut Criterion) {
             &(q, t),
             |bench, (q, t)| {
                 bench.iter(|| black_box(smith_waterman(q, t, ScoringScheme::default())))
-            },
-        );
-        g.bench_with_input(
-            BenchmarkId::new("needleman_wunsch", label),
-            &(q, t),
-            |bench, (q, t)| {
-                bench.iter(|| black_box(needleman_wunsch(q, t, ScoringScheme::default())))
             },
         );
     }

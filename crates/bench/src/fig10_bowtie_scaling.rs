@@ -56,10 +56,7 @@ pub fn prepare(seed: u64, scale: f64) -> (Arc<Vec<Record>>, Arc<Vec<Record>>) {
 
 /// The figure's alignment setting: the pipeline's `-v 1`.
 fn align_config() -> AlignConfig {
-    AlignConfig {
-        max_mismatches: 1,
-        ..AlignConfig::default()
-    }
+    AlignConfig { max_mismatches: 1 }
 }
 
 /// Run the scaling sweep.

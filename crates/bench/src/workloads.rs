@@ -48,7 +48,6 @@ pub fn full(preset: DatasetPreset, seed: u64) -> Workload {
 pub fn bench_pipeline_config() -> PipelineConfig {
     let mut cfg = PipelineConfig::small(16);
     cfg.chrysalis.threads = 16;
-    cfg.chrysalis.min_weld_support = 1;
     cfg
 }
 

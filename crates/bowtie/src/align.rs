@@ -7,9 +7,11 @@
 //! only until one row is left (the rows of a piece's suffix are a superset
 //! of the piece's own); each row proposes a start for the whole read, and a
 //! linear comparison against the index's text, giving up at the first
-//! substitution too many, decides it. With `best_strata` a hit with `b`
-//! substitutions lowers the bar for everything after it: a hit no worse
-//! holds one of the *first* `b + 1` pieces exactly, so the rest are skipped.
+//! substitution too many, decides it. Only the best stratum is reported
+//! (`--best --strata`), so a hit with `b` substitutions lowers the bar for
+//! everything after it: a hit no worse holds one of the *first* `b + 1`
+//! pieces exactly, so the rest are skipped. At most [`MAX_HITS`] hits are
+//! reported per read (`-k 16`).
 
 use seqio::alphabet::{base_to_code, complement_code};
 
@@ -39,29 +41,15 @@ pub struct Alignment {
     pub read_len: usize,
 }
 
-/// Alignment parameters (Bowtie `-v` / `-k` style).
+/// Alignments reported per read at most (`-k`): the best stratum, in
+/// (contig, offset, strand) order, cut to this many.
+pub const MAX_HITS: usize = 16;
+
+/// Alignment parameters (Bowtie `-v` style).
 #[derive(Debug, Clone, Copy)]
 pub struct AlignConfig {
     /// Maximum substitutions (`-v`). Bowtie caps this at 3; so do we.
     pub max_mismatches: u8,
-    /// Report at most this many alignments per read (`-k`); 0 reports none.
-    pub max_hits: usize,
-    /// Only report the best stratum (fewest mismatches), like
-    /// `--best --strata`.
-    pub best_strata: bool,
-    /// Also try the reverse complement of the read.
-    pub both_strands: bool,
-}
-
-impl Default for AlignConfig {
-    fn default() -> Self {
-        AlignConfig {
-            max_mismatches: 2,
-            max_hits: 16,
-            best_strata: true,
-            both_strands: true,
-        }
-    }
 }
 
 /// Substitutions between a text window and a read of equal length, `None`
@@ -119,12 +107,12 @@ fn seed_and_verify(
     }));
 }
 
-/// Align one read against the index per `cfg`. Results are sorted by
-/// (mismatches, contig, offset, strand) and truncated to `max_hits`; with
-/// `best_strata` only the fewest-mismatch stratum survives.
+/// Align one read, on both strands, against the index per `cfg`. Results
+/// are the fewest-mismatch stratum, sorted by (contig, offset, strand) and
+/// truncated to [`MAX_HITS`].
 pub fn align_read(idx: &FmIndex, read: &[u8], cfg: AlignConfig) -> Vec<Alignment> {
     let mut out = Vec::new();
-    if read.is_empty() || cfg.max_hits == 0 {
+    if read.is_empty() {
         return out;
     }
     let fwd: Vec<u8> = read
@@ -133,10 +121,9 @@ pub fn align_read(idx: &FmIndex, read: &[u8], cfg: AlignConfig) -> Vec<Alignment
         .collect();
     let comp = |&c: &u8| if c == NO_BASE { c } else { complement_code(c) };
     let rev: Vec<u8> = fwd.iter().rev().map(comp).collect();
-    let strands = [(Strand::Forward, &fwd), (Strand::Reverse, &rev)];
     // The most substitutions still worth reporting. A placement within it
     // holds one of pieces `0..=cap` exactly, so piece `p > cap` has nothing
-    // to add; under `best_strata` every hit lowers it to its own stratum.
+    // to add; every hit lowers it to its own stratum.
     let mut cap = cfg.max_mismatches.min(3);
     // A read of fewer bases than pieces has empty ones: they are exact
     // everywhere, which is what a read that may mismatch at every base needs.
@@ -146,28 +133,17 @@ pub fn align_read(idx: &FmIndex, read: &[u8], cfg: AlignConfig) -> Vec<Alignment
             break;
         }
         let piece = (p * n / pieces, (p + 1) * n / pieces);
-        for &(strand, codes) in &strands[..1 + usize::from(cfg.both_strands)] {
+        for (strand, codes) in [(Strand::Forward, &fwd), (Strand::Reverse, &rev)] {
             let found = out.len();
             seed_and_verify(idx, codes, piece, strand, cap, &mut out);
-            if cfg.best_strata {
-                cap = out[found..].iter().fold(cap, |c, a| c.min(a.mismatches));
-            }
+            cap = out[found..].iter().fold(cap, |c, a| c.min(a.mismatches));
         }
     }
-    out.sort_by_key(|a| {
-        (
-            a.mismatches,
-            a.contig,
-            a.offset,
-            a.strand == Strand::Reverse,
-        )
-    });
+    out.retain(|a| a.mismatches == cap);
+    out.sort_by_key(|a| (a.contig, a.offset, a.strand == Strand::Reverse));
     // Two pieces of one placement can both be exact.
     out.dedup();
-    if cfg.best_strata {
-        out.retain(|a| a.mismatches == cap);
-    }
-    out.truncate(cfg.max_hits);
+    out.truncate(MAX_HITS);
     out
 }
 
@@ -184,12 +160,7 @@ mod tests {
     }
 
     fn cfg(v: u8) -> AlignConfig {
-        AlignConfig {
-            max_mismatches: v,
-            max_hits: 32,
-            best_strata: true,
-            both_strands: true,
-        }
+        AlignConfig { max_mismatches: v }
     }
 
     #[test]
@@ -232,30 +203,20 @@ mod tests {
         let idx = FmIndex::build(&[Record::new("r", b"AAAATAAAACAAAA".to_vec())]);
         // Read AAAA: exact hits exist, so 1-mismatch hits are suppressed.
         let hits = align_read(&idx, b"AAAA", cfg(1));
-        assert!(hits.iter().all(|h| h.mismatches == 0));
-        let all = align_read(
-            &idx,
-            b"AAAA",
-            AlignConfig {
-                best_strata: false,
-                ..cfg(1)
-            },
-        );
-        assert!(all.iter().any(|h| h.mismatches == 1));
+        assert!(!hits.is_empty() && hits.iter().all(|h| h.mismatches == 0));
+        // Read AAAG matches nowhere exactly: its best stratum is 1.
+        let hits = align_read(&idx, b"AAAG", cfg(1));
+        assert!(!hits.is_empty() && hits.iter().all(|h| h.mismatches == 1));
     }
 
     #[test]
     fn max_hits_truncates() {
+        // 39 exact forward placements, cut to the first 16 by offset.
         let idx = FmIndex::build(&[Record::new("r", b"ACAC".repeat(20))]);
-        let hits = align_read(
-            &idx,
-            b"ACAC",
-            AlignConfig {
-                max_hits: 5,
-                ..cfg(0)
-            },
-        );
-        assert_eq!(hits.len(), 5);
+        let hits = align_read(&idx, b"ACAC", cfg(0));
+        assert_eq!(hits.len(), MAX_HITS);
+        let offsets: Vec<usize> = hits.iter().map(|h| h.offset).collect();
+        assert_eq!(offsets, (0..MAX_HITS).map(|i| 2 * i).collect::<Vec<_>>());
     }
 
     #[test]
@@ -292,20 +253,6 @@ mod tests {
         assert_eq!(hits.len(), 1);
         assert_eq!(hits[0].mismatches, 2);
         assert_eq!(hits[0].contig, 0);
-    }
-
-    #[test]
-    fn forward_only_mode() {
-        let idx = index();
-        let hits = align_read(
-            &idx,
-            b"TAATGGCC",
-            AlignConfig {
-                both_strands: false,
-                ..cfg(0)
-            },
-        );
-        assert!(hits.is_empty());
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! low-complexity texts a packed-key seed and group refinement get wrong
 //! first — in whatever order the builders' parallel loops run.
 
-use bowtie::align::{align_read, AlignConfig, Alignment, Strand};
+use bowtie::align::{align_read, AlignConfig, Alignment, Strand, MAX_HITS};
 use bowtie::bwt::Bwt;
 use bowtie::fmindex::FmIndex;
 use bowtie::suffix::{suffix_array, suffix_array_naive, suffix_array_on};
@@ -39,10 +39,10 @@ fn naive_count(text: &[u8], pat: &[u8]) -> usize {
 /// window holding a byte outside `ACGT` aligns to nothing; a read `N`
 /// mismatches whatever it lies on.
 fn brute_force_align(contigs: &[Vec<u8>], read: &[u8], cfg: AlignConfig) -> Vec<Alignment> {
-    let mut strands = vec![(Strand::Forward, read.to_vec())];
-    if cfg.both_strands {
-        strands.push((Strand::Reverse, revcomp(read)));
-    }
+    let strands = [
+        (Strand::Forward, read.to_vec()),
+        (Strand::Reverse, revcomp(read)),
+    ];
     let mut out = Vec::new();
     for (strand, seq) in &strands {
         for (contig, text) in contigs.iter().enumerate() {
@@ -73,15 +73,13 @@ fn brute_force_align(contigs: &[Vec<u8>], read: &[u8], cfg: AlignConfig) -> Vec<
             a.strand == Strand::Reverse,
         )
     });
-    if cfg.best_strata {
-        let best = out.first().map(|a| a.mismatches);
-        out.retain(|a| Some(a.mismatches) == best);
-    }
-    out.truncate(cfg.max_hits);
+    let best = out.first().map(|a| a.mismatches);
+    out.retain(|a| Some(a.mismatches) == best);
+    out.truncate(MAX_HITS);
     out
 }
 
-/// `align_read` ≡ the oracle for every configuration in the issue's grid.
+/// `align_read` ≡ the oracle at every mismatch budget.
 fn assert_aligner_matches_oracle(contigs: &[Vec<u8>], read: &[u8]) {
     let records: Vec<Record> = contigs
         .iter()
@@ -90,29 +88,44 @@ fn assert_aligner_matches_oracle(contigs: &[Vec<u8>], read: &[u8]) {
         .collect();
     let idx = FmIndex::build(&records);
     for max_mismatches in 0..=3u8 {
-        for (best_strata, both_strands) in
-            [(true, true), (true, false), (false, true), (false, false)]
-        {
-            for max_hits in [0usize, 1, 4, 16, usize::MAX] {
-                let cfg = AlignConfig {
-                    max_mismatches,
-                    max_hits,
-                    best_strata,
-                    both_strands,
-                };
-                assert_eq!(
-                    align_read(&idx, read, cfg),
-                    brute_force_align(contigs, read, cfg),
-                    "read {:?} cfg {cfg:?} contigs {:?}",
-                    String::from_utf8_lossy(read),
-                    contigs
-                        .iter()
-                        .map(|c| String::from_utf8_lossy(c))
-                        .collect::<Vec<_>>()
-                );
-            }
-        }
+        let cfg = AlignConfig { max_mismatches };
+        assert_eq!(
+            align_read(&idx, read, cfg),
+            brute_force_align(contigs, read, cfg),
+            "read {:?} cfg {cfg:?} contigs {:?}",
+            String::from_utf8_lossy(read),
+            contigs
+                .iter()
+                .map(|c| String::from_utf8_lossy(c))
+                .collect::<Vec<_>>()
+        );
     }
+}
+
+/// A read with more placements than [`MAX_HITS`] keeps the oracle's first
+/// sixteen: a tandem run gives it 39 exact forward and 38 exact reverse
+/// ones, and a near copy of the run as many one-substitution ones.
+#[test]
+fn more_placements_than_max_hits_are_cut_like_the_oracle() {
+    let tandem = b"ACGTTGCA".repeat(40);
+    let mut near = b"ACGTTGCA".repeat(40);
+    for at in (0..near.len()).step_by(8) {
+        near[at + 3] = b'A';
+    }
+    let contigs = vec![tandem.clone(), near, b"ACGTTGCATT".to_vec()];
+    let read = &tandem[..16];
+    let records: Vec<Record> = contigs
+        .iter()
+        .enumerate()
+        .map(|(i, s)| Record::new(format!("c{i}"), s.clone()))
+        .collect();
+    let idx = FmIndex::build(&records);
+    let exact = align_read(&idx, read, AlignConfig { max_mismatches: 0 });
+    assert_eq!(exact.len(), MAX_HITS);
+    let over = brute_force_align(&contigs, read, AlignConfig { max_mismatches: 3 });
+    assert_eq!(over.len(), MAX_HITS, "the fixture must exceed the cap");
+    assert_aligner_matches_oracle(&contigs, read);
+    assert_aligner_matches_oracle(&contigs, &tandem[3..19]);
 }
 
 /// Rank at every row against counting the naive transform.
@@ -216,7 +229,7 @@ proptest! {
             proptest::collection::vec(dna(20..120), 1..5),
             dna(8..30),
             proptest::collection::vec((0usize..1000, 0usize..1000), 0..5),
-            2usize..6,
+            2usize..24,
         ),
         (source, subs, read_ns) in (
             (0usize..1000, 0usize..1000, 12usize..40, any::<bool>()),
@@ -228,7 +241,7 @@ proptest! {
     ) {
         // Plant the repeat unit so multi-hit reads and paralog-like
         // near-repeats occur, and a tandem run of it so the unit itself has
-        // more rows than `max_hits: 1` (and, mostly, 4) keeps: tie order.
+        // more rows than `MAX_HITS` keeps when the run is long: tie order.
         let mut contigs = seqs;
         let n_contigs = contigs.len();
         for (c, at) in plants {
@@ -363,12 +376,7 @@ proptest! {
         prop_assume!(start + len <= seq.len());
         let read = seq[start..start + len].to_vec();
         let idx = FmIndex::build(&[Record::new("c", seq.clone())]);
-        let hits = align_read(&idx, &read, AlignConfig {
-            max_mismatches: 0,
-            max_hits: 64,
-            best_strata: true,
-            both_strands: true,
-        });
+        let hits = align_read(&idx, &read, AlignConfig { max_mismatches: 0 });
         prop_assert!(
             hits.iter().any(|h| h.offset == start && h.strand == Strand::Forward),
             "planted read must be found"
@@ -379,7 +387,7 @@ proptest! {
     fn revcomp_read_found_on_reverse_strand(seq in dna(40..120)) {
         let read = revcomp(&seq[5..30]);
         let idx = FmIndex::build(&[Record::new("c", seq.clone())]);
-        let hits = align_read(&idx, &read, AlignConfig::default());
+        let hits = align_read(&idx, &read, AlignConfig { max_mismatches: 2 });
         prop_assert!(hits.iter().any(|h| h.strand == Strand::Reverse && h.offset == 5));
     }
 
@@ -395,12 +403,7 @@ proptest! {
         };
         let idx = FmIndex::build(&[Record::new("c", seq.clone())]);
         // Budget 1 finds it at offset 5 with exactly 1 mismatch...
-        let hits = align_read(&idx, &read, AlignConfig {
-            max_mismatches: 1,
-            max_hits: 64,
-            best_strata: false,
-            both_strands: false,
-        });
+        let hits = align_read(&idx, &read, AlignConfig { max_mismatches: 1 });
         prop_assert!(hits.iter().any(|h| h.offset == 5 && h.mismatches <= 1));
         // ...and every reported alignment verifies its mismatch count.
         for h in &hits {

@@ -13,5 +13,5 @@
 pub mod paths;
 pub mod transcripts;
 
-pub use paths::{enumerate_paths, PathConfig};
+pub use paths::enumerate_paths;
 pub use transcripts::{reconstruct, ComponentInput, ReconstructionConfig};

@@ -5,7 +5,7 @@ use seqio::packed::PackedSeq;
 
 use graph::debruijn::DeBruijnGraph;
 
-use crate::paths::{enumerate_paths, PathConfig};
+use crate::paths::enumerate_paths;
 
 /// One component's input to Butterfly: its clustered contigs and the reads
 /// ReadsToTranscripts assigned to it.
@@ -34,31 +34,21 @@ impl ComponentInput {
     }
 }
 
+/// Weight each contig threads onto its edges. Contigs are consensus
+/// sequences, so they count more than a single read.
+pub const CONTIG_WEIGHT: u32 = 2;
+
+/// Edges lighter than this are pruned before enumeration (the read-support
+/// filter): a single erroneous read cannot open an isoform bubble. It is
+/// the contig weight, so contigs alone always survive.
+pub const MIN_EDGE_WEIGHT: u32 = CONTIG_WEIGHT;
+
 /// Reconstruction parameters.
 #[derive(Debug, Clone, Copy)]
 pub struct ReconstructionConfig {
-    /// de Bruijn word size (Trinity uses k = 25 throughout).
+    /// de Bruijn word size (Trinity uses k = 25 throughout). Paths shorter
+    /// than `2·k` bases are dropped.
     pub k: usize,
-    /// Path enumeration limits.
-    pub paths: PathConfig,
-    /// Edges with weight below this are pruned before enumeration
-    /// (read-support filter; contig edges get a weight boost so contigs
-    /// alone always survive).
-    pub min_edge_weight: u32,
-    /// Weight granted to each contig traversal (contigs are consensus
-    /// sequences, so they count more than a single read).
-    pub contig_weight: u32,
-}
-
-impl Default for ReconstructionConfig {
-    fn default() -> Self {
-        ReconstructionConfig {
-            k: 25,
-            paths: PathConfig::default(),
-            min_edge_weight: 1,
-            contig_weight: 2,
-        }
-    }
 }
 
 /// Reconstruct transcripts for one component.
@@ -66,15 +56,13 @@ pub fn reconstruct_component(input: &ComponentInput, cfg: ReconstructionConfig) 
     let contig_bases = input.contigs.iter().map(PackedSeq::len).sum();
     let mut g = DeBruijnGraph::with_capacity(cfg.k, contig_bases);
     for contig in &input.contigs {
-        g.add_packed(contig, cfg.contig_weight);
+        g.add_packed(contig, CONTIG_WEIGHT);
     }
     for read in &input.reads {
         g.add_packed(read, 1);
     }
-    if cfg.min_edge_weight > 1 {
-        g.prune_edges(cfg.min_edge_weight);
-    }
-    enumerate_paths(&g, cfg.paths)
+    g.prune_edges(MIN_EDGE_WEIGHT);
+    enumerate_paths(&g)
         .into_iter()
         .enumerate()
         .map(|(i, seq)| Record {
@@ -98,22 +86,13 @@ pub fn reconstruct(components: &[ComponentInput], cfg: ReconstructionConfig) -> 
 mod tests {
     use super::*;
 
-    fn cfg(k: usize, min_len: usize) -> ReconstructionConfig {
-        ReconstructionConfig {
-            k,
-            paths: PathConfig {
-                min_len,
-                ..Default::default()
-            },
-            ..Default::default()
-        }
-    }
+    const CFG: ReconstructionConfig = ReconstructionConfig { k: 8 };
 
     #[test]
     fn single_contig_component() {
         let contig = b"CGAGTCGGTTATCTTCGGATACTGTATAGTCC".to_vec();
         let input = ComponentInput::from_bytes(3, std::slice::from_ref(&contig), &[]);
-        let recs = reconstruct_component(&input, cfg(8, 10));
+        let recs = reconstruct_component(&input, CFG);
         assert_eq!(recs.len(), 1);
         assert_eq!(recs[0].id, "comp3_seq0");
         assert_eq!(recs[0].seq, contig);
@@ -128,7 +107,7 @@ mod tests {
         let c2 = full[13..].to_vec();
         let junction_read = full[10..26].to_vec();
         let input = ComponentInput::from_bytes(0, &[c1, c2], &[junction_read]);
-        let recs = reconstruct_component(&input, cfg(8, 20));
+        let recs = reconstruct_component(&input, CFG);
         assert!(
             recs.iter().any(|r| r.seq == full),
             "full transcript spelled"
@@ -141,14 +120,8 @@ mod tests {
         let mut noisy = clean.clone();
         noisy[16] = b'A'; // single erroneous read creates a bubble
         let input = ComponentInput::from_bytes(0, std::slice::from_ref(&clean), &[noisy]);
-        // contig weight 2 + prune at 2 kills the weight-1 error branch.
-        let recs = reconstruct_component(
-            &input,
-            ReconstructionConfig {
-                min_edge_weight: 2,
-                ..cfg(8, 10)
-            },
-        );
+        // Contig weight 2 and pruning at 2 kill the weight-1 error branch.
+        let recs = reconstruct_component(&input, CFG);
         assert_eq!(recs.len(), 1);
         assert_eq!(recs[0].seq, clean);
     }
@@ -157,7 +130,7 @@ mod tests {
     fn multiple_components_concatenate() {
         let a = ComponentInput::from_bytes(0, &[b"CGAGTCGGTTATCTTCGGATACTGTATAGTCC".to_vec()], &[]);
         let b = ComponentInput::from_bytes(1, &[b"AAAGCGGCACTTGTGAAGTGTTCCCCACGCCG".to_vec()], &[]);
-        let recs = reconstruct(&[a, b], cfg(8, 10));
+        let recs = reconstruct(&[a, b], CFG);
         assert_eq!(recs.len(), 2);
         assert!(recs[0].id.starts_with("comp0"));
         assert!(recs[1].id.starts_with("comp1"));
@@ -165,7 +138,7 @@ mod tests {
 
     #[test]
     fn empty_component_is_empty() {
-        let recs = reconstruct_component(&ComponentInput::default(), cfg(8, 10));
+        let recs = reconstruct_component(&ComponentInput::default(), CFG);
         assert!(recs.is_empty());
     }
 
@@ -177,7 +150,7 @@ mod tests {
         iso2.extend_from_slice(b"AAAGCGGCACTTGTGAAGTG");
         iso2.extend_from_slice(&iso1[iso1.len() - 12..]);
         let input = ComponentInput::from_bytes(0, &[iso1.clone(), iso2.clone()], &[]);
-        let recs = reconstruct_component(&input, cfg(8, 20));
+        let recs = reconstruct_component(&input, CFG);
         let seqs: Vec<&[u8]> = recs.iter().map(|r| r.seq.as_slice()).collect();
         assert!(seqs.contains(&iso1.as_slice()));
         assert!(seqs.contains(&iso2.as_slice()));

@@ -3,7 +3,7 @@
 //! threading against the ASCII threading, and the depth both used to be
 //! limited to: a 200 kb component on a 256 KB stack.
 
-use butterfly::paths::{enumerate_paths, PathConfig};
+use butterfly::paths::{enumerate_paths, MAX_NODE_VISITS, MAX_PATHS};
 use butterfly::transcripts::{reconstruct_component, ComponentInput, ReconstructionConfig};
 use graph::debruijn::{DeBruijnGraph, NodeId};
 use proptest::prelude::*;
@@ -13,14 +13,13 @@ use seqio::packed::PackedSeq;
 /// per path node, adjacency cloned and sorted at every visit.
 struct RecursiveDfs<'g> {
     g: &'g DeBruijnGraph,
-    cfg: PathConfig,
     out: Vec<Vec<NodeId>>,
     visits: Vec<u8>,
 }
 
 impl RecursiveDfs<'_> {
     fn run(&mut self, path: &mut Vec<NodeId>, node: NodeId) {
-        if self.out.len() >= self.cfg.max_paths {
+        if self.out.len() >= MAX_PATHS {
             return;
         }
         path.push(node);
@@ -28,11 +27,11 @@ impl RecursiveDfs<'_> {
 
         let edges = self.g.out_edges(node);
         let mut extended = false;
-        for &(next, _w) in edges.iter().take(self.cfg.max_branch) {
-            if (self.visits[next as usize] as usize) < self.cfg.max_node_visits {
+        for &(next, _w) in &edges {
+            if (self.visits[next as usize] as usize) < MAX_NODE_VISITS {
                 extended = true;
                 self.run(path, next);
-                if self.out.len() >= self.cfg.max_paths {
+                if self.out.len() >= MAX_PATHS {
                     break;
                 }
             }
@@ -46,15 +45,14 @@ impl RecursiveDfs<'_> {
     }
 }
 
-fn enumerate_recursive(g: &DeBruijnGraph, cfg: PathConfig) -> Vec<Vec<u8>> {
+fn enumerate_recursive(g: &DeBruijnGraph) -> Vec<Vec<u8>> {
     let mut dfs = RecursiveDfs {
         g,
-        cfg,
         out: Vec::new(),
         visits: vec![0; g.node_count()],
     };
     for s in g.sources() {
-        if dfs.out.len() >= cfg.max_paths {
+        if dfs.out.len() >= MAX_PATHS {
             break;
         }
         dfs.run(&mut Vec::new(), s);
@@ -68,7 +66,7 @@ fn enumerate_recursive(g: &DeBruijnGraph, cfg: PathConfig) -> Vec<Vec<u8>> {
     let mut seqs: Vec<Vec<u8>> = Vec::new();
     for (_, p) in ranked {
         let s = g.spell_path(&p);
-        if s.len() >= cfg.min_len && !seqs.contains(&s) {
+        if s.len() >= 2 * g.k() && !seqs.contains(&s) {
             seqs.push(s);
         }
     }
@@ -114,29 +112,14 @@ fn read_set() -> impl Strategy<Value = Vec<(Vec<u8>, u32)>> {
     })
 }
 
-/// Limits from the degenerate (no paths, no branches, no visits) to the
-/// defaults.
-fn limits() -> impl Strategy<Value = PathConfig> {
-    let max_paths = prop_oneof![0usize..5, Just(32usize)];
-    (max_paths, 0usize..5, 0usize..4, 0usize..12).prop_map(
-        |(max_paths, max_branch, max_node_visits, min_len)| PathConfig {
-            max_paths,
-            max_branch,
-            max_node_visits,
-            min_len,
-        },
-    )
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(400))]
 
-    /// Same paths in the same order, whatever the limits.
+    /// Same paths in the same order, whatever the graph.
     #[test]
     fn iterative_enumeration_equals_recursive(
         reads in read_set(),
         k in 3usize..8,
-        cfg in limits(),
         min_edge_weight in 1u32..4,
     ) {
         let mut g = DeBruijnGraph::new(k);
@@ -144,7 +127,7 @@ proptest! {
             g.add_packed(&PackedSeq::from_bytes(seq), *weight);
         }
         g.prune_edges(min_edge_weight);
-        prop_assert_eq!(enumerate_paths(&g, cfg), enumerate_recursive(&g, cfg));
+        prop_assert_eq!(enumerate_paths(&g), enumerate_recursive(&g));
     }
 
     /// Carrying a window's suffix node over to the next window changes
@@ -193,10 +176,41 @@ fn reconstruct_on_small_stack(contig: Vec<u8>, cfg: ReconstructionConfig) -> Vec
     worker.join().expect("reconstruction finished")
 }
 
+/// The configuration at Trinity's word size.
+const K25: ReconstructionConfig = ReconstructionConfig { k: 25 };
+
+/// A component of `2^bubbles` source-to-sink paths: one random chain, and
+/// beside it one copy per bubble with a substitution of its own, far
+/// enough apart (`2k` bases) that every combination is a path.
+fn bubbles(k: usize, bubbles: usize, seed: u64) -> DeBruijnGraph {
+    let base = random_bases(2 * k * (bubbles + 1), seed);
+    let mut g = DeBruijnGraph::new(k);
+    g.add_sequence(&base, 1);
+    for b in 1..=bubbles {
+        let mut v = base.clone();
+        let at = 2 * k * b;
+        v[at] = if v[at] == b'A' { b'C' } else { b'A' };
+        g.add_sequence(&v, 1);
+    }
+    g
+}
+
+#[test]
+fn more_paths_than_max_paths_match_the_recursive_reference() {
+    // 64 paths at k = 12 and 256 at k = 9: the walk stops at the cap in
+    // the reference's order, and every path it found is reported.
+    for (k, n, seed) in [(12, 6, 3), (9, 8, 5)] {
+        let g = bubbles(k, n, seed);
+        let paths = enumerate_paths(&g);
+        assert_eq!(paths.len(), MAX_PATHS, "k={k}, {n} bubbles");
+        assert_eq!(paths, enumerate_recursive(&g), "k={k}, {n} bubbles");
+    }
+}
+
 #[test]
 fn long_linear_component_needs_no_call_stack() {
     let contig = random_bases(200_000, 7);
-    let seqs = reconstruct_on_small_stack(contig.clone(), ReconstructionConfig::default());
+    let seqs = reconstruct_on_small_stack(contig.clone(), K25);
     assert_eq!(seqs, [contig]);
 }
 
@@ -204,9 +218,9 @@ fn long_linear_component_needs_no_call_stack() {
 fn long_cycle_with_a_tail_stops_at_the_visit_cap() {
     // A 300 b tail into a 200 kb cycle: the contig runs once round the
     // cycle and k−1 bases into the second lap, closing it in the graph.
-    // The one path leaves the tail, laps the cycle `max_node_visits` times
+    // The one path leaves the tail, laps the cycle `MAX_NODE_VISITS` times
     // and ends where a third entry of the cycle's first node is refused.
-    let cfg = ReconstructionConfig::default();
+    let cfg = K25;
     let tail = random_bases(300, 11);
     let cycle = random_bases(200_000, 13);
     let mut contig = tail.clone();
@@ -215,7 +229,7 @@ fn long_cycle_with_a_tail_stops_at_the_visit_cap() {
 
     let seqs = reconstruct_on_small_stack(contig, cfg);
     let mut expected = tail;
-    for _ in 0..cfg.paths.max_node_visits {
+    for _ in 0..MAX_NODE_VISITS {
         expected.extend_from_slice(&cycle);
     }
     expected.extend_from_slice(&cycle[..cfg.k - 2]);

@@ -13,7 +13,7 @@ use std::collections::HashMap;
 use seqio::fasta::Record;
 use seqio::splitter::plan_split;
 
-use bowtie::align::{align_read, AlignConfig, Alignment, Strand};
+use bowtie::align::{align_read, AlignConfig, Alignment, Strand, MAX_HITS};
 use bowtie::fmindex::FmIndex;
 use bowtie::sam::SamRecord;
 
@@ -95,26 +95,18 @@ impl crate::ReadLine for Hit {
 
 /// What one aligner run over all contigs would have kept of the sorted,
 /// gathered `hits`: a slice's aligner cuts to *its* best stratum and *its*
-/// first `max_hits`, so a read's exact hit in one slice arrives beside a
+/// first [`MAX_HITS`], so a read's exact hit in one slice arrives beside a
 /// one-substitution hit from another. Every hit the whole-reference run
 /// reports survives its own slice's cut (slices keep contig order), so
 /// cutting each read once more gives that run's list.
-fn recut_per_read(hits: &mut Vec<Hit>, cfg: AlignConfig) {
+fn recut_per_read(hits: &mut Vec<Hit>) {
     let mut kept: Vec<Hit> = Vec::with_capacity(hits.len());
     for group in hits.chunk_by(|a, b| a.read == b.read) {
-        let from = kept.len();
         let best = group.iter().map(|h| h.mismatches).min();
-        kept.extend(
-            group
-                .iter()
-                .filter(|h| !cfg.best_strata || Some(h.mismatches) == best),
-        );
-        if kept.len() - from > cfg.max_hits {
-            // The aligner's report order decides who is dropped.
-            kept[from..].sort_by_key(|h| (h.mismatches, h.contig, h.offset, h.reverse));
-            kept.truncate(from + cfg.max_hits);
-            kept[from..].sort();
-        }
+        // The group is sorted by contig, offset and strand within its
+        // stratum: the aligner's report order, so the first are kept.
+        let stratum = group.iter().filter(|h| Some(h.mismatches) == best);
+        kept.extend(stratum.take(MAX_HITS));
     }
     *hits = kept;
 }
@@ -122,9 +114,9 @@ fn recut_per_read(hits: &mut Vec<Hit>, cfg: AlignConfig) {
 /// Run the distributed Bowtie step — one rank's program.
 ///
 /// `contigs` and `reads` are the replicated inputs. Each slice's aligner
-/// applies `best_strata` and `max_hits` to its own hits, as per-slice
-/// Bowtie runs would; the master applies both once more per read over the
-/// gathered hits, so the merged file is the 1-rank file at every rank count.
+/// cuts its own hits to the best stratum and [`MAX_HITS`], as per-slice
+/// Bowtie runs would; the master cuts once more per read over the gathered
+/// hits, so the merged file is the 1-rank file at every rank count.
 pub fn bowtie_mpi(
     comm: &mut Comm,
     contigs: &[Record],
@@ -197,9 +189,7 @@ pub fn bowtie_mpi(
     drop(hit_lists);
 
     // ---- Merge per-rank SAM files at the master ----
-    let merged = crate::master_merge(comm, cfg, "bowtie.merge", hits, |all| {
-        recut_per_read(all, align_cfg)
-    });
+    let merged = crate::master_merge(comm, cfg, "bowtie.merge", hits, recut_per_read);
 
     // Names come back only here, from the replicated inputs.
     let sam: Vec<SamRecord> = merged
@@ -225,7 +215,9 @@ pub fn bowtie_mpi(
         .record(track, "stage", "bowtie.total", start, comm.clock.now());
     BowtieMpiOutput {
         sam,
-        timings: BowtieTimings::from_trace(&comm.obs.snapshot(), track),
+        timings: comm
+            .obs
+            .with_trace(|trace| BowtieTimings::from_trace(trace, track)),
     }
 }
 
@@ -282,10 +274,7 @@ mod tests {
                 &contigs,
                 &reads,
                 &ChrysalisConfig::small(8),
-                AlignConfig {
-                    max_mismatches,
-                    ..AlignConfig::default()
-                },
+                AlignConfig { max_mismatches },
             )
         })
     }
@@ -340,7 +329,7 @@ mod tests {
             };
             let (c, r) = (Arc::clone(&contigs), Arc::clone(&reads));
             let outs = run_cluster(2, NetModel::ideal(), move |comm| {
-                bowtie_mpi(comm, &c, &r, &cfg, AlignConfig::default())
+                bowtie_mpi(comm, &c, &r, &cfg, AlignConfig { max_mismatches: 2 })
             });
             for o in &outs {
                 for name in ["bowtie.index", "bowtie.align"] {

@@ -3,55 +3,36 @@
 use omp::schedule::Schedule;
 
 /// Parameters shared by the Chrysalis stages.
+///
+/// The rest is fixed: a weld counts when reads span it at all ("welding
+/// pairs of contigs together if read support exists"), a read is assigned
+/// on one shared k-mer, and the round-robin chunk is derived from the
+/// problem size ([`Self::chunk_size`]).
 #[derive(Debug, Clone, Copy)]
 pub struct ChrysalisConfig {
     /// Seed k-mer size. Trinity uses 25 at production scale; tests use
     /// smaller k to keep fixtures small. `k ≤ 32`: a k-mer fits a packed
     /// `u64` and a weld ([`Self::weld_len`] ≤ 63 bases) a packed `u128`.
     pub k: usize,
-    /// Minimum number of distinct supporting reads for a weld to count
-    /// ("welding pairs of contigs together if read support exists").
-    pub min_weld_support: u32,
     /// OpenMP threads per rank (the paper always runs 16).
     pub threads: usize,
     /// Inner-loop OpenMP schedule ("the OpenMP scheduling policy is
     /// dynamic").
     pub schedule: Schedule,
-    /// Chunk size of the chunked-round-robin MPI distribution; `None`
-    /// derives it from the problem size like the original code ("the
-    /// chunksize … is proportional to the number of Inchworm contigs
-    /// divided by the number of threads").
-    pub chunk: Option<usize>,
     /// ReadsToTranscripts: reads uploaded into memory at a time
     /// (`--max_mem_reads`).
     pub max_mem_reads: usize,
-    /// Minimum shared k-mers for a read to be assigned to a component.
-    pub min_read_kmers: usize,
-}
-
-impl Default for ChrysalisConfig {
-    fn default() -> Self {
-        ChrysalisConfig {
-            k: 24,
-            min_weld_support: 2,
-            threads: 16,
-            schedule: Schedule::Dynamic { chunk: 1 },
-            chunk: None,
-            max_mem_reads: 1000,
-            min_read_kmers: 1,
-        }
-    }
 }
 
 impl ChrysalisConfig {
-    /// A small-k configuration for tests and examples.
+    /// The configuration at word size `k`: 4 threads, the dynamic
+    /// schedule, 100 reads in memory at a time.
     pub fn small(k: usize) -> Self {
         ChrysalisConfig {
             k,
-            min_weld_support: 1,
             threads: 4,
+            schedule: Schedule::Dynamic { chunk: 1 },
             max_mem_reads: 100,
-            ..Default::default()
         }
     }
 
@@ -67,10 +48,11 @@ impl ChrysalisConfig {
         self.k / 2
     }
 
-    /// Resolve the round-robin chunk size for `n` contigs over `ranks`.
+    /// The round-robin chunk size for `n` contigs over `ranks`, derived
+    /// like the original code's ("the chunksize … is proportional to the
+    /// number of Inchworm contigs divided by the number of threads").
     pub fn chunk_size(&self, n: usize, ranks: usize) -> usize {
-        self.chunk
-            .unwrap_or_else(|| omp::schedule::paper_chunk_size(n, ranks, self.threads))
+        omp::schedule::paper_chunk_size(n, ranks, self.threads)
     }
 }
 
@@ -80,8 +62,7 @@ mod tests {
 
     #[test]
     fn defaults_match_paper() {
-        let c = ChrysalisConfig::default();
-        assert_eq!(c.threads, 16);
+        let c = ChrysalisConfig::small(24);
         assert_eq!(c.weld_len(), 47);
         assert_eq!(c.flank(), 12);
         assert!(matches!(c.schedule, Schedule::Dynamic { .. }));
@@ -89,13 +70,9 @@ mod tests {
 
     #[test]
     fn chunk_size_fallback() {
-        let c = ChrysalisConfig::default();
-        assert!(c.chunk_size(100_000, 16) >= 1);
-        let fixed = ChrysalisConfig {
-            chunk: Some(7),
-            ..Default::default()
-        };
-        assert_eq!(fixed.chunk_size(100_000, 16), 7);
+        let c = ChrysalisConfig::small(24);
+        assert_eq!(c.chunk_size(0, 16), 1);
+        assert_eq!(c.chunk_size(100_000, 16), 100_000 / (16 * 4 * 8));
     }
 
     #[test]

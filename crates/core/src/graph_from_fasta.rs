@@ -65,7 +65,7 @@ impl GffShared {
     }
 
     fn support(&self) -> WeldSupport<'_> {
-        WeldSupport::new(&self.counts, self.cfg.min_weld_support)
+        WeldSupport::new(&self.counts)
     }
 }
 
@@ -334,7 +334,9 @@ fn gff_rank_program(comm: &mut Comm, shared: &GffShared, partition: Partition) -
         pairs,
         component_of,
         components,
-        timings: GffTimings::from_trace(&comm.obs.snapshot(), track),
+        timings: comm
+            .obs
+            .with_trace(|trace| GffTimings::from_trace(trace, track)),
         trace: obs::Trace::default(),
     }
 }

@@ -131,7 +131,8 @@ impl RttShared {
     }
 
     /// Assign one packed read: the component with the most shared k-mers,
-    /// ties to the smallest component id. `None` if below `min_read_kmers`.
+    /// ties to the smallest component id. `None` if no k-mer of the read
+    /// is in the table.
     ///
     /// Canonical k-mers roll off the 2-bit form in O(1) per base, and
     /// votes accumulate in a fixed inline array scanned linearly: a read's
@@ -160,12 +161,8 @@ impl RttShared {
         }
         // Selection compares (count, id) totally, so tally order is
         // irrelevant and the inline/spill split cannot change the winner.
-        let min = self.cfg.min_read_kmers.max(1) as u32;
         let mut best: Option<(u32, u32)> = None;
         for &(c, n) in inline[..n_inline].iter().chain(spill.iter()) {
-            if n < min {
-                continue;
-            }
             let better = match best {
                 Some((bc, bn)) => n > bn || (n == bn && c < bc),
                 None => true,
@@ -301,7 +298,9 @@ fn rtt_rank_program(comm: &mut Comm, shared: &RttShared, policy: ReadPolicy) -> 
         .record(track, "stage", "rtt.total", start, comm.clock.now());
     RttOutput {
         assignments,
-        timings: RttTimings::from_trace(&comm.obs.snapshot(), track),
+        timings: comm
+            .obs
+            .with_trace(|trace| RttTimings::from_trace(trace, track)),
         trace: obs::Trace::default(),
     }
 }
@@ -481,11 +480,11 @@ mod tests {
 
     #[test]
     fn min_read_kmers_threshold() {
+        // One shared k-mer assigns a read; none leaves it unassigned.
         let contigs = vec![rec("c0", C0)];
-        let mut cfg = ChrysalisConfig::small(8);
-        cfg.min_read_kmers = 100; // unreachable
-        let shared = prepare(vec![], &contigs, &[vec![0]], cfg);
-        assert_eq!(assign(&shared, &C0[..16]), None);
+        let shared = prepare(vec![], &contigs, &[vec![0]], ChrysalisConfig::small(8));
+        assert_eq!(assign(&shared, &C0[..8]), Some(0));
+        assert_eq!(assign(&shared, b"TTTTTTTTTTTTTTTT"), None);
     }
 
     #[test]
@@ -504,12 +503,10 @@ mod tests {
             })
             .collect();
         let components: Vec<Vec<usize>> = (0..contigs.len()).map(|i| vec![i]).collect();
-        let mut cfg = ChrysalisConfig::small(8);
-        cfg.min_read_kmers = 1;
-        let shared = prepare(vec![], &contigs, &components, cfg);
+        let shared = prepare(vec![], &contigs, &components, ChrysalisConfig::small(8));
         // One read stitched from every contig touches them all.
         let read: Vec<u8> = contigs.iter().flat_map(|c| c.seq.clone()).collect();
-        // Reference: plain HashMap tally, same threshold and tie-break.
+        // Reference: plain HashMap tally, same tie-break.
         let mut votes: std::collections::HashMap<u32, u32> = Default::default();
         for (_, km) in seqio::kmer::KmerIter::new(&read, 8).unwrap() {
             if let Some(c) = shared.kmer_to_component.get(km.canonical().packed()) {

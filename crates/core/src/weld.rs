@@ -381,26 +381,24 @@ impl KmerContigMap {
 }
 
 /// Read-support oracle over the Jellyfish k-mer table: a weld is supported
-/// when every k-mer of the window occurs in the reads with count ≥ `min`
-/// — i.e. reads actually span the junction the weld proposes.
+/// when every k-mer of the window occurs in the reads — i.e. reads
+/// actually span the junction the weld proposes.
 #[derive(Debug, Clone, Copy)]
 pub struct WeldSupport<'a> {
     counts: &'a KmerCounts,
     k: usize,
-    min: u32,
 }
 
 impl<'a> WeldSupport<'a> {
     /// Wrap a (canonical) read k-mer table.
-    pub fn new(counts: &'a KmerCounts, min: u32) -> Self {
+    pub fn new(counts: &'a KmerCounts) -> Self {
         WeldSupport {
             k: counts.k(),
             counts,
-            min: min.max(1),
         }
     }
 
-    /// True if every k-mer of the window reaches the support threshold:
+    /// True if every k-mer of the window occurs in the reads:
     /// rolls canonical k-mers straight off the 2-bit codes and probes the
     /// table by packed value.
     pub fn supports_packed(&self, w: &WeldWindow) -> bool {
@@ -414,7 +412,7 @@ impl<'a> WeldSupport<'a> {
         let mut any = false;
         for j in 0..n {
             if let Some(rolled) = state.push(w.code_at(j)) {
-                if self.counts.get_packed(rolled.canonical_packed()) < self.min {
+                if self.counts.get_packed(rolled.canonical_packed()) == 0 {
                     return false;
                 }
                 any = true;
@@ -677,10 +675,10 @@ mod tests {
     }
 
     /// Naive reference for [`WeldSupport::supports_packed`]: every byte
-    /// window's canonical k-mer, rebuilt per window, reaches `min`.
-    fn naive_supports(counts: &KmerCounts, min: u32, window: &[u8]) -> bool {
+    /// window's canonical k-mer, rebuilt per window, occurs in the reads.
+    fn naive_supports(counts: &KmerCounts, window: &[u8]) -> bool {
         let mut kmers = KmerIter::new(window, counts.k()).unwrap().peekable();
-        kmers.peek().is_some() && kmers.all(|(_, km)| counts.get(km.canonical()) >= min)
+        kmers.peek().is_some() && kmers.all(|(_, km)| counts.get(km.canonical()) > 0)
     }
 
     #[test]
@@ -748,16 +746,21 @@ mod tests {
         let window = junction_window();
         let other = [B_LEFT, SEED].concat();
         let counts = support_counts(&[&window, &window, &other]);
-        for min in [1, 2, 3] {
-            let sup = WeldSupport::new(&counts, min);
-            for w in [&window[..], &other[..], &window[..K - 1], &window[1..K + 1]] {
-                assert_eq!(
-                    sup.supports_packed(&window_of(w)),
-                    naive_supports(&counts, min, w),
-                    "min={min} window {:?}",
-                    String::from_utf8_lossy(w)
-                );
-            }
+        let sup = WeldSupport::new(&counts);
+        let unread = [A_LEFT, SEED].concat();
+        for w in [
+            &window[..],
+            &other[..],
+            &unread,
+            &window[..K - 1],
+            &window[1..K + 1],
+        ] {
+            assert_eq!(
+                sup.supports_packed(&window_of(w)),
+                naive_supports(&counts, w),
+                "window {:?}",
+                String::from_utf8_lossy(w)
+            );
         }
     }
 
@@ -765,7 +768,7 @@ mod tests {
     fn support_requires_all_kmers() {
         let window = junction_window();
         let counts = support_counts(&[&window]);
-        let sup = WeldSupport::new(&counts, 1);
+        let sup = WeldSupport::new(&counts);
         assert!(sup.supports_packed(&window_of(&window)));
         assert!(
             sup.supports_packed(&window_of(&revcomp(&window))),
@@ -777,13 +780,13 @@ mod tests {
 
     #[test]
     fn support_threshold() {
+        // One read spanning the junction is support; a read that stops one
+        // base short of its last k-mer is not.
         let window = junction_window();
-        let counts = support_counts(&[&window]);
         let w = window_of(&window);
-        assert!(WeldSupport::new(&counts, 1).supports_packed(&w));
-        assert!(!WeldSupport::new(&counts, 2).supports_packed(&w));
-        let counts2 = support_counts(&[&window, &window]);
-        assert!(WeldSupport::new(&counts2, 2).supports_packed(&w));
+        assert!(WeldSupport::new(&support_counts(&[&window])).supports_packed(&w));
+        let short = support_counts(&[&window[..window.len() - 1]]);
+        assert!(!WeldSupport::new(&short).supports_packed(&w));
     }
 
     #[test]
@@ -792,7 +795,7 @@ mod tests {
         let kmap = KmerContigMap::build(&contigs, K);
         let w = junction_window();
         let counts = support_counts(&[&w]);
-        let sup = WeldSupport::new(&counts, 1);
+        let sup = WeldSupport::new(&counts);
         let welds = harvest_contig(0, &contigs, &kmap, &sup, &cfg());
         assert!(
             welds.contains(&canonical_weld(&junction_window())),
@@ -812,7 +815,7 @@ mod tests {
         let contigs = packed(&[contig_a(), contig_b()]);
         let kmap = KmerContigMap::build(&contigs, K);
         let empty = support_counts(&[]);
-        let sup = WeldSupport::new(&empty, 1);
+        let sup = WeldSupport::new(&empty);
         assert!(harvest_contig(0, &contigs, &kmap, &sup, &cfg()).is_empty());
     }
 
@@ -823,7 +826,7 @@ mod tests {
         let contigs = packed(&[a, b]);
         let kmap = KmerContigMap::build(&contigs, K);
         let counts = support_counts(&[a]);
-        let sup = WeldSupport::new(&counts, 1);
+        let sup = WeldSupport::new(&counts);
         assert!(harvest_contig(0, &contigs, &kmap, &sup, &cfg()).is_empty());
     }
 
@@ -835,7 +838,7 @@ mod tests {
         let contigs_rc = packed(&[contig_a(), revcomp(&contig_b())]);
         let w = junction_window();
         let counts = support_counts(&[&w]);
-        let sup = WeldSupport::new(&counts, 1);
+        let sup = WeldSupport::new(&counts);
         let w_fwd: HashSet<u128> = harvest_contig(
             0,
             &contigs_fwd,
@@ -881,7 +884,7 @@ mod tests {
         let seed = Kmer::from_bases(SEED).unwrap().canonical();
         assert!(kmap.occurrences(seed).len() > MAX_OCCS_PER_SEED);
         let counts = support_counts(&seqs.iter().map(|s| s.as_slice()).collect::<Vec<_>>());
-        let sup = WeldSupport::new(&counts, 1);
+        let sup = WeldSupport::new(&counts);
         for i in 0..contigs.len() as u32 {
             for weld in harvest_contig(i, &contigs, &kmap, &sup, &cfg()) {
                 let weld = decode_weld(weld, cfg().weld_len());
@@ -906,7 +909,7 @@ mod tests {
         let contigs = packed(&[b"ACGTACG".as_slice(), b"ACGTACG".as_slice()]);
         let kmap = KmerContigMap::build(&contigs, K);
         let counts = support_counts(&[b"ACGTACG".as_slice()]);
-        let sup = WeldSupport::new(&counts, 1);
+        let sup = WeldSupport::new(&counts);
         assert!(harvest_contig(0, &contigs, &kmap, &sup, &cfg()).is_empty());
     }
 
@@ -926,7 +929,7 @@ mod tests {
         let w2 = [&B_LEFT[B_LEFT.len() - flank..], SEED, &A_RIGHT[..flank]].concat();
         let w1_clean = junction_window(); // what window 1 would be without N
         let counts = support_counts(&[&w2, &w1_clean]);
-        let sup = WeldSupport::new(&counts, 1);
+        let sup = WeldSupport::new(&counts);
         let welds = harvest_contig(0, &contigs, &kmap, &sup, &cfg());
         assert!(
             welds.contains(&canonical_weld(&w2)),

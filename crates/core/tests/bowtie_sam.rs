@@ -1,13 +1,13 @@
 //! The merged SAM of `bowtie_mpi` across rank counts: its order (by read
 //! and contig index, never by name), a read whose hits come from several
-//! slices, strata and `-k` that must not be per slice, and the records
+//! slices, strata and the `-k` cut that must not be per slice, and the records
 //! against the path the stage used to take — every
 //! hit formatted as a SAM line, the lines sorted as strings at the master,
 //! each line parsed back. And the slice index itself, built on OS threads.
 
 use std::sync::Arc;
 
-use bowtie::align::AlignConfig;
+use bowtie::align::{AlignConfig, MAX_HITS};
 use bowtie::fmindex::FmIndex;
 use bowtie::sam::SamRecord;
 use chrysalis::bowtie_mpi::{bowtie_mpi, contig_name_index};
@@ -33,10 +33,7 @@ fn contigs() -> Vec<Record> {
 }
 
 fn exact() -> AlignConfig {
-    AlignConfig {
-        max_mismatches: 0,
-        ..AlignConfig::default()
-    }
+    AlignConfig { max_mismatches: 0 }
 }
 
 /// Every rank's merged SAM (they must all hold the same one).
@@ -77,36 +74,30 @@ fn merged_order_is_by_index_not_by_name() {
 
 #[test]
 fn read_with_max_hits_hits_survives_every_split() {
-    // One motif at a different offset of each of four contigs, `-k 4`: the
-    // read's four hits come from up to four slices and merge into the
-    // single-rank list.
+    // One motif behind a poly-A flank of a different length in each of 20
+    // contigs: the read has 20 placements, from up to seven slices, and
+    // the merged file keeps the single-rank list's first `MAX_HITS` — the
+    // first sixteen contigs — whichever slices they came from.
     let motif = b"CGAGTCGGTTATCTTCGGAT";
-    let flanks: [&[u8]; 4] = [b"", b"AAAGC", b"CCATACCAAG", b"TTGCAATGGCCAGTA"];
-    let contigs: Vec<Record> = flanks
-        .iter()
-        .enumerate()
-        .map(|(i, flank)| rec(&format!("c{i}"), &[*flank, motif, b"ACGTTGCA"].concat()))
+    let contigs: Vec<Record> = (0..20)
+        .map(|i| {
+            rec(
+                &format!("c{i}"),
+                &[&b"A".repeat(i)[..], motif, b"ACGTTGCA"].concat(),
+            )
+        })
         .collect();
     let reads = vec![
         rec("multi/1", motif),
         rec("multi/2", b"TTTTTTTTTTTTTTTTTTTT"),
     ];
-    let cfg = AlignConfig {
-        max_hits: 4,
-        ..exact()
-    };
+    let expected: Vec<(String, u64)> = (0..MAX_HITS)
+        .map(|i| (format!("c{i}"), i as u64 + 1))
+        .collect();
     for ranks in RANKS {
-        let sam = merged_sam(&contigs, &reads, cfg, ranks);
-        let placed: Vec<(&str, &str, u64, &str)> = sam
-            .iter()
-            .map(|r| (r.qname.as_str(), r.rname.as_str(), r.pos, r.cigar.as_str()))
-            .collect();
-        let expected = [
-            ("multi/1", "c0", 1, "20M"),
-            ("multi/1", "c1", 6, "20M"),
-            ("multi/1", "c2", 11, "20M"),
-            ("multi/1", "c3", 16, "20M"),
-        ];
+        let sam = merged_sam(&contigs, &reads, exact(), ranks);
+        assert!(sam.iter().all(|r| r.qname == "multi/1" && r.cigar == "20M"));
+        let placed: Vec<(String, u64)> = sam.iter().map(|r| (r.rname.clone(), r.pos)).collect();
         assert_eq!(placed, expected, "ranks={ranks}");
     }
 }
@@ -130,20 +121,12 @@ fn paralogs_in_different_slices_yield_the_single_rank_sam() {
         rec("shared/1", &contigs[0].seq[8..20]),
         rec("junk/1", b"TTTTTTTTTTTTTTTT"),
     ];
-    let strata = |max_mismatches| AlignConfig {
-        max_mismatches,
-        ..AlignConfig::default()
-    };
-    let first_of_all = AlignConfig {
-        max_hits: 1,
-        best_strata: false,
-        ..strata(2)
-    };
-    for cfg in [strata(1), strata(2), first_of_all] {
+    for max_mismatches in [1, 2] {
+        let cfg = AlignConfig { max_mismatches };
         let single = merged_sam(&contigs, &reads, cfg, 1);
         let hits_of = |q: &str| single.iter().filter(|r| r.qname == q).count();
         assert_eq!(hits_of("from_c0/1"), 1, "{cfg:?}: the exact hit alone");
-        assert_eq!(hits_of("shared/1"), cfg.max_hits.min(3), "{cfg:?}");
+        assert_eq!(hits_of("shared/1"), 3, "{cfg:?}");
         for ranks in [2usize, 3, 4, 5, 7] {
             let multi = merged_sam(&contigs, &reads, cfg, ranks);
             assert_eq!(multi, single, "{cfg:?} ranks={ranks}");

@@ -110,7 +110,6 @@ proptest! {
     fn gff_is_partition_invariant(
         seqs in proptest::collection::vec(dna(20..60), 2..8),
         ranks in 1usize..6,
-        chunk in 1usize..4,
     ) {
         let contigs = seqio::packed::encode_all(&seqs);
         // Reads = windows of the contigs, so welds can find support.
@@ -119,9 +118,7 @@ proptest! {
             .flat_map(|s| s.windows(16.min(s.len())).step_by(4).map(|w| w.to_vec()))
             .collect();
         let counts = count_kmers(&reads, CounterConfig::new(8));
-        let mut cfg = ChrysalisConfig::small(8);
-        cfg.chunk = Some(chunk);
-        let shared = Arc::new(GffShared::prepare(contigs, counts, cfg));
+        let shared = Arc::new(GffShared::prepare(contigs, counts, ChrysalisConfig::small(8)));
         let serial = gff_shared_memory(&shared);
         let sh = Arc::clone(&shared);
         let outs = run_cluster(ranks, NetModel::ideal(), move |comm| gff_hybrid(comm, &sh));

@@ -72,7 +72,7 @@ type GffReference = (Vec<Vec<u8>>, Vec<(u32, u32)>, Vec<usize>);
 /// included: what loop 1 pools, whatever the rank count.
 fn harvest_all(shared: &GffShared) -> Vec<u128> {
     let cfg = &shared.cfg;
-    let support = WeldSupport::new(&shared.counts, cfg.min_weld_support);
+    let support = WeldSupport::new(&shared.counts);
     let harvest = |i| harvest_contig(i, &shared.contigs, &shared.kmap, &support, cfg);
     (0..shared.contigs.len() as u32).flat_map(harvest).collect()
 }

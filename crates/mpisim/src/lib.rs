@@ -4,8 +4,8 @@
 //! threads inside; its ranks exchange data only through collectives:
 //! `MPI_Barrier`, `MPI_Allgatherv` (strings after GraphFromFasta loop 1,
 //! packed integer arrays after loop 2) and the master's merge of per-rank
-//! files. Rust MPI bindings are immature and the benchmark host is a single
-//! core, so this crate *simulates* a cluster in-process:
+//! files. Rust MPI bindings are immature and the benchmark host has two
+//! cores, far from a cluster, so this crate *simulates* one in-process:
 //!
 //! * every rank is an OS thread (rank 0 the caller's own, so a one-rank
 //!   cluster spawns nothing) executing the real algorithm on its real

@@ -6,89 +6,83 @@
 //! array". These helpers are that packing layer: length-prefixed byte
 //! strings and little-endian integer arrays.
 
-use bytes::{Buf, BufMut};
+/// Split a little-endian `u32` off the front of `buf`; `None` if fewer
+/// than four bytes are left.
+fn take_u32(buf: &mut &[u8]) -> Option<u32> {
+    let (head, rest) = buf.split_first_chunk::<4>()?;
+    *buf = rest;
+    Some(u32::from_le_bytes(*head))
+}
 
 /// Pack a slice of byte strings into one length-prefixed buffer.
 pub fn pack_byte_strings<S: AsRef<[u8]>>(items: &[S]) -> Vec<u8> {
     let total: usize = items.iter().map(|s| s.as_ref().len() + 4).sum();
     let mut buf = Vec::with_capacity(total + 4);
-    buf.put_u32_le(items.len() as u32);
+    buf.extend_from_slice(&(items.len() as u32).to_le_bytes());
     for s in items {
         let s = s.as_ref();
-        buf.put_u32_le(s.len() as u32);
-        buf.put_slice(s);
+        buf.extend_from_slice(&(s.len() as u32).to_le_bytes());
+        buf.extend_from_slice(s);
     }
     buf
 }
 
 /// Unpack a buffer produced by [`pack_byte_strings`].
 ///
-/// Returns `None` on any framing violation (truncation, overrun).
+/// Returns `None` on any framing violation (truncation, overrun, trailing
+/// bytes).
 pub fn unpack_byte_strings(mut buf: &[u8]) -> Option<Vec<Vec<u8>>> {
-    if buf.remaining() < 4 {
-        return None;
-    }
-    let n = buf.get_u32_le() as usize;
+    let n = take_u32(&mut buf)? as usize;
     // The count is untrusted: every item costs at least its 4-byte length
     // prefix, so the bytes left bound how many can really follow.
-    let mut out = Vec::with_capacity(n.min(buf.remaining() / 4));
+    let mut out = Vec::with_capacity(n.min(buf.len() / 4));
     for _ in 0..n {
-        if buf.remaining() < 4 {
-            return None;
-        }
-        let len = buf.get_u32_le() as usize;
-        if buf.remaining() < len {
-            return None;
-        }
-        out.push(buf[..len].to_vec());
-        buf.advance(len);
+        let len = take_u32(&mut buf)? as usize;
+        let (item, rest) = buf.split_at_checked(len)?;
+        out.push(item.to_vec());
+        buf = rest;
     }
-    if buf.has_remaining() {
-        return None; // trailing garbage
-    }
-    Some(out)
+    buf.is_empty().then_some(out)
 }
 
 /// Pack a `u32` slice little-endian (the loop-2 pairing-index exchange).
 pub fn pack_u32s(items: &[u32]) -> Vec<u8> {
     let mut buf = Vec::with_capacity(items.len() * 4);
-    for &x in items {
-        buf.put_u32_le(x);
+    for x in items {
+        buf.extend_from_slice(&x.to_le_bytes());
     }
     buf
 }
 
 /// Unpack a buffer produced by [`pack_u32s`]. `None` if not a multiple of 4.
-pub fn unpack_u32s(mut buf: &[u8]) -> Option<Vec<u32>> {
-    if buf.len() % 4 != 0 {
-        return None;
-    }
-    let mut out = Vec::with_capacity(buf.len() / 4);
-    while buf.has_remaining() {
-        out.push(buf.get_u32_le());
-    }
-    Some(out)
+pub fn unpack_u32s(buf: &[u8]) -> Option<Vec<u32>> {
+    let words = buf.chunks_exact(4);
+    let whole = words.remainder().is_empty();
+    whole.then(|| {
+        words
+            .map(|w| u32::from_le_bytes(w.try_into().expect("4 bytes")))
+            .collect()
+    })
 }
 
 /// Pack a `u64` slice little-endian.
 pub fn pack_u64s(items: &[u64]) -> Vec<u8> {
     let mut buf = Vec::with_capacity(items.len() * 8);
-    for &x in items {
-        buf.put_u64_le(x);
+    for x in items {
+        buf.extend_from_slice(&x.to_le_bytes());
     }
     buf
 }
 
 /// Unpack a buffer produced by [`pack_u64s`]. `None` if not a multiple of 8.
-pub fn unpack_u64s(mut buf: &[u8]) -> Option<Vec<u64>> {
-    if buf.len() % 8 != 0 {
-        return None;
-    }
-    let mut out = Vec::with_capacity(buf.len() / 8);
-    while buf.has_remaining() {
-        out.push(buf.get_u64_le());
-    }
-    Some(out)
+pub fn unpack_u64s(buf: &[u8]) -> Option<Vec<u64>> {
+    let words = buf.chunks_exact(8);
+    let whole = words.remainder().is_empty();
+    whole.then(|| {
+        words
+            .map(|w| u64::from_le_bytes(w.try_into().expect("8 bytes")))
+            .collect()
+    })
 }
 
 #[cfg(test)]

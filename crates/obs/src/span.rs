@@ -343,9 +343,10 @@ impl Tracer {
             .insert(track, name.into());
     }
 
-    /// Clone the trace recorded so far without clearing it.
-    pub fn snapshot(&self) -> Trace {
-        self.inner.lock().expect("tracer lock").clone()
+    /// Lend the trace recorded so far to `read`, under the tracer's lock:
+    /// a summary of it costs no copy of its spans.
+    pub fn with_trace<R>(&self, read: impl FnOnce(&Trace) -> R) -> R {
+        read(&self.inner.lock().expect("tracer lock"))
     }
 
     /// Drain the recorded trace, leaving the tracer empty (track names are
@@ -363,7 +364,7 @@ mod tests {
     fn virtual_records_are_exact() {
         let tr = Tracer::new();
         tr.record(3, "comm", "x", 1.0, 4.0);
-        let t = tr.snapshot();
+        let t = tr.take();
         assert_eq!(t.span_sum(3, "x"), 3.0);
         assert_eq!(t.span_bounds(3, "x"), Some((1.0, 4.0)));
         assert_eq!(t.span_sum(0, "x"), 0.0);
@@ -373,7 +374,7 @@ mod tests {
     fn end_clamped_to_start() {
         let tr = Tracer::new();
         tr.record(0, "c", "bad", 5.0, 2.0);
-        assert_eq!(tr.snapshot().spans[0].duration(), 0.0);
+        assert_eq!(tr.take().spans[0].duration(), 0.0);
     }
 
     #[test]
@@ -422,7 +423,7 @@ mod tests {
         tr.record(0, "s", "phase1", 0.0, 4.0);
         tr.record(0, "s", "phase1.sub", 1.0, 2.0);
         tr.record(0, "s", "phase2", 4.0, 10.0);
-        let roots = tr.snapshot().tree(0);
+        let roots = tr.take().tree(0);
         assert_eq!(roots.len(), 1);
         assert_eq!(roots[0].name, "total");
         assert_eq!(roots[0].children.len(), 2);
@@ -439,7 +440,7 @@ mod tests {
         let tr = Tracer::new();
         tr.record(0, "comm", "mpi.allgatherv", 1.0, 2.0);
         tr.record(0, "stage", "gff.comm1", 1.0, 2.0);
-        let roots = tr.snapshot().tree(0);
+        let roots = tr.take().tree(0);
         assert_eq!(roots.len(), 1);
         assert_eq!(roots[0].name, "gff.comm1");
         assert_eq!(roots[0].children[0].name, "mpi.allgatherv");
@@ -453,7 +454,7 @@ mod tests {
         let tr = Tracer::new();
         tr.record(0, "s", "a", 0.0, 10.0);
         tr.record(0, "s", "b", 5.0, 15.0);
-        let roots = tr.snapshot().tree(0);
+        let roots = tr.take().tree(0);
         assert_eq!(roots.len(), 2, "overlapping spans are siblings: {roots:?}");
         assert_eq!(roots[0].name, "a");
         assert!(roots[0].children.is_empty());
@@ -469,7 +470,7 @@ mod tests {
         tr.record(0, "s", "outer", 0.0, 100.0);
         tr.record(0, "s", "a", 0.0, 10.0);
         tr.record(0, "s", "b", 5.0, 15.0);
-        let roots = tr.snapshot().tree(0);
+        let roots = tr.take().tree(0);
         assert_eq!(roots.len(), 1);
         assert_eq!(roots[0].name, "outer");
         let kids: Vec<&str> = roots[0].children.iter().map(|c| c.name.as_str()).collect();
@@ -483,7 +484,7 @@ mod tests {
         let tr = Tracer::new();
         tr.record(0, "s", "first", 0.0, 5.0);
         tr.record(0, "s", "second", 5.0, 10.0);
-        let roots = tr.snapshot().tree(0);
+        let roots = tr.take().tree(0);
         assert_eq!(roots.len(), 2);
         assert!(roots.iter().all(|r| r.children.is_empty()));
     }
@@ -494,7 +495,7 @@ mod tests {
         tr.record(0, "s", "outer", 0.0, 10.0);
         tr.record(0, "s", "marker", 4.0, 4.0); // instant inside outer
         tr.record(0, "s", "at_end", 10.0, 10.0); // instant at outer's end
-        let roots = tr.snapshot().tree(0);
+        let roots = tr.take().tree(0);
         assert_eq!(roots.len(), 2);
         assert_eq!(roots[0].name, "outer");
         assert_eq!(roots[0].children.len(), 1);
@@ -519,7 +520,7 @@ mod tests {
         tr.record(0, "comm", "mpi.barrier", 5.0, 5.0);
         tr.record(0, "stage", "total", 1.0, 5.0);
         assert_eq!(
-            tr.snapshot().render_tree(0),
+            tr.take().render_tree(0),
             "mpi.bcast\n\
              total\n  prep\n  comm1\n    mpi.allgatherv\n  index\n\
              \x20 concat\n    mpi.gatherv\n    mpi.bcast\n  cluster\n  mpi.barrier\n"
@@ -531,7 +532,7 @@ mod tests {
         let tr = Tracer::new();
         tr.record(0, "s", "a", 0.0, 2.0);
         tr.record(0, "s", "b", 0.5, 1.0);
-        let text = tr.snapshot().render_tree(0);
+        let text = tr.take().render_tree(0);
         assert_eq!(text, "a\n  b\n");
     }
 

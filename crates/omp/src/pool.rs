@@ -1,10 +1,11 @@
 //! Real parallel execution of work loops.
 //!
 //! [`parallel_map`] executes a loop body over a slice with a shared atomic
-//! cursor — the execution model of OpenMP `schedule(dynamic, 1)`. On this
-//! workspace's single-core benchmark host the threads serialize, which is
-//! exactly why timing is handled separately by [`crate::makespan`]: the
-//! *results* come from here, the *clock* from the replay.
+//! cursor — the execution model of OpenMP `schedule(dynamic, 1)`. The
+//! benchmark host has two cores, so a team of 16 threads time-slices them,
+//! which is exactly why timing is handled separately by
+//! [`crate::makespan`]: the *results* come from here, the *clock* from the
+//! replay.
 
 use std::collections::VecDeque;
 use std::panic::{self, AssertUnwindSafe};

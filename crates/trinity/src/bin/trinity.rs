@@ -188,13 +188,23 @@ fn parse_args() -> Result<Args, String> {
     Ok(args)
 }
 
+/// The most ranks (`--nprocs`) or threads per rank (`--threads`) a run may
+/// ask for: well above the paper's largest runs (192 nodes of 16 threads).
+/// Each rank but the first is an OS thread, and each thread a lane of
+/// spans in every region, so a larger value is refused before anything
+/// runs rather than met by a failed thread spawn.
+const MAX_CLUSTER_WIDTH: usize = 1024;
+
 /// Cluster flags that would otherwise silently mean something else: a
-/// cluster needs a rank and a rank a thread, and a crash point needs a rank
-/// that exists.
+/// cluster needs a rank and a rank a thread, neither beyond
+/// [`MAX_CLUSTER_WIDTH`], and a crash point needs a rank that exists.
 fn check_cluster_flags(args: &Args) -> Result<(), String> {
     for (flag, n) in [("--nprocs", args.nprocs), ("--threads", args.threads)] {
         if n == 0 {
             return Err(format!("{flag} must be at least 1\n{}", usage()));
+        }
+        if n > MAX_CLUSTER_WIDTH {
+            return Err(format!("{flag} must be at most {MAX_CLUSTER_WIDTH}"));
         }
     }
     let mut crashes = args.faults.iter().flat_map(|plan| plan.crashes());

@@ -28,7 +28,6 @@ use chrysalis::config::ChrysalisConfig;
 use chrysalis::graph_from_fasta::{cluster, gff_hybrid, GffShared};
 use chrysalis::reads_to_transcripts::{rtt_hybrid, RttShared};
 use chrysalis::scaffold::{scaffold_pairs_on, ScaffoldConfig};
-use chrysalis::timings::{BowtieTimings, GffTimings, RttTimings};
 use inchworm::assemble::{assemble_on, InchwormConfig, WINDOW_PER_THREAD};
 use inchworm::dictionary::Dictionary;
 use kcount::counter::{count_kmers_on, CounterConfig, KmerCounts};
@@ -121,11 +120,11 @@ pub struct PipelineConfig {
 }
 
 impl PipelineConfig {
-    /// A small-k configuration suitable for tests and examples.
+    /// The pipeline's configuration at word size `k`, serial: the one
+    /// preset, which the CLI, the benchmark and the figure drivers adjust.
     pub fn small(k: usize) -> Self {
-        let chrysalis = ChrysalisConfig::small(k);
         PipelineConfig {
-            chrysalis,
+            chrysalis: ChrysalisConfig::small(k),
             inchworm: InchwormConfig {
                 min_seed_count: 1,
                 min_extend_count: 1,
@@ -133,36 +132,11 @@ impl PipelineConfig {
                 jitter_seed: None,
             },
             min_kmer_count: 1,
-            reconstruction: ReconstructionConfig {
-                k,
-                paths: butterfly::paths::PathConfig {
-                    min_len: 2 * k,
-                    ..Default::default()
-                },
-                // Prune weight-1 edges: a single erroneous read cannot open
-                // an isoform bubble (contigs thread at weight 2).
-                min_edge_weight: 2,
-                ..Default::default()
-            },
-            align: AlignConfig {
-                max_mismatches: 1,
-                ..Default::default()
-            },
+            reconstruction: ReconstructionConfig { k },
+            align: AlignConfig { max_mismatches: 1 },
             scaffold: ScaffoldConfig::default(),
             mode: PipelineMode::Serial,
         }
-    }
-
-    /// The paper's production-style configuration at word size `k`.
-    pub fn paper(k: usize) -> Self {
-        let mut cfg = Self::small(k);
-        cfg.chrysalis = ChrysalisConfig {
-            k,
-            ..ChrysalisConfig::default()
-        };
-        cfg.inchworm.min_seed_count = 2;
-        cfg.min_kmer_count = 1;
-        cfg
     }
 }
 
@@ -242,14 +216,6 @@ pub struct PipelineOutput {
     /// factors, probe-length histograms, weld/assignment counts, MPI
     /// bytes). Export with [`obs::export::metrics_json`].
     pub metrics: obs::MetricsSnapshot,
-    /// Per-rank GraphFromFasta timings (one entry in serial mode; empty
-    /// when the stage was resumed from a checkpoint).
-    pub gff_timings: Vec<GffTimings>,
-    /// Per-rank ReadsToTranscripts timings (empty when resumed).
-    pub rtt_timings: Vec<RttTimings>,
-    /// Per-rank Bowtie timings (empty when QuantifyGraph was resumed: the
-    /// stage is then skipped).
-    pub bowtie_timings: Vec<BowtieTimings>,
 }
 
 fn seq_bytes(records: &[Record]) -> usize {
@@ -656,22 +622,20 @@ pub fn run_pipeline_opts(
         }),
         _ => None,
     };
-    let (sam, bowtie_timings) = if matches!(quantify_loaded, Some(Ok(_))) {
+    let sam = if matches!(quantify_loaded, Some(Ok(_))) {
         d.obs.record(0, SKIPPED_CAT, "Bowtie", d.cursor, d.cursor);
-        (Vec::new(), Vec::new())
+        Vec::new()
     } else {
         let mut bowtie = d.run_cluster_resilient(|comm| {
             bowtie_mpi(comm, &contigs, reads, &cfg.chrysalis, cfg.align)
         });
-        let timings: Vec<BowtieTimings> = bowtie.values.iter().map(|o| o.timings).collect();
         let sam = bowtie.values.swap_remove(0).sam;
         let bowtie_ram = ram::bowtie(contig_bytes.div_ceil(d.ranks), seq_bytes(reads));
         d.log_stage("Bowtie", bowtie_ram, bowtie.stage);
-        (sam, timings)
+        sam
     };
 
     // ---- Chrysalis: GraphFromFasta ----
-    let mut gff_timings: Vec<GffTimings> = Vec::new();
     let (welds, gff_pairs) = d.stage_from(
         "GraphFromFasta",
         gff_loaded,
@@ -685,7 +649,6 @@ pub fn run_pipeline_opts(
             shared.kmap.record_metrics(&d.metrics, "gff.kmap");
             let mut run = d.run_cluster_resilient(|comm| gff_hybrid(comm, &shared));
             run.stage.table_entries = shared.kmap.len();
-            gff_timings = run.values.iter().map(|o| o.timings).collect();
             let out = run.values.swap_remove(0);
             ((out.welds, out.pairs), run.stage)
         },
@@ -725,7 +688,6 @@ pub fn run_pipeline_opts(
     // for Butterfly: moved, not cloned, since on read-heavy inputs the run's
     // peak memory is reached here.
     let chunk_bytes = seq_bytes(&reads[..reads.len().min(cfg.chrysalis.max_mem_reads)]);
-    let mut rtt_timings: Vec<RttTimings> = Vec::new();
     let assignments = d.stage(
         "ReadsToTranscripts",
         |p| ckpt::decode_pairs(p).filter(|a| pairs_below(a, reads.len(), components.len())),
@@ -744,7 +706,6 @@ pub fn run_pipeline_opts(
                 .record_metrics(&d.metrics, "rtt.kmer_table");
             let mut run = d.run_cluster_resilient(|comm| rtt_hybrid(comm, &shared));
             run.stage.table_entries = shared.kmer_to_component.len();
-            rtt_timings = run.values.iter().map(|o| o.timings).collect();
             packed_reads = shared.packed_reads;
             (run.values.swap_remove(0).assignments, run.stage)
         },
@@ -796,9 +757,6 @@ pub fn run_pipeline_opts(
         transcripts,
         trace,
         metrics,
-        gff_timings,
-        rtt_timings,
-        bowtie_timings,
     }
 }
 
@@ -827,7 +785,8 @@ mod tests {
         assert_eq!(stages.len(), 7, "one stage span per pipeline stage");
         assert!(out.trace.total_time() > 0.0);
         assert!(out.trace.max_counter("ram").unwrap_or(0.0) > 0.0);
-        assert_eq!(out.gff_timings.len(), 1);
+        let ranks_of = |name: &str| out.trace.spans.iter().filter(|s| s.name == name).count();
+        assert_eq!(ranks_of("gff.total"), 1);
         // Serial Chrysalis sub-traces are spliced in: the GFF stage timeline
         // lands on track RANK_TRACK_BASE at the stage's start offset.
         let gff_stage = stages
@@ -1071,8 +1030,10 @@ mod tests {
         a.sort();
         b.sort();
         assert_eq!(a, b);
-        assert_eq!(hybrid.gff_timings.len(), 3);
-        assert_eq!(hybrid.rtt_timings.len(), 3);
+        for name in ["gff.total", "rtt.total"] {
+            let ranks = hybrid.trace.spans.iter().filter(|s| s.name == name);
+            assert_eq!(ranks.count(), 3, "{name}: one span per rank");
+        }
     }
 
     #[test]
@@ -1106,7 +1067,7 @@ mod tests {
         assert_eq!(items("rtt.loop", "reads"), reads.len());
         assert_eq!(items("gff.loop1", "items"), out.contigs.len());
         assert_eq!(items("gff.loop2", "items"), out.contigs.len());
-        assert_eq!(out.bowtie_timings.len(), 1, "Bowtie ran");
+        assert_eq!(items("bowtie.align", "reads"), reads.len(), "Bowtie ran");
         let windows = |seqs: &[Record]| -> usize {
             let per_seq = |r: &Record| (r.seq.len() + 1).saturating_sub(cfg.chrysalis.k);
             seqs.iter().map(per_seq).sum()

@@ -46,10 +46,7 @@ fn main() {
         Record::new("junk/1", b"TTTTTTTTTTTTTTTTTTTT".to_vec()),
     ];
 
-    let cfg = AlignConfig {
-        max_mismatches: 1,
-        ..AlignConfig::default()
-    };
+    let cfg = AlignConfig { max_mismatches: 1 };
     for read in &reads {
         let hits = align_read(&index, &read.seq, cfg);
         if hits.is_empty() {

@@ -65,7 +65,7 @@ fn full_chrysalis_chain_under_one_cluster() {
         Arc::clone(&gff_shared),
     );
     let outs = run_cluster(4, NetModel::idataplex(), move |comm| {
-        let bowtie = bowtie_mpi(comm, &c, &r, &cfg, AlignConfig::default());
+        let bowtie = bowtie_mpi(comm, &c, &r, &cfg, AlignConfig { max_mismatches: 2 });
         let gff = gff_hybrid(comm, &g);
         // RTT needs the component map; build it per rank from the (identical)
         // GFF output, replicated exactly like the paper's code.
@@ -91,7 +91,7 @@ fn scaffold_pairs_integrate_with_clustering() {
     let reads_arc = Arc::new(reads);
     let (c, r) = (Arc::clone(&contigs), Arc::clone(&reads_arc));
     let outs = run_cluster(2, NetModel::ideal(), move |comm| {
-        bowtie_mpi(comm, &c, &r, &cfg, AlignConfig::default()).sam
+        bowtie_mpi(comm, &c, &r, &cfg, AlignConfig { max_mismatches: 2 }).sam
     });
     let sam = &outs[0].value;
     let name_index = contig_name_index(&contigs);

@@ -7,7 +7,8 @@
 //! The digests are FNV-1a 64 over the file (outputs) or over the stage
 //! payload (checkpoints; the header's `duration` field is a measured time
 //! and differs run to run). A checkpoint dir written by that parent has
-//! the same fingerprint and payloads, so it resumes here stage for stage.
+//! the same payloads; its fingerprint is that of the configuration before
+//! the single-valued fields became constants, so it is recomputed here.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -25,7 +26,7 @@ const OUTPUTS: [(&str, u64); 4] = [
 /// covers the reads and the `Debug` rendering of `PipelineConfig`: a PR
 /// that adds or renames a config field re-records this one constant (and
 /// says that older checkpoint dirs stop resuming).
-const FINGERPRINT: u64 = 0x30f2_cbba_0c6b_357c;
+const FINGERPRINT: u64 = 0x0cb0_aa10_1ca9_402d;
 
 /// Checkpointed stages and the digest of each one's payload.
 const CHECKPOINTS: [(&str, u64); 5] = [

@@ -1,0 +1,290 @@
+//! Hostile inputs to the CLI, each pinned as a probe: odd read files, the
+//! edges of `--kmer`, checkpoints that do not fit the run, malformed JSON
+//! given to `analyze` and `diff`, and cluster flags too large to run.
+//!
+//! Every probe exits 0, 1 or 2 and none panics. A refused probe says why in
+//! exactly one line on stderr. A checkpoint the run cannot use is
+//! recomputed, and the outputs equal a fresh run's.
+
+use std::path::{Path, PathBuf};
+use std::process::{Command, Output};
+
+const OUTPUTS: [&str; 4] = [
+    "inchworm.fasta",
+    "components.txt",
+    "read_assignments.txt",
+    "transcripts.fasta",
+];
+
+/// A scratch directory under the system temp dir, removed on drop.
+struct Scratch(PathBuf);
+
+impl Scratch {
+    fn new(tag: &str) -> Self {
+        let path =
+            std::env::temp_dir().join(format!("trinity-hostile-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&path);
+        std::fs::create_dir_all(&path).expect("create scratch dir");
+        Scratch(path)
+    }
+
+    fn file(&self, name: &str, bytes: &[u8]) -> PathBuf {
+        let path = self.0.join(name);
+        std::fs::write(&path, bytes).expect("write probe input");
+        path
+    }
+}
+
+impl Drop for Scratch {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+/// Run the CLI and check what every probe must do: exit 0, 1 or 2, never
+/// panic, and refuse in one line. Returns the exit code and stderr.
+fn probe<S: AsRef<std::ffi::OsStr>>(args: &[S]) -> (i32, String) {
+    let run: Output = Command::new(env!("CARGO_BIN_EXE_trinity"))
+        .args(args)
+        .output()
+        .expect("spawn trinity");
+    let stderr = String::from_utf8_lossy(&run.stderr).into_owned();
+    let code = run.status.code().expect("exited, not killed by a signal");
+    assert!(matches!(code, 0..=2), "exit {code}:\n{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    if code != 0 {
+        assert_eq!(stderr.lines().count(), 1, "exit {code}:\n{stderr}");
+    }
+    (code, stderr)
+}
+
+/// Assemble `reads` (a file's bytes) into `dir/out-{name}`.
+fn assemble(dir: &Scratch, name: &str, reads: &[u8]) -> (i32, String, PathBuf) {
+    let path = dir.file(name, reads);
+    let out = dir.0.join(format!("out-{name}"));
+    let (code, stderr) = probe(&[
+        "--reads".as_ref(),
+        path.as_os_str(),
+        "--out".as_ref(),
+        out.as_os_str(),
+    ]);
+    (code, stderr, out)
+}
+
+fn outputs(out: &Path) -> [Vec<u8>; 4] {
+    OUTPUTS.map(|f| std::fs::read(out.join(f)).unwrap_or_else(|e| panic!("{f}: {e}")))
+}
+
+/// `len` bases from a fixed LCG.
+fn random_bases(len: usize, mut state: u64) -> Vec<u8> {
+    let mut next = || {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        b"ACGT"[(state >> 33) as usize % 4]
+    };
+    (0..len).map(|_| next()).collect()
+}
+
+fn fasta(records: &[(&str, &[u8])]) -> Vec<u8> {
+    let mut bytes = Vec::new();
+    for (id, seq) in records {
+        bytes.extend_from_slice(format!(">{id}\n").as_bytes());
+        bytes.extend_from_slice(seq);
+        bytes.push(b'\n');
+    }
+    bytes
+}
+
+#[test]
+fn odd_read_files_are_assembled_or_refused() {
+    let dir = Scratch::new("reads");
+    let bases = random_bases(2000, 3);
+
+    let (code, stderr, _) = assemble(&dir, "one.fa", &fasta(&[("one", &bases[..300])]));
+    assert_eq!(code, 0, "{stderr}");
+    assert!(stderr.contains("1 transcripts (N50 300 bp)"), "{stderr}");
+
+    // Fifty reads, each shorter than the default k = 16: nothing to count.
+    let short: Vec<(String, &[u8])> = (0..50)
+        .map(|i| (format!("s{i}"), &bases[20 * i..20 * i + 10]))
+        .collect();
+    let short: Vec<(&str, &[u8])> = short.iter().map(|(id, s)| (id.as_str(), *s)).collect();
+    let (code, stderr, _) = assemble(&dir, "short.fa", &fasta(&short));
+    assert_eq!(code, 0, "{stderr}");
+    assert!(stderr.contains("0 contigs"), "{stderr}");
+
+    // Bytes that are no base inside a sequence split it into runs.
+    let odd = [
+        &bases[..60],
+        b"\0",
+        &bases[60..120],
+        b"-",
+        &bases[120..180],
+        b".",
+        &bases[180..240],
+        b"*",
+        &bases[240..300],
+    ]
+    .concat();
+    let (code, stderr, out) = assemble(&dir, "odd.fa", &fasta(&[("odd", &odd)]));
+    assert_eq!(code, 0, "{stderr}");
+    assert!(!outputs(&out)[0].is_empty(), "no contig from the runs");
+
+    let (code, stderr, _) = assemble(&dir, "no-header.fa", &[&bases[..100], b"\n"].concat());
+    assert_eq!(code, 1);
+    assert!(stderr.contains("not FASTA or FASTQ"), "{stderr}");
+}
+
+#[test]
+fn one_megabase_read_is_assembled() {
+    let dir = Scratch::new("megabase");
+    let read = random_bases(1_000_000, 5);
+    let (code, stderr, out) = assemble(&dir, "big.fa", &fasta(&[("big", &read)]));
+    assert_eq!(code, 0, "{stderr}");
+    let [contigs, _, _, transcripts] = outputs(&out);
+    assert!(!contigs.is_empty() && !transcripts.is_empty(), "{stderr}");
+}
+
+#[test]
+fn kmer_edges_run_at_two_ranks_and_bounds_are_refused() {
+    let dir = Scratch::new("kmer");
+    for k in ["8", "31", "32"] {
+        let runs = ["1", "2"].map(|ranks| {
+            let out = dir.0.join(format!("k{k}-n{ranks}"));
+            let (code, stderr) = probe(&[
+                "--simulate".as_ref(),
+                "tiny:7".as_ref(),
+                "--kmer".as_ref(),
+                k.as_ref(),
+                "--nprocs".as_ref(),
+                ranks.as_ref(),
+                "--out".as_ref(),
+                out.as_os_str(),
+            ]);
+            assert_eq!(code, 0, "--kmer {k} --nprocs {ranks}:\n{stderr}");
+            outputs(&out)
+        });
+        assert!(runs[0] == runs[1], "--kmer {k}: two ranks differ from one");
+    }
+    for k in ["7", "33"] {
+        let (code, stderr) = probe(&["--simulate", "tiny:7", "--kmer", k]);
+        assert_eq!(code, 1, "--kmer {k}");
+        assert!(stderr.contains("--kmer must be in 8..=32"), "{stderr}");
+    }
+}
+
+/// `--simulate tiny:7 --nprocs 2` at `kmer`, checkpointing into `ckpt`
+/// (and resuming from it when `resume`); returns the four outputs.
+fn checkpointed(dir: &Scratch, tag: &str, kmer: &str, ckpt: &Path, resume: bool) -> [Vec<u8>; 4] {
+    let out = dir.0.join(tag);
+    let mut args = vec![
+        "--simulate".as_ref(),
+        "tiny:7".as_ref(),
+        "--nprocs".as_ref(),
+        "2".as_ref(),
+        "--kmer".as_ref(),
+        kmer.as_ref(),
+        "--out".as_ref(),
+        out.as_os_str(),
+        "--checkpoint".as_ref(),
+        ckpt.as_os_str(),
+    ];
+    if resume {
+        args.push("--resume".as_ref());
+    }
+    let (code, stderr) = probe(&args);
+    assert_eq!(code, 0, "{tag}:\n{stderr}");
+    outputs(&out)
+}
+
+#[test]
+fn checkpoint_of_another_k_is_recomputed() {
+    let dir = Scratch::new("ckpt-k");
+    let ckpt = dir.0.join("ckpt");
+    checkpointed(&dir, "k24", "24", &ckpt, false);
+    let resumed = checkpointed(&dir, "k20-resumed", "20", &ckpt, true);
+    let fresh = checkpointed(&dir, "k20-fresh", "20", &dir.0.join("fresh"), false);
+    assert!(
+        resumed == fresh,
+        "a k = 24 checkpoint leaked into a k = 20 run"
+    );
+}
+
+#[test]
+fn checkpoint_truncated_to_50_bytes_is_recomputed() {
+    let dir = Scratch::new("ckpt-cut");
+    let fresh = checkpointed(&dir, "fresh", "16", &dir.0.join("fresh-ckpt"), false);
+    for stage in [
+        "jellyfish",
+        "inchworm",
+        "graphfromfasta",
+        "quantifygraph",
+        "readstotranscripts",
+    ] {
+        let ckpt = dir.0.join(format!("ckpt-{stage}"));
+        checkpointed(&dir, &format!("seed-{stage}"), "16", &ckpt, false);
+        let file = ckpt.join(format!("{stage}.ckpt"));
+        let bytes = std::fs::read(&file).unwrap();
+        std::fs::write(&file, &bytes[..50]).unwrap();
+        let resumed = checkpointed(&dir, &format!("resumed-{stage}"), "16", &ckpt, true);
+        assert!(
+            resumed == fresh,
+            "{stage}: truncated checkpoint changed the outputs"
+        );
+    }
+}
+
+#[test]
+fn malformed_json_exits_2_with_one_line() {
+    let dir = Scratch::new("json");
+    let deep = ["[".repeat(100_000), "]".repeat(100_000)].concat();
+    let cases: [(&str, &[u8]); 5] = [
+        (
+            "nan.json",
+            br#"{"traceEvents":[{"name":"x","ph":"X","ts":NaN,"dur":1}]}"#,
+        ),
+        (
+            "truncated.json",
+            br#"{"traceEvents":[{"name":"x","ph":"X","ts":0,"#,
+        ),
+        ("wrong-type.json", br#"{"traceEvents":"spans","schema":7}"#),
+        ("deep.json", deep.as_bytes()),
+        ("empty.json", b""),
+    ];
+    for (name, bytes) in cases {
+        let path = dir.file(name, bytes);
+        let path = path.to_str().expect("UTF-8 scratch path");
+        for args in [vec!["analyze", path], vec!["diff", path, path]] {
+            let (code, stderr) = probe(&args);
+            assert_eq!(code, 2, "{args:?}:\n{stderr}");
+            assert!(stderr.contains(name), "{args:?}:\n{stderr}");
+        }
+    }
+}
+
+#[test]
+fn oversized_cluster_flags_exit_2_before_running() {
+    // Refused before a read is simulated or a rank is started: the run
+    // writes no output directory.
+    let dir = Scratch::new("cluster");
+    for (flag, value) in [
+        ("--nprocs", "1025"),
+        ("--threads", "1025"),
+        ("--nprocs", "1000000"),
+        ("--threads", "1000000"),
+    ] {
+        let out = dir.0.join(format!("out{flag}{value}"));
+        let (code, stderr) = probe(&[
+            "--simulate".as_ref(),
+            "tiny:7".as_ref(),
+            flag.as_ref(),
+            value.as_ref(),
+            "--out".as_ref(),
+            out.as_os_str(),
+        ]);
+        assert_eq!(code, 2, "{flag} {value}");
+        assert_eq!(stderr.trim(), format!("{flag} must be at most 1024"));
+        assert!(!out.exists(), "{flag} {value}: the run started");
+    }
+}
