@@ -19,9 +19,8 @@
 //! ```
 //!
 //! `baseline_ns` is the old implementation, `candidate_ns` the one the
-//! repo ships; `trinity diff` accepts these files directly (the
-//! `candidate_ns` series) so the CI perf-gate can watch microbenchmarks
-//! with the same tolerance machinery as pipeline traces.
+//! repo ships. CI's bench-smoke job reads these files; `trinity diff`
+//! does not (it compares `analysis.json` files only).
 
 /// Schema tag of every bench artifact.
 pub const BENCH_SCHEMA: &str = "trinity-bench/v1";

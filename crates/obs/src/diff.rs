@@ -1,57 +1,36 @@
-//! Run-to-run performance diffing with tolerance bands.
+//! Run-to-run performance diffing under one tolerance band.
 //!
 //! [`diff`] compares two [`Analysis`] artifacts — a committed baseline and
-//! the current run — span by span and classifies every timing delta as a
-//! regression, an improvement, or noise. The pipeline mixes virtual-clock
+//! the current run — series by series and classifies every timing delta as
+//! a regression, an improvement, or noise. The pipeline mixes virtual-clock
 //! stage models with real wall-clock sections, so raw equality is
-//! meaningless: a delta only counts when it clears **both** bands of the
-//! [`Tolerance`] (a relative ratio *and* an absolute floor sized from the
-//! baseline's own total, so a blip on a span that is a sliver of the run
-//! can never fail CI).
+//! meaningless: a delta only counts when it is both 25 % of the series'
+//! baseline value *and* 2 % of the baseline's total past it (the floor is
+//! sized from the run it guards, so a blip on a span that is a sliver of
+//! the run can never fail CI).
 //!
-//! The verdict is machine-readable ([`DiffReport::to_json`], schema
-//! `trinity-diff/v1`, regressions as `{span, baseline_ms, current_ms,
-//! ratio}`) and human-readable ([`DiffReport::render`], a table). The CI
+//! The verdict renders as a table ([`DiffReport::render`]). The CI
 //! perf-gate runs `trinity diff baseline/analysis.json current` and fails
 //! the job when [`DiffReport::passed`] is false.
-//!
-//! [`diff_series`] is the underlying name→seconds comparator; the CLI
-//! also feeds it `trinity-bench/v1` series so k-mer microbenchmarks ride
-//! the same gate.
 
 use crate::analyze::Analysis;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-/// Tolerance bands for [`diff`]. A delta is significant only when it
-/// exceeds the relative band **and** the absolute band.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Tolerance {
-    /// Relative band: `0.25` means ±25% is noise.
-    pub rel: f64,
-    /// Absolute band as a fraction of the baseline's total (its `"total"`
-    /// series, else the sum of its series): deltas under
-    /// `abs_frac × total` never count, however large the ratio (guards
-    /// tiny spans against wall-clock jitter at any run length).
-    pub abs_frac: f64,
-}
+/// Relative band: a delta within ±25 % of the baseline value is noise.
+const REL: f64 = 0.25;
 
-impl Default for Tolerance {
-    /// The CI perf-gate default: 25% relative, 2% of the baseline's total
-    /// as the absolute floor.
-    fn default() -> Self {
-        Tolerance {
-            rel: 0.25,
-            abs_frac: 0.02,
-        }
-    }
-}
+/// Absolute band as a fraction of the baseline's total (its `"total"`
+/// series, else the sum of its series): deltas under `ABS_FRAC × total`
+/// never count, however large the ratio (guards tiny spans against
+/// wall-clock jitter at any run length).
+const ABS_FRAC: f64 = 0.02;
 
 /// One significant timing delta.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Delta {
-    /// Series name (`"total"`, `"stage:GraphFromFasta"`,
-    /// `"path:gff.weld"`, or a bench workload).
+    /// Series name (`"total"`, `"stage:GraphFromFasta"` or
+    /// `"path:gff.weld"`).
     pub span: String,
     /// Baseline value, seconds.
     pub baseline_s: f64,
@@ -91,43 +70,6 @@ impl DiffReport {
         self.regressions.is_empty()
     }
 
-    /// Machine-readable verdict, schema `trinity-diff/v1`.
-    pub fn to_json(&self) -> String {
-        let esc = crate::export::esc;
-        let num = crate::export::num;
-        let section = |deltas: &[Delta]| {
-            let mut out = String::new();
-            for (i, d) in deltas.iter().enumerate() {
-                let _ = write!(
-                    out,
-                    "{}{{\"span\":\"{}\",\"baseline_ms\":{},\"current_ms\":{},\"ratio\":{}}}",
-                    if i > 0 { ",\n" } else { "" },
-                    esc(&d.span),
-                    num(d.baseline_s * 1e3),
-                    num(d.current_s * 1e3),
-                    num(d.ratio()),
-                );
-            }
-            out
-        };
-        let names = |ns: &[String]| {
-            ns.iter()
-                .map(|n| format!("\"{}\"", esc(n)))
-                .collect::<Vec<_>>()
-                .join(",")
-        };
-        format!(
-            "{{\n\"schema\":\"trinity-diff/v1\",\n\"passed\":{},\n\
-             \"regressions\":[\n{}\n],\n\"improvements\":[\n{}\n],\n\
-             \"added\":[{}],\n\"removed\":[{}]\n}}\n",
-            self.passed(),
-            section(&self.regressions),
-            section(&self.improvements),
-            names(&self.added),
-            names(&self.removed),
-        )
-    }
-
     /// Human-readable table.
     pub fn render(&self) -> String {
         let mut out = String::new();
@@ -160,19 +102,14 @@ impl DiffReport {
     }
 }
 
-/// Compare two name→seconds series under `tol`. The workhorse behind
-/// [`diff`]; also used directly for `trinity-bench/v1` series.
-pub fn diff_series(
-    baseline: &BTreeMap<String, f64>,
-    current: &BTreeMap<String, f64>,
-    tol: Tolerance,
-) -> DiffReport {
+/// Compare two name→seconds series under the tolerance band.
+fn diff_series(baseline: &BTreeMap<String, f64>, current: &BTreeMap<String, f64>) -> DiffReport {
     let mut report = DiffReport::default();
     let total = baseline
         .get("total")
         .copied()
         .unwrap_or_else(|| baseline.values().sum());
-    let floor = tol.abs_frac * total;
+    let floor = ABS_FRAC * total;
     for (name, &base) in baseline {
         match current.get(name) {
             None => report.removed.push(name.clone()),
@@ -182,9 +119,9 @@ pub fn diff_series(
                     baseline_s: base,
                     current_s: cur,
                 };
-                if cur > base * (1.0 + tol.rel) && cur > base + floor {
+                if cur > base * (1.0 + REL) && cur > base + floor {
                     report.regressions.push(d);
-                } else if cur < base * (1.0 - tol.rel) && cur < base - floor {
+                } else if cur < base * (1.0 - REL) && cur < base - floor {
                     report.improvements.push(d);
                 }
             }
@@ -208,7 +145,7 @@ pub fn diff_series(
 /// each stage's duration (`stage:<name>`) and each critical-path step's
 /// exclusive contribution aggregated by name (`path:<name>` — a step can
 /// recur across stages).
-pub fn analysis_series(a: &Analysis) -> BTreeMap<String, f64> {
+fn analysis_series(a: &Analysis) -> BTreeMap<String, f64> {
     let mut series = BTreeMap::new();
     series.insert("total".to_string(), a.total);
     for s in &a.stages {
@@ -220,9 +157,10 @@ pub fn analysis_series(a: &Analysis) -> BTreeMap<String, f64> {
     series
 }
 
-/// Diff two analyses under `tol`. See the module docs for semantics.
-pub fn diff(baseline: &Analysis, current: &Analysis, tol: Tolerance) -> DiffReport {
-    diff_series(&analysis_series(baseline), &analysis_series(current), tol)
+/// Diff two analyses under the tolerance band. See the module docs for
+/// semantics.
+pub fn diff(baseline: &Analysis, current: &Analysis) -> DiffReport {
+    diff_series(&analysis_series(baseline), &analysis_series(current))
 }
 
 #[cfg(test)]
@@ -242,7 +180,7 @@ mod tests {
     #[test]
     fn identical_runs_pass() {
         let a = analyze(&trace(10.0));
-        let r = diff(&a, &a, Tolerance::default());
+        let r = diff(&a, &a);
         assert!(r.passed());
         assert!(r.regressions.is_empty() && r.improvements.is_empty());
         assert!(r.added.is_empty() && r.removed.is_empty());
@@ -252,7 +190,7 @@ mod tests {
     fn injected_regression_is_flagged_exactly() {
         let base = analyze(&trace(10.0));
         let cur = analyze(&trace(16.0)); // GFF 8s -> 14s, well past 25%
-        let r = diff(&base, &cur, Tolerance::default());
+        let r = diff(&base, &cur);
         assert!(!r.passed());
         let spans: Vec<&str> = r.regressions.iter().map(|d| d.span.as_str()).collect();
         // The stage, its path steps and the total regress; Jellyfish must not.
@@ -268,7 +206,7 @@ mod tests {
     fn improvement_is_not_a_failure() {
         let base = analyze(&trace(16.0));
         let cur = analyze(&trace(10.0));
-        let r = diff(&base, &cur, Tolerance::default());
+        let r = diff(&base, &cur);
         assert!(r.passed());
         assert!(!r.improvements.is_empty());
     }
@@ -277,7 +215,7 @@ mod tests {
     fn within_band_noise_is_ignored() {
         let base = analyze(&trace(10.0));
         let cur = analyze(&trace(11.0)); // GFF 8s -> 9s = +12.5% < 25%
-        let r = diff(&base, &cur, Tolerance::default());
+        let r = diff(&base, &cur);
         assert!(r.passed());
         assert!(r.improvements.is_empty());
     }
@@ -289,17 +227,11 @@ mod tests {
         base.insert("blip".to_string(), 0.001);
         let mut cur = base.clone();
         cur.insert("blip".to_string(), 0.010); // 10x but only +0.9% of the run
-        let r = diff_series(&base, &cur, Tolerance::default());
+        let r = diff_series(&base, &cur);
         assert!(r.passed(), "{r:?}");
-        // Without the floor the same delta fails.
-        let r = diff_series(
-            &base,
-            &cur,
-            Tolerance {
-                rel: 0.25,
-                abs_frac: 0.0,
-            },
-        );
+        // Past the floor (+2.9 % of the run) the same span fails.
+        cur.insert("blip".to_string(), 0.030);
+        let r = diff_series(&base, &cur);
         assert!(!r.passed());
         assert_eq!(r.regressions[0].span, "blip");
     }
@@ -310,7 +242,7 @@ mod tests {
         base.insert("old".to_string(), 1.0);
         let mut cur = BTreeMap::new();
         cur.insert("new".to_string(), 1.0);
-        let r = diff_series(&base, &cur, Tolerance::default());
+        let r = diff_series(&base, &cur);
         assert!(r.passed());
         assert_eq!(r.added, vec!["new"]);
         assert_eq!(r.removed, vec!["old"]);
@@ -322,41 +254,21 @@ mod tests {
         base.insert("from_zero".to_string(), 0.0);
         let mut cur = BTreeMap::new();
         cur.insert("from_zero".to_string(), 1.0);
-        let r = diff_series(&base, &cur, Tolerance::default());
+        let r = diff_series(&base, &cur);
         assert!(!r.passed());
         assert!(r.regressions[0].ratio().is_infinite());
-        // JSON stays strict (non-finite ratio prints as 0).
-        let json = r.to_json();
-        assert!(crate::jsonio::parse(&json).is_some(), "{json}");
-    }
-
-    #[test]
-    fn json_verdict_schema() {
-        let base = analyze(&trace(10.0));
-        let cur = analyze(&trace(16.0));
-        let r = diff(&base, &cur, Tolerance::default());
-        let v = crate::jsonio::parse(&r.to_json()).expect("valid json");
-        assert_eq!(v.str("schema"), Some("trinity-diff/v1"));
-        assert_eq!(v.get("passed"), Some(&crate::jsonio::Json::Bool(false)));
-        let regs = v.get("regressions").unwrap().as_arr().unwrap();
-        assert!(!regs.is_empty());
-        for d in regs {
-            assert!(d.str("span").is_some());
-            assert!(d.num("baseline_ms").is_some());
-            assert!(d.num("current_ms").is_some());
-            assert!(d.num("ratio").is_some());
-        }
+        assert!(r.render().contains("from_zero"));
     }
 
     #[test]
     fn render_mentions_every_delta() {
         let base = analyze(&trace(10.0));
         let cur = analyze(&trace(16.0));
-        let r = diff(&base, &cur, Tolerance::default());
+        let r = diff(&base, &cur);
         let table = r.render();
         assert!(table.contains("REGRESSED"));
         assert!(table.contains("stage:GraphFromFasta"));
-        let clean = diff(&base, &base, Tolerance::default());
+        let clean = diff(&base, &base);
         assert!(clean.render().contains("no significant timing changes"));
     }
 }

@@ -1,11 +1,13 @@
-//! Exporters: plain JSON and Chrome `trace_event` JSON.
+//! Exporters: Chrome `trace_event` JSON, its reader, and plain JSON.
 //!
 //! [`chrome_trace`] emits the [Trace Event Format](https://docs.google.com/document/d/1CvAClvFfyA5R-PhYUmn5OOQtYMH4h6I0nSsKchNAySU)
 //! consumed by `chrome://tracing` and [Perfetto](https://ui.perfetto.dev):
 //! spans become `ph:"X"` complete events (timestamps in microseconds),
 //! counter samples become `ph:"C"` counter events, and track names become
-//! `ph:"M"` `thread_name` metadata. [`trace_json`] and [`metrics_json`]
-//! emit simpler self-describing JSON for scripted post-processing.
+//! `ph:"M"` `thread_name` metadata; [`trace_from_json`] reads it back,
+//! which is how `trinity analyze` loads a run. [`metrics_json`] emits
+//! simpler self-describing JSON for scripted post-processing, and
+//! [`trace_json`] the same for a trace (written, never read back).
 //!
 //! All serialization is hand-rolled (the crate is zero-dependency); only
 //! finite numbers are emitted, so the output is always strict JSON.
@@ -196,95 +198,54 @@ pub fn metrics_json(snap: &MetricsSnapshot) -> String {
     out
 }
 
-/// Load a [`Trace`] back from JSON text: accepts both the plain
-/// [`trace_json`] format (`{"spans": ..., "counters": ..., "tracks": ...}`,
-/// seconds) and the Chrome [`chrome_trace`] format (`{"traceEvents":
-/// [...]}`, microseconds). `None` when the text is neither.
+/// Load a [`Trace`] back from Chrome [`chrome_trace`] JSON (`{"traceEvents":
+/// [...]}`, microseconds). `None` when the text is not one.
 ///
 /// This is the entry point for `trinity analyze <trace.json>`: any
-/// artifact the pipeline or the figure drivers wrote can be re-analyzed
+/// trace the pipeline or the figure drivers wrote can be re-analyzed
 /// offline.
 pub fn trace_from_json(text: &str) -> Option<Trace> {
     use crate::span::{CounterSample, SpanRecord};
     let v = crate::jsonio::parse(text)?;
+    let events = v.get("traceEvents")?.as_arr()?;
     let mut trace = Trace::default();
-    if let Some(events) = v.get("traceEvents").and_then(|e| e.as_arr()) {
-        const US: f64 = 1e-6;
-        for e in events {
-            let track = e.num("tid").unwrap_or(0.0) as u32;
-            match e.str("ph")? {
-                "X" => {
-                    let start = e.num("ts")? * US;
-                    let args = e
-                        .get("args")
-                        .and_then(|a| a.as_obj())
-                        .map(|fields| {
-                            fields
-                                .iter()
-                                .filter_map(|(k, v)| Some((k.clone(), v.as_f64()?)))
-                                .collect()
-                        })
-                        .unwrap_or_default();
-                    trace.spans.push(SpanRecord {
-                        name: e.str("name")?.to_string(),
-                        cat: e.str("cat").unwrap_or("").to_string(),
-                        track,
-                        start,
-                        end: start + e.num("dur").unwrap_or(0.0) * US,
-                        args,
-                    });
-                }
-                "C" => trace.counters.push(CounterSample {
+    const US: f64 = 1e-6;
+    for e in events {
+        let track = e.num("tid").unwrap_or(0.0) as u32;
+        match e.str("ph")? {
+            "X" => {
+                let start = e.num("ts")? * US;
+                let args = e
+                    .get("args")
+                    .and_then(|a| a.as_obj())
+                    .map(|fields| {
+                        fields
+                            .iter()
+                            .filter_map(|(k, v)| Some((k.clone(), v.as_f64()?)))
+                            .collect()
+                    })
+                    .unwrap_or_default();
+                trace.spans.push(SpanRecord {
                     name: e.str("name")?.to_string(),
+                    cat: e.str("cat").unwrap_or("").to_string(),
                     track,
-                    ts: e.num("ts")? * US,
-                    value: e.get("args")?.num("value")?,
-                }),
-                "M" if e.str("name") == Some("thread_name") => {
-                    if let Some(n) = e.get("args").and_then(|a| a.str("name")) {
-                        trace.track_names.insert(track, n.to_string());
-                    }
-                }
-                _ => {}
+                    start,
+                    end: start + e.num("dur").unwrap_or(0.0) * US,
+                    args,
+                });
             }
-        }
-        return Some(trace);
-    }
-    let spans = v.get("spans")?.as_arr()?;
-    for s in spans {
-        trace.spans.push(SpanRecord {
-            name: s.str("name")?.to_string(),
-            cat: s.str("cat").unwrap_or("").to_string(),
-            track: s.num("track")? as u32,
-            start: s.num("start")?,
-            end: s.num("end")?,
-            args: s
-                .get("args")
-                .and_then(|a| a.as_obj())
-                .map(|fields| {
-                    fields
-                        .iter()
-                        .filter_map(|(k, v)| Some((k.clone(), v.as_f64()?)))
-                        .collect()
-                })
-                .unwrap_or_default(),
-        });
-    }
-    if let Some(counters) = v.get("counters").and_then(|c| c.as_arr()) {
-        for c in counters {
-            trace.counters.push(CounterSample {
-                name: c.str("name")?.to_string(),
-                track: c.num("track")? as u32,
-                ts: c.num("ts")?,
-                value: c.num("value")?,
-            });
-        }
-    }
-    if let Some(tracks) = v.get("tracks").and_then(|t| t.as_obj()) {
-        for (k, n) in tracks {
-            trace
-                .track_names
-                .insert(k.parse().ok()?, n.as_str()?.to_string());
+            "C" => trace.counters.push(CounterSample {
+                name: e.str("name")?.to_string(),
+                track,
+                ts: e.num("ts")? * US,
+                value: e.get("args")?.num("value")?,
+            }),
+            "M" if e.str("name") == Some("thread_name") => {
+                if let Some(n) = e.get("args").and_then(|a| a.str("name")) {
+                    trace.track_names.insert(track, n.to_string());
+                }
+            }
+            _ => {}
         }
     }
     Some(trace)
@@ -555,13 +516,6 @@ mod tests {
     }
 
     #[test]
-    fn plain_json_round_trips_through_trace_from_json() {
-        let t = sample_trace();
-        let back = trace_from_json(&trace_json(&t)).expect("parses");
-        assert_eq!(back, t);
-    }
-
-    #[test]
     fn chrome_json_round_trips_through_trace_from_json() {
         let t = sample_trace();
         let back = trace_from_json(&chrome_trace(&t)).expect("parses");
@@ -583,6 +537,8 @@ mod tests {
         assert!(trace_from_json("{}").is_none());
         assert!(trace_from_json("not json").is_none());
         assert!(trace_from_json("{\"spans\": 3}").is_none());
+        // The plain export is written for scripts, not read back.
+        assert!(trace_from_json(&trace_json(&sample_trace())).is_none());
     }
 
     #[test]

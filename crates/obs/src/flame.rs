@@ -1,12 +1,12 @@
 //! Flamegraph folding and rendering over [`Trace::tree`].
 //!
-//! [`collapsed`] folds one track's span tree into Brendan-Gregg
+//! [`collapsed_merged`] folds every track's span tree into Brendan-Gregg
 //! collapsed-stack lines (`gff.total;gff.loop1 3.2`) with *self-time*
 //! accounting: each stack's value is the time its leaf frame was open
 //! minus the time any child span was open, so the values of all stacks
-//! sum exactly to the track's root span durations. [`collapsed_merged`]
-//! folds every track and merges identical stacks — the cross-rank
-//! aggregate view, where the common phase names of all ranks pile up.
+//! sum exactly to the root span durations. Identical stacks merge across
+//! tracks — the cross-rank aggregate view, where the common phase names of
+//! all ranks pile up.
 //! [`to_text`] serializes folds for `inferno` / [speedscope](https://speedscope.app),
 //! and [`svg`] renders a small self-contained flamegraph directly.
 //!
@@ -21,12 +21,15 @@ use std::fmt::Write;
 /// Separator between frames of a folded stack path.
 pub const FRAME_SEP: char = ';';
 
-/// Fold one track's span tree into collapsed stacks.
+/// Fold every track of `trace` into collapsed stacks and merge identical
+/// stacks — the across-ranks view.
 ///
 /// Returns `(path, self_seconds)` pairs sorted by path; identical paths
-/// (e.g. the per-chunk `rtt.loop` spans) are merged. Self time is the
-/// span's duration minus its children's durations, clamped at zero
-/// against floating-point dust.
+/// (the per-chunk `rtt.loop` spans, or one phase on several ranks) are
+/// merged. Self time is the span's duration minus its children's
+/// durations, clamped at zero against floating-point dust. Phases that run
+/// on all ranks (`gff.loop1`, …) aggregate into one tower whose value is
+/// the *summed* per-rank time, exactly like a multi-thread CPU flamegraph.
 ///
 /// # Examples
 ///
@@ -35,7 +38,7 @@ pub const FRAME_SEP: char = ';';
 /// tr.record(0, "stage", "gff.total", 0.0, 10.0);
 /// tr.record(0, "stage", "gff.loop1", 0.0, 6.0);
 /// tr.record(0, "stage", "gff.loop2", 6.0, 9.0);
-/// let folds = obs::flame::collapsed(&tr.take(), 0);
+/// let folds = obs::flame::collapsed_merged(&tr.take());
 /// assert_eq!(folds, vec![
 ///     ("gff.total".to_string(), 1.0),            // 10 - 6 - 3 of self time
 ///     ("gff.total;gff.loop1".to_string(), 6.0),
@@ -43,21 +46,7 @@ pub const FRAME_SEP: char = ';';
 /// ]);
 /// let total: f64 = folds.iter().map(|(_, t)| t).sum();
 /// assert!((total - 10.0).abs() < 1e-9);          // sums to the root span
-/// ```
-pub fn collapsed(trace: &Trace, track: u32) -> Vec<(String, f64)> {
-    let mut acc: BTreeMap<String, f64> = BTreeMap::new();
-    fold_nodes(&trace.tree(track), "", &mut acc);
-    acc.into_iter().collect()
-}
-
-/// Fold every track of `trace` and merge identical stacks — the
-/// across-ranks view. Phases that run on all ranks (`gff.loop1`, …)
-/// aggregate into one tower whose value is the *summed* per-rank time,
-/// exactly like a multi-thread CPU flamegraph.
 ///
-/// # Examples
-///
-/// ```
 /// let tr = obs::Tracer::new();
 /// tr.record(1, "stage", "gff.loop1", 0.0, 2.0); // rank 0
 /// tr.record(2, "stage", "gff.loop1", 0.0, 3.0); // rank 1
@@ -293,7 +282,7 @@ mod tests {
     #[test]
     fn self_times_sum_to_root_durations() {
         let t = gff_like_trace();
-        let folds = collapsed(&t, 1);
+        let folds = collapsed_merged(&t);
         let total: f64 = folds.iter().map(|(_, v)| v).sum();
         let roots: f64 = t.tree(1).iter().map(|r| r.end - r.start).sum();
         assert!((total - roots).abs() < 1e-9, "{total} vs {roots}");
@@ -305,7 +294,7 @@ mod tests {
         // Round-trip against the raw trace: a leaf phase's folded self
         // time is exactly its span_sum.
         let t = gff_like_trace();
-        let folds = collapsed(&t, 1);
+        let folds = collapsed_merged(&t);
         let loop1 = folds
             .iter()
             .find(|(p, _)| p.ends_with("gff.loop1"))
@@ -316,7 +305,7 @@ mod tests {
     #[test]
     fn nested_paths_and_self_accounting() {
         let t = gff_like_trace();
-        let folds = collapsed(&t, 1);
+        let folds = collapsed_merged(&t);
         let get = |p: &str| folds.iter().find(|(q, _)| q == p).map(|(_, v)| *v);
         // comm1 wraps the collective tightly: zero self, child has it all.
         assert_eq!(get("gff.total;gff.comm1;mpi.allgatherv"), Some(1.5));
@@ -331,7 +320,7 @@ mod tests {
         tr.record(0, "stage", "rtt.total", 0.0, 10.0);
         tr.record(0, "stage", "rtt.loop", 0.0, 3.0);
         tr.record(0, "stage", "rtt.loop", 3.0, 7.0);
-        let folds = collapsed(&tr.take(), 0);
+        let folds = collapsed_merged(&tr.take());
         let loops = folds
             .iter()
             .find(|(p, _)| p == "rtt.total;rtt.loop")
@@ -348,7 +337,7 @@ mod tests {
         let tr = Tracer::new();
         tr.record(0, "s", "a", 0.0, 10.0);
         tr.record(0, "s", "b", 5.0, 15.0);
-        let folds = collapsed(&tr.take(), 0);
+        let folds = collapsed_merged(&tr.take());
         assert_eq!(folds.len(), 2);
         assert!(folds.iter().all(|(p, _)| !p.contains(FRAME_SEP)));
         let total: f64 = folds.iter().map(|(_, v)| v).sum();
@@ -385,7 +374,7 @@ mod tests {
     #[test]
     fn svg_renders_all_visible_frames() {
         let t = gff_like_trace();
-        let folds = collapsed(&t, 1);
+        let folds = collapsed_merged(&t);
         let svg = svg(&folds, "gff");
         assert!(svg.starts_with("<svg"));
         assert!(svg.ends_with("</svg>\n"));

@@ -13,12 +13,13 @@
 //! * [`MetricsRegistry`] — named typed counters, gauges and power-of-two
 //!   histograms (bytes sent, k-mers welded, probe lengths, queue depths).
 //!
-//! A finished [`Trace`] exports to plain JSON ([`export::trace_json`]) or
-//! to the Chrome `trace_event` format ([`export::chrome_trace`]) so any
-//! run opens directly in `chrome://tracing` / [Perfetto](https://ui.perfetto.dev).
+//! A finished [`Trace`] exports to the Chrome `trace_event` format
+//! ([`export::chrome_trace`]) so any run opens directly in
+//! `chrome://tracing` / [Perfetto](https://ui.perfetto.dev), and
+//! [`export::trace_from_json`] reads that file back.
 //!
-//! On top of the trace sit two profiling views: [`flame`] folds a track's
-//! span tree into collapsed-stack format with self-time accounting (plus a
+//! On top of the trace sit two profiling views: [`flame`] folds the span
+//! trees into collapsed-stack format with self-time accounting (plus a
 //! self-contained SVG flamegraph renderer), and [`Sampler`] replays a
 //! fixed-period stack sampler over a finished trace, turning opaque
 //! long-running spans into `profile.*` progress counter series.
@@ -27,8 +28,8 @@
 //! finished trace to an [`Analysis`] — the cross-rank critical path with
 //! per-step slack, per-stage load-imbalance statistics, a communication
 //! matrix and scaling-efficiency figures — and [`diff`](diff::diff)
-//! compares two analyses under configurable tolerance bands so CI can
-//! fail a pull request that regresses the critical path.
+//! compares two analyses under the CI perf gate's one tolerance band, so
+//! CI can fail a pull request that regresses the critical path.
 //!
 //! The crate is deliberately **zero-dependency** (std only): it sits at
 //! the root of the workspace dependency graph so `mpisim`, `omp`,
@@ -63,11 +64,11 @@ pub mod span;
 pub mod stats;
 
 pub use analyze::{analyze, analyze_vs, Analysis, CommCell, PathStep, Scaling, StageStats};
-pub use diff::{diff, DiffReport, Tolerance};
+pub use diff::{diff, DiffReport};
 pub use metrics::{
     Counter, Gauge, Histogram, HistogramSummary, MetricValue, MetricsRegistry, MetricsSnapshot,
 };
-pub use sampler::{Sampler, StackSample};
+pub use sampler::Sampler;
 pub use span::{CounterSample, SpanNode, SpanRecord, Trace, Tracer};
 pub use stats::PhaseSpread;
 

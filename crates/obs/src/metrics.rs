@@ -26,11 +26,6 @@ impl Counter {
         self.0.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Add one to the counter.
-    pub fn inc(&self) {
-        self.add(1);
-    }
-
     /// Current value.
     pub fn get(&self) -> u64 {
         self.0.load(Ordering::Relaxed)
@@ -298,7 +293,7 @@ mod tests {
         let a = reg.counter("c");
         let b = reg.counter("c");
         a.add(2);
-        b.inc();
+        b.add(1);
         assert_eq!(reg.snapshot().counter("c"), Some(3));
     }
 
@@ -374,7 +369,7 @@ mod tests {
                 let c = c.clone();
                 s.spawn(move || {
                     for _ in 0..1000 {
-                        c.inc();
+                        c.add(1);
                     }
                 });
             }

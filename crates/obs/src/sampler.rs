@@ -10,28 +10,9 @@
 //! frame, which Perfetto renders as a progress ramp under the span.
 //!
 //! The period is in *trace* time — the virtual clock every span is on.
-//! [`Sampler::folded`] gives the classic sampled flamegraph fold
-//! (period-weighted), which converges on [`crate::flame::collapsed`] as
-//! the period shrinks.
 
 use crate::span::{CounterSample, SpanNode, Trace};
 use std::collections::BTreeMap;
-
-/// One stack sample: the open-span path of a track at one instant.
-#[derive(Debug, Clone, PartialEq)]
-pub struct StackSample {
-    /// Sample time, seconds.
-    pub ts: f64,
-    /// Open spans at `ts`, outermost first. Empty if nothing was open.
-    pub frames: Vec<String>,
-}
-
-impl StackSample {
-    /// The innermost open span at this instant, if any.
-    pub fn leaf(&self) -> Option<&str> {
-        self.frames.last().map(String::as_str)
-    }
-}
 
 /// A fixed-period stack sampler over finished traces (see module docs).
 ///
@@ -41,12 +22,12 @@ impl StackSample {
 /// let tr = obs::Tracer::new();
 /// tr.record(0, "stage", "gff.total", 0.0, 8.0);
 /// tr.record(0, "stage", "gff.loop1", 0.0, 6.0);
-/// let trace = tr.take();
-/// let samples = obs::Sampler::new(2.0).samples(&trace, 0);
-/// // Midpoint samples at t = 1, 3, 5, 7.
-/// assert_eq!(samples.len(), 4);
-/// assert_eq!(samples[0].frames, vec!["gff.total", "gff.loop1"]);
-/// assert_eq!(samples[3].frames, vec!["gff.total"]);
+/// let mut trace = tr.take();
+/// // Four samples over the 8 s horizon: midpoints t = 1, 3, 5, 7.
+/// let n = obs::Sampler::with_samples(&trace, 4).annotate(&mut trace, 0);
+/// assert_eq!(n, 4);
+/// assert_eq!(trace.max_counter("profile.samples.gff.loop1"), Some(3.0));
+/// assert_eq!(trace.max_counter("profile.samples.gff.total"), Some(1.0));
 /// ```
 #[derive(Debug, Clone, Copy)]
 pub struct Sampler {
@@ -56,7 +37,7 @@ pub struct Sampler {
 impl Sampler {
     /// A sampler with the given period (seconds of trace time). Periods
     /// that are zero, negative or non-finite fall back to 1.0.
-    pub fn new(period: f64) -> Self {
+    fn new(period: f64) -> Self {
         Sampler {
             period: if period.is_finite() && period > 0.0 {
                 period
@@ -67,7 +48,7 @@ impl Sampler {
     }
 
     /// A sampler taking ~`n` samples across `trace`'s horizon (at least
-    /// one). Convenient when the timebase's scale is not known up front.
+    /// one).
     pub fn with_samples(trace: &Trace, n: usize) -> Self {
         let horizon = trace.total_time();
         Sampler::new(if horizon > 0.0 {
@@ -77,16 +58,12 @@ impl Sampler {
         })
     }
 
-    /// The sampling period, seconds.
-    pub fn period(&self) -> f64 {
-        self.period
-    }
-
     /// Walk `track`'s open-span stack at each midpoint instant
-    /// `(i + 1/2) * period` up to the track's horizon. Sample times where
-    /// no span is open yield a sample with empty `frames` (idle), so sample
-    /// counts are comparable across tracks.
-    pub fn samples(&self, trace: &Trace, track: u32) -> Vec<StackSample> {
+    /// `(i + 1/2) * period` up to the track's horizon: `(ts, frames)`,
+    /// the open spans outermost first. Sample times where no span is open
+    /// yield empty `frames` (idle), so sample counts are comparable across
+    /// tracks.
+    fn samples(&self, trace: &Trace, track: u32) -> Vec<(f64, Vec<String>)> {
         // Non-finite ends (a NaN-poisoned clock) would make `ts >= horizon`
         // unreachable and loop forever — skip them when sizing the horizon.
         let horizon = trace
@@ -104,25 +81,10 @@ impl Sampler {
             }
             let mut frames = Vec::new();
             descend(&tree, ts, &mut frames);
-            out.push(StackSample { ts, frames });
+            out.push((ts, frames));
             i += 1;
         }
         out
-    }
-
-    /// Period-weighted collapsed stacks from sampling `track` — the
-    /// estimate a real interrupt-driven profiler would produce. Idle
-    /// samples are dropped. Converges on [`crate::flame::collapsed`] as
-    /// the period shrinks.
-    pub fn folded(&self, trace: &Trace, track: u32) -> Vec<(String, f64)> {
-        let mut acc: BTreeMap<String, f64> = BTreeMap::new();
-        for s in self.samples(trace, track) {
-            if s.frames.is_empty() {
-                continue;
-            }
-            *acc.entry(s.frames.join(";")).or_insert(0.0) += self.period;
-        }
-        acc.into_iter().collect()
     }
 
     /// Sample `track` and append the result to `trace` as counter series:
@@ -136,7 +98,7 @@ impl Sampler {
     /// let tr = obs::Tracer::new();
     /// tr.record(0, "stage", "rtt.loop", 0.0, 4.0);
     /// let mut trace = tr.take();
-    /// let n = obs::Sampler::new(1.0).annotate(&mut trace, 0);
+    /// let n = obs::Sampler::with_samples(&trace, 4).annotate(&mut trace, 0);
     /// assert_eq!(n, 4);
     /// assert_eq!(trace.max_counter("profile.samples.rtt.loop"), Some(4.0));
     /// assert_eq!(trace.max_counter("profile.depth"), Some(1.0));
@@ -144,20 +106,20 @@ impl Sampler {
     pub fn annotate(&self, trace: &mut Trace, track: u32) -> usize {
         let samples = self.samples(trace, track);
         let mut cumulative: BTreeMap<String, u64> = BTreeMap::new();
-        for s in &samples {
+        for (ts, frames) in &samples {
             trace.counters.push(CounterSample {
                 name: "profile.depth".to_string(),
                 track,
-                ts: s.ts,
-                value: s.frames.len() as f64,
+                ts: *ts,
+                value: frames.len() as f64,
             });
-            if let Some(leaf) = s.leaf() {
-                let c = cumulative.entry(leaf.to_string()).or_insert(0);
+            if let Some(leaf) = frames.last() {
+                let c = cumulative.entry(leaf.clone()).or_insert(0);
                 *c += 1;
                 trace.counters.push(CounterSample {
                     name: format!("profile.samples.{leaf}"),
                     track,
-                    ts: s.ts,
+                    ts: *ts,
                     value: *c as f64,
                 });
             }
@@ -192,15 +154,23 @@ mod tests {
         tr.take()
     }
 
+    /// The innermost open span of each sample (`None` when idle).
+    fn leaves(samples: &[(f64, Vec<String>)]) -> Vec<Option<&str>> {
+        samples
+            .iter()
+            .map(|(_, frames)| frames.last().map(String::as_str))
+            .collect()
+    }
+
     #[test]
     fn midpoint_samples_attribute_phases() {
         let t = staged_trace();
         let samples = Sampler::new(1.0).samples(&t, 0);
         assert_eq!(samples.len(), 10);
-        let leaves: Vec<&str> = samples.iter().filter_map(StackSample::leaf).collect();
-        assert_eq!(leaves.iter().filter(|&&l| l == "loop1").count(), 6);
-        assert_eq!(leaves.iter().filter(|&&l| l == "loop2").count(), 3);
-        assert_eq!(leaves.iter().filter(|&&l| l == "total").count(), 1);
+        let leaves = leaves(&samples);
+        assert_eq!(leaves.iter().filter(|&&l| l == Some("loop1")).count(), 6);
+        assert_eq!(leaves.iter().filter(|&&l| l == Some("loop2")).count(), 3);
+        assert_eq!(leaves.iter().filter(|&&l| l == Some("total")).count(), 1);
     }
 
     #[test]
@@ -209,25 +179,7 @@ mod tests {
         tr.record(0, "s", "a", 0.0, 1.0);
         tr.record(0, "s", "b", 3.0, 4.0);
         let samples = Sampler::new(1.0).samples(&tr.take(), 0);
-        assert_eq!(samples.len(), 4);
-        assert_eq!(samples[1].frames, Vec::<String>::new());
-        assert_eq!(samples[2].frames, Vec::<String>::new());
-        assert_eq!(samples[3].leaf(), Some("b"));
-    }
-
-    #[test]
-    fn folded_converges_on_exact_fold() {
-        let t = staged_trace();
-        let exact = crate::flame::collapsed(&t, 0);
-        let sampled = Sampler::new(0.01).folded(&t, 0);
-        for (path, v) in &exact {
-            let s = sampled
-                .iter()
-                .find(|(p, _)| p == path)
-                .map(|(_, v)| *v)
-                .unwrap_or(0.0);
-            assert!((s - v).abs() <= 0.05, "{path}: sampled {s} vs exact {v}");
-        }
+        assert_eq!(leaves(&samples), vec![Some("a"), None, None, Some("b")]);
     }
 
     #[test]
@@ -247,9 +199,9 @@ mod tests {
 
     #[test]
     fn degenerate_periods_are_clamped() {
-        assert_eq!(Sampler::new(0.0).period(), 1.0);
-        assert_eq!(Sampler::new(-3.0).period(), 1.0);
-        assert_eq!(Sampler::new(f64::NAN).period(), 1.0);
+        assert_eq!(Sampler::new(0.0).period, 1.0);
+        assert_eq!(Sampler::new(-3.0).period, 1.0);
+        assert_eq!(Sampler::new(f64::NAN).period, 1.0);
         // Empty trace: no samples, no panic.
         assert!(Sampler::new(1.0).samples(&Trace::default(), 0).is_empty());
     }
@@ -269,12 +221,13 @@ mod tests {
 
     #[test]
     fn zero_duration_and_single_span_traces() {
-        // All-zero spans: horizon equals the instant, no samples, no panic.
+        // An instant at t = 5: every sample before it is idle.
         let tr = Tracer::new();
         tr.record(0, "s", "instant", 5.0, 5.0);
         let t = tr.take();
-        assert_eq!(Sampler::new(1.0).samples(&t, 0).len(), 5);
-        assert!(Sampler::new(1.0).folded(&t, 0).is_empty());
+        let samples = Sampler::new(1.0).samples(&t, 0);
+        assert_eq!(samples.len(), 5);
+        assert!(samples.iter().all(|(_, frames)| frames.is_empty()));
         // One span, one rank: annotate emits a well-formed staircase.
         let tr = Tracer::new();
         tr.record(1, "s", "only", 0.0, 3.0);
@@ -287,7 +240,7 @@ mod tests {
     fn with_samples_targets_count() {
         let t = staged_trace();
         let s = Sampler::with_samples(&t, 20);
-        assert!((s.period() - 0.5).abs() < 1e-12);
+        assert!((s.period - 0.5).abs() < 1e-12);
         assert_eq!(s.samples(&t, 0).len(), 20);
     }
 }

@@ -120,18 +120,10 @@ impl Trace {
             .fold(None, |acc, v| Some(acc.map_or(v, |a: f64| a.max(v))))
     }
 
-    /// Absorb `other`, shifting its times by `dt` seconds and its tracks by
-    /// `track_offset`. Used to splice per-rank cluster traces (whose virtual
-    /// clocks start at 0) into a pipeline-level timeline.
-    pub fn merge_shifted(&mut self, other: Trace, dt: f64, track_offset: u32) {
-        // Track ids saturate instead of wrapping: splicing a sub-trace that
-        // already carries high thread-lane ids (`THREAD_TRACK_BASE + t`)
-        // must never panic or alias low rank lanes.
-        self.merge_mapped(other, dt, |t| t.saturating_add(track_offset));
-    }
-
-    /// [`Trace::merge_shifted`] with an arbitrary track relabelling: each of
-    /// `other`'s tracks `t` lands on `track_of(t)`.
+    /// Absorb `other`, shifting its times by `dt` seconds; each of its
+    /// tracks `t` lands on `track_of(t)`. Used to splice per-rank cluster
+    /// traces (whose virtual clocks start at 0) into a pipeline-level
+    /// timeline.
     pub fn merge_mapped(&mut self, other: Trace, dt: f64, track_of: impl Fn(u32) -> u32) {
         for mut s in other.spans {
             s.start += dt;
@@ -378,13 +370,13 @@ mod tests {
     }
 
     #[test]
-    fn merge_shifted_offsets_everything() {
+    fn merge_mapped_offsets_everything() {
         let mut a = Trace::default();
         let tr = Tracer::new();
         tr.record(0, "x", "child", 0.5, 1.0);
         tr.counter(0, "ram", 0.5, 7.0);
         tr.name_track(0, "rank 0");
-        a.merge_shifted(tr.take(), 10.0, 2);
+        a.merge_mapped(tr.take(), 10.0, |t| t + 2);
         assert_eq!(a.spans[0].start, 10.5);
         assert_eq!(a.spans[0].track, 2);
         assert_eq!(a.counters[0].ts, 10.5);
@@ -392,28 +384,25 @@ mod tests {
     }
 
     #[test]
-    fn merge_shifted_edge_cases() {
+    fn merge_mapped_edge_cases() {
         // Empty trace: a no-op either way round.
         let mut a = Trace::default();
-        a.merge_shifted(Trace::default(), 5.0, 3);
+        a.merge_mapped(Trace::default(), 5.0, |t| t + 3);
         assert!(a.is_empty());
         // All-zero-duration spans survive the shift with end == start.
         let tr = Tracer::new();
         tr.record(0, "s", "instant", 2.0, 2.0);
-        a.merge_shifted(tr.take(), 1.0, 0);
+        a.merge_mapped(tr.take(), 1.0, |t| t);
         assert_eq!(a.spans[0].start, 3.0);
         assert_eq!(a.spans[0].end, 3.0);
-        // Track offsets saturate instead of overflowing: splicing a trace
-        // that already carries thread-lane ids must not panic or wrap
-        // around into the rank lanes.
+        // A track already named keeps its first name.
         let tr = Tracer::new();
-        tr.record(u32::MAX - 1, "s", "deep", 0.0, 1.0);
-        tr.counter(u32::MAX - 1, "c", 0.5, 1.0);
-        tr.name_track(u32::MAX - 1, "deep lane");
-        a.merge_shifted(tr.take(), 0.0, 10);
-        assert_eq!(a.spans.last().unwrap().track, u32::MAX);
-        assert_eq!(a.counters.last().unwrap().track, u32::MAX);
-        assert!(a.track_names.contains_key(&u32::MAX));
+        tr.name_track(0, "first");
+        a.merge_mapped(tr.take(), 0.0, |t| t);
+        let tr = Tracer::new();
+        tr.name_track(5, "second");
+        a.merge_mapped(tr.take(), 0.0, |_| 0);
+        assert_eq!(a.track_names.get(&0).map(String::as_str), Some("first"));
     }
 
     #[test]

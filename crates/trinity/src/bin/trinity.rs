@@ -24,17 +24,18 @@
 //! Two analytics subcommands close the loop on the recorded artifacts:
 //!
 //! ```text
-//! trinity analyze <trace.json | run-dir> [--baseline PATH] [--out FILE]
-//! trinity diff <baseline> <current> [--tol-rel F] [--tol-abs F] [--json]
+//! trinity analyze <trace.json | run-dir> [--baseline <analysis.json | run-dir>] [--out FILE]
+//! trinity diff <analysis.json | run-dir> <analysis.json | run-dir>
 //! ```
 //!
-//! `analyze` loads a finished trace (Chrome or plain JSON), computes the
-//! cross-rank critical path, per-stage imbalance, comm matrix and (with
-//! `--baseline`, a serial run's trace or analysis) scaling efficiency,
-//! writes `analysis.json` and prints the tables. `diff` compares two
-//! artifacts — `analysis.json`, raw traces, or `trinity-bench/v1` files —
-//! under tolerance bands and exits non-zero on a regression, which is the
-//! CI perf-gate.
+//! `analyze` loads a run's Chrome trace, computes the cross-rank critical
+//! path, per-stage imbalance, comm matrix and (with `--baseline`, a serial
+//! run's `analysis.json`) scaling efficiency, writes `analysis.json` and
+//! prints the tables. `diff` compares two `analysis.json` files under the
+//! CI perf gate's tolerance band (a series regresses when it is both 25 %
+//! and 2 % of the baseline's total slower) and exits 1 on a regression.
+//! A run directory means its `trace.json` to `analyze` and its
+//! `analysis.json` to `diff` and `--baseline`.
 
 use std::fmt::Write;
 use std::path::{Path, PathBuf};
@@ -71,15 +72,20 @@ fn usage() -> &'static str {
      [--simulate tiny|whitefly|schizo|drosophila|sugarbeet[:SEED]] \
      [--faults SEED[,delay=P][,drop=P][,crash=RANK@OP]...] \
      [--checkpoint DIR] [--resume]\n\
-     \x20      trinity analyze <trace.json | run-dir> [--baseline PATH] [--out FILE]\n\
-     \x20      trinity diff <baseline> <current> [--tol-rel F] [--tol-abs F] [--json]"
+     \x20      trinity analyze <trace.json | run-dir> [--baseline <analysis.json | run-dir>] \
+     [--out FILE]\n\
+     \x20      trinity diff <analysis.json | run-dir> <analysis.json | run-dir>"
 }
+
+/// Ends a usage error's one line.
+const SEE_HELP: &str = "; see trinity --help";
 
 /// Parse a `--faults` spec: a mandatory RNG seed, then comma-separated
 /// `delay=P` (per-op delay probability, up to 1 ms each), `drop=P`
 /// (per-message drop probability, retried up to 3 times) and
 /// `crash=RANK@OP` (kill RANK at its OP-th communication operation;
-/// repeatable) clauses. Example: `--faults 42,delay=0.1,drop=0.05,crash=1@7`.
+/// repeatable) clauses; a probability outside [0, 1] is refused.
+/// Example: `--faults 42,delay=0.1,drop=0.05,crash=1@7`.
 fn parse_fault_plan(spec: &str) -> Result<FaultPlan, String> {
     let mut parts = spec.split(',');
     let seed: u64 = parts
@@ -91,16 +97,17 @@ fn parse_fault_plan(spec: &str) -> Result<FaultPlan, String> {
     for part in parts {
         let (key, val) = part
             .split_once('=')
-            .ok_or_else(|| format!("--faults: expected key=value, got {part:?}\n{}", usage()))?;
+            .ok_or_else(|| format!("--faults: expected key=value, got {part:?}{SEE_HELP}"))?;
+        // A probability the plan would clamp, or that `is_active` would
+        // read as "no faults" (NaN), is refused rather than reinterpreted.
+        let probability = || match val.parse::<f64>() {
+            Ok(p) if (0.0..=1.0).contains(&p) => Ok(p),
+            Ok(_) => Err(format!("--faults {key}={val}: not a probability in [0, 1]")),
+            Err(e) => Err(format!("--faults {key}: {e}")),
+        };
         match key {
-            "delay" => {
-                let p: f64 = val.parse().map_err(|e| format!("--faults delay: {e}"))?;
-                plan = plan.with_delays(p, 1e-3);
-            }
-            "drop" => {
-                let p: f64 = val.parse().map_err(|e| format!("--faults drop: {e}"))?;
-                plan = plan.with_drops(p, 3);
-            }
+            "delay" => plan = plan.with_delays(probability()?, 1e-3),
+            "drop" => plan = plan.with_drops(probability()?, 3),
             "crash" => {
                 let (rank, op) = val
                     .split_once('@')
@@ -111,13 +118,14 @@ fn parse_fault_plan(spec: &str) -> Result<FaultPlan, String> {
                     op.parse().map_err(|e| format!("--faults crash op: {e}"))?,
                 );
             }
-            other => return Err(format!("--faults: unknown clause {other:?}\n{}", usage())),
+            other => return Err(format!("--faults: unknown clause {other:?}{SEE_HELP}")),
         }
     }
     Ok(plan)
 }
 
-fn parse_args() -> Result<Args, String> {
+/// The run's flags; `None` for `--help`.
+fn parse_args() -> Result<Option<Args>, String> {
     let mut args = Args {
         reads: Vec::new(),
         out: PathBuf::from("trinity_out"),
@@ -134,7 +142,7 @@ fn parse_args() -> Result<Args, String> {
     while let Some(a) = it.next() {
         let mut value = |name: &str| {
             it.next()
-                .ok_or_else(|| format!("{name} needs a value\n{}", usage()))
+                .ok_or_else(|| format!("{name} needs a value{SEE_HELP}"))
         };
         match a.as_str() {
             "--reads" => args.reads.push(PathBuf::from(value("--reads")?)),
@@ -164,7 +172,7 @@ fn parse_args() -> Result<Args, String> {
                     "schizo" => DatasetPreset::SchizoLike,
                     "drosophila" => DatasetPreset::DrosophilaLike,
                     "sugarbeet" => DatasetPreset::SugarbeetLike,
-                    other => return Err(format!("unknown preset {other:?}\n{}", usage())),
+                    other => return Err(format!("unknown preset {other:?}{SEE_HELP}")),
                 };
                 let seed = seed.parse().map_err(|e| format!("--simulate seed: {e}"))?;
                 args.simulate = Some((preset, seed));
@@ -172,20 +180,20 @@ fn parse_args() -> Result<Args, String> {
             "--faults" => args.faults = Some(Arc::new(parse_fault_plan(&value("--faults")?)?)),
             "--checkpoint" => args.checkpoint = Some(PathBuf::from(value("--checkpoint")?)),
             "--resume" => args.resume = true,
-            "--help" | "-h" => return Err(usage().to_string()),
-            other => return Err(format!("unknown argument {other:?}\n{}", usage())),
+            "--help" | "-h" => return Ok(None),
+            other => return Err(format!("unknown argument {other:?}{SEE_HELP}")),
         }
     }
     if args.reads.is_empty() && args.simulate.is_none() {
-        return Err(format!("no input: pass --reads or --simulate\n{}", usage()));
+        return Err(format!("no input: pass --reads or --simulate{SEE_HELP}"));
     }
     if args.resume && args.checkpoint.is_none() {
-        return Err(format!("--resume needs --checkpoint DIR\n{}", usage()));
+        return Err(format!("--resume needs --checkpoint DIR{SEE_HELP}"));
     }
     if args.k < 8 || args.k > 32 {
         return Err("--kmer must be in 8..=32".into());
     }
-    Ok(args)
+    Ok(Some(args))
 }
 
 /// The most ranks (`--nprocs`) or threads per rank (`--threads`) a run may
@@ -201,7 +209,7 @@ const MAX_CLUSTER_WIDTH: usize = 1024;
 fn check_cluster_flags(args: &Args) -> Result<(), String> {
     for (flag, n) in [("--nprocs", args.nprocs), ("--threads", args.threads)] {
         if n == 0 {
-            return Err(format!("{flag} must be at least 1\n{}", usage()));
+            return Err(format!("{flag} must be at least 1{SEE_HELP}"));
         }
         if n > MAX_CLUSTER_WIDTH {
             return Err(format!("{flag} must be at most {MAX_CLUSTER_WIDTH}"));
@@ -210,11 +218,8 @@ fn check_cluster_flags(args: &Args) -> Result<(), String> {
     let mut crashes = args.faults.iter().flat_map(|plan| plan.crashes());
     if let Some(c) = crashes.find(|c| c.rank >= args.nprocs) {
         return Err(format!(
-            "--faults crash={}@{}: no such rank with --nprocs {}\n{}",
-            c.rank,
-            c.op,
-            args.nprocs,
-            usage()
+            "--faults crash={}@{}: no such rank with --nprocs {}",
+            c.rank, c.op, args.nprocs
         ));
     }
     Ok(())
@@ -360,36 +365,40 @@ fn run(args: Args) -> Result<(), String> {
 
 // ---- analytics subcommands ---------------------------------------------
 
-/// Resolve an analyze/diff input: a run directory means its `trace.json`.
-fn resolve_trace_path(p: &Path) -> PathBuf {
+/// Resolve an analytics input: a run directory means its file `name`.
+fn resolve(p: &Path, name: &str) -> PathBuf {
     if p.is_dir() {
-        p.join("trace.json")
+        p.join(name)
     } else {
         p.to_path_buf()
     }
 }
 
-/// Load a trace artifact (Chrome or plain JSON) from a file or run dir.
-fn load_trace(p: &Path) -> Result<obs::Trace, String> {
-    let path = resolve_trace_path(p);
+/// Read an analytics input (a file, or a run directory's file `name`)
+/// and parse it. A file `parse` refuses is named, with the `format` the
+/// command needed.
+fn load<T>(
+    p: &Path,
+    name: &str,
+    format: &str,
+    parse: impl Fn(&str) -> Option<T>,
+) -> Result<T, String> {
+    let path = resolve(p, name);
     let text = std::fs::read_to_string(&path).map_err(|e| format!("{}: {e}", path.display()))?;
-    obs::export::trace_from_json(&text)
-        .ok_or_else(|| format!("{}: not a trace artifact", path.display()))
+    parse(&text).ok_or_else(|| format!("{}: not {format}", path.display()))
 }
 
-/// The serial-baseline total for `--baseline`: accepts an `analysis.json`
-/// (its `total_s`) or any trace artifact (analyzed on the fly).
-fn load_baseline_total(p: &Path) -> Result<f64, String> {
-    let path = resolve_trace_path(p);
-    if let Ok(text) = std::fs::read_to_string(&path) {
-        if let Some(a) = obs::analyze::parse_analysis(&text) {
-            return Ok(a.total);
-        }
-    }
-    Ok(obs::analyze(&load_trace(p)?).total)
+fn load_analysis(p: &Path) -> Result<obs::Analysis, String> {
+    load(
+        p,
+        "analysis.json",
+        "an analysis.json (trinity-analysis/v1)",
+        obs::analyze::parse_analysis,
+    )
 }
 
-/// `trinity analyze <trace.json | run-dir> [--baseline PATH] [--out FILE]`.
+/// `trinity analyze <trace.json | run-dir> [--baseline <analysis.json |
+/// run-dir>] [--out FILE]`.
 fn run_analyze(argv: &[String]) -> Result<(), String> {
     let mut input: Option<PathBuf> = None;
     let mut baseline: Option<PathBuf> = None;
@@ -407,14 +416,23 @@ fn run_analyze(argv: &[String]) -> Result<(), String> {
             other => return Err(format!("analyze: unexpected argument {other:?}")),
         }
     }
-    let input = input
-        .ok_or("usage: trinity analyze <trace.json | run-dir> [--baseline PATH] [--out FILE]")?;
-    let trace = load_trace(&input)?;
-    let baseline_total = baseline.map(|p| load_baseline_total(&p)).transpose()?;
+    let input = input.ok_or(
+        "usage: trinity analyze <trace.json | run-dir> [--baseline <analysis.json | run-dir>] \
+         [--out FILE]",
+    )?;
+    let trace = load(
+        &input,
+        "trace.json",
+        "a Chrome trace",
+        obs::export::trace_from_json,
+    )?;
+    let baseline_total = baseline
+        .map(|p| load_analysis(&p).map(|a| a.total))
+        .transpose()?;
     let analysis = obs::analyze_vs(&trace, baseline_total);
 
     let out_path = out_path.unwrap_or_else(|| {
-        resolve_trace_path(&input)
+        resolve(&input, "trace.json")
             .parent()
             .unwrap_or(Path::new("."))
             .join("analysis.json")
@@ -462,91 +480,27 @@ fn run_analyze(argv: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// Timing series of one diff input: an `analysis.json`, a raw trace, or a
-/// `trinity-bench/v1` file (workload candidate times, in seconds).
-fn load_series(p: &Path) -> Result<std::collections::BTreeMap<String, f64>, String> {
-    let path = resolve_trace_path(p);
-    let text = std::fs::read_to_string(&path).map_err(|e| format!("{}: {e}", path.display()))?;
-    if let Some(a) = obs::analyze::parse_analysis(&text) {
-        return Ok(obs::diff::analysis_series(&a));
-    }
-    if let Some(v) = obs::jsonio::parse(&text) {
-        if v.str("schema") == Some("trinity-bench/v1") {
-            let bench = v.str("bench").unwrap_or("bench");
-            let mut series = std::collections::BTreeMap::new();
-            for w in v
-                .get("workloads")
-                .and_then(|w| w.as_arr())
-                .unwrap_or_default()
-            {
-                if let (Some(name), Some(ns)) = (w.str("name"), w.num("candidate_ns")) {
-                    series.insert(format!("bench:{bench}:{name}"), ns * 1e-9);
-                }
-            }
-            return Ok(series);
-        }
-    }
-    if let Some(trace) = obs::export::trace_from_json(&text) {
-        return Ok(obs::diff::analysis_series(&obs::analyze(&trace)));
-    }
-    Err(format!(
-        "{}: not an analysis, trace, or trinity-bench/v1 artifact",
-        path.display()
-    ))
-}
-
-/// `trinity diff <baseline> <current> [--tol-rel F] [--tol-abs F] [--json]`.
-/// Exits non-zero (via the returned flag) when a regression clears the
-/// tolerance bands.
+/// `trinity diff <analysis.json | run-dir> <analysis.json | run-dir>`.
+/// Returns whether the current run passed the perf gate's tolerance band.
 fn run_diff(argv: &[String]) -> Result<bool, String> {
-    let mut inputs: Vec<PathBuf> = Vec::new();
-    let mut tol = obs::Tolerance::default();
-    let mut json = false;
-    let mut it = argv.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--tol-rel" => {
-                tol.rel = it
-                    .next()
-                    .ok_or("--tol-rel needs a value")?
-                    .parse()
-                    .map_err(|e| format!("--tol-rel: {e}"))?
-            }
-            "--tol-abs" => {
-                tol.abs_frac = it
-                    .next()
-                    .ok_or("--tol-abs needs a value")?
-                    .parse()
-                    .map_err(|e| format!("--tol-abs: {e}"))?
-            }
-            "--json" => json = true,
-            other if !other.starts_with("--") => inputs.push(PathBuf::from(other)),
-            other => return Err(format!("diff: unexpected argument {other:?}")),
-        }
+    if let Some(flag) = argv.iter().find(|a| a.starts_with("--")) {
+        return Err(format!("diff: unexpected argument {flag:?}"));
     }
-    let [baseline, current] = inputs.as_slice() else {
+    let [baseline, current] = argv else {
         return Err(
-            "usage: trinity diff <baseline> <current> [--tol-rel F] [--tol-abs F] [--json]"
-                .to_string(),
+            "usage: trinity diff <analysis.json | run-dir> <analysis.json | run-dir>".into(),
         );
     };
-    let base = load_series(baseline)?;
-    let cur = load_series(current)?;
-    let report = obs::diff::diff_series(&base, &cur, tol);
-    if json {
-        print!("{}", report.to_json());
-    } else {
-        print!("{}", report.render());
-    }
+    let report = obs::diff(
+        &load_analysis(Path::new(baseline))?,
+        &load_analysis(Path::new(current))?,
+    );
+    print!("{}", report.render());
     if !report.passed() {
         eprintln!(
-            "perf regression vs {} (tolerance: +{:.0}% and +{:.0}% of the baseline total). If this \
-             slowdown is intended, refresh the baseline:\n  trinity analyze <run-dir> \
-             --out {}",
-            baseline.display(),
-            100.0 * tol.rel,
-            100.0 * tol.abs_frac,
-            baseline.display(),
+            "perf regression vs {baseline} (tolerance: +25% and +2% of the baseline total). \
+             If this slowdown is intended, refresh the baseline:\n  trinity analyze <run-dir> \
+             --out {baseline}",
         );
     }
     Ok(report.passed())
@@ -571,6 +525,10 @@ fn main() -> ExitCode {
         },
         _ => {
             let outcome = parse_args().map_err(|e| (e, 1)).and_then(|args| {
+                let Some(args) = args else {
+                    println!("{}", usage());
+                    return Ok(());
+                };
                 check_cluster_flags(&args).map_err(|e| (e, 2))?;
                 run(args).map_err(|e| (e, 1))
             });

@@ -476,7 +476,7 @@ impl<'a> Driver<'a> {
         gauge("seqio.encoded_bases", |s| s.encoded_bases);
         gauge("seqio.rolled_windows", |s| s.rolled_windows);
         let mut trace = self.obs.take();
-        trace.merge_shifted(self.spliced, 0.0, 0);
+        trace.merge_mapped(self.spliced, 0.0, |t| t);
         // Sampling-profiler pass: walk each pipeline/rank lane's open-span
         // stack at a fixed period and append `profile.depth` /
         // `profile.samples.<leaf>` counter series, so long stages (gff

@@ -1,6 +1,8 @@
 //! Hostile inputs to the CLI, each pinned as a probe: odd read files, the
 //! edges of `--kmer`, checkpoints that do not fit the run, malformed JSON
-//! given to `analyze` and `diff`, and cluster flags too large to run.
+//! given to `analyze` and `diff`, artifacts of another format than the one
+//! each command reads, usage errors, `--faults` probabilities outside
+//! [0, 1], and cluster flags too large to run.
 //!
 //! Every probe exits 0, 1 or 2 and none panics. A refused probe says why in
 //! exactly one line on stderr. A checkpoint the run cannot use is
@@ -286,5 +288,126 @@ fn oversized_cluster_flags_exit_2_before_running() {
         assert_eq!(code, 2, "{flag} {value}");
         assert_eq!(stderr.trim(), format!("{flag} must be at most 1024"));
         assert!(!out.exists(), "{flag} {value}: the run started");
+    }
+}
+
+#[test]
+fn usage_errors_are_one_line_and_help_is_not_an_error() {
+    let cases: [(&[&str], i32, &str); 8] = [
+        (&["--bogus"], 1, "unknown argument \"--bogus\""),
+        (&["--simulate", "tiny:7", "--out"], 1, "--out needs a value"),
+        (&["--simulate", "nope"], 1, "unknown preset \"nope\""),
+        (
+            &["--simulate", "tiny:7", "--faults", "42,bogus=1"],
+            1,
+            "unknown clause \"bogus\"",
+        ),
+        (
+            &["--simulate", "tiny:7", "--nprocs", "0"],
+            2,
+            "--nprocs must be at least 1",
+        ),
+        (
+            &[
+                "--simulate",
+                "tiny:7",
+                "--nprocs",
+                "2",
+                "--faults",
+                "42,crash=2@1",
+            ],
+            2,
+            "no such rank",
+        ),
+        (
+            &["--simulate", "tiny:7", "--resume"],
+            1,
+            "--resume needs --checkpoint",
+        ),
+        (&[], 1, "no input"),
+    ];
+    for (args, want, message) in cases {
+        let (code, stderr) = probe(args);
+        assert_eq!(code, want, "{args:?}:\n{stderr}");
+        assert!(stderr.contains(message), "{args:?}:\n{stderr}");
+    }
+    for flag in ["--help", "-h"] {
+        let run = Command::new(env!("CARGO_BIN_EXE_trinity"))
+            .arg(flag)
+            .output()
+            .expect("spawn trinity");
+        assert_eq!(run.status.code(), Some(0), "{flag}");
+        assert!(run.stderr.is_empty(), "{flag}");
+        let stdout = String::from_utf8_lossy(&run.stdout);
+        assert!(stdout.starts_with("usage: trinity"), "{flag}:\n{stdout}");
+    }
+}
+
+#[test]
+fn fault_probabilities_outside_0_1_are_refused() {
+    let dir = Scratch::new("faults");
+    for (clause, want) in [
+        ("delay=nan", 1),
+        ("delay=2", 1),
+        ("drop=-0.1", 1),
+        ("delay=1", 0),
+        ("drop=0", 0),
+    ] {
+        let out = dir.0.join(clause);
+        let (code, stderr) = probe(&[
+            "--simulate".as_ref(),
+            "tiny:7".as_ref(),
+            "--faults".as_ref(),
+            format!("42,{clause}").as_ref(),
+            "--out".as_ref(),
+            out.as_os_str(),
+        ]);
+        assert_eq!(code, want, "{clause}:\n{stderr}");
+        if want != 0 {
+            assert!(stderr.contains("not a probability in [0, 1]"), "{stderr}");
+            assert!(!out.exists(), "{clause}: the run started");
+        }
+    }
+}
+
+/// `analyze` reads a Chrome trace and `diff` an `analysis.json`; any other
+/// artifact is refused in one line that names it.
+#[test]
+fn artifacts_of_another_format_exit_2_with_one_line() {
+    let dir = Scratch::new("formats");
+    let run = dir.0.join("run");
+    let (code, stderr) = probe(&[
+        "--simulate".as_ref(),
+        "tiny:7".as_ref(),
+        "--out".as_ref(),
+        run.as_os_str(),
+    ]);
+    assert_eq!(code, 0, "{stderr}");
+    // A directory means its analysis.json to `diff`.
+    let (code, stderr) = probe(&["diff".as_ref(), run.as_os_str(), run.as_os_str()]);
+    assert_eq!(code, 0, "{stderr}");
+
+    let trace = std::fs::read_to_string(run.join("trace.json")).unwrap();
+    let trace = obs::export::trace_from_json(&trace).expect("the run's trace parses");
+    let plain = dir.file("plain.json", obs::export::trace_json(&trace).as_bytes());
+    let bench = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_hotloops.json");
+    let trace = run.join("trace.json");
+    let cases: [(&str, &Path); 3] = [("analyze", &plain), ("diff", &bench), ("diff", &trace)];
+    for (command, file) in cases {
+        let mut args = vec![command.as_ref(), file.as_os_str()];
+        if command == "diff" {
+            args.push(file.as_os_str());
+        }
+        let (code, stderr) = probe(&args);
+        assert_eq!(code, 2, "{args:?}:\n{stderr}");
+        let name = file.file_name().unwrap().to_str().unwrap();
+        assert!(stderr.contains(name), "{args:?}:\n{stderr}");
+    }
+    let run = run.to_str().expect("UTF-8 scratch path");
+    for flags in [&["--json"][..], &["--tol-rel", "0.5"], &["--tol-abs", "1"]] {
+        let args = [&["diff"], flags, &[run, run]].concat();
+        let (code, stderr) = probe(&args);
+        assert_eq!(code, 2, "{flags:?}:\n{stderr}");
+        assert!(stderr.contains(flags[0]), "{flags:?}:\n{stderr}");
     }
 }

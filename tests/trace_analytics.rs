@@ -110,7 +110,7 @@ fn diff_flags_exactly_the_injected_regression() {
     let baseline = obs::analyze(&out.trace);
 
     // Inject a 3x slowdown into the longest stage (well past the 25%
-    // relative and 2%-of-total absolute default bands).
+    // relative and 2%-of-total absolute bands).
     let slow = baseline
         .stages
         .iter()
@@ -118,28 +118,26 @@ fn diff_flags_exactly_the_injected_regression() {
         .unwrap()
         .name
         .clone();
-    let mut base_series = obs::diff::analysis_series(&baseline);
-    let mut cur_series = base_series.clone();
-    let key = format!("stage:{slow}");
-    let grow = base_series[&key].max(0.05) * 2.0;
-    *cur_series.get_mut(&key).unwrap() += grow;
-    *cur_series.get_mut("total").unwrap() += grow;
+    let mut current = baseline.clone();
+    let stage = current.stages.iter_mut().find(|s| s.name == slow).unwrap();
+    let grow = stage.duration().max(0.05) * 2.0;
+    stage.end += grow;
+    current.total += grow;
 
-    let report = obs::diff::diff_series(&base_series, &cur_series, obs::Tolerance::default());
+    let report = obs::diff(&baseline, &current);
     assert!(!report.passed());
     let mut flagged: Vec<&str> = report.regressions.iter().map(|d| d.span.as_str()).collect();
     flagged.sort_unstable();
+    let key = format!("stage:{slow}");
     assert_eq!(flagged, vec![&key as &str, "total"], "{report:#?}");
     assert!(report.improvements.is_empty());
 
-    // Identical series pass.
-    base_series.insert("noise".into(), 1.0);
-    cur_series = base_series.clone();
-    assert!(obs::diff::diff_series(&base_series, &cur_series, obs::Tolerance::default()).passed());
+    // Identical analyses pass.
+    assert!(obs::diff(&baseline, &baseline).passed());
 }
 
-/// The CI perf gate on its own workload: under `trinity diff`'s default
-/// tolerance a 2x slowdown of one critical-path stage of the committed
+/// The CI perf gate on its own workload: under `trinity diff`'s tolerance
+/// band a 2x slowdown of one critical-path stage of the committed
 /// baseline is a regression. (The baseline's whole run is 4 ms; a fixed
 /// 50 ms floor could only see a 12x slowdown of the total.)
 #[test]
@@ -159,13 +157,13 @@ fn perf_gate_fires_on_a_doubled_stage_of_the_committed_baseline() {
         .contribution += grow;
     slowed.total += grow;
 
-    let report = obs::diff(&baseline, &slowed, obs::Tolerance::default());
+    let report = obs::diff(&baseline, &slowed);
     let flagged: Vec<&str> = report.regressions.iter().map(|d| d.span.as_str()).collect();
     assert!(
         flagged.contains(&format!("stage:{name}").as_str()),
         "gate must fire on {name} x2: {report:#?}"
     );
-    assert!(obs::diff(&baseline, &baseline, obs::Tolerance::default()).passed());
+    assert!(obs::diff(&baseline, &baseline).passed());
 }
 
 proptest! {
@@ -242,7 +240,7 @@ fn analyze_subcommand_writes_a_valid_artifact() {
     let dir = scratch_dir("analyze");
     let out = four_rank_run();
     let trace_path = dir.join("trace.json");
-    std::fs::write(&trace_path, obs::export::trace_json(&out.trace)).unwrap();
+    std::fs::write(&trace_path, obs::export::chrome_trace(&out.trace)).unwrap();
 
     let artifact = dir.join("analysis.json");
     let st = Command::new(trinity_bin())
@@ -301,7 +299,7 @@ fn diff_subcommand_exit_codes_follow_the_verdict() {
     write_analysis(&cur_path, &current);
 
     let st = Command::new(trinity_bin())
-        .args(["diff", "--json"])
+        .args(["diff"])
         .args([&base_path, &cur_path])
         .output()
         .unwrap();
@@ -315,19 +313,6 @@ fn diff_subcommand_exit_codes_follow_the_verdict() {
     assert!(
         stderr.contains("trinity analyze"),
         "failure explains how to refresh the baseline: {stderr}"
-    );
-
-    // Widening the absolute band (a multiple of the baseline's total) far
-    // past the injected slowdown swallows it: exit 0.
-    let st = Command::new(trinity_bin())
-        .args(["diff", "--tol-abs", "1e6"])
-        .args([&base_path, &cur_path])
-        .output()
-        .unwrap();
-    assert!(
-        st.status.success(),
-        "tolerant diff should pass: {}",
-        String::from_utf8_lossy(&st.stdout)
     );
 
     // Unreadable input is a usage error: exit 2.
