@@ -1,9 +1,12 @@
-//! Microbench + ablation: GraphFromFasta loops under different schedules.
+//! Microbench: GraphFromFasta's loop-1 harvest, and the makespan replay
+//! that charges such a loop to the virtual clock.
 //!
-//! Backs the DESIGN.md ablation: pre-allocated blocks vs chunked
-//! round-robin vs pure dynamic, replayed over measured loop-1 costs.
+//! `makespan_replay` times `omp::simulate_loop` itself (16 threads,
+//! `schedule(dynamic, 1)`, synthetic skewed costs); it compares no
+//! schedules. The placement ablation is `bench::ablation_dynamic` and the
+//! `fig03` harness.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
 use chrysalis::config::ChrysalisConfig;
@@ -50,22 +53,14 @@ fn bench(c: &mut Criterion) {
         })
     });
 
-    // Schedule ablation on the makespan replay (synthetic skewed costs).
+    // The replay's own cost, on synthetic skewed item costs.
     let costs: Vec<f64> = (0..512)
         .map(|i| 1.0 + 49.0 * (-(i as f64) / 64.0).exp())
         .collect();
-    for (label, schedule) in [
-        ("static_block", Schedule::Static { chunk: None }),
-        ("static_chunk8", Schedule::Static { chunk: Some(8) }),
-        ("dynamic1", Schedule::Dynamic { chunk: 1 }),
-        ("guided", Schedule::Guided { min_chunk: 2 }),
-    ] {
-        g.bench_with_input(
-            BenchmarkId::new("makespan_replay", label),
-            &schedule,
-            |b, &s| b.iter(|| black_box(simulate_loop(&costs, 16, s))),
-        );
-    }
+    let schedule = Schedule::Dynamic { chunk: 1 };
+    g.bench_function("makespan_replay", |b| {
+        b.iter(|| black_box(simulate_loop(&costs, 16, schedule)))
+    });
     g.finish();
 }
 

@@ -82,7 +82,7 @@ mod tests {
     use crate::fig07_gff_scaling::{prepare, tests::work_units};
     use chrysalis::graph_from_fasta::dynamic_deal;
     use omp::makespan::simulate_loop;
-    use omp::schedule::{chunk_sequence, chunked_round_robin, Schedule};
+    use omp::schedule::{chunk_sequence, chunked_round_robin};
 
     #[test]
     fn dynamic_never_slower_on_loop_makespan() {
@@ -101,7 +101,7 @@ mod tests {
             simulate_loop(&work[c.start..c.end], cfg.threads, cfg.schedule).makespan
         };
         let slowest = |busy: &[f64]| busy.iter().cloned().fold(0.0, f64::max);
-        let chunk_costs: Vec<f64> = chunk_sequence(work.len(), ranks, Schedule::Dynamic { chunk })
+        let chunk_costs: Vec<f64> = chunk_sequence(work.len(), chunk)
             .iter()
             .map(chunk_loop)
             .collect();

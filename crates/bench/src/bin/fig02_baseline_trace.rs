@@ -1,13 +1,14 @@
 //! Regenerates Fig. 2: collectl trace of the original single-node Trinity.
 //!
 //! Usage: `cargo run --release -p bench --bin fig02_baseline_trace
-//! [--scale X] [--seed N] [--trace-out DIR] [--flame-out DIR]`
+//! [--scale X] [--seed N] [--trace-out DIR]`
 //!
 //! Besides the text figure on stdout, writes the run's span timeline as a
 //! Chrome `trace_event` file (`fig02_trace.json`) for `chrome://tracing` /
 //! Perfetto, the critical-path/imbalance analysis (`fig02_analysis.json`,
 //! feeds `trinity diff`), plus flamegraph artifacts (`fig02_flame.txt`
-//! collapsed stacks, `fig02_flame.svg`).
+//! collapsed stacks, `fig02_flame.svg`), all into the `--trace-out`
+//! directory (default `target/figs`).
 
 fn main() {
     let cli = bench::Cli::parse(std::env::args().skip(1));

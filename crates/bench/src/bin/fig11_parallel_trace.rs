@@ -7,7 +7,8 @@
 //! (`fig11_analysis.json` with scaling efficiency vs the serial baseline,
 //! `fig11_baseline_analysis.json`; both feed `trinity diff`), plus
 //! flamegraph artifacts (`fig11_flame.txt`/`.svg`,
-//! `fig11_baseline_flame.txt`/`.svg`; `--flame-out DIR` redirects them).
+//! `fig11_baseline_flame.txt`/`.svg`), all into the `--trace-out` directory
+//! (default `target/figs`).
 
 fn main() {
     let cli = bench::Cli::parse(std::env::args().skip(1));

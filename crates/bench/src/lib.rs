@@ -34,12 +34,10 @@ pub struct Cli {
     pub scale: f64,
     /// Base RNG seed.
     pub seed: u64,
-    /// Where `--trace-out` asks trace artifacts to go (a directory);
-    /// `None` means the default `target/figs`.
+    /// Where `--trace-out` asks trace artifacts (Chrome traces, analyses
+    /// and flamegraphs) to go (a directory); `None` means the default
+    /// `target/figs`.
     pub trace_out: Option<std::path::PathBuf>,
-    /// Where `--flame-out` asks flamegraph artifacts (collapsed-stack
-    /// `.txt` + `.svg`) to go; `None` means the default `target/figs`.
-    pub flame_out: Option<std::path::PathBuf>,
 }
 
 impl Default for Cli {
@@ -48,7 +46,6 @@ impl Default for Cli {
             scale: 1.0,
             seed: 42,
             trace_out: None,
-            flame_out: None,
         }
     }
 }
@@ -81,15 +78,15 @@ pub fn write_chrome_trace(cli: &Cli, name: &str, trace: &obs::Trace) {
 
 /// Write a trace's flamegraph artifacts — `<stem>.txt` (collapsed stacks,
 /// merged across lanes, for speedscope / inferno) and `<stem>.svg` (the
-/// self-contained renderer) — into the `--flame-out` directory (default
-/// `target/figs`).
+/// self-contained renderer) — next to the figure's trace (same directory
+/// rules as [`write_chrome_trace`]).
 pub fn write_flame(cli: &Cli, stem: &str, trace: &obs::Trace) {
     let folds = obs::flame::collapsed_merged(trace);
     let files = [
         (format!("{stem}.txt"), obs::flame::to_text(&folds)),
         (format!("{stem}.svg"), obs::flame::svg(&folds, stem)),
     ];
-    write_artifacts(cli.flame_out.as_deref(), &files);
+    write_artifacts(cli.trace_out.as_deref(), &files);
 }
 
 /// Analyze a trace and write the `analysis.json` artifact next to the
@@ -123,11 +120,6 @@ impl Cli {
                 "--trace-out" => {
                     if let Some(v) = it.next() {
                         cli.trace_out = Some(std::path::PathBuf::from(v));
-                    }
-                }
-                "--flame-out" => {
-                    if let Some(v) = it.next() {
-                        cli.flame_out = Some(std::path::PathBuf::from(v));
                     }
                 }
                 _ => {}

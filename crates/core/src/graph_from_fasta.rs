@@ -9,7 +9,7 @@ use mpisim::comm::Comm;
 use mpisim::pack::{pack_byte_strings, pack_u64s, unpack_byte_strings, unpack_u64s};
 use mpisim::{run_cluster, NetModel};
 use omp::makespan::CostedTeam;
-use omp::schedule::{chunk_sequence, chunked_round_robin, Schedule};
+use omp::schedule::{chunk_sequence, chunked_round_robin};
 use omp::Team;
 
 use crate::config::ChrysalisConfig;
@@ -182,7 +182,7 @@ fn master_dealt<R>(
     let payload = comm.transport_bcast(0, || {
         let mut costs = Vec::new();
         let mut parts = Vec::new();
-        for c in chunk_sequence(n, size, Schedule::Dynamic { chunk }) {
+        for c in chunk_sequence(n, chunk) {
             let ids: Vec<u32> = (c.start as u32..c.end as u32).collect();
             let (outputs, cost) = run(&ids);
             costs.push(cost.to_bits());

@@ -243,10 +243,8 @@ pub(crate) mod test_teams {
             3
         }
 
-        fn map<T: Sync, R: Send>(&mut self, items: &[T], f: impl Fn(&T) -> R + Sync) -> Vec<R> {
-            let mut out: Vec<R> = items.iter().rev().map(f).collect();
-            out.reverse();
-            out
+        fn for_each(&mut self, n: usize, body: &(dyn Fn(usize) + Sync)) {
+            (0..n).rev().for_each(body)
         }
 
         fn ordered(

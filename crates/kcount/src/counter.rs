@@ -219,7 +219,7 @@ pub fn count_kmers_packed(reads: &[PackedSeq], cfg: CounterConfig) -> KmerCounts
 /// calls [`count_kmers_packed`]. Callers with reads already encoded (the
 /// pipeline) should pass them to [`count_kmers_packed`] directly.
 pub fn count_kmers<S: AsRef<[u8]> + Sync>(reads: &[S], cfg: CounterConfig) -> KmerCounts {
-    let packed = omp::parallel_map(reads, cfg.threads, |r| PackedSeq::from_bytes(r.as_ref()));
+    let packed = Pool::new(cfg.threads).map(reads, |r| PackedSeq::from_bytes(r.as_ref()));
     count_kmers_packed(&packed, cfg)
 }
 

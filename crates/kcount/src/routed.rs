@@ -27,9 +27,11 @@
 //!
 //! A round routes [`Team::threads`] batches, so the routed k-mers resident
 //! at any time are one round's worth — a few MB at the pipeline's batch
-//! sizes — regardless of input size. Which clock pays depends only on the
-//! team: [`omp::Pool`] runs both loops on OS threads, [`omp::CostedTeam`]
-//! charges them to the virtual clock.
+//! sizes — regardless of input size. Both loops are [`Team::map`]s, so each
+//! is one [`Team::for_each`] of the team, `schedule(dynamic, 1)` over batches
+//! or owners. Which clock pays depends only on the team: [`omp::Pool`] runs
+//! both loops on OS threads, [`omp::CostedTeam`] charges them to the virtual
+//! clock.
 
 use std::sync::Mutex;
 

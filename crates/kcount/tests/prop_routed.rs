@@ -22,8 +22,8 @@ impl Team for Rounds {
         self.round
     }
 
-    fn map<T: Sync, R: Send>(&mut self, items: &[T], f: impl Fn(&T) -> R + Sync) -> Vec<R> {
-        Team::map(&mut self.pool, items, f)
+    fn for_each(&mut self, n: usize, body: &(dyn Fn(usize) + Sync)) {
+        self.pool.for_each(n, body)
     }
 
     fn ordered(

@@ -1,18 +1,17 @@
 //! Deterministic virtual-time replay of a scheduled loop.
 //!
 //! Given the measured cost of every loop iteration, [`simulate_loop`] replays
-//! the configured schedule with greedy list scheduling: the next chunk in the
-//! schedule's grab order goes to the thread that becomes idle first. For
-//! `schedule(dynamic)` this is *exactly* the runtime behaviour of an OpenMP
-//! team (modulo scheduler noise); for `schedule(static)` ownership is fixed
-//! up front. The result is a per-thread busy-time vector and the loop
-//! makespan, computable for any thread count on any host.
+//! `schedule(dynamic)` with greedy list scheduling: the next chunk in grab
+//! order goes to the thread that becomes idle first. That is *exactly* the
+//! runtime behaviour of an OpenMP team (modulo scheduler noise). The result
+//! is a per-thread busy-time vector and the loop makespan, computable for
+//! any thread count on any host.
 
 use std::collections::VecDeque;
 use std::ops::Range;
 
-use crate::pool::{parallel_map_timed, timed, Team};
-use crate::schedule::{chunk_sequence, static_owner, Chunk, Schedule};
+use crate::pool::{timed, Team};
+use crate::schedule::{chunk_sequence, Chunk, Schedule};
 
 /// Outcome of replaying one loop.
 #[derive(Debug, Clone, PartialEq)]
@@ -118,28 +117,15 @@ impl LoopSim {
     }
 }
 
-fn chunk_cost(costs: &[f64], c: Chunk) -> f64 {
-    costs[c.start..c.end].iter().sum()
-}
-
-/// Replay `schedule` over `costs` with `threads` workers.
+/// Replay `schedule` over `costs` with `threads` workers: each chunk in
+/// grab order goes to the earliest-idle thread, the lowest on a tie.
 pub fn simulate_loop(costs: &[f64], threads: usize, schedule: Schedule) -> LoopSim {
-    let threads = threads.max(1);
-    let chunks = chunk_sequence(costs.len(), threads, schedule);
-    let mut busy = vec![0.0f64; threads];
-    match schedule {
-        Schedule::Static { .. } => {
-            for (i, &c) in chunks.iter().enumerate() {
-                busy[static_owner(i, threads)] += chunk_cost(costs, c);
-            }
-        }
-        Schedule::Dynamic { .. } | Schedule::Guided { .. } => {
-            // Greedy list scheduling: next chunk to the earliest-idle thread.
-            for &c in &chunks {
-                let t = earliest(&busy);
-                busy[t] += chunk_cost(costs, c);
-            }
-        }
+    let Schedule::Dynamic { chunk } = schedule;
+    let chunks = chunk_sequence(costs.len(), chunk);
+    let mut busy = vec![0.0f64; threads.max(1)];
+    for c in &chunks {
+        let t = (1..busy.len()).fold(0, |t, u| if busy[u] < busy[t] { u } else { t });
+        busy[t] += costs[c.start..c.end].iter().sum::<f64>();
     }
     let makespan = busy.iter().cloned().fold(0.0, f64::max);
     LoopSim {
@@ -225,7 +211,7 @@ pub fn simulate_ordered(
 }
 
 /// A [`Team`] on the virtual clock: every parallel-for is run once, its
-/// items measured and replayed by [`simulate_loop`], every ordered loop a
+/// indices measured and replayed by [`simulate_loop`], every ordered loop a
 /// [`simulate_ordered`] replay, and `sim` is the replay of all of them in
 /// program order — what a multi-loop parallel region (encode, barrier,
 /// route, barrier, count, barrier, …) charges as one figure. How an item is
@@ -296,12 +282,12 @@ impl Team for CostedTeam {
         self.sim.thread_busy.len()
     }
 
-    /// The parallel-for run on the calling thread, each item measured by
-    /// [`timed`], the costs replayed by [`simulate_loop`].
-    fn map<T: Sync, R: Send>(&mut self, items: &[T], f: impl Fn(&T) -> R + Sync) -> Vec<R> {
+    /// The parallel-for run on the calling thread in index order, each
+    /// index measured by [`timed`], the costs replayed by [`simulate_loop`].
+    fn for_each(&mut self, n: usize, body: &(dyn Fn(usize) + Sync)) {
         self.costed(|threads, schedule| {
-            let (results, costs) = parallel_map_timed(items, f);
-            (results, simulate_loop(&costs, threads, schedule))
+            let costs: Vec<f64> = (0..n).map(|i| timed(|| body(i)).1).collect();
+            ((), simulate_loop(&costs, threads, schedule))
         })
     }
 
@@ -329,8 +315,8 @@ impl Team for CostedTeam {
 
 /// Replay a list of pre-assigned chunk groups (e.g. the chunked round-robin
 /// MPI distribution): each group is one rank's chunk list; within a rank the
-/// chunks' items are further scheduled over `threads` OpenMP threads with
-/// `inner` scheduling. Returns one [`LoopSim`] per group.
+/// chunks' items are further scheduled over `threads` OpenMP threads by
+/// `inner`. Returns one [`LoopSim`] per group.
 pub fn simulate_grouped(
     costs: &[f64],
     groups: &[Vec<Chunk>],
@@ -349,16 +335,6 @@ pub fn simulate_grouped(
             simulate_loop(&rank_costs, threads, inner)
         })
         .collect()
-}
-
-fn earliest(busy: &[f64]) -> usize {
-    let mut best = 0;
-    for (i, &b) in busy.iter().enumerate().skip(1) {
-        if b < busy[best] {
-            best = i;
-        }
-    }
-    best
 }
 
 #[cfg(test)]
@@ -459,13 +435,8 @@ mod tests {
     fn makespan_bounds() {
         let costs = vec![3.0, 1.0, 4.0, 1.0, 5.0, 9.0, 2.0, 6.0];
         for threads in 1..6 {
-            for s in [
-                Schedule::Static { chunk: None },
-                Schedule::Static { chunk: Some(2) },
-                Schedule::Dynamic { chunk: 1 },
-                Schedule::Dynamic { chunk: 3 },
-                Schedule::Guided { min_chunk: 1 },
-            ] {
+            for chunk in [1, 2, 3] {
+                let s = Schedule::Dynamic { chunk };
                 let sim = simulate_loop(&costs, threads, s);
                 let serial: f64 = costs.iter().sum();
                 let max_item = 9.0;
@@ -483,18 +454,6 @@ mod tests {
         let costs = vec![2.0, 3.0, 5.0];
         let sim = simulate_loop(&costs, 1, Schedule::Dynamic { chunk: 1 });
         assert!((sim.makespan - 10.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn dynamic_beats_static_on_skew() {
-        // One huge item at the front: static-block puts it with a full block
-        // of other work; dynamic isolates it.
-        let mut costs = vec![100.0];
-        costs.extend(std::iter::repeat_n(1.0, 99));
-        let stat = simulate_loop(&costs, 4, Schedule::Static { chunk: None });
-        let dyn_ = simulate_loop(&costs, 4, Schedule::Dynamic { chunk: 1 });
-        assert!(dyn_.makespan < stat.makespan);
-        assert!((dyn_.makespan - 100.0).abs() < 1e-9); // bounded by the big item
     }
 
     #[test]

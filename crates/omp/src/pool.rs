@@ -1,25 +1,25 @@
-//! Real parallel execution of work loops.
+//! Real parallel execution of work loops, and the [`Team`] contract every
+//! executor meets.
 //!
-//! [`parallel_map`] executes a loop body over a slice with a shared atomic
-//! cursor — the execution model of OpenMP `schedule(dynamic, 1)`. The
-//! benchmark host has two cores, so a team of 16 threads time-slices them,
-//! which is exactly why timing is handled separately by
-//! [`crate::makespan`]: the *results* come from here, the *clock* from the
-//! replay.
+//! [`Pool`] runs a parallel-for over OS threads with a shared atomic cursor
+//! — the execution model of OpenMP `schedule(dynamic, 1)`. The benchmark
+//! host has two cores, so a team of 16 threads time-slices them, which is
+//! exactly why timing is handled separately by [`crate::makespan`]: the
+//! *results* come from here, the *clock* from the replay.
 
 use std::collections::VecDeque;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, PoisonError};
 
-/// A simple reusable description of a thread team.
+/// A team of OS threads.
 ///
 /// # Examples
 ///
 /// ```
-/// use omp::Pool;
+/// use omp::{Pool, Team};
 ///
-/// let team = Pool::new(4);
+/// let mut team = Pool::new(4);
 /// let squares = team.map(&[1, 2, 3, 4], |&x| x * x);
 /// assert_eq!(squares, vec![1, 4, 9, 16]); // input order is preserved
 /// ```
@@ -36,11 +36,6 @@ impl Pool {
             threads: threads.max(1),
         }
     }
-
-    /// Map `f` over `items` with dynamic self-scheduling.
-    pub fn map<T: Sync, R: Send>(&self, items: &[T], f: impl Fn(&T) -> R + Sync) -> Vec<R> {
-        parallel_map(items, self.threads, f)
-    }
 }
 
 /// The team a parallel region runs on. Code written against `Team` runs
@@ -49,13 +44,30 @@ impl Pool {
 /// replays the configured thread count).
 ///
 /// A region on a team is parallel-fors and ordered loops: the only serial
-/// sections its workers idle behind are an ordered loop's lock.
+/// sections its workers idle behind are an ordered loop's lock. The two
+/// loops have `seqio::par`'s two shapes, `par` and `ord`.
 pub trait Team {
     /// Number of workers.
     fn threads(&self) -> usize;
 
-    /// A parallel-for: map `f` over `items`, results in input order.
-    fn map<T: Sync, R: Send>(&mut self, items: &[T], f: impl Fn(&T) -> R + Sync) -> Vec<R>;
+    /// A parallel-for, `seqio::par`'s `par(n, body)`: `body(i)` runs once
+    /// for every `i` in `0..n`, in any order and on any worker.
+    fn for_each(&mut self, n: usize, body: &(dyn Fn(usize) + Sync));
+
+    /// Map `f` over `items`, results in input order: [`Team::for_each`]
+    /// over one result slot per item.
+    fn map<T: Sync, R: Send>(&mut self, items: &[T], f: impl Fn(&T) -> R + Sync) -> Vec<R> {
+        let slots: Vec<Mutex<Option<R>>> = items.iter().map(|_| Mutex::new(None)).collect();
+        // `f` runs before its slot is locked, so no slot is poisoned.
+        let poisoned = "a slot is locked only to store a finished result";
+        self.for_each(items.len(), &|i| {
+            let r = f(&items[i]);
+            *slots[i].lock().expect(poisoned) = Some(r);
+        });
+        let unfilled = "for_each visits every index";
+        let result = |slot: Mutex<Option<R>>| slot.into_inner().expect(poisoned).expect(unfilled);
+        slots.into_iter().map(result).collect()
+    }
 
     /// An ordered loop, `seqio::par`'s `ord(window, take, work, commit)`:
     /// `take` claims task `i` (the count so far) or returns false, `work(i)`
@@ -76,8 +88,27 @@ impl Team for Pool {
         self.threads
     }
 
-    fn map<T: Sync, R: Send>(&mut self, items: &[T], f: impl Fn(&T) -> R + Sync) -> Vec<R> {
-        parallel_map(items, self.threads, f)
+    /// Up to `threads` scoped workers claim indices from a shared cursor (a
+    /// one-worker or one-index loop runs on the calling thread). A panicking
+    /// body ends its worker; the rest finish the loop, then it re-panics.
+    fn for_each(&mut self, n: usize, body: &(dyn Fn(usize) + Sync)) {
+        let threads = self.threads.min(n);
+        if threads <= 1 {
+            return (0..n).for_each(body);
+        }
+        let cursor = AtomicUsize::new(0);
+        crossbeam::scope(|scope| {
+            for _ in 0..threads {
+                scope.spawn(|_| loop {
+                    let i = cursor.fetch_add(1, Ordering::Relaxed);
+                    if i >= n {
+                        break;
+                    }
+                    body(i);
+                });
+            }
+        })
+        .expect("worker thread panicked");
     }
 
     /// One mutex guards `take`, `commit` and the window; a worker that
@@ -160,9 +191,7 @@ impl Team for Pool {
 /// `team`'s parallel-for as a `par(n, body)` loop over `0..n`: the form in
 /// which the stage builders (`seqio::par`) take their loops.
 pub fn par_loop<T: Team>(team: &mut T) -> impl FnMut(usize, &(dyn Fn(usize) + Sync)) + '_ {
-    move |n, body| {
-        team.map(&(0..n).collect::<Vec<_>>(), |&i| body(i));
-    }
+    move |n, body| team.for_each(n, body)
 }
 
 /// `team`'s ordered loop as `ord(window, take, work, commit)`: the form in
@@ -179,41 +208,11 @@ pub fn ord_loop<T: Team>(
     move |window, take, work, commit| team.ordered(window, take, work, commit)
 }
 
-/// Map `f` over `items` using `threads` OS threads and a shared cursor
-/// (dynamic schedule, chunk 1). Results are returned in input order.
-pub fn parallel_map<T: Sync, R: Send>(
-    items: &[T],
-    threads: usize,
-    f: impl Fn(&T) -> R + Sync,
-) -> Vec<R> {
-    let threads = threads.max(1).min(items.len().max(1));
-    if threads == 1 || items.len() <= 1 {
-        return items.iter().map(&f).collect();
-    }
-    let cursor = AtomicUsize::new(0);
-    let mut out: Vec<Option<R>> = (0..items.len()).map(|_| None).collect();
-    let out_slots = SlotWriter::new(&mut out);
-    crossbeam::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|_| loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                if i >= items.len() {
-                    break;
-                }
-                let r = f(&items[i]);
-                // SAFETY: each index is claimed exactly once by the cursor.
-                unsafe { out_slots.write(i, r) };
-            });
-        }
-    })
-    .expect("worker thread panicked");
-    out.into_iter().map(|r| r.expect("slot filled")).collect()
-}
-
 /// Run `f` and measure its wall-clock duration in seconds — the program's
 /// one wall-clock read. Every virtual-clock charge of measured work starts
-/// here: per item ([`parallel_map_timed`]), and around each loop call and
-/// each region of a [`crate::makespan::CostedTeam`].
+/// here: per index of a [`crate::makespan::CostedTeam`] loop, per item of
+/// [`parallel_map_timed`], and around each loop call and each region of a
+/// `CostedTeam`.
 pub fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
     let t0 = std::time::Instant::now();
     let out = f();
@@ -227,31 +226,6 @@ pub fn parallel_map_timed<T, R>(items: &[T], mut f: impl FnMut(&T) -> R) -> (Vec
     items.iter().map(|item| timed(|| f(item))).unzip()
 }
 
-/// Shared-slot writer used by `parallel_map` to scatter results by index
-/// without locks. Each index must be written at most once.
-struct SlotWriter<R> {
-    ptr: *mut Option<R>,
-}
-
-impl<R> SlotWriter<R> {
-    fn new(slots: &mut [Option<R>]) -> Self {
-        SlotWriter {
-            ptr: slots.as_mut_ptr(),
-        }
-    }
-
-    /// # Safety
-    /// `i` must be in bounds and claimed by exactly one writer.
-    unsafe fn write(&self, i: usize, value: R) {
-        std::ptr::write(self.ptr.add(i), Some(value));
-    }
-}
-
-// SAFETY: disjoint-index writes are externally guaranteed by the atomic
-// cursor; the raw pointer itself is safe to share under that protocol.
-unsafe impl<R: Send> Sync for SlotWriter<R> {}
-unsafe impl<R: Send> Send for SlotWriter<R> {}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -259,26 +233,26 @@ mod tests {
     #[test]
     fn map_preserves_order() {
         let items: Vec<u64> = (0..1000).collect();
-        let out = parallel_map(&items, 4, |&x| x * 2);
+        let out = Pool::new(4).map(&items, |&x| x * 2);
         assert_eq!(out, items.iter().map(|x| x * 2).collect::<Vec<_>>());
     }
 
     #[test]
     fn map_single_thread_path() {
         let items = vec![1, 2, 3];
-        assert_eq!(parallel_map(&items, 1, |&x| x + 1), vec![2, 3, 4]);
+        assert_eq!(Pool::new(1).map(&items, |&x| x + 1), vec![2, 3, 4]);
     }
 
     #[test]
     fn map_empty() {
         let items: Vec<u32> = vec![];
-        assert!(parallel_map(&items, 8, |&x| x).is_empty());
+        assert!(Pool::new(8).map(&items, |&x| x).is_empty());
     }
 
     #[test]
     fn map_more_threads_than_items() {
         let items = vec![5u32; 3];
-        assert_eq!(parallel_map(&items, 64, |&x| x).len(), 3);
+        assert_eq!(Pool::new(64).map(&items, |&x| x).len(), 3);
     }
 
     #[test]
@@ -308,6 +282,53 @@ mod tests {
         });
         let got: Vec<u64> = hits.iter().map(|h| h.load(Ordering::Relaxed)).collect();
         assert_eq!(got, (1..=100).collect::<Vec<u64>>());
+    }
+
+    #[test]
+    fn for_each_raises_a_panicking_body_without_hanging() {
+        // The loop runs on a helper thread so that a hang fails the test
+        // instead of stalling it.
+        let (done, finished) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let caught = panic::catch_unwind(|| {
+                Pool::new(4).for_each(1000, &|i| assert_ne!(i, 7, "body panics at 7"));
+            });
+            done.send(caught.is_err()).unwrap();
+        });
+        let raised = finished
+            .recv_timeout(std::time::Duration::from_secs(60))
+            .expect("for_each returned after a panicking body");
+        assert!(raised, "the body's panic reaches the caller");
+    }
+
+    #[test]
+    fn map_keeps_input_order_when_for_each_runs_in_reverse() {
+        /// A team whose loop visits the indices last to first.
+        struct Reversed(Mutex<Vec<usize>>);
+        impl Team for Reversed {
+            fn threads(&self) -> usize {
+                2
+            }
+            fn for_each(&mut self, n: usize, body: &(dyn Fn(usize) + Sync)) {
+                for i in (0..n).rev() {
+                    self.0.lock().unwrap().push(i);
+                    body(i);
+                }
+            }
+            fn ordered(
+                &mut self,
+                _: usize,
+                _: &mut (dyn FnMut() -> bool + Send),
+                _: &(dyn Fn(usize) + Sync),
+                _: &mut (dyn FnMut(usize) + Send),
+            ) {
+                unreachable!("map runs no ordered loop")
+            }
+        }
+        let mut team = Reversed(Mutex::new(Vec::new()));
+        let words = ["a", "bb", "ccc", "dddd", "eeeee"];
+        assert_eq!(team.map(&words, |w| w.len()), [1, 2, 3, 4, 5]);
+        assert_eq!(team.0.into_inner().unwrap(), [4, 3, 2, 1, 0]);
     }
 
     #[test]
@@ -367,7 +388,7 @@ mod tests {
     #[test]
     fn map_with_nontrivial_results() {
         let items: Vec<usize> = (0..200).collect();
-        let out = parallel_map(&items, 8, |&x| vec![x; x % 5]);
+        let out = Pool::new(8).map(&items, |&x| vec![x; x % 5]);
         for (i, v) in out.iter().enumerate() {
             assert_eq!(v.len(), i % 5);
         }

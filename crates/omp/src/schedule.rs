@@ -1,29 +1,18 @@
-//! Loop scheduling policies and the chunk sequences they generate.
+//! The loop schedule and the chunk sequence it deals.
 //!
 //! OpenMP's `schedule` clause controls how loop iterations are parceled out
-//! to threads. Chrysalis uses `schedule(dynamic)` for both GraphFromFasta
-//! loops because per-contig work is wildly non-uniform (§III-B of the paper).
+//! to threads. Chrysalis uses `schedule(dynamic)` for its loops because
+//! per-contig work is wildly non-uniform (§III-B of the paper), and so does
+//! every loop here: [`Schedule`] has that one policy, and its chunk size.
 
-/// An OpenMP-style loop schedule.
+/// An OpenMP-style loop schedule: `schedule(dynamic, chunk)`, the one the
+/// paper's loops use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Schedule {
-    /// `schedule(static[, chunk])`: chunks are assigned round-robin to
-    /// threads *before* execution. `chunk = None` means one contiguous block
-    /// per thread.
-    Static {
-        /// Chunk size; `None` means one contiguous block per thread.
-        chunk: Option<usize>,
-    },
     /// `schedule(dynamic, chunk)`: threads grab the next chunk when idle.
     Dynamic {
         /// Fixed chunk size each idle thread grabs.
         chunk: usize,
-    },
-    /// `schedule(guided, min_chunk)`: like dynamic but chunk size starts at
-    /// `remaining / threads` and decays geometrically to `min_chunk`.
-    Guided {
-        /// Floor the geometrically decaying chunk size never drops below.
-        min_chunk: usize,
     },
 }
 
@@ -48,65 +37,23 @@ impl Chunk {
     }
 }
 
-/// Generate the ordered chunk sequence a schedule produces for a loop of
-/// `n` iterations run by `threads` threads.
-///
-/// For `Static`, consecutive chunks belong to threads `0, 1, …, T-1, 0, …`;
-/// for `Dynamic`/`Guided` the sequence is the grab order and the owner is
-/// decided at run time (or by the makespan replay).
-pub fn chunk_sequence(n: usize, threads: usize, schedule: Schedule) -> Vec<Chunk> {
-    assert!(threads > 0, "need at least one thread");
-    let mut chunks = Vec::new();
-    if n == 0 {
-        return chunks;
-    }
-    match schedule {
-        Schedule::Static { chunk: None } => {
-            // One contiguous block per thread, sizes differing by at most 1.
-            let base = n / threads;
-            let extra = n % threads;
-            let mut start = 0;
-            for t in 0..threads {
-                let len = base + usize::from(t < extra);
-                if len == 0 {
-                    continue;
-                }
-                chunks.push(Chunk {
-                    start,
-                    end: start + len,
-                });
-                start += len;
-            }
-        }
-        Schedule::Static { chunk: Some(c) } | Schedule::Dynamic { chunk: c } => {
-            let c = c.max(1);
-            let mut start = 0;
-            while start < n {
-                let end = (start + c).min(n);
-                chunks.push(Chunk { start, end });
-                start = end;
-            }
-        }
-        Schedule::Guided { min_chunk } => {
-            let min_chunk = min_chunk.max(1);
-            let mut start = 0;
-            while start < n {
-                let remaining = n - start;
-                let size = (remaining.div_ceil(threads)).max(min_chunk).min(remaining);
-                chunks.push(Chunk {
-                    start,
-                    end: start + size,
-                });
-                start += size;
-            }
-        }
-    }
-    chunks
+/// Cut a loop of `n` iterations into consecutive chunks of `chunk` (at
+/// least 1), the last one clamped to `n`: the grab order of
+/// `schedule(dynamic, chunk)`, and the chunks the MPI distributions deal.
+pub fn chunk_sequence(n: usize, chunk: usize) -> Vec<Chunk> {
+    let chunk = chunk.max(1);
+    (0..n.div_ceil(chunk))
+        .map(|i| Chunk {
+            start: i * chunk,
+            end: ((i + 1) * chunk).min(n),
+        })
+        .collect()
 }
 
-/// The owner thread of chunk index `i` under a static schedule.
-pub fn static_owner(chunk_index: usize, threads: usize) -> usize {
-    chunk_index % threads
+/// The rank that owns chunk `chunk_index` under the chunked round-robin
+/// distribution: ranks take chunks in turn.
+pub fn static_owner(chunk_index: usize, ranks: usize) -> usize {
+    chunk_index % ranks
 }
 
 /// The paper's *chunked round-robin* MPI distribution (§III-B, Fig. 3):
@@ -118,15 +65,9 @@ pub fn static_owner(chunk_index: usize, threads: usize) -> usize {
 /// must be clamped when fewer items than a full chunk remain.
 pub fn chunked_round_robin(n: usize, ranks: usize, chunk: usize) -> Vec<Vec<Chunk>> {
     assert!(ranks > 0, "need at least one rank");
-    let chunk = chunk.max(1);
     let mut per_rank = vec![Vec::new(); ranks];
-    let mut start = 0;
-    let mut i = 0;
-    while start < n {
-        let end = (start + chunk).min(n);
-        per_rank[i % ranks].push(Chunk { start, end });
-        start = end;
-        i += 1;
+    for (i, c) in chunk_sequence(n, chunk).into_iter().enumerate() {
+        per_rank[static_owner(i, ranks)].push(c);
     }
     per_rank
 }
@@ -155,25 +96,8 @@ mod tests {
     }
 
     #[test]
-    fn static_block_partition() {
-        let chunks = chunk_sequence(10, 3, Schedule::Static { chunk: None });
-        assert_eq!(chunks.len(), 3);
-        assert_eq!(chunks[0], Chunk { start: 0, end: 4 });
-        assert_eq!(chunks[1], Chunk { start: 4, end: 7 });
-        assert_eq!(chunks[2], Chunk { start: 7, end: 10 });
-        covers_exactly(&chunks, 10);
-    }
-
-    #[test]
-    fn static_block_more_threads_than_items() {
-        let chunks = chunk_sequence(2, 8, Schedule::Static { chunk: None });
-        assert_eq!(chunks.len(), 2);
-        covers_exactly(&chunks, 2);
-    }
-
-    #[test]
     fn dynamic_chunks() {
-        let chunks = chunk_sequence(10, 4, Schedule::Dynamic { chunk: 3 });
+        let chunks = chunk_sequence(10, 3);
         assert_eq!(chunks.len(), 4);
         assert_eq!(chunks[3], Chunk { start: 9, end: 10 }); // clamped tail
         covers_exactly(&chunks, 10);
@@ -181,34 +105,13 @@ mod tests {
 
     #[test]
     fn dynamic_chunk_zero_is_clamped_to_one() {
-        let chunks = chunk_sequence(3, 2, Schedule::Dynamic { chunk: 0 });
+        let chunks = chunk_sequence(3, 0);
         assert_eq!(chunks.len(), 3);
     }
 
     #[test]
-    fn guided_decays() {
-        let chunks = chunk_sequence(100, 4, Schedule::Guided { min_chunk: 2 });
-        covers_exactly(&chunks, 100);
-        // First chunk is remaining/threads = 25, sizes never increase.
-        assert_eq!(chunks[0].len(), 25);
-        for w in chunks.windows(2) {
-            assert!(w[1].len() <= w[0].len());
-        }
-        // Tail chunks respect min_chunk except possibly the final remainder.
-        for c in &chunks[..chunks.len() - 1] {
-            assert!(c.len() >= 2);
-        }
-    }
-
-    #[test]
     fn empty_loop() {
-        for s in [
-            Schedule::Static { chunk: None },
-            Schedule::Dynamic { chunk: 4 },
-            Schedule::Guided { min_chunk: 1 },
-        ] {
-            assert!(chunk_sequence(0, 4, s).is_empty());
-        }
+        assert!(chunk_sequence(0, 4).is_empty());
     }
 
     #[test]

@@ -5,18 +5,13 @@ use omp::schedule::{chunk_sequence, chunked_round_robin, Schedule};
 use proptest::prelude::*;
 
 fn any_schedule() -> impl Strategy<Value = Schedule> {
-    prop_oneof![
-        Just(Schedule::Static { chunk: None }),
-        (1usize..20).prop_map(|c| Schedule::Static { chunk: Some(c) }),
-        (1usize..20).prop_map(|c| Schedule::Dynamic { chunk: c }),
-        (1usize..20).prop_map(|c| Schedule::Guided { min_chunk: c }),
-    ]
+    (1usize..20).prop_map(|c| Schedule::Dynamic { chunk: c })
 }
 
 proptest! {
     #[test]
-    fn chunks_partition_iterations(n in 0usize..500, threads in 1usize..32, s in any_schedule()) {
-        let chunks = chunk_sequence(n, threads, s);
+    fn chunks_partition_iterations(n in 0usize..500, chunk in 0usize..20) {
+        let chunks = chunk_sequence(n, chunk);
         let mut covered = vec![0u8; n];
         for c in &chunks {
             prop_assert!(c.start < c.end || n == 0);

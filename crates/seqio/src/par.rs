@@ -3,13 +3,16 @@
 //!
 //! Only `bowtie` and `inchworm`, the crates that do not depend on `omp`,
 //! take these closures; every other builder takes an `&mut impl omp::Team`.
+//! The two are one contract: a team's parallel-for,
+//! `omp::Team::for_each(n, body)`, has exactly `par`'s shape, and its
+//! ordered loop `ord`'s.
 //! A builder with parallel loops (the Inchworm dictionary and walks, the
 //! FM-index's suffix sort and Occ fill) does not own threads: it takes the
 //! loop as `par(n, body)`, which calls `body(i)` once for every `i` in
 //! `0..n`, in any order and on any threads. [`sequential`] runs it in place;
-//! a caller with a thread team passes the team's loop (`omp::par_loop`). A
-//! builder whose loop bodies write only what their own index owns gives the
-//! same result under every `par`.
+//! a caller with a thread team passes the team's `for_each`
+//! (`omp::par_loop`). A builder whose loop bodies write only what their own
+//! index owns gives the same result under every `par`.
 //!
 //! A loop whose tasks must land in order (the Inchworm walks) takes the
 //! second contract, `ord(window, take, work, commit)`: `take()` claims the

@@ -11,12 +11,13 @@
 //! `transcripts.fasta`, `collectl.txt` (text stage table + top-self-time
 //! profile), `trace.json` (Chrome `trace_event` timeline — open in
 //! `chrome://tracing` / Perfetto), `metrics.json` (counter/gauge/histogram
-//! snapshot), `flame.txt` (collapsed-stack fold for speedscope / inferno)
-//! and `flame.svg` (self-contained flamegraph; `--flame-out DIR` redirects
-//! the two flame artifacts). `--nprocs` is the paper's extension:
-//! Chrysalis runs its hybrid MPI+OpenMP rank programs over `N` simulated
-//! ranks; the default `--nprocs 1` is the same programs on one rank over a
-//! free network, and `--faults` applies there as at any `N`.
+//! snapshot), `analysis.json` (critical path and per-stage imbalance, read
+//! from `trace.json`), `flame.txt` (collapsed-stack fold for speedscope /
+//! inferno) and `flame.svg` (self-contained flamegraph). `--nprocs` is the
+//! paper's extension: Chrysalis runs its hybrid MPI+OpenMP rank programs
+//! over `N` simulated ranks; the default `--nprocs 1` is the same programs
+//! on one rank over a free network, and `--faults` applies there as at any
+//! `N`.
 //!
 //! `--simulate tiny:7` generates a synthetic dataset instead of reading
 //! files (handy for smoke tests; see `simulate::datasets`).
@@ -60,7 +61,6 @@ struct Args {
     threads: usize,
     k: usize,
     simulate: Option<(DatasetPreset, u64)>,
-    flame_out: Option<PathBuf>,
     faults: Option<Arc<FaultPlan>>,
     checkpoint: Option<PathBuf>,
     resume: bool,
@@ -68,7 +68,7 @@ struct Args {
 
 fn usage() -> &'static str {
     "usage: trinity --reads <fasta|fastq>... --out <dir> \
-     [--nprocs N] [--threads T] [--kmer K] [--flame-out DIR] \
+     [--nprocs N] [--threads T] [--kmer K] \
      [--simulate tiny|whitefly|schizo|drosophila|sugarbeet[:SEED]] \
      [--faults SEED[,delay=P][,drop=P][,crash=RANK@OP]...] \
      [--checkpoint DIR] [--resume]\n\
@@ -133,7 +133,6 @@ fn parse_args() -> Result<Option<Args>, String> {
         threads: 16,
         k: 16,
         simulate: None,
-        flame_out: None,
         faults: None,
         checkpoint: None,
         resume: false,
@@ -147,7 +146,6 @@ fn parse_args() -> Result<Option<Args>, String> {
         match a.as_str() {
             "--reads" => args.reads.push(PathBuf::from(value("--reads")?)),
             "--out" => args.out = PathBuf::from(value("--out")?),
-            "--flame-out" => args.flame_out = Some(PathBuf::from(value("--flame-out")?)),
             "--nprocs" => {
                 args.nprocs = value("--nprocs")?
                     .parse()
@@ -297,7 +295,11 @@ fn run(args: Args) -> Result<(), String> {
             .expect("writing to a String cannot fail");
     }
     std::fs::write(args.out.join("read_assignments.txt"), text).map_err(|e| e.to_string())?;
-    let analysis = obs::analyze(&out.trace);
+    // The run's analysis is derived from the Chrome trace it writes, so
+    // that `trinity analyze <run-dir>` reproduces it byte for byte.
+    let trace_text = obs::export::chrome_trace(&out.trace);
+    let written = obs::export::trace_from_json(&trace_text).expect("a written trace reads back");
+    let analysis = obs::analyze(&written);
     std::fs::write(
         args.out.join("analysis.json"),
         obs::analyze::analysis_json(&analysis),
@@ -324,11 +326,7 @@ fn run(args: Args) -> Result<(), String> {
     if !fault_report.is_empty() {
         eprint!("{fault_report}");
     }
-    std::fs::write(
-        args.out.join("trace.json"),
-        obs::export::chrome_trace(&out.trace),
-    )
-    .map_err(|e| e.to_string())?;
+    std::fs::write(args.out.join("trace.json"), trace_text).map_err(|e| e.to_string())?;
     std::fs::write(
         args.out.join("metrics.json"),
         obs::export::metrics_json(&out.metrics),
@@ -336,13 +334,11 @@ fn run(args: Args) -> Result<(), String> {
     .map_err(|e| e.to_string())?;
     // Flamegraph artifacts: the merged-across-lanes fold as collapsed
     // stacks (speedscope / inferno input) and a self-contained SVG.
-    let flame_dir = args.flame_out.clone().unwrap_or_else(|| args.out.clone());
-    std::fs::create_dir_all(&flame_dir).map_err(|e| e.to_string())?;
     let folds = obs::flame::collapsed_merged(&out.trace);
-    std::fs::write(flame_dir.join("flame.txt"), obs::flame::to_text(&folds))
+    std::fs::write(args.out.join("flame.txt"), obs::flame::to_text(&folds))
         .map_err(|e| e.to_string())?;
     std::fs::write(
-        flame_dir.join("flame.svg"),
+        args.out.join("flame.svg"),
         obs::flame::svg(&folds, "trinity pipeline (all lanes)"),
     )
     .map_err(|e| e.to_string())?;

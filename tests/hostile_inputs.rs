@@ -293,8 +293,14 @@ fn oversized_cluster_flags_exit_2_before_running() {
 
 #[test]
 fn usage_errors_are_one_line_and_help_is_not_an_error() {
-    let cases: [(&[&str], i32, &str); 8] = [
+    let cases: [(&[&str], i32, &str); 9] = [
         (&["--bogus"], 1, "unknown argument \"--bogus\""),
+        // Flamegraphs go to `--out`; there is no flag to move them.
+        (
+            &["--simulate", "tiny:7", "--flame-out", "flames"],
+            1,
+            "unknown argument \"--flame-out\"",
+        ),
         (&["--simulate", "tiny:7", "--out"], 1, "--out needs a value"),
         (&["--simulate", "nope"], 1, "unknown preset \"nope\""),
         (

@@ -263,6 +263,75 @@ fn analyze_subcommand_writes_a_valid_artifact() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Run the CLI on `--simulate tiny:7` at `nprocs` ranks into a fresh
+/// directory and return it.
+fn cli_run(tag: &str, nprocs: usize) -> PathBuf {
+    let dir = scratch_dir(tag);
+    let st = Command::new(trinity_bin())
+        .args([
+            "--simulate",
+            "tiny:7",
+            "--nprocs",
+            &nprocs.to_string(),
+            "--out",
+        ])
+        .arg(&dir)
+        .output()
+        .unwrap();
+    assert!(
+        st.status.success(),
+        "{}",
+        String::from_utf8_lossy(&st.stderr)
+    );
+    dir
+}
+
+#[test]
+fn analyze_of_a_run_dir_reproduces_its_analysis_json() {
+    // The run used to analyse its in-memory trace and `analyze` the
+    // trace.json it wrote, whose microsecond timestamps move span edges:
+    // at one rank the re-analysis added `rtt.total` and `rtt.kmer_setup`
+    // to the critical path, at four the step values differed.
+    for nprocs in [1, 4] {
+        let dir = cli_run(&format!("reanalyze{nprocs}"), nprocs);
+        let again = dir.join("again.json");
+        let st = Command::new(trinity_bin())
+            .arg("analyze")
+            .arg(&dir)
+            .arg("--out")
+            .arg(&again)
+            .output()
+            .unwrap();
+        assert!(
+            st.status.success(),
+            "{}",
+            String::from_utf8_lossy(&st.stderr)
+        );
+        let written = std::fs::read_to_string(dir.join("analysis.json")).unwrap();
+        assert!(
+            written == std::fs::read_to_string(&again).unwrap(),
+            "--nprocs {nprocs}: analyze <run-dir> differs from the run's analysis.json"
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+}
+
+#[test]
+fn a_run_writes_both_flame_files_into_out() {
+    let dir = cli_run("flames", 1);
+    let text = std::fs::read_to_string(dir.join("flame.txt")).unwrap();
+    assert!(text.lines().count() > 0, "flame.txt is empty");
+    for line in text.lines() {
+        let (path, secs) = line.rsplit_once(' ').expect("`path seconds` lines");
+        assert!(!path.is_empty(), "{line}");
+        assert!(secs.parse::<f64>().unwrap() >= 0.0, "{line}");
+    }
+    let svg = std::fs::read_to_string(dir.join("flame.svg")).unwrap();
+    assert!(svg.starts_with("<svg") && svg.trim_end().ends_with("</svg>"));
+    assert!(svg.contains("<rect"), "flame.svg has no frames");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn diff_subcommand_exit_codes_follow_the_verdict() {
     let dir = scratch_dir("diff");
