@@ -215,12 +215,11 @@ fn assign_chunk(
     chunk: &[Record],
     team: &mut impl Team,
 ) -> Vec<(u32, u32)> {
-    let items: Vec<usize> = (base..base + chunk.len()).collect();
-    let results = team.map(&items, |&i| shared.assign_packed(&shared.packed_reads[i]));
-    items
-        .iter()
+    let reads = &shared.packed_reads[base..base + chunk.len()];
+    let results = team.map(reads, |read| shared.assign_packed(read));
+    (base..)
         .zip(results)
-        .filter_map(|(&i, c)| c.map(|c| (i as u32, c)))
+        .filter_map(|(i, c)| c.map(|c| (i as u32, c)))
         .collect()
 }
 

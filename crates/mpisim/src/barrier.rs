@@ -3,9 +3,9 @@
 //! `std::sync::Barrier` blocks forever if a participant never arrives —
 //! exactly what happens when a simulated rank crashes while its peers sit
 //! in a collective. [`SimBarrier`] adds an [`SimBarrier::abort`] switch:
-//! aborting wakes every current waiter and makes every future `wait`
-//! return [`Aborted`] immediately, so surviving ranks can unwind instead
-//! of deadlocking.
+//! aborting wakes every waiter of the incomplete generation and makes every
+//! future `wait` return [`Aborted`] immediately, so surviving ranks can
+//! unwind instead of deadlocking.
 
 use std::sync::{Condvar, Mutex};
 
@@ -45,7 +45,10 @@ impl SimBarrier {
     }
 
     /// Block until all `n` participants have called `wait` (then all are
-    /// released together), or until the barrier is aborted.
+    /// released together), or until the barrier is aborted. A generation
+    /// that completed is `Ok` for every waiter in it, even if an abort
+    /// lands before a waiter wakes: how far a rank gets must not depend on
+    /// thread timing.
     pub fn wait(&self) -> Result<(), Aborted> {
         let mut st = self.state.lock().expect("barrier lock");
         if st.aborted {
@@ -62,15 +65,16 @@ impl SimBarrier {
         while st.generation == gen && !st.aborted {
             st = self.cvar.wait(st).expect("barrier lock");
         }
-        if st.aborted {
+        if st.generation == gen {
             Err(Aborted)
         } else {
             Ok(())
         }
     }
 
-    /// Abort: wake all waiters with [`Aborted`] and make every future
-    /// `wait` fail fast. Irreversible for the barrier's lifetime.
+    /// Abort: wake the waiters of the incomplete generation with
+    /// [`Aborted`] and make every future `wait` fail fast. Irreversible
+    /// for the barrier's lifetime.
     pub fn abort(&self) {
         let mut st = self.state.lock().expect("barrier lock");
         st.aborted = true;
@@ -127,6 +131,24 @@ mod tests {
         b.abort();
         assert_eq!(b.wait(), Err(Aborted));
         assert_eq!(b.wait(), Err(Aborted), "abort is sticky");
+    }
+
+    /// The last arriver aborts right after its own `wait` returns: the
+    /// generation it completed still releases the first waiter with `Ok`.
+    #[test]
+    fn completed_generation_survives_a_later_abort() {
+        for round in 0..10_000 {
+            let b = SimBarrier::new(2);
+            std::thread::scope(|s| {
+                let first = s.spawn(|| b.wait());
+                while b.state.lock().expect("barrier lock").count == 0 {
+                    std::thread::yield_now();
+                }
+                assert_eq!(b.wait(), Ok(()), "round {round}: last arriver");
+                b.abort();
+                assert_eq!(first.join().unwrap(), Ok(()), "round {round}: first waiter");
+            });
+        }
     }
 
     #[test]

@@ -7,18 +7,10 @@ use parking_lot::Mutex;
 
 use crate::barrier::SimBarrier;
 use crate::clock::VClock;
+use crate::cluster::RankOutput;
 use crate::fault::{FaultState, PeerAborted, RankCrash};
 use crate::netmodel::NetModel;
 use crate::stats::CommStats;
-
-/// Partial state a rank salvages while unwinding from a crash or a peer
-/// abort, so even failed ranks report clock/stats/trace.
-#[derive(Debug)]
-pub(crate) struct FailReport {
-    pub time: f64,
-    pub stats: CommStats,
-    pub trace: obs::Trace,
-}
 
 /// State shared by every rank of a cluster.
 pub(crate) struct Shared {
@@ -30,8 +22,9 @@ pub(crate) struct Shared {
     pub slots: Vec<Mutex<Vec<u8>>>,
     /// Virtual entry time of each rank into the current collective.
     pub times: Vec<Mutex<f64>>,
-    /// Where an unwinding rank deposits its partial state (indexed by rank).
-    pub fail_reports: Vec<Mutex<Option<FailReport>>>,
+    /// Where an unwinding rank deposits its salvaged output (indexed by
+    /// rank), so even failed ranks report clock, stats and trace.
+    pub salvaged: Vec<Mutex<Option<RankOutput<()>>>>,
 }
 
 /// What a section charged through [`Comm::charge_costed`] costs: its
@@ -81,7 +74,7 @@ pub struct Comm {
     /// `rank` in virtual time, [`Comm::charge_costed`] logs the compute
     /// and I/O spans, and injected faults log `cat:"fault"` spans
     /// (`mpi.delay`, `mpi.retry`, `fault.crash`). Drained into
-    /// [`crate::cluster::RankOutput::trace`] when the rank finishes.
+    /// [`RankOutput::trace`] when the rank finishes or unwinds.
     pub obs: obs::Tracer,
 }
 
@@ -167,9 +160,10 @@ impl Comm {
             return;
         };
         if let Some(op) = fault.claim_crash() {
+            self.stats.crashes += 1;
             self.charge_fault("fault.crash", 0.0, &[("op", op as f64)]);
             self.shared.barrier.abort();
-            self.deposit_fail_report();
+            self.deposit_salvage();
             std::panic::panic_any(RankCrash {
                 rank: self.rank,
                 op,
@@ -196,12 +190,19 @@ impl Comm {
             .record_with(self.track(), "fault", name, t0, self.clock.now(), args);
     }
 
-    fn deposit_fail_report(&mut self) {
-        *self.shared.fail_reports[self.rank].lock() = Some(FailReport {
+    /// This rank's clock, counters and drained trace, as its output.
+    pub(crate) fn take_output(&mut self) -> RankOutput<()> {
+        RankOutput {
+            rank: self.rank,
+            value: (),
             time: self.clock.now(),
             stats: self.stats,
             trace: self.obs.take(),
-        });
+        }
+    }
+
+    fn deposit_salvage(&mut self) {
+        *self.shared.salvaged[self.rank].lock() = Some(self.take_output());
     }
 
     /// Enter the collective barrier; if the cluster aborted because a rank
@@ -209,7 +210,7 @@ impl Comm {
     /// instead of deadlocking.
     fn sync(&mut self) {
         if self.shared.barrier.wait().is_err() {
-            self.deposit_fail_report();
+            self.deposit_salvage();
             std::panic::panic_any(PeerAborted);
         }
     }

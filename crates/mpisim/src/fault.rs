@@ -13,22 +13,22 @@
 //!
 //! Three fault kinds are modeled:
 //!
-//! * **delays** — extra virtual seconds charged to the rank's clock before
-//!   the operation (a congested link, a slow NIC). Recorded as `mpi.delay`
-//!   spans, `cat:"fault"`.
+//! * **delays** — extra virtual seconds, uniform in `(0, MAX_DELAY_S]`,
+//!   charged to the rank's clock before the operation (a congested link, a
+//!   slow NIC). Recorded as `mpi.delay` spans, `cat:"fault"`.
 //! * **drops with retry** — the message is lost and retransmitted: each
 //!   failed attempt charges a detection timeout plus exponential backoff
 //!   ([`crate::NetModel::retry_cost`]) to the virtual clock, bounded by
-//!   [`FaultPlan::max_retries`]. Recorded as `mpi.retry` spans and counted
+//!   [`MAX_RETRIES`]. Recorded as `mpi.retry` spans and counted
 //!   in [`crate::CommStats::retries`]. Because the payload is eventually
 //!   delivered unchanged, drops perturb *time only* — the golden invariant
 //!   the chaos tests pin.
 //! * **crashes** — at a chosen `(rank, op)` the rank dies. The cluster
 //!   aborts (peers blocked in collectives unwind instead of deadlocking)
-//!   and the crash is reported in the rank's
-//!   [`crate::cluster::RankOutput`]. Crash points fire **once** per plan
-//!   instance, so re-running the same plan replays the rank deterministically
-//!   to completion — the substrate of stage-level checkpoint/resume.
+//!   and the crash is counted in the rank's
+//!   [`crate::CommStats::crashes`]. Crash points fire **once** per plan
+//!   instance, so [`crate::run_cluster_faulty`] replays the program until
+//!   it runs clean, and hands back each failed attempt's salvaged ranks.
 //!
 //! # Examples
 //!
@@ -37,14 +37,16 @@
 //! use mpisim::{run_cluster_faulty, NetModel};
 //! use std::sync::Arc;
 //!
-//! // Drops and delays never change what a collective returns.
-//! let plan = Arc::new(FaultPlan::new(7).with_drops(0.5, 3).with_delays(0.5, 1e-3));
-//! let outs = run_cluster_faulty(4, NetModel::ideal(), Arc::clone(&plan), |comm| {
+//! // Drops and delays never change what a collective returns; a crashed
+//! // attempt is replayed until every rank completes.
+//! let plan = FaultPlan::new(7).with_drops(0.5).with_delays(0.5).with_crash(2, 0);
+//! let run = run_cluster_faulty(4, NetModel::ideal(), Arc::new(plan), |comm| {
 //!     comm.allgatherv(&[comm.rank() as u8])
 //! });
-//! for o in &outs {
-//!     let parts = o.value.as_ref().expect("no crashes in this plan");
-//!     assert_eq!(parts.len(), 4);
+//! assert_eq!(run.failed.len(), 1);
+//! assert_eq!(run.failed[0][2].stats.crashes, 1);
+//! for o in &run.outputs {
+//!     assert_eq!(o.value, [[0], [1], [2], [3]]);
 //! }
 //! ```
 
@@ -52,6 +54,14 @@ use std::sync::atomic::{AtomicBool, Ordering};
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
+
+/// Largest injected delay, in virtual seconds.
+pub const MAX_DELAY_S: f64 = 1e-3;
+
+/// Upper bound on retransmissions per operation: however unlucky the
+/// stream, the payload is delivered after at most this many retries — the
+/// "eventually delivers" guarantee the chaos invariant relies on.
+pub const MAX_RETRIES: u32 = 3;
 
 /// A rank crash scheduled at a communication-operation index.
 #[derive(Debug)]
@@ -89,14 +99,8 @@ pub struct FaultPlan {
     pub seed: u64,
     /// Per-operation probability of an injected delay.
     pub delay_prob: f64,
-    /// Maximum injected delay in virtual seconds (uniform in `(0, max]`).
-    pub max_delay: f64,
     /// Per-attempt probability that the operation's message is dropped.
     pub drop_prob: f64,
-    /// Upper bound on retransmissions per operation: however unlucky the
-    /// stream, the payload is delivered after at most this many retries —
-    /// the "eventually delivers" guarantee the chaos invariant relies on.
-    pub max_retries: u32,
     crashes: Vec<CrashPoint>,
 }
 
@@ -106,32 +110,23 @@ impl FaultPlan {
         FaultPlan {
             seed,
             delay_prob: 0.0,
-            max_delay: 0.0,
             drop_prob: 0.0,
-            max_retries: 0,
             crashes: Vec::new(),
         }
     }
 
-    /// A plan that injects nothing (alias for [`FaultPlan::new`]).
-    pub fn none() -> Self {
-        FaultPlan::new(0)
-    }
-
     /// Enable message drops: each communication operation independently
     /// loses its payload with probability `prob` per attempt, retried at
-    /// most `max_retries` times before succeeding unconditionally.
-    pub fn with_drops(mut self, prob: f64, max_retries: u32) -> Self {
+    /// most [`MAX_RETRIES`] times before succeeding unconditionally.
+    pub fn with_drops(mut self, prob: f64) -> Self {
         self.drop_prob = prob.clamp(0.0, 1.0);
-        self.max_retries = max_retries;
         self
     }
 
     /// Enable delays: each operation is preceded by an extra virtual-time
-    /// charge uniform in `(0, max_delay]` with probability `prob`.
-    pub fn with_delays(mut self, prob: f64, max_delay: f64) -> Self {
+    /// charge uniform in `(0, MAX_DELAY_S]` with probability `prob`.
+    pub fn with_delays(mut self, prob: f64) -> Self {
         self.delay_prob = prob.clamp(0.0, 1.0);
-        self.max_delay = max_delay.max(0.0);
         self
     }
 
@@ -222,12 +217,11 @@ impl FaultState {
         self.next_op += 1;
         let mut delay = 0.0;
         if self.plan.delay_prob > 0.0 && self.rng.random::<f64>() < self.plan.delay_prob {
-            delay = self.rng.random_range(0.0..=1.0) * self.plan.max_delay;
+            delay = self.rng.random_range(0.0..=1.0) * MAX_DELAY_S;
         }
         let mut retries = 0u32;
         if self.plan.drop_prob > 0.0 {
-            while retries < self.plan.max_retries && self.rng.random::<f64>() < self.plan.drop_prob
-            {
+            while retries < MAX_RETRIES && self.rng.random::<f64>() < self.plan.drop_prob {
                 retries += 1;
             }
         }
@@ -236,8 +230,7 @@ impl FaultState {
 }
 
 /// Panic payload of a rank killed by its fault plan. Caught by
-/// [`crate::run_cluster_faulty`] and reported as
-/// [`crate::cluster::RankState::Crashed`].
+/// [`crate::run_cluster_faulty`], which salvages the rank's output.
 #[derive(Debug, Clone, Copy)]
 pub struct RankCrash {
     /// The rank that died.
@@ -247,8 +240,7 @@ pub struct RankCrash {
 }
 
 /// Panic payload of a rank that unwound because a peer crashed (it would
-/// otherwise block forever in a collective). Reported as
-/// [`crate::cluster::RankState::Aborted`].
+/// otherwise block forever in a collective). Caught like [`RankCrash`].
 #[derive(Debug, Clone, Copy)]
 pub struct PeerAborted;
 
@@ -258,7 +250,7 @@ mod tests {
 
     #[test]
     fn streams_are_deterministic_and_rank_decorrelated() {
-        let plan = FaultPlan::new(42).with_drops(0.5, 4).with_delays(0.5, 1.0);
+        let plan = FaultPlan::new(42).with_drops(0.5).with_delays(0.5);
         let plan = std::sync::Arc::new(plan);
         let mut a = FaultState::new(std::sync::Arc::clone(&plan), 0);
         let mut b = FaultState::new(std::sync::Arc::clone(&plan), 0);
@@ -272,11 +264,14 @@ mod tests {
 
     #[test]
     fn retries_are_bounded() {
-        let plan = std::sync::Arc::new(FaultPlan::new(1).with_drops(1.0, 3));
+        let plan = std::sync::Arc::new(FaultPlan::new(1).with_drops(1.0));
         let mut st = FaultState::new(std::sync::Arc::clone(&plan), 0);
         for _ in 0..32 {
             let d = st.next_op();
-            assert_eq!(d.retries, 3, "prob 1.0 always hits the retry bound");
+            assert_eq!(
+                d.retries, MAX_RETRIES,
+                "prob 1.0 always hits the retry bound"
+            );
         }
     }
 
@@ -302,11 +297,11 @@ mod tests {
 
     #[test]
     fn delay_magnitude_within_bounds() {
-        let plan = std::sync::Arc::new(FaultPlan::new(3).with_delays(1.0, 0.25));
+        let plan = std::sync::Arc::new(FaultPlan::new(3).with_delays(1.0));
         let mut st = FaultState::new(plan, 0);
         for _ in 0..256 {
             let d = st.next_op();
-            assert!(d.delay >= 0.0 && d.delay <= 0.25);
+            assert!(d.delay >= 0.0 && d.delay <= MAX_DELAY_S);
         }
     }
 }

@@ -17,7 +17,12 @@
 //! * *time* is virtual: each rank owns a [`clock::VClock`] that the compute
 //!   loops charge with measured or replayed durations, and every
 //!   communication primitive synchronizes clocks under an α–β network cost
-//!   model ([`netmodel::NetModel`]).
+//!   model ([`netmodel::NetModel`]);
+//! * faults are seeded and deterministic ([`fault::FaultPlan`]): delays and
+//!   dropped-message retries move virtual time only, and
+//!   [`run_cluster_faulty`] replays an attempt in which a rank crashed until
+//!   every rank completes, returning the failed attempts' salvaged ranks
+//!   beside the clean one ([`Replayed`]).
 //!
 //! This is the standard trace-driven way to study distributed schedules and
 //! is what makes the paper's strong-scaling figures reproducible here: the
@@ -37,9 +42,7 @@ pub mod pack;
 pub mod stats;
 
 pub use clock::VClock;
-pub use cluster::{
-    crashed_ranks, run_cluster, run_cluster_faulty, unwrap_clean, RankOutput, RankState,
-};
+pub use cluster::{run_cluster, run_cluster_faulty, RankOutput, Replayed};
 pub use comm::{Comm, Cost};
 pub use fault::FaultPlan;
 pub use netmodel::NetModel;

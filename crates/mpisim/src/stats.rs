@@ -16,17 +16,8 @@ pub struct CommStats {
     pub retries: u64,
     /// Message delays injected by a fault plan.
     pub delays: u64,
-}
-
-impl CommStats {
-    /// Merge another rank's counters into this one (for cluster totals).
-    pub fn merge(&mut self, other: &CommStats) {
-        self.bytes_sent += other.bytes_sent;
-        self.bytes_received += other.bytes_received;
-        self.collectives += other.collectives;
-        self.retries += other.retries;
-        self.delays += other.delays;
-    }
+    /// Crashes of this rank injected by a fault plan (0 or 1 per attempt).
+    pub crashes: u64,
 }
 
 #[cfg(test)]
@@ -34,27 +25,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn merge_adds() {
-        let mut a = CommStats {
-            bytes_sent: 10,
-            bytes_received: 20,
-            collectives: 3,
-            retries: 4,
-            delays: 5,
-        };
-        let b = a;
-        a.merge(&b);
-        assert_eq!(a.bytes_sent, 20);
-        assert_eq!(a.collectives, 6);
-        assert_eq!(a.retries, 8);
-        assert_eq!(a.delays, 10);
-    }
-
-    #[test]
     fn default_is_zero() {
         let s = CommStats::default();
         assert_eq!(
-            s.bytes_sent + s.bytes_received + s.collectives + s.retries + s.delays,
+            s.bytes_sent + s.bytes_received + s.collectives + s.retries + s.delays + s.crashes,
             0
         );
     }

@@ -5,10 +5,7 @@
 
 use std::sync::Arc;
 
-use mpisim::{
-    crashed_ranks, run_cluster, run_cluster_faulty, unwrap_clean, Comm, FaultPlan, NetModel,
-    RankState,
-};
+use mpisim::{run_cluster, run_cluster_faulty, Comm, FaultPlan, NetModel};
 use proptest::prelude::*;
 
 /// A rank program with four communication operations (the sum is a second
@@ -38,25 +35,22 @@ proptest! {
         seed in any::<u64>(),
         delay_prob in 0.0f64..1.0,
         drop_prob in 0.0f64..1.0,
-        max_retries in 0u32..5,
         ranks in 1usize..7,
     ) {
         let clean = run_cluster(ranks, NetModel::idataplex(), program);
         let plan = || Arc::new(
-            FaultPlan::new(seed)
-                .with_delays(delay_prob, 1e-3)
-                .with_drops(drop_prob, max_retries),
+            FaultPlan::new(seed).with_delays(delay_prob).with_drops(drop_prob),
         );
         let a = run_cluster_faulty(ranks, NetModel::idataplex(), plan(), program);
         let b = run_cluster_faulty(ranks, NetModel::idataplex(), plan(), program);
-        for ((fa, fb), cl) in a.iter().zip(&b).zip(&clean) {
-            prop_assert!(matches!(fa.state, RankState::Completed));
+        prop_assert!(a.failed.is_empty());
+        for ((fa, fb), cl) in a.outputs.iter().zip(&b.outputs).zip(&clean) {
             // Golden invariant: identical payloads, never-smaller clocks.
-            prop_assert_eq!(fa.value.as_ref().unwrap(), &cl.value);
+            prop_assert_eq!(&fa.value, &cl.value);
             prop_assert!(fa.time >= cl.time - 1e-12,
                 "faults may only add virtual time ({} < {})", fa.time, cl.time);
             // Determinism: the same seed reproduces the run exactly.
-            prop_assert_eq!(fa.value.as_ref(), fb.value.as_ref());
+            prop_assert_eq!(&fa.value, &fb.value);
             prop_assert_eq!(fa.time.to_bits(), fb.time.to_bits());
             prop_assert_eq!(fa.stats.retries, fb.stats.retries);
             prop_assert_eq!(fa.stats.delays, fb.stats.delays);
@@ -67,19 +61,20 @@ proptest! {
     #[test]
     fn inactive_plan_is_a_no_op(seed in any::<u64>(), ranks in 1usize..7) {
         let clean = run_cluster(ranks, NetModel::idataplex(), program);
-        let outs = run_cluster_faulty(
+        let run = run_cluster_faulty(
             ranks, NetModel::idataplex(), Arc::new(FaultPlan::new(seed)), program);
-        for (f, c) in outs.iter().zip(&clean) {
-            prop_assert_eq!(f.value.as_ref().unwrap(), &c.value);
+        prop_assert!(run.failed.is_empty());
+        for (f, c) in run.outputs.iter().zip(&clean) {
+            prop_assert_eq!(&f.value, &c.value);
             prop_assert_eq!(f.time.to_bits(), c.time.to_bits());
             prop_assert_eq!((f.stats.retries, f.stats.delays), (0, 0));
         }
     }
 
-    /// Any single crash point kills exactly one rank (everyone else
-    /// unwinds rather than deadlocking, and nobody "completes" a
-    /// collective program a peer never finished), and replaying the same
-    /// plan converges to the fault-free result — crash points are
+    /// Any single crash point kills exactly one rank in exactly one failed
+    /// attempt (everyone else unwinds rather than deadlocking, and nobody
+    /// "completes" a collective program a peer never finished), and the
+    /// replay converges to the fault-free result — crash points are
     /// one-shot.
     #[test]
     fn any_crash_point_replays_to_convergence(
@@ -92,32 +87,30 @@ proptest! {
         let crash_rank = crash_rank % ranks;
         let plan = Arc::new(
             FaultPlan::new(seed)
-                .with_drops(drop_prob, 3)
+                .with_drops(drop_prob)
                 .with_crash(crash_rank, crash_op),
         );
         let clean = run_cluster(ranks, NetModel::idataplex(), program);
 
-        let crashed = run_cluster_faulty(
-            ranks, NetModel::idataplex(), Arc::clone(&plan), program);
-        prop_assert_eq!(crashed_ranks(&crashed), vec![crash_rank]);
-        for o in &crashed {
+        let run = run_cluster_faulty(ranks, NetModel::idataplex(), plan, program);
+        prop_assert_eq!(run.failed.len(), 1);
+        for o in &run.failed[0] {
             // The trailing barrier means no rank can finish while a peer
             // is dead: every rank is either the victim or unwound.
-            match o.state {
-                RankState::Crashed { op } => {
-                    prop_assert_eq!(o.rank, crash_rank);
-                    prop_assert_eq!(op, crash_op);
-                }
-                RankState::Aborted => prop_assert!(o.value.is_none()),
-                RankState::Completed => prop_assert!(false, "rank {} completed", o.rank),
+            prop_assert!(o.stats.collectives < 4, "rank {} completed", o.rank);
+            let markers: Vec<f64> = o.trace.spans.iter()
+                .filter(|s| s.name == "fault.crash")
+                .filter_map(|s| s.arg("op"))
+                .collect();
+            if o.rank == crash_rank {
+                prop_assert_eq!(o.stats.crashes, 1);
+                prop_assert_eq!(markers, vec![crash_op as f64]);
+            } else {
+                prop_assert_eq!(o.stats.crashes, 0);
+                prop_assert!(markers.is_empty());
             }
         }
-
-        let replay = run_cluster_faulty(
-            ranks, NetModel::idataplex(), Arc::clone(&plan), program);
-        let replay = unwrap_clean(replay);
-        prop_assert!(replay.is_some(), "one-shot crash point: replay is clean");
-        for (f, c) in replay.unwrap().iter().zip(&clean) {
+        for (f, c) in run.outputs.iter().zip(&clean) {
             prop_assert_eq!(&f.value, &c.value);
         }
     }

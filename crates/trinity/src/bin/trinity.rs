@@ -106,8 +106,8 @@ fn parse_fault_plan(spec: &str) -> Result<FaultPlan, String> {
             Err(e) => Err(format!("--faults {key}: {e}")),
         };
         match key {
-            "delay" => plan = plan.with_delays(probability()?, 1e-3),
-            "drop" => plan = plan.with_drops(probability()?, 3),
+            "delay" => plan = plan.with_delays(probability()?),
+            "drop" => plan = plan.with_drops(probability()?),
             "crash" => {
                 let (rank, op) = val
                     .split_once('@')
@@ -305,7 +305,7 @@ fn run(args: Args) -> Result<(), String> {
         obs::analyze::analysis_json(&analysis),
     )
     .map_err(|e| e.to_string())?;
-    let fault_report = render_faults(&out.metrics);
+    let fault_report = render_faults(&out.metrics, args.faults.as_deref());
     std::fs::write(
         args.out.join("collectl.txt"),
         format!(

@@ -32,7 +32,9 @@ use inchworm::assemble::{assemble_on, InchwormConfig, WINDOW_PER_THREAD};
 use inchworm::dictionary::Dictionary;
 use kcount::counter::{count_kmers_on, CounterConfig, KmerCounts};
 use mpisim::cluster::cluster_time;
-use mpisim::{run_cluster, run_cluster_faulty, Comm, FaultPlan, NetModel, RankOutput};
+use mpisim::{
+    run_cluster, run_cluster_faulty, Comm, CommStats, FaultPlan, NetModel, RankOutput, Replayed,
+};
 use omp::makespan::CostedTeam;
 use omp::{Schedule, Team};
 
@@ -426,10 +428,10 @@ impl<'a> Driver<'a> {
         ClusterRun { values, stage }
     }
 
-    /// Run a rank program on the simulated cluster, replaying it until
-    /// every rank completes. Crash points are one-shot on the shared plan,
-    /// so each replay is strictly closer to a clean run; drops/delays
-    /// replay with identical RNG streams and never change payloads.
+    /// Run a rank program on the simulated cluster; under an active fault
+    /// plan, `mpisim` replays it until every rank completes, and the failed
+    /// attempts' time and partial traces (the `fault.crash` markers and any
+    /// pre-crash comm spans) are spliced into the stage's.
     fn run_cluster_resilient<T, F>(&self, f: F) -> ClusterRun<T>
     where
         T: Send,
@@ -439,29 +441,24 @@ impl<'a> Driver<'a> {
         let Some(plan) = self.faults.filter(|p| p.is_active()) else {
             return self.record_cluster(run_cluster(ranks, net, f), StageRun::default());
         };
-        let mut replayed = StageRun::default();
-        // Each failed attempt fires at least one one-shot crash point, so the
-        // loop is bounded by the number of scheduled crashes.
-        for _attempt in 0..=plan.crashes().len() {
-            let outs = run_cluster_faulty(ranks, net, Arc::clone(plan), &f);
-            for o in &outs {
-                metrics.counter("fault.retries").add(o.stats.retries);
-                metrics.counter("fault.delays").add(o.stats.delays);
-            }
-            if outs.iter().all(|o| o.state.is_completed()) {
-                let outs = mpisim::unwrap_clean(outs).expect("all ranks completed");
-                return self.record_cluster(outs, replayed);
-            }
+        let Replayed { outputs, failed } = run_cluster_faulty(ranks, net, Arc::clone(plan), f);
+        let salvaged = failed.iter().flatten().map(|o| o.stats);
+        let stats: Vec<CommStats> = salvaged.chain(outputs.iter().map(|o| o.stats)).collect();
+        let total = |field: fn(&CommStats) -> u64| stats.iter().map(field).sum::<u64>();
+        metrics.counter("fault.retries").add(total(|s| s.retries));
+        metrics.counter("fault.delays").add(total(|s| s.delays));
+        if !failed.is_empty() {
             metrics
                 .counter("fault.rank_crashes")
-                .add(mpisim::crashed_ranks(&outs).len() as u64);
-            metrics.counter("fault.replays").add(1);
-            // The partial traces carry the `fault.crash` markers and any
-            // pre-crash comm spans.
-            replayed.time += cluster_time(&outs);
-            replayed.traces.extend(outs.into_iter().map(|o| o.trace));
+                .add(total(|s| s.crashes));
+            metrics.counter("fault.replays").add(failed.len() as u64);
         }
-        unreachable!("crash points are one-shot; a replay must eventually run clean")
+        let replayed = StageRun {
+            time: failed.iter().map(|a| cluster_time(a)).sum(),
+            traces: failed.into_iter().flatten().map(|o| o.trace).collect(),
+            ..StageRun::default()
+        };
+        self.record_cluster(outputs, replayed)
     }
 
     /// Close the run: record the packed-sequence work done since `before`

@@ -4,6 +4,7 @@
 //! an [`obs::Trace`] (spliced rank sub-traces on higher tracks carry their
 //! own stage spans like `gff.total` and are deliberately ignored here).
 
+use mpisim::FaultPlan;
 use obs::{SpanRecord, Trace};
 
 use crate::pipeline::{RANK_TRACK_BASE, SKIPPED_CAT};
@@ -169,9 +170,10 @@ pub fn render_imbalance(analysis: &obs::Analysis) -> String {
 
 /// Render the fault-injection / recovery summary from a run's metrics:
 /// injected delays and retransmissions, rank crashes and stage replays,
-/// checkpoint writes/resumes. Returns an empty string for a fault-free,
+/// checkpoint writes/resumes, and one row naming every crash point of
+/// `plan` that no rank reached. Returns an empty string for a fault-free,
 /// checkpoint-less run so callers can append it unconditionally.
-pub fn render_faults(metrics: &obs::MetricsSnapshot) -> String {
+pub fn render_faults(metrics: &obs::MetricsSnapshot, plan: Option<&FaultPlan>) -> String {
     let rows = [
         ("fault.delays", "message delays injected"),
         ("fault.retries", "dropped messages retransmitted"),
@@ -186,6 +188,16 @@ pub fn render_faults(metrics: &obs::MetricsSnapshot) -> String {
         if let Some(v) = metrics.counter(name).filter(|&v| v > 0) {
             body.push_str(&format!("{label:<36} {v:>8}\n"));
         }
+    }
+    let unfired: Vec<String> = plan
+        .into_iter()
+        .flat_map(FaultPlan::crashes)
+        .filter(|c| !c.has_fired())
+        .map(|c| format!("{}@{}", c.rank, c.op))
+        .collect();
+    if !unfired.is_empty() {
+        let label = "crash points never reached";
+        body.push_str(&format!("{label:<36} {:>8}\n", unfired.join(",")));
     }
     if body.is_empty() {
         String::new()
@@ -202,7 +214,7 @@ mod tests {
     fn render_faults_empty_for_clean_run() {
         let metrics = obs::MetricsRegistry::new();
         metrics.counter("comm.bytes_sent").add(100);
-        assert_eq!(render_faults(&metrics.snapshot()), "");
+        assert_eq!(render_faults(&metrics.snapshot(), None), "");
     }
 
     #[test]
@@ -211,12 +223,19 @@ mod tests {
         metrics.counter("fault.retries").add(7);
         metrics.counter("fault.rank_crashes").add(1);
         metrics.counter("ckpt.resumed").add(3);
-        let s = render_faults(&metrics.snapshot());
+        let s = render_faults(&metrics.snapshot(), None);
         assert!(s.contains("dropped messages retransmitted"));
         assert!(s.contains('7'));
         assert!(s.contains("rank crashes"));
         assert!(s.contains("stages resumed from checkpoint"));
         assert!(!s.contains("delays"), "zero counters are omitted");
+        assert!(!s.contains("never reached"));
+        let plan = FaultPlan::new(1).with_crash(0, 3).with_crash(2, 1);
+        let s = render_faults(&metrics.snapshot(), Some(&plan));
+        let row = s
+            .lines()
+            .find(|l| l.starts_with("crash points never reached"));
+        assert!(row.is_some_and(|r| r.ends_with(" 0@3,2@1")), "{s}");
     }
 
     fn trace() -> Trace {

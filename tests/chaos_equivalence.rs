@@ -44,14 +44,12 @@ use common::artifacts;
 fn chaos_plan(i: usize, ranks: usize) -> Arc<FaultPlan> {
     let seed = common::CHAOS_PLAN_SEED_BASE + i as u64;
     let plan = match i % 4 {
-        0 => FaultPlan::new(seed).with_delays(0.9, 1e-3),
-        1 => FaultPlan::new(seed).with_drops(0.6, 3),
-        2 => FaultPlan::new(seed)
-            .with_delays(0.7, 5e-4)
-            .with_drops(0.4, 2),
+        0 => FaultPlan::new(seed).with_delays(0.9),
+        1 => FaultPlan::new(seed).with_drops(0.6),
+        2 => FaultPlan::new(seed).with_delays(0.7).with_drops(0.4),
         _ => FaultPlan::new(seed)
-            .with_delays(0.8, 1e-3)
-            .with_drops(0.5, 3)
+            .with_delays(0.8)
+            .with_drops(0.5)
             .with_crash(i % ranks, (i / 4) as u64 % 2),
     };
     Arc::new(plan)
@@ -117,7 +115,7 @@ fn chaos_plans_preserve_artifacts_at_1_rank() {
     let reads = common::tiny_reads(common::CHAOS_WORKLOAD_SEED);
     assert_eq!(count(&run_with(&reads, 1, None), "comm.collectives"), 8);
     // … and a fault plan reaches all of them, not just Bowtie's.
-    let plan = FaultPlan::new(42).with_delays(0.9, 1e-3).with_drops(0.5, 3);
+    let plan = FaultPlan::new(42).with_delays(0.9).with_drops(0.5);
     let trace = run_with(&reads, 1, Some(Arc::new(plan))).trace;
     let chrysalis_loops: Vec<_> = ["GraphFromFasta", "ReadsToTranscripts"]
         .iter()
@@ -181,8 +179,8 @@ fn fault_runs_are_reproducible() {
     let mk = || {
         Arc::new(
             FaultPlan::new(common::CHAOS_PLAN_SEED_BASE)
-                .with_delays(0.8, 1e-3)
-                .with_drops(0.5, 3)
+                .with_delays(0.8)
+                .with_drops(0.5)
                 .with_crash(1, 0),
         )
     };

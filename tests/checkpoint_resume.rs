@@ -284,8 +284,8 @@ fn fully_resumed_run_skips_bowtie() {
     // stage runs, so the plan has nothing to reach.
     let chaos = |ranks: usize| {
         FaultPlan::new(common::CHAOS_PLAN_SEED_BASE)
-            .with_delays(0.8, 1e-3)
-            .with_drops(0.5, 3)
+            .with_delays(0.8)
+            .with_drops(0.5)
             .with_crash(ranks - 1, 0)
     };
     for (ranks, faulty) in [(1, false), (2, false), (1, true), (2, true)] {

@@ -2,7 +2,8 @@
 //! edges of `--kmer`, checkpoints that do not fit the run, malformed JSON
 //! given to `analyze` and `diff`, artifacts of another format than the one
 //! each command reads, usage errors, `--faults` probabilities outside
-//! [0, 1], and cluster flags too large to run.
+//! [0, 1], crash points no rank reaches, and cluster flags too large to
+//! run.
 //!
 //! Every probe exits 0, 1 or 2 and none panics. A refused probe says why in
 //! exactly one line on stderr. A checkpoint the run cannot use is
@@ -374,6 +375,42 @@ fn fault_probabilities_outside_0_1_are_refused() {
             assert!(!out.exists(), "{clause}: the run started");
         }
     }
+}
+
+/// Op indices restart in every cluster stage, whose rank programs issue at
+/// most three collectives (ops 0–2), so `crash=0@3` is a crash point no
+/// rank reaches. The run still exits 0, but one stderr line and one row of
+/// `collectl.txt`'s fault table name it, beside the crash that did fire.
+#[test]
+fn unreached_crash_points_are_reported() {
+    let dir = Scratch::new("unfired");
+    let out = dir.0.join("out");
+    let (code, stderr) = probe(&[
+        "--simulate".as_ref(),
+        "tiny:7".as_ref(),
+        "--nprocs".as_ref(),
+        "4".as_ref(),
+        "--faults".as_ref(),
+        "7,crash=0@3,crash=2@2".as_ref(),
+        "--out".as_ref(),
+        out.as_os_str(),
+    ]);
+    assert_eq!(code, 0, "{stderr}");
+    let named: Vec<&str> = stderr.lines().filter(|l| l.contains("0@3")).collect();
+    assert_eq!(named.len(), 1, "{stderr}");
+    assert!(
+        named[0].starts_with("crash points never reached"),
+        "{stderr}"
+    );
+    assert!(!named[0].contains("2@2"), "crash=2@2 fired: {stderr}");
+    let collectl = std::fs::read_to_string(out.join("collectl.txt")).expect("collectl.txt");
+    let rows: Vec<&str> = collectl
+        .lines()
+        .filter(|l| l.contains("never reached"))
+        .collect();
+    assert_eq!(rows, named, "{collectl}");
+    let crashes = collectl.lines().find(|l| l.starts_with("rank crashes"));
+    assert!(crashes.is_some_and(|l| l.ends_with(" 1")), "{collectl}");
 }
 
 /// `analyze` reads a Chrome trace and `diff` an `analysis.json`; any other
