@@ -2,7 +2,7 @@
 //! dynamic master-dealt partitioning of GraphFromFasta.
 
 fn main() {
-    let cli = bench::Cli::parse(std::env::args().skip(1));
+    let cli = bench::Cli::from_env();
     let shared = bench::fig07_gff_scaling::prepare(cli.seed, cli.scale);
     let rows = bench::ablation_dynamic::run(shared, &[8, 32, 96]);
     print!("{}", bench::ablation_dynamic::render(&rows));

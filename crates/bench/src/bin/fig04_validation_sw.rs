@@ -1,7 +1,7 @@
 //! Regenerates Fig. 4: Smith-Waterman all-to-all validation categories.
 
 fn main() {
-    let cli = bench::Cli::parse(std::env::args().skip(1));
+    let cli = bench::Cli::from_env();
     let repeats = if cli.scale >= 1.0 { 10 } else { 3 };
     let row = bench::fig04_validation::run(cli.seed, cli.scale, repeats);
     print!("{}", bench::fig04_validation::render(&row));

@@ -1,7 +1,7 @@
 //! Regenerates Fig. 5: full-length genes/isoforms vs the reference sets.
 
 fn main() {
-    let cli = bench::Cli::parse(std::env::args().skip(1));
+    let cli = bench::Cli::from_env();
     let rows = bench::fig05_full_length::run(cli.seed, cli.scale);
     print!("{}", bench::fig05_full_length::render(&rows));
 }

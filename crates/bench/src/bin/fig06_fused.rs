@@ -1,7 +1,7 @@
 //! Regenerates Fig. 6: fused (multi-gene) transcript counts.
 
 fn main() {
-    let cli = bench::Cli::parse(std::env::args().skip(1));
+    let cli = bench::Cli::from_env();
     let rows = bench::fig06_fused::run(cli.seed, cli.scale);
     print!("{}", bench::fig06_fused::render(&rows));
 }

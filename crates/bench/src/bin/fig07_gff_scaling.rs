@@ -1,7 +1,7 @@
 //! Regenerates Fig. 7: hybrid GraphFromFasta strong scaling, 16-192 nodes.
 
 fn main() {
-    let cli = bench::Cli::parse(std::env::args().skip(1));
+    let cli = bench::Cli::from_env();
     let shared = bench::fig07_gff_scaling::prepare(cli.seed, cli.scale);
     let data = bench::fig07_gff_scaling::run(shared, &[16, 32, 64, 128, 192]);
     print!("{}", bench::fig07_gff_scaling::render(&data));

@@ -1,7 +1,7 @@
 //! Regenerates Fig. 9: hybrid ReadsToTranscripts scaling, 1-32 nodes.
 
 fn main() {
-    let cli = bench::Cli::parse(std::env::args().skip(1));
+    let cli = bench::Cli::from_env();
     let shared = bench::fig09_rtt_scaling::prepare(cli.seed, cli.scale);
     let data = bench::fig09_rtt_scaling::run(shared, &[1, 4, 8, 16, 32]);
     print!("{}", bench::fig09_rtt_scaling::render(&data));

@@ -11,7 +11,7 @@
 //! replays a walk or throws a step away.
 
 fn main() {
-    let cli = bench::Cli::parse(std::env::args().skip(1));
+    let cli = bench::Cli::from_env();
     let (counts, cfg) = bench::inchworm_epochs::prepare(cli.seed, cli.scale);
     let rows = bench::inchworm_epochs::run(&counts, &cfg, 3);
     print!(

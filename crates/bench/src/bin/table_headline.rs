@@ -1,7 +1,7 @@
 //! Regenerates the headline summary of §V: per-stage baseline vs hybrid.
 
 fn main() {
-    let cli = bench::Cli::parse(std::env::args().skip(1));
+    let cli = bench::Cli::from_env();
     let rows = bench::headline::run(cli.seed, cli.scale, 192, 32, 128);
     print!("{}", bench::headline::render(&rows));
 }

@@ -26,129 +26,108 @@ pub mod headline;
 pub mod inchworm_epochs;
 pub mod workloads;
 
-/// Parse a `--scale X` / `--seed N` style argument list (every figure
-/// binary shares this tiny CLI).
+use std::path::PathBuf;
+
+use obs::{Analysis, Trace};
+use trinity::report::write_trace_artifacts;
+
+/// The flags every figure binary shares: `--scale X`, `--seed N` and
+/// `--trace-out DIR`.
 #[derive(Debug, Clone)]
 pub struct Cli {
     /// Workload scale multiplier (1.0 = the preset as configured).
     pub scale: f64,
     /// Base RNG seed.
     pub seed: u64,
-    /// Where `--trace-out` asks trace artifacts (Chrome traces, analyses
-    /// and flamegraphs) to go (a directory); `None` means the default
-    /// `target/figs`.
-    pub trace_out: Option<std::path::PathBuf>,
-}
-
-impl Default for Cli {
-    fn default() -> Self {
-        Cli {
-            scale: 1.0,
-            seed: 42,
-            trace_out: None,
-        }
-    }
-}
-
-/// Write `files` (name, content) into `dir` (default `target/figs`),
-/// reporting each path written; a directory or file that cannot be written
-/// is a warning, never a failed figure run.
-fn write_artifacts(dir: Option<&std::path::Path>, files: &[(String, String)]) {
-    let dir = dir.unwrap_or(std::path::Path::new("target/figs"));
-    if let Err(e) = std::fs::create_dir_all(dir) {
-        eprintln!("warning: cannot create {}: {e}", dir.display());
-        return;
-    }
-    for (name, content) in files {
-        let path = dir.join(name);
-        match std::fs::write(&path, content) {
-            Ok(()) => eprintln!("wrote {}", path.display()),
-            Err(e) => eprintln!("warning: cannot write {}: {e}", path.display()),
-        }
-    }
-}
-
-/// Write a trace as a Chrome `trace_event` artifact next to the figure's
-/// text output: `<dir>/<name>` (dir from `--trace-out`, default
-/// `target/figs`). Open in `chrome://tracing` or <https://ui.perfetto.dev>.
-pub fn write_chrome_trace(cli: &Cli, name: &str, trace: &obs::Trace) {
-    let file = (name.to_string(), obs::export::chrome_trace(trace));
-    write_artifacts(cli.trace_out.as_deref(), &[file]);
-}
-
-/// Write a trace's flamegraph artifacts — `<stem>.txt` (collapsed stacks,
-/// merged across lanes, for speedscope / inferno) and `<stem>.svg` (the
-/// self-contained renderer) — next to the figure's trace (same directory
-/// rules as [`write_chrome_trace`]).
-pub fn write_flame(cli: &Cli, stem: &str, trace: &obs::Trace) {
-    let folds = obs::flame::collapsed_merged(trace);
-    let files = [
-        (format!("{stem}.txt"), obs::flame::to_text(&folds)),
-        (format!("{stem}.svg"), obs::flame::svg(&folds, stem)),
-    ];
-    write_artifacts(cli.trace_out.as_deref(), &files);
-}
-
-/// Analyze a trace and write the `analysis.json` artifact next to the
-/// figure's trace output (same directory rules as [`write_chrome_trace`]).
-/// `baseline_total` (a serial run's total, seconds) adds the
-/// scaling-efficiency section. The artifact feeds `trinity diff` and the
-/// CI perf-gate.
-pub fn write_analysis(cli: &Cli, name: &str, trace: &obs::Trace, baseline_total: Option<f64>) {
-    let analysis = obs::analyze_vs(trace, baseline_total);
-    let file = (name.to_string(), obs::analyze::analysis_json(&analysis));
-    write_artifacts(cli.trace_out.as_deref(), &[file]);
+    /// The directory trace artifacts (Chrome traces, analyses and
+    /// flamegraphs) go to; `target/figs` unless `--trace-out` says.
+    pub trace_out: PathBuf,
 }
 
 impl Cli {
-    /// Parse from `std::env::args`-style strings; unknown flags are ignored.
-    pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Cli {
-        let mut cli = Cli::default();
+    /// Parse from `std::env::args`-style strings. An unknown flag, a flag
+    /// without its value, a value that does not parse and a `--scale` that
+    /// is not finite and positive are each refused in one line.
+    pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Result<Cli, String> {
+        let mut cli = Cli {
+            scale: 1.0,
+            seed: 42,
+            trace_out: PathBuf::from("target/figs"),
+        };
         let mut it = args.into_iter();
-        while let Some(a) = it.next() {
-            match a.as_str() {
+        while let Some(flag) = it.next() {
+            let mut value = || it.next().ok_or(format!("{flag} needs a value"));
+            match flag.as_str() {
                 "--scale" => {
-                    if let Some(v) = it.next().and_then(|v| v.parse().ok()) {
-                        cli.scale = v;
+                    cli.scale = value()?.parse().map_err(|e| format!("--scale: {e}"))?;
+                    if !(cli.scale.is_finite() && cli.scale > 0.0) {
+                        return Err("--scale must be finite and positive".into());
                     }
                 }
-                "--seed" => {
-                    if let Some(v) = it.next().and_then(|v| v.parse().ok()) {
-                        cli.seed = v;
-                    }
-                }
-                "--trace-out" => {
-                    if let Some(v) = it.next() {
-                        cli.trace_out = Some(std::path::PathBuf::from(v));
-                    }
-                }
-                _ => {}
+                "--seed" => cli.seed = value()?.parse().map_err(|e| format!("--seed: {e}"))?,
+                "--trace-out" => cli.trace_out = PathBuf::from(value()?),
+                other => return Err(format!("unknown argument {other:?}")),
             }
         }
-        cli
+        Ok(cli)
     }
+
+    /// The process's flags; a refused one is one stderr line and exit 2,
+    /// as in `trinity`.
+    pub fn from_env() -> Cli {
+        or_exit(Cli::parse(std::env::args().skip(1)), 2)
+    }
+
+    /// Write a figure run's trace artifacts into `--trace-out`, their names
+    /// prefixed with `prefix` ([`write_trace_artifacts`]); a file that
+    /// cannot be written is one stderr line and exit 1, as in `trinity`.
+    pub fn write_trace(&self, prefix: &str, trace: &mut Trace, baseline: Option<f64>) -> Analysis {
+        let written = write_trace_artifacts(&self.trace_out, prefix, trace, baseline);
+        or_exit(written, 1)
+    }
+}
+
+/// `result`'s value, or its error on stderr and exit `code`.
+fn or_exit<T>(result: Result<T, String>, code: i32) -> T {
+    result.unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(code)
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn parse(args: &[&str]) -> Result<Cli, String> {
+        Cli::parse(args.iter().map(|a| a.to_string()))
+    }
+
     #[test]
     fn cli_parses_flags() {
-        let cli = Cli::parse(["--scale".into(), "0.5".into(), "--seed".into(), "7".into()]);
+        let cli = parse(&["--scale", "0.5", "--seed", "7", "--trace-out", "d"]).unwrap();
         assert_eq!(cli.scale, 0.5);
         assert_eq!(cli.seed, 7);
+        assert_eq!(cli.trace_out, PathBuf::from("d"));
     }
 
     #[test]
-    fn cli_ignores_unknown() {
-        let cli = Cli::parse(["--whatever".into(), "x".into()]);
-        assert_eq!(cli.scale, 1.0);
+    fn cli_refuses_unknown() {
+        let err = parse(&["--whatever", "x"]).unwrap_err();
+        assert_eq!(err, "unknown argument \"--whatever\"");
     }
 
     #[test]
-    fn cli_tolerates_missing_value() {
-        let cli = Cli::parse(["--scale".into()]);
-        assert_eq!(cli.scale, 1.0);
+    fn cli_refuses_missing_and_bad_values() {
+        assert_eq!(parse(&["--scale"]).unwrap_err(), "--scale needs a value");
+        assert_eq!(parse(&["--seed"]).unwrap_err(), "--seed needs a value");
+        for (flag, value) in [("--scale", "abc"), ("--seed", "-1")] {
+            let err = parse(&[flag, value]).unwrap_err();
+            assert!(err.starts_with(&format!("{flag}: ")), "{err}");
+        }
+        for scale in ["0", "-0.5", "inf", "NaN"] {
+            let err = parse(&["--scale", scale]).unwrap_err();
+            assert_eq!(err, "--scale must be finite and positive", "{scale}");
+        }
     }
 }

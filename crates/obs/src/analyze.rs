@@ -250,7 +250,11 @@ pub fn analyze(trace: &Trace) -> Analysis {
 
 /// Compute the [`Analysis`] of a trace; with `baseline_total` (a serial
 /// run's total, seconds) the scaling section is filled in too.
+///
+/// Spans are analysed at the times the trace's Chrome file holds (the µs
+/// grid of [`crate::export`]): a trace and its file analyse alike.
 pub fn analyze_vs(trace: &Trace, baseline_total: Option<f64>) -> Analysis {
+    let trace = &crate::export::spans_on_grid(trace);
     let stages = anchor_stages(trace);
     let lanes = rank_lanes(trace);
     let lane_trees: BTreeMap<u32, Vec<SpanNode>> =

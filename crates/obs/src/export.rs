@@ -9,6 +9,12 @@
 //! simpler self-describing JSON for scripted post-processing, and
 //! [`trace_json`] the same for a trace (written, never read back).
 //!
+//! **The µs grid.** The file holds `ts = start · 10⁶` and a `dur` with
+//! `ts + dur` exactly `end · 10⁶`. The reader divides by 10⁶ (multiplying
+//! by the inexact `1e-6` is not idempotent), so a time read back writes
+//! the same µs again. [`crate::analyze()`] analyses a trace at these grid
+//! times: a trace and its file give the same analysis.
+//!
 //! All serialization is hand-rolled (the crate is zero-dependency); only
 //! finite numbers are emitted, so the output is always strict JSON.
 
@@ -48,14 +54,61 @@ pub(crate) fn num(v: f64) -> String {
     }
 }
 
+/// A span's args as the members of a JSON object.
+fn args_json(args: &[(String, f64)]) -> String {
+    let members = args
+        .iter()
+        .map(|(k, v)| format!("\"{}\":{}", esc(k), num(*v)));
+    members.collect::<Vec<_>>().join(",")
+}
+
+/// Microseconds per second (see the module docs).
+const US: f64 = 1e6;
+
+/// A span's `(ts, dur)` in the file: `ts = start * US` and `dur` a few ulps
+/// off `end * US − ts`, so that `ts + dur == end * US` exactly. Where no
+/// `dur` does (an odd last bit of `end * US`, `ts` half an ulp off its grid:
+/// one random span in 30), `end` steps back an ulp at a time until one does.
+fn span_us(start: f64, mut end: f64) -> (f64, f64) {
+    let step = |x: f64, ulps: i64| f64::from_bits(x.to_bits().wrapping_add_signed(ulps));
+    let ts = start * US;
+    while ts.is_finite() && end * US > ts {
+        let e = end * US;
+        let mut dur = e - ts;
+        while ts + dur < e {
+            dur = step(dur, 1);
+        }
+        while ts + dur > e {
+            dur = step(dur, -1);
+        }
+        if ts + dur == e {
+            return (ts, dur);
+        }
+        end = step(end, -1);
+    }
+    (ts, 0.0)
+}
+
+/// `trace`'s spans (only) at the times its file holds, as [`trace_from_json`] reads them.
+pub(crate) fn spans_on_grid(trace: &Trace) -> Trace {
+    let mut spans = trace.spans.clone();
+    for s in &mut spans {
+        let (ts, dur) = span_us(s.start, s.end);
+        (s.start, s.end) = (ts / US, (ts + dur) / US);
+    }
+    Trace {
+        spans,
+        ..Trace::default()
+    }
+}
+
 /// Export a [`Trace`] as Chrome `trace_event` JSON. Open the result in
 /// `chrome://tracing` or <https://ui.perfetto.dev>.
 ///
 /// Layout: everything shares `pid` 1; each obs track becomes a `tid`
 /// (thread lane). Span/sample times are converted from seconds to the
-/// format's microseconds.
+/// format's microseconds, on the grid of the module docs.
 pub fn chrome_trace(trace: &Trace) -> String {
-    const US: f64 = 1e6;
     let mut events: Vec<String> = Vec::new();
     for (&track, name) in &trace.track_names {
         events.push(format!(
@@ -65,21 +118,16 @@ pub fn chrome_trace(trace: &Trace) -> String {
         ));
     }
     for s in &trace.spans {
-        let mut args = String::new();
-        for (i, (k, v)) in s.args.iter().enumerate() {
-            if i > 0 {
-                args.push(',');
-            }
-            let _ = write!(args, "\"{}\":{}", esc(k), num(*v));
-        }
+        let (ts, dur) = span_us(s.start, s.end);
         events.push(format!(
             "{{\"ph\":\"X\",\"pid\":1,\"tid\":{},\"name\":\"{}\",\"cat\":\"{}\",\
-             \"ts\":{},\"dur\":{},\"args\":{{{args}}}}}",
+             \"ts\":{},\"dur\":{},\"args\":{{{}}}}}",
             s.track,
             esc(&s.name),
             esc(&s.cat),
-            num(s.start * US),
-            num(s.duration() * US),
+            num(ts),
+            num(dur),
+            args_json(&s.args),
         ));
     }
     for c in &trace.counters {
@@ -107,22 +155,16 @@ pub fn trace_json(trace: &Trace) -> String {
         if i > 0 {
             out.push_str(",\n");
         }
-        let mut args = String::new();
-        for (j, (k, v)) in s.args.iter().enumerate() {
-            if j > 0 {
-                args.push(',');
-            }
-            let _ = write!(args, "\"{}\":{}", esc(k), num(*v));
-        }
         let _ = write!(
             out,
             "{{\"name\":\"{}\",\"cat\":\"{}\",\"track\":{},\"start\":{},\
-             \"end\":{},\"args\":{{{args}}}}}",
+             \"end\":{},\"args\":{{{}}}}}",
             esc(&s.name),
             esc(&s.cat),
             s.track,
             num(s.start),
             num(s.end),
+            args_json(&s.args),
         );
     }
     out.push_str("\n],\"counters\":[\n");
@@ -199,7 +241,9 @@ pub fn metrics_json(snap: &MetricsSnapshot) -> String {
 }
 
 /// Load a [`Trace`] back from Chrome [`chrome_trace`] JSON (`{"traceEvents":
-/// [...]}`, microseconds). `None` when the text is not one.
+/// [...]}`, microseconds): a span is `[ts / US, (ts + dur) / US]`.
+/// `None` when the text is not one, or an event's `ts` or end is not
+/// finite or its `dur` is negative.
 ///
 /// This is the entry point for `trinity analyze <trace.json>`: any
 /// trace the pipeline or the figure drivers wrote can be re-analyzed
@@ -209,12 +253,15 @@ pub fn trace_from_json(text: &str) -> Option<Trace> {
     let v = crate::jsonio::parse(text)?;
     let events = v.get("traceEvents")?.as_arr()?;
     let mut trace = Trace::default();
-    const US: f64 = 1e-6;
     for e in events {
         let track = e.num("tid").unwrap_or(0.0) as u32;
+        let ts = e.num("ts").filter(|ts| ts.is_finite());
         match e.str("ph")? {
             "X" => {
-                let start = e.num("ts")? * US;
+                let (ts, dur) = (ts?, e.num("dur").unwrap_or(0.0));
+                if !(dur >= 0.0 && (ts + dur).is_finite()) {
+                    return None;
+                }
                 let args = e
                     .get("args")
                     .and_then(|a| a.as_obj())
@@ -229,15 +276,15 @@ pub fn trace_from_json(text: &str) -> Option<Trace> {
                     name: e.str("name")?.to_string(),
                     cat: e.str("cat").unwrap_or("").to_string(),
                     track,
-                    start,
-                    end: start + e.num("dur").unwrap_or(0.0) * US,
+                    start: ts / US,
+                    end: (ts + dur) / US,
                     args,
                 });
             }
             "C" => trace.counters.push(CounterSample {
                 name: e.str("name")?.to_string(),
                 track,
-                ts: e.num("ts")? * US,
+                ts: ts? / US,
                 value: e.get("args")?.num("value")?,
             }),
             "M" if e.str("name") == Some("thread_name") => {
@@ -539,6 +586,110 @@ mod tests {
         assert!(trace_from_json("{\"spans\": 3}").is_none());
         // The plain export is written for scripts, not read back.
         assert!(trace_from_json(&trace_json(&sample_trace())).is_none());
+        // Times that are not finite (JSON `1e400` parses to ∞), negative
+        // durations, and ends past the largest double.
+        for event in [
+            r#"{"ph":"X","name":"a","ts":1e400,"dur":1}"#,
+            r#"{"ph":"X","name":"a","ts":0,"dur":1e400}"#,
+            r#"{"ph":"X","name":"a","ts":0,"dur":-5.0}"#,
+            r#"{"ph":"X","name":"a","ts":1e308,"dur":1e308}"#,
+            r#"{"ph":"C","name":"a","ts":-1e400,"args":{"value":1}}"#,
+        ] {
+            let text = format!("{{\"traceEvents\":[{event}]}}");
+            assert!(trace_from_json(&text).is_none(), "{event}");
+        }
+    }
+
+    /// A xorshift stream for the random traces below (the crate has no
+    /// dependencies, test ones included).
+    struct Rng(u64);
+
+    impl Rng {
+        /// Uniform in [0, 1), off every decimal grid.
+        fn unit(&mut self) -> f64 {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            (self.0 >> 11) as f64 / (1u64 << 53) as f64
+        }
+
+        /// Uniform in `[lo, hi)`.
+        fn within(&mut self, lo: f64, hi: f64) -> f64 {
+            lo + self.unit() * (hi - lo)
+        }
+    }
+
+    /// Stages on track 0 that share their boundaries, anywhere in
+    /// [0, 10⁴) s and sometimes of zero length; on three rank lanes, a span
+    /// over each stage's tail with a child ending at its end, a zero-length
+    /// marker, a collective with a byte count, and a counter sample.
+    fn random_trace(rng: &mut Rng) -> Trace {
+        let tr = Tracer::new();
+        let mut bounds: Vec<f64> = (0..2 + (rng.unit() * 5.0) as usize)
+            .map(|_| rng.within(0.0, 1e4))
+            .collect();
+        bounds.sort_by(f64::total_cmp);
+        if rng.unit() < 0.3 {
+            bounds[1] = bounds[0];
+        }
+        for (i, w) in bounds.windows(2).enumerate() {
+            let (lo, hi) = (w[0], w[1]);
+            tr.record(0, "stage", format!("stage{i}"), lo, hi);
+            for lane in 1..=3 {
+                let start = rng.within(lo, hi);
+                tr.record(lane, "stage", "rank.total", start, hi);
+                tr.record(lane, "compute", "rank.loop", rng.within(start, hi), hi);
+                let at = rng.within(start, hi);
+                tr.record(lane, "fault", "fault.crash", at, at);
+                let (from, to) = (rng.within(start, hi), rng.within(start, hi));
+                let bytes = [("bytes_sent", (rng.unit() * 1e6).floor())];
+                tr.record_with(
+                    lane,
+                    "comm",
+                    "mpi.gatherv",
+                    from.min(to),
+                    to.max(from),
+                    &bytes,
+                );
+                tr.counter(lane, "ram", rng.within(lo, hi), rng.unit() * 1e9);
+            }
+        }
+        tr.take()
+    }
+
+    #[test]
+    fn a_trace_and_its_file_analyse_and_write_alike() {
+        use crate::analyze::{analysis_json, analyze};
+        let mut rng = Rng(0x9E37_79B9_7F4A_7C15);
+        let mut stepped_back = 0;
+        for _ in 0..400 {
+            let trace = random_trace(&mut rng);
+            let text = chrome_trace(&trace);
+            let back = trace_from_json(&text).expect("parses");
+            assert_eq!(chrome_trace(&back), text);
+            assert_eq!(
+                analysis_json(&analyze(&back)),
+                analysis_json(&analyze(&trace))
+            );
+            let ends = back.spans.iter().zip(&trace.spans);
+            stepped_back += ends.filter(|(b, t)| b.end != t.end * US / US).count();
+        }
+        assert!(stepped_back > 0, "no end needed the step back");
+    }
+
+    /// An off-grid boundary the old reader (`ts · 1e-6 + dur · 1e-6`) put a
+    /// rank span across: `gff.total` ended after Butterfly began and became
+    /// a critical-path step under the one-node stage.
+    #[test]
+    fn a_shared_boundary_stays_shared_in_the_file() {
+        let tr = Tracer::new();
+        tr.record(0, "stage", "GraphFromFasta", 0.0, 0.1);
+        tr.record(0, "stage", "Butterfly", 0.1, 0.3);
+        tr.record(1, "stage", "gff.total", 0.01, 0.1);
+        let back = trace_from_json(&chrome_trace(&tr.take())).expect("parses");
+        let path = crate::analyze(&back).critical_path;
+        let names: Vec<&str> = path.iter().map(|s| s.name.as_str()).collect();
+        assert_eq!(names, ["GraphFromFasta", "gff.total", "Butterfly"]);
     }
 
     #[test]

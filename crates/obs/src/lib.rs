@@ -16,7 +16,7 @@
 //! A finished [`Trace`] exports to the Chrome `trace_event` format
 //! ([`export::chrome_trace`]) so any run opens directly in
 //! `chrome://tracing` / [Perfetto](https://ui.perfetto.dev), and
-//! [`export::trace_from_json`] reads that file back.
+//! [`export::trace_from_json`] reads that file back at the same times.
 //!
 //! On top of the trace sit two profiling views: [`flame`] folds the span
 //! trees into collapsed-stack format with self-time accounting (plus a

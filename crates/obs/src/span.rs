@@ -74,11 +74,6 @@ pub struct Trace {
 }
 
 impl Trace {
-    /// True if nothing was recorded.
-    pub fn is_empty(&self) -> bool {
-        self.spans.is_empty() && self.counters.is_empty()
-    }
-
     /// Latest end time across all spans and samples (the trace horizon).
     pub fn total_time(&self) -> f64 {
         let span_max = self.spans.iter().map(|s| s.end).fold(0.0, f64::max);
@@ -388,7 +383,7 @@ mod tests {
         // Empty trace: a no-op either way round.
         let mut a = Trace::default();
         a.merge_mapped(Trace::default(), 5.0, |t| t + 3);
-        assert!(a.is_empty());
+        assert!(a.spans.is_empty() && a.counters.is_empty());
         // All-zero-duration spans survive the shift with end == start.
         let tr = Tracer::new();
         tr.record(0, "s", "instant", 2.0, 2.0);

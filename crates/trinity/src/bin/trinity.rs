@@ -9,11 +9,11 @@
 //! Jellyfish → Inchworm → Chrysalis → Butterfly, and writes into `--out`:
 //! `inchworm.fasta`, `components.txt`, `read_assignments.txt`,
 //! `transcripts.fasta`, `collectl.txt` (text stage table + top-self-time
-//! profile), `trace.json` (Chrome `trace_event` timeline — open in
-//! `chrome://tracing` / Perfetto), `metrics.json` (counter/gauge/histogram
-//! snapshot), `analysis.json` (critical path and per-stage imbalance, read
-//! from `trace.json`), `flame.txt` (collapsed-stack fold for speedscope /
-//! inferno) and `flame.svg` (self-contained flamegraph). `--nprocs` is the
+//! profile), `metrics.json` (counter/gauge/histogram snapshot) and, through
+//! `report::write_trace_artifacts` as the Fig. 2/11 binaries do, `trace.json`
+//! (Chrome `trace_event` timeline — open in Perfetto), `analysis.json`
+//! (critical path and per-stage imbalance of the in-memory trace; `analyze`
+//! of `trace.json` reproduces it) and `flame.txt`/`flame.svg`. `--nprocs` is the
 //! paper's extension: Chrysalis runs its hybrid MPI+OpenMP rank programs
 //! over `N` simulated ranks; the default `--nprocs 1` is the same programs
 //! on one rank over a free network, and `--faults` applies there as at any
@@ -29,9 +29,10 @@
 //! trinity diff <analysis.json | run-dir> <analysis.json | run-dir>
 //! ```
 //!
-//! `analyze` loads a run's Chrome trace, computes the cross-rank critical
-//! path, per-stage imbalance, comm matrix and (with `--baseline`, a serial
-//! run's `analysis.json`) scaling efficiency, writes `analysis.json` and
+//! `analyze` loads a run's Chrome trace (one with a time that is not
+//! finite or a negative duration is refused), computes the critical path,
+//! per-stage imbalance, comm matrix and (with `--baseline`, a serial run's
+//! `analysis.json`) scaling efficiency, writes `analysis.json` and
 //! prints the tables. `diff` compares two `analysis.json` files under the
 //! CI perf gate's tolerance band (a series regresses when it is both 25 %
 //! and 2 % of the baseline's total slower) and exits 1 on a regression.
@@ -51,7 +52,7 @@ use simulate::datasets::{Dataset, DatasetPreset};
 use trinity::pipeline::{run_pipeline_opts, PipelineConfig, PipelineMode, RunOptions};
 use trinity::report::{
     lane_label, render_bars, render_critical_path, render_faults, render_imbalance,
-    render_self_time, render_trace,
+    render_self_time, render_trace, write_trace_artifacts,
 };
 
 struct Args {
@@ -233,10 +234,6 @@ fn load_reads(path: &Path) -> Result<Vec<Record>, String> {
     parsed.map_err(|e| format!("{}: {e}", path.display()))
 }
 
-fn write_fasta(path: &Path, records: &[Record]) -> Result<(), String> {
-    std::fs::write(path, to_fasta_bytes(records)).map_err(|e| e.to_string())
-}
-
 fn run(args: Args) -> Result<(), String> {
     let mut reads = Vec::new();
     if let Some((preset, seed)) = args.simulate {
@@ -274,12 +271,16 @@ fn run(args: Args) -> Result<(), String> {
         checkpoint_dir: args.checkpoint.clone(),
         resume: args.resume,
     };
-    let out = run_pipeline_opts(&reads, &cfg, &run_opts);
+    let mut out = run_pipeline_opts(&reads, &cfg, &run_opts);
 
-    std::fs::create_dir_all(&args.out).map_err(|e| e.to_string())?;
-    write_fasta(&args.out.join("inchworm.fasta"), &out.contigs)?;
-    write_fasta(&args.out.join("transcripts.fasta"), &out.transcripts)?;
-
+    // The trace's artifacts first: their writer makes the directory.
+    let analysis = write_trace_artifacts(&args.out, "", &mut out.trace, None)?;
+    let write = |name: &str, bytes: &[u8]| {
+        let path = args.out.join(name);
+        std::fs::write(&path, bytes).map_err(|e| format!("{}: {e}", path.display()))
+    };
+    write("inchworm.fasta", &to_fasta_bytes(&out.contigs))?;
+    write("transcripts.fasta", &to_fasta_bytes(&out.transcripts))?;
     let mut text = String::new();
     for (c, members) in out.components.iter().enumerate() {
         let names: Vec<&str> = members
@@ -288,60 +289,35 @@ fn run(args: Args) -> Result<(), String> {
             .collect();
         writeln!(text, "comp{c}\t{}", names.join(",")).expect("writing to a String cannot fail");
     }
-    std::fs::write(args.out.join("components.txt"), text).map_err(|e| e.to_string())?;
+    write("components.txt", text.as_bytes())?;
     let mut text = String::new();
     for &(r, c) in &out.assignments {
         writeln!(text, "{}\tcomp{c}", reads[r as usize].id)
             .expect("writing to a String cannot fail");
     }
-    std::fs::write(args.out.join("read_assignments.txt"), text).map_err(|e| e.to_string())?;
-    // The run's analysis is derived from the Chrome trace it writes, so
-    // that `trinity analyze <run-dir>` reproduces it byte for byte.
-    let trace_text = obs::export::chrome_trace(&out.trace);
-    let written = obs::export::trace_from_json(&trace_text).expect("a written trace reads back");
-    let analysis = obs::analyze(&written);
-    std::fs::write(
-        args.out.join("analysis.json"),
-        obs::analyze::analysis_json(&analysis),
-    )
-    .map_err(|e| e.to_string())?;
+    write("read_assignments.txt", text.as_bytes())?;
     let fault_report = render_faults(&out.metrics, args.faults.as_deref());
-    std::fs::write(
-        args.out.join("collectl.txt"),
-        format!(
-            "{}\n{}\n{}\n{}\n{}{}",
-            render_trace(&out.trace),
-            render_bars(&out.trace, 50),
-            render_self_time(&out.trace, 15),
-            render_critical_path(&analysis),
-            render_imbalance(&analysis),
-            if fault_report.is_empty() {
-                String::new()
-            } else {
-                format!("\n{fault_report}")
-            }
-        ),
-    )
-    .map_err(|e| e.to_string())?;
+    let collectl = format!(
+        "{}\n{}\n{}\n{}\n{}{}",
+        render_trace(&out.trace),
+        render_bars(&out.trace, 50),
+        render_self_time(&out.trace, 15),
+        render_critical_path(&analysis),
+        render_imbalance(&analysis),
+        if fault_report.is_empty() {
+            String::new()
+        } else {
+            format!("\n{fault_report}")
+        }
+    );
+    write("collectl.txt", collectl.as_bytes())?;
     if !fault_report.is_empty() {
         eprint!("{fault_report}");
     }
-    std::fs::write(args.out.join("trace.json"), trace_text).map_err(|e| e.to_string())?;
-    std::fs::write(
-        args.out.join("metrics.json"),
-        obs::export::metrics_json(&out.metrics),
-    )
-    .map_err(|e| e.to_string())?;
-    // Flamegraph artifacts: the merged-across-lanes fold as collapsed
-    // stacks (speedscope / inferno input) and a self-contained SVG.
-    let folds = obs::flame::collapsed_merged(&out.trace);
-    std::fs::write(args.out.join("flame.txt"), obs::flame::to_text(&folds))
-        .map_err(|e| e.to_string())?;
-    std::fs::write(
-        args.out.join("flame.svg"),
-        obs::flame::svg(&folds, "trinity pipeline (all lanes)"),
-    )
-    .map_err(|e| e.to_string())?;
+    write(
+        "metrics.json",
+        obs::export::metrics_json(&out.metrics).as_bytes(),
+    )?;
 
     let tx = length_stats(out.transcripts.iter().map(|t| t.seq.len()));
     eprintln!(

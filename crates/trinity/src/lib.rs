@@ -6,8 +6,8 @@
 //! command line). [`pipeline`] records the per-stage runtime/RAM timeline
 //! that Figs. 2 and 11 plot into an [`obs::Trace`] (plus an
 //! [`obs::MetricsSnapshot`] of table/comm health); [`report`] renders the
-//! collectl-style text views and `obs::export` serialises the same trace
-//! to JSON / Chrome `trace_event` files.
+//! collectl-style text views and writes the trace's files (Chrome
+//! `trace_event`, its analysis and flamegraph).
 
 pub mod checkpoint;
 pub mod pipeline;

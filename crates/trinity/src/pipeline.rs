@@ -211,8 +211,8 @@ pub struct PipelineOutput {
     /// Unified span trace: collectl-style stage spans + RAM counter on
     /// track 0, per-rank Chrysalis sub-traces on tracks
     /// [`RANK_TRACK_BASE`]` + rank`, OpenMP lanes at
-    /// [`obs::THREAD_TRACK_BASE`]` + thread`. Export with
-    /// [`obs::export::chrome_trace`] / [`obs::export::trace_json`].
+    /// [`obs::THREAD_TRACK_BASE`]` + thread`. Its files are written by
+    /// [`crate::report::write_trace_artifacts`].
     pub trace: obs::Trace,
     /// Table/counter health recorded during the run (k-mer table load
     /// factors, probe-length histograms, weld/assignment counts, MPI
@@ -474,22 +474,6 @@ impl<'a> Driver<'a> {
         gauge("seqio.rolled_windows", |s| s.rolled_windows);
         let mut trace = self.obs.take();
         trace.merge_mapped(self.spliced, 0.0, |t| t);
-        // Sampling-profiler pass: walk each pipeline/rank lane's open-span
-        // stack at a fixed period and append `profile.depth` /
-        // `profile.samples.<leaf>` counter series, so long stages (gff
-        // loop1/loop2, the rtt chunk loops) show internal progress in a trace
-        // viewer instead of one opaque span. Thread lanes (busy/idle pairs)
-        // carry no nesting worth sampling and are skipped.
-        let sampler = obs::Sampler::with_samples(&trace, 256);
-        let lanes: std::collections::BTreeSet<u32> = trace
-            .spans
-            .iter()
-            .map(|s| s.track)
-            .filter(|&t| t < obs::THREAD_TRACK_BASE)
-            .collect();
-        for lane in lanes {
-            sampler.annotate(&mut trace, lane);
-        }
         (trace, self.metrics.snapshot())
     }
 }

@@ -1,8 +1,12 @@
-//! Text rendering of pipeline traces and stage statistics.
+//! Text rendering of pipeline traces and stage statistics, and the one
+//! writer of a trace's file artifacts ([`write_trace_artifacts`]).
 //!
 //! Both renderers read the pipeline-level `cat:"stage"` spans on track 0 of
 //! an [`obs::Trace`] (spliced rank sub-traces on higher tracks carry their
 //! own stage spans like `gff.total` and are deliberately ignored here).
+
+use std::collections::BTreeSet;
+use std::path::Path;
 
 use mpisim::FaultPlan;
 use obs::{SpanRecord, Trace};
@@ -206,9 +210,75 @@ pub fn render_faults(metrics: &obs::MetricsSnapshot, plan: Option<&FaultPlan>) -
     }
 }
 
+/// Write a trace's artifacts into `dir`, named with `prefix` (`""` for a
+/// `trinity` run, `figNN_` for a figure): `trace.json` (Chrome
+/// `trace_event`), `analysis.json` (of the trace in memory, which `trinity
+/// analyze` of that `trace.json` reproduces; `baseline_total` adds the
+/// scaling section), `flame.txt` and `flame.svg`. Returns the analysis; a
+/// file that cannot be written is an error naming it. First the sampler
+/// appends `profile.*` counter series for each pipeline and rank lane (not
+/// the thread lanes), so a long stage shows its progress in Perfetto.
+pub fn write_trace_artifacts(
+    dir: &Path,
+    prefix: &str,
+    trace: &mut Trace,
+    baseline_total: Option<f64>,
+) -> Result<obs::Analysis, String> {
+    let sampler = obs::Sampler::with_samples(trace, 256);
+    let lanes = trace.spans.iter().map(|s| s.track);
+    let lanes: BTreeSet<u32> = lanes.filter(|&t| t < obs::THREAD_TRACK_BASE).collect();
+    for lane in lanes {
+        sampler.annotate(trace, lane);
+    }
+    let analysis = obs::analyze_vs(trace, baseline_total);
+    let folds = obs::flame::collapsed_merged(trace);
+    let title = format!("{prefix}trace.json (all lanes)");
+    let files = [
+        ("trace.json", obs::export::chrome_trace(trace)),
+        ("analysis.json", obs::analyze::analysis_json(&analysis)),
+        ("flame.txt", obs::flame::to_text(&folds)),
+        ("flame.svg", obs::flame::svg(&folds, &title)),
+    ];
+    std::fs::create_dir_all(dir).map_err(|e| format!("{}: {e}", dir.display()))?;
+    for (name, text) in files {
+        let path = dir.join(format!("{prefix}{name}"));
+        std::fs::write(&path, text).map_err(|e| format!("{}: {e}", path.display()))?;
+    }
+    Ok(analysis)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn trace_artifacts_are_written_with_their_prefix() {
+        let dir = std::env::temp_dir().join(format!("trinity-report-{}", std::process::id()));
+        let mut trace = trace();
+        let analysis = write_trace_artifacts(&dir, "fig02_", &mut trace, None).unwrap();
+        let written = |name: &str| std::fs::read_to_string(dir.join(name)).unwrap();
+        let text = written("fig02_analysis.json");
+        assert_eq!(text, obs::analyze::analysis_json(&analysis));
+        assert_eq!(
+            written("fig02_trace.json"),
+            obs::export::chrome_trace(&trace)
+        );
+        assert!(written("fig02_flame.txt").contains("Chrysalis"));
+        assert!(written("fig02_flame.svg").starts_with("<svg"));
+        assert!(trace.max_counter("profile.depth").is_some(), "sampled");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn an_unwritable_directory_is_one_error_naming_it() {
+        let file = std::env::temp_dir().join(format!("trinity-report-{}.txt", std::process::id()));
+        std::fs::write(&file, "a file, not a directory").unwrap();
+        let dir = file.join("figs");
+        let err = write_trace_artifacts(&dir, "fig02_", &mut trace(), None).unwrap_err();
+        std::fs::remove_file(&file).unwrap();
+        assert!(err.starts_with(&format!("{}: ", dir.display())), "{err}");
+        assert_eq!(err.lines().count(), 1, "{err}");
+    }
 
     #[test]
     fn render_faults_empty_for_clean_run() {

@@ -1,6 +1,7 @@
 //! Hostile inputs to the CLI, each pinned as a probe: odd read files, the
 //! edges of `--kmer`, checkpoints that do not fit the run, malformed JSON
-//! given to `analyze` and `diff`, artifacts of another format than the one
+//! given to `analyze` and `diff`, traces with times that are not finite or
+//! durations that are negative, artifacts of another format than the one
 //! each command reads, usage errors, `--faults` probabilities outside
 //! [0, 1], crash points no rank reaches, and cluster flags too large to
 //! run.
@@ -263,6 +264,37 @@ fn malformed_json_exits_2_with_one_line() {
             assert_eq!(code, 2, "{args:?}:\n{stderr}");
             assert!(stderr.contains(name), "{args:?}:\n{stderr}");
         }
+    }
+}
+
+/// A trace whose times cannot be on a timeline (JSON `1e400` parses to ∞)
+/// is refused, not analysed into a NaN critical path and a stage that ends
+/// before it starts.
+#[test]
+fn traces_with_impossible_times_exit_2_with_one_line() {
+    let dir = Scratch::new("times");
+    let event = |name: &str, ts: &str, dur: &str| {
+        format!(r#"{{"ph":"X","name":"{name}","cat":"stage","tid":0,"ts":{ts},"dur":{dur}}}"#)
+    };
+    let cases = [
+        ("negative-dur.json", event("Jellyfish", "0.0", "-5.0")),
+        ("infinite-ts.json", event("Inchworm", "1e400", "1.0")),
+        ("infinite-dur.json", event("Inchworm", "0.0", "1e400")),
+        (
+            "both.json",
+            [
+                event("Jellyfish", "0.0", "-5.0"),
+                event("Inchworm", "1e400", "1.0"),
+            ]
+            .join(","),
+        ),
+    ];
+    for (name, events) in cases {
+        let text = format!(r#"{{"traceEvents":[{events}]}}"#);
+        let path = dir.file(name, text.as_bytes());
+        let (code, stderr) = probe(&["analyze".as_ref(), path.as_os_str()]);
+        assert_eq!(code, 2, "{name}:\n{stderr}");
+        assert!(stderr.contains(name), "{name}:\n{stderr}");
     }
 }
 
