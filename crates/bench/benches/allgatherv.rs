@@ -4,7 +4,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
-use mpisim::pack::{pack_byte_strings, pack_u32s};
+use mpisim::pack::{pack, pack_byte_strings};
 use mpisim::{run_cluster, NetModel};
 
 fn bench(c: &mut Criterion) {
@@ -32,7 +32,7 @@ fn bench(c: &mut Criterion) {
                 b.iter(|| {
                     black_box(run_cluster(ranks, NetModel::idataplex(), |comm| {
                         let pairs: Vec<u32> = (0..128).collect();
-                        comm.allgatherv(&pack_u32s(&pairs)).len()
+                        comm.allgatherv(&pack(&pairs)).len()
                     }))
                 })
             },

@@ -2,5 +2,6 @@
 //! pre-allocation-vs-round-robin ablation.
 
 fn main() {
+    bench::no_flags_from_env();
     print!("{}", bench::fig03_chunked_rr::render(40, 4, 2, 5));
 }

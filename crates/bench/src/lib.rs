@@ -87,6 +87,19 @@ impl Cli {
     }
 }
 
+/// For a binary that takes no flags: any argument is refused in one stderr
+/// line and exit 2, as [`Cli::from_env`] refuses an unknown flag.
+pub fn no_flags_from_env() {
+    or_exit(no_flags(std::env::args().skip(1)), 2)
+}
+
+fn no_flags<I: IntoIterator<Item = String>>(args: I) -> Result<(), String> {
+    match args.into_iter().next() {
+        Some(arg) => Err(format!("unknown argument {arg:?}")),
+        None => Ok(()),
+    }
+}
+
 /// `result`'s value, or its error on stderr and exit `code`.
 fn or_exit<T>(result: Result<T, String>, code: i32) -> T {
     result.unwrap_or_else(|e| {
@@ -115,6 +128,15 @@ mod tests {
     fn cli_refuses_unknown() {
         let err = parse(&["--whatever", "x"]).unwrap_err();
         assert_eq!(err, "unknown argument \"--whatever\"");
+    }
+
+    #[test]
+    fn no_flags_refuses_any_argument() {
+        assert_eq!(no_flags(Vec::<String>::new()), Ok(()));
+        for args in [&["--scale", "abc"][..], &["x"], &["--help"]] {
+            let err = no_flags(args.iter().map(|a| a.to_string())).unwrap_err();
+            assert_eq!(err, format!("unknown argument {:?}", args[0]));
+        }
     }
 
     #[test]

@@ -18,7 +18,7 @@ use bowtie::fmindex::FmIndex;
 use bowtie::sam::SamRecord;
 
 use mpisim::comm::Comm;
-use mpisim::pack::{pack_byte_strings, pack_u32s, unpack_byte_strings, unpack_u32s};
+use mpisim::pack::{pack, pack_byte_strings, unpack, unpack_byte_strings, Wire};
 use omp::{par_loop, Team};
 
 use crate::config::ChrysalisConfig;
@@ -51,45 +51,32 @@ struct Hit {
     mismatches: u8,
 }
 
-/// `u32` words per [`Hit`] on the wire.
-const HIT_WORDS: usize = 4;
+impl Wire for Hit {
+    const WIDTH: usize = 16;
 
-fn pack_hits(hits: &[Hit]) -> Vec<u8> {
-    let words = hits.iter().flat_map(|h| {
-        let meta = u32::from(h.reverse) << 8 | u32::from(h.mismatches);
-        [h.read, h.contig, h.offset, meta]
-    });
-    pack_u32s(&words.collect::<Vec<u32>>())
-}
-
-fn unpack_hits(buf: &[u8]) -> Option<Vec<Hit>> {
-    let words = unpack_u32s(buf)?;
-    if words.len() % HIT_WORDS != 0 {
-        return None;
+    fn put(&self, buf: &mut Vec<u8>) {
+        let meta = u32::from(self.reverse) << 8 | u32::from(self.mismatches);
+        for word in [self.read, self.contig, self.offset, meta] {
+            word.put(buf);
+        }
     }
-    let hits = words.chunks_exact(HIT_WORDS).map(|w| Hit {
-        read: w[0],
-        contig: w[1],
-        offset: w[2],
-        reverse: w[3] >> 8 != 0,
-        mismatches: w[3] as u8,
-    });
-    Some(hits.collect())
+
+    fn get(bytes: &[u8]) -> Self {
+        let word = |i: usize| u32::get(&bytes[4 * i..]);
+        let meta = word(3);
+        Hit {
+            read: word(0),
+            contig: word(1),
+            offset: word(2),
+            reverse: meta >> 8 != 0,
+            mismatches: meta as u8,
+        }
+    }
 }
 
 impl crate::ReadLine for Hit {
-    const WIDTH: usize = 4 * HIT_WORDS;
-
     fn read(&self) -> u32 {
         self.read
-    }
-
-    fn pack(lines: &[Self]) -> Vec<u8> {
-        pack_hits(lines)
-    }
-
-    fn unpack(buf: &[u8]) -> Vec<Self> {
-        unpack_hits(buf).expect("peer sent whole hit tuples")
     }
 }
 
@@ -138,7 +125,7 @@ pub fn bowtie_mpi(
             let pieces: Vec<Vec<u8>> = plan
                 .pieces
                 .iter()
-                .map(|piece| pack_u32s(&piece.iter().map(|&i| i as u32).collect::<Vec<_>>()))
+                .map(|piece| pack(&piece.iter().map(|&i| i as u32).collect::<Vec<_>>()))
                 .collect();
             pack_byte_strings(&pieces)
         })
@@ -151,7 +138,7 @@ pub fn bowtie_mpi(
 
     // ---- Index this rank's slice ----
     // `my_piece[i]` is the global index of the slice's contig `i`.
-    let my_piece = unpack_u32s(&plan[comm.rank()]).expect("root sent whole u32s");
+    let my_piece = unpack::<u32>(&plan[comm.rank()]).expect("root sent whole u32s");
     let slice: Vec<Record> = my_piece
         .iter()
         .map(|&i| contigs[i as usize].clone())
@@ -397,12 +384,14 @@ mod tests {
                 mismatches: 3,
             },
         ];
-        let buf = pack_hits(&hits);
-        assert_eq!(buf.len(), hits.len() * HIT_WORDS * 4);
-        assert_eq!(unpack_hits(&buf).as_deref(), Some(&hits[..]));
-        assert_eq!(unpack_hits(&pack_hits(&[])), Some(Vec::new()));
-        assert_eq!(unpack_hits(&buf[..buf.len() - 4]), None, "torn tuple");
-        assert_eq!(unpack_hits(&buf[..buf.len() - 1]), None, "torn word");
+        let buf = pack(&hits);
+        assert_eq!(
+            buf[28..32],
+            pack(&[1u32 << 8 | 3]),
+            "meta word: reverse, mismatches"
+        );
+        assert_eq!(unpack::<Hit>(&buf).as_deref(), Some(&hits[..]));
+        assert_eq!(unpack::<Hit>(&buf[..buf.len() - 4]), None, "torn tuple");
     }
 
     #[test]

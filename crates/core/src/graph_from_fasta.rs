@@ -6,18 +6,16 @@ use seqio::packed::PackedSeq;
 
 use graph::unionfind::UnionFind;
 use mpisim::comm::Comm;
-use mpisim::pack::{pack_byte_strings, pack_u64s, unpack_byte_strings, unpack_u64s};
+use mpisim::pack::{pack, pack_byte_strings, unpack, unpack_byte_strings, Wire};
 use mpisim::{run_cluster, NetModel};
 use omp::makespan::CostedTeam;
 use omp::schedule::{chunk_sequence, chunked_round_robin};
 use omp::Team;
 
 use crate::config::ChrysalisConfig;
-use crate::pairs::{match_contig, pack_pairs, pairs_from_matches, unpack_pairs, WeldKmerIndex};
+use crate::pairs::{match_contig, pairs_from_matches, WeldKmerIndex};
 use crate::timings::GffTimings;
-use crate::weld::{
-    decode_weld, harvest_contig, pack_welds, unpack_welds, KmerContigMap, WeldSupport,
-};
+use crate::weld::{decode_weld, harvest_contig, KmerContigMap, WeldSupport};
 use crate::{no_args, rank_region};
 
 /// Read-only state every rank needs: the contig set, the seed-occurrence
@@ -170,13 +168,11 @@ pub fn dynamic_deal(chunk_costs: &[f64], ranks: usize, deal: f64) -> (Vec<f64>, 
 /// every chunk once and ships costs and packed outputs over the uncharged [`Comm::transport_bcast`]; each
 /// rank then takes the chunks and the busy time — per-chunk queue latency
 /// included — that [`dynamic_deal`] assigns it.
-fn master_dealt<R>(
+fn master_dealt<R: Wire>(
     comm: &mut Comm,
     n: usize,
     chunk: usize,
     run: impl Fn(&[u32]) -> (Vec<R>, f64),
-    pack: impl Fn(&[R]) -> Vec<u8>,
-    unpack: impl Fn(&[u8]) -> Vec<R>,
 ) -> (Vec<R>, f64) {
     let (rank, size) = (comm.rank(), comm.size());
     let payload = comm.transport_bcast(0, || {
@@ -188,11 +184,11 @@ fn master_dealt<R>(
             costs.push(cost.to_bits());
             parts.push(pack(&outputs));
         }
-        parts.push(pack_u64s(&costs));
+        parts.push(pack(&costs));
         pack_byte_strings(&parts)
     });
     let mut parts = unpack_byte_strings(&payload).expect("root sent chunk payloads");
-    let costs: Vec<f64> = unpack_u64s(&parts.pop().expect("root sent chunk costs last"))
+    let costs: Vec<f64> = unpack::<u64>(&parts.pop().expect("root sent chunk costs last"))
         .expect("whole u64s")
         .into_iter()
         .map(f64::from_bits)
@@ -202,7 +198,7 @@ fn master_dealt<R>(
         .iter()
         .zip(&parts)
         .filter(|(&o, _)| o == rank)
-        .flat_map(|(_, p)| unpack(p))
+        .flat_map(|(_, p)| unpack(p).expect("root sent whole records"))
         .collect();
     (mine, busy[rank])
 }
@@ -212,14 +208,12 @@ fn master_dealt<R>(
 /// `loop_name`), and pool every rank's packed outputs with
 /// `MPI_Allgatherv` under span `comm_name`. Returns the pooled outputs in
 /// rank order — identical on every rank.
-fn pooled_loop<R: Send>(
+fn pooled_loop<R: Wire + Send>(
     comm: &mut Comm,
     shared: &GffShared,
     partition: Partition,
     [loop_name, comm_name]: [&str; 2],
     item: impl Fn(u32) -> Vec<R> + Sync,
-    pack: impl Fn(&[R]) -> Vec<u8>,
-    unpack: impl Fn(&[u8]) -> Vec<R>,
 ) -> Vec<R> {
     let cfg = &shared.cfg;
     let n = shared.contigs.len();
@@ -243,7 +237,7 @@ fn pooled_loop<R: Send>(
                 let (outputs, cost) = team.region(|team| on_team(team, ids));
                 (outputs, cost.charge())
             };
-            let dealt = master_dealt(comm, n, chunk, run, &pack, &unpack);
+            let dealt = master_dealt(comm, n, chunk, run);
             comm.charge_costed("compute", loop_name, &[], || dealt)
         }
     };
@@ -251,7 +245,8 @@ fn pooled_loop<R: Send>(
     let parts = comm.allgatherv(&pack(&mine));
     comm.obs
         .record(comm.track(), "comm", comm_name, t_before, comm.clock.now());
-    parts.iter().flat_map(|p| unpack(p)).collect()
+    let whole = |p: &Vec<u8>| unpack(p).expect("peer sent whole records");
+    parts.iter().flat_map(whole).collect()
 }
 
 /// Hybrid MPI+OpenMP GraphFromFasta — one rank's program (§III-B).
@@ -280,15 +275,9 @@ fn gff_rank_program(comm: &mut Comm, shared: &GffShared, partition: Partition) -
     comm.charge_costed("compute", "gff.prep", &[], || ((), shared.prep_cost));
 
     // Loop 1: weld harvest, pooled as fixed-width packed words.
-    let pooled = pooled_loop(
-        comm,
-        shared,
-        partition,
-        ["gff.loop1", "gff.comm1"],
-        |i| harvest_contig(i, &shared.contigs, &shared.kmap, &support, cfg),
-        pack_welds,
-        |buf| unpack_welds(buf).expect("peer sent whole packed welds"),
-    );
+    let pooled = pooled_loop(comm, shared, partition, ["gff.loop1", "gff.comm1"], |i| {
+        harvest_contig(i, &shared.contigs, &shared.kmap, &support, cfg)
+    });
 
     // Weld k-mer index: the one dedup of the pool, then an owner-routed
     // build — a parallel region on the rank's team, replicated on every
@@ -300,15 +289,9 @@ fn gff_rank_program(comm: &mut Comm, shared: &GffShared, partition: Partition) -
 
     // Loop 2: weld matching over the same distribution, pooled as packed
     // integers.
-    let matches = pooled_loop(
-        comm,
-        shared,
-        partition,
-        ["gff.loop2", "gff.comm2"],
-        |i| match_contig(i, &shared.contigs, &weld_index),
-        pack_pairs,
-        unpack_pairs,
-    );
+    let matches = pooled_loop(comm, shared, partition, ["gff.loop2", "gff.comm2"], |i| {
+        match_contig(i, &shared.contigs, &weld_index)
+    });
 
     // Clustering + output generation: non-parallel, on every rank (the
     // pooled matches are identical everywhere). The distinct welds leave

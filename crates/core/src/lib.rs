@@ -83,6 +83,7 @@ pub mod timings;
 pub mod weld;
 
 use mpisim::comm::Cost;
+use mpisim::pack::{pack, unpack, Wire};
 use omp::makespan::CostedTeam;
 use seqio::par::{Splitters, BUCKETS};
 
@@ -125,18 +126,12 @@ pub(crate) fn no_args<T>(_: &T) -> Vec<(&'static str, f64)> {
     Vec::new()
 }
 
-/// A line of a per-rank output file the master merges: its wire form and
-/// the read it belongs to. The order sorts by read first, and a rank emits
-/// its lines in read order.
-pub(crate) trait ReadLine: Ord + Copy + Send + Sync {
-    /// Bytes per line on the wire.
-    const WIDTH: usize;
+/// A line of a per-rank output file the master merges: a fixed-width
+/// [`Wire`] record that knows the read it belongs to. The order sorts by
+/// read first, and a rank emits its lines in read order.
+pub(crate) trait ReadLine: Wire + Ord + Copy + Send + Sync {
     /// The read this line belongs to.
     fn read(&self) -> u32;
-    /// The wire form of consecutive lines; packed runs concatenate.
-    fn pack(lines: &[Self]) -> Vec<u8>;
-    /// Inverse of [`ReadLine::pack`] for a buffer a peer rank packed.
-    fn unpack(buf: &[u8]) -> Vec<Self>;
 }
 
 /// Reads sampled per bucket for the master merge's splitters.
@@ -166,7 +161,7 @@ pub(crate) fn merge_parts<T: ReadLine>(
             lines.map(|r| &p[r.start * T::WIDTH..r.end * T::WIDTH])
         })
         .collect();
-    let parts: Vec<Vec<T>> = team.map(&chunks, |c| T::unpack(c));
+    let parts: Vec<Vec<T>> = team.map(&chunks, |c| unpack(c).expect("whole lines"));
     debug_assert!(parts
         .iter()
         .all(|p| p.windows(2).all(|w| w[0].read() <= w[1].read())));
@@ -185,7 +180,7 @@ pub(crate) fn merge_parts<T: ReadLine>(
         }
         all.sort_unstable();
         cut(&mut all);
-        T::pack(&all)
+        pack(&all)
     });
     packed.concat()
 }
@@ -206,7 +201,7 @@ pub(crate) fn master_merge<T: ReadLine>(
     cut: impl Fn(&mut Vec<T>) + Sync,
 ) -> Vec<T> {
     let start = comm.clock.now();
-    let packed = T::pack(&mine);
+    let packed = pack(&mine);
     drop(mine);
     let gathered = comm.gatherv(0, &packed);
     drop(packed);
@@ -216,7 +211,7 @@ pub(crate) fn master_merge<T: ReadLine>(
         }),
         None => Vec::new(),
     };
-    let out = T::unpack(&comm.bcast(0, &merged));
+    let out = unpack(&comm.bcast(0, &merged)).expect("master sent whole lines");
     comm.obs
         .record(comm.track(), "comm", name, start, comm.clock.now());
     out
@@ -314,11 +309,11 @@ mod tests {
     fn merged_parts_are_the_sorted_cut_file_on_every_team() {
         for (n, reads) in [(0, 1), (5, 3), (3000, 700), (6000, 40)] {
             let lines = lines(n, reads);
-            let expect = <(u32, u32)>::pack(&expected(&lines));
+            let expect = pack(&expected(&lines));
             for ranks in [1, 2, 4, 7] {
                 let parts: Vec<Vec<u8>> = deal(&lines, ranks, ranks as u64)
                     .iter()
-                    .map(|f| <(u32, u32)>::pack(f))
+                    .map(|f| pack(f))
                     .collect();
                 let costed = &mut CostedTeam::new(16, omp::Schedule::Dynamic { chunk: 1 });
                 let merged = [

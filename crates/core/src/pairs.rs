@@ -142,35 +142,10 @@ pub fn pairs_from_matches(matches: &[(u32, u32)]) -> Vec<(u32, u32)> {
     pairs
 }
 
-/// The packed-integer wire form of a `(u32, u32)` list — loop-2 matches
-/// and read assignments both cross ranks this way.
-pub(crate) fn pack_pairs(pairs: &[(u32, u32)]) -> Vec<u8> {
-    let flat: Vec<u32> = pairs.iter().flat_map(|&(a, b)| [a, b]).collect();
-    mpisim::pack::pack_u32s(&flat)
-}
-
-/// Inverse of [`pack_pairs`] for a buffer a peer rank packed.
-pub(crate) fn unpack_pairs(buf: &[u8]) -> Vec<(u32, u32)> {
-    let flat = mpisim::pack::unpack_u32s(buf)
-        .filter(|flat| flat.len() % 2 == 0)
-        .expect("peer sent whole (u32, u32) pairs");
-    flat.chunks_exact(2).map(|c| (c[0], c[1])).collect()
-}
-
 /// A read assignment `(read, component)` as a line of the master's merge.
 impl crate::ReadLine for (u32, u32) {
-    const WIDTH: usize = 8;
-
     fn read(&self) -> u32 {
         self.0
-    }
-
-    fn pack(lines: &[Self]) -> Vec<u8> {
-        pack_pairs(lines)
-    }
-
-    fn unpack(buf: &[u8]) -> Vec<Self> {
-        unpack_pairs(buf)
     }
 }
 
@@ -278,17 +253,18 @@ mod tests {
 
     #[test]
     fn pack_round_trip() {
+        use mpisim::pack::{pack, unpack};
         let matches = vec![(3u32, 9u32), (1, 2)];
-        let buf = pack_pairs(&matches);
-        assert_eq!(buf, mpisim::pack::pack_u32s(&[3, 9, 1, 2]));
-        assert_eq!(unpack_pairs(&buf), matches);
-        assert!(unpack_pairs(&[]).is_empty());
+        let buf = pack(&matches);
+        assert_eq!(buf, pack(&[3u32, 9, 1, 2]));
+        assert_eq!(unpack::<(u32, u32)>(&buf).unwrap(), matches);
     }
 
     #[test]
-    #[should_panic(expected = "whole (u32, u32) pairs")]
+    #[should_panic(expected = "peer sent whole lines")]
     fn odd_length_pair_buffer_is_rejected() {
-        unpack_pairs(&mpisim::pack::pack_u32s(&[1, 2, 3]));
+        let torn = mpisim::pack::pack(&[1u32, 2, 3]);
+        crate::merge_parts::<(u32, u32)>(&[torn], &mut omp::Pool::new(1), |_| {});
     }
 
     #[test]

@@ -14,7 +14,6 @@
 use kcount::counter::KmerCounts;
 use kcount::routed::{for_each_owner, routed_build, Router, OWNERS};
 use kmertable::{PackedKmerTable, PackedWeldSet, PartitionedKmerTable};
-use mpisim::pack::{pack_u64s, unpack_u64s};
 use omp::Team;
 use seqio::alphabet::{code_to_base, complement_code};
 use seqio::kmer::{Kmer, RollState};
@@ -92,25 +91,6 @@ pub fn decode_weld(weld: u128, len: usize) -> Vec<u8> {
     (0..len)
         .map(|j| code_to_base(weld_code_at(weld, len, j)))
         .collect()
-}
-
-/// Loop 1's wire form: two little-endian `u64` words per weld, high word
-/// first — 16 bytes a weld, no length prefix (every weld of a run has
-/// `ChrysalisConfig::weld_len` bases).
-pub fn pack_welds(welds: &[u128]) -> Vec<u8> {
-    let words: Vec<u64> = welds
-        .iter()
-        .flat_map(|&w| [(w >> 64) as u64, w as u64])
-        .collect();
-    pack_u64s(&words)
-}
-
-/// Inverse of [`pack_welds`]. `None` unless the buffer is a whole number of
-/// welds.
-pub fn unpack_welds(buf: &[u8]) -> Option<Vec<u128>> {
-    let words = unpack_u64s(buf).filter(|w| w.len() % 2 == 0)?;
-    let weld = |w: &[u64]| (w[0] as u128) << 64 | w[1] as u128;
-    Some(words.chunks_exact(2).map(weld).collect())
 }
 
 /// One occurrence of a seed within a contig.
@@ -730,15 +710,14 @@ mod tests {
 
     #[test]
     fn weld_wire_form_is_two_words_hi_then_lo() {
+        use mpisim::pack::{pack, unpack};
         let welds = vec![0u128, 1, (7u128 << 64) | 9, u128::MAX >> 2];
-        let buf = pack_welds(&welds);
+        let buf = pack(&welds);
         assert_eq!(buf.len(), 16 * welds.len());
         assert_eq!(buf[16..24], 0u64.to_le_bytes(), "high word first");
         assert_eq!(buf[24..32], 1u64.to_le_bytes());
-        assert_eq!(unpack_welds(&buf).unwrap(), welds);
-        assert_eq!(unpack_welds(&[]).unwrap(), Vec::<u128>::new());
-        assert!(unpack_welds(&buf[..24]).is_none(), "half a weld");
-        assert!(unpack_welds(&buf[..20]).is_none(), "not whole words");
+        assert_eq!(unpack::<u128>(&buf).unwrap(), welds);
+        assert!(unpack::<u128>(&buf[..24]).is_none(), "half a weld");
     }
 
     #[test]

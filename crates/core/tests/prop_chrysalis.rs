@@ -10,9 +10,10 @@ use chrysalis::config::ChrysalisConfig;
 use chrysalis::graph_from_fasta::{cluster, gff_hybrid, gff_shared_memory, GffShared};
 use chrysalis::pairs::{match_contig, pairs_from_matches, WeldKmerIndex};
 use chrysalis::reads_to_transcripts::{rtt_hybrid, rtt_shared_memory, RttShared};
-use chrysalis::weld::{decode_weld, pack_welds, unpack_welds, KmerContigMap};
+use chrysalis::weld::{decode_weld, KmerContigMap};
 use kcount::counter::{count_kmers, CounterConfig};
 use kmertable::PackedKmerTable;
+use mpisim::pack::unpack;
 use mpisim::{run_cluster, NetModel};
 use proptest::prelude::*;
 use seqio::fasta::Record;
@@ -278,12 +279,12 @@ proptest! {
         let mut pooled: Vec<u128> = Vec::new();
         for welds in &rank_welds {
             let mine: Vec<u128> = welds.iter().map(|w| pack(w)).collect();
-            let buf = pack_welds(&mine);
+            let buf = mpisim::pack::pack(&mine);
             prop_assert_eq!(buf.len(), 16 * mine.len());
-            prop_assert_eq!(unpack_welds(&buf).as_ref(), Some(&mine));
+            prop_assert_eq!(unpack::<u128>(&buf).as_ref(), Some(&mine));
             if !buf.is_empty() {
-                prop_assert_eq!(unpack_welds(&buf[1..]), None);
-                prop_assert_eq!(unpack_welds(&buf[8..]), None);
+                prop_assert_eq!(unpack::<u128>(&buf[1..]), None);
+                prop_assert_eq!(unpack::<u128>(&buf[8..]), None);
             }
             pooled.extend(mine);
         }

@@ -270,18 +270,6 @@ impl PackedKmerTable {
         }
     }
 
-    /// Pre-size for `additional` more distinct keys.
-    pub fn reserve(&mut self, additional: usize) {
-        let want = Self::capacity_for(self.occupied + additional);
-        if want > self.keys.len() {
-            if self.keys.is_empty() {
-                self.allocate(want);
-            } else {
-                self.grow(want);
-            }
-        }
-    }
-
     /// Iterate `(packed key, value)` in unspecified order.
     pub fn iter(&self) -> impl Iterator<Item = (u64, u32)> + '_ {
         self.iter_slots().map(|(_, k, v)| (k, v))

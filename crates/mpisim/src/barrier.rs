@@ -80,12 +80,6 @@ impl SimBarrier {
         st.aborted = true;
         self.cvar.notify_all();
     }
-
-    /// True once [`SimBarrier::abort`] has been called. Doubles as the
-    /// cluster-wide "a rank has crashed" flag.
-    pub fn is_aborted(&self) -> bool {
-        self.state.lock().expect("barrier lock").aborted
-    }
 }
 
 #[cfg(test)]
@@ -122,7 +116,6 @@ mod tests {
             assert_eq!(h1.join().unwrap(), Err(Aborted));
             assert_eq!(h2.join().unwrap(), Err(Aborted));
         });
-        assert!(b.is_aborted());
     }
 
     #[test]

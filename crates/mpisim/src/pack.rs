@@ -4,24 +4,96 @@
 //! packed into a single sequence for MPI communication", and after loop 2
 //! "the integer values for pairing indices are packed into single integer
 //! array". These helpers are that packing layer: length-prefixed byte
-//! strings and little-endian integer arrays.
+//! strings, and arrays of fixed-width [`Wire`] records — the one
+//! little-endian codec every record the ranks exchange or a checkpoint
+//! stores goes through.
 
-/// Split a little-endian `u32` off the front of `buf`; `None` if fewer
-/// than four bytes are left.
+/// A fixed-width record: `WIDTH` little-endian bytes on the wire. A new
+/// message type is one impl; [`pack`] and [`unpack`] carry its arrays.
+pub trait Wire: Sized {
+    /// Bytes per record.
+    const WIDTH: usize;
+    /// Append the record's `WIDTH` bytes to `buf`.
+    fn put(&self, buf: &mut Vec<u8>);
+    /// The record in the first `WIDTH` bytes of `bytes`.
+    fn get(bytes: &[u8]) -> Self;
+}
+
+macro_rules! wire_int {
+    ($($t:ty),*) => {$(
+        impl Wire for $t {
+            const WIDTH: usize = std::mem::size_of::<$t>();
+            fn put(&self, buf: &mut Vec<u8>) {
+                buf.extend_from_slice(&self.to_le_bytes());
+            }
+            fn get(bytes: &[u8]) -> Self {
+                <$t>::from_le_bytes(bytes[..Self::WIDTH].try_into().expect("WIDTH bytes"))
+            }
+        }
+    )*};
+}
+
+wire_int!(u32, u64);
+
+/// Two `u64` words, high word first (a loop-1 weld).
+impl Wire for u128 {
+    const WIDTH: usize = 16;
+    fn put(&self, buf: &mut Vec<u8>) {
+        ((self >> 64) as u64, *self as u64).put(buf);
+    }
+    fn get(bytes: &[u8]) -> Self {
+        let (hi, lo) = <(u64, u64)>::get(bytes);
+        (hi as u128) << 64 | lo as u128
+    }
+}
+
+/// The first field's bytes, then the second's.
+impl<A: Wire, B: Wire> Wire for (A, B) {
+    const WIDTH: usize = A::WIDTH + B::WIDTH;
+    fn put(&self, buf: &mut Vec<u8>) {
+        self.0.put(buf);
+        self.1.put(buf);
+    }
+    fn get(bytes: &[u8]) -> Self {
+        (A::get(bytes), B::get(&bytes[A::WIDTH..]))
+    }
+}
+
+/// Pack records back to back, no length prefix.
+pub fn pack<T: Wire>(items: &[T]) -> Vec<u8> {
+    let mut buf = Vec::with_capacity(items.len() * T::WIDTH);
+    for x in items {
+        x.put(&mut buf);
+    }
+    buf
+}
+
+/// Inverse of [`pack`]. `None` unless `buf` holds a whole number of
+/// records.
+pub fn unpack<T: Wire>(buf: &[u8]) -> Option<Vec<T>> {
+    let records = buf.chunks_exact(T::WIDTH);
+    records
+        .remainder()
+        .is_empty()
+        .then(|| records.map(T::get).collect())
+}
+
+/// Split a `u32` off the front of `buf`; `None` if fewer than four bytes
+/// are left.
 fn take_u32(buf: &mut &[u8]) -> Option<u32> {
-    let (head, rest) = buf.split_first_chunk::<4>()?;
+    let (head, rest) = buf.split_at_checked(u32::WIDTH)?;
     *buf = rest;
-    Some(u32::from_le_bytes(*head))
+    Some(u32::get(head))
 }
 
 /// Pack a slice of byte strings into one length-prefixed buffer.
 pub fn pack_byte_strings<S: AsRef<[u8]>>(items: &[S]) -> Vec<u8> {
     let total: usize = items.iter().map(|s| s.as_ref().len() + 4).sum();
     let mut buf = Vec::with_capacity(total + 4);
-    buf.extend_from_slice(&(items.len() as u32).to_le_bytes());
+    (items.len() as u32).put(&mut buf);
     for s in items {
         let s = s.as_ref();
-        buf.extend_from_slice(&(s.len() as u32).to_le_bytes());
+        (s.len() as u32).put(&mut buf);
         buf.extend_from_slice(s);
     }
     buf
@@ -43,46 +115,6 @@ pub fn unpack_byte_strings(mut buf: &[u8]) -> Option<Vec<Vec<u8>>> {
         buf = rest;
     }
     buf.is_empty().then_some(out)
-}
-
-/// Pack a `u32` slice little-endian (the loop-2 pairing-index exchange).
-pub fn pack_u32s(items: &[u32]) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(items.len() * 4);
-    for x in items {
-        buf.extend_from_slice(&x.to_le_bytes());
-    }
-    buf
-}
-
-/// Unpack a buffer produced by [`pack_u32s`]. `None` if not a multiple of 4.
-pub fn unpack_u32s(buf: &[u8]) -> Option<Vec<u32>> {
-    let words = buf.chunks_exact(4);
-    let whole = words.remainder().is_empty();
-    whole.then(|| {
-        words
-            .map(|w| u32::from_le_bytes(w.try_into().expect("4 bytes")))
-            .collect()
-    })
-}
-
-/// Pack a `u64` slice little-endian.
-pub fn pack_u64s(items: &[u64]) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(items.len() * 8);
-    for x in items {
-        buf.extend_from_slice(&x.to_le_bytes());
-    }
-    buf
-}
-
-/// Unpack a buffer produced by [`pack_u64s`]. `None` if not a multiple of 8.
-pub fn unpack_u64s(buf: &[u8]) -> Option<Vec<u64>> {
-    let words = buf.chunks_exact(8);
-    let whole = words.remainder().is_empty();
-    whole.then(|| {
-        words
-            .map(|w| u64::from_le_bytes(w.try_into().expect("8 bytes")))
-            .collect()
-    })
 }
 
 #[cfg(test)]
@@ -129,15 +161,16 @@ mod tests {
     #[test]
     fn u32_round_trip() {
         let items = vec![0u32, 1, u32::MAX, 42];
-        assert_eq!(unpack_u32s(&pack_u32s(&items)).unwrap(), items);
-        assert!(unpack_u32s(&[1, 2, 3]).is_none());
-        assert_eq!(unpack_u32s(&[]).unwrap(), Vec::<u32>::new());
+        assert_eq!(unpack::<u32>(&pack(&items)).unwrap(), items);
+        assert_eq!(pack(&[0x0403_0201u32]), [1, 2, 3, 4], "little-endian");
+        assert!(unpack::<u32>(&[1, 2, 3]).is_none());
+        assert_eq!(unpack::<u32>(&[]).unwrap(), Vec::<u32>::new());
     }
 
     #[test]
     fn u64_round_trip() {
         let items = vec![0u64, u64::MAX, 7];
-        assert_eq!(unpack_u64s(&pack_u64s(&items)).unwrap(), items);
-        assert!(unpack_u64s(&[0; 7]).is_none());
+        assert_eq!(unpack::<u64>(&pack(&items)).unwrap(), items);
+        assert!(unpack::<u64>(&[0; 7]).is_none());
     }
 }

@@ -1,11 +1,26 @@
 //! Property-based tests for the MPI substrate: packing round-trips and
 //! collective semantics at arbitrary rank counts and payload shapes.
 
-use mpisim::pack::{
-    pack_byte_strings, pack_u32s, pack_u64s, unpack_byte_strings, unpack_u32s, unpack_u64s,
-};
+use mpisim::pack::{pack, pack_byte_strings, unpack, unpack_byte_strings, Wire};
 use mpisim::{run_cluster, NetModel};
 use proptest::prelude::*;
+
+/// `unpack(pack(xs)) == xs`, and every cut of the buffer that is not a
+/// whole number of records is refused.
+fn codec_round_trips<T: Wire + PartialEq + std::fmt::Debug>(xs: &[T]) {
+    let buf = pack(xs);
+    assert_eq!(buf.len(), xs.len() * T::WIDTH);
+    assert_eq!(unpack::<T>(&buf).as_deref(), Some(xs));
+    for cut in 0..buf.len() {
+        let whole = cut % T::WIDTH == 0;
+        let back = unpack::<T>(&buf[..cut]);
+        assert_eq!(
+            back.as_deref(),
+            whole.then_some(&xs[..cut / T::WIDTH]),
+            "cut {cut}"
+        );
+    }
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -31,8 +46,20 @@ proptest! {
     #[test]
     fn u32_u64_round_trip(a in proptest::collection::vec(any::<u32>(), 0..64),
                           b in proptest::collection::vec(any::<u64>(), 0..64)) {
-        prop_assert_eq!(unpack_u32s(&pack_u32s(&a)).unwrap(), a);
-        prop_assert_eq!(unpack_u64s(&pack_u64s(&b)).unwrap(), b);
+        codec_round_trips(&a);
+        codec_round_trips(&b);
+    }
+
+    #[test]
+    fn u128_and_pairs_round_trip(
+        words in proptest::collection::vec((any::<u64>(), any::<u64>()), 0..32),
+        pairs in proptest::collection::vec((any::<u32>(), any::<u32>()), 0..32),
+        counts in proptest::collection::vec((any::<u64>(), any::<u32>()), 0..32),
+    ) {
+        let welds: Vec<u128> = words.iter().map(|&(hi, lo)| (hi as u128) << 64 | lo as u128).collect();
+        codec_round_trips(&welds);
+        codec_round_trips(&pairs);
+        codec_round_trips(&counts);
     }
 
     #[test]

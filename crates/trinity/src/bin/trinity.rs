@@ -39,7 +39,8 @@
 //! A run directory means its `trace.json` to `analyze` and its
 //! `analysis.json` to `diff` and `--baseline`.
 
-use std::fmt::Write;
+use std::fmt::Write as _;
+use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
@@ -238,13 +239,13 @@ fn run(args: Args) -> Result<(), String> {
     let mut reads = Vec::new();
     if let Some((preset, seed)) = args.simulate {
         let ds = Dataset::generate(preset, seed);
+        reads = ds.all_reads();
         eprintln!(
             "simulated {:?} (seed {seed}): {} reads, {} reference isoforms",
             preset,
-            ds.all_reads().len(),
+            reads.len(),
             ds.reference.len()
         );
-        reads = ds.all_reads();
     }
     for p in &args.reads {
         let mut r = load_reads(p)?;
@@ -412,17 +413,18 @@ fn run_analyze(argv: &[String]) -> Result<(), String> {
     std::fs::write(&out_path, obs::analyze::analysis_json(&analysis))
         .map_err(|e| format!("{}: {e}", out_path.display()))?;
 
-    print!("{}", render_critical_path(&analysis));
-    println!();
-    print!("{}", render_imbalance(&analysis));
+    let mut text = render_critical_path(&analysis);
+    text.push('\n');
+    text.push_str(&render_imbalance(&analysis));
     if !analysis.comm.is_empty() {
-        println!();
-        println!(
-            "{:<18} {:>6} {:>8} {:>14} {:>10}",
+        let _ = write!(
+            text,
+            "\n{:<18} {:>6} {:>8} {:>14} {:>10}\n",
             "collective", "lane", "calls", "bytes", "time (s)"
         );
         for c in &analysis.comm {
-            println!(
+            let _ = writeln!(
+                text,
                 "{:<18} {:>6} {:>8} {:>14.0} {:>10.4}",
                 c.op,
                 lane_label(c.track),
@@ -433,9 +435,9 @@ fn run_analyze(argv: &[String]) -> Result<(), String> {
         }
     }
     if let Some(s) = &analysis.scaling {
-        println!();
-        println!(
-            "scaling vs baseline: {:.3}s -> {:.3}s on {} ranks = {:.2}x speedup, \
+        let _ = writeln!(
+            text,
+            "\nscaling vs baseline: {:.3}s -> {:.3}s on {} ranks = {:.2}x speedup, \
              {:.0}% efficiency{}",
             s.baseline_total,
             s.total,
@@ -447,6 +449,9 @@ fn run_analyze(argv: &[String]) -> Result<(), String> {
                 None => String::new(),
             }
         );
+    }
+    if !print_out(&text)? {
+        return Ok(());
     }
     eprintln!("wrote {}", out_path.display());
     Ok(())
@@ -467,7 +472,7 @@ fn run_diff(argv: &[String]) -> Result<bool, String> {
         &load_analysis(Path::new(baseline))?,
         &load_analysis(Path::new(current))?,
     );
-    print!("{}", report.render());
+    print_out(&report.render())?;
     if !report.passed() {
         eprintln!(
             "perf regression vs {baseline} (tolerance: +25% and +2% of the baseline total). \
@@ -476,6 +481,18 @@ fn run_diff(argv: &[String]) -> Result<bool, String> {
         );
     }
     Ok(report.passed())
+}
+
+/// The CLI's one stdout writer. A reader that closes the pipe early
+/// (`trinity analyze run | head`) has taken all it wants: `BrokenPipe` is
+/// the end of the output, `Ok(false)`, and the caller prints nothing more.
+fn print_out(text: &str) -> Result<bool, String> {
+    let mut out = std::io::stdout().lock();
+    match out.write_all(text.as_bytes()).and_then(|()| out.flush()) {
+        Ok(()) => Ok(true),
+        Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => Ok(false),
+        Err(e) => Err(format!("stdout: {e}")),
+    }
 }
 
 fn main() -> ExitCode {
@@ -498,7 +515,7 @@ fn main() -> ExitCode {
         _ => {
             let outcome = parse_args().map_err(|e| (e, 1)).and_then(|args| {
                 let Some(args) = args else {
-                    println!("{}", usage());
+                    print_out(&format!("{}\n", usage())).map_err(|e| (e, 1))?;
                     return Ok(());
                 };
                 check_cluster_flags(&args).map_err(|e| (e, 2))?;

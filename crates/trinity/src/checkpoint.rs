@@ -32,6 +32,7 @@ use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
 use kcount::counter::KmerCounts;
+use mpisim::pack::{pack, Wire};
 use seqio::fasta::Record;
 use seqio::kmer::Kmer;
 use seqio::packed::PackedSeq;
@@ -178,7 +179,7 @@ pub fn load(dir: &Path, fingerprint: u64, stage: &str) -> Result<Checkpoint, Ckp
         return Err(CkptError::Truncated);
     }
     let (body, sum_bytes) = bytes.split_at(bytes.len() - 8);
-    let stored = u64::from_le_bytes(sum_bytes.try_into().expect("8 bytes"));
+    let stored = u64::get(sum_bytes);
     let actual = fnv1a64(body);
     if stored != actual {
         return Err(CkptError::BadChecksum { stored, actual });
@@ -187,11 +188,11 @@ pub fn load(dir: &Path, fingerprint: u64, stage: &str) -> Result<Checkpoint, Ckp
     if r.take(8).ok_or(CkptError::Truncated)? != MAGIC {
         return Err(CkptError::BadMagic);
     }
-    let version = r.u32().ok_or(CkptError::Truncated)?;
+    let version = r.get::<u32>().ok_or(CkptError::Truncated)?;
     if version != VERSION {
         return Err(CkptError::BadVersion(version));
     }
-    let fprint = r.u64().ok_or(CkptError::Truncated)?;
+    let fprint = r.get::<u64>().ok_or(CkptError::Truncated)?;
     if fprint != fingerprint {
         return Err(CkptError::WrongFingerprint {
             stored: fprint,
@@ -202,7 +203,7 @@ pub fn load(dir: &Path, fingerprint: u64, stage: &str) -> Result<Checkpoint, Ckp
     if name != stage {
         return Err(CkptError::WrongStage(name));
     }
-    let duration = f64::from_bits(r.u64().ok_or(CkptError::Truncated)?);
+    let duration = f64::from_bits(r.get().ok_or(CkptError::Truncated)?);
     let payload = r.blob64().ok_or(CkptError::Truncated)?.to_vec();
     if !r.is_empty() {
         return Err(CkptError::Truncated);
@@ -235,21 +236,30 @@ impl<'a> Reader<'a> {
         Some(head)
     }
 
-    fn u32(&mut self) -> Option<u32> {
-        Some(u32::from_le_bytes(self.take(4)?.try_into().ok()?))
+    fn get<T: Wire>(&mut self) -> Option<T> {
+        self.take(T::WIDTH).map(T::get)
     }
 
-    fn u64(&mut self) -> Option<u64> {
-        Some(u64::from_le_bytes(self.take(8)?.try_into().ok()?))
+    /// `n` records, read as they are iterated; the bytes left bound `n`
+    /// before any is read, and nothing is allocated for them.
+    fn records<T: Wire + 'a>(&mut self, n: u64) -> Option<impl Iterator<Item = T> + 'a> {
+        let bytes = usize::try_from(n).ok()?.checked_mul(T::WIDTH)?;
+        Some(self.take(bytes)?.chunks_exact(T::WIDTH).map(T::get))
+    }
+
+    /// A list [`put_list`] wrote: its `u64` count, then its records.
+    fn list<T: Wire + 'a>(&mut self) -> Option<impl Iterator<Item = T> + 'a> {
+        let n = self.get()?;
+        self.records(n)
     }
 
     fn string(&mut self) -> Option<String> {
-        let n = self.u32()? as usize;
+        let n = self.get::<u32>()? as usize;
         String::from_utf8(self.take(n)?.to_vec()).ok()
     }
 
     fn blob64(&mut self) -> Option<&'a [u8]> {
-        let n = self.u64()?;
+        let n = self.get::<u64>()?;
         self.take(usize::try_from(n).ok()?)
     }
 
@@ -258,16 +268,14 @@ impl<'a> Reader<'a> {
     }
 }
 
-fn put_u32(buf: &mut Vec<u8>, v: u32) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(buf: &mut Vec<u8>, v: u64) {
-    buf.extend_from_slice(&v.to_le_bytes());
+/// A fixed-width list: its `u64` count, then its [`pack`]ed records.
+fn put_list<T: Wire>(buf: &mut Vec<u8>, items: &[T]) {
+    (items.len() as u64).put(buf);
+    buf.extend_from_slice(&pack(items));
 }
 
 fn put_bytes(buf: &mut Vec<u8>, b: &[u8]) {
-    put_u64(buf, b.len() as u64);
+    (b.len() as u64).put(buf);
     buf.extend_from_slice(b);
 }
 
@@ -280,24 +288,17 @@ pub fn encode_counts(counts: &KmerCounts) -> Vec<u8> {
     let mut pairs: Vec<(u64, u32)> = counts.iter_packed().collect();
     pairs.sort_unstable();
     let mut buf = Vec::with_capacity(16 + pairs.len() * 12);
-    put_u32(&mut buf, counts.k() as u32);
-    put_u64(&mut buf, pairs.len() as u64);
-    for (packed, count) in pairs {
-        put_u64(&mut buf, packed);
-        put_u32(&mut buf, count);
-    }
+    (counts.k() as u32).put(&mut buf);
+    put_list(&mut buf, &pairs);
     buf
 }
 
 /// Decode [`encode_counts`]; `None` on any structural problem.
 pub fn decode_counts(payload: &[u8]) -> Option<KmerCounts> {
     let mut r = Reader::new(payload);
-    let k = r.u32()? as usize;
-    let n = r.u64()?;
+    let k = r.get::<u32>()? as usize;
     let mut counts = KmerCounts::empty(k);
-    for _ in 0..n {
-        let packed = r.u64()?;
-        let count = r.u32()?;
+    for (packed, count) in r.list::<(u64, u32)>()? {
         let km = Kmer::from_packed(packed, k).ok()?;
         counts.add(km, count);
     }
@@ -318,23 +319,21 @@ const SEQ_RAW: u8 = 0;
 /// lossless for every input.
 pub fn encode_records(records: &[Record]) -> Vec<u8> {
     let mut buf = Vec::new();
-    put_u64(&mut buf, records.len() as u64);
+    (records.len() as u64).put(&mut buf);
     for rec in records {
         put_bytes(&mut buf, rec.id.as_bytes());
         put_bytes(&mut buf, rec.desc.as_bytes());
         let packed = PackedSeq::from_bytes(&rec.seq);
         if packed.decode() == rec.seq {
             buf.push(SEQ_PACKED);
-            put_u64(&mut buf, packed.len() as u64);
-            for &w in packed.words() {
-                put_u64(&mut buf, w);
-            }
-            let runs = packed.runs();
-            put_u64(&mut buf, runs.len() as u64);
-            for &(s, e) in runs {
-                put_u64(&mut buf, s as u64);
-                put_u64(&mut buf, e as u64);
-            }
+            (packed.len() as u64).put(&mut buf);
+            buf.extend_from_slice(&pack(packed.words()));
+            let runs: Vec<(u64, u64)> = packed
+                .runs()
+                .iter()
+                .map(|&(s, e)| (s as u64, e as u64))
+                .collect();
+            put_list(&mut buf, &runs);
         } else {
             buf.push(SEQ_RAW);
             put_bytes(&mut buf, &rec.seq);
@@ -347,30 +346,22 @@ pub fn encode_records(records: &[Record]) -> Vec<u8> {
 /// packed parts [`PackedSeq::from_parts`] refuses to reassemble.
 pub fn decode_records(payload: &[u8]) -> Option<Vec<Record>> {
     let mut r = Reader::new(payload);
-    let n = r.u64()?;
+    let n = r.get::<u64>()?;
     let mut out = Vec::new();
     for _ in 0..n {
         let id = String::from_utf8(r.blob64()?.to_vec()).ok()?;
         let desc = String::from_utf8(r.blob64()?.to_vec()).ok()?;
         let seq = match *r.take(1)?.first()? {
             SEQ_PACKED => {
-                let len = usize::try_from(r.u64()?).ok()?;
+                let len = r.get::<u64>()?;
                 // The word count is implied by the length; the Reader
                 // bounds-checks it, so an absurd length fails cleanly
                 // instead of allocating.
-                let word_bytes = r.take(len.div_ceil(32).checked_mul(8)?)?;
-                let words: Vec<u64> = word_bytes
-                    .chunks_exact(8)
-                    .map(|c| u64::from_le_bytes(c.try_into().expect("8 bytes")))
-                    .collect();
-                let run_count = r.u64()?;
-                let mut runs = Vec::new();
-                for _ in 0..run_count {
-                    let s = usize::try_from(r.u64()?).ok()?;
-                    let e = usize::try_from(r.u64()?).ok()?;
-                    runs.push((s, e));
-                }
-                PackedSeq::from_parts(len, words, runs)?.decode()
+                let words = r.records(len.div_ceil(32))?.collect();
+                let runs = r.list::<(u64, u64)>()?;
+                let run = |(s, e)| Some((usize::try_from(s).ok()?, usize::try_from(e).ok()?));
+                let runs = runs.map(run).collect::<Option<Vec<_>>>()?;
+                PackedSeq::from_parts(usize::try_from(len).ok()?, words, runs)?.decode()
             }
             SEQ_RAW => r.blob64()?.to_vec(),
             _ => return None,
@@ -384,15 +375,11 @@ pub fn decode_records(payload: &[u8]) -> Option<Vec<Record>> {
 /// contig pairs they glue.
 pub fn encode_welds(welds: &[Vec<u8>], pairs: &[(u32, u32)]) -> Vec<u8> {
     let mut buf = Vec::new();
-    put_u64(&mut buf, welds.len() as u64);
+    (welds.len() as u64).put(&mut buf);
     for w in welds {
         put_bytes(&mut buf, w);
     }
-    put_u64(&mut buf, pairs.len() as u64);
-    for &(a, b) in pairs {
-        put_u32(&mut buf, a);
-        put_u32(&mut buf, b);
-    }
+    put_list(&mut buf, pairs);
     buf
 }
 
@@ -400,28 +387,22 @@ pub fn encode_welds(welds: &[Vec<u8>], pairs: &[(u32, u32)]) -> Vec<u8> {
 #[allow(clippy::type_complexity)]
 pub fn decode_welds(payload: &[u8]) -> Option<(Vec<Vec<u8>>, Vec<(u32, u32)>)> {
     let mut r = Reader::new(payload);
-    let n = r.u64()?;
+    let n = r.get::<u64>()?;
     let mut welds = Vec::new();
     for _ in 0..n {
         welds.push(r.blob64()?.to_vec());
     }
-    let m = r.u64()?;
-    let mut pairs = Vec::new();
-    for _ in 0..m {
-        pairs.push((r.u32()?, r.u32()?));
-    }
+    let pairs = r.list()?.collect();
     r.is_empty().then_some((welds, pairs))
 }
 
 /// Encode clustered components (contig member lists).
 pub fn encode_components(components: &[Vec<usize>]) -> Vec<u8> {
     let mut buf = Vec::new();
-    put_u64(&mut buf, components.len() as u64);
+    (components.len() as u64).put(&mut buf);
     for members in components {
-        put_u64(&mut buf, members.len() as u64);
-        for &m in members {
-            put_u64(&mut buf, m as u64);
-        }
+        let members: Vec<u64> = members.iter().map(|&m| m as u64).collect();
+        put_list(&mut buf, &members);
     }
     buf
 }
@@ -429,15 +410,11 @@ pub fn encode_components(components: &[Vec<usize>]) -> Vec<u8> {
 /// Decode [`encode_components`].
 pub fn decode_components(payload: &[u8]) -> Option<Vec<Vec<usize>>> {
     let mut r = Reader::new(payload);
-    let n = r.u64()?;
+    let n = r.get::<u64>()?;
     let mut out = Vec::new();
     for _ in 0..n {
-        let len = r.u64()?;
-        let mut members = Vec::new();
-        for _ in 0..len {
-            members.push(usize::try_from(r.u64()?).ok()?);
-        }
-        out.push(members);
+        let members = r.list::<u64>()?.map(|m| usize::try_from(m).ok());
+        out.push(members.collect::<Option<Vec<usize>>>()?);
     }
     r.is_empty().then_some(out)
 }
@@ -445,23 +422,15 @@ pub fn decode_components(payload: &[u8]) -> Option<Vec<Vec<usize>>> {
 /// Encode read→component assignments (or any `(u32, u32)` pair list).
 pub fn encode_pairs(pairs: &[(u32, u32)]) -> Vec<u8> {
     let mut buf = Vec::new();
-    put_u64(&mut buf, pairs.len() as u64);
-    for &(a, b) in pairs {
-        put_u32(&mut buf, a);
-        put_u32(&mut buf, b);
-    }
+    put_list(&mut buf, pairs);
     buf
 }
 
 /// Decode [`encode_pairs`].
 pub fn decode_pairs(payload: &[u8]) -> Option<Vec<(u32, u32)>> {
     let mut r = Reader::new(payload);
-    let n = r.u64()?;
-    let mut out = Vec::new();
-    for _ in 0..n {
-        out.push((r.u32()?, r.u32()?));
-    }
-    r.is_empty().then_some(out)
+    let pairs = r.list()?.collect();
+    r.is_empty().then_some(pairs)
 }
 
 /// Fingerprint of a run: FNV-1a over the input reads and the configuration

@@ -3,15 +3,15 @@
 //! given to `analyze` and `diff`, traces with times that are not finite or
 //! durations that are negative, artifacts of another format than the one
 //! each command reads, usage errors, `--faults` probabilities outside
-//! [0, 1], crash points no rank reaches, and cluster flags too large to
-//! run.
+//! [0, 1], crash points no rank reaches, cluster flags too large to run,
+//! and a stdout that is closed before `analyze` prints.
 //!
 //! Every probe exits 0, 1 or 2 and none panics. A refused probe says why in
 //! exactly one line on stderr. A checkpoint the run cannot use is
 //! recomputed, and the outputs equal a fresh run's.
 
 use std::path::{Path, PathBuf};
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
 
 const OUTPUTS: [&str; 4] = [
     "inchworm.fasta",
@@ -485,4 +485,40 @@ fn artifacts_of_another_format_exit_2_with_one_line() {
         assert_eq!(code, 2, "{flags:?}:\n{stderr}");
         assert!(stderr.contains(flags[0]), "{flags:?}:\n{stderr}");
     }
+}
+
+/// A reader that closes the pipe early (`trinity analyze run | head`) has
+/// ended the output: `analyze` still writes `analysis.json`, exits 0 and
+/// says nothing on stderr.
+#[test]
+fn analyze_into_a_closed_pipe_exits_0_quietly() {
+    let dir = Scratch::new("pipe");
+    let run = dir.0.join("run");
+    let (code, stderr) = probe(&[
+        "--simulate".as_ref(),
+        "tiny:7".as_ref(),
+        "--out".as_ref(),
+        run.as_os_str(),
+    ]);
+    assert_eq!(code, 0, "{stderr}");
+    let out = dir.0.join("analysis.json");
+    let mut analyze = Command::new(env!("CARGO_BIN_EXE_trinity"))
+        .arg("analyze")
+        .arg(run.join("trace.json"))
+        .arg("--out")
+        .arg(&out)
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn trinity");
+    // The read end closes long before the child has analysed the trace.
+    drop(analyze.stdout.take());
+    let done = analyze.wait_with_output().expect("wait for trinity");
+    let stderr = String::from_utf8_lossy(&done.stderr);
+    assert_eq!(done.status.code(), Some(0), "{stderr}");
+    assert_eq!(stderr, "");
+    assert_eq!(
+        std::fs::read(&out).unwrap(),
+        std::fs::read(run.join("analysis.json")).unwrap()
+    );
 }
