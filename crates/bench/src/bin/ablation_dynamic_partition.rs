@@ -5,5 +5,5 @@ fn main() {
     let cli = bench::Cli::from_env();
     let shared = bench::fig07_gff_scaling::prepare(cli.seed, cli.scale);
     let rows = bench::ablation_dynamic::run(shared, &[8, 32, 96]);
-    print!("{}", bench::ablation_dynamic::render(&rows));
+    trinity::report::print_out(&bench::ablation_dynamic::render(&rows));
 }

@@ -11,6 +11,6 @@
 fn main() {
     let cli = bench::Cli::from_env();
     let mut trace = bench::fig02_baseline::run(cli.seed, cli.scale);
-    print!("{}", bench::fig02_baseline::render(&trace));
+    trinity::report::print_out(&bench::fig02_baseline::render(&trace));
     cli.write_trace("fig02_", &mut trace, None);
 }

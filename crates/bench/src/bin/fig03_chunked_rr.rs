@@ -3,5 +3,5 @@
 
 fn main() {
     bench::no_flags_from_env();
-    print!("{}", bench::fig03_chunked_rr::render(40, 4, 2, 5));
+    trinity::report::print_out(&bench::fig03_chunked_rr::render(40, 4, 2, 5));
 }

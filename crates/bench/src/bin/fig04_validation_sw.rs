@@ -4,5 +4,5 @@ fn main() {
     let cli = bench::Cli::from_env();
     let repeats = if cli.scale >= 1.0 { 10 } else { 3 };
     let row = bench::fig04_validation::run(cli.seed, cli.scale, repeats);
-    print!("{}", bench::fig04_validation::render(&row));
+    trinity::report::print_out(&bench::fig04_validation::render(&row));
 }

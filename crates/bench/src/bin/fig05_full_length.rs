@@ -3,5 +3,5 @@
 fn main() {
     let cli = bench::Cli::from_env();
     let rows = bench::fig05_full_length::run(cli.seed, cli.scale);
-    print!("{}", bench::fig05_full_length::render(&rows));
+    trinity::report::print_out(&bench::fig05_full_length::render(&rows));
 }

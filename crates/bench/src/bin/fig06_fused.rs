@@ -3,5 +3,5 @@
 fn main() {
     let cli = bench::Cli::from_env();
     let rows = bench::fig06_fused::run(cli.seed, cli.scale);
-    print!("{}", bench::fig06_fused::render(&rows));
+    trinity::report::print_out(&bench::fig06_fused::render(&rows));
 }

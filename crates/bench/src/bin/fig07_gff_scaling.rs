@@ -4,5 +4,5 @@ fn main() {
     let cli = bench::Cli::from_env();
     let shared = bench::fig07_gff_scaling::prepare(cli.seed, cli.scale);
     let data = bench::fig07_gff_scaling::run(shared, &[16, 32, 64, 128, 192]);
-    print!("{}", bench::fig07_gff_scaling::render(&data));
+    trinity::report::print_out(&bench::fig07_gff_scaling::render(&data));
 }

@@ -4,5 +4,5 @@ fn main() {
     let cli = bench::Cli::from_env();
     let shared = bench::fig09_rtt_scaling::prepare(cli.seed, cli.scale);
     let data = bench::fig09_rtt_scaling::run(shared, &[1, 4, 8, 16, 32]);
-    print!("{}", bench::fig09_rtt_scaling::render(&data));
+    trinity::report::print_out(&bench::fig09_rtt_scaling::render(&data));
 }

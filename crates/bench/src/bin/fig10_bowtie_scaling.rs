@@ -4,5 +4,5 @@ fn main() {
     let cli = bench::Cli::from_env();
     let (contigs, reads) = bench::fig10_bowtie_scaling::prepare(cli.seed, cli.scale);
     let data = bench::fig10_bowtie_scaling::run(contigs, reads, &[1, 16, 32, 64, 128]);
-    print!("{}", bench::fig10_bowtie_scaling::render(&data));
+    trinity::report::print_out(&bench::fig10_bowtie_scaling::render(&data));
 }

@@ -12,10 +12,7 @@ fn main() {
     let cli = bench::Cli::from_env();
     let mut baseline = bench::fig02_baseline::run(cli.seed, cli.scale);
     let mut parallel = bench::fig11_parallel_trace::run(cli.seed, cli.scale, 16);
-    print!(
-        "{}",
-        bench::fig11_parallel_trace::render(&parallel, &baseline)
-    );
+    trinity::report::print_out(&bench::fig11_parallel_trace::render(&parallel, &baseline));
     let serial = cli.write_trace("fig11_baseline_", &mut baseline, None);
     cli.write_trace("fig11_", &mut parallel, Some(serial.total));
 }

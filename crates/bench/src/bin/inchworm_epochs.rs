@@ -14,10 +14,10 @@ fn main() {
     let cli = bench::Cli::from_env();
     let (counts, cfg) = bench::inchworm_epochs::prepare(cli.seed, cli.scale);
     let rows = bench::inchworm_epochs::run(&counts, &cfg, 3);
-    print!(
-        "{}",
-        bench::inchworm_epochs::render(&rows, cfg.chrysalis.threads)
-    );
+    let costed = bench::inchworm_epochs::render(&rows, cfg.chrysalis.threads);
+    if !trinity::report::print_out(&costed) {
+        return;
+    }
     let pool = bench::inchworm_epochs::run_pool(&counts, &cfg, &[2, 4, 8]);
-    print!("{}", bench::inchworm_epochs::render_pool(&pool));
+    trinity::report::print_out(&bench::inchworm_epochs::render_pool(&pool));
 }

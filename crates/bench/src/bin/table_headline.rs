@@ -3,5 +3,5 @@
 fn main() {
     let cli = bench::Cli::from_env();
     let rows = bench::headline::run(cli.seed, cli.scale, 192, 32, 128);
-    print!("{}", bench::headline::render(&rows));
+    trinity::report::print_out(&bench::headline::render(&rows));
 }

@@ -40,7 +40,6 @@
 //! `analysis.json` to `diff` and `--baseline`.
 
 use std::fmt::Write as _;
-use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
@@ -52,7 +51,7 @@ use seqio::stats::length_stats;
 use simulate::datasets::{Dataset, DatasetPreset};
 use trinity::pipeline::{run_pipeline_opts, PipelineConfig, PipelineMode, RunOptions};
 use trinity::report::{
-    lane_label, render_bars, render_critical_path, render_faults, render_imbalance,
+    lane_label, print_out, render_bars, render_critical_path, render_faults, render_imbalance,
     render_self_time, render_trace, write_trace_artifacts,
 };
 
@@ -203,10 +202,12 @@ fn parse_args() -> Result<Option<Args>, String> {
 /// runs rather than met by a failed thread spawn.
 const MAX_CLUSTER_WIDTH: usize = 1024;
 
-/// Cluster flags that would otherwise silently mean something else: a
-/// cluster needs a rank and a rank a thread, neither beyond
-/// [`MAX_CLUSTER_WIDTH`], and a crash point needs a rank that exists.
-fn check_cluster_flags(args: &Args) -> Result<(), String> {
+/// Flags that would otherwise silently mean something else, or fail only
+/// after the work: a cluster needs a rank and a rank a thread, neither
+/// beyond [`MAX_CLUSTER_WIDTH`], a crash point needs a rank that exists,
+/// and `--out` and `--checkpoint` must name directories or paths that can
+/// become one (not a file, nor a path under one).
+fn check_run_flags(args: &Args) -> Result<(), String> {
     for (flag, n) in [("--nprocs", args.nprocs), ("--threads", args.threads)] {
         if n == 0 {
             return Err(format!("{flag} must be at least 1{SEE_HELP}"));
@@ -221,6 +222,13 @@ fn check_cluster_flags(args: &Args) -> Result<(), String> {
             "--faults crash={}@{}: no such rank with --nprocs {}",
             c.rank, c.op, args.nprocs
         ));
+    }
+    let checkpoint = args.checkpoint.iter().map(|p| ("--checkpoint", p));
+    for (flag, path) in [("--out", &args.out)].into_iter().chain(checkpoint) {
+        if let Some(file) = path.ancestors().find(|a| a.exists() && !a.is_dir()) {
+            let (path, file) = (path.display(), file.display());
+            return Err(format!("{flag} {path}: {file} is not a directory"));
+        }
     }
     Ok(())
 }
@@ -450,7 +458,7 @@ fn run_analyze(argv: &[String]) -> Result<(), String> {
             }
         );
     }
-    if !print_out(&text)? {
+    if !print_out(&text) {
         return Ok(());
     }
     eprintln!("wrote {}", out_path.display());
@@ -472,7 +480,7 @@ fn run_diff(argv: &[String]) -> Result<bool, String> {
         &load_analysis(Path::new(baseline))?,
         &load_analysis(Path::new(current))?,
     );
-    print_out(&report.render())?;
+    print_out(&report.render());
     if !report.passed() {
         eprintln!(
             "perf regression vs {baseline} (tolerance: +25% and +2% of the baseline total). \
@@ -481,18 +489,6 @@ fn run_diff(argv: &[String]) -> Result<bool, String> {
         );
     }
     Ok(report.passed())
-}
-
-/// The CLI's one stdout writer. A reader that closes the pipe early
-/// (`trinity analyze run | head`) has taken all it wants: `BrokenPipe` is
-/// the end of the output, `Ok(false)`, and the caller prints nothing more.
-fn print_out(text: &str) -> Result<bool, String> {
-    let mut out = std::io::stdout().lock();
-    match out.write_all(text.as_bytes()).and_then(|()| out.flush()) {
-        Ok(()) => Ok(true),
-        Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => Ok(false),
-        Err(e) => Err(format!("stdout: {e}")),
-    }
 }
 
 fn main() -> ExitCode {
@@ -515,10 +511,10 @@ fn main() -> ExitCode {
         _ => {
             let outcome = parse_args().map_err(|e| (e, 1)).and_then(|args| {
                 let Some(args) = args else {
-                    print_out(&format!("{}\n", usage())).map_err(|e| (e, 1))?;
+                    print_out(&format!("{}\n", usage()));
                     return Ok(());
                 };
-                check_cluster_flags(&args).map_err(|e| (e, 2))?;
+                check_run_flags(&args).map_err(|e| (e, 2))?;
                 run(args).map_err(|e| (e, 1))
             });
             match outcome {

@@ -32,9 +32,7 @@ use inchworm::assemble::{assemble_on, InchwormConfig, WINDOW_PER_THREAD};
 use inchworm::dictionary::Dictionary;
 use kcount::counter::{count_kmers_on, CounterConfig, KmerCounts};
 use mpisim::cluster::cluster_time;
-use mpisim::{
-    run_cluster, run_cluster_faulty, Comm, CommStats, FaultPlan, NetModel, RankOutput, Replayed,
-};
+use mpisim::{run_cluster, run_cluster_faulty, Comm, CommStats, FaultPlan, NetModel, Replayed};
 use omp::makespan::CostedTeam;
 use omp::{Schedule, Team};
 
@@ -154,10 +152,9 @@ pub struct RunOptions {
     /// Directory for stage checkpoints. When set, each checkpointable
     /// stage writes its output (with a content checksum) after completing.
     pub checkpoint_dir: Option<PathBuf>,
-    /// Resume from `checkpoint_dir`: skip each stage whose checkpoint
-    /// validates, for as long as the completed prefix holds. The first
-    /// missing or corrupt checkpoint switches the rest of the run back to
-    /// compute-and-save.
+    /// Resume from `checkpoint_dir`: before the first stage runs, read the
+    /// checkpoints in run order up to the first missing or unusable one;
+    /// the stages read are skipped, the rest computed and saved.
     pub resume: bool,
 }
 
@@ -183,17 +180,19 @@ impl StageRun {
     }
 }
 
-/// A checkpoint read back: the decoded stage output and its recorded
-/// duration, or why the file cannot be used.
-type Loaded<T> = Result<(T, f64), ckpt::CkptError>;
+/// GraphFromFasta's output: the welds and the contig pairs they join.
+type Welds = (Vec<Vec<u8>>, Vec<(u32, u32)>);
 
-/// A cluster stage run to completion.
-struct ClusterRun<T> {
-    /// Per-rank outputs of the successful attempt (one in serial mode).
-    values: Vec<T>,
-    /// Total virtual time, replayed attempts included, and the lanes to
-    /// splice: one per rank, then those salvaged from crashed attempts.
-    stage: StageRun,
+/// The completed prefix of a checkpoint directory ([`Driver::resumed`]):
+/// each checkpointed stage's decoded output and recorded duration, `None`
+/// from the first stage whose file is missing or unusable on.
+#[derive(Default)]
+struct Resumed {
+    counts: Option<(KmerCounts, f64)>,
+    contigs: Option<(Vec<Record>, f64)>,
+    welds: Option<(Welds, f64)>,
+    components: Option<(Vec<Vec<usize>>, f64)>,
+    assignments: Option<(Vec<(u32, u32)>, f64)>,
 }
 
 /// Everything the pipeline produced.
@@ -224,8 +223,10 @@ fn seq_bytes(records: &[Record]) -> usize {
     records.iter().map(|r| r.seq.len()).sum()
 }
 
-/// Per-run driver state. Every stage crosses it the same way: resume →
-/// compute → log → splice → save ([`Driver::stage`]).
+/// Per-run driver state. The checkpoints are read once, before the first
+/// stage ([`Driver::resumed`]); then every checkpointed stage crosses the
+/// driver the same way: resumed or compute → log → splice → save
+/// ([`Driver::stage`]).
 struct Driver<'a> {
     /// The pipeline timeline; track 0 carries the collectl-style stage
     /// spans, each starting at `cursor`, where the previous one ended.
@@ -235,11 +236,9 @@ struct Driver<'a> {
     /// rank lanes; appended to the timeline in [`Driver::finish`].
     spliced: obs::Trace,
     metrics: obs::MetricsRegistry,
-    /// Checkpoint directory, run fingerprint, and whether every stage so
-    /// far resumed cleanly (resume consumes a completed *prefix*).
+    /// Checkpoint directory and run fingerprint.
     ckpt_dir: Option<&'a Path>,
     fingerprint: u64,
-    prefix_valid: bool,
     ranks: usize,
     net: NetModel,
     faults: Option<&'a Arc<FaultPlan>>,
@@ -269,7 +268,6 @@ impl<'a> Driver<'a> {
             metrics: obs::MetricsRegistry::new(),
             ckpt_dir,
             fingerprint,
-            prefix_valid: opts.resume,
             ranks,
             net,
             faults: opts.faults.as_ref(),
@@ -277,39 +275,54 @@ impl<'a> Driver<'a> {
         }
     }
 
-    /// Read `stage`'s checkpoint — validate it (magic, version, checksum,
-    /// fingerprint) and decode its payload — without counting anything:
-    /// `None` when no dir is configured or an earlier stage already broke
-    /// the completed prefix. The driver peeks at later stages with this
-    /// before deciding whether Bowtie has a consumer.
-    fn load<T>(&self, stage: &str, decode: impl FnOnce(&[u8]) -> Option<T>) -> Option<Loaded<T>> {
-        let dir = self.ckpt_dir.filter(|_| self.prefix_valid)?;
-        Some(ckpt::load(dir, self.fingerprint, stage).and_then(|ck| {
-            let value = decode(&ck.payload).ok_or(ckpt::CkptError::BadPayload)?;
-            Ok((value, ck.duration))
-        }))
+    /// The completed prefix, read before the first stage runs: on `resume`,
+    /// each checkpointed stage's file in run order up to the first that is
+    /// missing or unusable. FNV is not a MAC, so each decode also refuses a
+    /// payload that does not fit the run: a count table of another `k`, or
+    /// an index past the reads or the prefix's contigs or components.
+    fn resumed(&self, resume: bool, reads: &[Record], k: usize) -> Resumed {
+        let mut r = Resumed::default();
+        let mut walk = || {
+            let counts = |p: &[u8]| ckpt::decode_counts(p).filter(|c| c.k() == k);
+            r.counts = Some(self.read("Jellyfish", counts)?);
+            let contigs = self.read("Inchworm", ckpt::decode_records)?;
+            let n = r.contigs.insert(contigs).0.len();
+            r.welds = Some(self.read("GraphFromFasta", |p| {
+                ckpt::decode_welds(p).filter(|(_, pairs)| pairs_below(pairs, n, n))
+            })?);
+            let components = self.read("QuantifyGraph", |p| {
+                ckpt::decode_components(p).filter(|c| c.iter().flatten().all(|&m| m < n))
+            })?;
+            let c = r.components.insert(components).0.len();
+            r.assignments = Some(self.read("ReadsToTranscripts", |p| {
+                ckpt::decode_pairs(p).filter(|a| pairs_below(a, reads.len(), c))
+            })?);
+            Some(())
+        };
+        if resume {
+            walk();
+        }
+        r
     }
 
-    /// Account for a [`Driver::load`]: a stage resumes only if every earlier
-    /// stage resumed cleanly and its own load succeeded. A missing file is
-    /// the normal "not completed yet" case; a corrupt or undecodable one
-    /// (FNV is not a MAC, so a crafted file can pass validation) is counted
-    /// and reported before falling back to recompute. Each call site's
-    /// `decode` also rejects a payload that does not fit what the run
-    /// already holds (its `k`, contig, read and component counts).
-    fn resume<T>(&mut self, stage: &str, loaded: Option<Loaded<T>>) -> Option<(T, f64)> {
-        let loaded = loaded.filter(|_| self.prefix_valid)?;
+    /// One stage's file for [`Driver::resumed`]: validated (magic, version,
+    /// checksum, fingerprint), decoded and counted; `None` without a
+    /// checkpoint dir. A missing file is the normal "not completed yet"
+    /// case; a corrupt or undecodable one is counted and reported.
+    fn read<T>(&self, stage: &str, decode: impl FnOnce(&[u8]) -> Option<T>) -> Option<(T, f64)> {
+        let loaded = ckpt::load(self.ckpt_dir?, self.fingerprint, stage).and_then(|ck| {
+            let value = decode(&ck.payload).ok_or(ckpt::CkptError::BadPayload)?;
+            Ok((value, ck.duration))
+        });
         match loaded {
             Ok(resumed) => {
                 self.metrics.counter("ckpt.resumed").add(1);
                 Some(resumed)
             }
+            Err(ckpt::CkptError::Io(_)) => None,
             Err(err) => {
-                if !matches!(err, ckpt::CkptError::Io(_)) {
-                    self.metrics.counter("ckpt.invalid").add(1);
-                    eprintln!("checkpoint for {stage} rejected ({err}); recomputing");
-                }
-                self.prefix_valid = false;
+                self.metrics.counter("ckpt.invalid").add(1);
+                eprintln!("checkpoint for {stage} rejected ({err}); recomputing");
                 None
             }
         }
@@ -371,33 +384,18 @@ impl<'a> Driver<'a> {
         (out, StageRun::timed(cost.charge()))
     }
 
-    /// The one checkpointed-stage routine. A checkpoint that validates
-    /// (while the completed prefix holds) is decoded and its recorded
-    /// duration replayed; otherwise `compute` runs. Either way the stage is
-    /// logged with `ram(value, table_entries)` and its sub-traces spliced;
-    /// a computed stage is then saved.
+    /// The one checkpointed-stage routine. A stage in the resumed prefix
+    /// replays its recorded duration; otherwise `compute` runs. Either way
+    /// the stage is logged with `ram(value, table_entries)` and its
+    /// sub-traces spliced; a computed stage is then saved.
     fn stage<T>(
         &mut self,
         name: &str,
-        decode: impl FnOnce(&[u8]) -> Option<T>,
+        resumed: Option<(T, f64)>,
         encode: impl FnOnce(&T) -> Vec<u8>,
         ram: impl FnOnce(&T, usize) -> u64,
         compute: impl FnOnce(&Self) -> (T, StageRun),
     ) -> T {
-        let loaded = self.load(name, decode);
-        self.stage_from(name, loaded, encode, ram, compute)
-    }
-
-    /// [`Driver::stage`] over a checkpoint that was already read.
-    fn stage_from<T>(
-        &mut self,
-        name: &str,
-        loaded: Option<Loaded<T>>,
-        encode: impl FnOnce(&T) -> Vec<u8>,
-        ram: impl FnOnce(&T, usize) -> u64,
-        compute: impl FnOnce(&Self) -> (T, StageRun),
-    ) -> T {
-        let resumed = self.resume(name, loaded);
         let computed = resumed.is_none();
         let (value, run) = match resumed {
             Some((value, duration)) => (value, StageRun::timed(duration)),
@@ -411,54 +409,52 @@ impl<'a> Driver<'a> {
         value
     }
 
-    /// Fold each rank's communication counters into the metrics and split
-    /// the outputs into values and lanes; `replayed` holds the time and
-    /// partial traces of earlier, crashed attempts (spliced last).
-    fn record_cluster<T>(&self, outs: Vec<RankOutput<T>>, replayed: StageRun) -> ClusterRun<T> {
-        let metrics = &self.metrics;
-        let mut stage = StageRun::timed(replayed.time + cluster_time(&outs));
-        let mut values = Vec::with_capacity(outs.len());
-        for o in outs {
-            metrics.counter("comm.bytes_sent").add(o.stats.bytes_sent);
-            metrics.counter("comm.collectives").add(o.stats.collectives);
-            values.push(o.value);
-            stage.traces.push(o.trace);
-        }
-        stage.traces.extend(replayed.traces);
-        ClusterRun { values, stage }
-    }
-
-    /// Run a rank program on the simulated cluster; under an active fault
-    /// plan, `mpisim` replays it until every rank completes, and the failed
-    /// attempts' time and partial traces (the `fault.crash` markers and any
-    /// pre-crash comm spans) are spliced into the stage's.
-    fn run_cluster_resilient<T, F>(&self, f: F) -> ClusterRun<T>
+    /// Run a rank program on the simulated cluster and hand back rank 0's
+    /// value and the stage's run, folding each rank's communication
+    /// counters into the metrics. Under an active fault plan, `mpisim`
+    /// replays the program until every rank completes; the failed attempts'
+    /// time and partial traces (the `fault.crash` markers and any pre-crash
+    /// comm spans) are added to the stage's, their lanes after the ranks'.
+    fn run_cluster_resilient<T, F>(&self, f: F) -> (T, StageRun)
     where
         T: Send,
         F: Fn(&mut Comm) -> T + Sync,
     {
         let (ranks, net, metrics) = (self.ranks, self.net, &self.metrics);
-        let Some(plan) = self.faults.filter(|p| p.is_active()) else {
-            return self.record_cluster(run_cluster(ranks, net, f), StageRun::default());
+        let plan = self.faults.filter(|p| p.is_active());
+        let Replayed { outputs, failed } = match plan {
+            Some(plan) => run_cluster_faulty(ranks, net, Arc::clone(plan), f),
+            None => Replayed {
+                outputs: run_cluster(ranks, net, f),
+                failed: Vec::new(),
+            },
         };
-        let Replayed { outputs, failed } = run_cluster_faulty(ranks, net, Arc::clone(plan), f);
-        let salvaged = failed.iter().flatten().map(|o| o.stats);
-        let stats: Vec<CommStats> = salvaged.chain(outputs.iter().map(|o| o.stats)).collect();
-        let total = |field: fn(&CommStats) -> u64| stats.iter().map(field).sum::<u64>();
-        metrics.counter("fault.retries").add(total(|s| s.retries));
-        metrics.counter("fault.delays").add(total(|s| s.delays));
-        if !failed.is_empty() {
-            metrics
-                .counter("fault.rank_crashes")
-                .add(total(|s| s.crashes));
-            metrics.counter("fault.replays").add(failed.len() as u64);
+        if plan.is_some() {
+            let salvaged = failed.iter().flatten().map(|o| o.stats);
+            let stats: Vec<CommStats> = salvaged.chain(outputs.iter().map(|o| o.stats)).collect();
+            let total = |field: fn(&CommStats) -> u64| stats.iter().map(field).sum::<u64>();
+            metrics.counter("fault.retries").add(total(|s| s.retries));
+            metrics.counter("fault.delays").add(total(|s| s.delays));
+            if !failed.is_empty() {
+                metrics
+                    .counter("fault.rank_crashes")
+                    .add(total(|s| s.crashes));
+                metrics.counter("fault.replays").add(failed.len() as u64);
+            }
         }
-        let replayed = StageRun {
-            time: failed.iter().map(|a| cluster_time(a)).sum(),
-            traces: failed.into_iter().flatten().map(|o| o.trace).collect(),
-            ..StageRun::default()
-        };
-        self.record_cluster(outputs, replayed)
+        let replayed: f64 = failed.iter().map(|a| cluster_time(a)).sum();
+        let mut stage = StageRun::timed(replayed + cluster_time(&outputs));
+        let mut value = None;
+        for o in outputs {
+            metrics.counter("comm.bytes_sent").add(o.stats.bytes_sent);
+            metrics.counter("comm.collectives").add(o.stats.collectives);
+            value.get_or_insert(o.value);
+            stage.traces.push(o.trace);
+        }
+        stage
+            .traces
+            .extend(failed.into_iter().flatten().map(|o| o.trace));
+        (value.expect("a cluster has a rank 0"), stage)
     }
 
     /// Close the run: record the packed-sequence work done since `before`
@@ -500,6 +496,8 @@ fn assemble_contigs(
     d: &mut Driver,
     reads: &[Record],
     cfg: &PipelineConfig,
+    resumed_counts: Option<(KmerCounts, f64)>,
+    resumed_contigs: Option<(Vec<Record>, f64)>,
 ) -> (Vec<PackedSeq>, KmerCounts, Vec<Record>) {
     let k = cfg.chrysalis.k;
     // ---- Jellyfish ----
@@ -512,7 +510,7 @@ fn assemble_contigs(
     let mut packed_reads = None;
     let mut counts = d.stage(
         "Jellyfish",
-        |p| ckpt::decode_counts(p).filter(|c| c.k() == k),
+        resumed_counts,
         ckpt::encode_counts,
         |c, _| ram::jellyfish(c.len()),
         |d| {
@@ -542,7 +540,7 @@ fn assemble_contigs(
     let distinct_kmers = counts.len();
     let contigs = d.stage(
         "Inchworm",
-        ckpt::decode_records,
+        resumed_contigs,
         |c| ckpt::encode_records(c),
         |c, _| ram::inchworm(distinct_kmers, seq_bytes(c)),
         |d| {
@@ -581,7 +579,9 @@ pub fn run_pipeline_opts(
 ) -> PipelineOutput {
     let mut d = Driver::new(reads, cfg, opts);
     let seqio_before = seqio::packed::stats_snapshot();
-    let (mut packed_reads, counts, contigs) = assemble_contigs(&mut d, reads, cfg);
+    let resumed = d.resumed(opts.resume, reads, cfg.chrysalis.k);
+    let (mut packed_reads, counts, contigs) =
+        assemble_contigs(&mut d, reads, cfg, resumed.counts, resumed.contigs);
     let contig_bytes = seq_bytes(&contigs);
     // Contigs, like reads, are packed exactly once; GraphFromFasta,
     // ReadsToTranscripts and Butterfly all share this encoding.
@@ -589,37 +589,25 @@ pub fn run_pipeline_opts(
 
     // ---- Chrysalis: Bowtie ----
     // Not checkpointed: its artifact (the SAM stream) only feeds
-    // scaffolding, whose result is checkpointed at QuantifyGraph. So the
-    // driver looks ahead: when GraphFromFasta and QuantifyGraph will both
-    // resume, nothing reads a SAM and no read is aligned. The peek counts
-    // nothing and its decoded values are the ones those stages resume from.
-    let gff_loaded = d.load("GraphFromFasta", |p| {
-        let n = contigs.len();
-        ckpt::decode_welds(p).filter(|(_, pairs)| pairs_below(pairs, n, n))
-    });
-    let quantify_loaded = match gff_loaded {
-        Some(Ok(_)) => d.load("QuantifyGraph", |p| {
-            ckpt::decode_components(p).filter(|c| c.iter().flatten().all(|&m| m < contigs.len()))
-        }),
-        _ => None,
-    };
-    let sam = if matches!(quantify_loaded, Some(Ok(_))) {
+    // scaffolding, whose result is checkpointed at QuantifyGraph. When
+    // QuantifyGraph is in the resumed prefix, nothing reads a SAM and no
+    // read is aligned.
+    let sam = if resumed.components.is_some() {
         d.obs.record(0, SKIPPED_CAT, "Bowtie", d.cursor, d.cursor);
         Vec::new()
     } else {
-        let mut bowtie = d.run_cluster_resilient(|comm| {
+        let (bowtie, run) = d.run_cluster_resilient(|comm| {
             bowtie_mpi(comm, &contigs, reads, &cfg.chrysalis, cfg.align)
         });
-        let sam = bowtie.values.swap_remove(0).sam;
         let bowtie_ram = ram::bowtie(contig_bytes.div_ceil(d.ranks), seq_bytes(reads));
-        d.log_stage("Bowtie", bowtie_ram, bowtie.stage);
-        sam
+        d.log_stage("Bowtie", bowtie_ram, run);
+        bowtie.sam
     };
 
     // ---- Chrysalis: GraphFromFasta ----
-    let (welds, gff_pairs) = d.stage_from(
+    let (welds, gff_pairs) = d.stage(
         "GraphFromFasta",
-        gff_loaded,
+        resumed.welds,
         |(welds, pairs)| ckpt::encode_welds(welds, pairs),
         |(welds, _), kmap_entries| {
             let weld_bytes = welds.iter().map(Vec::len).sum();
@@ -628,10 +616,9 @@ pub fn run_pipeline_opts(
         |d| {
             let shared = GffShared::prepare(packed_contigs.clone(), counts, cfg.chrysalis);
             shared.kmap.record_metrics(&d.metrics, "gff.kmap");
-            let mut run = d.run_cluster_resilient(|comm| gff_hybrid(comm, &shared));
-            run.stage.table_entries = shared.kmap.len();
-            let out = run.values.swap_remove(0);
-            ((out.welds, out.pairs), run.stage)
+            let (out, mut run) = d.run_cluster_resilient(|comm| gff_hybrid(comm, &shared));
+            run.table_entries = shared.kmap.len();
+            ((out.welds, out.pairs), run)
         },
     );
     let weld_bytes: usize = welds.iter().map(Vec::len).sum();
@@ -642,9 +629,9 @@ pub fn run_pipeline_opts(
     // One parallel region on the stage's team: the scaffolding's loops, and
     // the contig name index, the pair merge and the clustering as its
     // serial time.
-    let components = d.stage_from(
+    let components = d.stage(
         "QuantifyGraph",
-        quantify_loaded,
+        resumed.components,
         |c| ckpt::encode_components(c),
         |_, _| ram::graph_from_fasta(contig_bytes, 0, weld_bytes),
         |d| {
@@ -671,7 +658,7 @@ pub fn run_pipeline_opts(
     let chunk_bytes = seq_bytes(&reads[..reads.len().min(cfg.chrysalis.max_mem_reads)]);
     let assignments = d.stage(
         "ReadsToTranscripts",
-        |p| ckpt::decode_pairs(p).filter(|a| pairs_below(a, reads.len(), components.len())),
+        resumed.assignments,
         |a| ckpt::encode_pairs(a),
         |_, table_entries| ram::reads_to_transcripts(table_entries, chunk_bytes),
         |d| {
@@ -685,10 +672,10 @@ pub fn run_pipeline_opts(
             shared
                 .kmer_to_component
                 .record_metrics(&d.metrics, "rtt.kmer_table");
-            let mut run = d.run_cluster_resilient(|comm| rtt_hybrid(comm, &shared));
-            run.stage.table_entries = shared.kmer_to_component.len();
+            let (out, mut run) = d.run_cluster_resilient(|comm| rtt_hybrid(comm, &shared));
+            run.table_entries = shared.kmer_to_component.len();
             packed_reads = shared.packed_reads;
-            (run.values.swap_remove(0).assignments, run.stage)
+            (out.assignments, run)
         },
     );
     d.metrics

@@ -6,6 +6,7 @@
 //! own stage spans like `gff.total` and are deliberately ignored here).
 
 use std::collections::BTreeSet;
+use std::io::Write as _;
 use std::path::Path;
 
 use mpisim::FaultPlan;
@@ -245,6 +246,23 @@ pub fn write_trace_artifacts(
         std::fs::write(&path, text).map_err(|e| format!("{}: {e}", path.display()))?;
     }
     Ok(analysis)
+}
+
+/// The binaries' one stdout writer (`trinity` and the figure binaries). A
+/// reader that closes the pipe early (`trinity analyze run | head`) has
+/// taken all it wants: `BrokenPipe` ends the output and the result is
+/// `false`, after which the caller prints nothing more and exits 0. Any
+/// other stdout error is one stderr line and exit 1.
+pub fn print_out(text: &str) -> bool {
+    let mut out = std::io::stdout().lock();
+    match out.write_all(text.as_bytes()).and_then(|()| out.flush()) {
+        Ok(()) => true,
+        Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => false,
+        Err(e) => {
+            eprintln!("stdout: {e}");
+            std::process::exit(1)
+        }
+    }
 }
 
 #[cfg(test)]

@@ -398,6 +398,22 @@ fn damaged_scaffolding_inputs_bring_bowtie_back() {
                 assert_eq!(common::artifacts(&resumed), baseline, "{what}");
             }
         }
+        // A deleted file is no damage to count: the completed prefix ends
+        // there, and the SAM has a consumer again.
+        for (idx, stage) in [(2u64, "GraphFromFasta"), (3, "QuantifyGraph")] {
+            let what = format!("ranks={ranks} missing {stage}");
+            let dir = ScratchDir::new("bowtie-back");
+            run_on(&reads, dir.path(), false, ranks, None);
+            std::fs::remove_file(stage_path(dir.path(), stage)).expect("delete checkpoint");
+
+            let resumed = run_on(&reads, dir.path(), true, ranks, None);
+            assert_eq!(stage_names(&resumed), ALL_STAGES, "{what}");
+            assert_eq!(ranks_run(&resumed, "bowtie.total"), ranks, "{what}");
+            assert_eq!(count(&resumed, "ckpt.invalid"), 0, "{what}");
+            assert_eq!(count(&resumed, "ckpt.resumed"), idx, "{what}");
+            assert_eq!(count(&resumed, "ckpt.saved"), 5 - idx, "{what}");
+            assert_eq!(common::artifacts(&resumed), baseline, "{what}");
+        }
     }
     // Damage *behind* the scaffolding result does not: ReadsToTranscripts
     // recomputes from the resumed components and never needs a SAM.

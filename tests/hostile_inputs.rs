@@ -4,7 +4,8 @@
 //! durations that are negative, artifacts of another format than the one
 //! each command reads, usage errors, `--faults` probabilities outside
 //! [0, 1], crash points no rank reaches, cluster flags too large to run,
-//! and a stdout that is closed before `analyze` prints.
+//! output locations that are files, and a stdout that is closed before
+//! `analyze` prints.
 //!
 //! Every probe exits 0, 1 or 2 and none panics. A refused probe says why in
 //! exactly one line on stderr. A checkpoint the run cannot use is
@@ -321,6 +322,39 @@ fn oversized_cluster_flags_exit_2_before_running() {
         assert_eq!(code, 2, "{flag} {value}");
         assert_eq!(stderr.trim(), format!("{flag} must be at most 1024"));
         assert!(!out.exists(), "{flag} {value}: the run started");
+    }
+}
+
+#[test]
+fn output_locations_that_are_files_exit_2_before_running() {
+    // `--out` on a file used to run the whole pipeline and then fail;
+    // `--checkpoint` on one warned five times and checkpointed nothing (and
+    // with `--resume` recomputed without saying so). Both are refused before
+    // a read is simulated (the one stderr line) or anything is written.
+    let dir = Scratch::new("outfile");
+    let file = dir.file("taken", b"a file, not a directory");
+    let (under, out) = (file.join("sub"), dir.0.join("out"));
+    let cases: [(&str, &Path, bool); 4] = [
+        ("--out", &file, false),
+        ("--out", &under, false),
+        ("--checkpoint", &file, false),
+        ("--checkpoint", &file, true),
+    ];
+    for (flag, path, resume) in cases {
+        // A second `--out` overrides the first.
+        let mut args = vec!["--simulate".as_ref(), "tiny:7".as_ref(), "--out".as_ref()];
+        args.extend([out.as_os_str(), flag.as_ref(), path.as_os_str()]);
+        if resume {
+            args.push("--resume".as_ref());
+        }
+        let (code, stderr) = probe(&args);
+        let what = format!("{flag} {} resume={resume}", path.display());
+        assert_eq!(code, 2, "{what}:\n{stderr}");
+        let (path, taken) = (path.display(), file.display());
+        let line = format!("{flag} {path}: {taken} is not a directory\n");
+        assert_eq!(stderr, line, "{what}");
+        assert!(!out.exists(), "{what}: the run started");
+        assert_eq!(std::fs::read(&file).unwrap(), b"a file, not a directory");
     }
 }
 
