@@ -291,7 +291,7 @@ struct Fixtures {
     reads: Vec<Record>,
     packed_reads: Vec<PackedSeq>,
     counts: KmerCounts,
-    rtt: std::sync::Arc<chrysalis::reads_to_transcripts::RttShared>,
+    rtt: std::sync::Arc<chrysalis::reads_to_transcripts::RttShared<'static>>,
     byte_windows: Vec<Vec<u8>>,
     weld_windows: Vec<WeldWindow>,
     /// The preset's Butterfly inputs: each component's contigs and the

@@ -15,7 +15,7 @@ use mpisim::{run_cluster, NetModel};
 use seqio::fasta::Record;
 use simulate::datasets::{Dataset, DatasetPreset};
 
-fn shared() -> Arc<RttShared> {
+fn shared() -> Arc<RttShared<'static>> {
     let ds = Dataset::generate(DatasetPreset::Tiny, 4);
     let reads = ds.all_reads();
     let cfg = ChrysalisConfig::small(16);

@@ -48,7 +48,7 @@ pub struct Fig09Data {
 }
 
 /// Prepare the shared ReadsToTranscripts state.
-pub fn prepare(seed: u64, scale: f64) -> Arc<RttShared> {
+pub fn prepare(seed: u64, scale: f64) -> Arc<RttShared<'static>> {
     let w = scaled(DatasetPreset::SugarbeetLike, seed, scale);
     let cfg = bench_pipeline_config();
     let (contigs, counts) = assemble_contigs(&w.reads, &cfg);

@@ -8,7 +8,7 @@
 use std::sync::Arc;
 
 use bowtie::align::AlignConfig;
-use chrysalis::bowtie_mpi::bowtie_mpi;
+use chrysalis::bowtie_mpi::bowtie_hits;
 use chrysalis::timings::{BowtieTimings, PhaseSpread};
 use mpisim::{run_cluster, NetModel};
 use omp::makespan::simulate_loop;
@@ -68,7 +68,7 @@ pub fn run(contigs: Arc<Vec<Record>>, reads: Arc<Vec<Record>>, rank_counts: &[us
         let (c, r) = (Arc::clone(&contigs), Arc::clone(&reads));
         let ch = cfg.chrysalis;
         let outs = run_cluster(ranks, NetModel::idataplex(), move |comm| {
-            bowtie_mpi(comm, &c, &r, &ch, align_cfg).timings
+            bowtie_hits(comm, &c, &r, &ch, align_cfg).timings
         });
         let t: Vec<BowtieTimings> = outs.iter().map(|o| o.value).collect();
         rows.push(BowtieRow {
@@ -105,7 +105,7 @@ pub fn rank_work(
     let (c, r) = (Arc::clone(contigs), Arc::clone(reads));
     let ch = bench_pipeline_config().chrysalis;
     let outs = run_cluster(ranks, NetModel::idataplex(), move |comm| {
-        bowtie_mpi(comm, &c, &r, &ch, align_config());
+        bowtie_hits(comm, &c, &r, &ch, align_config());
     });
     let per_rank = outs.iter().map(|o| {
         let arg = |span: &str, name: &str| {

@@ -7,6 +7,11 @@
 //! writes a SAM file; the files are merged into one at the end of the job.
 //! The paper's per-rank `bowtie-build` is single-threaded; here the index
 //! build is a parallel region on the rank's team, like the alignment.
+//!
+//! The merged file is a list of [`Hit`]s, which name reads and contigs by
+//! index: [`bowtie_hits`] returns it as it is, and the pipeline scaffolds
+//! on it. [`bowtie_mpi`] is the same rank program followed by the names
+//! step, [`sam_records`], for callers that want SAM records.
 
 use std::collections::HashMap;
 
@@ -25,12 +30,22 @@ use crate::config::ChrysalisConfig;
 use crate::timings::BowtieTimings;
 use crate::{no_args, rank_region};
 
-/// The stage output.
+/// The stage output as SAM text: [`bowtie_mpi`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct BowtieMpiOutput {
     /// Merged SAM records, one per hit, ordered by read, then contig,
     /// position, strand and mismatches (all by index, not by name).
     pub sam: Vec<SamRecord>,
+    /// This rank's timings.
+    pub timings: BowtieTimings,
+}
+
+/// The stage output as merged hits: [`bowtie_hits`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct BowtieHits {
+    /// Merged hits, one per alignment, in the derived order of [`Hit`] —
+    /// the order of [`BowtieMpiOutput::sam`].
+    pub hits: Vec<Hit>,
     /// This rank's timings.
     pub timings: BowtieTimings,
 }
@@ -43,12 +58,17 @@ pub struct BowtieMpiOutput {
 /// end-to-end, so the read length is the read's own and stays off the wire.
 /// The derived order is the merged file's order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-struct Hit {
-    read: u32,
-    contig: u32,
-    offset: u32,
-    reverse: bool,
-    mismatches: u8,
+pub struct Hit {
+    /// Index of the read in the stage's read set.
+    pub read: u32,
+    /// Index of the contig in the stage's contig set.
+    pub contig: u32,
+    /// 0-based offset of the alignment on the contig.
+    pub offset: u32,
+    /// True if the read aligns reverse-complemented.
+    pub reverse: bool,
+    /// Mismatches of the alignment.
+    pub mismatches: u8,
 }
 
 impl Wire for Hit {
@@ -98,12 +118,8 @@ fn recut_per_read(hits: &mut Vec<Hit>) {
     *hits = kept;
 }
 
-/// Run the distributed Bowtie step — one rank's program.
-///
-/// `contigs` and `reads` are the replicated inputs. Each slice's aligner
-/// cuts its own hits to the best stratum and [`MAX_HITS`], as per-slice
-/// Bowtie runs would; the master cuts once more per read over the gathered
-/// hits, so the merged file is the 1-rank file at every rank count.
+/// Run the distributed Bowtie step — one rank's program — and render its
+/// merged hits as SAM records ([`sam_records`]).
 pub fn bowtie_mpi(
     comm: &mut Comm,
     contigs: &[Record],
@@ -111,6 +127,27 @@ pub fn bowtie_mpi(
     cfg: &ChrysalisConfig,
     align_cfg: AlignConfig,
 ) -> BowtieMpiOutput {
+    let BowtieHits { hits, timings } = bowtie_hits(comm, contigs, reads, cfg, align_cfg);
+    BowtieMpiOutput {
+        sam: sam_records(&hits, contigs, reads),
+        timings,
+    }
+}
+
+/// Run the distributed Bowtie step — one rank's program — and return the
+/// merged hits, which name reads and contigs by index.
+///
+/// `contigs` and `reads` are the replicated inputs. Each slice's aligner
+/// cuts its own hits to the best stratum and [`MAX_HITS`], as per-slice
+/// Bowtie runs would; the master cuts once more per read over the gathered
+/// hits, so the merged file is the 1-rank file at every rank count.
+pub fn bowtie_hits(
+    comm: &mut Comm,
+    contigs: &[Record],
+    reads: &[Record],
+    cfg: &ChrysalisConfig,
+    align_cfg: AlignConfig,
+) -> BowtieHits {
     let track = comm.track();
     let start = comm.clock.now();
     let size = comm.size();
@@ -176,11 +213,22 @@ pub fn bowtie_mpi(
     drop(hit_lists);
 
     // ---- Merge per-rank SAM files at the master ----
-    let merged = crate::master_merge(comm, cfg, "bowtie.merge", hits, recut_per_read);
+    let hits = crate::master_merge(comm, cfg, "bowtie.merge", hits, recut_per_read);
 
-    // Names come back only here, from the replicated inputs.
-    let sam: Vec<SamRecord> = merged
-        .iter()
+    comm.obs
+        .record(track, "stage", "bowtie.total", start, comm.clock.now());
+    BowtieHits {
+        hits,
+        timings: comm
+            .obs
+            .with_trace(|trace| BowtieTimings::from_trace(trace, track)),
+    }
+}
+
+/// The names step: one SAM record per hit, its names taken from the
+/// replicated inputs `contigs` and `reads` the hits index.
+pub fn sam_records(hits: &[Hit], contigs: &[Record], reads: &[Record]) -> Vec<SamRecord> {
+    hits.iter()
         .map(|h| {
             let read = &reads[h.read as usize];
             let aln = Alignment {
@@ -196,16 +244,7 @@ pub fn bowtie_mpi(
             };
             SamRecord::from_alignment(&read.id, &contigs[aln.contig].id, &aln)
         })
-        .collect();
-
-    comm.obs
-        .record(track, "stage", "bowtie.total", start, comm.clock.now());
-    BowtieMpiOutput {
-        sam,
-        timings: comm
-            .obs
-            .with_trace(|trace| BowtieTimings::from_trace(trace, track)),
-    }
+        .collect()
 }
 
 /// Build the `contig name → dense index` map the scaffolder consumes.

@@ -92,8 +92,9 @@ use seqio::par::{Splitters, BUCKETS};
 /// region's cost through [`mpisim::Comm::charge_costed`] as a `cat` span
 /// `name` with the span args `args(&out)` and the region's serial time as
 /// `serial_s`, and draw its loops on the rank's named thread lanes (from
-/// `obs::THREAD_TRACK_BASE + rank·threads`). A loop is a region with one
-/// `map`; a serial block is a region with no loop, charged its wall time.
+/// `obs::THREAD_TRACK_BASE + rank·threads`, named once per rank program).
+/// A loop is a region with one `map`; a serial block is a region with no
+/// loop, charged its wall time.
 pub(crate) fn rank_region<T>(
     comm: &mut mpisim::Comm,
     cfg: &ChrysalisConfig,
@@ -112,9 +113,17 @@ pub(crate) fn rank_region<T>(
     });
     if team.sim.chunks > 0 {
         let lanes = obs::THREAD_TRACK_BASE + (comm.rank() * cfg.threads) as u32;
-        for t in 0..cfg.threads as u32 {
-            let lane = format!("rank {} thread {t}", comm.rank());
-            comm.obs.name_track(lanes + t, lane);
+        // The rank's tracer is fresh per rank program: the first region
+        // that draws on the lanes names them.
+        let last = lanes + (cfg.threads as u32).max(1) - 1;
+        let named = comm
+            .obs
+            .with_trace(|trace| trace.track_names.contains_key(&last));
+        if !named {
+            for t in 0..cfg.threads as u32 {
+                let lane = format!("rank {} thread {t}", comm.rank());
+                comm.obs.name_track(lanes + t, lane);
+            }
         }
         team.sim.record_spans(&comm.obs, start, lanes, name);
     }

@@ -9,6 +9,8 @@
 //! concatenated by the master at the end (a cheap `cat`, <15 s in the
 //! paper). Which chunks a rank *reads* is the rank program's `ReadPolicy`.
 
+use std::borrow::Cow;
+
 use kcount::routed::{routed_build, OWNERS};
 use kmertable::{PackedKmerTable, PartitionedKmerTable};
 use seqio::fasta::Record;
@@ -26,10 +28,11 @@ use crate::timings::RttTimings;
 
 /// Read-only state for the stage: the read set (standing in for the
 /// streamed FASTA file) and the replicated k-mer→component table.
-pub struct RttShared {
+pub struct RttShared<'a> {
     /// All input reads, in file order (ASCII form: the streamed-file model
-    /// walks these bytes to charge I/O).
-    pub reads: Vec<Record>,
+    /// walks these bytes to charge I/O). Borrowed from the caller where it
+    /// still holds them, as the pipeline does, so the stage copies no read.
+    pub reads: Cow<'a, [Record]>,
     /// The same reads 2-bit packed once at prepare time; the voting loop
     /// rolls canonical k-mers off this form.
     pub packed_reads: Vec<PackedSeq>,
@@ -49,7 +52,7 @@ pub struct RttShared {
     pub cfg: ChrysalisConfig,
 }
 
-impl RttShared {
+impl<'a> RttShared<'a> {
     /// Build the replicated table from the clustered contigs (measured).
     /// `components[c]` lists contig indices of component `c`.
     pub fn prepare(
@@ -65,12 +68,13 @@ impl RttShared {
     /// [`Self::prepare`] with pre-encoded reads — the pipeline packs every
     /// read once at ingest and hands the same encoding to each stage.
     pub fn prepare_with_packed(
-        reads: Vec<Record>,
+        reads: impl Into<Cow<'a, [Record]>>,
         packed_reads: Vec<PackedSeq>,
         contigs: &[PackedSeq],
         components: &[Vec<usize>],
         cfg: ChrysalisConfig,
     ) -> Self {
+        let reads = reads.into();
         assert_eq!(
             reads.len(),
             packed_reads.len(),
@@ -315,7 +319,7 @@ pub(crate) mod tests_support {
     pub(crate) const C0: &[u8] = b"CGAGTCGGTTATCTTCGGATACTGTATAGTCC";
     pub(crate) const C1: &[u8] = b"AAAGCGGCACTTGTGAAGTGTTCCCCACGCCG";
 
-    pub(crate) fn fixtures() -> RttShared {
+    pub(crate) fn fixtures() -> RttShared<'static> {
         let contigs = vec![rec("c0", C0), rec("c1", C1)];
         let components = vec![vec![0], vec![1]];
         // Reads drawn from each contig, interleaved.
@@ -337,7 +341,7 @@ pub(crate) mod tests_support {
         contigs: &[Record],
         components: &[Vec<usize>],
         cfg: ChrysalisConfig,
-    ) -> RttShared {
+    ) -> RttShared<'static> {
         RttShared::prepare(reads, &seqio::packed::encode_all(contigs), components, cfg)
     }
 

@@ -10,7 +10,10 @@ use std::collections::HashMap;
 
 use bowtie::sam::SamRecord;
 use omp::{Pool, Team};
+use seqio::fasta::Record;
 use seqio::par::BUCKETS;
+
+use crate::bowtie_mpi::Hit;
 
 /// Scaffolding parameters.
 #[derive(Debug, Clone, Copy)]
@@ -53,62 +56,98 @@ fn key_hash(key: &str) -> u64 {
 /// contig. Sorting by hash first compares whole keys only on a tie.
 type Placement<'a> = (u64, &'a str, u32);
 
+/// One aligned mate, as the scaffolding core reads it: the read's name, the
+/// contig's dense index, the alignment's 0-based offset on the contig and
+/// the bases it spans.
+type Mate<'a> = (&'a str, u32, usize, usize);
+
 /// Derive scaffold pairs from merged SAM records.
 ///
 /// `contig_index` maps contig names to dense indices; `contig_lens` gives
 /// each contig's length (for the end-window test). Returns `(a, b)` pairs
 /// with `a < b`, sorted: the contigs whose ends the mates of at least
-/// `min_pairs` read pairs align near.
+/// `min_pairs` read pairs align near. Unmapped records and contigs the
+/// index does not know are skipped; the span is the CIGAR's `<n>M`.
 pub fn scaffold_pairs(
     sam: &[SamRecord],
     contig_index: &HashMap<String, u32>,
     contig_lens: &[usize],
     cfg: ScaffoldConfig,
 ) -> Vec<(u32, u32)> {
-    scaffold_pairs_on(sam, contig_index, contig_lens, cfg, &mut Pool::new(1))
+    let mate = sam_mates(sam, contig_index);
+    scaffold_mates_on(sam.len(), mate, contig_lens, cfg, &mut Pool::new(1))
 }
 
-/// [`scaffold_pairs`] as three loops on `team`; the links are the same on
-/// every team.
+/// [`scaffold_pairs`] on the merged hits of
+/// [`bowtie_hits`](crate::bowtie_mpi::bowtie_hits), on `team`: a hit's
+/// name and span are its read's, `reads[hit.read]`, and its contig is the
+/// hit's. The links are the same on every team, and the same as
+/// [`scaffold_pairs`] on the hits' SAM records.
+pub fn scaffold_pairs_on(
+    hits: &[Hit],
+    reads: &[Record],
+    contig_lens: &[usize],
+    cfg: ScaffoldConfig,
+    team: &mut impl Team,
+) -> Vec<(u32, u32)> {
+    let mate = |i: usize| {
+        let hit = &hits[i];
+        let (read, offset) = (&reads[hit.read as usize], hit.offset as usize);
+        Some((read.id.as_str(), hit.contig, offset, read.seq.len()))
+    };
+    scaffold_mates_on(hits.len(), mate, contig_lens, cfg, team)
+}
+
+/// The mate of each SAM record: `None` for an unmapped record or a contig
+/// `contig_index` does not know.
+fn sam_mates<'a>(
+    sam: &'a [SamRecord],
+    contig_index: &'a HashMap<String, u32>,
+) -> impl Fn(usize) -> Option<Mate<'a>> + Sync + 'a {
+    move |i| {
+        let rec = &sam[i];
+        if rec.is_unmapped() {
+            return None;
+        }
+        let &contig = contig_index.get(&rec.rname)?;
+        let pos = (rec.pos.max(1) - 1) as usize; // SAM POS is 1-based
+        let span = rec
+            .cigar
+            .strip_suffix('M')
+            .and_then(|n| n.parse::<usize>().ok())
+            .unwrap_or(0);
+        Some((rec.qname.as_str(), contig, pos, span))
+    }
+}
+
+/// The one scaffolding core: the links between contigs made by the mates
+/// `mate(0..n)` (`None` skips an item), as three loops on `team`.
 ///
-/// 1. Per chunk of records: drop unmapped records and unknown contigs,
-///    apply the end-window test, and put each `(hash, pair key, contig)`
-///    in the bucket of its hash's top bits — so every placement of a read
-///    pair lands in one bucket.
+/// 1. Per chunk of items: apply the end-window test, and put each
+///    `(hash, pair key, contig)` in the bucket of its hash's top bits — so
+///    every placement of a read pair lands in one bucket.
 /// 2. Per pair bucket: sort, dedup, group by pair key and emit one link
 ///    per read pair and pair of its contigs, into the bucket of the link's
 ///    first contig — buckets in `(a, b)` order, equal links together.
 /// 3. Per link bucket: sort and keep each link made by `min_pairs` read
 ///    pairs or more. The buckets concatenate to the sorted list.
-pub fn scaffold_pairs_on(
-    sam: &[SamRecord],
-    contig_index: &HashMap<String, u32>,
+fn scaffold_mates_on<'a>(
+    n: usize,
+    mate: impl Fn(usize) -> Option<Mate<'a>> + Sync,
     contig_lens: &[usize],
     cfg: ScaffoldConfig,
     team: &mut impl Team,
 ) -> Vec<(u32, u32)> {
     let shift = 64 - BUCKETS.trailing_zeros();
-    let chunks = seqio::par::chunks(sam.len());
+    let chunks = seqio::par::chunks(n);
     let placed: Vec<Vec<Vec<Placement>>> = team.map(&chunks, |chunk| {
         let mut out = vec![Vec::new(); BUCKETS];
-        for rec in &sam[chunk.clone()] {
-            if rec.is_unmapped() {
-                continue;
-            }
-            let Some(&contig) = contig_index.get(&rec.rname) else {
-                continue;
-            };
+        for (name, contig, pos, span) in chunk.clone().filter_map(&mate) {
             let len = contig_lens[contig as usize];
-            let pos = (rec.pos.max(1) - 1) as usize; // SAM POS is 1-based
-            let read_span = rec
-                .cigar
-                .strip_suffix('M')
-                .and_then(|n| n.parse::<usize>().ok())
-                .unwrap_or(0);
             let near_start = pos < cfg.end_window;
-            let near_end = pos + read_span + cfg.end_window >= len;
+            let near_end = pos + span + cfg.end_window >= len;
             if near_start || near_end {
-                let key = pair_key(&rec.qname);
+                let key = pair_key(name);
                 let hash = key_hash(key);
                 out[(hash >> shift) as usize].push((hash, key, contig));
             }
@@ -327,10 +366,12 @@ mod tests {
             let cfg = ScaffoldConfig { end_window, min_pairs };
             let expect = hashmap_oracle(&records, &idx, &lens, cfg);
             proptest::prop_assert_eq!(&scaffold_pairs(&records, &idx, &lens, cfg), &expect);
+            let mates = sam_mates(&records, &idx);
             let reversed = &mut crate::test_teams::Reversed;
-            let on_reversed = scaffold_pairs_on(&records, &idx, &lens, cfg, reversed);
+            let on_reversed = scaffold_mates_on(records.len(), &mates, &lens, cfg, reversed);
             proptest::prop_assert_eq!(&on_reversed, &expect);
-            let on_threads = scaffold_pairs_on(&records, &idx, &lens, cfg, &mut Pool::new(2));
+            let pool = &mut Pool::new(2);
+            let on_threads = scaffold_mates_on(records.len(), &mates, &lens, cfg, pool);
             proptest::prop_assert_eq!(&on_threads, &expect);
         }
     }
@@ -362,8 +403,9 @@ mod tests {
         let expect = hashmap_oracle(&records, &idx, &lens, cfg);
         assert!(expect.len() > 100);
         assert_eq!(scaffold_pairs(&records, &idx, &lens, cfg), expect);
-        let on_reversed =
-            scaffold_pairs_on(&records, &idx, &lens, cfg, &mut crate::test_teams::Reversed);
+        let mates = sam_mates(&records, &idx);
+        let reversed = &mut crate::test_teams::Reversed;
+        let on_reversed = scaffold_mates_on(records.len(), mates, &lens, cfg, reversed);
         assert_eq!(on_reversed, expect);
     }
 

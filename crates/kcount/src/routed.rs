@@ -89,8 +89,10 @@ where
 {
     let partition = Owners::new(owners.len());
     assert_eq!(partition.count(), owners.len(), "one state per owner");
-    // Buffers start at the fullest one of the round before, so after the
-    // first round routing appends without reallocating.
+    // Buffers start at the mean length of the round before plus a quarter:
+    // most appends then fit without reallocating, while the round's few
+    // fullest buffers grow on their own instead of every buffer being
+    // sized to the fullest.
     let mut capacity = 0;
     for round_batches in batches.chunks(team.threads().max(1)) {
         let routed = team.map(round_batches, |batch| {
@@ -103,8 +105,10 @@ where
                 absorb(state, &router.buffers[o]);
             }
         });
-        let fullest = routed.iter().flat_map(|r| r.buffers.iter().map(Vec::len));
-        capacity = fullest.max().unwrap_or(0);
+        let buffers = routed.len() * partition.count();
+        let routed_pairs: usize = routed.iter().flat_map(|r| &r.buffers).map(Vec::len).sum();
+        let mean = routed_pairs / buffers.max(1);
+        capacity = mean + mean / 4;
     }
     owners
 }

@@ -258,9 +258,7 @@ impl PartitionedKmerTable {
         for table in &self.tables {
             entries += table.len() as u64;
             capacity += table.capacity() as u64;
-            for d in table.probe_lengths() {
-                hist.record(d);
-            }
+            hist.record_all(table.probe_lengths());
         }
         registry
             .gauge(format!("{prefix}.entries"))

@@ -327,10 +327,9 @@ impl PackedKmerTable {
         registry
             .gauge(format!("{prefix}.load_factor"))
             .set(self.load_factor());
-        let h = registry.histogram(format!("{prefix}.probe_len"));
-        for d in self.probe_lengths() {
-            h.record(d);
-        }
+        registry
+            .histogram(format!("{prefix}.probe_len"))
+            .record_all(self.probe_lengths());
     }
 
     /// Keep only entries where `pred(key, value)` holds. Rebuilds the

@@ -80,6 +80,24 @@ impl Histogram {
         self.0.sum.fetch_add(v, Ordering::Relaxed);
     }
 
+    /// Record every sample of `values`: tallied into local buckets first,
+    /// then added with one atomic add per touched bucket and one for the
+    /// sum — the same summary as [`Histogram::record`] per sample.
+    pub fn record_all(&self, values: impl IntoIterator<Item = u64>) {
+        let mut buckets = [0u64; HISTOGRAM_BUCKETS];
+        let mut sum = 0u64;
+        for v in values {
+            buckets[bucket_of(v)] += 1;
+            sum = sum.wrapping_add(v);
+        }
+        for (bucket, n) in self.0.buckets.iter().zip(buckets) {
+            if n > 0 {
+                bucket.fetch_add(n, Ordering::Relaxed);
+            }
+        }
+        self.0.sum.fetch_add(sum, Ordering::Relaxed);
+    }
+
     /// Freeze the histogram into a summary.
     pub fn summary(&self) -> HistogramSummary {
         let buckets: Vec<u64> = self
@@ -333,6 +351,32 @@ mod tests {
         assert_eq!(s.buckets[1], 1); // 1
         assert_eq!(s.buckets[2], 1); // 3
         assert_eq!(s.buckets[7], 1); // 100
+    }
+
+    #[test]
+    fn bulk_recording_equals_per_sample_recording() {
+        // Random values of every bit length, 0 and u64::MAX among them (the
+        // sum wraps alike), added in several batches to one histogram.
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            state >> (state % 64)
+        };
+        for n in [0usize, 1, 7, 1000] {
+            let mut values: Vec<u64> = (0..n).map(|_| next()).collect();
+            values.extend([0, u64::MAX, 0, u64::MAX, 1]);
+            let (one, bulk) = (Histogram::default(), Histogram::default());
+            for _ in 0..3 {
+                values.iter().for_each(|&v| one.record(v));
+                bulk.record_all(values.iter().copied());
+            }
+            assert_eq!(bulk.summary(), one.summary(), "{n} values");
+        }
+        let empty = Histogram::default();
+        empty.record_all([]);
+        assert_eq!(empty.summary(), Histogram::default().summary());
     }
 
     #[test]

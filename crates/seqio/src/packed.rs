@@ -62,8 +62,8 @@ fn add_rolled_windows(n: u64) {
 /// word compares like the string it encodes. Non-ACGT input bytes (e.g. `N`)
 /// pack as code 0 but are excluded from `runs`; [`PackedSeq::decode`]
 /// restores them as `N` and the k-mer iterators never emit a window that
-/// touches one.
-#[derive(Clone, Debug, PartialEq, Eq)]
+/// touches one. The default is the empty sequence.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct PackedSeq {
     words: Vec<u64>,
     len: usize,

@@ -121,12 +121,11 @@ impl From<std::io::Error> for CkptError {
     }
 }
 
-/// A decoded checkpoint: the stage it belongs to, the stage's virtual
-/// duration (replayed into the trace on resume) and the codec payload.
+/// A decoded checkpoint of the stage [`load`] was asked for: the stage's
+/// virtual duration (replayed into the trace on resume) and the codec
+/// payload.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Checkpoint {
-    /// Stage name, e.g. `"Jellyfish"`.
-    pub stage: String,
     /// Virtual duration of the original stage run, seconds.
     pub duration: f64,
     /// Stage-specific payload (see the `encode_*`/`decode_*` codecs).
@@ -208,11 +207,7 @@ pub fn load(dir: &Path, fingerprint: u64, stage: &str) -> Result<Checkpoint, Ckp
     if !r.is_empty() {
         return Err(CkptError::Truncated);
     }
-    Ok(Checkpoint {
-        stage: name,
-        duration,
-        payload,
-    })
+    Ok(Checkpoint { duration, payload })
 }
 
 // ---- primitive codec helpers -------------------------------------------
@@ -475,7 +470,6 @@ mod tests {
         let payload = encode_pairs(&[(1, 2), (3, 4)]);
         save(&dir, 42, "Stage", 1.5, &payload).unwrap();
         let ck = load(&dir, 42, "Stage").unwrap();
-        assert_eq!(ck.stage, "Stage");
         assert_eq!(ck.duration, 1.5);
         assert_eq!(decode_pairs(&ck.payload).unwrap(), vec![(1, 2), (3, 4)]);
         std::fs::remove_dir_all(&dir).unwrap();

@@ -23,7 +23,7 @@ use seqio::packed::{PackedSeq, SeqioStats};
 
 use bowtie::align::AlignConfig;
 use butterfly::transcripts::{reconstruct_component, ComponentInput, ReconstructionConfig};
-use chrysalis::bowtie_mpi::{bowtie_mpi, contig_name_index};
+use chrysalis::bowtie_mpi::bowtie_hits;
 use chrysalis::config::ChrysalisConfig;
 use chrysalis::graph_from_fasta::{cluster, gff_hybrid, GffShared};
 use chrysalis::reads_to_transcripts::{rtt_hybrid, RttShared};
@@ -278,8 +278,10 @@ impl<'a> Driver<'a> {
     /// The completed prefix, read before the first stage runs: on `resume`,
     /// each checkpointed stage's file in run order up to the first that is
     /// missing or unusable. FNV is not a MAC, so each decode also refuses a
-    /// payload that does not fit the run: a count table of another `k`, or
-    /// an index past the reads or the prefix's contigs or components.
+    /// payload that does not fit the run: a count table of another `k`, an
+    /// index past the reads or the prefix's contigs or components, or a
+    /// contig in two components or a read with two assignments (Butterfly
+    /// moves each contig and read into the one input that names it).
     fn resumed(&self, resume: bool, reads: &[Record], k: usize) -> Resumed {
         let mut r = Resumed::default();
         let mut walk = || {
@@ -291,11 +293,14 @@ impl<'a> Driver<'a> {
                 ckpt::decode_welds(p).filter(|(_, pairs)| pairs_below(pairs, n, n))
             })?);
             let components = self.read("QuantifyGraph", |p| {
-                ckpt::decode_components(p).filter(|c| c.iter().flatten().all(|&m| m < n))
+                ckpt::decode_components(p).filter(|c| at_most_once(c.iter().flatten().copied(), n))
             })?;
             let c = r.components.insert(components).0.len();
             r.assignments = Some(self.read("ReadsToTranscripts", |p| {
-                ckpt::decode_pairs(p).filter(|a| pairs_below(a, reads.len(), c))
+                ckpt::decode_pairs(p).filter(|a| {
+                    pairs_below(a, reads.len(), c)
+                        && at_most_once(a.iter().map(|&(r, _)| r as usize), reads.len())
+                })
             })?);
             Some(())
         };
@@ -482,6 +487,14 @@ fn pairs_below(pairs: &[(u32, u32)], na: usize, nb: usize) -> bool {
         .all(|&(a, b)| (a as usize) < na && (b as usize) < nb)
 }
 
+/// True if every item is below `n` and none repeats.
+fn at_most_once(items: impl IntoIterator<Item = usize>, n: usize) -> bool {
+    let mut seen = vec![false; n];
+    items
+        .into_iter()
+        .all(|i| i < n && !std::mem::replace(&mut seen[i], true))
+}
+
 /// Run the pipeline over `reads` (fault-free, no checkpointing).
 pub fn run_pipeline(reads: &[Record], cfg: &PipelineConfig) -> PipelineOutput {
     run_pipeline_opts(reads, cfg, &RunOptions::default())
@@ -585,23 +598,23 @@ pub fn run_pipeline_opts(
     let contig_bytes = seq_bytes(&contigs);
     // Contigs, like reads, are packed exactly once; GraphFromFasta,
     // ReadsToTranscripts and Butterfly all share this encoding.
-    let packed_contigs = seqio::packed::encode_all(&contigs);
+    let mut packed_contigs = seqio::packed::encode_all(&contigs);
 
     // ---- Chrysalis: Bowtie ----
-    // Not checkpointed: its artifact (the SAM stream) only feeds
-    // scaffolding, whose result is checkpointed at QuantifyGraph. When
-    // QuantifyGraph is in the resumed prefix, nothing reads a SAM and no
-    // read is aligned.
-    let sam = if resumed.components.is_some() {
+    // Not checkpointed: its artifact (the merged hits, which name reads and
+    // contigs by index) only feeds scaffolding, whose result is
+    // checkpointed at QuantifyGraph. When QuantifyGraph is in the resumed
+    // prefix, nothing reads a hit and no read is aligned.
+    let hits = if resumed.components.is_some() {
         d.obs.record(0, SKIPPED_CAT, "Bowtie", d.cursor, d.cursor);
         Vec::new()
     } else {
         let (bowtie, run) = d.run_cluster_resilient(|comm| {
-            bowtie_mpi(comm, &contigs, reads, &cfg.chrysalis, cfg.align)
+            bowtie_hits(comm, &contigs, reads, &cfg.chrysalis, cfg.align)
         });
         let bowtie_ram = ram::bowtie(contig_bytes.div_ceil(d.ranks), seq_bytes(reads));
         d.log_stage("Bowtie", bowtie_ram, run);
-        bowtie.sam
+        bowtie.hits
     };
 
     // ---- Chrysalis: GraphFromFasta ----
@@ -627,8 +640,8 @@ pub fn run_pipeline_opts(
 
     // ---- Chrysalis: scaffolding (combine Bowtie links with welds) ----
     // One parallel region on the stage's team: the scaffolding's loops, and
-    // the contig name index, the pair merge and the clustering as its
-    // serial time.
+    // the contig lengths, the pair merge and the clustering as its serial
+    // time. The hits end with the stage.
     let components = d.stage(
         "QuantifyGraph",
         resumed.components,
@@ -636,9 +649,8 @@ pub fn run_pipeline_opts(
         |_, _| ram::graph_from_fasta(contig_bytes, 0, weld_bytes),
         |d| {
             d.region_stage("quantify", |team| {
-                let name_index = contig_name_index(&contigs);
                 let lens: Vec<usize> = contigs.iter().map(|c| c.seq.len()).collect();
-                let scaf_pairs = scaffold_pairs_on(&sam, &name_index, &lens, cfg.scaffold, team);
+                let scaf_pairs = scaffold_pairs_on(&hits, reads, &lens, cfg.scaffold, team);
                 let mut all_pairs = gff_pairs.clone();
                 all_pairs.extend(scaf_pairs);
                 all_pairs.sort_unstable();
@@ -647,14 +659,15 @@ pub fn run_pipeline_opts(
             })
         },
     );
+    drop(hits);
     d.metrics
         .gauge("pipeline.components")
         .set(components.len() as f64);
 
     // ---- Chrysalis: ReadsToTranscripts ----
-    // The stage holds the packed reads while it runs and hands them back
-    // for Butterfly: moved, not cloned, since on read-heavy inputs the run's
-    // peak memory is reached here.
+    // The stage borrows the ASCII reads and holds the packed reads while it
+    // runs, handing them back for Butterfly: moved, not cloned, since on
+    // read-heavy inputs the run's peak memory is reached here.
     let chunk_bytes = seq_bytes(&reads[..reads.len().min(cfg.chrysalis.max_mem_reads)]);
     let assignments = d.stage(
         "ReadsToTranscripts",
@@ -663,7 +676,7 @@ pub fn run_pipeline_opts(
         |_, table_entries| ram::reads_to_transcripts(table_entries, chunk_bytes),
         |d| {
             let shared = RttShared::prepare_with_packed(
-                reads.to_vec(),
+                reads,
                 std::mem::take(&mut packed_reads),
                 &packed_contigs,
                 &components,
@@ -686,20 +699,25 @@ pub fn run_pipeline_opts(
     // Not checkpointed: it is the last stage, so its artifact is the run's
     // output. The stage is one loop over components, a region with one
     // `map`; gathering each component's inputs and concatenating the
-    // transcripts are the pipeline's glue around it.
+    // transcripts are the pipeline's glue around it. Each contig is in one
+    // component and each read has at most one assignment, so the packed
+    // sequences move into the inputs rather than being copied.
     let mut comp_inputs: Vec<ComponentInput> = components
         .iter()
         .enumerate()
         .map(|(ci, members)| ComponentInput {
             component: ci,
-            contigs: members.iter().map(|&m| packed_contigs[m].clone()).collect(),
+            contigs: members
+                .iter()
+                .map(|&m| std::mem::take(&mut packed_contigs[m]))
+                .collect(),
             reads: Vec::new(),
         })
         .collect();
     for &(r, c) in &assignments {
         comp_inputs[c as usize]
             .reads
-            .push(packed_reads[r as usize].clone());
+            .push(std::mem::take(&mut packed_reads[r as usize]));
     }
     let (lists, run) = d.region_stage("butterfly", |team| {
         team.map(&comp_inputs, |input| {
@@ -735,6 +753,16 @@ mod tests {
 
     fn tiny_reads() -> Vec<Record> {
         Dataset::generate(DatasetPreset::Tiny, 11).all_reads()
+    }
+
+    #[test]
+    fn resumed_members_and_reads_appear_at_most_once() {
+        // Butterfly moves each contig and read into the one input naming
+        // it, so a resumed component or assignment list must not repeat one.
+        assert!(at_most_once([2, 0, 1], 3));
+        assert!(at_most_once([], 0));
+        assert!(!at_most_once([0, 2, 0], 3), "a contig in two components");
+        assert!(!at_most_once([3], 3), "past the end");
     }
 
     #[test]
